@@ -9,6 +9,7 @@ so reruns are byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import json
@@ -204,7 +205,6 @@ def cmd_validate(states_path, observed_path, variable, limit):
         if t < t_pred[0] or t > t_pred[-1]:
             _fail(2, f"observed time {t} s outside simulated span")
         # linear interpolation onto the observed grid
-        import bisect
         i = bisect.bisect_left(t_pred, t)
         if i < len(t_pred) and t_pred[i] == t:
             predicted.append(y_pred[i])

@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .config import DryerConfig
-from .core import AirProps, SimState, WeatherRecord, air_properties
+from .core import AirProps, SimState, WeatherRecord
 from .errors import ConfigError, ConfigWarning
 
 SIGMA = 5.670e-8  # Stefan-Boltzmann constant, W m^-2 K^-4
@@ -32,6 +32,14 @@ class CoefficientSet:
     flags: tuple[str, ...] = field(default=())
 
 
+def _sky(T_am: float, c_sky: float) -> tuple[float, bool]:
+    """T_s = c_sky * T_am^1.5 and whether it is physical, 0 < T_s <= T_am."""
+    if T_am <= 0:
+        raise ValueError(f"ambient temperature must be > 0 K, got {T_am}")
+    T_s = c_sky * T_am**1.5
+    return T_s, 0.0 < T_s <= T_am
+
+
 def sky_temperature(T_am: float, c_sky: float = 0.0550) -> float:
     """Effective sky temperature T_s = c_sky * T_am^1.5.
 
@@ -40,10 +48,8 @@ def sky_temperature(T_am: float, c_sky: float = 0.0550) -> float:
     here is 0.0550 so that T_s < T_am holds everywhere below 330 K; a
     value of 0.552 yields a sky far hotter than ambient.
     """
-    if T_am <= 0:
-        raise ValueError(f"ambient temperature must be > 0 K, got {T_am}")
-    T_s = c_sky * T_am**1.5
-    if not 0.0 < T_s <= T_am:
+    T_s, physical = _sky(T_am, c_sky)
+    if not physical:
         warnings.warn(
             f"sky temperature {T_s:.1f} K is non-physical for ambient "
             f"{T_am:.1f} K (c_sky={c_sky}); expected 0 < T_s <= T_am",
@@ -110,16 +116,15 @@ def overall_cover_loss(k_c: float, delta_c: float) -> float:
 
 
 def assemble_coefficients(
-    state: SimState, weather: WeatherRecord, cfg: DryerConfig
+    state: SimState, weather: WeatherRecord, cfg: DryerConfig, air: AirProps
 ) -> CoefficientSet:
-    """Evaluate every coefficient at the current step's temperatures."""
+    """Evaluate every coefficient at the current step's temperatures; air
+    holds the dry-air properties at state.T_a.  A non-physical sky
+    temperature is flagged, not warned about."""
     flags = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConfigWarning)
-        T_s = sky_temperature(weather.T_am, cfg.kinetics.c_sky)
-    if caught:
+    T_s, sky_physical = _sky(weather.T_am, cfg.kinetics.c_sky)
+    if not sky_physical:
         flags.append("sky_temperature_non_physical")
-    air = air_properties(state.T_a)
     D_h = hydraulic_diameter(cfg.geometry.W, cfg.geometry.D)
     Re, Nu, h_c = internal_convective(cfg.airflow.V_a, D_h, air)
     if cfg.airflow.V_a == 0:

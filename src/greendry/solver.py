@@ -9,14 +9,18 @@ product rows are backward-difference discretisations of their thermal-mass
 balances; the floor row is algebraic (quasi-steady flux balance against
 the deep soil).  A chamber humidity-ratio balance then routes the
 evaporated water into the air.
+
+The whole step works on plain Python floats: each balance returns its row
+as a list of four coefficients and a right-hand side, and `eliminate`
+solves the lists directly.  At 4x4, array set-up would cost more than the
+arithmetic.  `LinearSystem` + `gauss_jordan` is the validating entry point
+for callers that hold a system of their own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import kinetics
 from .coefficients import CoefficientSet, assemble_coefficients
@@ -29,11 +33,13 @@ from .core import (
     relative_humidity,
     saturation_humidity_ratio,
 )
-from .errors import SimulationError, SingularMatrixError, WeatherError
+from .errors import GreendryError, SimulationError, SingularMatrixError, WeatherError
 from .weather import WeatherSeries, sample
 
 # Unknown ordering in every assembled system.
 UNKNOWNS = ("T_c", "T_a", "T_p", "T_f")
+# Balance ordering: the rows of every assembled system.
+BALANCES = ("cover", "air", "product", "floor")
 
 SINGULAR_PIVOT = 1e-12
 
@@ -44,16 +50,24 @@ _AW_MIN, _AW_MAX = 1e-6, 1.0 - 1e-6
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """n x n system A x = b; unknown ordering per UNKNOWNS."""
+    """n x n system A x = b, stored as lists of floats (A row by row);
+    unknown ordering per UNKNOWNS.  Accepts any nested sequence of numbers
+    and rejects ragged, non-square or non-finite input with ValueError."""
 
-    A: np.ndarray
-    b: np.ndarray
+    A: list[list[float]]
+    b: list[float]
 
     def __post_init__(self):
-        A, b = np.asarray(self.A, float), np.asarray(self.b, float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
-            raise ValueError(f"need square A and matching b, got {A.shape}, {b.shape}")
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        A = [[float(v) for v in row] for row in self.A]
+        b = [float(v) for v in self.b]
+        n = len(b)
+        if len(A) != n or any(len(row) != n for row in A):
+            raise ValueError(
+                f"need square A and matching b, got row lengths "
+                f"{[len(row) for row in A]} and b of length {n}"
+            )
+        if not (all(math.isfinite(v) for row in A for v in row)
+                and all(math.isfinite(v) for v in b)):
             raise ValueError("linear system contains non-finite entries")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -81,37 +95,57 @@ class SimSeries:
         return len(self.states)
 
 
-def gauss_jordan(system: LinearSystem) -> np.ndarray:
+def eliminate(A, b) -> list[float]:
     """Solve A x = b by Gauss-Jordan elimination with partial pivoting.
 
-    Raises SingularMatrixError (carrying the offending column) when a
-    pivot magnitude falls below 1e-12.
+    A is a sequence of n rows of n floats and b a sequence of n floats;
+    neither is modified and neither is validated (see LinearSystem).  For
+    each column the pivot is the first entry of largest magnitude on or
+    below the diagonal; the pivot row is divided by it, and every other
+    row with a non-zero factor in that column subtracts factor x pivot
+    row.  Entries left of the pivot column are exactly zero by then and
+    are skipped.  Raises SingularMatrixError (carrying the offending
+    column) when a pivot magnitude falls below 1e-12.
     """
-    n = system.b.shape[0]
-    aug = np.hstack([system.A.astype(float, copy=True),
-                     system.b.reshape(n, 1).astype(float, copy=True)])
+    n = len(b)
+    aug = [[*row, rhs] for row, rhs in zip(A, b)]
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if abs(pivot) < SINGULAR_PIVOT:
+        pivot_row, best = col, abs(aug[col][col])
+        for r in range(col + 1, n):
+            mag = abs(aug[r][col])
+            if mag > best:
+                pivot_row, best = r, mag
+        prow = aug[pivot_row]
+        pivot = prow[col]
+        if best < SINGULAR_PIVOT:
             raise SingularMatrixError(column=col, pivot=pivot)
         if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n]
+            aug[pivot_row], aug[col] = aug[col], prow
+        cols = range(col + 1, n + 1)
+        for j in cols:
+            prow[j] /= pivot
+        for r in range(n):
+            row = aug[r]
+            factor = row[col]
+            if r != col and factor != 0.0:
+                for j in cols:
+                    row[j] -= factor * prow[j]
+    return [row[n] for row in aug]
+
+
+def gauss_jordan(system: LinearSystem) -> list[float]:
+    """Solve a validated LinearSystem with `eliminate`."""
+    return eliminate(system.A, system.b)
 
 
 def cover_balance(state, coeffs, weather, cfg, dt):
     """Backward-difference row for the cover energy balance."""
     g, c = cfg.geometry, cfg.cover
     cap = c.m_c * c.C_pc / dt
-    row = np.zeros(4)
-    row[0] = cap + g.A_c * (coeffs.h_c + coeffs.h_r_cs + coeffs.h_w) + g.A_p * coeffs.h_r_pc
-    row[1] = -g.A_c * coeffs.h_c
-    row[2] = -g.A_p * coeffs.h_r_pc
+    row = [cap + g.A_c * (coeffs.h_c + coeffs.h_r_cs + coeffs.h_w) + g.A_p * coeffs.h_r_pc,
+           -g.A_c * coeffs.h_c,
+           -g.A_p * coeffs.h_r_pc,
+           0.0]
     rhs = (cap * state.T_c
            + g.A_c * coeffs.h_r_cs * coeffs.T_s
            + g.A_c * coeffs.h_w * weather.T_am
@@ -133,11 +167,11 @@ def air_balance(state, coeffs, weather, cfg, dmdt, dt, air, m_a):
     flow_in = air.rho * air.cp * a.V_in
     flow_out = air.rho * air.cp * a.V_out
     bracket = (1.0 - p.F_p) * (1.0 - cfg.floor.alpha_f) + (1.0 - p.alpha_p) * p.F_p
-    row = np.zeros(4)
-    row[1] = (cap + (g.A_p + g.A_f) * coeffs.h_c + q_m + flow_out
-              + coeffs.U_c * g.A_c)
-    row[2] = -(g.A_p * coeffs.h_c + q_m)
-    row[3] = -g.A_f * coeffs.h_c
+    row = [0.0,
+           (cap + (g.A_p + g.A_f) * coeffs.h_c + q_m + flow_out
+            + coeffs.U_c * g.A_c),
+           -(g.A_p * coeffs.h_c + q_m),
+           -g.A_f * coeffs.h_c]
     rhs = (cap * state.T_a
            + flow_in * a.T_in
            + coeffs.U_c * g.A_c * weather.T_am
@@ -152,10 +186,10 @@ def product_balance(state, coeffs, weather, cfg, dmdt, dt):
     g, p = cfg.geometry, cfg.product
     cap = p.m_p * (p.C_pp + p.C_pl * state.M_p) / dt
     q_m = g.A_p * g.D_p * p.C_pv * p.rho_p * dmdt
-    row = np.zeros(4)
-    row[0] = -g.A_p * coeffs.h_r_pc
-    row[1] = -g.A_p * coeffs.h_c + q_m
-    row[2] = cap + g.A_p * (coeffs.h_c + coeffs.h_r_pc) - q_m
+    row = [-g.A_p * coeffs.h_r_pc,
+           -g.A_p * coeffs.h_c + q_m,
+           cap + g.A_p * (coeffs.h_c + coeffs.h_r_pc) - q_m,
+           0.0]
     rhs = (cap * state.T_p
            + g.A_p * g.D_p * p.rho_p * p.L_p * dmdt
            + p.F_p * p.alpha_p * weather.I_t * g.A_c * cfg.cover.tau_c)
@@ -169,9 +203,7 @@ def floor_balance(state, coeffs, weather, cfg):
     g, f, p = cfg.geometry, cfg.floor, cfg.product
     if coeffs.h_c + f.h_dfg == 0.0:
         raise SimulationError("floor row singular: h_dfg + h_c = 0")
-    row = np.zeros(4)
-    row[3] = g.A_f * (f.h_dfg + coeffs.h_c)
-    row[1] = -g.A_f * coeffs.h_c
+    row = [0.0, -g.A_f * coeffs.h_c, 0.0, g.A_f * (f.h_dfg + coeffs.h_c)]
     rhs = (g.A_f * f.h_dfg * f.T_deep
            + (1.0 - p.F_p) * f.alpha_f * weather.I_t * g.A_c * cfg.cover.tau_c)
     return row, rhs
@@ -235,24 +267,25 @@ def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig
     dM = M_new - state.M_p
     dmdt = dM / dt
 
-    coeffs = assemble_coefficients(state, weather_end, cfg)
-    flags.extend(coeffs.flags)
-
     air = air_properties(state.T_a)
     m_a = air.rho * cfg.geometry.V
 
-    rows = [
+    coeffs = assemble_coefficients(state, weather_end, cfg, air)
+    flags.extend(coeffs.flags)
+
+    rows = (
         cover_balance(state, coeffs, weather_end, cfg, dt),
         air_balance(state, coeffs, weather_end, cfg, dmdt, dt, air, m_a),
         product_balance(state, coeffs, weather_end, cfg, dmdt, dt),
         floor_balance(state, coeffs, weather_end, cfg),
-    ]
-    A = np.array([r[0] for r in rows])
-    b = np.array([r[1] for r in rows])
-    x = gauss_jordan(LinearSystem(A=A, b=b))
-    if not np.isfinite(x).all():
-        raise SimulationError(f"non-finite temperatures at t={state.t + dt} s")
-    T_c, T_a, T_p, T_f = (float(v) for v in x)
+    )
+    for name, (row, rhs) in zip(BALANCES, rows):
+        if not all(map(math.isfinite, (*row, rhs))):
+            raise SimulationError(f"non-finite {name} balance: row {row}, rhs {rhs}")
+    x = eliminate([row for row, _ in rows], [rhs for _, rhs in rows])
+    if not all(map(math.isfinite, x)):
+        raise SimulationError(f"non-finite temperatures {x}")
+    T_c, T_a, T_p, T_f = x
 
     H_new = moisture_balance(state.H, dM, cfg, dt, air.rho, m_a)
     if H_new < 0.0:
@@ -263,18 +296,21 @@ def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig
         H_new = H_sat
         flags.append("humidity_saturation_clamped")
 
-    residuals = tuple(float(row @ x - rhs) for row, rhs in rows)
-    max_terms = tuple(
-        float(max(np.max(np.abs(row * x)), abs(rhs))) for row, rhs in rows
-    )
+    # per balance: residual sum(row * x) - rhs and the largest term magnitude
+    residuals = []
+    max_terms = []
+    for (a0, a1, a2, a3), rhs in rows:
+        t0, t1, t2, t3 = a0 * T_c, a1 * T_a, a2 * T_p, a3 * T_f
+        residuals.append(t0 + t1 + t2 + t3 - rhs)
+        max_terms.append(max(abs(t0), abs(t1), abs(t2), abs(t3), abs(rhs)))
 
     new_state = SimState(
         t=state.t + dt, T_c=T_c, T_a=T_a, T_p=T_p, T_f=T_f,
         H=H_new, M_p=M_new, M_e_current=M_e_pct, t_eq=t_eq_h * 3600.0,
     )
     diag = StepDiagnostics(
-        t=new_state.t, residuals=residuals, max_terms=max_terms, dM=dM,
-        rh=rh, coefficients=coeffs, flags=tuple(flags),
+        t=new_state.t, residuals=tuple(residuals), max_terms=tuple(max_terms),
+        dM=dM, rh=rh, coefficients=coeffs, flags=tuple(flags),
     )
     return new_state, diag
 
@@ -303,7 +339,9 @@ def simulate(
 
     Stops at horizon_s (default: end of the weather series) or, when
     target_mdb is given, as soon as product moisture reaches it.  The
-    weather series must cover the whole requested horizon.
+    weather series must cover the whole requested horizon.  Any
+    GreendryError raised by a step is re-raised as a SimulationError that
+    names the step number and its end time.
     """
     dt = cfg.numerics.dt
     t0 = weather.t_start
@@ -322,10 +360,10 @@ def simulate(
     series = SimSeries(states=[state], diagnostics=[])
     for i in range(n_steps):
         t_new = t0 + (i + 1) * dt
+        w = sample(weather, min(t_new, weather.t_end))
         try:
-            w = sample(weather, min(t_new, weather.t_end))
             state, diag = step(state, w, cfg)
-        except (SimulationError, SingularMatrixError) as exc:
+        except GreendryError as exc:
             raise SimulationError(f"step {i + 1} (t={t_new} s): {exc}") from exc
         series.states.append(state)
         series.diagnostics.append(diag)

@@ -3,6 +3,7 @@ diurnal generator (sinusoidal irradiance around solar noon)."""
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -67,8 +68,6 @@ def sample(series: WeatherSeries, t: float) -> WeatherRecord:
         raise WeatherError(
             f"time {t} s outside weather span [{times[0]}, {times[-1]}] s"
         )
-    import bisect
-
     i = bisect.bisect_left(times, t)
     if i < len(times) and times[i] == t:
         return series.records[i]

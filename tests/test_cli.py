@@ -64,6 +64,17 @@ class TestRun:
         manifest = (tmp_path / "out" / "manifest.json").read_text()
         assert first.split("=", 1)[1] in manifest
 
+    @pytest.mark.parametrize("override", [
+        "product.m_p=1e308",   # infinite heat capacity: non-finite product row
+        "airflow.V_in=0.3",    # unbalanced ventilation drives T_a out of range
+    ])
+    def test_numerical_failure_names_step_and_time(
+            self, runner, baseline_config_path, tmp_path, override):
+        result = _run_baseline(runner, baseline_config_path, tmp_path / "o",
+                               "--set", override)
+        assert result.exit_code == 3, result.output
+        assert "error: step 1 (t=60.0 s): " in result.stderr
+
     def test_manifest_written(self, runner, baseline_config_path, tmp_path):
         _run_baseline(runner, baseline_config_path, tmp_path / "out")
         assert (tmp_path / "out" / "manifest.json").exists()

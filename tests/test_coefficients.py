@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,8 @@ from greendry.coefficients import (
     sky_temperature,
     wind_coefficient,
 )
-from greendry.core import AirProps, SimState, WeatherRecord
+from greendry.config import apply_overrides
+from greendry.core import AirProps, SimState, WeatherRecord, air_properties
 from greendry.errors import ConfigError, ConfigWarning
 
 
@@ -127,10 +129,14 @@ class TestAssemble:
         return SimState(t=0.0, T_c=T, T_a=T, T_p=T, T_f=T, H=0.01,
                         M_p=0.5, M_e_current=8.0, t_eq=0.0)
 
+    @staticmethod
+    def _assemble(state, w, cfg):
+        return assemble_coefficients(state, w, cfg, air_properties(state.T_a))
+
     def test_deterministic(self, baseline_cfg):
         w = WeatherRecord(t=0.0, I_t=500.0, T_am=303.0, V_w=1.5, rh_am=60.0)
-        a = assemble_coefficients(self._state(), w, baseline_cfg)
-        b = assemble_coefficients(self._state(), w, baseline_cfg)
+        a = self._assemble(self._state(), w, baseline_cfg)
+        b = self._assemble(self._state(), w, baseline_cfg)
         assert a == b
 
     def test_equal_temperature_radiative_collapse(self, baseline_cfg):
@@ -138,7 +144,7 @@ class TestAssemble:
         T = 300.0
         T_am = (T / baseline_cfg.kinetics.c_sky) ** (2 / 3)
         w = WeatherRecord(t=0.0, I_t=0.0, T_am=T_am, V_w=0.0, rh_am=50.0)
-        coeffs = assemble_coefficients(self._state(T), w, baseline_cfg)
+        coeffs = self._assemble(self._state(T), w, baseline_cfg)
         assert coeffs.T_s == pytest.approx(T, rel=1e-12)
         assert coeffs.h_r_cs == pytest.approx(
             baseline_cfg.cover.eps_c * 4 * SIGMA * T**3, rel=1e-12)
@@ -147,6 +153,17 @@ class TestAssemble:
 
     def test_still_night(self, baseline_cfg):
         w = WeatherRecord(t=0.0, I_t=0.0, T_am=298.0, V_w=0.0, rh_am=70.0)
-        coeffs = assemble_coefficients(self._state(298.0), w, baseline_cfg)
+        coeffs = self._assemble(self._state(298.0), w, baseline_cfg)
         assert coeffs.h_w == pytest.approx(5.7, rel=1e-12)
         assert coeffs.T_s < w.T_am
+
+    def test_non_physical_sky_is_flagged_without_warning(self, baseline_cfg):
+        cfg = apply_overrides(baseline_cfg, {"kinetics.c_sky": 0.552})
+        w = WeatherRecord(t=0.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = self._assemble(self._state(), w, cfg)
+        assert coeffs.T_s > w.T_am
+        assert "sky_temperature_non_physical" in coeffs.flags
+        assert "sky_temperature_non_physical" not in \
+            self._assemble(self._state(), w, baseline_cfg).flags

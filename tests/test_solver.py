@@ -1,7 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import greendry
 
 from greendry.coefficients import CoefficientSet
 from greendry.config import config_from_dict
@@ -11,6 +16,7 @@ from greendry.solver import (
     LinearSystem,
     air_balance,
     cover_balance,
+    eliminate,
     floor_balance,
     gauss_jordan,
     initial_state,
@@ -84,6 +90,87 @@ class TestGaussJordan:
         b = rng.uniform(-1, 1, 4)
         x = gauss_jordan(LinearSystem(A=A, b=b))
         assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(b)
+
+
+def _numpy_gauss_jordan(A, b):
+    """The array elimination the list kernel replaced, kept as its
+    bit-for-bit reference."""
+    n = len(b)
+    aug = np.hstack([np.array(A, float), np.array(b, float).reshape(n, 1)])
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
+        pivot = aug[pivot_row, col]
+        if abs(pivot) < 1e-12:
+            raise SingularMatrixError(column=col, pivot=pivot)
+        if pivot_row != col:
+            aug[[col, pivot_row]] = aug[[pivot_row, col]]
+        aug[col] /= aug[col, col]
+        for row in range(n):
+            if row != col and aug[row, col] != 0.0:
+                aug[row] -= aug[row, col] * aug[col]
+    return aug[:, n]
+
+
+def _outcome(solve, A, b):
+    try:
+        return [float(v).hex() for v in solve(A, b)]
+    except SingularMatrixError as exc:
+        return ("singular", exc.column, float(exc.pivot).hex())
+
+
+class TestEliminate:
+    def test_bit_identical_to_array_elimination(self):
+        rng = np.random.default_rng(42)
+        singular = 0
+        for k in range(1000):
+            if k % 3 == 0:    # well-conditioned, pivots mostly on the diagonal
+                A = rng.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
+            elif k % 3 == 1:  # general: row swaps in most columns
+                A = rng.uniform(-1e3, 1e3, (4, 4))
+            else:             # small integers: tied pivots, zero factors
+                A = rng.integers(-2, 3, (4, 4)).astype(float)
+                A[0, 0], A[1, 0] = 2.0, -2.0   # tie: the first maximum wins
+            b = rng.uniform(-1, 1, 4)
+            A_list, b_list = A.tolist(), b.tolist()
+            got = _outcome(eliminate, A_list, b_list)
+            assert got == _outcome(_numpy_gauss_jordan, A, b), (A_list, b_list)
+            assert (A_list, b_list) == (A.tolist(), b.tolist())  # inputs untouched
+            singular += isinstance(got, tuple)
+        assert 0 < singular < 333  # both outcomes occur
+
+    def test_zero_factor_rows_are_skipped(self):
+        # 0 * inf would turn row 1 into NaN if its zero factor were applied
+        A, b = [[1.0, 0.5], [0.0, 1.0]], [math.inf, 2.0]
+        assert eliminate(A, b) == [math.inf, 2.0]
+        assert _outcome(eliminate, A, b) == _outcome(_numpy_gauss_jordan, A, b)
+
+
+class TestLinearSystem:
+    @pytest.mark.parametrize("A, b", [
+        ([[1.0, 2.0], [3.0]], [1.0, 2.0]),             # ragged
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 2.0]),  # not square
+        ([[1.0, 2.0], [3.0, 4.0]], [1.0]),             # b too short
+        ([[1.0, math.nan], [3.0, 4.0]], [1.0, 2.0]),
+        ([[1.0, 2.0], [3.0, 4.0]], [math.inf, 2.0]),
+        ([[1.0, 2.0], [-math.inf, 4.0]], [1.0, 2.0]),
+    ])
+    def test_rejects_bad_input(self, A, b):
+        with pytest.raises(ValueError):
+            LinearSystem(A=A, b=b)
+
+    def test_stores_lists_of_floats(self):
+        system = LinearSystem(A=np.eye(2), b=(1, 2))
+        assert system.A == [[1.0, 0.0], [0.0, 1.0]] and system.b == [1.0, 2.0]
+        assert all(type(v) is float for row in system.A for v in row)
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(greendry.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import greendry.cli; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 class TestCoverBalance:
