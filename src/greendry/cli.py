@@ -1,7 +1,8 @@
 """Command-line entry point: reproducible runs with CSV outputs.
 
 Subcommands: run, validate, sweep, gen-weather.  Exit codes for run/sweep:
-1 configuration error, 2 weather/input error, 3 numerical failure;
+1 configuration error, 2 weather/input error, 3 numerical failure (for
+sweep: of every grid point);
 validate exits 1 when the acceptance check fails and 2 on grid or
 variable errors.  Every output file embeds a SHA-256 hash of the inputs
 so reruns are byte-for-byte reproducible.
@@ -233,7 +234,9 @@ def cmd_validate(states_path, observed_path, variable, limit):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--workers", default=1, show_default=True)
 def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, workers):
-    """Evaluate a parameter grid and write sweep.csv ranked by objective."""
+    """Evaluate a parameter grid and write sweep.csv ranked by objective.
+    A point whose simulation fails is warned about and ranked as not
+    reached; the command exits 3 only when every point failed."""
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
@@ -253,6 +256,11 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
         _fail(2, str(exc))
     except GreendryError as exc:
         _fail(3, str(exc))
+    failed = [r for r in results if r.error is not None]
+    for r in failed:
+        click.echo(f"warning: point {dict(r.point)} failed: {r.error}", err=True)
+    if len(failed) == len(results):
+        _fail(3, f"all {len(results)} points failed")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

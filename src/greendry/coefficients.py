@@ -4,11 +4,13 @@ time step at the previous step's temperatures."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
-from .config import DryerConfig
 from .core import AirProps, SimState, WeatherRecord
 from .errors import ConfigError, ConfigWarning
+
+if TYPE_CHECKING:
+    from .solver import StepConstants
 
 SIGMA = 5.670e-8  # Stefan-Boltzmann constant, W m^-2 K^-4
 
@@ -16,8 +18,7 @@ SIGMA = 5.670e-8  # Stefan-Boltzmann constant, W m^-2 K^-4
 RE_TURBULENT_MIN = 2300.0
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(NamedTuple):
     """All per-step coefficients, W m^-2 K^-1 unless noted."""
 
     h_r_cs: float   # radiative, cover to sky
@@ -29,7 +30,7 @@ class CoefficientSet:
     D_h: float      # hydraulic diameter, m
     Re: float
     Nu: float
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...] = ()
 
 
 def _sky(T_am: float, c_sky: float) -> tuple[float, bool]:
@@ -64,9 +65,14 @@ def radiative_coefficient(eps: float, T1: float, T2: float) -> float:
     symmetric in the two temperatures."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"emissivity must be in [0, 1], got {eps}")
+    return _radiative(eps * SIGMA, T1, T2)
+
+
+def _radiative(eps_sigma: float, T1: float, T2: float) -> float:
+    """radiative_coefficient with eps * SIGMA given."""
     if T1 <= 0 or T2 <= 0:
         raise ValueError(f"temperatures must be > 0 K, got {T1}, {T2}")
-    return eps * SIGMA * (T1 * T1 + T2 * T2) * (T1 + T2)
+    return eps_sigma * (T1 * T1 + T2 * T2) * (T1 + T2)
 
 
 def wind_coefficient(V_w: float) -> float:
@@ -95,10 +101,14 @@ def internal_convective(V_a: float, D_h: float, air: AirProps):
         raise ValueError(f"hydraulic diameter must be > 0, got {D_h}")
     if V_a < 0:
         raise ValueError(f"air speed must be >= 0, got {V_a}")
-    Re = D_h * V_a / air.nu
+    return _convective(D_h * V_a, D_h, air)
+
+
+def _convective(D_h_V_a: float, D_h: float, air: AirProps):
+    """internal_convective with D_h * V_a given and the checks done."""
+    Re = D_h_V_a / air.nu
     Nu = 0.0158 * Re**0.8
-    h_c = Nu * air.k / D_h
-    return Re, Nu, h_c
+    return Re, Nu, Nu * air.k / D_h
 
 
 def overall_cover_loss(k_c: float, delta_c: float) -> float:
@@ -116,29 +126,30 @@ def overall_cover_loss(k_c: float, delta_c: float) -> float:
 
 
 def assemble_coefficients(
-    state: SimState, weather: WeatherRecord, cfg: DryerConfig, air: AirProps
+    state: SimState, weather: WeatherRecord, k: StepConstants, air: AirProps
 ) -> CoefficientSet:
-    """Evaluate every coefficient at the current step's temperatures; air
-    holds the dry-air properties at state.T_a.  A non-physical sky
-    temperature is flagged, not warned about."""
+    """Evaluate every coefficient at the current step's temperatures; k
+    holds the run's constants (D_h and U_c among them) and air the dry-air
+    properties at state.T_a.  A non-physical sky temperature is flagged,
+    not warned about."""
     flags = []
-    T_s, sky_physical = _sky(weather.T_am, cfg.kinetics.c_sky)
+    T_s, sky_physical = _sky(weather.T_am, k.c_sky)
     if not sky_physical:
         flags.append("sky_temperature_non_physical")
-    D_h = hydraulic_diameter(cfg.geometry.W, cfg.geometry.D)
-    Re, Nu, h_c = internal_convective(cfg.airflow.V_a, D_h, air)
-    if cfg.airflow.V_a == 0:
+    Re, Nu, h_c = _convective(k.D_h_V_a, k.D_h, air)
+    if k.V_a == 0:
         flags.append("still_air")
     elif Re < RE_TURBULENT_MIN:
         flags.append("re_below_turbulent")
+    T_c = state.T_c
     return CoefficientSet(
-        h_r_cs=radiative_coefficient(cfg.cover.eps_c, state.T_c, T_s),
-        h_r_pc=radiative_coefficient(cfg.product.eps_p, state.T_p, state.T_c),
+        h_r_cs=_radiative(k.eps_c_sigma, T_c, T_s),
+        h_r_pc=_radiative(k.eps_p_sigma, state.T_p, T_c),
         h_w=wind_coefficient(weather.V_w),
         h_c=h_c,
-        U_c=overall_cover_loss(cfg.cover.k_c, cfg.cover.delta_c),
+        U_c=k.U_c,
         T_s=T_s,
-        D_h=D_h,
+        D_h=k.D_h,
         Re=Re,
         Nu=Nu,
         flags=tuple(flags),

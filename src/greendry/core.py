@@ -33,8 +33,7 @@ AIR_T_MIN = 250.0
 AIR_T_MAX = 360.0
 
 
-@dataclass(frozen=True)
-class AirProps:
+class AirProps(NamedTuple):
     """Dry-air properties at one temperature."""
 
     rho: float    # kg m^-3
@@ -64,8 +63,7 @@ class WeatherRecord:
             raise ValueError(f"ambient rh must be in [0, 100] %, got {self.rh_am}")
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     """The evolving unknowns at one time step."""
 
     t: float          # s
@@ -79,29 +77,30 @@ class SimState:
     t_eq: float       # equivalent drying time on the current curve, s
 
 
-def _interp(T: float, ys) -> float:
-    xs = _AIR_TABLE_T
-    for i in range(len(xs) - 1):
-        if xs[i] <= T <= xs[i + 1]:
-            f = (T - xs[i]) / (xs[i + 1] - xs[i])
-            return ys[i] + f * (ys[i + 1] - ys[i])
-    raise RangeError(f"temperature {T} K outside air table [{xs[0]}, {xs[-1]}]")
-
-
 def air_properties(T: float) -> AirProps:
     """Dry-air properties by linear interpolation of the built-in table.
 
-    Valid for 250 K <= T <= 360 K.
+    Valid for 250 K <= T <= 360 K; RangeError outside that, NaN included.
+    At a knot the lower of the two intervals is used.
     """
-    if T < AIR_T_MIN:
-        raise RangeError(f"air temperature {T} K below lower bound {AIR_T_MIN} K")
-    if T > AIR_T_MAX:
-        raise RangeError(f"air temperature {T} K above upper bound {AIR_T_MAX} K")
+    if not AIR_T_MIN <= T <= AIR_T_MAX:
+        if T < AIR_T_MIN:
+            raise RangeError(f"air temperature {T} K below lower bound {AIR_T_MIN} K")
+        if T > AIR_T_MAX:
+            raise RangeError(f"air temperature {T} K above upper bound {AIR_T_MAX} K")
+        raise RangeError(f"air temperature {T} K outside bounds "
+                         f"[{AIR_T_MIN}, {AIR_T_MAX}] K")
+    xs = _AIR_TABLE_T
+    i = 0
+    while T > xs[i + 1]:
+        i += 1
+    f = (T - xs[i]) / (xs[i + 1] - xs[i])
+    rho, cp, k, nu = _AIR_TABLE_RHO, _AIR_TABLE_CP, _AIR_TABLE_K, _AIR_TABLE_NU
     return AirProps(
-        rho=_interp(T, _AIR_TABLE_RHO),
-        cp=_interp(T, _AIR_TABLE_CP),
-        k=_interp(T, _AIR_TABLE_K),
-        nu=_interp(T, _AIR_TABLE_NU),
+        rho[i] + f * (rho[i + 1] - rho[i]),
+        cp[i] + f * (cp[i + 1] - cp[i]),
+        k[i] + f * (k[i + 1] - k[i]),
+        nu[i] + f * (nu[i + 1] - nu[i]),
     )
 
 

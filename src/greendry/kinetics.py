@@ -11,7 +11,7 @@ constants, then step forward by dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import Kinetics
 from .errors import KineticsError
@@ -30,12 +30,9 @@ def rate_exponent(T_c: float, rh: float) -> float:
     return 1.108816 - 0.0005210 * T_c - 0.000061 * rh
 
 
-@dataclass(frozen=True)
-class DryingConstants:
+class DryingConstants(NamedTuple):
     A1: float
     B1: float
-    T_used: float       # C
-    rh_used: float      # %
     extrapolated: bool  # outside the fitted 50-70 C / 10-25 % envelope
 
 
@@ -53,8 +50,7 @@ def drying_constants(T_c: float, rh: float) -> DryingConstants:
             f"drying model invalid at T={T_c:.1f} C, rh={rh:.1f} %: A1={A1:.4f} <= 0"
         )
     extrapolated = not (T_FIT_MIN <= T_c <= T_FIT_MAX and RH_FIT_MIN <= rh <= RH_FIT_MAX)
-    return DryingConstants(A1=A1, B1=B1, T_used=T_c, rh_used=rh,
-                           extrapolated=extrapolated)
+    return DryingConstants(A1, B1, extrapolated)
 
 
 def moisture_ratio(t_h: float, constants: DryingConstants) -> float:

@@ -13,7 +13,7 @@ import yaml
 
 from .analysis import EconomicInputs, payback_period
 from .config import DryerConfig, apply_overrides
-from .errors import ConfigError, GridSizeError
+from .errors import ConfigError, GridSizeError, SimulationError
 from .solver import simulate
 from .weather import WeatherSeries
 
@@ -63,6 +63,7 @@ class SweepResult:
     point: tuple[tuple[str, float], ...]  # (path, value) in spec order
     objective: float                      # hours or years; inf = not reached
     reached: bool
+    error: str | None = None              # why the point's simulation failed
 
 
 def drying_time_objective(
@@ -91,9 +92,15 @@ def drying_time_objective(
 
 def _evaluate(base: DryerConfig, spec: SweepSpec,
               point: tuple[tuple[str, float], ...]) -> SweepResult:
+    """One grid point's result.  A point whose simulation fails is not
+    reached and carries the reason; other errors abort the sweep."""
     cfg = apply_overrides(base, dict(point))
-    hours = drying_time_objective(cfg, spec.weather, spec.target_mdb,
-                                  spec.horizon_s)
+    try:
+        hours = drying_time_objective(cfg, spec.weather, spec.target_mdb,
+                                      spec.horizon_s)
+    except SimulationError as exc:
+        return SweepResult(point=point, objective=math.inf, reached=False,
+                           error=str(exc))
     if hours is None:
         return SweepResult(point=point, objective=math.inf, reached=False)
     if spec.objective == "drying_time":
@@ -113,6 +120,7 @@ def grid_search(base: DryerConfig, spec: SweepSpec,
                 workers: int = 1) -> list[SweepResult]:
     """Evaluate every grid point and return results sorted ascending by
     objective, ties broken by the point's parameter values in spec order.
+    A point whose simulation fails ranks as not reached, with its error.
     Deterministic and identical under serial or parallel evaluation."""
     n = spec.grid_size
     if n > spec.grid_cap:

@@ -159,6 +159,33 @@ class TestSweep:
         assert objectives == sorted(objectives)
         assert len(objectives) == 2
 
+    def _sweep_v_in(self, runner, config_path, tmp_path, values):
+        # V_in = 0.3 != V_out drives the chamber air below the table at step 1
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(f"parameters:\n  airflow.V_in: {values}\n"
+                        "objective: drying_time\ntarget_mdb: 0.35\nhorizon_h: 24\n")
+        return run_cli(runner, "sweep", "--config", str(config_path),
+                       "--spec", str(spec), "--preset", "tropical",
+                       "--days", "2", "--out", str(tmp_path / "out"))
+
+    def test_failed_point_warned_and_ranked_last(self, runner, baseline_config_path,
+                                                 tmp_path):
+        result = self._sweep_v_in(runner, baseline_config_path, tmp_path, "[0.3, 0.9]")
+        assert result.exit_code == 0, result.output
+        warnings = [line for line in result.stderr.splitlines()
+                    if line.startswith("warning: ")]
+        assert len(warnings) == 1
+        assert "{'airflow.V_in': 0.3} failed: step 1 (t=60.0 s)" in warnings[0]
+        rows = read_states_csv(tmp_path / "out" / "sweep.csv")
+        assert rows["airflow.V_in"] == [0.9, 0.3]
+        assert rows["reached"] == [1.0, 0.0]
+
+    def test_every_point_failed_exit_3(self, runner, baseline_config_path, tmp_path):
+        result = self._sweep_v_in(runner, baseline_config_path, tmp_path, "[0.3]")
+        assert result.exit_code == 3
+        assert "all 1 points failed" in result.stderr
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_oversized_grid_exit_2(self, runner, baseline_config_path, tmp_path):
         spec = self._spec(tmp_path, "[0.1, 0.2, 0.3, 0.4]", extra="max_points: 3\n")
         result = run_cli(runner, "sweep", "--config", str(baseline_config_path),

@@ -17,6 +17,7 @@ from greendry.coefficients import (
 from greendry.config import apply_overrides
 from greendry.core import AirProps, SimState, WeatherRecord, air_properties
 from greendry.errors import ConfigError, ConfigWarning
+from greendry.solver import step_constants
 
 
 class TestSkyTemperature:
@@ -131,7 +132,8 @@ class TestAssemble:
 
     @staticmethod
     def _assemble(state, w, cfg):
-        return assemble_coefficients(state, w, cfg, air_properties(state.T_a))
+        return assemble_coefficients(state, w, step_constants(cfg),
+                                     air_properties(state.T_a))
 
     def test_deterministic(self, baseline_cfg):
         w = WeatherRecord(t=0.0, I_t=500.0, T_am=303.0, V_w=1.5, rh_am=60.0)

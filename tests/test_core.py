@@ -3,10 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from greendry.coefficients import CoefficientSet
 from greendry.core import (
     AIR_T_MAX,
     AIR_T_MIN,
     STANDARD_PRESSURE,
+    SimState,
     air_properties,
     humidity_ratio,
     relative_humidity,
@@ -32,7 +34,7 @@ class TestAirProperties:
         assert props.k == 0.0300
         assert props.nu == 20.92e-6
 
-    @pytest.mark.parametrize("T", [249.99, 360.01, 0.0, 500.0])
+    @pytest.mark.parametrize("T", [249.99, 360.01, 0.0, 500.0, math.nan])
     def test_out_of_range_raises(self, T):
         with pytest.raises(RangeError) as exc:
             air_properties(T)
@@ -51,6 +53,19 @@ class TestAirProperties:
             p = air_properties(T)
             assert p.rho > 0 and p.cp > 0 and p.k > 0 and p.nu > 0
             T += 1.0
+
+
+@pytest.mark.parametrize("record", [
+    SimState(t=0.0, T_c=300.0, T_a=300.0, T_p=300.0, T_f=300.0, H=0.01,
+             M_p=0.5, M_e_current=8.0, t_eq=0.0),
+    CoefficientSet(h_r_cs=5.0, h_r_pc=4.0, h_w=5.7, h_c=3.0, U_c=6.6,
+                   T_s=290.0, D_h=1.0, Re=1e5, Nu=160.0),
+    air_properties(300.0),
+])
+def test_records_are_immutable(record):
+    field = type(record)._fields[1]
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0.0)
 
 
 class TestSaturationPressure:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -10,22 +11,21 @@ import greendry
 
 from greendry.coefficients import CoefficientSet
 from greendry.config import config_from_dict
-from greendry.core import SimState, WeatherRecord, humidity_ratio
-from greendry.errors import SingularMatrixError, WeatherError
+from greendry.core import SimState, WeatherRecord, air_properties, humidity_ratio
+from greendry.errors import SimulationError, SingularMatrixError, WeatherError
 from greendry.solver import (
+    BALANCES,
     LinearSystem,
-    air_balance,
-    cover_balance,
     eliminate,
-    floor_balance,
+    energy_system,
     gauss_jordan,
     initial_state,
     moisture_balance,
-    product_balance,
     simulate,
     step,
+    step_constants,
 )
-from greendry.weather import WeatherSeries, synthetic_days
+from greendry.weather import WeatherSeries, sample, synthetic_days
 
 BASE = {
     "geometry": {"W": 2.0, "D": 1.0, "A_c": 10.0, "A_f": 8.0, "A_p": 6.0,
@@ -60,6 +60,15 @@ def zero_coeffs(**kw):
                 T_s=280.0, D_h=1.0, Re=0.0, Nu=0.0)
     base.update(kw)
     return CoefficientSet(**base)
+
+
+def balance(name, state, coeffs, w, cfg, dmdt=0.0):
+    """(row, rhs) of one balance of the energy system, with the air
+    properties at the state's air temperature."""
+    A, b = energy_system(state, coeffs, w, step_constants(cfg), dmdt,
+                         air_properties(state.T_a))
+    i = BALANCES.index(name)
+    return A[i], b[i]
 
 
 class TestGaussJordan:
@@ -180,7 +189,7 @@ class TestCoverBalance:
         state = make_state(T)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=T, V_w=0.0, rh_am=50.0)
         coeffs = zero_coeffs(h_c=3.0, h_r_cs=5.0, h_r_pc=4.0, h_w=5.7, T_s=T)
-        row, rhs = cover_balance(state, coeffs, w, cfg, 60.0)
+        row, rhs = balance("cover", state, coeffs, w, cfg)
         assert row @ np.full(4, T) - rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_transparent_cover_has_no_solar_source(self):
@@ -189,17 +198,17 @@ class TestCoverBalance:
         sunny = WeatherRecord(t=60.0, I_t=900.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         dark = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         coeffs = zero_coeffs()
-        _, rhs_sun = cover_balance(state, coeffs, sunny, cfg, 60.0)
-        _, rhs_dark = cover_balance(state, coeffs, dark, cfg, 60.0)
+        _, rhs_sun = balance("cover", state, coeffs, sunny, cfg)
+        _, rhs_dark = balance("cover", state, coeffs, dark, cfg)
         assert rhs_sun == rhs_dark
 
     def test_explicit_euler_oracle(self):
         # decoupled cover with 100 W absorbed, m_c C_pc = 2000 J/K, dt = 10 s
         cfg = make_cfg(cover={"m_c": 1.0, "C_pc": 2000.0, "alpha_c": 0.1},
-                       geometry={"A_c": 10.0})
+                       geometry={"A_c": 10.0}, numerics={"dt": 10.0})
         state = make_state(300.0)
         w = WeatherRecord(t=10.0, I_t=100.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        row, rhs = cover_balance(state, zero_coeffs(), w, cfg, 10.0)
+        row, rhs = balance("cover", state, zero_coeffs(), w, cfg)
         T_c_new = rhs / row[0]
         assert T_c_new - 300.0 == pytest.approx(0.5, rel=1e-12)
 
@@ -211,10 +220,7 @@ class TestAirBalance:
         state = make_state(T)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=T, V_w=0.0, rh_am=50.0)
         coeffs = zero_coeffs(h_c=2.0, U_c=5.0)
-        from greendry.core import air_properties
-        air = air_properties(T)
-        row, rhs = air_balance(state, coeffs, w, cfg, 0.0, 60.0, air,
-                               air.rho * cfg.geometry.V)
+        row, rhs = balance("air", state, coeffs, w, cfg)
         assert row @ np.full(4, T) - rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_full_absorption_kills_solar_term(self):
@@ -223,24 +229,20 @@ class TestAirBalance:
         state = make_state()
         sunny = WeatherRecord(t=60.0, I_t=900.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         dark = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        from greendry.core import air_properties
-        air = air_properties(300.0)
-        m_a = air.rho * cfg.geometry.V
-        _, rhs_sun = air_balance(state, zero_coeffs(), sunny, cfg, 0.0, 60.0, air, m_a)
-        _, rhs_dark = air_balance(state, zero_coeffs(), dark, cfg, 0.0, 60.0, air, m_a)
+        _, rhs_sun = balance("air", state, zero_coeffs(), sunny, cfg)
+        _, rhs_dark = balance("air", state, zero_coeffs(), dark, cfg)
         assert rhs_sun == rhs_dark
 
     def test_pure_ventilation_moves_toward_inlet(self):
+        dt = 1.0
         cfg = make_cfg(airflow={"V_in": 0.05, "V_out": 0.05, "T_in": 310.0},
-                       cover={"k_c": 0.0})
+                       cover={"k_c": 0.0}, numerics={"dt": dt})
         T0 = 300.0
         state = make_state(T0)
         w = WeatherRecord(t=1.0, I_t=0.0, T_am=T0, V_w=0.0, rh_am=50.0)
-        from greendry.core import air_properties
         air = air_properties(T0)
         m_a = air.rho * cfg.geometry.V
-        dt = 1.0
-        row, rhs = air_balance(state, zero_coeffs(), w, cfg, 0.0, dt, air, m_a)
+        row, rhs = balance("air", state, zero_coeffs(), w, cfg)
         T_new = (rhs - 0.0) / row[1]
         euler = T0 + dt * air.rho * air.cp * 0.05 * (310.0 - T0) / (m_a * air.cp)
         assert T0 < T_new < 310.0
@@ -254,7 +256,7 @@ class TestProductBalance:
         state = make_state(T)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=T, V_w=0.0, rh_am=50.0)
         coeffs = zero_coeffs(h_c=2.0, h_r_pc=5.0)
-        row, rhs = product_balance(state, coeffs, w, cfg, 0.0, 60.0)
+        row, rhs = balance("product", state, coeffs, w, cfg)
         assert row @ np.full(4, T) - rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_effective_heat_capacity(self):
@@ -262,7 +264,7 @@ class TestProductBalance:
         state = make_state(300.0, M_p=0.522)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         dt = 60.0
-        row, _ = product_balance(state, zero_coeffs(), w, cfg, 0.0, dt)
+        row, _ = balance("product", state, zero_coeffs(), w, cfg)
         cap = 100.0 * (2000.0 + 4186.0 * 0.522)
         assert cap == pytest.approx(418_509.2, rel=1e-9)
         assert row[2] == pytest.approx(cap / dt, rel=1e-12)
@@ -272,7 +274,7 @@ class TestProductBalance:
         state = make_state(320.0)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=320.0, V_w=0.0, rh_am=50.0)
         dmdt = -1e-5
-        row, rhs = product_balance(state, zero_coeffs(), w, cfg, dmdt, 60.0)
+        row, rhs = balance("product", state, zero_coeffs(), w, cfg, dmdt)
         T_new = rhs / row[2]
         assert T_new < 320.0
 
@@ -282,7 +284,7 @@ class TestFloorBalance:
         cfg = make_cfg(floor={"T_deep": 300.0})
         state = make_state(300.0)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        row, rhs = floor_balance(state, zero_coeffs(h_c=4.0), w, cfg)
+        row, rhs = balance("floor", state, zero_coeffs(h_c=4.0), w, cfg)
         T_f = (rhs + -row[1] * 300.0) / row[3]
         assert T_f == pytest.approx(300.0, rel=1e-12)
 
@@ -296,7 +298,7 @@ class TestFloorBalance:
         )
         state = make_state(300.0)
         w = WeatherRecord(t=60.0, I_t=200.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        row, rhs = floor_balance(state, zero_coeffs(h_c=4.0), w, cfg)
+        row, rhs = balance("floor", state, zero_coeffs(h_c=4.0), w, cfg)
         T_f = (rhs - row[1] * 300.0) / row[3]
         assert T_f == pytest.approx((2 * 290 + 4 * 300 + 120) / 6.0, rel=1e-12)
 
@@ -305,21 +307,27 @@ class TestFloorBalance:
         state = make_state()
         sunny = WeatherRecord(t=60.0, I_t=900.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         dark = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        _, rhs_sun = floor_balance(state, zero_coeffs(h_c=2.0), sunny, cfg)
-        _, rhs_dark = floor_balance(state, zero_coeffs(h_c=2.0), dark, cfg)
+        _, rhs_sun = balance("floor", state, zero_coeffs(h_c=2.0), sunny, cfg)
+        _, rhs_dark = balance("floor", state, zero_coeffs(h_c=2.0), dark, cfg)
         assert rhs_sun == rhs_dark
+
+    def test_no_floor_conductance_is_singular(self):
+        cfg = make_cfg(floor={"h_dfg": 0.0})
+        w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
+        with pytest.raises(SimulationError, match="floor row singular"):
+            balance("floor", make_state(), zero_coeffs(), w, cfg)
 
 
 class TestMoistureBalance:
     def test_steady_identity(self):
         cfg = make_cfg(airflow={"H_in": 0.01})
-        H_new = moisture_balance(0.01, 0.0, cfg, 60.0, 1.18, 10.0)
+        H_new = moisture_balance(0.01, 0.0, step_constants(cfg), 1.18, 10.0)
         assert H_new == pytest.approx(0.01, rel=1e-12)
 
     def test_sealed_conservation(self):
         cfg = make_cfg(airflow={"V_in": 0.0, "V_out": 0.0})
         m_a, dM = 10.0, -0.002
-        H_new = moisture_balance(0.01, dM, cfg, 60.0, 1.18, m_a)
+        H_new = moisture_balance(0.01, dM, step_constants(cfg), 1.18, m_a)
         evap = -cfg.product.rho_p * cfg.geometry.A_p * cfg.geometry.D_p * dM
         assert m_a * (H_new - 0.01) == pytest.approx(evap, rel=1e-12)
 
@@ -328,7 +336,7 @@ class TestMoistureBalance:
                        product={"rho_p": 250.0},
                        geometry={"A_p": 10.0, "D_p": 0.02})
         # rho_p A_p D_p = 50 kg, dM = -0.01, m_a = 30 -> dH = 0.5/30
-        H_new = moisture_balance(0.01, -0.01, cfg, 60.0, 1.18, 30.0)
+        H_new = moisture_balance(0.01, -0.01, step_constants(cfg), 1.18, 30.0)
         assert H_new - 0.01 == pytest.approx(0.5 / 30.0, rel=1e-12)
 
 
@@ -388,6 +396,38 @@ class TestSimulate:
         w0 = tropical_weather.records[0]
         assert s0.T_c == s0.T_a == s0.T_p == s0.T_f == w0.T_am
         assert s0.H == pytest.approx(humidity_ratio(w0.rh_am, w0.T_am), rel=1e-12)
+
+    def test_baseline_bits(self, baseline_cfg, tropical_weather):
+        # float.hex of the 4-day baseline's states, as recorded before the
+        # per-run constants were hoisted out of the step: any regrouping of
+        # the step's floating-point products changes these bits.  The last
+        # state alone can hide a change that the digest of all states shows.
+        states = simulate(baseline_cfg, tropical_weather).states
+        assert {name: float(v).hex() for name, v in states[-1]._asdict().items()} == {
+            "t": "0x1.5180000000000p+18",
+            "T_c": "0x1.294e9794b8b98p+8",
+            "T_a": "0x1.2c738b452efedp+8",
+            "T_p": "0x1.2a9bff7ac414cp+8",
+            "T_f": "0x1.2b5030c83c482p+8",
+            "H": "0x1.cac083126e979p-7",
+            "M_p": "0x1.ee5b059fdffbap-5",
+            "M_e_current": "0x1.5a5de76959372p+3",
+            "t_eq": "0x1.2b06867b07ab7p+17",
+        }
+        digest = hashlib.sha256()
+        for state in states:
+            digest.update(" ".join(float(v).hex() for v in state).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "9103051ef3af6fbaa75348a6e04d355ae1cdc7b5ad0294e301b871b4eb11c573")
+
+    def test_step_without_constants_matches_simulate(self, baseline_cfg,
+                                                     tropical_weather):
+        series = simulate(baseline_cfg, tropical_weather, horizon_s=720 * 60.0)
+        for i in (0, 360, 660, 719):  # midnight, sunrise, late morning, noon
+            state = series.states[i]
+            w = sample(tropical_weather, state.t + baseline_cfg.numerics.dt)
+            assert step(state, w, baseline_cfg) == (series.states[i + 1],
+                                                    series.diagnostics[i])
 
     def test_target_stop(self, baseline_cfg, tropical_weather):
         series = simulate(baseline_cfg, tropical_weather, target_mdb=0.45)

@@ -79,6 +79,16 @@ class TestGridSearch:
         parallel = grid_search(baseline_cfg, spec, workers=4)
         assert serial == parallel
 
+    def test_failing_point_ranks_last_with_reason(self, baseline_cfg, weather):
+        # V_in = 0.3 != V_out drives the chamber air below the table at step 1
+        spec = make_spec(weather, (("airflow.V_in", (0.3, 0.9)),))
+        first, last = grid_search(baseline_cfg, spec)
+        assert first.point == (("airflow.V_in", 0.9),)
+        assert first.reached and first.error is None
+        assert last.point == (("airflow.V_in", 0.3),)
+        assert not last.reached and last.objective == math.inf
+        assert "step 1 (t=60.0 s)" in last.error
+
     def test_grid_cap(self, baseline_cfg, weather):
         spec = make_spec(weather, (("airflow.V_in", tuple(0.1 * i for i in range(1, 7))),),
                          grid_cap=5)
