@@ -1,5 +1,5 @@
 """pytest-benchmark cases for the per-step layers, a 4-day simulate and a
-6-point sweep.
+6-point sweep (serial and with the default worker processes).
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=OUT.json
 
@@ -137,12 +137,15 @@ def test_simulate_4day(benchmark, cfg, weather):
     assert len(series) == 5761
 
 
-def test_grid_search_6(benchmark, cfg, weather):
-    # drying time to 0.08 db within 60 h, as the greendry sweep command runs it
+@pytest.mark.parametrize("workers", [1, None], ids=["serial", "default"])
+def test_grid_search_6(benchmark, cfg, weather, workers):
+    # drying time to 0.08 db within 60 h, as the greendry sweep command runs
+    # it: in one process, and with grid_search's default worker count
     spec = SweepSpec(parameters=(("airflow.V_a", (1.0, 3.0)),
                                  ("product.F_p", (0.3, 0.5, 0.7))),
                      objective="drying_time", target_mdb=0.08,
                      weather=weather, horizon_s=60 * 3600.0)
-    results = benchmark.pedantic(grid_search, args=(cfg, spec), rounds=3,
-                                 iterations=1, warmup_rounds=1)
+    kwargs = {} if workers is None else {"workers": workers}
+    results = benchmark.pedantic(grid_search, args=(cfg, spec), kwargs=kwargs,
+                                 rounds=3, iterations=1, warmup_rounds=1)
     assert len(results) == 6 and results[0].reached

@@ -147,12 +147,16 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    P = cfg.numerics.pressure
-    state_rows = []
-    for s in series.states:
-        rh, _ = relative_humidity(s.H, s.T_a, P)
-        state_rows.append([repr(s.t), repr(s.T_c), repr(s.T_a), repr(s.T_p),
-                           repr(s.T_f), repr(s.H), repr(s.M_p), repr(rh)])
+    # step i's diagnostics hold the rh of state i; only the last state has
+    # no step of its own
+    last = series.states[-1]
+    rhs = [d.rh for d in series.diagnostics]
+    rhs.append(relative_humidity(last.H, last.T_a, cfg.numerics.pressure)[0])
+    state_rows = [
+        [repr(s.t), repr(s.T_c), repr(s.T_a), repr(s.T_p), repr(s.T_f),
+         repr(s.H), repr(s.M_p), repr(rh)]
+        for s, rh in zip(series.states, rhs)
+    ]
     diag_rows = [
         [repr(d.t), repr(d.residuals[0]), repr(d.residuals[1]),
          repr(d.residuals[2]), repr(d.residuals[3]), repr(d.dM), repr(d.rh),
@@ -232,7 +236,9 @@ def cmd_validate(states_path, observed_path, variable, limit):
 @click.option("--preset", help="synthetic weather preset name")
 @click.option("--days", default=4, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1),
+              help="worker processes [default: the CPUs available, at most "
+                   "one per grid point]; results are identical to --workers 1")
 def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, workers):
     """Evaluate a parameter grid and write sweep.csv ranked by objective.
     A point whose simulation fails is warned about and ranked as not

@@ -25,12 +25,15 @@ class SingularMatrixError(GreendryError, ValueError):
     """Gauss-Jordan elimination hit a pivot below the singularity threshold."""
 
     def __init__(self, column: int, pivot: float):
+        # args are the constructor's, so that pickle (and with it a sweep
+        # worker's process boundary) rebuilds the same error
+        super().__init__(column, pivot)
         self.column = column
         self.pivot = pivot
-        super().__init__(
-            f"singular matrix: pivot magnitude {abs(pivot):.3e} in column "
-            f"{column} is below threshold"
-        )
+
+    def __str__(self) -> str:
+        return (f"singular matrix: pivot magnitude {abs(self.pivot):.3e} in "
+                f"column {self.column} is below threshold")
 
 
 class SimulationError(GreendryError, RuntimeError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,11 +90,11 @@ def drying_time_objective(
     return None
 
 
-def _evaluate(base: DryerConfig, spec: SweepSpec,
+def _evaluate(cfg: DryerConfig, spec: SweepSpec,
               point: tuple[tuple[str, float], ...]) -> SweepResult:
-    """One grid point's result.  A point whose simulation fails is not
-    reached and carries the reason; other errors abort the sweep."""
-    cfg = apply_overrides(base, dict(point))
+    """One grid point's result, from its already overridden config.  A
+    point whose simulation fails is not reached and carries the reason;
+    other errors abort the sweep."""
     try:
         hours = drying_time_objective(cfg, spec.weather, spec.target_mdb,
                                       spec.horizon_s)
@@ -116,25 +116,71 @@ def _evaluate(base: DryerConfig, spec: SweepSpec,
     return SweepResult(point=point, objective=years, reached=True)
 
 
+# The spec of the sweep a pool worker serves, set once per worker process
+# by _init_worker so that the weather is not sent with every point.
+_worker_spec: SweepSpec | None = None
+
+
+def _init_worker(spec: SweepSpec) -> None:
+    global _worker_spec
+    _worker_spec = spec
+
+
+def _evaluate_in_worker(cfg: DryerConfig,
+                        point: tuple[tuple[str, float], ...]) -> SweepResult:
+    return _evaluate(cfg, _worker_spec, point)
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def grid_search(base: DryerConfig, spec: SweepSpec,
-                workers: int = 1) -> list[SweepResult]:
+                workers: int | None = None) -> list[SweepResult]:
     """Evaluate every grid point and return results sorted ascending by
     objective, ties broken by the point's parameter values in spec order.
     A point whose simulation fails ranks as not reached, with its error.
-    Deterministic and identical under serial or parallel evaluation."""
+
+    Points are simulated in `workers` processes (default: the CPUs
+    available, at most one per point); with one worker they run in this
+    process.  Every point's overrides are applied here first, so an
+    invalid one raises before any point is simulated.  Each point runs the
+    same code either way, so the results are identical."""
     n = spec.grid_size
     if n > spec.grid_cap:
         raise GridSizeError(f"grid has {n} points, cap is {spec.grid_cap}")
+    if workers is None:
+        workers = available_cpus()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     paths = [p for p, _ in spec.parameters]
     points = [
         tuple(zip(paths, combo))
         for combo in itertools.product(*(vals for _, vals in spec.parameters))
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda pt: _evaluate(base, spec, pt), points))
+    cfgs = [apply_overrides(base, dict(pt)) for pt in points]
+    workers = min(workers, n)
+    if workers == 1:
+        results = [_evaluate(cfg, spec, pt) for cfg, pt in zip(cfgs, points)]
     else:
-        results = [_evaluate(base, spec, pt) for pt in points]
+        # Imported here so that importing the CLI does not pay for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: workers inherit the imported modules instead of importing
+        # them again.  The executor starts every fork-context worker
+        # before its own management thread, so it forks none of its own
+        # threads.
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context(method),
+                                 initializer=_init_worker,
+                                 initargs=(spec,)) as pool:
+            results = list(pool.map(_evaluate_in_worker, cfgs, points))
     return sorted(results, key=lambda r: (r.objective, [v for _, v in r.point]))
 
 

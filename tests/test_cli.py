@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from greendry.cli import main, read_states_csv
+from greendry.core import relative_humidity
 
 
 @pytest.fixture()
@@ -74,6 +75,15 @@ class TestRun:
                                "--set", override)
         assert result.exit_code == 3, result.output
         assert "error: step 1 (t=60.0 s): " in result.stderr
+
+    def test_rh_column_is_relative_humidity_of_each_state(
+            self, runner, baseline_cfg, baseline_config_path, tmp_path):
+        _run_baseline(runner, baseline_config_path, tmp_path / "out")
+        states = read_states_csv(tmp_path / "out" / "states.csv")
+        P = baseline_cfg.numerics.pressure
+        expected = [relative_humidity(H, T_a, P)[0]
+                    for H, T_a in zip(states["H"], states["T_a_K"])]
+        assert states["rh_pct"] == expected  # the last row included
 
     def test_manifest_written(self, runner, baseline_config_path, tmp_path):
         _run_baseline(runner, baseline_config_path, tmp_path / "out")
@@ -185,6 +195,25 @@ class TestSweep:
         assert result.exit_code == 3
         assert "all 1 points failed" in result.stderr
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_workers_do_not_change_sweep_csv(self, runner, baseline_config_path,
+                                            tmp_path):
+        spec = self._spec(tmp_path, "[1.2, 1.5, 0.9]")
+        outputs = []
+        for name, extra in (("serial", ["--workers", "1"]), ("default", [])):
+            result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                             "--spec", str(spec), "--preset", "tropical",
+                             "--days", "2", "--out", str(tmp_path / name), *extra)
+            assert result.exit_code == 0, result.output
+            outputs.append((tmp_path / name / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_zero_workers_exit_2(self, runner, baseline_config_path, tmp_path):
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                         "--spec", str(self._spec(tmp_path)), "--preset", "tropical",
+                         "--out", str(tmp_path / "out"), "--workers", "0")
+        assert result.exit_code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_grid_exit_2(self, runner, baseline_config_path, tmp_path):
         spec = self._spec(tmp_path, "[0.1, 0.2, 0.3, 0.4]", extra="max_points: 3\n")

@@ -173,11 +173,14 @@ class TestLinearSystem:
         assert all(type(v) is float for row in system.A for v in row)
 
 
-def test_cli_import_does_not_load_numpy():
+@pytest.mark.parametrize("module", ["numpy", "multiprocessing",
+                                    "concurrent.futures.process"])
+def test_cli_import_does_not_load(module):
+    # each would add to the set-up time of every CLI invocation
     src = str(Path(greendry.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import greendry.cli; "
-            "print('numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+            "print(sys.argv[2] in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src, module], check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "False"
 

@@ -82,12 +82,34 @@ class TestGridSearch:
     def test_failing_point_ranks_last_with_reason(self, baseline_cfg, weather):
         # V_in = 0.3 != V_out drives the chamber air below the table at step 1
         spec = make_spec(weather, (("airflow.V_in", (0.3, 0.9)),))
-        first, last = grid_search(baseline_cfg, spec)
+        serial = grid_search(baseline_cfg, spec, workers=1)
+        first, last = serial
         assert first.point == (("airflow.V_in", 0.9),)
         assert first.reached and first.error is None
         assert last.point == (("airflow.V_in", 0.3),)
         assert not last.reached and last.objective == math.inf
         assert "step 1 (t=60.0 s)" in last.error
+        assert grid_search(baseline_cfg, spec, workers=2) == serial
+
+    def test_invalid_override_raises_the_same_error_in_parallel(
+            self, baseline_cfg, weather):
+        spec = make_spec(weather, (("airflow.V_a", (1.0, -1.0)),))
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(ConfigError) as info:
+                grid_search(baseline_cfg, spec, workers=workers)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+    def test_fewer_points_than_workers(self, baseline_cfg, weather):
+        spec = make_spec(weather, (("product.F_p", (0.4, 0.5)),), horizon_s=6 * 3600.0)
+        assert (grid_search(baseline_cfg, spec, workers=8)
+                == grid_search(baseline_cfg, spec, workers=1))
+
+    def test_zero_workers_rejected(self, baseline_cfg, weather):
+        spec = make_spec(weather, (("product.F_p", (0.4,)),))
+        with pytest.raises(ValueError, match="workers"):
+            grid_search(baseline_cfg, spec, workers=0)
 
     def test_grid_cap(self, baseline_cfg, weather):
         spec = make_spec(weather, (("airflow.V_in", tuple(0.1 * i for i in range(1, 7))),),
