@@ -10,7 +10,6 @@ so reruns are byte-for-byte reproducible.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import hashlib
 import json
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .solver import simulate
 from .sweep import grid_search, load_sweep_spec
-from .weather import PRESETS, load_csv, save_csv, synthetic_days
+from .weather import PRESETS, interpolate, load_csv, save_csv, synthetic_days
 
 STATE_COLUMNS = ["t_s", "T_c_K", "T_a_K", "T_p_K", "T_f_K", "H", "M_db", "rh_pct"]
 DIAG_COLUMNS = ["t_s", "res_cover_W", "res_air_W", "res_product_W",
@@ -204,18 +203,12 @@ def cmd_validate(states_path, observed_path, variable, limit):
     if "t_s" not in observed or len(obs_cols) != 1:
         _fail(2, "observed CSV must have exactly columns t_s,<variable>")
 
-    t_pred, y_pred = states["t_s"], states[variable]
+    t_pred, columns = states["t_s"], (states[variable],)
     predicted = []
     for t in observed["t_s"]:
-        if t < t_pred[0] or t > t_pred[-1]:
+        if not t_pred[0] <= t <= t_pred[-1]:
             _fail(2, f"observed time {t} s outside simulated span")
-        # linear interpolation onto the observed grid
-        i = bisect.bisect_left(t_pred, t)
-        if i < len(t_pred) and t_pred[i] == t:
-            predicted.append(y_pred[i])
-        else:
-            f = (t - t_pred[i - 1]) / (t_pred[i] - t_pred[i - 1])
-            predicted.append(y_pred[i - 1] + f * (y_pred[i] - y_pred[i - 1]))
+        predicted.append(interpolate(t_pred, columns, t)[0])
     try:
         report = percent_difference(predicted, observed[obs_cols[0]], variable)
     except ComparisonError as exc:

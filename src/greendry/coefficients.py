@@ -7,7 +7,7 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import AirProps, SimState, WeatherRecord
-from .errors import ConfigError, ConfigWarning
+from .errors import ConfigError, ConfigWarning, RangeError
 
 if TYPE_CHECKING:
     from .solver import StepConstants
@@ -35,8 +35,6 @@ class CoefficientSet(NamedTuple):
 
 def _sky(T_am: float, c_sky: float) -> tuple[float, bool]:
     """T_s = c_sky * T_am^1.5 and whether it is physical, 0 < T_s <= T_am."""
-    if T_am <= 0:
-        raise ValueError(f"ambient temperature must be > 0 K, got {T_am}")
     T_s = c_sky * T_am**1.5
     return T_s, 0.0 < T_s <= T_am
 
@@ -49,6 +47,8 @@ def sky_temperature(T_am: float, c_sky: float = 0.0550) -> float:
     here is 0.0550 so that T_s < T_am holds everywhere below 330 K; a
     value of 0.552 yields a sky far hotter than ambient.
     """
+    if T_am <= 0:
+        raise ValueError(f"ambient temperature must be > 0 K, got {T_am}")
     T_s, physical = _sky(T_am, c_sky)
     if not physical:
         warnings.warn(
@@ -69,9 +69,10 @@ def radiative_coefficient(eps: float, T1: float, T2: float) -> float:
 
 
 def _radiative(eps_sigma: float, T1: float, T2: float) -> float:
-    """radiative_coefficient with eps * SIGMA given."""
+    """radiative_coefficient with eps * SIGMA given; RangeError unless
+    both temperatures are > 0 K."""
     if T1 <= 0 or T2 <= 0:
-        raise ValueError(f"temperatures must be > 0 K, got {T1}, {T2}")
+        raise RangeError(f"temperatures must be > 0 K, got {T1}, {T2}")
     return eps_sigma * (T1 * T1 + T2 * T2) * (T1 + T2)
 
 

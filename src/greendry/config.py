@@ -5,6 +5,7 @@ overrides."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +39,6 @@ class Cover:
 @dataclass(frozen=True)
 class Floor:
     alpha_f: float   # absorptance
-    k_f: float       # conductivity, W m^-1 K^-1
     h_dfg: float     # floor-to-underground conductance, W m^-2 K^-1
     T_deep: float    # deep-soil temperature, K
 
@@ -59,8 +59,7 @@ class Product:
 
 @dataclass(frozen=True)
 class Airflow:
-    V_in: float      # inlet flow rate, m^3 s^-1
-    V_out: float     # outlet flow rate, m^3 s^-1
+    V_vent: float    # ventilation rate, m^3 s^-1, in = out
     V_a: float       # internal air speed, m s^-1
     T_in: float      # inlet air temperature, K
     H_in: float      # inlet humidity ratio, kg/kg
@@ -76,9 +75,17 @@ class Kinetics:
 
 @dataclass(frozen=True)
 class Numerics:
-    dt: float = 60.0                      # time step, s
-    pressure: float = 101325.0            # total pressure, Pa
-    linearization: str = "previous-step"  # coefficient freezing mode
+    dt: float = 60.0              # time step, s
+    pressure: float = 101325.0    # total pressure, Pa
+
+
+# Bounds of the values, by dotted path; every value is finite, and one
+# listed in none of these sets must be > 0.
+_FRACTIONS = {"cover.alpha_c", "cover.tau_c", "cover.eps_c", "floor.alpha_f",
+              "product.alpha_p", "product.eps_p", "product.F_p"}
+_NONNEGATIVE = {"cover.k_c", "floor.h_dfg", "airflow.V_vent", "airflow.V_a",
+                "airflow.H_in"}
+_ANY_SIGN = {"kinetics.b0", "kinetics.b1", "kinetics.b2"}  # b2 != 0
 
 
 @dataclass(frozen=True)
@@ -92,52 +99,28 @@ class DryerConfig:
     numerics: Numerics = field(default_factory=Numerics)
 
     def __post_init__(self):
-        g, c, f, p, a, k, n = (self.geometry, self.cover, self.floor,
-                               self.product, self.airflow, self.kinetics,
-                               self.numerics)
-        positive = {
-            "geometry.W": g.W, "geometry.D": g.D, "geometry.A_c": g.A_c,
-            "geometry.A_f": g.A_f, "geometry.A_p": g.A_p, "geometry.V": g.V,
-            "geometry.D_p": g.D_p, "cover.m_c": c.m_c, "cover.C_pc": c.C_pc,
-            "cover.delta_c": c.delta_c, "product.m_p": p.m_p,
-            "product.rho_p": p.rho_p, "product.C_pp": p.C_pp,
-            "product.C_pl": p.C_pl, "product.C_pv": p.C_pv,
-            "product.L_p": p.L_p, "product.M_0_pct": p.M_0_pct,
-            "floor.T_deep": f.T_deep, "airflow.T_in": a.T_in,
-            "numerics.dt": n.dt, "numerics.pressure": n.pressure,
-        }
-        for name, value in positive.items():
-            if value <= 0:
+        values = ((f"{section}.{name}", value)
+                  for section, fields in self.to_dict().items()
+                  for name, value in fields.items())
+        for name, value in values:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if name in _FRACTIONS:
+                if not 0.0 <= value <= 1.0:
+                    raise ConfigError(f"{name} must be in [0, 1], got {value}")
+            elif name in _NONNEGATIVE:
+                if value < 0:
+                    raise ConfigError(f"{name} must be >= 0, got {value}")
+            elif name not in _ANY_SIGN and value <= 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
-        fractions = {
-            "cover.alpha_c": c.alpha_c, "cover.tau_c": c.tau_c,
-            "cover.eps_c": c.eps_c, "floor.alpha_f": f.alpha_f,
-            "product.alpha_p": p.alpha_p, "product.eps_p": p.eps_p,
-            "product.F_p": p.F_p,
-        }
-        for name, value in fractions.items():
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
+        c = self.cover
         if c.alpha_c + c.tau_c > 1.0:
             raise ConfigError(
                 f"cover absorptance + transmittance must be <= 1, got "
                 f"{c.alpha_c + c.tau_c}"
             )
-        nonneg = {
-            "cover.k_c": c.k_c, "floor.k_f": f.k_f, "floor.h_dfg": f.h_dfg,
-            "airflow.V_in": a.V_in, "airflow.V_out": a.V_out,
-            "airflow.V_a": a.V_a, "airflow.H_in": a.H_in,
-        }
-        for name, value in nonneg.items():
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
-        if k.b2 == 0:
+        if self.kinetics.b2 == 0:
             raise ConfigError("kinetics.b2 must be nonzero")
-        if n.linearization != "previous-step":
-            raise ConfigError(
-                f"unknown linearization mode {n.linearization!r}; "
-                "only 'previous-step' is supported"
-            )
 
     @property
     def M_0(self) -> float:
@@ -178,9 +161,6 @@ def config_from_dict(data: dict) -> DryerConfig:
             raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
         coerced = {}
         for key, value in raw.items():
-            if key == "linearization":
-                coerced[key] = str(value)
-                continue
             try:
                 # YAML 1.1 reads exponents like 2.358e6 as strings
                 coerced[key] = float(value)
@@ -211,7 +191,7 @@ def load_config(path) -> DryerConfig:
 
 def apply_overrides(cfg: DryerConfig, assignments: dict[str, float]) -> DryerConfig:
     """Return a new config with dotted-path overrides applied, e.g.
-    {"airflow.V_in": 0.2}; re-validates the result."""
+    {"airflow.V_vent": 0.2}; re-validates the result."""
     data = cfg.to_dict()
     for path, value in assignments.items():
         parts = path.split(".")
@@ -220,13 +200,10 @@ def apply_overrides(cfg: DryerConfig, assignments: dict[str, float]) -> DryerCon
         section, name = parts
         if name not in data[section]:
             raise ConfigError(f"unknown config field {path!r}")
-        if name == "linearization":
-            data[section][name] = str(value)
-        else:
-            try:
-                data[section][name] = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"override {path!r} needs a numeric value, got {value!r}"
-                ) from None
+        try:
+            data[section][name] = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"override {path!r} needs a numeric value, got {value!r}"
+            ) from None
     return config_from_dict(data)

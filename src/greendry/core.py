@@ -7,7 +7,6 @@ need Celsius (the drying-kinetics polynomials) convert internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RangeError
@@ -42,25 +41,15 @@ class AirProps(NamedTuple):
     nu: float     # m^2 s^-1
 
 
-@dataclass(frozen=True)
-class WeatherRecord:
-    """Ambient conditions at one instant, t in seconds from run start."""
+class WeatherRecord(NamedTuple):
+    """Ambient conditions at one instant, t in seconds from run start.
+    Records are checked where a series is built (weather.WeatherSeries)."""
 
     t: float        # s
     I_t: float      # solar irradiance on the cover plane, W m^-2
     T_am: float     # ambient temperature, K
     V_w: float      # wind speed, m s^-1
     rh_am: float    # ambient relative humidity, %
-
-    def __post_init__(self):
-        if self.I_t < 0:
-            raise ValueError(f"irradiance must be >= 0, got {self.I_t}")
-        if self.T_am <= 0:
-            raise ValueError(f"ambient temperature must be > 0 K, got {self.T_am}")
-        if self.V_w < 0:
-            raise ValueError(f"wind speed must be >= 0, got {self.V_w}")
-        if not 0.0 <= self.rh_am <= 100.0:
-            raise ValueError(f"ambient rh must be in [0, 100] %, got {self.rh_am}")
 
 
 class SimState(NamedTuple):
@@ -152,10 +141,11 @@ def humidity_ratio(rh: float, T: float, P: float = STANDARD_PRESSURE) -> float:
     """Humidity ratio (kg/kg) from relative humidity in %; inverse of
     relative_humidity."""
     if not 0.0 <= rh <= 100.0:
-        raise ValueError(f"relative humidity must be in [0, 100] %, got {rh}")
+        raise RangeError(f"relative humidity must be in [0, 100] %, got {rh}")
     p_v = rh / 100.0 * saturation_pressure(T)
     if p_v >= P:
-        raise ValueError("vapour pressure exceeds total pressure")
+        raise RangeError(f"vapour pressure {p_v} Pa at {T} K exceeds total "
+                         f"pressure {P} Pa")
     return _EPSILON * p_v / (P - p_v)
 
 

@@ -75,7 +75,8 @@ def water_activity(M_e: float, T_c: float, c: Kinetics) -> float:
 
 def equilibrium_moisture(T_c: float, a_w: float, c: Kinetics) -> float:
     """Equilibrium moisture content (% db) from the inverted isotherm,
-    M_e = (b0 + b1 T) * (a_w / (1 - a_w))^(1/b2)."""
+    M_e = (b0 + b1 T) * (a_w / (1 - a_w))^(1/b2); KineticsError where that
+    is not a finite number."""
     if not 0.0 < a_w < 1.0:
         raise KineticsError(f"water activity must be in (0, 1), got {a_w}")
     base = c.b0 + c.b1 * T_c
@@ -83,7 +84,14 @@ def equilibrium_moisture(T_c: float, a_w: float, c: Kinetics) -> float:
         raise KineticsError(
             f"isotherm coefficient b0 + b1*T = {base:.4f} <= 0 at T={T_c:.1f} C"
         )
-    return base * (a_w / (1.0 - a_w)) ** (1.0 / c.b2)
+    try:
+        M_e = base * (a_w / (1.0 - a_w)) ** (1.0 / c.b2)
+    except OverflowError:
+        M_e = math.inf
+    if M_e < math.inf:
+        return M_e
+    raise KineticsError(f"equilibrium moisture overflows at T={T_c:.1f} C, "
+                        f"a_w={a_w:.4g} (b0={c.b0}, b1={c.b1}, b2={c.b2})")
 
 
 def step_moisture(

@@ -184,8 +184,7 @@ class StepConstants(NamedTuple):
     q_m_per_dmdt: float   # A_p * D_p * C_pv * rho_p
     air_solar: float      # (1 - F_p)(1 - alpha_f) + (1 - alpha_p) F_p
     V: float              # chamber volume, m^3
-    V_in: float
-    V_out: float
+    V_vent: float         # ventilation rate, m^3 s^-1
     T_in: float
     H_in: float
     m_p: float
@@ -228,8 +227,7 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
         q_m_per_dmdt=g.A_p * g.D_p * p.C_pv * p.rho_p,
         air_solar=(1.0 - p.F_p) * (1.0 - f.alpha_f) + (1.0 - p.alpha_p) * p.F_p,
         V=g.V,
-        V_in=a.V_in,
-        V_out=a.V_out,
+        V_vent=a.V_vent,
         T_in=a.T_in,
         H_in=a.H_in,
         m_p=p.m_p,
@@ -251,8 +249,8 @@ def energy_system(state, coeffs, weather, k, dmdt, air):
 
     - cover: backward-difference thermal-mass balance.
     - air: backward-difference balance of the chamber air of mass
-      rho_a V.  The flow enthalpy term is net inflow
-      rho_a C_pa (V_in T_in - V_out T_a) with the outlet at the
+      rho_a V.  Ventilation swaps V_vent of inlet air for as much chamber
+      air, carrying rho_a C_pa V_vent (T_in - T_a) with the outlet at the
       well-mixed chamber temperature; the sensible moisture term
       A_p D_p C_pv rho_p (T_p - T_a) dM/dt keeps the temperatures
       implicit with dM/dt frozen from the kinetics step.
@@ -281,9 +279,9 @@ def energy_system(state, coeffs, weather, k, dmdt, air):
 
     cap = air.rho * k.V * air.cp / dt
     rho_cp = air.rho * air.cp
-    air_row = (0.0, cap + k.A_pf * h_c + q_m + rho_cp * k.V_out + k.U_c_A_c,
+    air_row = (0.0, cap + k.A_pf * h_c + q_m + rho_cp * k.V_vent + k.U_c_A_c,
                -(A_p * h_c + q_m), floor_air)
-    air_rhs = (cap * state.T_a + rho_cp * k.V_in * k.T_in + k.U_c_A_c * T_am
+    air_rhs = (cap * state.T_a + rho_cp * k.V_vent * k.T_in + k.U_c_A_c * T_am
                + k.air_solar * I_t * A_c * tau_c)
 
     cap = k.m_p * (k.C_pp + k.C_pl * state.M_p) / dt
@@ -300,13 +298,14 @@ def energy_system(state, coeffs, weather, k, dmdt, air):
 
 def moisture_balance(H, dM, k, rho_a, m_a):
     """Chamber humidity-ratio balance: evaporated water (-dM from the
-    product) enters the air, ventilation exchanges it with the inlet.
-    Returns the new humidity ratio (not yet saturation-clamped)."""
+    product) enters the air, ventilation swaps V_vent of inlet air for as
+    much chamber air.  Returns the new humidity ratio (not yet
+    saturation-clamped)."""
     dt = k.dt
     evap = k.evap_per_dM * dM / dt
     # written so that a zero source leaves H bit-exactly unchanged
-    return ((H + dt / m_a * (evap + rho_a * k.V_in * k.H_in))
-            / (1.0 + dt / m_a * rho_a * k.V_out))
+    return ((H + dt / m_a * (evap + rho_a * k.V_vent * k.H_in))
+            / (1.0 + dt / m_a * rho_a * k.V_vent))
 
 
 def _kinetics_update(state, k, rh):
@@ -368,6 +367,8 @@ def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
     T_c, T_a, T_p, T_f = x
 
     H_new = moisture_balance(state.H, dM, k, air.rho, air.rho * k.V)
+    if not math.isfinite(H_new):
+        raise SimulationError(f"non-finite humidity ratio {H_new}")
     if H_new < 0.0:
         H_new = 0.0
         flags.append("humidity_floor_clamped")
@@ -418,7 +419,8 @@ def simulate(
     target_mdb is given, as soon as product moisture reaches it.  The
     weather series must cover the whole requested horizon.  Any
     GreendryError raised by a step is re-raised as a SimulationError that
-    names the step number and its end time.
+    names the step number and its end time; one raised by initial_state
+    as step 0 at the start time.
     """
     dt = cfg.numerics.dt
     t0 = weather.t_start
@@ -434,7 +436,10 @@ def simulate(
     n_steps = int(math.floor(horizon_s / dt + 1e-9))
 
     k = step_constants(cfg)
-    state = initial_state(cfg, weather)
+    try:
+        state = initial_state(cfg, weather)
+    except GreendryError as exc:
+        raise SimulationError(f"step 0 (t={t0} s): {exc}") from exc
     series = SimSeries(states=[state], diagnostics=[])
     for i in range(n_steps):
         t_new = t0 + (i + 1) * dt

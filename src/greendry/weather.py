@@ -7,7 +7,7 @@ import bisect
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 from .core import WeatherRecord
@@ -30,24 +30,55 @@ TROPICAL_PRESET = {
 PRESETS = {"tropical": TROPICAL_PRESET}
 
 
+def _problem(rec: WeatherRecord, previous_t: float) -> str | None:
+    """What is wrong with one record that follows a record at previous_t,
+    or None: every value must be finite, I_t >= 0, T_am > 0, V_w >= 0,
+    0 <= rh_am <= 100 and t > previous_t."""
+    for name, value in zip(rec._fields, rec):
+        if not math.isfinite(value):
+            return f"{name} must be finite, got {value}"
+    if rec.I_t < 0:
+        return f"irradiance must be >= 0, got {rec.I_t}"
+    if rec.T_am <= 0:
+        return f"ambient temperature must be > 0 K, got {rec.T_am}"
+    if rec.V_w < 0:
+        return f"wind speed must be >= 0, got {rec.V_w}"
+    if not 0.0 <= rec.rh_am <= 100.0:
+        return f"ambient rh must be in [0, 100] %, got {rec.rh_am}"
+    if rec.t <= previous_t:
+        return f"timestamp {rec.t} not increasing (previous {previous_t})"
+    return None
+
+
+def _check_records(records, source, lines) -> None:
+    """Raise WeatherError unless there are >= 2 records and none has a
+    _problem; the message names source:line, or record i without lines."""
+    if len(records) < 2:
+        raise WeatherError(f"weather series needs >= 2 records, got {len(records)}")
+    for i, rec in enumerate(records):
+        problem = _problem(rec, records[i - 1].t if i else -math.inf)
+        if problem:
+            where = f"{source}:{lines[i]}" if lines else f"record {i}"
+            raise WeatherError(f"{where}: {problem}")
+
+
 @dataclass(frozen=True)
 class WeatherSeries:
+    """Checked weather records; lines, when given, are the source line of
+    each record, so that an error names source:line instead of record i."""
+
     records: tuple[WeatherRecord, ...]
     source: str = "unknown"
     interval_s: float | None = None
+    lines: InitVar[tuple[int, ...] | None] = None
     _times: tuple[float, ...] = field(init=False, repr=False)
+    _columns: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.records) < 2:
-            raise WeatherError(f"weather series needs >= 2 records, got {len(self.records)}")
-        times = tuple(r.t for r in self.records)
-        for i in range(1, len(times)):
-            if times[i] <= times[i - 1]:
-                raise WeatherError(
-                    f"weather timestamps must be strictly increasing: "
-                    f"t={times[i]} at record {i} follows t={times[i - 1]}"
-                )
+    def __post_init__(self, lines):
+        _check_records(self.records, self.source, lines)
+        times, *columns = zip(*self.records)
         object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_columns", tuple(columns))
 
     @property
     def t_start(self) -> float:
@@ -61,30 +92,33 @@ class WeatherSeries:
         return len(self.records)
 
 
+def interpolate(times, columns, t: float) -> list[float]:
+    """Each of columns (sequences aligned with the increasing times) at t,
+    linearly interpolated between its two neighbouring entries, or the
+    entry itself where t is one of times; one bisect for all columns.
+    t must lie in [times[0], times[-1]]."""
+    i = bisect.bisect_left(times, t)
+    if times[i] == t:
+        return [col[i] for col in columns]
+    t0 = times[i - 1]
+    f = (t - t0) / (times[i] - t0)
+    return [col[i - 1] + f * (col[i] - col[i - 1]) for col in columns]
+
+
 def sample(series: WeatherSeries, t: float) -> WeatherRecord:
     """Linear interpolation of all fields at time t (seconds)."""
     times = series._times
-    if t < times[0] or t > times[-1]:
+    if not times[0] <= t <= times[-1]:
         raise WeatherError(
             f"time {t} s outside weather span [{times[0]}, {times[-1]}] s"
         )
-    i = bisect.bisect_left(times, t)
-    if i < len(times) and times[i] == t:
-        return series.records[i]
-    lo, hi = series.records[i - 1], series.records[i]
-    f = (t - lo.t) / (hi.t - lo.t)
-    return WeatherRecord(
-        t=t,
-        I_t=lo.I_t + f * (hi.I_t - lo.I_t),
-        T_am=lo.T_am + f * (hi.T_am - lo.T_am),
-        V_w=lo.V_w + f * (hi.V_w - lo.V_w),
-        rh_am=lo.rh_am + f * (hi.rh_am - lo.rh_am),
-    )
+    return WeatherRecord(t, *interpolate(times, series._columns, t))
 
 
 def load_csv(path) -> WeatherSeries:
     """Load a weather series from CSV with header
-    t_s,I_t_wm2,T_am_K,V_w_ms,rh_am_pct; '#'-prefixed lines are ignored."""
+    t_s,I_t_wm2,T_am_K,V_w_ms,rh_am_pct; '#'-prefixed lines are ignored.
+    Errors name the file and line."""
     path = Path(path)
     if not path.exists():
         raise WeatherError(f"weather file not found: {path}")
@@ -106,28 +140,17 @@ def load_csv(path) -> WeatherSeries:
     for (lineno, _), row in zip(lines[1:], rows[1:]):
         if len(row) != len(CSV_HEADER):
             raise WeatherError(f"{path}:{lineno}: expected {len(CSV_HEADER)} cells, got {len(row)}")
-        values = {}
+        values = []
         for col, cell in zip(CSV_HEADER, row):
             try:
-                values[col] = float(cell)
+                values.append(float(cell))
             except ValueError:
                 raise WeatherError(
                     f"{path}:{lineno}: non-numeric value {cell!r} in column {col}"
                 ) from None
-        try:
-            rec = WeatherRecord(
-                t=values["t_s"], I_t=values["I_t_wm2"], T_am=values["T_am_K"],
-                V_w=values["V_w_ms"], rh_am=values["rh_am_pct"],
-            )
-        except ValueError as exc:
-            raise WeatherError(f"{path}:{lineno}: {exc}") from None
-        if records and rec.t <= records[-1].t:
-            raise WeatherError(
-                f"{path}:{lineno}: timestamp {rec.t} not increasing "
-                f"(previous {records[-1].t})"
-            )
-        records.append(rec)
-    return WeatherSeries(records=tuple(records), source=str(path))
+        records.append(WeatherRecord(*values))
+    return WeatherSeries(records=tuple(records), source=str(path),
+                         lines=tuple(n for n, _ in lines[1:]))
 
 
 def save_csv(series: WeatherSeries, path, header_comment: str | None = None) -> None:

@@ -64,8 +64,7 @@ def test_criterion_3_balance_residuals_and_water_conservation(baseline_cfg):
     )
     assert worst <= 1e-6
 
-    sealed = apply_overrides(baseline_cfg, {"airflow.V_in": 0.0,
-                                            "airflow.V_out": 0.0})
+    sealed = apply_overrides(baseline_cfg, {"airflow.V_vent": 0.0})
     ws = synthetic_days(1, peak_irradiance=0.0, T_min=323.0, T_max=323.0,
                         rh_min=20.0, rh_max=20.0)
     ser = simulate(sealed, ws, horizon_s=3600.0)
@@ -215,8 +214,7 @@ def test_criterion_9_physical_sanity(baseline_cfg):
     # night-only: all temperatures inside [min(T_am, T_s), max(T_am)] with
     # soil and inlet tied to the band, within 2 h simulated
     night = synthetic_days(1, peak_irradiance=0.0)
-    cfg = apply_overrides(baseline_cfg, {"airflow.V_in": 0.0,
-                                         "airflow.V_out": 0.0,
+    cfg = apply_overrides(baseline_cfg, {"airflow.V_vent": 0.0,
                                          "floor.T_deep": 300.0})
     series = simulate(cfg, night, horizon_s=4 * 3600.0)
     for state in series.states:

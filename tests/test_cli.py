@@ -67,7 +67,7 @@ class TestRun:
 
     @pytest.mark.parametrize("override", [
         "product.m_p=1e308",   # infinite heat capacity: non-finite product row
-        "airflow.V_in=0.3",    # unbalanced ventilation drives T_a out of range
+        "airflow.T_in=100",    # 100 K inlet air drives T_a below the air table
     ])
     def test_numerical_failure_names_step_and_time(
             self, runner, baseline_config_path, tmp_path, override):
@@ -75,6 +75,35 @@ class TestRun:
                                "--set", override)
         assert result.exit_code == 3, result.output
         assert "error: step 1 (t=60.0 s): " in result.stderr
+
+    @pytest.mark.parametrize("override, code, message", [
+        ("numerics.dt=nan", 1, "numerics.dt must be finite, got nan"),
+        ("numerics.dt=inf", 1, "numerics.dt must be finite, got inf"),
+        ("kinetics.c_sky=0", 1, "kinetics.c_sky must be > 0"),
+        ("airflow.V_in=0.3", 1, "unknown config field 'airflow.V_in'"),
+        ("floor.k_f=1.7", 1, "unknown config field 'floor.k_f'"),
+        ("numerics.pressure=5000", 3, "step 461 (t=27660.0 s): vapour pressure"),
+        ("kinetics.b2=3e-06", 3, "step 0 (t=0.0 s): equilibrium moisture overflows"),
+        ("kinetics.b0=0.012", 3, "step 0 (t=0.0 s): isotherm coefficient"),
+    ])
+    def test_bad_input_exits_with_its_code(self, runner, baseline_config_path,
+                                           tmp_path, override, code, message):
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--preset", "tropical", "--days", "1",
+                         "--out", str(tmp_path / "o"), "--set", override)
+        assert result.exit_code == code, result.output
+        assert result.stderr.startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_weather_cell_exit_2(self, runner, baseline_config_path,
+                                            tmp_path):
+        weather = tmp_path / "w.csv"
+        weather.write_text("t_s,I_t_wm2,T_am_K,V_w_ms,rh_am_pct\n"
+                           "0,0,298,1,70\n600,nan,300,2,60\n")
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--weather", str(weather), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {weather}:3: I_t must be finite, got nan\n"
 
     def test_rh_column_is_relative_humidity_of_each_state(
             self, runner, baseline_cfg, baseline_config_path, tmp_path):
@@ -169,10 +198,10 @@ class TestSweep:
         assert objectives == sorted(objectives)
         assert len(objectives) == 2
 
-    def _sweep_v_in(self, runner, config_path, tmp_path, values):
-        # V_in = 0.3 != V_out drives the chamber air below the table at step 1
+    def _sweep_m_p(self, runner, config_path, tmp_path, values):
+        # m_p = 1e308 makes the step-1 product row non-finite
         spec = tmp_path / "spec.yaml"
-        spec.write_text(f"parameters:\n  airflow.V_in: {values}\n"
+        spec.write_text(f"parameters:\n  product.m_p: {values}\n"
                         "objective: drying_time\ntarget_mdb: 0.35\nhorizon_h: 24\n")
         return run_cli(runner, "sweep", "--config", str(config_path),
                        "--spec", str(spec), "--preset", "tropical",
@@ -180,18 +209,18 @@ class TestSweep:
 
     def test_failed_point_warned_and_ranked_last(self, runner, baseline_config_path,
                                                  tmp_path):
-        result = self._sweep_v_in(runner, baseline_config_path, tmp_path, "[0.3, 0.9]")
+        result = self._sweep_m_p(runner, baseline_config_path, tmp_path, "[1e308, 54.0]")
         assert result.exit_code == 0, result.output
         warnings = [line for line in result.stderr.splitlines()
                     if line.startswith("warning: ")]
         assert len(warnings) == 1
-        assert "{'airflow.V_in': 0.3} failed: step 1 (t=60.0 s)" in warnings[0]
+        assert "{'product.m_p': 1e+308} failed: step 1 (t=60.0 s)" in warnings[0]
         rows = read_states_csv(tmp_path / "out" / "sweep.csv")
-        assert rows["airflow.V_in"] == [0.9, 0.3]
+        assert rows["product.m_p"] == [54.0, 1e308]
         assert rows["reached"] == [1.0, 0.0]
 
     def test_every_point_failed_exit_3(self, runner, baseline_config_path, tmp_path):
-        result = self._sweep_v_in(runner, baseline_config_path, tmp_path, "[0.3]")
+        result = self._sweep_m_p(runner, baseline_config_path, tmp_path, "[1e308]")
         assert result.exit_code == 3
         assert "all 1 points failed" in result.stderr
         assert not (tmp_path / "out" / "sweep.csv").exists()

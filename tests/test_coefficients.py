@@ -16,7 +16,7 @@ from greendry.coefficients import (
 )
 from greendry.config import apply_overrides
 from greendry.core import AirProps, SimState, WeatherRecord, air_properties
-from greendry.errors import ConfigError, ConfigWarning
+from greendry.errors import ConfigError, ConfigWarning, RangeError
 from greendry.solver import step_constants
 
 
@@ -60,6 +60,11 @@ class TestRadiativeCoefficient:
     def test_linear_in_emissivity(self, eps, T1, T2):
         full = radiative_coefficient(1.0, T1, T2)
         assert radiative_coefficient(eps, T1, T2) == pytest.approx(eps * full, rel=1e-12)
+
+    @pytest.mark.parametrize("T1, T2", [(0.0, 280.0), (300.0, -5.0)])
+    def test_non_positive_temperature_raises_range_error(self, T1, T2):
+        with pytest.raises(RangeError, match="> 0 K"):
+            radiative_coefficient(0.9, T1, T2)
 
 
 class TestWindCoefficient:

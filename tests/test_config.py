@@ -1,9 +1,14 @@
+import math
+
 import pytest
 
 from greendry.config import apply_overrides, config_from_dict, load_config
 from greendry.errors import ConfigError
 
 from test_solver import BASE, make_cfg
+
+FIELDS = [f"{section}.{name}" for section, values in BASE.items()
+          for name in values] + ["numerics.pressure"]
 
 
 class TestValidation:
@@ -43,6 +48,35 @@ class TestValidation:
         with pytest.raises(ConfigError, match="dt"):
             make_cfg(numerics={"dt": 0.0})
 
+    def test_one_value_per_physical_input(self, baseline_cfg):
+        paths = [f"{section}.{name}"
+                 for section, values in baseline_cfg.to_dict().items()
+                 for name in values]
+        assert sorted(paths) == sorted(FIELDS)
+        assert len(paths) == 37
+
+    @pytest.mark.parametrize("section, key", [
+        ("floor", "k_f"), ("airflow", "V_in"), ("airflow", "V_out"),
+        ("numerics", "linearization"),
+    ])
+    def test_removed_keys_rejected(self, section, key):
+        data = {k: dict(v) for k, v in BASE.items()}
+        data[section][key] = 1.0
+        with pytest.raises(ConfigError, match=f"unknown keys in '{section}'.*{key}"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("path", FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, path, value):
+        section, name = path.split(".")
+        with pytest.raises(ConfigError, match=f"{path} must be finite"):
+            make_cfg(**{section: {name: value}})
+
+    @pytest.mark.parametrize("c_sky", [0.0, -0.0552])
+    def test_non_positive_sky_coefficient_rejected(self, c_sky):
+        with pytest.raises(ConfigError, match="kinetics.c_sky"):
+            make_cfg(kinetics={"c_sky": c_sky})
+
     def test_numerics_defaults(self):
         data = {k: dict(v) for k, v in BASE.items()}
         del data["numerics"]
@@ -53,9 +87,9 @@ class TestValidation:
 
 class TestOverrides:
     def test_override_applies(self, baseline_cfg):
-        cfg = apply_overrides(baseline_cfg, {"airflow.V_in": 0.5})
-        assert cfg.airflow.V_in == 0.5
-        assert baseline_cfg.airflow.V_in != 0.5  # original untouched
+        cfg = apply_overrides(baseline_cfg, {"airflow.V_vent": 0.5})
+        assert cfg.airflow.V_vent == 0.5
+        assert baseline_cfg.airflow.V_vent != 0.5  # original untouched
 
     def test_unknown_path(self, baseline_cfg):
         with pytest.raises(ConfigError, match="unknown"):
@@ -63,7 +97,7 @@ class TestOverrides:
 
     def test_bad_path_shape(self, baseline_cfg):
         with pytest.raises(ConfigError):
-            apply_overrides(baseline_cfg, {"V_in": 1.0})
+            apply_overrides(baseline_cfg, {"V_vent": 1.0})
 
     def test_override_revalidates(self, baseline_cfg):
         with pytest.raises(ConfigError):

@@ -124,3 +124,12 @@ def test_humidity_ratio_rejects_bad_rh():
         humidity_ratio(101.0, 300.0)
     with pytest.raises(ValueError):
         humidity_ratio(-1.0, 300.0)
+
+
+@pytest.mark.parametrize("rh, T, P", [
+    (101.0, 300.0, 101325.0),
+    (100.0, 310.0, 5000.0),   # p_sat(310 K) ~ 6.2 kPa exceeds the total
+])
+def test_humidity_ratio_raises_range_error(rh, T, P):
+    with pytest.raises(RangeError):
+        humidity_ratio(rh, T, P)

@@ -83,6 +83,15 @@ class TestEquilibriumMoisture:
         with pytest.raises(KineticsError):
             equilibrium_moisture(300.0, 0.5, EMC)
 
+    @pytest.mark.parametrize("a_w, b2", [
+        (0.83, 3e-06),        # (a_w / (1 - a_w))^(1/b2) overflows in the power
+        (0.999, 0.00975),     # the power is finite, the product with b0 + b1 T not
+    ])
+    def test_overflow_rejected(self, a_w, b2):
+        c = Kinetics(b0=EMC.b0, b1=EMC.b1, b2=b2)
+        with pytest.raises(KineticsError, match="overflows"):
+            equilibrium_moisture(25.0, a_w, c)
+
 
 class TestStepMoisture:
     C = drying_constants(**MID)

@@ -10,7 +10,7 @@ import pytest
 import greendry
 
 from greendry.coefficients import CoefficientSet
-from greendry.config import config_from_dict
+from greendry.config import apply_overrides, config_from_dict
 from greendry.core import SimState, WeatherRecord, air_properties, humidity_ratio
 from greendry.errors import SimulationError, SingularMatrixError, WeatherError
 from greendry.solver import (
@@ -32,12 +32,11 @@ BASE = {
                  "V": 8.0, "D_p": 0.02},
     "cover": {"m_c": 5.0, "C_pc": 2300.0, "alpha_c": 0.05, "tau_c": 0.85,
               "eps_c": 0.4, "k_c": 0.33, "delta_c": 0.05},
-    "floor": {"alpha_f": 0.6, "k_f": 1.7, "h_dfg": 3.0, "T_deep": 298.0},
+    "floor": {"alpha_f": 0.6, "h_dfg": 3.0, "T_deep": 298.0},
     "product": {"m_p": 36.0, "rho_p": 300.0, "C_pp": 1700.0, "C_pl": 4186.0,
                 "C_pv": 1880.0, "alpha_p": 0.6, "eps_p": 0.9, "L_p": 2.358e6,
                 "M_0_pct": 52.2, "F_p": 0.5},
-    "airflow": {"V_in": 0.1, "V_out": 0.1, "V_a": 1.0, "T_in": 301.0,
-                "H_in": 0.012},
+    "airflow": {"V_vent": 0.1, "V_a": 1.0, "T_in": 301.0, "H_in": 0.012},
     "kinetics": {"b0": 12.0, "b1": -0.1, "b2": 3.0, "c_sky": 0.0552},
     "numerics": {"dt": 60.0},
 }
@@ -218,7 +217,7 @@ class TestCoverBalance:
 
 class TestAirBalance:
     def test_closed_isothermal_box(self):
-        cfg = make_cfg(airflow={"V_in": 0.0, "V_out": 0.0})
+        cfg = make_cfg(airflow={"V_vent": 0.0})
         T = 300.0
         state = make_state(T)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=T, V_w=0.0, rh_am=50.0)
@@ -238,7 +237,7 @@ class TestAirBalance:
 
     def test_pure_ventilation_moves_toward_inlet(self):
         dt = 1.0
-        cfg = make_cfg(airflow={"V_in": 0.05, "V_out": 0.05, "T_in": 310.0},
+        cfg = make_cfg(airflow={"V_vent": 0.05, "T_in": 310.0},
                        cover={"k_c": 0.0}, numerics={"dt": dt})
         T0 = 300.0
         state = make_state(T0)
@@ -250,6 +249,32 @@ class TestAirBalance:
         euler = T0 + dt * air.rho * air.cp * 0.05 * (310.0 - T0) / (m_a * air.cp)
         assert T0 < T_new < 310.0
         assert T_new == pytest.approx(euler, rel=1e-4)
+
+
+class TestVentilation:
+    # Inflow equals outflow by construction: inlet air at the chamber's own
+    # temperature and humidity ratio carries no net heat and no net water.
+    @pytest.mark.parametrize("V_vent", [0.1, 0.9, 5.0])
+    def test_inlet_at_chamber_state_adds_nothing(self, V_vent):
+        T, H = 305.0, 0.015
+        state = make_state(T, H=H)
+        w = WeatherRecord(t=60.0, I_t=300.0, T_am=300.0, V_w=1.0, rh_am=50.0)
+        coeffs = zero_coeffs(h_c=3.0, U_c=5.0)
+
+        def air_residual(V):
+            cfg = make_cfg(airflow={"V_vent": V, "T_in": T, "H_in": H})
+            row, rhs = balance("air", state, coeffs, w, cfg)
+            return sum(a * T for a in row) - rhs, rhs
+
+        vented, rhs = air_residual(V_vent)
+        sealed, _ = air_residual(0.0)
+        assert vented == pytest.approx(sealed, abs=1e-12 * abs(rhs))
+
+        k = step_constants(make_cfg(airflow={"V_vent": V_vent, "T_in": T,
+                                             "H_in": H}))
+        air = air_properties(T)
+        m_a = air.rho * k.V
+        assert moisture_balance(H, 0.0, k, air.rho, m_a) == pytest.approx(H, rel=1e-15)
 
 
 class TestProductBalance:
@@ -328,14 +353,14 @@ class TestMoistureBalance:
         assert H_new == pytest.approx(0.01, rel=1e-12)
 
     def test_sealed_conservation(self):
-        cfg = make_cfg(airflow={"V_in": 0.0, "V_out": 0.0})
+        cfg = make_cfg(airflow={"V_vent": 0.0})
         m_a, dM = 10.0, -0.002
         H_new = moisture_balance(0.01, dM, step_constants(cfg), 1.18, m_a)
         evap = -cfg.product.rho_p * cfg.geometry.A_p * cfg.geometry.D_p * dM
         assert m_a * (H_new - 0.01) == pytest.approx(evap, rel=1e-12)
 
     def test_hand_case(self):
-        cfg = make_cfg(airflow={"V_in": 0.0, "V_out": 0.0},
+        cfg = make_cfg(airflow={"V_vent": 0.0},
                        product={"rho_p": 250.0},
                        geometry={"A_p": 10.0, "D_p": 0.02})
         # rho_p A_p D_p = 50 kg, dM = -0.01, m_a = 30 -> dH = 0.5/30
@@ -347,7 +372,7 @@ class TestStep:
     def test_global_fixed_point(self):
         T = 300.0
         cfg = make_cfg(
-            airflow={"V_in": 0.0, "V_out": 0.0},
+            airflow={"V_vent": 0.0},
             floor={"T_deep": T},
             kinetics={"c_sky": T**-0.5},  # T_s == T: no net sky exchange
         )
@@ -431,6 +456,28 @@ class TestSimulate:
             w = sample(tropical_weather, state.t + baseline_cfg.numerics.dt)
             assert step(state, w, baseline_cfg) == (series.states[i + 1],
                                                     series.diagnostics[i])
+
+    def test_initial_state_error_names_step_0(self, tropical_weather):
+        # b0 + b1 T < 0 at the first ambient temperature
+        cfg = make_cfg(kinetics={"b0": 0.012})
+        with pytest.raises(SimulationError,
+                           match=r"^step 0 \(t=0\.0 s\): isotherm coefficient"):
+            simulate(cfg, tropical_weather, horizon_s=3600.0)
+
+    def test_vapour_pressure_above_total_names_step(self, baseline_cfg,
+                                                     tropical_weather):
+        cfg = apply_overrides(baseline_cfg, {"numerics.pressure": 5000.0})
+        with pytest.raises(SimulationError,
+                           match=r"^step \d+ \(t=\d+\.0 s\): vapour pressure"):
+            simulate(cfg, tropical_weather)
+
+    def test_non_finite_humidity_ratio_raises(self, baseline_cfg, tropical_weather):
+        # dt / m_a * rho_a * V_vent overflows: H_new would be inf / inf
+        cfg = apply_overrides(baseline_cfg, {"geometry.V": 28.8e-300,
+                                             "airflow.V_vent": 0.9e300})
+        with pytest.raises(SimulationError,
+                           match=r"^step 1 \(t=60\.0 s\): non-finite humidity ratio"):
+            simulate(cfg, tropical_weather, horizon_s=60.0)
 
     def test_target_stop(self, baseline_cfg, tropical_weather):
         series = simulate(baseline_cfg, tropical_weather, target_mdb=0.45)

@@ -45,10 +45,10 @@ class TestDryingTimeObjective:
 
 class TestGridSearch:
     def test_singleton(self, baseline_cfg, weather):
-        spec = make_spec(weather, (("airflow.V_in", (0.9,)),))
+        spec = make_spec(weather, (("airflow.V_vent", (0.9,)),))
         results = grid_search(baseline_cfg, spec)
         assert len(results) == 1
-        assert results[0].point == (("airflow.V_in", 0.9),)
+        assert results[0].point == (("airflow.V_vent", 0.9),)
 
     def test_2x2_matches_exhaustive_argmin(self, baseline_cfg, weather):
         spec = make_spec(weather, (("airflow.V_a", (1.0, 1.5)),
@@ -66,11 +66,14 @@ class TestGridSearch:
         assert objectives == sorted(objectives)
 
     def test_inert_parameter_tie_broken_lexicographically(self, baseline_cfg, weather):
-        # floor conductivity k_f does not enter the lumped model at all
-        spec = make_spec(weather, (("floor.k_f", (2.0, 1.0)),))
+        # neither point reaches the target within 1 h: both tie at inf
+        spec = make_spec(weather, (("product.F_p", (0.7, 0.3)),),
+                         horizon_s=3600.0)
         results = grid_search(baseline_cfg, spec)
-        assert results[0].objective == results[1].objective
-        assert results[0].point == (("floor.k_f", 1.0),)
+        assert [r.objective for r in results] == [math.inf, math.inf]
+        assert not results[0].reached and results[0].error is None
+        assert [r.point for r in results] == [(("product.F_p", 0.3),),
+                                              (("product.F_p", 0.7),)]
 
     def test_serial_equals_parallel(self, baseline_cfg, weather):
         spec = make_spec(weather, (("airflow.V_a", (1.2, 1.5)),
@@ -80,13 +83,13 @@ class TestGridSearch:
         assert serial == parallel
 
     def test_failing_point_ranks_last_with_reason(self, baseline_cfg, weather):
-        # V_in = 0.3 != V_out drives the chamber air below the table at step 1
-        spec = make_spec(weather, (("airflow.V_in", (0.3, 0.9)),))
+        # an infinite-capacity product makes the step-1 product row non-finite
+        spec = make_spec(weather, (("product.m_p", (1e308, 54.0)),))
         serial = grid_search(baseline_cfg, spec, workers=1)
         first, last = serial
-        assert first.point == (("airflow.V_in", 0.9),)
+        assert first.point == (("product.m_p", 54.0),)
         assert first.reached and first.error is None
-        assert last.point == (("airflow.V_in", 0.3),)
+        assert last.point == (("product.m_p", 1e308),)
         assert not last.reached and last.objective == math.inf
         assert "step 1 (t=60.0 s)" in last.error
         assert grid_search(baseline_cfg, spec, workers=2) == serial
@@ -112,7 +115,7 @@ class TestGridSearch:
             grid_search(baseline_cfg, spec, workers=0)
 
     def test_grid_cap(self, baseline_cfg, weather):
-        spec = make_spec(weather, (("airflow.V_in", tuple(0.1 * i for i in range(1, 7))),),
+        spec = make_spec(weather, (("airflow.V_vent", tuple(0.1 * i for i in range(1, 7))),),
                          grid_cap=5)
         with pytest.raises(GridSizeError):
             grid_search(baseline_cfg, spec)
@@ -121,7 +124,7 @@ class TestGridSearch:
         eco = EconomicModel(capital=11500.0, operating_cost=1000.0,
                             batch_kg_dry=25.0, annual_operating_hours=4000.0,
                             unit_premium=24.0)
-        spec = make_spec(weather, (("airflow.V_in", (0.9,)),),
+        spec = make_spec(weather, (("airflow.V_vent", (0.9,)),),
                          objective="payback", economics=eco)
         results = grid_search(baseline_cfg, spec)
         assert results[0].reached
@@ -129,7 +132,7 @@ class TestGridSearch:
 
     def test_payback_without_economics_rejected(self, weather):
         with pytest.raises(ConfigError):
-            make_spec(weather, (("airflow.V_in", (0.9,)),), objective="payback")
+            make_spec(weather, (("airflow.V_vent", (0.9,)),), objective="payback")
 
 
 class TestSpecFile:
@@ -137,7 +140,7 @@ class TestSpecFile:
         path = tmp_path / "spec.yaml"
         path.write_text(
             "parameters:\n"
-            "  airflow.V_in: [0.8, 1.0]\n"
+            "  airflow.V_vent: [0.8, 1.0]\n"
             "  product.F_p: [0.4, 0.5]\n"
             "objective: drying_time\n"
             "target_mdb: 0.08\n"

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from greendry.core import WeatherRecord
 from greendry.errors import WeatherError
@@ -32,6 +32,26 @@ class TestSeries:
         with pytest.raises(WeatherError):
             WeatherSeries(records=(r, r))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("I_t", -1.0, "irradiance"),
+        ("T_am", 0.0, "ambient temperature"),
+        ("V_w", -0.5, "wind speed"),
+        ("rh_am", 100.5, "ambient rh"),
+        ("I_t", math.nan, "I_t must be finite"),
+        ("T_am", math.inf, "T_am must be finite"),
+        ("t", math.nan, "t must be finite"),
+    ])
+    def test_record_checked(self, field, value, message):
+        good = _series().records
+        bad = good[1]._replace(**{field: value})
+        with pytest.raises(WeatherError, match=f"^record 1: {message}"):
+            WeatherSeries(records=(good[0], bad))
+
+    def test_record_is_a_plain_tuple(self):
+        # records are checked where a series is built, not on construction
+        rec = WeatherRecord(t=0.0, I_t=-1.0, T_am=298.0, V_w=1.0, rh_am=70.0)
+        assert isinstance(rec, tuple) and rec.I_t == -1.0
+
 
 class TestSample:
     def test_knot_identity(self):
@@ -46,6 +66,39 @@ class TestSample:
     def test_out_of_span(self):
         with pytest.raises(WeatherError):
             sample(_series(), 601.0)
+        with pytest.raises(WeatherError):
+            sample(_series(), math.nan)
+
+    def test_returns_a_record(self):
+        rec = sample(_series(), 150.0)
+        assert type(rec) is WeatherRecord and rec.t == 150.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_within_neighbouring_records(self, data):
+        n = data.draw(st.integers(2, 8))
+        steps = data.draw(st.lists(st.floats(1e-3, 1e6), min_size=n - 1,
+                                   max_size=n - 1))
+        t = [data.draw(st.floats(-1e6, 1e6))]
+        for dt in steps:
+            t.append(t[-1] + dt)
+        assume(all(b > a for a, b in zip(t, t[1:])))
+        records = tuple(
+            WeatherRecord(t=ti,
+                          I_t=data.draw(st.floats(0.0, 1500.0)),
+                          T_am=data.draw(st.floats(1e-3, 400.0)),
+                          V_w=data.draw(st.floats(0.0, 40.0)),
+                          rh_am=data.draw(st.floats(0.0, 100.0)))
+            for ti in t)
+        series = WeatherSeries(records=records)
+        at = data.draw(st.floats(t[0], t[-1]))
+        rec = sample(series, at)
+        assert rec.t == at
+        i = next(i for i, ti in enumerate(t) if ti >= at)
+        lo, hi = records[max(i - 1, 0)], records[i]
+        for name in ("I_t", "T_am", "V_w", "rh_am"):
+            a, b = getattr(lo, name), getattr(hi, name)
+            assert min(a, b) <= getattr(rec, name) <= max(a, b), name
 
 
 class TestLoadCsv:
@@ -64,6 +117,14 @@ class TestLoadCsv:
         path = tmp_path / "w.csv"
         path.write_text(",".join(CSV_HEADER) + "\n0,0,298,1,70\n600,-5,300,2,60\n")
         with pytest.raises(WeatherError, match="3"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        path = tmp_path / "w.csv"
+        path.write_text("# comment\n" + ",".join(CSV_HEADER)
+                        + f"\n0,0,298,1,70\n600,{cell},300,2,60\n")
+        with pytest.raises(WeatherError, match=f"w.csv:4: I_t must be finite"):
             load_csv(path)
 
     def test_non_numeric_cell(self, tmp_path):
