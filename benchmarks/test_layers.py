@@ -1,5 +1,6 @@
-"""pytest-benchmark cases for the per-step layers, a 4-day simulate and a
-6-point sweep (serial and with the default worker processes).
+"""pytest-benchmark cases for the per-step layers, a 4-day simulate, a
+4-day `greendry run` with its CSV write and a 6-point sweep (serial and
+with the default worker processes).
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=OUT.json
 
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from greendry import load_config, simulate, synthetic_days
+from greendry.cli import main
 from greendry.coefficients import assemble_coefficients
 from greendry.core import air_properties, relative_humidity
 from greendry.solver import (
@@ -26,6 +28,7 @@ from greendry.solver import (
     eliminate,
     energy_system,
     gauss_jordan,
+    solve_energy_system,
     step,
     step_constants,
 )
@@ -113,6 +116,11 @@ def test_eliminate(benchmark, system):
     assert benchmark(eliminate, A, b) == gauss_jordan(LinearSystem(A=A, b=b))
 
 
+def test_solve_energy_system(benchmark, system):
+    A, b = system
+    assert benchmark(solve_energy_system, A, b) == eliminate(A, b)
+
+
 def test_assemble_coefficients(benchmark, k, case):
     state, w = case
     air = air_properties(state.T_a)
@@ -135,6 +143,22 @@ def test_simulate_4day(benchmark, cfg, weather):
     series = benchmark.pedantic(simulate, args=(cfg, weather), rounds=5,
                                 iterations=1, warmup_rounds=1)
     assert len(series) == 5761
+
+
+def test_cli_run_4day(benchmark, tmp_path):
+    # the run_4day op: simulate, then write states.csv, diagnostics.csv and
+    # the manifest
+    argv = ["run", "--config", str(CONFIG), "--preset", "tropical", "--days", "4",
+            "--out", str(tmp_path)]
+
+    def run():
+        try:
+            main(args=argv, prog_name="greendry")
+        except SystemExit as exc:
+            return exc.code
+
+    assert benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1) == 0
+    assert len((tmp_path / "states.csv").read_text().splitlines()) == 5763
 
 
 @pytest.mark.parametrize("workers", [1, None], ids=["serial", "default"])

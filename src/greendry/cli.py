@@ -76,12 +76,32 @@ def _resolve_weather(weather_path, preset, days):
     return series, _input_hash(f"preset:{preset}:{days}")
 
 
-def _write_csv(path: Path, columns, rows, inputs_hash: str):
+def _write_csv(path: Path, columns, lines, inputs_hash: str):
+    """Write the inputs-hash comment line, the header and the data rows,
+    streamed one at a time; each item of lines is one row already joined
+    with ",".  Every cell is a column name, a number or a ";"-joined list
+    of flag names, none of which csv.writer quotes, so the bytes are
+    csv.writer's, its "\r\n" row terminator included."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"# inputs_sha256={inputs_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(line + "\r\n" for line in lines)
+
+
+def _state_line(s, rh) -> str:
+    return (f"{s.t!r},{s.T_c!r},{s.T_a!r},{s.T_p!r},{s.T_f!r},{s.H!r},"
+            f"{s.M_p!r},{rh!r}")
+
+
+def _diag_line(d) -> str:
+    r0, r1, r2, r3 = d.residuals
+    return (f"{d.t!r},{r0!r},{r1!r},{r2!r},{r3!r},{d.dM!r},{d.rh!r},"
+            f"{';'.join(d.flags)}")
+
+
+def _sweep_line(rank: int, result) -> str:
+    values = "".join(f"{v!r}," for _, v in result.point)
+    return f"{rank},{values}{result.objective!r},{int(result.reached)}"
 
 
 def read_states_csv(path):
@@ -151,19 +171,10 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
     last = series.states[-1]
     rhs = [d.rh for d in series.diagnostics]
     rhs.append(relative_humidity(last.H, last.T_a, cfg.numerics.pressure)[0])
-    state_rows = [
-        [repr(s.t), repr(s.T_c), repr(s.T_a), repr(s.T_p), repr(s.T_f),
-         repr(s.H), repr(s.M_p), repr(rh)]
-        for s, rh in zip(series.states, rhs)
-    ]
-    diag_rows = [
-        [repr(d.t), repr(d.residuals[0]), repr(d.residuals[1]),
-         repr(d.residuals[2]), repr(d.residuals[3]), repr(d.dM), repr(d.rh),
-         ";".join(d.flags)]
-        for d in series.diagnostics
-    ]
-    _write_csv(out / "states.csv", STATE_COLUMNS, state_rows, inputs_hash)
-    _write_csv(out / "diagnostics.csv", DIAG_COLUMNS, diag_rows, inputs_hash)
+    _write_csv(out / "states.csv", STATE_COLUMNS,
+               map(_state_line, series.states, rhs), inputs_hash)
+    _write_csv(out / "diagnostics.csv", DIAG_COLUMNS,
+               map(_diag_line, series.diagnostics), inputs_hash)
     manifest = {
         "engine_version": __version__,
         "config": str(config_path),
@@ -267,11 +278,8 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
     paths = [p for p, _ in spec.parameters]
     unit = "hours" if spec.objective == "drying_time" else "years"
     columns = ["rank"] + paths + [f"objective_{unit}", "reached"]
-    rows = [
-        [rank] + [repr(v) for _, v in r.point] + [repr(r.objective), int(r.reached)]
-        for rank, r in enumerate(results, start=1)
-    ]
-    _write_csv(out / "sweep.csv", columns, rows, inputs_hash)
+    lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
+    _write_csv(out / "sweep.csv", columns, lines, inputs_hash)
     best = results[0]
     click.echo(
         f"evaluated {len(results)} points; best objective "

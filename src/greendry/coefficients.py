@@ -77,9 +77,8 @@ def _radiative(eps_sigma: float, T1: float, T2: float) -> float:
 
 
 def wind_coefficient(V_w: float) -> float:
-    """Wind convective coefficient 5.7 + 3.8 V_w."""
-    if V_w < 0:
-        raise ValueError(f"wind speed must be >= 0, got {V_w}")
+    """Wind convective coefficient 5.7 + 3.8 V_w; V_w >= 0 is checked
+    where a weather series is built (weather.WeatherSeries)."""
     return 5.7 + 3.8 * V_w
 
 

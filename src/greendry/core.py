@@ -31,6 +31,9 @@ _AIR_TABLE_RHO = tuple(STANDARD_PRESSURE / (_R_AIR * t) for t in _AIR_TABLE_T)
 AIR_T_MIN = 250.0
 AIR_T_MAX = 360.0
 
+# Top of the saturation-pressure correlation's range, K.
+SATURATION_T_MAX = 373.15
+
 
 class AirProps(NamedTuple):
     """Dry-air properties at one temperature."""
@@ -101,8 +104,8 @@ def saturation_pressure(T: float) -> float:
     """
     if T < 273.15:
         raise RangeError(f"temperature {T} K below lower bound 273.15 K")
-    if T > 373.15:
-        raise RangeError(f"temperature {T} K above upper bound 373.15 K")
+    if T > SATURATION_T_MAX:
+        raise RangeError(f"temperature {T} K above upper bound {SATURATION_T_MAX} K")
     ln_p = (
         -5.8002206e3 / T
         + 1.3914993

@@ -11,9 +11,23 @@ the deep soil).  A chamber humidity-ratio balance then routes the
 evaporated water into the air.
 
 The whole step works on plain Python floats: `energy_system` returns the
-four rows as tuples of four coefficients with their right-hand sides, and
-`eliminate` solves them directly.  At 4x4, array set-up would cost more
-than the arithmetic.  `LinearSystem` + `gauss_jordan` is the validating
+four rows as tuples of four coefficients with their right-hand sides.  At
+4x4, array set-up would cost more than the arithmetic.
+
+The tunnel's coupling fixes the system's zero pattern: the air and floor
+rows have no T_c term (cover (x,x,x,0), air (0,x,x,x), product (x,x,x,0),
+floor (0,x,0,x)).  `step` solves it with `solve_energy_system`, a
+straight-line Gauss-Jordan written out for 4x4 systems with zeros in the
+first column of rows 1 and 3.  It performs the divisions and subtractions
+of `eliminate`, in the same order, and skips the same zero factors, so its
+solution is bit-identical; it saves the list copies, loops and pivot
+searches.  Partial pivoting has not been seen to swap a row of an energy
+system (the baseline takes the fast path on every step), so before each
+column the kernel only checks that the diagonal entry would win
+`eliminate`'s pivot search and is at least SINGULAR_PIVOT.  When a check
+fails, or the first column lacks the pattern's zeros, the call goes to
+`eliminate`, which keeps row swaps and SingularMatrixError in one
+implementation.  `LinearSystem` + `gauss_jordan` is the validating
 entry point for callers that hold a system of their own.
 
 What depends only on the config is computed once per run: `simulate`
@@ -123,6 +137,10 @@ def eliminate(A, b) -> list[float]:
     row.  Entries left of the pivot column are exactly zero by then and
     are skipped.  Raises SingularMatrixError (carrying the offending
     column) when a pivot magnitude falls below 1e-12.
+
+    This is the general solver: `gauss_jordan` runs it, and
+    `solve_energy_system` hands it every system that needs a row swap,
+    hits a pivot below 1e-12 or lacks the energy system's zero pattern.
     """
     n = len(b)
     aug = [[*row, rhs] for row, rhs in zip(A, b)]
@@ -148,6 +166,83 @@ def eliminate(A, b) -> list[float]:
                 for j in cols:
                     row[j] -= factor * prow[j]
     return [row[n] for row in aug]
+
+
+def solve_energy_system(A, b) -> list[float]:
+    """`eliminate(A, b)` for a 4x4 system, written out for the energy
+    system's zero pattern; the result, or the SingularMatrixError, is
+    bit-identical for every 4x4 system.
+
+    Fast path: A[1][0] and A[3][0] are zero (no T_c term in the air and
+    floor rows) and, before each column, the diagonal entry is a first
+    maximum of the pivot search with magnitude >= SINGULAR_PIVOT.  It
+    then does eliminate's divisions and factor x pivot-row subtractions in
+    eliminate's order, skipping the same zero factors.  Any other system
+    is returned as `eliminate(A, b)`.
+    """
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = A
+    b0, b1, b2, b3 = b
+    if a10 != 0.0 or a30 != 0.0:
+        return eliminate(A, b)
+
+    m = abs(a00)
+    if abs(a20) > m or m < SINGULAR_PIVOT:
+        return eliminate(A, b)
+    a01 /= a00
+    a02 /= a00
+    a03 /= a00
+    b0 /= a00
+    if a20 != 0.0:
+        a21 -= a20 * a01
+        a22 -= a20 * a02
+        a23 -= a20 * a03
+        b2 -= a20 * b0
+
+    m = abs(a11)
+    if abs(a21) > m or abs(a31) > m or m < SINGULAR_PIVOT:
+        return eliminate(A, b)
+    a12 /= a11
+    a13 /= a11
+    b1 /= a11
+    if a01 != 0.0:
+        a02 -= a01 * a12
+        a03 -= a01 * a13
+        b0 -= a01 * b1
+    if a21 != 0.0:
+        a22 -= a21 * a12
+        a23 -= a21 * a13
+        b2 -= a21 * b1
+    if a31 != 0.0:
+        a32 -= a31 * a12
+        a33 -= a31 * a13
+        b3 -= a31 * b1
+
+    m = abs(a22)
+    if abs(a32) > m or m < SINGULAR_PIVOT:
+        return eliminate(A, b)
+    a23 /= a22
+    b2 /= a22
+    if a02 != 0.0:
+        a03 -= a02 * a23
+        b0 -= a02 * b2
+    if a12 != 0.0:
+        a13 -= a12 * a23
+        b1 -= a12 * b2
+    if a32 != 0.0:
+        a33 -= a32 * a23
+        b3 -= a32 * b2
+
+    if abs(a33) < SINGULAR_PIVOT:
+        return eliminate(A, b)
+    b3 /= a33
+    if a03 != 0.0:
+        b0 -= a03 * b3
+    if a13 != 0.0:
+        b1 -= a13 * b3
+    if a23 != 0.0:
+        b2 -= a23 * b3
+    return [b0, b1, b2, b3]
 
 
 def gauss_jordan(system: LinearSystem) -> list[float]:
@@ -358,10 +453,15 @@ def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
     flags += coeffs.flags
 
     A, b = energy_system(state, coeffs, weather_end, k, dM / dt, air)
-    for name, row, rhs in zip(BALANCES, A, b):
-        if not all(map(math.isfinite, (*row, rhs))):
-            raise SimulationError(f"non-finite {name} balance: row {row}, rhs {rhs}")
-    x = eliminate(A, b)
+    # a finite sum means finite entries; only a non-finite one (or a sum of
+    # finite entries that overflows) needs the per-row search.  Nested sums
+    # build no tuple of the 20 entries: CPython 3.11 keeps freed 20-tuples
+    # on its free list (up to 2000, ~390 KB over a run) and never reuses them.
+    if not math.isfinite(sum(A[0], sum(A[1], sum(A[2], sum(A[3], sum(b)))))):
+        for name, row, rhs in zip(BALANCES, A, b):
+            if not all(map(math.isfinite, (*row, rhs))):
+                raise SimulationError(f"non-finite {name} balance: row {row}, rhs {rhs}")
+    x = solve_energy_system(A, b)
     if not all(map(math.isfinite, x)):
         raise SimulationError(f"non-finite temperatures {x}")
     T_c, T_a, T_p, T_f = x

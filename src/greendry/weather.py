@@ -10,7 +10,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
-from .core import WeatherRecord
+from .core import SATURATION_T_MAX, WeatherRecord
 from .errors import WeatherError
 
 CSV_HEADER = ["t_s", "I_t_wm2", "T_am_K", "V_w_ms", "rh_am_pct"]
@@ -32,15 +32,18 @@ PRESETS = {"tropical": TROPICAL_PRESET}
 
 def _problem(rec: WeatherRecord, previous_t: float) -> str | None:
     """What is wrong with one record that follows a record at previous_t,
-    or None: every value must be finite, I_t >= 0, T_am > 0, V_w >= 0,
-    0 <= rh_am <= 100 and t > previous_t."""
+    or None: every value must be finite, I_t >= 0, V_w >= 0,
+    0 <= rh_am <= 100, t > previous_t and 0 < T_am <= 373.15 K, the top of
+    the saturation-pressure correlation (which the initial state evaluates
+    at the first T_am)."""
     for name, value in zip(rec._fields, rec):
         if not math.isfinite(value):
             return f"{name} must be finite, got {value}"
     if rec.I_t < 0:
         return f"irradiance must be >= 0, got {rec.I_t}"
-    if rec.T_am <= 0:
-        return f"ambient temperature must be > 0 K, got {rec.T_am}"
+    if not 0 < rec.T_am <= SATURATION_T_MAX:
+        return (f"ambient temperature must be in (0, {SATURATION_T_MAX}] K, "
+                f"got {rec.T_am}")
     if rec.V_w < 0:
         return f"wind speed must be >= 0, got {rec.V_w}"
     if not 0.0 <= rec.rh_am <= 100.0:

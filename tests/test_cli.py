@@ -1,10 +1,24 @@
 import csv
+import random
+import struct
 
 import pytest
 from click.testing import CliRunner
 
-from greendry.cli import main, read_states_csv
-from greendry.core import relative_humidity
+from greendry import apply_overrides, simulate, synthetic_days
+from greendry.cli import (
+    DIAG_COLUMNS,
+    STATE_COLUMNS,
+    _diag_line,
+    _state_line,
+    _sweep_line,
+    _write_csv,
+    main,
+    read_states_csv,
+)
+from greendry.core import SimState, relative_humidity
+from greendry.solver import StepDiagnostics
+from greendry.sweep import SweepResult
 
 
 @pytest.fixture()
@@ -105,6 +119,17 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {weather}:3: I_t must be finite, got nan\n"
 
+    def test_huge_ambient_temperature_exit_2(self, runner, baseline_config_path,
+                                             tmp_path):
+        weather = tmp_path / "w.csv"
+        weather.write_text("t_s,I_t_wm2,T_am_K,V_w_ms,rh_am_pct\n"
+                           "0,0,298,1,70\n600,0,1e300,2,60\n3600,0,300,2,60\n")
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--weather", str(weather), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: {weather}:3: ambient temperature must "
+                                 f"be in (0, 373.15] K, got 1e+300\n")
+
     def test_rh_column_is_relative_humidity_of_each_state(
             self, runner, baseline_cfg, baseline_config_path, tmp_path):
         _run_baseline(runner, baseline_config_path, tmp_path / "out")
@@ -118,6 +143,102 @@ class TestRun:
         _run_baseline(runner, baseline_config_path, tmp_path / "out")
         assert (tmp_path / "out" / "manifest.json").exists()
         assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def _csv_writer_file(path, columns, rows, inputs_hash):
+    """The file csv.writer makes of rows of cells: the reference for
+    _write_csv."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# inputs_sha256={inputs_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def _state_cells(s, rh):
+    return [repr(s.t), repr(s.T_c), repr(s.T_a), repr(s.T_p), repr(s.T_f),
+            repr(s.H), repr(s.M_p), repr(rh)]
+
+
+def _diag_cells(d):
+    return [repr(d.t), *map(repr, d.residuals), repr(d.dM), repr(d.rh),
+            ";".join(d.flags)]
+
+
+def _any_float(rng):
+    """A float with uniformly random bits: any sign, exponent, subnormal,
+    infinity or NaN."""
+    return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+
+
+class TestWriteCsv:
+    HASH = "ab" * 32
+
+    def _written(self, path, columns, lines):
+        _write_csv(path, columns, lines, self.HASH)
+        return path.read_bytes()
+
+    def test_state_rows_of_arbitrary_floats(self, tmp_path):
+        rng = random.Random(5)
+        special = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 1e-05,
+                   0.1, float("inf"), float("-inf"), float("nan")]
+        rows = [(SimState(*rng.sample(special, 9)), rng.choice(special))
+                for _ in range(50)]
+        rows += [(SimState(*(_any_float(rng) for _ in range(9))), _any_float(rng))
+                 for _ in range(500)]
+        got = self._written(tmp_path / "new.csv", STATE_COLUMNS,
+                            (_state_line(s, rh) for s, rh in rows))
+        assert got == _csv_writer_file(tmp_path / "ref.csv", STATE_COLUMNS,
+                                       [_state_cells(s, rh) for s, rh in rows],
+                                       self.HASH)
+
+    def test_diagnostics_rows_with_empty_flags(self, tmp_path):
+        rng = random.Random(6)
+        flags = [(), ("still_air",), ("kinetics_stalled", "still_air"), ()]
+        diags = [StepDiagnostics(60.0 * i, tuple(_any_float(rng) for _ in range(4)),
+                                 (), _any_float(rng), _any_float(rng), None,
+                                 flags[i % 4])
+                 for i in range(200)]
+        got = self._written(tmp_path / "new.csv", DIAG_COLUMNS, map(_diag_line, diags))
+        assert got == _csv_writer_file(tmp_path / "ref.csv", DIAG_COLUMNS,
+                                       list(map(_diag_cells, diags)), self.HASH)
+        assert b",\r\n" in got  # an empty flags cell, unquoted
+
+    def test_sweep_rows_with_integer_rank_and_reached(self, tmp_path):
+        columns = ["rank", "airflow.V_a", "cover.tau_c", "objective_hours", "reached"]
+        results = [SweepResult(point=(("airflow.V_a", 0.5 * i), ("cover.tau_c", 0.9)),
+                               objective=36.0 + i / 7 if i % 3 else float("inf"),
+                               reached=bool(i % 3))
+                   for i in range(12)]
+        got = self._written(tmp_path / "new.csv", columns,
+                            map(_sweep_line, range(1, 13), results))
+        rows = [[rank] + [repr(v) for _, v in r.point]
+                + [repr(r.objective), int(r.reached)]
+                for rank, r in enumerate(results, start=1)]
+        assert got == _csv_writer_file(tmp_path / "ref.csv", columns, rows,
+                                       self.HASH)
+
+    def test_still_air_run_same_as_csv_writer(self, runner, baseline_cfg,
+                                              baseline_config_path, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--preset", "tropical", "--days", "1", "--horizon-h", "6",
+                         "--set", "airflow.V_a=0", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        cfg = apply_overrides(baseline_cfg, {"airflow.V_a": "0"})
+        series = simulate(cfg, synthetic_days(1), horizon_s=6 * 3600.0)
+        last = series.states[-1]
+        rhs = [d.rh for d in series.diagnostics]
+        rhs.append(relative_humidity(last.H, last.T_a, cfg.numerics.pressure)[0])
+        inputs_hash = (out / "states.csv").read_text().splitlines()[0].split("=")[1]
+        assert (out / "diagnostics.csv").read_bytes() == _csv_writer_file(
+            tmp_path / "diagnostics.csv", DIAG_COLUMNS,
+            list(map(_diag_cells, series.diagnostics)), inputs_hash)
+        assert (out / "states.csv").read_bytes() == _csv_writer_file(
+            tmp_path / "states.csv", STATE_COLUMNS,
+            list(map(_state_cells, series.states, rhs)), inputs_hash)
+        assert all("still_air" in d.flags for d in series.diagnostics)
 
 
 def _write_observed(path, times, values, variable_header):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import greendry
+import greendry.solver
 
 from greendry.coefficients import CoefficientSet
 from greendry.config import apply_overrides, config_from_dict
@@ -22,6 +23,7 @@ from greendry.solver import (
     initial_state,
     moisture_balance,
     simulate,
+    solve_energy_system,
     step,
     step_constants,
 )
@@ -151,6 +153,141 @@ class TestEliminate:
         A, b = [[1.0, 0.5], [0.0, 1.0]], [math.inf, 2.0]
         assert eliminate(A, b) == [math.inf, 2.0]
         assert _outcome(eliminate, A, b) == _outcome(_numpy_gauss_jordan, A, b)
+
+
+# Entries that are zero in every energy system: no T_c term in the air and
+# floor rows, no T_f term in the cover and product rows, no T_p term in the
+# floor row.
+_PATTERN_ZEROS = ((1, 0), (3, 0), (0, 3), (2, 3), (3, 2))
+
+
+def _pattern_system(rng):
+    """A random system with the energy system's zero pattern; the diagonal
+    dominates each column, so partial pivoting never swaps a row."""
+    A = rng.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
+    for i, j in _PATTERN_ZEROS:
+        A[i, j] = 0.0
+    return A
+
+
+def _off_diagonal_pivot(rng, col):
+    """A pattern system whose pivot search in col picks a row below the
+    diagonal."""
+    A = _pattern_system(rng)
+    sign = rng.choice([-1.0, 1.0])
+    if col == 0:
+        A[2, 0] = sign * (abs(A[0, 0]) + rng.uniform(0.1, 3.0))
+    elif col == 1:
+        A[3, 1] = sign * (abs(A[1, 1]) + rng.uniform(0.1, 3.0))
+    else:
+        # rows 2 and 3 reach column 2 as a22 and -a31 a12 / a11
+        A[2, 0] = A[2, 1] = 0.0
+        A[2, 2] = sign * rng.uniform(0.01, 0.5)
+        A[3, 1] = sign * 0.9 * abs(A[1, 1])
+        A[1, 2] = -sign * 3.0
+    return A
+
+
+def _exact_pivot(rng, col, pivot):
+    """A pattern system whose pivot in col is exactly pivot, with zeros
+    below it: rows 2 and 3 have no earlier term to eliminate."""
+    A = _pattern_system(rng)
+    A[2, 0] = A[2, 1] = A[3, 1] = 0.0
+    A[col, col] = pivot
+    return A
+
+
+def _still_air(rng):
+    """A pattern system as at h_c = 0: the cover-air and floor-air terms
+    are -0.0, and each other off-diagonal entry is a signed zero with
+    probability 1/2, so many factors are zero and must be skipped."""
+    A = _pattern_system(rng)
+    A[0, 1] = A[1, 3] = A[3, 1] = -0.0
+    for i in range(4):
+        for j in range(4):
+            if i != j and rng.random() < 0.5:
+                A[i, j] = rng.choice([0.0, -0.0])
+    return A
+
+
+def _tie(rng, col):
+    """A pattern system in which the diagonal ties the largest magnitude
+    below it in col: eliminate keeps the first maximum, the diagonal."""
+    A = _pattern_system(rng)
+    s = rng.choice([-1.0, 1.0], size=3)
+    if col == 0:
+        A[2, 0] = s[0] * A[0, 0]
+    elif col == 1:
+        A[3, 1] = s[0] * A[1, 1]
+    else:
+        # exact arithmetic: -a31 a12 / a11 = -(s0 2)(s1 2) / 4 = -s0 s1
+        A[2, 0] = A[2, 1] = 0.0
+        A[1, 1], A[1, 2], A[3, 1] = 4.0, s[1] * 2.0, s[0] * 2.0
+        A[2, 2] = s[2] * 1.0
+    return A
+
+
+def _kernel_cases():
+    """(A, b, whether the kernel should hand the system to eliminate),
+    1000 seeded systems with the energy system's zero pattern."""
+    rng = np.random.default_rng(6)
+    pivots = (0.0, -0.0, 3e-13, -9.999999999999999e-13, 1e-12, -1e-12, 2e-12)
+    for k in range(1000):
+        kind, sub = k % 5, k // 5
+        b = rng.uniform(-1e3, 1e3, 4)
+        if kind == 0:
+            A, fallback = _pattern_system(rng), False
+        elif kind == 1:
+            A, fallback = _off_diagonal_pivot(rng, sub % 3), True
+        elif kind == 2:
+            pivot = pivots[sub % len(pivots)]
+            A = _exact_pivot(rng, sub // len(pivots) % 4, pivot)
+            fallback = abs(pivot) < 1e-12
+        elif kind == 3:
+            A, fallback = _still_air(rng), False
+            if sub % 4 == 0:  # a zero factor applied to inf would give NaN
+                b[sub // 4 % 4] = rng.choice([-math.inf, math.inf])
+        else:
+            A, fallback = _tie(rng, sub % 3), False
+        yield A.tolist(), b.tolist(), fallback
+
+
+class TestSolveEnergySystem:
+    @pytest.fixture()
+    def fallbacks(self, monkeypatch):
+        """The systems solve_energy_system handed to eliminate."""
+        calls = []
+
+        def counting(A, b):
+            calls.append((A, b))
+            return eliminate(A, b)
+
+        monkeypatch.setattr(greendry.solver, "eliminate", counting)
+        return calls
+
+    def test_bit_identical_to_eliminate(self, fallbacks):
+        singular = set()
+        for A, b, fallback in _kernel_cases():
+            before = len(fallbacks)
+            got = _outcome(solve_energy_system, A, b)
+            assert got == _outcome(eliminate, A, b), (A, b)
+            assert (len(fallbacks) > before) == fallback, (A, b)
+            if isinstance(got, tuple):
+                singular.add(got[1])
+        assert singular == {0, 1, 2, 3}  # a pivot below 1e-12 in each column
+
+    def test_other_first_column_goes_to_eliminate(self, fallbacks):
+        rng = np.random.default_rng(3)
+        for i in (1, 3):
+            A = _pattern_system(rng)
+            A[i, 0] = 0.5
+            b = rng.uniform(-1, 1, 4).tolist()
+            assert solve_energy_system(A.tolist(), b) == eliminate(A.tolist(), b)
+        assert len(fallbacks) == 2
+
+    def test_baseline_takes_the_fast_path(self, baseline_cfg, fallbacks):
+        series = simulate(baseline_cfg, synthetic_days(1))
+        assert len(series) == 1441 and fallbacks == []
 
 
 class TestLinearSystem:
@@ -400,6 +537,36 @@ class TestStep:
         assert len(diag.residuals) == 4
         for res, scale in zip(diag.residuals, diag.max_terms):
             assert abs(res) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("row", range(4))
+    @pytest.mark.parametrize("col", range(5))  # 4: the right-hand side
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_names_its_balance(self, baseline_cfg, monkeypatch,
+                                                row, col, bad):
+        def poisoned(*args):
+            A, b = energy_system(*args)
+            A, b = [list(r) for r in A], list(b)
+            if col == 4:
+                b[row] = bad
+            else:
+                A[row][col] = bad
+            return [tuple(r) for r in A], tuple(b)
+
+        monkeypatch.setattr(greendry.solver, "energy_system", poisoned)
+        w = WeatherRecord(t=60.0, I_t=600.0, T_am=303.0, V_w=1.0, rh_am=60.0)
+        with pytest.raises(SimulationError,
+                           match=f"^non-finite {BALANCES[row]} balance: row "):
+            step(make_state(302.0, H=0.012, M_p=0.5), w, baseline_cfg)
+
+    def test_overflowing_sum_of_finite_entries_solves(self, baseline_cfg,
+                                                      monkeypatch):
+        # every entry is finite, but their sum overflows to inf
+        A = tuple(tuple(5e305 if i == j else 0.0 for j in range(4)) for i in range(4))
+        b = (1.5e308,) * 4
+        monkeypatch.setattr(greendry.solver, "energy_system", lambda *args: (A, b))
+        w = WeatherRecord(t=60.0, I_t=600.0, T_am=303.0, V_w=1.0, rh_am=60.0)
+        new, _ = step(make_state(302.0, H=0.012, M_p=0.5), w, baseline_cfg)
+        assert (new.T_c, new.T_a, new.T_p, new.T_f) == (1.5e308 / 5e305,) * 4
 
 
 class TestSimulate:

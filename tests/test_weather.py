@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -47,6 +48,20 @@ class TestSeries:
         with pytest.raises(WeatherError, match=f"^record 1: {message}"):
             WeatherSeries(records=(good[0], bad))
 
+    @pytest.mark.parametrize("T_am, accepted", [
+        (373.15, True), (373.16, False), (1e300, False)])
+    def test_ambient_temperature_bound(self, T_am, accepted):
+        # the top of the saturation-pressure correlation
+        good = _series().records
+        records = (good[0], good[1]._replace(T_am=T_am))
+        if accepted:
+            assert WeatherSeries(records=records).records[1].T_am == T_am
+        else:
+            with pytest.raises(WeatherError, match=(
+                    r"^record 1: ambient temperature must be in \(0, 373\.15\] K, "
+                    f"got {re.escape(repr(T_am))}$")):
+                WeatherSeries(records=records)
+
     def test_record_is_a_plain_tuple(self):
         # records are checked where a series is built, not on construction
         rec = WeatherRecord(t=0.0, I_t=-1.0, T_am=298.0, V_w=1.0, rh_am=70.0)
@@ -86,7 +101,7 @@ class TestSample:
         records = tuple(
             WeatherRecord(t=ti,
                           I_t=data.draw(st.floats(0.0, 1500.0)),
-                          T_am=data.draw(st.floats(1e-3, 400.0)),
+                          T_am=data.draw(st.floats(1e-3, 373.15)),
                           V_w=data.draw(st.floats(0.0, 40.0)),
                           rh_am=data.draw(st.floats(0.0, 100.0)))
             for ti in t)
@@ -125,6 +140,15 @@ class TestLoadCsv:
         path.write_text("# comment\n" + ",".join(CSV_HEADER)
                         + f"\n0,0,298,1,70\n600,{cell},300,2,60\n")
         with pytest.raises(WeatherError, match=f"w.csv:4: I_t must be finite"):
+            load_csv(path)
+
+    def test_huge_ambient_temperature_names_location(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("# comment\n" + ",".join(CSV_HEADER)
+                        + "\n0,0,298,1,70\n600,0,1e300,2,60\n")
+        with pytest.raises(WeatherError, match=(
+                r"w\.csv:4: ambient temperature must be in \(0, 373\.15\] K, "
+                r"got 1e\+300$")):
             load_csv(path)
 
     def test_non_numeric_cell(self, tmp_path):
