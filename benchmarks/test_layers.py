@@ -1,6 +1,6 @@
 """pytest-benchmark cases for the per-step layers, a 4-day simulate, a
-4-day `greendry run` with its CSV write and a 6-point sweep (serial and
-with the default worker processes).
+4-day `greendry run` with its CSV write, a 60 h drying-time objective and
+a 6-point sweep (serial and with the default worker processes).
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=OUT.json
 
@@ -21,18 +21,20 @@ import pytest
 from greendry import load_config, simulate, synthetic_days
 from greendry.cli import main
 from greendry.coefficients import assemble_coefficients
-from greendry.core import air_properties, relative_humidity
+from greendry.core import air_properties, relative_humidity, saturation_pressure
 from greendry.solver import (
     LinearSystem,
     _kinetics_update,
+    advance,
     eliminate,
     energy_system,
     gauss_jordan,
     solve_energy_system,
     step,
     step_constants,
+    weather_forcing,
 )
-from greendry.sweep import SweepSpec, grid_search
+from greendry.sweep import SweepSpec, drying_time_objective, grid_search
 from greendry.weather import sample
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "baseline_copra.yaml"
@@ -63,29 +65,43 @@ def case(cfg, weather):
 
 
 @pytest.fixture(scope="module")
-def inputs(k, case):
+def forcing(cfg, weather):
+    """The weather forcing of the next step."""
+    return tuple(weather_forcing(weather, cfg.numerics.dt,
+                                 (SPINUP_STEPS + 1) * cfg.numerics.dt))[-1]
+
+
+@pytest.fixture(scope="module")
+def inputs(k, case, forcing):
     """(air properties, coefficients, dM/dt) of the next step, as step
     computes them."""
-    state, w = case
+    state, _ = case
     rh, _ = relative_humidity(state.H, state.T_a, k.P)
     M_new = _kinetics_update(state, k, rh)[0]
     air = air_properties(state.T_a)
-    coeffs = assemble_coefficients(state, w, k, air)
+    coeffs = assemble_coefficients(state, forcing, k, air)
     return air, coeffs, (M_new - state.M_p) / k.dt
 
 
 @pytest.fixture(scope="module")
-def system(k, case, inputs):
+def system(k, case, forcing, inputs):
     """The 4x4 energy system of the next step, as step assembles it."""
-    state, w = case
+    state, _ = case
     air, coeffs, dmdt = inputs
-    return energy_system(state, coeffs, w, k, dmdt, air)
+    return energy_system(state, coeffs, forcing, k, dmdt, air)
 
 
 def test_step(benchmark, k, cfg, case):
     state, w = case
     new, _ = benchmark(step, state, w, cfg, k)
     assert new.t == state.t + k.dt
+
+
+def test_advance(benchmark, k, cfg, case, forcing):
+    # the step as simulate takes it, without the recording
+    state, w = case
+    new, _, _ = benchmark(advance, state, forcing, k, saturation_pressure(state.T_a))
+    assert new == step(state, w, cfg, k)[0]
 
 
 def test_step_constants(benchmark, cfg, k):
@@ -99,10 +115,10 @@ def test_kinetics_update(benchmark, k, case):
     assert M_new < state.M_p  # drying
 
 
-def test_energy_system(benchmark, k, case, inputs, system):
-    state, w = case
+def test_energy_system(benchmark, k, case, forcing, inputs, system):
+    state, _ = case
     air, coeffs, dmdt = inputs
-    assert benchmark(energy_system, state, coeffs, w, k, dmdt, air) == system
+    assert benchmark(energy_system, state, coeffs, forcing, k, dmdt, air) == system
 
 
 def test_gauss_jordan(benchmark, system):
@@ -121,10 +137,10 @@ def test_solve_energy_system(benchmark, system):
     assert benchmark(solve_energy_system, A, b) == eliminate(A, b)
 
 
-def test_assemble_coefficients(benchmark, k, case):
-    state, w = case
+def test_assemble_coefficients(benchmark, k, case, forcing):
+    state, _ = case
     air = air_properties(state.T_a)
-    coeffs = benchmark(assemble_coefficients, state, w, k, air)
+    coeffs = benchmark(assemble_coefficients, state, forcing, k, air)
     assert coeffs.h_c > 0
 
 
@@ -143,6 +159,14 @@ def test_simulate_4day(benchmark, cfg, weather):
     series = benchmark.pedantic(simulate, args=(cfg, weather), rounds=5,
                                 iterations=1, warmup_rounds=1)
     assert len(series) == 5761
+
+
+def test_drying_time_objective_60h(benchmark, cfg, weather):
+    # one sweep point: drying to 0.08 db, the steps not recorded
+    hours = benchmark.pedantic(drying_time_objective,
+                               args=(cfg, weather, 0.08, 60 * 3600.0),
+                               rounds=5, iterations=1, warmup_rounds=1)
+    assert 40.0 < hours < 60.0
 
 
 def test_cli_run_4day(benchmark, tmp_path):

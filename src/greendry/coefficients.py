@@ -6,11 +6,11 @@ from __future__ import annotations
 import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import AirProps, SimState, WeatherRecord
+from .core import AirProps, SimState
 from .errors import ConfigError, ConfigWarning, RangeError
 
 if TYPE_CHECKING:
-    from .solver import StepConstants
+    from .solver import Forcing, StepConstants
 
 SIGMA = 5.670e-8  # Stefan-Boltzmann constant, W m^-2 K^-4
 
@@ -33,9 +33,10 @@ class CoefficientSet(NamedTuple):
     flags: tuple[str, ...] = ()
 
 
-def _sky(T_am: float, c_sky: float) -> tuple[float, bool]:
-    """T_s = c_sky * T_am^1.5 and whether it is physical, 0 < T_s <= T_am."""
-    T_s = c_sky * T_am**1.5
+def _sky(T_am: float, T_am_1_5: float, c_sky: float) -> tuple[float, bool]:
+    """T_s = c_sky * T_am^1.5, from T_am_1_5 = T_am**1.5, and whether it is
+    physical, 0 < T_s <= T_am."""
+    T_s = c_sky * T_am_1_5
     return T_s, 0.0 < T_s <= T_am
 
 
@@ -49,7 +50,7 @@ def sky_temperature(T_am: float, c_sky: float = 0.0550) -> float:
     """
     if T_am <= 0:
         raise ValueError(f"ambient temperature must be > 0 K, got {T_am}")
-    T_s, physical = _sky(T_am, c_sky)
+    T_s, physical = _sky(T_am, T_am**1.5, c_sky)
     if not physical:
         warnings.warn(
             f"sky temperature {T_s:.1f} K is non-physical for ambient "
@@ -126,14 +127,15 @@ def overall_cover_loss(k_c: float, delta_c: float) -> float:
 
 
 def assemble_coefficients(
-    state: SimState, weather: WeatherRecord, k: StepConstants, air: AirProps
+    state: SimState, f: Forcing, k: StepConstants, air: AirProps
 ) -> CoefficientSet:
-    """Evaluate every coefficient at the current step's temperatures; k
-    holds the run's constants (D_h and U_c among them) and air the dry-air
-    properties at state.T_a.  A non-physical sky temperature is flagged,
-    not warned about."""
+    """Evaluate every coefficient at the current step's temperatures; f is
+    the step's weather forcing (T_am**1.5 and the wind coefficient already
+    worked out), k holds the run's constants (D_h and U_c among them) and
+    air the dry-air properties at state.T_a.  A non-physical sky
+    temperature is flagged, not warned about."""
     flags = []
-    T_s, sky_physical = _sky(weather.T_am, k.c_sky)
+    T_s, sky_physical = _sky(f.T_am, f.T_am_1_5, k.c_sky)
     if not sky_physical:
         flags.append("sky_temperature_non_physical")
     Re, Nu, h_c = _convective(k.D_h_V_a, k.D_h, air)
@@ -145,7 +147,7 @@ def assemble_coefficients(
     return CoefficientSet(
         h_r_cs=_radiative(k.eps_c_sigma, T_c, T_s),
         h_r_pc=_radiative(k.eps_p_sigma, state.T_p, T_c),
-        h_w=wind_coefficient(weather.V_w),
+        h_w=f.h_w,
         h_c=h_c,
         U_c=k.U_c,
         T_s=T_s,

@@ -130,8 +130,14 @@ def relative_humidity(H: float, T: float, P: float = STANDARD_PRESSURE) -> RhRes
     """
     if H < 0:
         raise ValueError(f"humidity ratio must be >= 0, got {H}")
+    return relative_humidity_at(H, saturation_pressure(T), P)
+
+
+def relative_humidity_at(H: float, p_sat: float, P: float) -> RhResult:
+    """relative_humidity with p_sat = saturation_pressure(T) given, for a
+    caller that already holds it; H must be >= 0."""
     p_v = P * H / (_EPSILON + H)
-    rh = 100.0 * p_v / saturation_pressure(T)
+    rh = 100.0 * p_v / p_sat
     if rh < 0.0:
         return RhResult(0.0, True)
     if rh > 100.0:
@@ -145,7 +151,14 @@ def humidity_ratio(rh: float, T: float, P: float = STANDARD_PRESSURE) -> float:
     relative_humidity."""
     if not 0.0 <= rh <= 100.0:
         raise RangeError(f"relative humidity must be in [0, 100] %, got {rh}")
-    p_v = rh / 100.0 * saturation_pressure(T)
+    return vapour_humidity_ratio(rh / 100.0 * saturation_pressure(T), T, P)
+
+
+def vapour_humidity_ratio(p_v: float, T: float, P: float) -> float:
+    """Humidity ratio (kg/kg) of air at T holding vapour at partial
+    pressure p_v; RangeError when p_v reaches the total pressure P.  With
+    p_v = saturation_pressure(T) this is saturation_humidity_ratio(T, P),
+    for a caller that already holds the saturation pressure."""
     if p_v >= P:
         raise RangeError(f"vapour pressure {p_v} Pa at {T} K exceeds total "
                          f"pressure {P} Pa")

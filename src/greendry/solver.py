@@ -16,7 +16,7 @@ four rows as tuples of four coefficients with their right-hand sides.  At
 
 The tunnel's coupling fixes the system's zero pattern: the air and floor
 rows have no T_c term (cover (x,x,x,0), air (0,x,x,x), product (x,x,x,0),
-floor (0,x,0,x)).  `step` solves it with `solve_energy_system`, a
+floor (0,x,0,x)).  `advance` solves it with `solve_energy_system`, a
 straight-line Gauss-Jordan written out for 4x4 systems with zeros in the
 first column of rows 1 and 3.  It performs the divisions and subtractions
 of `eliminate`, in the same order, and skips the same zero factors, so its
@@ -30,10 +30,28 @@ fails, or the first column lacks the pattern's zeros, the call goes to
 implementation.  `LinearSystem` + `gauss_jordan` is the validating
 entry point for callers that hold a system of their own.
 
+Every step is taken by one function, `advance`; recording it is separate.
+`advance` returns the new state together with what `step_diagnostics`
+needs to record the step (the energy system, the rh, dM, coefficients and
+flags), and builds no record itself.  `step` advances and records one
+step; `simulate` records each step unless called with diagnostics=False,
+as the sweep's drying-time objective does, since it reads only the states.
+
+What depends only on the weather and dt is worked out outside the step:
+`weather_forcing` yields one `Forcing` per step, the weather sampled at the
+step's end time with T_am**1.5 (for the sky temperature) and the wind
+coefficient.  `simulate` streams it from the series, one step at a time,
+so a run keeps no weather table; a sweep builds it as a tuple once per dt
+in each process and passes it to every point.  The saturation pressure is
+carried from step to step: the one a step evaluates at its new T_a for the
+humidity clamp is the next step's rh denominator, so each step evaluates
+it once, and an out-of-range temperature is still reported by the step
+that produced it.
+
 What depends only on the config is computed once per run: `simulate`
 builds a `StepConstants` record with `step_constants(cfg)` (dt, pressure,
 the hydraulic diameter and cover loss, validated there, and products of
-config values) and passes it to every `step`.  Python evaluates
+config values) and passes it to every step.  Python evaluates
 `a * b * c` as `(a * b) * c`, and floating-point products do not
 associate, so a product of config values is hoisted only when it is a
 left prefix of the per-step expression: `A_f * h_dfg * T_deep` becomes
@@ -45,6 +63,7 @@ bit-identical to evaluating the expressions in full on each step.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +74,7 @@ from .coefficients import (
     assemble_coefficients,
     hydraulic_diameter,
     overall_cover_loss,
+    wind_coefficient,
 )
 from .config import DryerConfig, Kinetics
 from .core import (
@@ -63,7 +83,9 @@ from .core import (
     air_properties,
     humidity_ratio,
     relative_humidity,
-    saturation_humidity_ratio,
+    relative_humidity_at,
+    saturation_pressure,
+    vapour_humidity_ratio,
 )
 from .errors import GreendryError, SimulationError, SingularMatrixError, WeatherError
 from .weather import WeatherSeries, sample
@@ -429,18 +451,62 @@ def _kinetics_update(state, k, rh):
     return M_new, M_e_pct, t_eq_h, flags
 
 
-def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
-         k: StepConstants | None = None) -> tuple[SimState, StepDiagnostics]:
-    """Advance one implicit step of length cfg.numerics.dt, with the
-    weather record sampled at the END of the step.  k is
-    step_constants(cfg), built here when the caller does not pass it
-    (simulate builds it once per run)."""
-    if k is None:
-        k = step_constants(cfg)
+class Forcing(NamedTuple):
+    """What a step needs of the weather at its end time, with the parts of
+    the sky and wind terms that depend on the weather alone worked out;
+    built by `weather_forcing`."""
+
+    t: float          # s, the end time t0 + i dt of step i
+    I_t: float        # solar irradiance on the cover plane, W m^-2
+    T_am: float       # ambient temperature, K
+    T_am_1_5: float   # T_am**1.5, for the sky temperature
+    h_w: float        # wind_coefficient(V_w), W m^-2 K^-1
+
+
+def _forcing(w: WeatherRecord, t: float) -> Forcing:
+    return Forcing(t, w.I_t, w.T_am, w.T_am**1.5, wind_coefficient(w.V_w))
+
+
+def weather_forcing(weather: WeatherSeries, dt: float,
+                    horizon_s: float | None = None) -> Iterator[Forcing]:
+    """The Forcing of each step i = 1, 2, ... of a run of step dt over
+    horizon_s (default: to the end of the series), sampled at
+    min(t0 + i dt, t_end), as an iterator that samples one step at a time.
+    The horizon is checked here, at once: WeatherError unless it is >= 0
+    and the series covers it."""
+    t0, t_end = weather.t_start, weather.t_end
+    if horizon_s is None:
+        horizon_s = t_end - t0
+    if horizon_s < 0:
+        raise WeatherError(f"horizon must be >= 0, got {horizon_s}")
+    if t0 + horizon_s > t_end + 1e-9:
+        raise WeatherError(
+            f"weather series ends at {t_end} s but the run needs "
+            f"{t0 + horizon_s} s"
+        )
+    n_steps = int(math.floor(horizon_s / dt + 1e-9))
+
+    def steps():
+        for i in range(1, n_steps + 1):
+            t = t0 + i * dt
+            yield _forcing(sample(weather, min(t, t_end)), t)
+
+    return steps()
+
+
+def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
+    """Advance state by one implicit step of length k.dt to the end time of
+    the forcing f; p_sat is saturation_pressure(state.T_a).  Every path
+    through the solver takes its steps here.
+
+    Returns (new_state, new_p_sat, work): new_p_sat is the saturation
+    pressure at new_state.T_a, which the step evaluates for the humidity
+    clamp and the next step takes as its p_sat; work is what
+    `step_diagnostics` needs to record the step."""
     dt = k.dt
     flags: list[str] = []
 
-    rh, rh_clamped = relative_humidity(state.H, state.T_a, k.P)
+    rh, rh_clamped = relative_humidity_at(state.H, p_sat, k.P)
     if rh_clamped:
         flags.append("rh_clamped")
 
@@ -449,10 +515,10 @@ def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
     dM = M_new - state.M_p
 
     air = air_properties(state.T_a)
-    coeffs = assemble_coefficients(state, weather_end, k, air)
+    coeffs = assemble_coefficients(state, f, k, air)
     flags += coeffs.flags
 
-    A, b = energy_system(state, coeffs, weather_end, k, dM / dt, air)
+    A, b = energy_system(state, coeffs, f, k, dM / dt, air)
     # a finite sum means finite entries; only a non-finite one (or a sum of
     # finite entries that overflows) needs the per-row search.  Nested sums
     # build no tuple of the 20 entries: CPython 3.11 keeps freed 20-tuples
@@ -472,25 +538,44 @@ def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
     if H_new < 0.0:
         H_new = 0.0
         flags.append("humidity_floor_clamped")
-    H_sat = saturation_humidity_ratio(T_a, k.P)
+    p_sat = saturation_pressure(T_a)
+    H_sat = vapour_humidity_ratio(p_sat, T_a, k.P)
     if H_new > H_sat:
         H_new = H_sat
         flags.append("humidity_saturation_clamped")
 
-    # per balance: residual sum(row * x) - rhs and the largest term magnitude
+    new_state = SimState(state.t + dt, T_c, T_a, T_p, T_f, H_new, M_new,
+                         M_e_pct, t_eq_h * 3600.0)
+    return new_state, p_sat, (A, b, dM, rh, coeffs, flags)
+
+
+def step_diagnostics(new_state: SimState, work) -> StepDiagnostics:
+    """The record of the step that `advance` took to new_state, from the
+    work it returned: per balance, the residual sum(row * x) - rhs and the
+    largest term magnitude, then what the step used and flagged."""
+    A, b, dM, rh, coeffs, flags = work
+    _, T_c, T_a, T_p, T_f, *_ = new_state
     residuals = []
     max_terms = []
     for (a0, a1, a2, a3), rhs in zip(A, b):
         t0, t1, t2, t3 = a0 * T_c, a1 * T_a, a2 * T_p, a3 * T_f
         residuals.append(t0 + t1 + t2 + t3 - rhs)
         max_terms.append(max(abs(t0), abs(t1), abs(t2), abs(t3), abs(rhs)))
+    return StepDiagnostics(new_state.t, tuple(residuals), tuple(max_terms),
+                           dM, rh, coeffs, tuple(flags))
 
-    t = state.t + dt
-    new_state = SimState(t, T_c, T_a, T_p, T_f, H_new, M_new, M_e_pct,
-                         t_eq_h * 3600.0)
-    diag = StepDiagnostics(t, tuple(residuals), tuple(max_terms), dM, rh,
-                           coeffs, tuple(flags))
-    return new_state, diag
+
+def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
+         k: StepConstants | None = None) -> tuple[SimState, StepDiagnostics]:
+    """Advance one implicit step of length cfg.numerics.dt, with the
+    weather record sampled at the END of the step, and record it.  k is
+    step_constants(cfg), built here when the caller does not pass it
+    (simulate builds it once per run)."""
+    if k is None:
+        k = step_constants(cfg)
+    f = _forcing(weather_end, state.t + k.dt)
+    new_state, _, work = advance(state, f, k, saturation_pressure(state.T_a))
+    return new_state, step_diagnostics(new_state, work)
 
 
 def initial_state(cfg: DryerConfig, weather: WeatherSeries) -> SimState:
@@ -512,6 +597,9 @@ def simulate(
     weather: WeatherSeries,
     horizon_s: float | None = None,
     target_mdb: float | None = None,
+    *,
+    diagnostics: bool = True,
+    forcing: Iterable[Forcing] | None = None,
 ) -> SimSeries:
     """Integrate from the start of the weather series.
 
@@ -521,35 +609,31 @@ def simulate(
     GreendryError raised by a step is re-raised as a SimulationError that
     names the step number and its end time; one raised by initial_state
     as step 0 at the start time.
-    """
-    dt = cfg.numerics.dt
-    t0 = weather.t_start
-    if horizon_s is None:
-        horizon_s = weather.t_end - t0
-    if horizon_s < 0:
-        raise WeatherError(f"horizon must be >= 0, got {horizon_s}")
-    if t0 + horizon_s > weather.t_end + 1e-9:
-        raise WeatherError(
-            f"weather series ends at {weather.t_end} s but the run needs "
-            f"{t0 + horizon_s} s"
-        )
-    n_steps = int(math.floor(horizon_s / dt + 1e-9))
 
+    With diagnostics=False no step is recorded and the series' diagnostics
+    stay empty; the states are the same.  forcing, when given, is
+    `weather_forcing(weather, cfg.numerics.dt, horizon_s)` built in
+    advance, e.g. as one tuple that the points of a sweep share; by
+    default it is streamed from the weather, one step at a time.
+    """
+    if forcing is None:
+        forcing = weather_forcing(weather, cfg.numerics.dt, horizon_s)
     k = step_constants(cfg)
     try:
         state = initial_state(cfg, weather)
+        p_sat = saturation_pressure(state.T_a)
     except GreendryError as exc:
-        raise SimulationError(f"step 0 (t={t0} s): {exc}") from exc
+        raise SimulationError(f"step 0 (t={weather.t_start} s): {exc}") from exc
     series = SimSeries(states=[state], diagnostics=[])
-    for i in range(n_steps):
-        t_new = t0 + (i + 1) * dt
-        w = sample(weather, min(t_new, weather.t_end))
+    states, records = series.states, series.diagnostics
+    for i, f in enumerate(forcing, start=1):
         try:
-            state, diag = step(state, w, cfg, k)
+            state, p_sat, work = advance(state, f, k, p_sat)
         except GreendryError as exc:
-            raise SimulationError(f"step {i + 1} (t={t_new} s): {exc}") from exc
-        series.states.append(state)
-        series.diagnostics.append(diag)
+            raise SimulationError(f"step {i} (t={f.t} s): {exc}") from exc
+        states.append(state)
+        if diagnostics:
+            records.append(step_diagnostics(state, work))
         if target_mdb is not None and state.M_p <= target_mdb:
             break
     return series

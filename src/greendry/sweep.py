@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import yaml
 from .analysis import EconomicInputs, payback_period
 from .config import DryerConfig, apply_overrides
 from .errors import ConfigError, GridSizeError, SimulationError
-from .solver import simulate
+from .solver import Forcing, simulate, weather_forcing
 from .weather import WeatherSeries
 
 DEFAULT_GRID_CAP = 10_000
@@ -71,13 +72,16 @@ def drying_time_objective(
     weather: WeatherSeries,
     target_mdb: float,
     horizon_s: float | None = None,
+    forcing: Iterable[Forcing] | None = None,
 ) -> float | None:
     """Hours until product moisture first reaches the target, linearly
-    interpolated between steps; None when the horizon ends first."""
+    interpolated between steps; None when the horizon ends first.  Only
+    the states are used, so the steps are not recorded; forcing is as in
+    `simulate`."""
     if target_mdb >= cfg.M_0:
         return 0.0
-    series = simulate(cfg, weather, horizon_s=horizon_s, target_mdb=target_mdb)
-    states = series.states
+    states = simulate(cfg, weather, horizon_s, target_mdb, diagnostics=False,
+                      forcing=forcing).states
     t0 = states[0].t
     for prev, cur in zip(states, states[1:]):
         if cur.M_p <= target_mdb:
@@ -91,13 +95,19 @@ def drying_time_objective(
 
 
 def _evaluate(cfg: DryerConfig, spec: SweepSpec,
-              point: tuple[tuple[str, float], ...]) -> SweepResult:
+              point: tuple[tuple[str, float], ...],
+              forcings: dict[float, tuple[Forcing, ...]]) -> SweepResult:
     """One grid point's result, from its already overridden config.  A
     point whose simulation fails is not reached and carries the reason;
-    other errors abort the sweep."""
+    other errors abort the sweep.  The weather forcing depends only on the
+    weather, dt and the horizon, so forcings keeps it per dt, built on first
+    use, for the points that follow."""
+    dt = cfg.numerics.dt
+    if dt not in forcings:
+        forcings[dt] = tuple(weather_forcing(spec.weather, dt, spec.horizon_s))
     try:
         hours = drying_time_objective(cfg, spec.weather, spec.target_mdb,
-                                      spec.horizon_s)
+                                      spec.horizon_s, forcings[dt])
     except SimulationError as exc:
         return SweepResult(point=point, objective=math.inf, reached=False,
                            error=str(exc))
@@ -116,19 +126,22 @@ def _evaluate(cfg: DryerConfig, spec: SweepSpec,
     return SweepResult(point=point, objective=years, reached=True)
 
 
-# The spec of the sweep a pool worker serves, set once per worker process
-# by _init_worker so that the weather is not sent with every point.
+# The spec of the sweep a pool worker serves and its weather forcings, set
+# once per worker process by _init_worker so that the weather is not sent
+# with every point and its forcing is built once per worker.
 _worker_spec: SweepSpec | None = None
+_worker_forcings: dict[float, tuple[Forcing, ...]] = {}
 
 
 def _init_worker(spec: SweepSpec) -> None:
-    global _worker_spec
+    global _worker_spec, _worker_forcings
     _worker_spec = spec
+    _worker_forcings = {}
 
 
 def _evaluate_in_worker(cfg: DryerConfig,
                         point: tuple[tuple[str, float], ...]) -> SweepResult:
-    return _evaluate(cfg, _worker_spec, point)
+    return _evaluate(cfg, _worker_spec, point, _worker_forcings)
 
 
 def available_cpus() -> int:
@@ -165,7 +178,8 @@ def grid_search(base: DryerConfig, spec: SweepSpec,
     cfgs = [apply_overrides(base, dict(pt)) for pt in points]
     workers = min(workers, n)
     if workers == 1:
-        results = [_evaluate(cfg, spec, pt) for cfg, pt in zip(cfgs, points)]
+        forcings = {}
+        results = [_evaluate(cfg, spec, pt, forcings) for cfg, pt in zip(cfgs, points)]
     else:
         # Imported here so that importing the CLI does not pay for them.
         import multiprocessing

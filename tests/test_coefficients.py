@@ -17,7 +17,7 @@ from greendry.coefficients import (
 from greendry.config import apply_overrides
 from greendry.core import AirProps, SimState, WeatherRecord, air_properties
 from greendry.errors import ConfigError, ConfigWarning, RangeError
-from greendry.solver import step_constants
+from greendry.solver import Forcing, step_constants
 
 
 class TestSkyTemperature:
@@ -137,7 +137,8 @@ class TestAssemble:
 
     @staticmethod
     def _assemble(state, w, cfg):
-        return assemble_coefficients(state, w, step_constants(cfg),
+        f = Forcing(w.t, w.I_t, w.T_am, w.T_am**1.5, wind_coefficient(w.V_w))
+        return assemble_coefficients(state, f, step_constants(cfg),
                                      air_properties(state.T_a))
 
     def test_deterministic(self, baseline_cfg):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import greendry
+import greendry.core
 import greendry.solver
 
-from greendry.coefficients import CoefficientSet
+from greendry.coefficients import CoefficientSet, wind_coefficient
 from greendry.config import apply_overrides, config_from_dict
 from greendry.core import SimState, WeatherRecord, air_properties, humidity_ratio
 from greendry.errors import SimulationError, SingularMatrixError, WeatherError
@@ -26,6 +27,7 @@ from greendry.solver import (
     solve_energy_system,
     step,
     step_constants,
+    weather_forcing,
 )
 from greendry.weather import WeatherSeries, sample, synthetic_days
 
@@ -650,3 +652,85 @@ class TestSimulate:
         series = simulate(baseline_cfg, tropical_weather, target_mdb=0.45)
         assert series.states[-1].M_p <= 0.45
         assert series.states[-2].M_p > 0.45
+
+    def test_without_diagnostics_same_states(self, baseline_cfg, tropical_weather):
+        recorded = simulate(baseline_cfg, tropical_weather)
+        lean = simulate(baseline_cfg, tropical_weather, diagnostics=False)
+        assert lean.diagnostics == []
+        assert len(lean.states) == 5761
+        assert lean.states == recorded.states
+
+    def test_given_forcing_same_states(self, baseline_cfg, tropical_weather):
+        horizon = 12 * 3600.0
+        forcing = tuple(weather_forcing(tropical_weather, baseline_cfg.numerics.dt,
+                                        horizon))
+        streamed = simulate(baseline_cfg, tropical_weather, horizon)
+        given = simulate(baseline_cfg, tropical_weather, horizon, forcing=forcing)
+        assert given.states == streamed.states
+        assert given.diagnostics == streamed.diagnostics
+
+    def test_one_saturation_pressure_per_step(self, baseline_cfg, tropical_weather,
+                                              monkeypatch):
+        # the end-of-step saturation pressure is the next step's rh
+        # denominator; initial_state takes two, simulate one more
+        calls = []
+        original = greendry.core.saturation_pressure
+
+        def counted(T):
+            calls.append(T)
+            return original(T)
+
+        for module in (greendry.core, greendry.solver):
+            monkeypatch.setattr(module, "saturation_pressure", counted)
+        n_steps = len(simulate(baseline_cfg, tropical_weather).states) - 1
+        assert n_steps == 5760
+        assert len(calls) <= n_steps + 3
+
+    def test_end_of_step_saturation_error_names_step(self, baseline_cfg,
+                                                     tropical_weather):
+        # a 100 K inlet takes T_a below the saturation-pressure correlation
+        # within step 1; the end-of-step evaluation raises, in step 1
+        cfg = apply_overrides(baseline_cfg, {"airflow.T_in": 100.0})
+        with pytest.raises(SimulationError,
+                           match=r"^step 1 \(t=60\.0 s\): temperature 189\.8\d* K "
+                                 r"below lower bound 273\.15 K$"):
+            simulate(cfg, tropical_weather, horizon_s=3600.0)
+
+
+def _assert_forcing_samples(weather, dt, horizon_s, n_steps):
+    forcing = list(weather_forcing(weather, dt, horizon_s))
+    assert len(forcing) == n_steps
+    for i, f in enumerate(forcing, start=1):
+        assert f.t == weather.t_start + i * dt
+        w = sample(weather, min(f.t, weather.t_end))
+        assert (f.I_t, f.T_am) == (w.I_t, w.T_am)
+        assert f.T_am_1_5 == w.T_am**1.5
+        assert f.h_w == wind_coefficient(w.V_w)
+    return forcing
+
+
+class TestWeatherForcing:
+    def test_horizon_between_records(self):
+        weather = synthetic_days(1)  # a record every 600 s
+        forcing = _assert_forcing_samples(weather, 60.0, 1000.0, 16)
+        assert forcing[-1].t == 960.0  # between the records at 600 and 1200 s
+
+    def test_horizon_at_the_end_of_the_series(self):
+        # 3 * 0.1 rounds above 0.3: the last step samples the series' end
+        weather = WeatherSeries(records=(
+            WeatherRecord(t=0.0, I_t=0.0, T_am=300.0, V_w=1.0, rh_am=60.0),
+            WeatherRecord(t=0.3, I_t=100.0, T_am=301.0, V_w=2.0, rh_am=50.0),
+        ))
+        forcing = _assert_forcing_samples(weather, 0.1, None, 3)
+        assert forcing[-1].t > weather.t_end
+        assert forcing[-1].T_am == 301.0
+
+    def test_series_too_short_raises_at_once(self, baseline_cfg):
+        weather = synthetic_days(1)
+        with pytest.raises(WeatherError, match="weather series ends at 86400.0 s"):
+            weather_forcing(weather, 60.0, 2 * 86400.0)
+        with pytest.raises(WeatherError, match="horizon must be >= 0"):
+            weather_forcing(weather, 60.0, -1.0)
+        with pytest.raises(WeatherError, match="weather series ends at 86400.0 s"):
+            simulate(baseline_cfg, weather, horizon_s=2 * 86400.0,
+                     diagnostics=False)

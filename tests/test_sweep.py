@@ -2,10 +2,13 @@ import math
 
 import pytest
 
+import greendry.solver
+import greendry.sweep
 from greendry.config import apply_overrides
-from greendry.errors import ConfigError, GridSizeError
+from greendry.errors import ConfigError, GridSizeError, WeatherError
 from greendry.sweep import (
     EconomicModel,
+    SweepResult,
     SweepSpec,
     drying_time_objective,
     grid_search,
@@ -36,6 +39,15 @@ class TestDryingTimeObjective:
     def test_baseline_in_expected_band(self, baseline_cfg, weather):
         hours = drying_time_objective(baseline_cfg, weather, 0.08)
         assert 40.0 <= hours <= 70.0
+
+    def test_steps_not_recorded(self, baseline_cfg, weather, monkeypatch):
+        expected = drying_time_objective(baseline_cfg, weather, 0.3)
+
+        def no_recording(*args):
+            raise AssertionError("a step was recorded")
+
+        monkeypatch.setattr(greendry.solver, "step_diagnostics", no_recording)
+        assert drying_time_objective(baseline_cfg, weather, 0.3) == expected
 
     def test_interpolated_between_steps(self, baseline_cfg, weather):
         hours = drying_time_objective(baseline_cfg, weather, 0.08)
@@ -81,6 +93,59 @@ class TestGridSearch:
         serial = grid_search(baseline_cfg, spec, workers=1)
         parallel = grid_search(baseline_cfg, spec, workers=4)
         assert serial == parallel
+
+    def test_six_points_serial_and_default_workers(self, baseline_cfg, weather):
+        # the results, errors included, as the per-step recording sweep
+        # gave them; sealed chambers (V_vent 0) overheat past the air table
+        spec = make_spec(weather, (("airflow.V_a", (1.0, 3.0)),
+                                   ("airflow.V_vent", (0.0, 0.1, 0.9))),
+                         horizon_s=60 * 3600.0)
+        expected = [
+            ((3.0, 0.1), 12.228191167915623, None),
+            ((1.0, 0.1), 12.530132352478116, None),
+            ((3.0, 0.9), 37.96502934029773, None),
+            ((1.0, 0.9), 58.291175233914394, None),
+            ((1.0, 0.0), math.inf, "step 697 (t=41820.0 s): air temperature "
+                                   "360.0443910555005 K above upper bound 360.0 K"),
+            ((3.0, 0.0), math.inf, "step 660 (t=39600.0 s): air temperature "
+                                   "360.09498869173376 K above upper bound 360.0 K"),
+        ]
+        serial = grid_search(baseline_cfg, spec, workers=1)
+        assert serial == [
+            SweepResult(point=(("airflow.V_a", V_a), ("airflow.V_vent", V_vent)),
+                        objective=objective, reached=error is None and objective < math.inf,
+                        error=error)
+            for (V_a, V_vent), objective, error in expected
+        ]
+        assert grid_search(baseline_cfg, spec) == serial
+
+    def test_forcing_built_once_per_dt(self, baseline_cfg, weather, monkeypatch):
+        built = []
+        original = greendry.sweep.weather_forcing
+
+        def counted(weather, dt, horizon_s):
+            built.append(dt)
+            return original(weather, dt, horizon_s)
+
+        monkeypatch.setattr(greendry.sweep, "weather_forcing", counted)
+        spec = SweepSpec(parameters=(("numerics.dt", (60.0, 120.0)),
+                                     ("product.F_p", (0.4, 0.5, 0.6))),
+                         objective="drying_time", target_mdb=0.45,
+                         weather=weather, horizon_s=12 * 3600.0)
+        results = grid_search(baseline_cfg, spec, workers=1)
+        assert built == [60.0, 120.0]
+        for r in results:
+            cfg = apply_overrides(baseline_cfg, dict(r.point))
+            assert r.reached
+            assert r.objective == drying_time_objective(cfg, weather, 0.45,
+                                                        12 * 3600.0)
+
+    def test_weather_too_short_aborts_the_sweep(self, baseline_cfg, weather):
+        spec = make_spec(weather, (("product.F_p", (0.4, 0.5)),),
+                         horizon_s=7 * 86400.0)
+        for workers in (1, 2):
+            with pytest.raises(WeatherError, match="weather series ends at"):
+                grid_search(baseline_cfg, spec, workers=workers)
 
     def test_failing_point_ranks_last_with_reason(self, baseline_cfg, weather):
         # an infinite-capacity product makes the step-1 product row non-finite
