@@ -27,7 +27,6 @@ from .errors import (
     ConfigError,
     GreendryError,
     GridSizeError,
-    SimulationError,
     WeatherError,
 )
 from .solver import simulate
@@ -161,7 +160,7 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
         series = simulate(cfg, weather, horizon_s=horizon_s, target_mdb=target_mdb)
     except WeatherError as exc:
         _fail(2, str(exc))
-    except (SimulationError, GreendryError) as exc:
+    except GreendryError as exc:
         _fail(3, str(exc))
 
     out = Path(out_dir)
@@ -254,15 +253,11 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
     try:
         weather, weather_hash = _resolve_weather(weather_path, preset, days)
         spec = load_sweep_spec(spec_path, weather)
-    except WeatherError as exc:
-        _fail(2, str(exc))
-    except ConfigError as exc:
+    except (WeatherError, ConfigError) as exc:
         _fail(2, str(exc))
     try:
         results = grid_search(cfg, spec, workers=workers)
-    except GridSizeError as exc:
-        _fail(2, str(exc))
-    except WeatherError as exc:
+    except (GridSizeError, WeatherError) as exc:
         _fail(2, str(exc))
     except GreendryError as exc:
         _fail(3, str(exc))

@@ -7,7 +7,7 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import AirProps, SimState
-from .errors import ConfigError, ConfigWarning, RangeError
+from .errors import ConfigWarning, RangeError
 
 if TYPE_CHECKING:
     from .solver import Forcing, StepConstants
@@ -61,17 +61,10 @@ def sky_temperature(T_am: float, c_sky: float = 0.0550) -> float:
     return T_s
 
 
-def radiative_coefficient(eps: float, T1: float, T2: float) -> float:
-    """Linearised radiative coefficient eps*sigma*(T1^2+T2^2)(T1+T2);
-    symmetric in the two temperatures."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"emissivity must be in [0, 1], got {eps}")
-    return _radiative(eps * SIGMA, T1, T2)
-
-
 def _radiative(eps_sigma: float, T1: float, T2: float) -> float:
-    """radiative_coefficient with eps * SIGMA given; RangeError unless
-    both temperatures are > 0 K."""
+    """Linearised radiative coefficient eps*sigma*(T1^2+T2^2)(T1+T2) from
+    eps_sigma = eps * SIGMA; symmetric in the two temperatures.
+    RangeError unless both are > 0 K."""
     if T1 <= 0 or T2 <= 0:
         raise RangeError(f"temperatures must be > 0 K, got {T1}, {T2}")
     return eps_sigma * (T1 * T1 + T2 * T2) * (T1 + T2)
@@ -85,28 +78,18 @@ def wind_coefficient(V_w: float) -> float:
 
 def hydraulic_diameter(W: float, D: float) -> float:
     """Hydraulic diameter of the tunnel cross-section, 4WD / 2(W+D)."""
-    if W <= 0 or D <= 0:
-        raise ValueError(f"dimensions must be > 0, got W={W}, D={D}")
     return 4.0 * W * D / (2.0 * (W + D))
 
 
-def internal_convective(V_a: float, D_h: float, air: AirProps):
+def _convective(D_h_V_a: float, D_h: float, air: AirProps):
     """Internal forced-convection coefficient from the turbulent duct
-    correlation Nu = 0.0158 Re^0.8; returns (Re, Nu, h_c).
+    correlation Nu = 0.0158 Re^0.8, with Re = D_h_V_a / nu and
+    D_h_V_a = D_h * V_a; returns (Re, Nu, h_c).
 
     The same h_c serves cover-air, floor-air and product-air exchange.
     At V_a = 0 the correlation gives h_c = 0 (no natural-convection
     fallback).
     """
-    if D_h <= 0:
-        raise ValueError(f"hydraulic diameter must be > 0, got {D_h}")
-    if V_a < 0:
-        raise ValueError(f"air speed must be >= 0, got {V_a}")
-    return _convective(D_h * V_a, D_h, air)
-
-
-def _convective(D_h_V_a: float, D_h: float, air: AirProps):
-    """internal_convective with D_h * V_a given and the checks done."""
     Re = D_h_V_a / air.nu
     Nu = 0.0158 * Re**0.8
     return Re, Nu, Nu * air.k / D_h
@@ -119,10 +102,6 @@ def overall_cover_loss(k_c: float, delta_c: float) -> float:
     than any realistic overall loss (0.33 W/mK over 200 um gives
     1650 W m^-2 K^-1); baseline configs use an effective thickness.
     """
-    if delta_c <= 0:
-        raise ConfigError(f"cover thickness must be > 0, got {delta_c}")
-    if k_c < 0:
-        raise ConfigError(f"cover conductivity must be >= 0, got {k_c}")
     return k_c / delta_c
 
 

@@ -157,14 +157,10 @@ def humidity_ratio(rh: float, T: float, P: float = STANDARD_PRESSURE) -> float:
 def vapour_humidity_ratio(p_v: float, T: float, P: float) -> float:
     """Humidity ratio (kg/kg) of air at T holding vapour at partial
     pressure p_v; RangeError when p_v reaches the total pressure P.  With
-    p_v = saturation_pressure(T) this is saturation_humidity_ratio(T, P),
-    for a caller that already holds the saturation pressure."""
+    p_v = saturation_pressure(T) this is humidity_ratio(100.0, T, P), for
+    a caller that already holds the saturation pressure."""
     if p_v >= P:
         raise RangeError(f"vapour pressure {p_v} Pa at {T} K exceeds total "
                          f"pressure {P} Pa")
     return _EPSILON * p_v / (P - p_v)
 
-
-def saturation_humidity_ratio(T: float, P: float = STANDARD_PRESSURE) -> float:
-    """Humidity ratio of saturated air at T and total pressure P."""
-    return humidity_ratio(100.0, T, P)

@@ -37,26 +37,19 @@ class DryingConstants(NamedTuple):
 
 
 def drying_constants(T_c: float, rh: float) -> DryingConstants:
-    """Evaluate A1, B1 at the given conditions.
-
-    Raises KineticsError when A1 <= 0 (the model is invalid there, which
-    happens for low temperatures); conditions outside the fitted envelope
-    are flagged as extrapolated.
+    """Evaluate A1, B1 at the given conditions; conditions outside the
+    fitted envelope are flagged as extrapolated.  A1 <= 0 (low
+    temperatures, e.g. below ~23 C at 15 % rh) is not a valid drying curve;
+    the solver stalls drying there before it asks for the constants.
     """
     A1 = rate_constant(T_c, rh)
     B1 = rate_exponent(T_c, rh)
-    if A1 <= 0:
-        raise KineticsError(
-            f"drying model invalid at T={T_c:.1f} C, rh={rh:.1f} %: A1={A1:.4f} <= 0"
-        )
     extrapolated = not (T_FIT_MIN <= T_c <= T_FIT_MAX and RH_FIT_MIN <= rh <= RH_FIT_MAX)
     return DryingConstants(A1, B1, extrapolated)
 
 
 def moisture_ratio(t_h: float, constants: DryingConstants) -> float:
-    """Moisture ratio MR(t) = exp(-A1 t^B1), t in hours."""
-    if t_h < 0:
-        raise ValueError(f"drying time must be >= 0, got {t_h}")
+    """Moisture ratio MR(t) = exp(-A1 t^B1), t in hours, t_h >= 0."""
     return math.exp(-constants.A1 * t_h**constants.B1)
 
 
@@ -103,16 +96,11 @@ def step_moisture(
 ) -> tuple[float, float]:
     """Advance product moisture by dt_s seconds under the given constants.
 
-    All moistures are decimal dry basis.  Returns (M_new, t_eq_h) where
-    t_eq_h is the equivalent drying time (hours) AFTER the step.  Rewetting
-    is suppressed: when M <= M_e the moisture is returned unchanged.
+    All moistures are decimal dry basis, with M_0 > M_e, dt_s > 0 and
+    constants.A1 > 0.  Returns (M_new, t_eq_h) where t_eq_h is the
+    equivalent drying time (hours) AFTER the step.  Rewetting is
+    suppressed: when M <= M_e the moisture is returned unchanged.
     """
-    if dt_s <= 0:
-        raise ValueError(f"time step must be > 0, got {dt_s}")
-    if M_0 <= M_e:
-        raise KineticsError(
-            f"degenerate charge: initial moisture {M_0} <= equilibrium {M_e}"
-        )
     if M <= M_e:
         return M, math.inf
     mr = (M - M_e) / (M_0 - M_e)

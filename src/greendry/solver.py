@@ -48,15 +48,17 @@ humidity clamp is the next step's rh denominator, so each step evaluates
 it once, and an out-of-range temperature is still reported by the step
 that produced it.
 
+Inputs are checked once, where they enter (`DryerConfig`, `WeatherSeries`);
+the physics functions trust them and check only what a step produces.
 What depends only on the config is computed once per run: `simulate`
 builds a `StepConstants` record with `step_constants(cfg)` (dt, pressure,
-the hydraulic diameter and cover loss, validated there, and products of
-config values) and passes it to every step.  Python evaluates
-`a * b * c` as `(a * b) * c`, and floating-point products do not
-associate, so a product of config values is hoisted only when it is a
-left prefix of the per-step expression: `A_f * h_dfg * T_deep` becomes
-one constant, but in `bracket * I_t * A_c * tau_c` only `bracket` can be,
-since `A_c * tau_c` would round differently.  This keeps every state
+the hydraulic diameter, the cover loss and products of config values) and
+passes it to every step.  Python evaluates `a * b * c` as `(a * b) * c`,
+and floating-point products do not associate, so a product of config
+values is hoisted only when it is a left prefix of the per-step
+expression: `A_f * h_dfg * T_deep` becomes one constant, but in
+`bracket * I_t * A_c * tau_c` only `bracket` can be, since
+`A_c * tau_c` would round differently.  This keeps every state
 bit-identical to evaluating the expressions in full on each step.
 """
 
@@ -90,8 +92,6 @@ from .core import (
 from .errors import GreendryError, SimulationError, SingularMatrixError, WeatherError
 from .weather import WeatherSeries, sample
 
-# Unknown ordering in every assembled system.
-UNKNOWNS = ("T_c", "T_a", "T_p", "T_f")
 # Balance ordering: the rows of every assembled system.
 BALANCES = ("cover", "air", "product", "floor")
 
@@ -104,9 +104,9 @@ _AW_MIN, _AW_MAX = 1e-6, 1.0 - 1e-6
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """n x n system A x = b, stored as lists of floats (A row by row);
-    unknown ordering per UNKNOWNS.  Accepts any nested sequence of numbers
-    and rejects ragged, non-square or non-finite input with ValueError."""
+    """n x n system A x = b, stored as lists of floats (A row by row).
+    Accepts any nested sequence of numbers and rejects ragged, non-square
+    or non-finite input with ValueError."""
 
     A: list[list[float]]
     b: list[float]
@@ -316,7 +316,7 @@ class StepConstants(NamedTuple):
 
 
 def step_constants(cfg: DryerConfig) -> StepConstants:
-    """The per-run constants of cfg; D_h and U_c are validated here, once."""
+    """The per-run constants of cfg, whose values DryerConfig checked."""
     g, c, f, p, a, n = (cfg.geometry, cfg.cover, cfg.floor, cfg.product,
                         cfg.airflow, cfg.numerics)
     D_h = hydraulic_diameter(g.W, g.D)
@@ -360,9 +360,9 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
 
 
 def energy_system(state, coeffs, weather, k, dmdt, air):
-    """The step's energy system A x = b in the unknowns UNKNOWNS, as a
-    tuple of the four rows (tuples, ordered as BALANCES) and a tuple of
-    their right-hand sides.
+    """The step's energy system A x = b in the unknowns (T_c, T_a, T_p,
+    T_f), as a tuple of the four rows (tuples, ordered as BALANCES) and a
+    tuple of their right-hand sides.
 
     - cover: backward-difference thermal-mass balance.
     - air: backward-difference balance of the chamber air of mass
@@ -432,7 +432,7 @@ def _kinetics_update(state, k, rh):
     the Page rate constant is non-positive (chamber too cold), when the
     charge is at/below equilibrium, or when equilibrium exceeds the
     initial moisture (degenerate humid-cold conditions); rewetting is
-    never modelled.
+    never modelled.  kinetics.step_moisture relies on these checks.
     """
     T_c = state.T_a - 273.15
     a_w = min(max(rh / 100.0, _AW_MIN), _AW_MAX)

@@ -72,7 +72,6 @@ class WeatherSeries:
 
     records: tuple[WeatherRecord, ...]
     source: str = "unknown"
-    interval_s: float | None = None
     lines: InitVar[tuple[int, ...] | None] = None
     _times: tuple[float, ...] = field(init=False, repr=False)
     _columns: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
@@ -216,5 +215,4 @@ def synthetic_days(
         T_am = 0.5 * (T_min + T_max) - 0.5 * (T_max - T_min) * phase
         rh = 0.5 * (rh_min + rh_max) + 0.5 * (rh_max - rh_min) * phase
         records.append(WeatherRecord(t=t, I_t=I_t, T_am=T_am, V_w=wind_speed, rh_am=rh))
-    return WeatherSeries(records=tuple(records), source=f"synthetic:{n_days}d",
-                         interval_s=interval_s)
+    return WeatherSeries(records=tuple(records), source=f"synthetic:{n_days}d")

@@ -1,14 +1,55 @@
 import math
+import re
 
 import pytest
 
-from greendry.config import apply_overrides, config_from_dict, load_config
+from greendry.config import (
+    _ANY_SIGN,
+    _FRACTIONS,
+    _NONNEGATIVE,
+    apply_overrides,
+    config_from_dict,
+    load_config,
+)
 from greendry.errors import ConfigError
 
 from test_solver import BASE, make_cfg
 
 FIELDS = [f"{section}.{name}" for section, values in BASE.items()
           for name in values] + ["numerics.pressure"]
+
+
+def _just_outside(path):
+    """The values nearest each bound of path that its config rejects."""
+    below_zero = math.nextafter(0.0, -1.0)
+    if path in _FRACTIONS:
+        return [below_zero, math.nextafter(1.0, 2.0)]
+    if path in _NONNEGATIVE:
+        return [below_zero]
+    if path in _ANY_SIGN:
+        return [0.0] if path == "kinetics.b2" else []
+    return [0.0, below_zero]
+
+
+def _at_bound(path):
+    """The values of path at its bounds that its config accepts; the
+    cover's other radiation fraction is 0, so that alpha_c + tau_c <= 1."""
+    if path in _FRACTIONS:
+        return [0.0, 1.0]
+    if path in _NONNEGATIVE:
+        return [0.0]
+    if path in _ANY_SIGN:
+        return [-1.0, 1.0]
+    return [math.nextafter(0.0, 1.0)]
+
+
+def _make_with(path, value):
+    section, name = path.split(".")
+    values = {name: value}
+    partner = {"alpha_c": "tau_c", "tau_c": "alpha_c"}.get(name)
+    if partner:
+        values[partner] = 0.0
+    return make_cfg(**{section: values})
 
 
 class TestValidation:
@@ -71,6 +112,28 @@ class TestValidation:
         section, name = path.split(".")
         with pytest.raises(ConfigError, match=f"{path} must be finite"):
             make_cfg(**{section: {name: value}})
+
+    @pytest.mark.parametrize("path", FIELDS)
+    def test_value_just_outside_its_bound_rejected_by_name(self, path):
+        for value in _just_outside(path):
+            with pytest.raises(ConfigError, match=f"^{re.escape(path)} must be"):
+                _make_with(path, value)
+
+    @pytest.mark.parametrize("path", FIELDS)
+    def test_value_at_its_bound_accepted(self, path):
+        for value in _at_bound(path):
+            section, name = path.split(".")
+            assert getattr(getattr(_make_with(path, value), section), name) == value
+
+    def test_bounds_the_physics_relies_on(self):
+        # the physics functions do not check these again: the hydraulic
+        # diameter divides by W + D, the cover loss by delta_c, a step by
+        # dt; k_c and V_a may be 0; emissivities are fractions
+        rest = set(FIELDS) - _FRACTIONS - _NONNEGATIVE - _ANY_SIGN
+        assert {"geometry.W", "geometry.D", "cover.delta_c", "numerics.dt"} <= rest
+        assert {"cover.k_c", "airflow.V_a"} <= _NONNEGATIVE
+        assert {"cover.eps_c", "product.eps_p"} <= _FRACTIONS
+        assert (_FRACTIONS | _NONNEGATIVE | _ANY_SIGN) <= set(FIELDS)
 
     @pytest.mark.parametrize("c_sky", [0.0, -0.0552])
     def test_non_positive_sky_coefficient_rejected(self, c_sky):

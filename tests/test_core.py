@@ -12,7 +12,6 @@ from greendry.core import (
     air_properties,
     humidity_ratio,
     relative_humidity,
-    saturation_humidity_ratio,
     saturation_pressure,
 )
 from greendry.errors import RangeError
@@ -92,7 +91,7 @@ class TestRelativeHumidity:
 
     def test_saturation_is_100(self):
         T = 305.0
-        H_sat = saturation_humidity_ratio(T)
+        H_sat = humidity_ratio(100.0, T)
         rh, clamped = relative_humidity(H_sat, T)
         assert rh == pytest.approx(100.0, abs=1e-9)
         assert not clamped

@@ -26,9 +26,9 @@ class TestDryingConstants:
         assert c.B1 == pytest.approx(1.076641, abs=1e-9)
 
     def test_invalid_at_low_temperature(self):
-        # A1 crosses zero near 23 C at rh = 15 %
-        with pytest.raises(KineticsError):
-            drying_constants(23.0, 15.0)
+        # A1 crosses zero near 23 C at rh = 15 %; the solver stalls drying
+        # there (tests/test_solver.py::TestKineticsStall)
+        assert drying_constants(23.0, 15.0).A1 < 0
         assert drying_constants(23.2, 15.0).A1 > 0
 
     def test_extrapolation_flag(self):
@@ -121,10 +121,6 @@ class TestStepMoisture:
             M_new, _ = step_moisture(M, 0.05, 0.522, self.C, 600.0)
             assert M_new <= M
             M = M_new
-
-    def test_degenerate_charge(self):
-        with pytest.raises(KineticsError):
-            step_moisture(0.3, 0.6, 0.5, self.C, 60.0)
 
     def test_closed_form_match_over_55h(self):
         # stepped trajectory vs M(t) = M_e + (M_0 - M_e) exp(-A1 t^B1)

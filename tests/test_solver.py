@@ -571,6 +571,38 @@ class TestStep:
         assert (new.T_c, new.T_a, new.T_p, new.T_f) == (1.5e308 / 5e305,) * 4
 
 
+class TestKineticsStall:
+    """The branches of _kinetics_update that stop drying before
+    kinetics.drying_constants and step_moisture would see a non-positive
+    rate constant or a charge at equilibrium."""
+
+    @staticmethod
+    def _step(cfg, T, rh, M_p):
+        state = make_state(T, H=humidity_ratio(rh, T), M_p=M_p)
+        w = WeatherRecord(t=60.0, I_t=0.0, T_am=T, V_w=0.0, rh_am=rh)
+        return (state, *step(state, w, cfg))
+
+    def test_cold_chamber_stalls(self, baseline_cfg):
+        # the Page rate constant A1 crosses zero near 23.06 C at 15 % rh
+        state, new, diag = self._step(baseline_cfg, 296.15, 15.0, 0.5)
+        assert diag.rh == pytest.approx(15.0, rel=1e-12)
+        assert "kinetics_stalled" in diag.flags
+        assert new.M_p == state.M_p and diag.dM == 0.0
+
+    def test_just_above_the_crossing_dries(self, baseline_cfg):
+        state, new, diag = self._step(baseline_cfg, 296.35, 15.0, 0.5)
+        assert "kinetics_stalled" not in diag.flags
+        assert "at_or_above_equilibrium" not in diag.flags
+        assert new.M_p < state.M_p
+
+    def test_charge_at_or_below_equilibrium(self, baseline_cfg):
+        # M_e is ~3.4 % db at 60 C and 15 % rh
+        state, new, diag = self._step(baseline_cfg, 333.15, 15.0, 0.03)
+        assert new.M_e_current > 100.0 * state.M_p
+        assert "at_or_above_equilibrium" in diag.flags
+        assert new.M_p == state.M_p and diag.dM == 0.0
+
+
 class TestSimulate:
     def test_zero_horizon(self, baseline_cfg, tropical_weather):
         series = simulate(baseline_cfg, tropical_weather, horizon_s=0.0)
