@@ -1,6 +1,7 @@
 """pytest-benchmark cases for the per-step layers, a 4-day simulate, a
-4-day `greendry run` with its CSV write, a 60 h drying-time objective and
-a 6-point sweep (serial and with the default worker processes).
+4-day `greendry run` with its CSV write, a `greendry validate` of one
+column of that run against 2500 observations, a 60 h drying-time objective
+and a 6-point sweep (serial and with the default worker processes).
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=OUT.json
 
@@ -14,12 +15,14 @@ these cases once, untimed, so that they keep working).
 
 from __future__ import annotations
 
+import bisect
+import random
 from pathlib import Path
 
 import pytest
 
 from greendry import load_config, simulate, synthetic_days
-from greendry.cli import main
+from greendry.cli import main, read_states_csv
 from greendry.coefficients import assemble_coefficients
 from greendry.core import air_properties, relative_humidity, saturation_pressure
 from greendry.solver import (
@@ -169,20 +172,48 @@ def test_drying_time_objective_60h(benchmark, cfg, weather):
     assert 40.0 < hours < 60.0
 
 
+def _main(argv):
+    try:
+        main(args=argv, prog_name="greendry")
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_cli_run_4day(benchmark, tmp_path):
     # the run_4day op: simulate, then write states.csv, diagnostics.csv and
     # the manifest
     argv = ["run", "--config", str(CONFIG), "--preset", "tropical", "--days", "4",
             "--out", str(tmp_path)]
-
-    def run():
-        try:
-            main(args=argv, prog_name="greendry")
-        except SystemExit as exc:
-            return exc.code
-
-    assert benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1) == 0
+    assert benchmark.pedantic(_main, args=(argv,), rounds=5, iterations=1,
+                              warmup_rounds=1) == 0
     assert len((tmp_path / "states.csv").read_text().splitlines()) == 5763
+
+
+@pytest.fixture(scope="module")
+def validate_argv(tmp_path_factory):
+    """validate argv for T_a_K of the 4-day baseline run against 2500
+    seeded irregular observation times, each value the simulated one at
+    the step before times (1 + 2 % gaussian noise)."""
+    out = tmp_path_factory.mktemp("validate")
+    assert _main(["run", "--config", str(CONFIG), "--preset", "tropical",
+                  "--days", "4", "--out", str(out)]) == 0
+    states = read_states_csv(out / "states.csv")
+    ts, T_a = states["t_s"], states["T_a_K"]
+    rng = random.Random(2500)
+    lines = ["t_s,T_a_K"]
+    for t in sorted(rng.uniform(ts[0], ts[-1]) for _ in range(2500)):
+        T = T_a[bisect.bisect_right(ts, t) - 1]
+        lines.append(f"{t!r},{T * (1.0 + rng.gauss(0.0, 0.02))!r}")
+    (out / "observed.csv").write_text("\n".join(lines) + "\n")
+    return ["validate", "--states", str(out / "states.csv"),
+            "--observed", str(out / "observed.csv"), "--variable", "T_a_K"]
+
+
+def test_cli_validate(benchmark, validate_argv):
+    # one of validate_traces' 12 validations: read t_s and T_a_K of a
+    # 4-day states.csv and the observed file, interpolate, report
+    assert benchmark.pedantic(_main, args=(validate_argv,), rounds=20,
+                              iterations=1, warmup_rounds=1) == 0
 
 
 @pytest.mark.parametrize("workers", [1, None], ids=["serial", "default"])

@@ -3,8 +3,8 @@
 Subcommands: run, validate, sweep, gen-weather.  Exit codes for run/sweep:
 1 configuration error, 2 weather/input error, 3 numerical failure (for
 sweep: of every grid point);
-validate exits 1 when the acceptance check fails and 2 on grid or
-variable errors.  Every output file embeds a SHA-256 hash of the inputs
+validate exits 1 when the acceptance check fails and 2 on an unreadable
+or malformed CSV, a grid or a variable error.  Every output file embeds a SHA-256 hash of the inputs
 so reruns are byte-for-byte reproducible.
 """
 
@@ -103,18 +103,39 @@ def _sweep_line(rank: int, result) -> str:
     return f"{rank},{values}{result.objective!r},{int(result.reached)}"
 
 
-def read_states_csv(path):
-    """Read a states.csv written by `run`, skipping comment lines; returns
-    {column: list of floats}."""
+def read_states_csv(path, columns=None):
+    """Read a CSV written by `run` or `sweep`, skipping blank lines and
+    lines that start with "#"; returns {column: list of floats}.  columns,
+    when given, is called with the header and returns the names of the
+    columns to read: only their cells are converted, one csv row at a
+    time.  ValueError, naming path:line where there is one, for a file
+    with no header, a header that names a column twice or lacks one that
+    columns returns, a row whose width is not the header's, or a cell read
+    that is not a number."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip() and not line.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
-    data = {col: [] for col in header}
-    for row in reader:
-        for col, cell in zip(header, row):
-            data[col].append(float(cell))
+        reader = csv.reader(fh)
+        rows = (row for row in reader
+                if row and not row[0].startswith("#") and (len(row) > 1 or row[0].strip()))
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: no header row")
+        for name in header:
+            if header.count(name) > 1:
+                raise ValueError(f"{path}:{reader.line_num}: column {name!r} named twice")
+        names = header if columns is None else columns(header)
+        for name in names:
+            if name not in header:
+                raise ValueError(f"{path}: no column {name!r}")
+        data = {name: [] for name in names}
+        cells = [(header.index(name), data[name].append) for name in names]
+        width = len(header)
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"{path}:{reader.line_num}: expected {width} cells, "
+                                 f"got {len(row)}")
+            for j, append in cells:
+                append(float(row[j]))
     return data
 
 
@@ -198,29 +219,36 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
 def cmd_validate(states_path, observed_path, variable, limit):
     """Compare a simulated trace against observations; exit 0 iff within
     the acceptance limit."""
+    def states_columns(header):
+        if variable not in header or variable == "t_s":
+            _fail(2, f"unknown variable {variable!r}; available: "
+                     f"{[c for c in header if c != 't_s']}")
+        return "t_s", variable
+
+    def observed_columns(header):
+        if sorted(header) != sorted(("t_s", variable)):
+            _fail(2, "observed CSV must have exactly columns t_s,<variable>")
+        return "t_s", variable
+
     try:
-        states = read_states_csv(states_path)
+        states = read_states_csv(states_path, states_columns)
     except (OSError, ValueError) as exc:
         _fail(2, f"cannot read states file: {exc}")
-    if variable not in states or variable == "t_s":
-        _fail(2, f"unknown variable {variable!r}; available: "
-                 f"{[c for c in states if c != 't_s']}")
+    if not states["t_s"]:
+        _fail(2, f"cannot read states file: {states_path}: no data rows")
     try:
-        observed = read_states_csv(observed_path)
+        observed = read_states_csv(observed_path, observed_columns)
     except (OSError, ValueError) as exc:
         _fail(2, f"cannot read observed file: {exc}")
-    obs_cols = [c for c in observed if c != "t_s"]
-    if "t_s" not in observed or len(obs_cols) != 1:
-        _fail(2, "observed CSV must have exactly columns t_s,<variable>")
 
-    t_pred, columns = states["t_s"], (states[variable],)
-    predicted = []
-    for t in observed["t_s"]:
-        if not t_pred[0] <= t <= t_pred[-1]:
-            _fail(2, f"observed time {t} s outside simulated span")
-        predicted.append(interpolate(t_pred, columns, t)[0])
+    t_pred, t_obs = states["t_s"], observed["t_s"]
+    t_first, t_last = t_pred[0], t_pred[-1]
+    outside = [t for t in t_obs if not t_first <= t <= t_last]
+    if outside:
+        _fail(2, f"observed time {outside[0]} s outside simulated span")
+    predicted = [v for v, in interpolate(t_pred, (states[variable],), t_obs)]
     try:
-        report = percent_difference(predicted, observed[obs_cols[0]], variable)
+        report = percent_difference(predicted, observed[variable], variable)
     except ComparisonError as exc:
         _fail(2, str(exc))
     passed = acceptance_check(report, limit)

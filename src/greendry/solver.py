@@ -440,12 +440,13 @@ def _kinetics_update(state, k, rh):
     M_e = M_e_pct / 100.0
     M_0 = k.M_0
 
-    if kinetics.rate_constant(T_c, rh) <= 0.0:
+    A1 = kinetics.rate_constant(T_c, rh)
+    if A1 <= 0.0:
         return state.M_p, M_e_pct, state.t_eq / 3600.0, ["kinetics_stalled"]
     if M_0 <= M_e or state.M_p <= M_e:
         return state.M_p, M_e_pct, state.t_eq / 3600.0, ["at_or_above_equilibrium"]
 
-    constants = kinetics.drying_constants(T_c, rh)
+    constants = kinetics.drying_constants(T_c, rh, A1)
     flags = ["kinetics_extrapolated"] if constants.extrapolated else []
     M_new, t_eq_h = kinetics.step_moisture(state.M_p, M_e, M_0, constants, k.dt)
     return M_new, M_e_pct, t_eq_h, flags

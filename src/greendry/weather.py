@@ -94,17 +94,25 @@ class WeatherSeries:
         return len(self.records)
 
 
-def interpolate(times, columns, t: float) -> list[float]:
-    """Each of columns (sequences aligned with the increasing times) at t,
-    linearly interpolated between its two neighbouring entries, or the
-    entry itself where t is one of times; one bisect for all columns.
-    t must lie in [times[0], times[-1]]."""
-    i = bisect.bisect_left(times, t)
-    if times[i] == t:
-        return [col[i] for col in columns]
-    t0 = times[i - 1]
-    f = (t - t0) / (times[i] - t0)
-    return [col[i - 1] + f * (col[i] - col[i - 1]) for col in columns]
+def interpolate(times, columns, ts):
+    """Yield, for each time t of ts, the list of columns (sequences aligned
+    with the increasing times) at t: each linearly interpolated between
+    its two neighbouring entries, or the entry itself where t is one of
+    times.  One forward walk over times: each bisect starts at the index
+    of the time before, or at 0 again where ts goes backwards, so ts may
+    come in any order.  Every t must lie in [times[0], times[-1]]."""
+    lo, previous = 0, -math.inf
+    for t in ts:
+        if t < previous:
+            lo = 0
+        previous = t
+        i = lo = bisect.bisect_left(times, t, lo)
+        if times[i] == t:
+            yield [col[i] for col in columns]
+        else:
+            t0 = times[i - 1]
+            f = (t - t0) / (times[i] - t0)
+            yield [col[i - 1] + f * (col[i] - col[i - 1]) for col in columns]
 
 
 def sample(series: WeatherSeries, t: float) -> WeatherRecord:
@@ -114,7 +122,10 @@ def sample(series: WeatherSeries, t: float) -> WeatherRecord:
         raise WeatherError(
             f"time {t} s outside weather span [{times[0]}, {times[-1]}] s"
         )
-    return WeatherRecord(t, *interpolate(times, series._columns, t))
+    # unpacking runs the generator to its end: freeing a suspended one
+    # would cost a GeneratorExit
+    values, = interpolate(times, series._columns, (t,))
+    return WeatherRecord(t, *values)
 
 
 def load_csv(path) -> WeatherSeries:

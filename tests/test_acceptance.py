@@ -14,7 +14,12 @@ from greendry.analysis import EconomicInputs, acceptance_check, payback_period, 
 from greendry.config import apply_overrides
 from greendry.core import air_properties
 from greendry.errors import SingularMatrixError
-from greendry.kinetics import drying_constants, moisture_ratio, step_moisture
+from greendry.kinetics import (
+    drying_constants,
+    moisture_ratio,
+    rate_constant,
+    step_moisture,
+)
 from greendry.coefficients import sky_temperature
 from greendry.solver import LinearSystem, gauss_jordan, simulate
 from greendry.sweep import SweepSpec, drying_time_objective, grid_search
@@ -25,7 +30,7 @@ from conftest import CONFIG_DIR
 
 def test_criterion_1_thin_layer_closed_form_equivalence():
     t0 = time.perf_counter()
-    constants = drying_constants(60.0, 15.0)
+    constants = drying_constants(60.0, 15.0, rate_constant(60.0, 15.0))
     assert constants.A1 == pytest.approx(0.375472, abs=1e-9)
     assert constants.B1 == pytest.approx(1.076641, abs=1e-9)
     M_0, M_e = 0.522, 0.05

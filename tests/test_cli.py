@@ -1,3 +1,4 @@
+import bisect
 import csv
 import random
 import struct
@@ -5,7 +6,13 @@ import struct
 import pytest
 from click.testing import CliRunner
 
-from greendry import apply_overrides, simulate, synthetic_days
+from greendry import (
+    acceptance_check,
+    apply_overrides,
+    percent_difference,
+    simulate,
+    synthetic_days,
+)
 from greendry.cli import (
     DIAG_COLUMNS,
     STATE_COLUMNS,
@@ -288,6 +295,216 @@ class TestValidate:
         result = run_cli(runner, "validate", "--states", str(states_path),
                          "--observed", str(obs), "--variable", "T_a_K")
         assert result.exit_code == 2
+
+
+def _read_all_columns(path):
+    """The all-columns reader validate used before it streamed two
+    columns, kept as the reference for its reports."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip() and not line.startswith("#")]
+    reader = csv.reader(lines)
+    header = next(reader)
+    data = {col: [] for col in header}
+    for row in reader:
+        for col, cell in zip(header, row):
+            data[col].append(float(cell))
+    return data
+
+
+def _interpolate_at(times, columns, t):
+    """The per-point interpolation validate made before it walked the
+    observation times once."""
+    i = bisect.bisect_left(times, t)
+    if times[i] == t:
+        return [col[i] for col in columns]
+    t0 = times[i - 1]
+    f = (t - t0) / (times[i] - t0)
+    return [col[i - 1] + f * (col[i] - col[i - 1]) for col in columns]
+
+
+def _reference_report(states_path, observed_path, variable, limit=10.0):
+    states = _read_all_columns(states_path)
+    observed = _read_all_columns(observed_path)
+    t_pred, columns = states["t_s"], (states[variable],)
+    predicted = [_interpolate_at(t_pred, columns, t)[0] for t in observed["t_s"]]
+    obs_col = next(c for c in observed if c != "t_s")
+    report = percent_difference(predicted, observed[obs_col], variable)
+    passed = acceptance_check(report, limit)
+    return (f"{report.variable}: mean |diff| = {report.mean_abs_pct:.4f} % over "
+            f"{report.n} points (max abs diff {report.max_abs_diff:.4g}); "
+            f"limit {limit} % -> {'PASS' if passed else 'FAIL'}")
+
+
+VALIDATE_COLUMNS = ("T_c_K", "T_a_K", "T_p_K", "T_f_K", "H", "M_db")
+
+
+def _campaign(states, variable, seed, n=2500):
+    """n seeded irregular times inside the simulated span, with the trace
+    there times (1 + 2 % gaussian noise)."""
+    rng = random.Random(f"{seed}:{variable}")
+    ts = states["t_s"]
+    times = sorted(rng.uniform(ts[0], ts[-1]) for _ in range(n))
+    values = [_interpolate_at(ts, (states[variable],), t)[0] * (1.0 + rng.gauss(0.0, 0.02))
+              for t in times]
+    return times, values
+
+
+class TestValidateStreamed:
+    """validate reads only t_s and the compared column and walks the
+    observation times once; its reports equal those of the all-columns
+    reader with one bisect per observed point."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self, baseline_config_path, tmp_path_factory):
+        out = tmp_path_factory.mktemp("validate4day")
+        result = run_cli(CliRunner(), "run", "--config", str(baseline_config_path),
+                         "--preset", "tropical", "--days", "4", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        path = out / "states.csv"
+        return path, _read_all_columns(path)
+
+    def _validate(self, runner, states_path, observed_path, variable):
+        return run_cli(runner, "validate", "--states", str(states_path),
+                       "--observed", str(observed_path), "--variable", variable)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_reports_equal_all_columns_reader(self, runner, baseline, tmp_path, seed):
+        states_path, states = baseline
+        for variable in VALIDATE_COLUMNS:
+            obs = tmp_path / f"obs_{variable}.csv"
+            _write_observed(obs, *_campaign(states, variable, seed), variable)
+            result = self._validate(runner, states_path, obs, variable)
+            assert result.exit_code == 0, result.output
+            assert result.output.strip() == _reference_report(states_path, obs, variable)
+            assert "over 2500 points" in result.output
+
+    def test_unsorted_and_repeated_times_same_report(self, runner, baseline, tmp_path):
+        states_path, states = baseline
+        times, values = _campaign(states, "T_p_K", 13, n=400)
+        pairs = list(zip(times, values)) + list(zip(times[::7], values[::7]))
+        shuffled = random.Random(5).sample(pairs, len(pairs))
+        outputs = []
+        for name, rows in (("sorted", sorted(pairs)), ("shuffled", shuffled)):
+            obs = tmp_path / f"{name}.csv"
+            _write_observed(obs, *zip(*rows), "T_p_K")
+            result = self._validate(runner, states_path, obs, "T_p_K")
+            assert result.exit_code == 0, result.output
+            assert result.output.strip() == _reference_report(states_path, obs, "T_p_K")
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
+        assert f"over {len(pairs)} points" in outputs[0]
+
+    def test_span_ends_and_grid_times_are_exact(self, runner, baseline, tmp_path):
+        states_path, states = baseline
+        ts, col = states["t_s"], states["M_db"]
+        picks = [len(ts) - 1, 0, *range(1, len(ts), 97), 0, len(ts) - 1]
+        obs = tmp_path / "grid.csv"
+        _write_observed(obs, [ts[i] for i in picks], [col[i] for i in picks], "M_db")
+        result = self._validate(runner, states_path, obs, "M_db")
+        assert result.exit_code == 0, result.output
+        assert "mean |diff| = 0.0000 %" in result.output
+        assert "(max abs diff 0)" in result.output
+
+    @staticmethod
+    def _edit_line(src, dst, lineno, edit):
+        lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        dst.write_text("".join(lines), encoding="utf-8")
+
+    @pytest.mark.parametrize("lineno", [5, 5760])
+    def test_ragged_states_row_exit_2(self, runner, baseline, tmp_path, lineno):
+        # line 1 is the inputs-hash comment, line 2 the header
+        states_path, states = baseline
+        short = tmp_path / "states.csv"
+        self._edit_line(states_path, short, lineno,
+                        lambda line: line.rsplit(",", 1)[0] + "\r\n")
+        obs = tmp_path / "obs.csv"
+        _write_observed(obs, states["t_s"][::50], states["rh_pct"][::50], "rh_pct")
+        result = self._validate(runner, short, obs, "rh_pct")
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cannot read states file: {short}:{lineno}: "
+                                 "expected 8 cells, got 7\n")
+
+    def test_ragged_observed_row_exit_2(self, runner, baseline, tmp_path):
+        states_path, states = baseline
+        obs = tmp_path / "obs.csv"
+        _write_observed(obs, states["t_s"][:4], states["H"][:4], "H")
+        self._edit_line(obs, obs, 3, lambda line: line.rstrip("\r\n") + ",1.0\r\n")
+        result = self._validate(runner, states_path, obs, "H")
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cannot read observed file: {obs}:3: "
+                                 "expected 2 cells, got 3\n")
+
+    def test_column_named_twice_exit_2(self, runner, baseline, tmp_path):
+        states_path, states = baseline
+        twice = tmp_path / "states.csv"
+        self._edit_line(states_path, twice, 2,
+                        lambda line: line.replace("T_c_K", "T_a_K"))
+        obs = tmp_path / "obs.csv"
+        _write_observed(obs, states["t_s"][:4], states["T_a_K"][:4], "T_a_K")
+        result = self._validate(runner, twice, obs, "T_a_K")
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cannot read states file: {twice}:2: "
+                                 "column 'T_a_K' named twice\n")
+        obs.write_text("t_s,t_s\n0.0,0.0\n")
+        result = self._validate(runner, states_path, obs, "T_a_K")
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cannot read observed file: {obs}:1: "
+                                 "column 't_s' named twice\n")
+
+    def test_no_header_exit_2(self, runner, baseline, tmp_path):
+        states_path, states = baseline
+        bare = tmp_path / "states.csv"
+        bare.write_text("# comment\n")
+        obs = tmp_path / "obs.csv"
+        _write_observed(obs, states["t_s"][:4], states["H"][:4], "H")
+        result = self._validate(runner, bare, obs, "H")
+        assert result.exit_code == 2
+        assert result.stderr == f"error: cannot read states file: {bare}: no header row\n"
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        result = self._validate(runner, states_path, empty, "H")
+        assert result.exit_code == 2
+        assert result.stderr == f"error: cannot read observed file: {empty}: no header row\n"
+
+    def test_header_without_rows_exit_2(self, runner, baseline, tmp_path):
+        states_path, states = baseline
+        header_only = tmp_path / "states.csv"
+        header_only.write_text(",".join(STATE_COLUMNS) + "\n")
+        obs = tmp_path / "obs.csv"
+        _write_observed(obs, states["t_s"][:4], states["H"][:4], "H")
+        result = self._validate(runner, header_only, obs, "H")
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cannot read states file: {header_only}: "
+                                 "no data rows\n")
+
+    def test_observed_column_must_be_the_variable(self, runner, baseline, tmp_path):
+        # T_p observations compared against T_a would pass: they are close
+        states_path, states = baseline
+        obs = tmp_path / "obs.csv"
+        _write_observed(obs, states["t_s"][::10], states["T_p_K"][::10], "T_p_K")
+        result = self._validate(runner, states_path, obs, "T_a_K")
+        assert result.exit_code == 2
+        assert result.stderr == ("error: observed CSV must have exactly columns "
+                                 "t_s,<variable>\n")
+        result = self._validate(runner, states_path, obs, "T_p_K")
+        assert result.exit_code == 0, result.output
+
+    def test_non_numeric_cell_in_an_unread_column_accepted(self, runner, baseline,
+                                                           tmp_path):
+        states_path, states = baseline
+        odd = tmp_path / "states.csv"
+        self._edit_line(states_path, odd, 40,
+                        lambda line: ",".join(["0.0", "n/a", *line.split(",")[2:]]))
+        for variable in ("T_a_K", "T_c_K"):
+            _write_observed(tmp_path / f"{variable}.csv", states["t_s"][::10],
+                            states[variable][::10], variable)
+        result = self._validate(runner, odd, tmp_path / "T_a_K.csv", "T_a_K")
+        assert result.exit_code == 0, result.output
+        result = self._validate(runner, odd, tmp_path / "T_c_K.csv", "T_c_K")
+        assert result.exit_code == 2
+        assert result.stderr == ("error: cannot read states file: could not convert "
+                                 "string to float: 'n/a'\n")
 
 
 class TestSweep:

@@ -9,6 +9,7 @@ import pytest
 
 import greendry
 import greendry.core
+import greendry.kinetics
 import greendry.solver
 
 from greendry.coefficients import CoefficientSet, wind_coefficient
@@ -717,6 +718,22 @@ class TestSimulate:
         n_steps = len(simulate(baseline_cfg, tropical_weather).states) - 1
         assert n_steps == 5760
         assert len(calls) <= n_steps + 3
+
+    def test_one_rate_constant_per_step(self, baseline_cfg, tropical_weather,
+                                        monkeypatch):
+        # the stall check's A1 is the one drying_constants uses
+        calls = []
+        original = greendry.kinetics.rate_constant
+
+        def counted(T_c, rh):
+            calls.append(T_c)
+            return original(T_c, rh)
+
+        monkeypatch.setattr(greendry.kinetics, "rate_constant", counted)
+        series = simulate(baseline_cfg, tropical_weather, horizon_s=86400.0)
+        n_steps = len(series.states) - 1
+        assert series.states[-1].M_p < baseline_cfg.M_0  # some steps dried
+        assert 0 < len(calls) <= n_steps
 
     def test_end_of_step_saturation_error_names_step(self, baseline_cfg,
                                                      tropical_weather):

@@ -1,4 +1,6 @@
+import bisect
 import math
+import random
 import re
 
 import pytest
@@ -9,6 +11,7 @@ from greendry.errors import WeatherError
 from greendry.weather import (
     CSV_HEADER,
     WeatherSeries,
+    interpolate,
     load_csv,
     sample,
     save_csv,
@@ -114,6 +117,42 @@ class TestSample:
         for name in ("I_t", "T_am", "V_w", "rh_am"):
             a, b = getattr(lo, name), getattr(hi, name)
             assert min(a, b) <= getattr(rec, name) <= max(a, b), name
+
+
+def _interpolate_at(times, column, t):
+    """The per-point bisect and lerp the walk replaced, kept as its
+    bit-for-bit reference."""
+    i = bisect.bisect_left(times, t)
+    if times[i] == t:
+        return column[i]
+    f = (t - times[i - 1]) / (times[i] - times[i - 1])
+    return column[i - 1] + f * (column[i] - column[i - 1])
+
+
+class TestInterpolate:
+    def test_walk_equals_per_point_bisect(self):
+        rng = random.Random(3)
+        times = [0.0]
+        for _ in range(300):
+            times.append(times[-1] + rng.uniform(1.0, 600.0))
+        columns = ([rng.uniform(-1e3, 1e3) for _ in times],
+                   [rng.uniform(0.0, 1.0) for _ in times])
+        # both ends, every tenth grid point, irregular times, repeats, and
+        # the whole set again shuffled, so the walk restarts many times
+        ts = [times[0], times[-1], *times[::10],
+              *(rng.uniform(times[0], times[-1]) for _ in range(500))]
+        ts += ts[:50]
+        ts += rng.sample(ts, len(ts))
+        assert list(interpolate(times, columns, ts)) == [
+            [_interpolate_at(times, col, t) for col in columns] for t in ts]
+
+    def test_grid_times_return_the_stored_value(self):
+        times, column = [0.0, 0.1, 0.30000000000000004, 1.0], [1.0, 2.0, 4.0, 8.0]
+        assert list(interpolate(times, (column,), times[::-1])) == [
+            [v] for v in column[::-1]]
+
+    def test_no_times(self):
+        assert list(interpolate([0.0, 1.0], ([1.0, 2.0], [3.0, 4.0]), [])) == []
 
 
 class TestLoadCsv:
