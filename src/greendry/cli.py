@@ -10,7 +10,6 @@ so reruns are byte-for-byte reproducible.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import sys
@@ -22,16 +21,12 @@ from . import __version__
 from .analysis import acceptance_check, percent_difference
 from .config import apply_overrides, load_config
 from .core import relative_humidity
-from .errors import (
-    ComparisonError,
-    ConfigError,
-    GreendryError,
-    GridSizeError,
-    WeatherError,
-)
+from .errors import (ComparisonError, ConfigError, GreendryError, GridSizeError,
+                     WeatherError)
 from .solver import simulate
 from .sweep import grid_search, load_sweep_spec
-from .weather import PRESETS, interpolate, load_csv, save_csv, synthetic_days
+from .weather import (PRESETS, interpolate, load_csv, read_csv, save_csv,
+                      synthetic_days, write_csv)
 
 STATE_COLUMNS = ["t_s", "T_c_K", "T_a_K", "T_p_K", "T_f_K", "H", "M_db", "rh_pct"]
 DIAG_COLUMNS = ["t_s", "res_cover_W", "res_air_W", "res_product_W",
@@ -75,18 +70,6 @@ def _resolve_weather(weather_path, preset, days):
     return series, _input_hash(f"preset:{preset}:{days}")
 
 
-def _write_csv(path: Path, columns, lines, inputs_hash: str):
-    """Write the inputs-hash comment line, the header and the data rows,
-    streamed one at a time; each item of lines is one row already joined
-    with ",".  Every cell is a column name, a number or a ";"-joined list
-    of flag names, none of which csv.writer quotes, so the bytes are
-    csv.writer's, its "\r\n" row terminator included."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# inputs_sha256={inputs_hash}\n")
-        fh.write(",".join(columns) + "\r\n")
-        fh.writelines(line + "\r\n" for line in lines)
-
-
 def _state_line(s, rh) -> str:
     return (f"{s.t!r},{s.T_c!r},{s.T_a!r},{s.T_p!r},{s.T_f!r},{s.H!r},"
             f"{s.M_p!r},{rh!r}")
@@ -104,39 +87,9 @@ def _sweep_line(rank: int, result) -> str:
 
 
 def read_states_csv(path, columns=None):
-    """Read a CSV written by `run` or `sweep`, skipping blank lines and
-    lines that start with "#"; returns {column: list of floats}.  columns,
-    when given, is called with the header and returns the names of the
-    columns to read: only their cells are converted, one csv row at a
-    time.  ValueError, naming path:line where there is one, for a file
-    with no header, a header that names a column twice or lacks one that
-    columns returns, a row whose width is not the header's, or a cell read
-    that is not a number."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = (row for row in reader
-                if row and not row[0].startswith("#") and (len(row) > 1 or row[0].strip()))
-        header = next(rows, None)
-        if header is None:
-            raise ValueError(f"{path}: no header row")
-        for name in header:
-            if header.count(name) > 1:
-                raise ValueError(f"{path}:{reader.line_num}: column {name!r} named twice")
-        names = header if columns is None else columns(header)
-        for name in names:
-            if name not in header:
-                raise ValueError(f"{path}: no column {name!r}")
-        data = {name: [] for name in names}
-        cells = [(header.index(name), data[name].append) for name in names]
-        width = len(header)
-        for row in rows:
-            if len(row) != width:
-                raise ValueError(f"{path}:{reader.line_num}: expected {width} cells, "
-                                 f"got {len(row)}")
-            for j, append in cells:
-                append(float(row[j]))
-    return data
+    """The columns of a CSV written by `run` or `sweep`, as
+    {column: list of floats}; see weather.read_csv."""
+    return read_csv(path, columns)[0]
 
 
 @click.group()
@@ -191,10 +144,10 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
     last = series.states[-1]
     rhs = [d.rh for d in series.diagnostics]
     rhs.append(relative_humidity(last.H, last.T_a, cfg.numerics.pressure)[0])
-    _write_csv(out / "states.csv", STATE_COLUMNS,
-               map(_state_line, series.states, rhs), inputs_hash)
-    _write_csv(out / "diagnostics.csv", DIAG_COLUMNS,
-               map(_diag_line, series.diagnostics), inputs_hash)
+    write_csv(out / "states.csv", STATE_COLUMNS,
+              map(_state_line, series.states, rhs), f"inputs_sha256={inputs_hash}")
+    write_csv(out / "diagnostics.csv", DIAG_COLUMNS,
+              map(_diag_line, series.diagnostics), f"inputs_sha256={inputs_hash}")
     manifest = {
         "engine_version": __version__,
         "config": str(config_path),
@@ -302,7 +255,7 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
     unit = "hours" if spec.objective == "drying_time" else "years"
     columns = ["rank"] + paths + [f"objective_{unit}", "reached"]
     lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
-    _write_csv(out / "sweep.csv", columns, lines, inputs_hash)
+    write_csv(out / "sweep.csv", columns, lines, f"inputs_sha256={inputs_hash}")
     best = results[0]
     click.echo(
         f"evaluated {len(results)} points; best objective "

@@ -66,7 +66,6 @@ class SimState(NamedTuple):
     H: float          # chamber humidity ratio, kg water / kg dry air
     M_p: float        # product moisture, decimal dry basis
     M_e_current: float  # equilibrium moisture at current conditions, % db
-    t_eq: float       # equivalent drying time on the current curve, s
 
 
 def air_properties(T: float) -> AirProps:

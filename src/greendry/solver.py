@@ -32,16 +32,17 @@ entry point for callers that hold a system of their own.
 
 Every step is taken by one function, `advance`; recording it is separate.
 `advance` returns the new state together with what `step_diagnostics`
-needs to record the step (the energy system, the rh, dM, coefficients and
-flags), and builds no record itself.  `step` advances and records one
+needs to record the step (the energy system, the rh, dM and flags), and
+builds no record itself.  `step` advances and records one
 step; `simulate` records each step unless called with diagnostics=False,
 as the sweep's drying-time objective does, since it reads only the states.
 
 What depends only on the weather and dt is worked out outside the step:
-`weather_forcing` yields one `Forcing` per step, the weather sampled at the
-step's end time with T_am**1.5 (for the sky temperature) and the wind
-coefficient.  `simulate` streams it from the series, one step at a time,
-so a run keeps no weather table; a sweep builds it as a tuple once per dt
+`weather_forcing` yields one `Forcing` per step, the weather interpolated
+at the step's end time with T_am**1.5 (for the sky temperature) and the
+wind coefficient.  It takes every step time in one forward walk of
+`weather.interpolate`, and `simulate` streams it, one step at a time, so a
+run keeps no weather table; a sweep builds it as a tuple once per dt
 in each process and passes it to every point.  The saturation pressure is
 carried from step to step: the one a step evaluates at its new T_a for the
 humidity clamp is the next step's rh denominator, so each step evaluates
@@ -72,7 +73,6 @@ from typing import NamedTuple
 from . import kinetics
 from .coefficients import (
     SIGMA,
-    CoefficientSet,
     assemble_coefficients,
     hydraulic_diameter,
     overall_cover_loss,
@@ -90,7 +90,7 @@ from .core import (
     vapour_humidity_ratio,
 )
 from .errors import GreendryError, SimulationError, SingularMatrixError, WeatherError
-from .weather import WeatherSeries, sample
+from .weather import WeatherSeries, interpolate
 
 # Balance ordering: the rows of every assembled system.
 BALANCES = ("cover", "air", "product", "floor")
@@ -133,7 +133,6 @@ class StepDiagnostics(NamedTuple):
     max_terms: tuple[float, ...]   # largest term magnitude per equation, W
     dM: float                      # moisture change over the step, decimal db
     rh: float                      # chamber rh used for kinetics, %
-    coefficients: CoefficientSet
     flags: tuple[str, ...]
 
 
@@ -428,7 +427,7 @@ def moisture_balance(H, dM, k, rho_a, m_a):
 def _kinetics_update(state, k, rh):
     """Equilibrium moisture and the moisture step at current conditions.
 
-    Returns (M_new, M_e_pct, t_eq_h, flags).  Drying stalls (dM = 0) when
+    Returns (M_new, M_e_pct, flags).  Drying stalls (dM = 0) when
     the Page rate constant is non-positive (chamber too cold), when the
     charge is at/below equilibrium, or when equilibrium exceeds the
     initial moisture (degenerate humid-cold conditions); rewetting is
@@ -442,14 +441,14 @@ def _kinetics_update(state, k, rh):
 
     A1 = kinetics.rate_constant(T_c, rh)
     if A1 <= 0.0:
-        return state.M_p, M_e_pct, state.t_eq / 3600.0, ["kinetics_stalled"]
+        return state.M_p, M_e_pct, ["kinetics_stalled"]
     if M_0 <= M_e or state.M_p <= M_e:
-        return state.M_p, M_e_pct, state.t_eq / 3600.0, ["at_or_above_equilibrium"]
+        return state.M_p, M_e_pct, ["at_or_above_equilibrium"]
 
     constants = kinetics.drying_constants(T_c, rh, A1)
     flags = ["kinetics_extrapolated"] if constants.extrapolated else []
-    M_new, t_eq_h = kinetics.step_moisture(state.M_p, M_e, M_0, constants, k.dt)
-    return M_new, M_e_pct, t_eq_h, flags
+    M_new, _ = kinetics.step_moisture(state.M_p, M_e, M_0, constants, k.dt)
+    return M_new, M_e_pct, flags
 
 
 class Forcing(NamedTuple):
@@ -464,15 +463,15 @@ class Forcing(NamedTuple):
     h_w: float        # wind_coefficient(V_w), W m^-2 K^-1
 
 
-def _forcing(w: WeatherRecord, t: float) -> Forcing:
-    return Forcing(t, w.I_t, w.T_am, w.T_am**1.5, wind_coefficient(w.V_w))
+def _forcing(t: float, I_t: float, T_am: float, V_w: float) -> Forcing:
+    return Forcing(t, I_t, T_am, T_am**1.5, wind_coefficient(V_w))
 
 
 def weather_forcing(weather: WeatherSeries, dt: float,
                     horizon_s: float | None = None) -> Iterator[Forcing]:
     """The Forcing of each step i = 1, 2, ... of a run of step dt over
-    horizon_s (default: to the end of the series), sampled at
-    min(t0 + i dt, t_end), as an iterator that samples one step at a time.
+    horizon_s (default: to the end of the series), interpolated at
+    min(t0 + i dt, t_end), as an iterator that takes one step at a time.
     The horizon is checked here, at once: WeatherError unless it is >= 0
     and the series covers it."""
     t0, t_end = weather.t_start, weather.t_end
@@ -485,14 +484,11 @@ def weather_forcing(weather: WeatherSeries, dt: float,
             f"weather series ends at {t_end} s but the run needs "
             f"{t0 + horizon_s} s"
         )
-    n_steps = int(math.floor(horizon_s / dt + 1e-9))
-
-    def steps():
-        for i in range(1, n_steps + 1):
-            t = t0 + i * dt
-            yield _forcing(sample(weather, min(t, t_end)), t)
-
-    return steps()
+    steps = range(1, int(math.floor(horizon_s / dt + 1e-9)) + 1)
+    walk = interpolate(weather.times, weather.columns,
+                       (min(t0 + i * dt, t_end) for i in steps))
+    return (_forcing(t0 + i * dt, I_t, T_am, V_w)
+            for i, (I_t, T_am, V_w, _) in zip(steps, walk))
 
 
 def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
@@ -511,7 +507,7 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
     if rh_clamped:
         flags.append("rh_clamped")
 
-    M_new, M_e_pct, t_eq_h, kin_flags = _kinetics_update(state, k, rh)
+    M_new, M_e_pct, kin_flags = _kinetics_update(state, k, rh)
     flags += kin_flags
     dM = M_new - state.M_p
 
@@ -545,16 +541,15 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
         H_new = H_sat
         flags.append("humidity_saturation_clamped")
 
-    new_state = SimState(state.t + dt, T_c, T_a, T_p, T_f, H_new, M_new,
-                         M_e_pct, t_eq_h * 3600.0)
-    return new_state, p_sat, (A, b, dM, rh, coeffs, flags)
+    new_state = SimState(state.t + dt, T_c, T_a, T_p, T_f, H_new, M_new, M_e_pct)
+    return new_state, p_sat, (A, b, dM, rh, flags)
 
 
 def step_diagnostics(new_state: SimState, work) -> StepDiagnostics:
     """The record of the step that `advance` took to new_state, from the
     work it returned: per balance, the residual sum(row * x) - rhs and the
     largest term magnitude, then what the step used and flagged."""
-    A, b, dM, rh, coeffs, flags = work
+    A, b, dM, rh, flags = work
     _, T_c, T_a, T_p, T_f, *_ = new_state
     residuals = []
     max_terms = []
@@ -563,7 +558,7 @@ def step_diagnostics(new_state: SimState, work) -> StepDiagnostics:
         residuals.append(t0 + t1 + t2 + t3 - rhs)
         max_terms.append(max(abs(t0), abs(t1), abs(t2), abs(t3), abs(rhs)))
     return StepDiagnostics(new_state.t, tuple(residuals), tuple(max_terms),
-                           dM, rh, coeffs, tuple(flags))
+                           dM, rh, tuple(flags))
 
 
 def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
@@ -574,7 +569,7 @@ def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
     (simulate builds it once per run)."""
     if k is None:
         k = step_constants(cfg)
-    f = _forcing(weather_end, state.t + k.dt)
+    f = _forcing(state.t + k.dt, weather_end.I_t, weather_end.T_am, weather_end.V_w)
     new_state, _, work = advance(state, f, k, saturation_pressure(state.T_a))
     return new_state, step_diagnostics(new_state, work)
 
@@ -589,7 +584,7 @@ def initial_state(cfg: DryerConfig, weather: WeatherSeries) -> SimState:
     M_e_pct = kinetics.equilibrium_moisture(w0.T_am - 273.15, a_w, cfg.kinetics)
     return SimState(
         t=w0.t, T_c=w0.T_am, T_a=w0.T_am, T_p=w0.T_am, T_f=w0.T_am,
-        H=H0, M_p=cfg.M_0, M_e_current=M_e_pct, t_eq=0.0,
+        H=H0, M_p=cfg.M_0, M_e_current=M_e_pct,
     )
 
 

@@ -3,6 +3,7 @@ payback objectives over dotted-path parameter grids."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -200,7 +201,9 @@ def grid_search(base: DryerConfig, spec: SweepSpec,
 
 def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
     """Read a sweep spec YAML: parameters (dotted path -> value list),
-    objective, target_mdb, optional horizon_h, economics and max_points."""
+    objective, target_mdb, optional horizon_h, economics and max_points.
+    ConfigError, naming path and the key, for an unknown key (also in
+    economics) or a value that is not a number (for max_points, not whole)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"sweep spec not found: {path}")
@@ -208,8 +211,22 @@ def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
         data = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: sweep spec root must be a mapping")
+
+    def check_keys(name, block, known):
+        if not isinstance(block, dict):
+            raise ConfigError(f"{path}: {name} must be a mapping")
+        unknown = sorted(map(str, set(block) - set(known)))
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys in {name}: {unknown}")
+
+    def number(key, value):
+        try:  # YAML 1.1 reads exponents like 1.5e3 as strings
+            return float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: {key} must be numeric, got {value!r}") from None
+
+    check_keys("the sweep spec", data, ("parameters", "objective", "target_mdb",
+                                        "horizon_h", "economics", "max_points"))
     params_raw = data.get("parameters")
     if not isinstance(params_raw, dict) or not params_raw:
         raise ConfigError(f"{path}: 'parameters' must be a non-empty mapping")
@@ -217,27 +234,25 @@ def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
     for dotted, values in params_raw.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"{path}: values for {dotted!r} must be a non-empty list")
-        parameters.append((str(dotted), tuple(float(v) for v in values)))
+        parameters.append((str(dotted), tuple(number(f"parameters.{dotted}", v)
+                                              for v in values)))
     economics = None
     if "economics" in data:
-        eco = data["economics"]
-        try:
-            economics = EconomicModel(
-                capital=float(eco["capital"]),
-                operating_cost=float(eco["operating_cost"]),
-                batch_kg_dry=float(eco["batch_kg_dry"]),
-                annual_operating_hours=float(eco["annual_operating_hours"]),
-                unit_premium=float(eco["unit_premium"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad economics block: {exc}") from None
-    horizon_h = data.get("horizon_h")
+        names = [f.name for f in dataclasses.fields(EconomicModel)]
+        check_keys("economics", data["economics"], names)
+        economics = EconomicModel(**{name: number(f"economics.{name}",
+                                                  data["economics"].get(name))
+                                     for name in names})
+    grid_cap = number("max_points", data.get("max_points", DEFAULT_GRID_CAP))
+    if not grid_cap.is_integer():
+        raise ConfigError(f"{path}: max_points must be a whole number, got {grid_cap}")
     return SweepSpec(
         parameters=tuple(parameters),
         objective=str(data.get("objective", "drying_time")),
-        target_mdb=float(data.get("target_mdb", 0.08)),
+        target_mdb=number("target_mdb", data.get("target_mdb", 0.08)),
         weather=weather,
-        horizon_s=None if horizon_h is None else float(horizon_h) * 3600.0,
+        horizon_s=(number("horizon_h", data["horizon_h"]) * 3600.0
+                   if "horizon_h" in data else None),
         economics=economics,
-        grid_cap=int(data.get("max_points", DEFAULT_GRID_CAP)),
+        grid_cap=int(grid_cap),
     )

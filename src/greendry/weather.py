@@ -1,11 +1,11 @@
 """Weather time series: CSV ingestion, linear interpolation and a synthetic
-diurnal generator (sinusoidal irradiance around solar noon)."""
+diurnal generator (sinusoidal irradiance around solar noon).  Also the one
+CSV reader and the one CSV writer of every file greendry reads or writes."""
 
 from __future__ import annotations
 
 import bisect
 import csv
-import io
 import math
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -68,19 +68,20 @@ def _check_records(records, source, lines) -> None:
 @dataclass(frozen=True)
 class WeatherSeries:
     """Checked weather records; lines, when given, are the source line of
-    each record, so that an error names source:line instead of record i."""
+    each record, so that an error names source:line instead of record i.
+    times and columns (I_t, T_am, V_w, rh_am) are the fields, for interpolate."""
 
     records: tuple[WeatherRecord, ...]
     source: str = "unknown"
     lines: InitVar[tuple[int, ...] | None] = None
-    _times: tuple[float, ...] = field(init=False, repr=False)
-    _columns: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
+    times: tuple[float, ...] = field(init=False, repr=False)
+    columns: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self, lines):
         _check_records(self.records, self.source, lines)
         times, *columns = zip(*self.records)
-        object.__setattr__(self, "_times", times)
-        object.__setattr__(self, "_columns", tuple(columns))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "columns", tuple(columns))
 
     @property
     def t_start(self) -> float:
@@ -117,65 +118,98 @@ def interpolate(times, columns, ts):
 
 def sample(series: WeatherSeries, t: float) -> WeatherRecord:
     """Linear interpolation of all fields at time t (seconds)."""
-    times = series._times
+    times = series.times
     if not times[0] <= t <= times[-1]:
         raise WeatherError(
             f"time {t} s outside weather span [{times[0]}, {times[-1]}] s"
         )
     # unpacking runs the generator to its end: freeing a suspended one
     # would cost a GeneratorExit
-    values, = interpolate(times, series._columns, (t,))
+    values, = interpolate(times, series.columns, (t,))
     return WeatherRecord(t, *values)
 
 
+def read_csv(path, columns=None):
+    """Read a CSV file: ({name: list of floats}, the line of each row).
+    Blank lines and lines whose first non-blank character is "#" are
+    skipped before parsing; the first other line is the header, its cells
+    stripped.  columns(header), when given, names the columns to convert
+    (default: all).  ValueError, naming path and the line, for a column
+    named twice or missing, a row whose width is not the header's or a
+    non-numeric cell in a column read, and naming path for no header."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        # a skipped line reaches csv as "", an empty row, so that line_num
+        # still counts every line
+        reader = csv.reader("" if line.lstrip()[:1] in ("", "#") else line
+                            for line in fh)
+        header = next((row for row in reader if row), None)
+        if header is None:
+            raise ValueError(f"{path}: no header row")
+        header = [name.strip() for name in header]
+        for name in header:
+            if header.count(name) > 1:
+                raise ValueError(f"{path}:{reader.line_num}: column {name!r} named twice")
+        names = header if columns is None else columns(header)
+        for name in names:
+            if name not in header:
+                raise ValueError(f"{path}:{reader.line_num}: no column {name!r}")
+        data = {name: [] for name in names}
+        cells = [(header.index(name), data[name].append) for name in names]
+        width, first, skipped = len(header), reader.line_num + 1, set()
+        for row in reader:
+            if len(row) != width:
+                if row:
+                    raise ValueError(f"{path}:{reader.line_num}: expected {width} "
+                                     f"cells, got {len(row)}")
+                skipped.add(reader.line_num)
+                continue
+            try:
+                for j, append in cells:
+                    append(float(row[j]))
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: non-numeric value "
+                                 f"{row[j]!r} in column {header[j]}") from None
+        lines = range(first, reader.line_num + 1)
+    return data, [n for n in lines if n not in skipped] if skipped else lines
+
+
+def write_csv(path, columns, lines, comment=None) -> None:
+    """Write "# comment" (if any), the header and the rows, each item of
+    lines a row joined with ",", as csv.writer would: no cell greendry
+    writes needs quoting, and rows end in "\r\n"."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(line + "\r\n" for line in lines)
+
+
 def load_csv(path) -> WeatherSeries:
-    """Load a weather series from CSV with header
-    t_s,I_t_wm2,T_am_K,V_w_ms,rh_am_pct; '#'-prefixed lines are ignored.
-    Errors name the file and line."""
+    """Load a weather series from a CSV file (see read_csv) with header
+    t_s,I_t_wm2,T_am_K,V_w_ms,rh_am_pct.  Errors name the file and line."""
     path = Path(path)
     if not path.exists():
         raise WeatherError(f"weather file not found: {path}")
-    records = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        lines = [(n, line) for n, line in enumerate(fh, start=1)
-                 if line.strip() and not line.lstrip().startswith("#")]
-    if not lines:
-        raise WeatherError(f"{path}: empty weather file")
-    reader = csv.reader(io.StringIO("".join(line for _, line in lines)))
-    rows = list(reader)
-    header = [h.strip() for h in rows[0]]
-    if header != CSV_HEADER:
-        missing = [c for c in CSV_HEADER if c not in header]
-        raise WeatherError(
-            f"{path}: bad header {header}; expected {CSV_HEADER}"
-            + (f" (missing {missing})" if missing else "")
-        )
-    for (lineno, _), row in zip(lines[1:], rows[1:]):
-        if len(row) != len(CSV_HEADER):
-            raise WeatherError(f"{path}:{lineno}: expected {len(CSV_HEADER)} cells, got {len(row)}")
-        values = []
-        for col, cell in zip(CSV_HEADER, row):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise WeatherError(
-                    f"{path}:{lineno}: non-numeric value {cell!r} in column {col}"
-                ) from None
-        records.append(WeatherRecord(*values))
-    return WeatherSeries(records=tuple(records), source=str(path),
-                         lines=tuple(n for n, _ in lines[1:]))
+
+    def columns(header):
+        if header != CSV_HEADER:
+            missing = [c for c in CSV_HEADER if c not in header]
+            raise WeatherError(f"{path}: bad header {header}; expected {CSV_HEADER}"
+                               + (f" (missing {missing})" if missing else ""))
+        return CSV_HEADER
+
+    try:
+        data, lines = read_csv(path, columns)
+    except ValueError as exc:
+        raise WeatherError(str(exc)) from None
+    return WeatherSeries(records=tuple(map(WeatherRecord, *data.values())),
+                         source=str(path), lines=tuple(lines))
 
 
 def save_csv(series: WeatherSeries, path, header_comment: str | None = None) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in series.records:
-            writer.writerow([repr(r.t), repr(r.I_t), repr(r.T_am),
-                             repr(r.V_w), repr(r.rh_am)])
+    write_csv(path, CSV_HEADER, (",".join(map(repr, r)) for r in series.records),
+              header_comment)
 
 
 def synthetic_days(

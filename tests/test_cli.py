@@ -1,5 +1,6 @@
 import bisect
 import csv
+import hashlib
 import random
 import struct
 
@@ -19,13 +20,13 @@ from greendry.cli import (
     _diag_line,
     _state_line,
     _sweep_line,
-    _write_csv,
     main,
     read_states_csv,
 )
 from greendry.core import SimState, relative_humidity
 from greendry.solver import StepDiagnostics
 from greendry.sweep import SweepResult
+from greendry.weather import write_csv
 
 
 @pytest.fixture()
@@ -154,7 +155,7 @@ class TestRun:
 
 def _csv_writer_file(path, columns, rows, inputs_hash):
     """The file csv.writer makes of rows of cells: the reference for
-    _write_csv."""
+    write_csv."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"# inputs_sha256={inputs_hash}\n")
         writer = csv.writer(fh)
@@ -183,16 +184,16 @@ class TestWriteCsv:
     HASH = "ab" * 32
 
     def _written(self, path, columns, lines):
-        _write_csv(path, columns, lines, self.HASH)
+        write_csv(path, columns, lines, f"inputs_sha256={self.HASH}")
         return path.read_bytes()
 
     def test_state_rows_of_arbitrary_floats(self, tmp_path):
         rng = random.Random(5)
         special = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 1e-05,
                    0.1, float("inf"), float("-inf"), float("nan")]
-        rows = [(SimState(*rng.sample(special, 9)), rng.choice(special))
+        rows = [(SimState(*rng.sample(special, 8)), rng.choice(special))
                 for _ in range(50)]
-        rows += [(SimState(*(_any_float(rng) for _ in range(9))), _any_float(rng))
+        rows += [(SimState(*(_any_float(rng) for _ in range(8))), _any_float(rng))
                  for _ in range(500)]
         got = self._written(tmp_path / "new.csv", STATE_COLUMNS,
                             (_state_line(s, rh) for s, rh in rows))
@@ -204,8 +205,7 @@ class TestWriteCsv:
         rng = random.Random(6)
         flags = [(), ("still_air",), ("kinetics_stalled", "still_air"), ()]
         diags = [StepDiagnostics(60.0 * i, tuple(_any_float(rng) for _ in range(4)),
-                                 (), _any_float(rng), _any_float(rng), None,
-                                 flags[i % 4])
+                                 (), _any_float(rng), _any_float(rng), flags[i % 4])
                  for i in range(200)]
         got = self._written(tmp_path / "new.csv", DIAG_COLUMNS, map(_diag_line, diags))
         assert got == _csv_writer_file(tmp_path / "ref.csv", DIAG_COLUMNS,
@@ -503,8 +503,8 @@ class TestValidateStreamed:
         assert result.exit_code == 0, result.output
         result = self._validate(runner, odd, tmp_path / "T_c_K.csv", "T_c_K")
         assert result.exit_code == 2
-        assert result.stderr == ("error: cannot read states file: could not convert "
-                                 "string to float: 'n/a'\n")
+        assert result.stderr == (f"error: cannot read states file: {odd}:40: "
+                                 "non-numeric value 'n/a' in column T_c_K\n")
 
 
 class TestSweep:
@@ -582,6 +582,19 @@ class TestSweep:
         assert result.exit_code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("values, extra", [
+        ("[abc]", ""), ("[~]", ""), ("[1.2]", "objectve: payback\n"),
+        ("[1.2]", "target_mdb: abc\n"), ("[1.2]", "max_points: 2.5\n")])
+    def test_bad_spec_exit_2(self, runner, baseline_config_path, tmp_path, values,
+                             extra):
+        spec = self._spec(tmp_path, values, extra)
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                         "--spec", str(spec), "--preset", "tropical",
+                         "--out", str(tmp_path / "out"))
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {spec}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_grid_exit_2(self, runner, baseline_config_path, tmp_path):
         spec = self._spec(tmp_path, "[0.1, 0.2, 0.3, 0.4]", extra="max_points: 3\n")
         result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
@@ -608,6 +621,16 @@ class TestGenWeather:
         series = load_csv(out)
         noon = [r for r in series.records if r.t == 12 * 3600.0][0]
         assert noon.I_t == pytest.approx(900.0, rel=1e-9)
+
+    def test_one_day_hourly_bytes(self, runner, tmp_path):
+        # the bytes gen-weather writes, pinned: a change to the CSV writer
+        # must keep them
+        out = tmp_path / "w.csv"
+        result = run_cli(runner, "gen-weather", "--days", "1", "--interval", "3600",
+                         "--out", str(out))
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "833cad08ff1b6ad753d9658d33ea9b53da6e4917e39c4509cb824866323d8d9f")
 
     def test_invalid_hours_exit_2(self, runner, tmp_path):
         result = run_cli(runner, "gen-weather", "--sunrise-h", "20",

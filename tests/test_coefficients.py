@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import pytest
@@ -129,7 +128,7 @@ class TestAssemble:
     @staticmethod
     def _state(T=300.0):
         return SimState(t=0.0, T_c=T, T_a=T, T_p=T, T_f=T, H=0.01,
-                        M_p=0.5, M_e_current=8.0, t_eq=0.0)
+                        M_p=0.5, M_e_current=8.0)
 
     @staticmethod
     def _assemble(state, w, cfg):

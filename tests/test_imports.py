@@ -1,14 +1,18 @@
-"""Every module of the package uses each name it imports.  `__init__.py`
-is left out, since its imports are the package's re-exports, and so is
-`from __future__ import ...`, which imports no name."""
+"""Every module of the package, and every test and benchmark file, uses
+each name it imports.  The package's `__init__.py` is left out, since its
+imports are the package's re-exports, and so is `from __future__ import
+...`, which imports no name."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "greendry"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "greendry"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(p.relative_to(ROOT).as_posix()
+                 for folder in ("tests", "benchmarks") for p in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,8 +38,14 @@ def test_checker_finds_unused_names():
 
 def test_modules_are_found():
     assert {"cli.py", "solver.py", "sweep.py"} <= set(MODULES)
+    assert {"tests/test_imports.py", "benchmarks/test_layers.py"} <= set(SCRIPTS)
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_no_unused_import_in_tests_and_benchmarks(script):
+    assert unused_imports((ROOT / script).read_text(encoding="utf-8")) == []

@@ -56,7 +56,7 @@ def make_cfg(**section_overrides):
 
 def make_state(T=300.0, H=0.01, M_p=0.4, t=0.0):
     return SimState(t=t, T_c=T, T_a=T, T_p=T, T_f=T, H=H, M_p=M_p,
-                    M_e_current=8.0, t_eq=0.0)
+                    M_e_current=8.0)
 
 
 def zero_coeffs(**kw):
@@ -518,7 +518,7 @@ class TestStep:
         )
         H = humidity_ratio(50.0, T)
         state = SimState(t=0.0, T_c=T, T_a=T, T_p=T, T_f=T, H=H,
-                         M_p=0.05, M_e_current=9.3, t_eq=0.0)
+                         M_p=0.05, M_e_current=9.3)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=T, V_w=0.0, rh_am=50.0)
         new, diag = step(state, w, cfg)
         for name in ("T_c", "T_a", "T_p", "T_f"):
@@ -642,13 +642,12 @@ class TestSimulate:
             "H": "0x1.cac083126e979p-7",
             "M_p": "0x1.ee5b059fdffbap-5",
             "M_e_current": "0x1.5a5de76959372p+3",
-            "t_eq": "0x1.2b06867b07ab7p+17",
         }
         digest = hashlib.sha256()
         for state in states:
             digest.update(" ".join(float(v).hex() for v in state).encode() + b"\n")
         assert digest.hexdigest() == (
-            "9103051ef3af6fbaa75348a6e04d355ae1cdc7b5ad0294e301b871b4eb11c573")
+            "d589ce0cca78a26bc744f3b6f2005f3fca2476b9c039d40c0a9fb693a412ff57")
 
     def test_step_without_constants_matches_simulate(self, baseline_cfg,
                                                      tropical_weather):

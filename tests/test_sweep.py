@@ -216,6 +216,44 @@ class TestSpecFile:
         assert spec.grid_size == 4
         assert spec.horizon_s == 120 * 3600.0
 
+    @pytest.mark.parametrize("text, message", [
+        ("parameters: {airflow.V_a: [abc]}\n",
+         "parameters.airflow.V_a must be numeric, got 'abc'"),
+        ("parameters: {airflow.V_a: [~]}\n",
+         "parameters.airflow.V_a must be numeric, got None"),
+        ("parameters: {airflow.V_a: [1.0]}\ntarget_mdb: abc\n",
+         "target_mdb must be numeric, got 'abc'"),
+        ("parameters: {airflow.V_a: [1.0]}\nhorizon_h: ~\n",
+         "horizon_h must be numeric, got None"),
+        ("parameters: {airflow.V_a: [1.0]}\nmax_points: many\n",
+         "max_points must be numeric, got 'many'"),
+        ("parameters: {airflow.V_a: [1.0]}\nmax_points: 2.5\n",
+         "max_points must be a whole number, got 2.5"),
+        ("parameters: {airflow.V_a: [1.0]}\nobjectve: payback\n",
+         "unknown keys in the sweep spec: ['objectve']"),
+        ("parameters: {airflow.V_a: [1.0]}\nobjective: payback\neconomics:\n"
+         "  capital: 1.0\n  operating_cost: 1.0\n  batch_kg_dry: 1.0\n"
+         "  annual_operating_hours: 1.0\n  unit_premium: 1.0\n  discount: 0.1\n",
+         "unknown keys in economics: ['discount']"),
+        ("parameters: {airflow.V_a: [1.0]}\nobjective: payback\neconomics:\n"
+         "  capital: 1.0\n", "economics.operating_cost must be numeric, got None"),
+        ("parameters: {airflow.V_a: [1.0]}\neconomics: 5\n",
+         "economics must be a mapping"),
+    ])
+    def test_bad_key_or_value_names_path_and_key(self, tmp_path, weather, text,
+                                                 message):
+        path = tmp_path / "spec.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_sweep_spec(path, weather)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_max_points_in_exponent_form(self, tmp_path, weather):
+        # YAML 1.1 reads 1.5e3 as a string; it is a whole number of points
+        path = tmp_path / "spec.yaml"
+        path.write_text("parameters: {airflow.V_a: [1.0]}\nmax_points: 1.5e3\n")
+        assert load_sweep_spec(path, weather).grid_cap == 1500
+
     def test_empty_parameters_rejected(self, tmp_path, weather):
         path = tmp_path / "spec.yaml"
         path.write_text("parameters: {}\nobjective: drying_time\n")

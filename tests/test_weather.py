@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from greendry.cli import read_states_csv
 from greendry.core import WeatherRecord
 from greendry.errors import WeatherError
 from greendry.weather import (
@@ -181,6 +182,13 @@ class TestLoadCsv:
         with pytest.raises(WeatherError, match=f"w.csv:4: I_t must be finite"):
             load_csv(path)
 
+    def test_record_error_line_counts_skipped_lines(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n0,0,298,1,70\n\n  # note\n"
+                        "600,nan,300,2,60\n")
+        with pytest.raises(WeatherError, match=r"w\.csv:5: I_t must be finite"):
+            load_csv(path)
+
     def test_huge_ambient_temperature_names_location(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("# comment\n" + ",".join(CSV_HEADER)
@@ -218,6 +226,53 @@ class TestLoadCsv:
         save_csv(s, path, header_comment="generated for test")
         back = load_csv(path)
         assert back.records == s.records
+
+
+def _columns_of_load_csv(path):
+    """load_csv's records as read_states_csv returns columns."""
+    return {name: list(col) for name, col in zip(CSV_HEADER, zip(*load_csv(path).records))}
+
+
+READERS = [pytest.param(_columns_of_load_csv, id="load_csv"),
+           pytest.param(read_states_csv, id="read_states_csv")]
+
+
+class TestCsvDialect:
+    """The weather reader and the states reader read a file by the same
+    rules, since both go through weather.read_csv."""
+
+    ROWS = ["0,0,298,1,70", "600,800,300,2,60"]
+
+    @pytest.mark.parametrize("read", READERS)
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_comments_blank_lines_and_line_endings(self, tmp_path, read, eol):
+        path = tmp_path / "w.csv"
+        lines = ["# a comment", "   # an indented comment",
+                 " " + " , ".join(CSV_HEADER) + " ", "", self.ROWS[0],
+                 '\t# a comment with a "quote, that opens no field', "   ",
+                 self.ROWS[1], "# a trailing comment", ""]
+        path.write_bytes(eol.join(lines).encode())
+        assert read(path) == {"t_s": [0.0, 600.0], "I_t_wm2": [0.0, 800.0],
+                              "T_am_K": [298.0, 300.0], "V_w_ms": [1.0, 2.0],
+                              "rh_am_pct": [70.0, 60.0]}
+
+    @pytest.mark.parametrize("read", READERS)
+    def test_ragged_row_names_path_and_line(self, tmp_path, read):
+        path = tmp_path / "w.csv"
+        path.write_text("# comment\n" + ",".join(CSV_HEADER) + "\n\n"
+                        + self.ROWS[0] + "\n600,800,300,2\n")
+        with pytest.raises(ValueError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:5: expected 5 cells, got 4"
+
+    @pytest.mark.parametrize("read", READERS)
+    def test_non_numeric_cell_names_path_line_and_column(self, tmp_path, read):
+        path = tmp_path / "w.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n# comment\n" + self.ROWS[0]
+                        + "\n600,abc,300,2,60\n")
+        with pytest.raises(ValueError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:4: non-numeric value 'abc' in column I_t_wm2"
 
 
 class TestSynthetic:
