@@ -23,7 +23,7 @@ import pytest
 
 from greendry import load_config, simulate, synthetic_days
 from greendry.cli import main, read_states_csv
-from greendry.coefficients import assemble_coefficients
+from greendry.coefficients import _convective, _radiative, _sky
 from greendry.core import air_properties, relative_humidity, saturation_pressure
 from greendry.solver import (
     LinearSystem,
@@ -76,22 +76,23 @@ def forcing(cfg, weather):
 
 @pytest.fixture(scope="module")
 def inputs(k, case, forcing):
-    """(air properties, coefficients, dM/dt) of the next step, as step
-    computes them."""
+    """(dM/dt, air properties, h_c, h_r_cs, h_r_pc, T_s) of the next step,
+    the arguments after k that advance passes to energy_system."""
     state, _ = case
     rh, _ = relative_humidity(state.H, state.T_a, k.P)
     M_new = _kinetics_update(state, k, rh)[0]
     air = air_properties(state.T_a)
-    coeffs = assemble_coefficients(state, forcing, k, air)
-    return air, coeffs, (M_new - state.M_p) / k.dt
+    T_s, _ = _sky(forcing.T_am, forcing.T_am_1_5, k.c_sky)
+    return ((M_new - state.M_p) / k.dt, air, _convective(k.D_h_V_a, k.D_h, air)[2],
+            _radiative(k.eps_c_sigma, state.T_c, T_s),
+            _radiative(k.eps_p_sigma, state.T_p, state.T_c), T_s)
 
 
 @pytest.fixture(scope="module")
 def system(k, case, forcing, inputs):
     """The 4x4 energy system of the next step, as step assembles it."""
     state, _ = case
-    air, coeffs, dmdt = inputs
-    return energy_system(state, coeffs, forcing, k, dmdt, air)
+    return energy_system(state, forcing, k, *inputs)
 
 
 def test_step(benchmark, k, cfg, case):
@@ -120,8 +121,7 @@ def test_kinetics_update(benchmark, k, case):
 
 def test_energy_system(benchmark, k, case, forcing, inputs, system):
     state, _ = case
-    air, coeffs, dmdt = inputs
-    assert benchmark(energy_system, state, coeffs, forcing, k, dmdt, air) == system
+    assert benchmark(energy_system, state, forcing, k, *inputs) == system
 
 
 def test_gauss_jordan(benchmark, system):
@@ -138,13 +138,6 @@ def test_eliminate(benchmark, system):
 def test_solve_energy_system(benchmark, system):
     A, b = system
     assert benchmark(solve_energy_system, A, b) == eliminate(A, b)
-
-
-def test_assemble_coefficients(benchmark, k, case, forcing):
-    state, _ = case
-    air = air_properties(state.T_a)
-    coeffs = benchmark(assemble_coefficients, state, forcing, k, air)
-    assert coeffs.h_c > 0
 
 
 def test_air_properties(benchmark, case):

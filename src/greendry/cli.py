@@ -184,17 +184,22 @@ def cmd_validate(states_path, observed_path, variable, limit):
         return "t_s", variable
 
     try:
-        states = read_states_csv(states_path, states_columns)
+        states, lines = read_csv(states_path, states_columns)
     except (OSError, ValueError) as exc:
         _fail(2, f"cannot read states file: {exc}")
-    if not states["t_s"]:
+    t_pred = states["t_s"]
+    if not t_pred:
         _fail(2, f"cannot read states file: {states_path}: no data rows")
+    for i in range(1, len(t_pred)):
+        if not t_pred[i - 1] < t_pred[i]:
+            _fail(2, f"cannot read states file: {states_path}:{lines[i]}: t_s "
+                     f"{t_pred[i]} not increasing (previous {t_pred[i - 1]})")
     try:
         observed = read_states_csv(observed_path, observed_columns)
     except (OSError, ValueError) as exc:
         _fail(2, f"cannot read observed file: {exc}")
 
-    t_pred, t_obs = states["t_s"], observed["t_s"]
+    t_obs = observed["t_s"]
     t_first, t_last = t_pred[0], t_pred[-1]
     outside = [t for t in t_obs if not t_first <= t <= t_last]
     if outside:

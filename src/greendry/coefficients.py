@@ -1,36 +1,19 @@
-"""Heat-transfer and heat-loss coefficient correlations, evaluated once per
-time step at the previous step's temperatures."""
+"""Heat-transfer and heat-loss coefficient correlations.  Each time step,
+`solver.advance` calls `_sky`, `_convective` and `_radiative` at the
+previous step's temperatures and hands `solver.energy_system` the floats
+T_s, h_c, h_r_cs and h_r_pc."""
 
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, NamedTuple
 
-from .core import AirProps, SimState
+from .core import AirProps
 from .errors import ConfigWarning, RangeError
-
-if TYPE_CHECKING:
-    from .solver import Forcing, StepConstants
 
 SIGMA = 5.670e-8  # Stefan-Boltzmann constant, W m^-2 K^-4
 
 # Below this Reynolds number the turbulent duct correlation is extrapolated.
 RE_TURBULENT_MIN = 2300.0
-
-
-class CoefficientSet(NamedTuple):
-    """All per-step coefficients, W m^-2 K^-1 unless noted."""
-
-    h_r_cs: float   # radiative, cover to sky
-    h_r_pc: float   # radiative, product to cover
-    h_w: float      # wind convective, cover to ambient
-    h_c: float      # internal convective (cover-air = floor-air = product-air)
-    U_c: float      # overall cover loss
-    T_s: float      # sky temperature, K
-    D_h: float      # hydraulic diameter, m
-    Re: float
-    Nu: float
-    flags: tuple[str, ...] = ()
 
 
 def _sky(T_am: float, T_am_1_5: float, c_sky: float) -> tuple[float, bool]:
@@ -103,35 +86,3 @@ def overall_cover_loss(k_c: float, delta_c: float) -> float:
     1650 W m^-2 K^-1); baseline configs use an effective thickness.
     """
     return k_c / delta_c
-
-
-def assemble_coefficients(
-    state: SimState, f: Forcing, k: StepConstants, air: AirProps
-) -> CoefficientSet:
-    """Evaluate every coefficient at the current step's temperatures; f is
-    the step's weather forcing (T_am**1.5 and the wind coefficient already
-    worked out), k holds the run's constants (D_h and U_c among them) and
-    air the dry-air properties at state.T_a.  A non-physical sky
-    temperature is flagged, not warned about."""
-    flags = []
-    T_s, sky_physical = _sky(f.T_am, f.T_am_1_5, k.c_sky)
-    if not sky_physical:
-        flags.append("sky_temperature_non_physical")
-    Re, Nu, h_c = _convective(k.D_h_V_a, k.D_h, air)
-    if k.V_a == 0:
-        flags.append("still_air")
-    elif Re < RE_TURBULENT_MIN:
-        flags.append("re_below_turbulent")
-    T_c = state.T_c
-    return CoefficientSet(
-        h_r_cs=_radiative(k.eps_c_sigma, T_c, T_s),
-        h_r_pc=_radiative(k.eps_p_sigma, state.T_p, T_c),
-        h_w=f.h_w,
-        h_c=h_c,
-        U_c=k.U_c,
-        T_s=T_s,
-        D_h=k.D_h,
-        Re=Re,
-        Nu=Nu,
-        flags=tuple(flags),
-    )

@@ -10,9 +10,11 @@ balances; the floor row is algebraic (quasi-steady flux balance against
 the deep soil).  A chamber humidity-ratio balance then routes the
 evaporated water into the air.
 
-The whole step works on plain Python floats: `energy_system` returns the
-four rows as tuples of four coefficients with their right-hand sides.  At
-4x4, array set-up would cost more than the arithmetic.
+The whole step works on plain Python floats: `advance` passes what the
+correlations of `coefficients` give (T_s, h_c, h_r_cs, h_r_pc) to
+`energy_system`, which returns the four rows as tuples of four
+coefficients with their right-hand sides.  At 4x4, array set-up would cost
+more than the arithmetic.
 
 The tunnel's coupling fixes the system's zero pattern: the air and floor
 rows have no T_c term (cover (x,x,x,0), air (0,x,x,x), product (x,x,x,0),
@@ -53,7 +55,7 @@ Inputs are checked once, where they enter (`DryerConfig`, `WeatherSeries`);
 the physics functions trust them and check only what a step produces.
 What depends only on the config is computed once per run: `simulate`
 builds a `StepConstants` record with `step_constants(cfg)` (dt, pressure,
-the hydraulic diameter, the cover loss and products of config values) and
+the hydraulic diameter and products of config values such as U_c A_c) and
 passes it to every step.  Python evaluates `a * b * c` as `(a * b) * c`,
 and floating-point products do not associate, so a product of config
 values is hoisted only when it is a left prefix of the per-step
@@ -72,8 +74,11 @@ from typing import NamedTuple
 
 from . import kinetics
 from .coefficients import (
+    RE_TURBULENT_MIN,
     SIGMA,
-    assemble_coefficients,
+    _convective,
+    _radiative,
+    _sky,
     hydraulic_diameter,
     overall_cover_loss,
     wind_coefficient,
@@ -285,7 +290,6 @@ class StepConstants(NamedTuple):
     V_a: float
     D_h: float            # hydraulic diameter, m
     D_h_V_a: float        # D_h * V_a
-    U_c: float            # overall cover loss, W m^-2 K^-1
     eps_c_sigma: float    # eps_c * SIGMA
     eps_p_sigma: float    # eps_p * SIGMA
     # energy rows
@@ -296,7 +300,7 @@ class StepConstants(NamedTuple):
     cover_cap: float      # m_c * C_pc / dt
     cover_solar: float    # A_c * alpha_c
     A_pf: float           # A_p + A_f
-    U_c_A_c: float        # U_c * A_c
+    U_c_A_c: float        # overall cover loss U_c, W m^-2 K^-1, times A_c
     q_m_per_dmdt: float   # A_p * D_p * C_pv * rho_p
     air_solar: float      # (1 - F_p)(1 - alpha_f) + (1 - alpha_p) F_p
     V: float              # chamber volume, m^3
@@ -319,7 +323,6 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
     g, c, f, p, a, n = (cfg.geometry, cfg.cover, cfg.floor, cfg.product,
                         cfg.airflow, cfg.numerics)
     D_h = hydraulic_diameter(g.W, g.D)
-    U_c = overall_cover_loss(c.k_c, c.delta_c)
     return StepConstants(
         dt=n.dt,
         P=n.pressure,
@@ -329,7 +332,6 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
         V_a=a.V_a,
         D_h=D_h,
         D_h_V_a=D_h * a.V_a,
-        U_c=U_c,
         eps_c_sigma=c.eps_c * SIGMA,
         eps_p_sigma=p.eps_p * SIGMA,
         A_c=g.A_c,
@@ -339,7 +341,7 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
         cover_cap=c.m_c * c.C_pc / n.dt,
         cover_solar=g.A_c * c.alpha_c,
         A_pf=g.A_p + g.A_f,
-        U_c_A_c=U_c * g.A_c,
+        U_c_A_c=overall_cover_loss(c.k_c, c.delta_c) * g.A_c,
         q_m_per_dmdt=g.A_p * g.D_p * p.C_pv * p.rho_p,
         air_solar=(1.0 - p.F_p) * (1.0 - f.alpha_f) + (1.0 - p.alpha_p) * p.F_p,
         V=g.V,
@@ -358,10 +360,15 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
     )
 
 
-def energy_system(state, coeffs, weather, k, dmdt, air):
+def energy_system(state, f, k, dmdt, air, h_c, h_r_cs, h_r_pc, T_s):
     """The step's energy system A x = b in the unknowns (T_c, T_a, T_p,
     T_f), as a tuple of the four rows (tuples, ordered as BALANCES) and a
     tuple of their right-hand sides.
+
+    f is the step's Forcing (I_t, T_am, the wind coefficient h_w), air the
+    air properties at state.T_a, T_s the sky temperature in K and, in
+    W m^-2 K^-1, h_c the convective (cover-air = floor-air = product-air),
+    h_r_cs the cover-sky and h_r_pc the product-cover radiative coefficient.
 
     - cover: backward-difference thermal-mass balance.
     - air: backward-difference balance of the chamber air of mass
@@ -379,8 +386,7 @@ def energy_system(state, coeffs, weather, k, dmdt, air):
       SimulationError when h_dfg + h_c = 0 makes it singular.
     """
     dt, A_c, A_p, A_f, tau_c = k.dt, k.A_c, k.A_p, k.A_f, k.tau_c
-    h_c, h_r_cs, h_r_pc, h_w = coeffs.h_c, coeffs.h_r_cs, coeffs.h_r_pc, coeffs.h_w
-    I_t, T_am = weather.I_t, weather.T_am
+    I_t, T_am, h_w = f.I_t, f.T_am, f.h_w
     if h_c + k.h_dfg == 0.0:
         raise SimulationError("floor row singular: h_dfg + h_c = 0")
     q_m = k.q_m_per_dmdt * dmdt
@@ -390,7 +396,7 @@ def energy_system(state, coeffs, weather, k, dmdt, air):
     cap = k.cover_cap
     cover = (cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
              -A_c * h_c, product_cover, 0.0)
-    cover_rhs = (cap * state.T_c + A_c * h_r_cs * coeffs.T_s
+    cover_rhs = (cap * state.T_c + A_c * h_r_cs * T_s
                  + A_c * h_w * T_am + k.cover_solar * I_t)
 
     cap = air.rho * k.V * air.cp / dt
@@ -512,10 +518,18 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
     dM = M_new - state.M_p
 
     air = air_properties(state.T_a)
-    coeffs = assemble_coefficients(state, f, k, air)
-    flags += coeffs.flags
+    T_s, sky_physical = _sky(f.T_am, f.T_am_1_5, k.c_sky)
+    if not sky_physical:
+        flags.append("sky_temperature_non_physical")
+    Re, _, h_c = _convective(k.D_h_V_a, k.D_h, air)
+    if k.V_a == 0:
+        flags.append("still_air")
+    elif Re < RE_TURBULENT_MIN:
+        flags.append("re_below_turbulent")
+    h_r_cs = _radiative(k.eps_c_sigma, state.T_c, T_s)
+    h_r_pc = _radiative(k.eps_p_sigma, state.T_p, state.T_c)
 
-    A, b = energy_system(state, coeffs, f, k, dM / dt, air)
+    A, b = energy_system(state, f, k, dM / dt, air, h_c, h_r_cs, h_r_pc, T_s)
     # a finite sum means finite entries; only a non-finite one (or a sum of
     # finite entries that overflows) needs the per-row search.  Nested sums
     # build no tuple of the 20 entries: CPython 3.11 keeps freed 20-tuples

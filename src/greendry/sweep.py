@@ -203,7 +203,8 @@ def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
     """Read a sweep spec YAML: parameters (dotted path -> value list),
     objective, target_mdb, optional horizon_h, economics and max_points.
     ConfigError, naming path and the key, for an unknown key (also in
-    economics) or a value that is not a number (for max_points, not whole)."""
+    economics), an objective that is not a string or a value that is not a
+    number (for max_points, not whole)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"sweep spec not found: {path}")
@@ -243,12 +244,15 @@ def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
         economics = EconomicModel(**{name: number(f"economics.{name}",
                                                   data["economics"].get(name))
                                      for name in names})
+    objective = data.get("objective", "drying_time")
+    if not isinstance(objective, str):
+        raise ConfigError(f"{path}: objective must be a string, got {objective!r}")
     grid_cap = number("max_points", data.get("max_points", DEFAULT_GRID_CAP))
     if not grid_cap.is_integer():
         raise ConfigError(f"{path}: max_points must be a whole number, got {grid_cap}")
     return SweepSpec(
         parameters=tuple(parameters),
-        objective=str(data.get("objective", "drying_time")),
+        objective=objective,
         target_mdb=number("target_mdb", data.get("target_mdb", 0.08)),
         weather=weather,
         horizon_s=(number("horizon_h", data["horizon_h"]) * 3600.0

@@ -495,7 +495,8 @@ class TestValidateStreamed:
         states_path, states = baseline
         odd = tmp_path / "states.csv"
         self._edit_line(states_path, odd, 40,
-                        lambda line: ",".join(["0.0", "n/a", *line.split(",")[2:]]))
+                        lambda line: ",".join([line.split(",")[0], "n/a",
+                                               *line.split(",")[2:]]))
         for variable in ("T_a_K", "T_c_K"):
             _write_observed(tmp_path / f"{variable}.csv", states["t_s"][::10],
                             states[variable][::10], variable)
@@ -505,6 +506,22 @@ class TestValidateStreamed:
         assert result.exit_code == 2
         assert result.stderr == (f"error: cannot read states file: {odd}:40: "
                                  "non-numeric value 'n/a' in column T_c_K\n")
+
+
+    @pytest.mark.parametrize("t_s, shown", [("0.0", "0.0"), ("2160", "2160.0")])
+    def test_states_time_must_increase(self, runner, baseline, tmp_path, t_s, shown):
+        # line 40 is the row at 2220 s: set back to the start, or to the
+        # time of the row before it
+        states_path, states = baseline
+        odd = tmp_path / "states.csv"
+        self._edit_line(states_path, odd, 40,
+                        lambda line: ",".join([t_s, *line.split(",")[1:]]))
+        obs = tmp_path / "obs.csv"
+        _write_observed(obs, states["t_s"][::10], states["T_a_K"][::10], "T_a_K")
+        result = self._validate(runner, odd, obs, "T_a_K")
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cannot read states file: {odd}:40: t_s "
+                                 f"{shown} not increasing (previous 2160.0)\n")
 
 
 class TestSweep:
@@ -593,6 +610,19 @@ class TestSweep:
                          "--out", str(tmp_path / "out"))
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: {spec}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value, shown", [("~", "None"), ("3", "3")])
+    def test_objective_not_a_string_exit_2(self, runner, baseline_config_path,
+                                           tmp_path, value, shown):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(f"parameters:\n  airflow.V_a: [1.2]\nobjective: {value}\n")
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                         "--spec", str(spec), "--preset", "tropical",
+                         "--out", str(tmp_path / "out"))
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: {spec}: objective must be a string, "
+                                 f"got {shown}\n")
         assert not (tmp_path / "out").exists()
 
     def test_oversized_grid_exit_2(self, runner, baseline_config_path, tmp_path):

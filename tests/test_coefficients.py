@@ -3,20 +3,21 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
+import greendry.solver
+
 from greendry.coefficients import (
     SIGMA,
     _convective,
     _radiative,
-    assemble_coefficients,
     hydraulic_diameter,
     overall_cover_loss,
     sky_temperature,
     wind_coefficient,
 )
 from greendry.config import apply_overrides
-from greendry.core import AirProps, SimState, WeatherRecord, air_properties
+from greendry.core import AirProps, SimState, WeatherRecord
 from greendry.errors import ConfigWarning, RangeError
-from greendry.solver import Forcing, step_constants
+from greendry.solver import energy_system, step
 
 
 class TestSkyTemperature:
@@ -125,48 +126,84 @@ class TestOverallCoverLoss:
 
 
 class TestAssemble:
+    """The coefficients that `advance` assembles for a step, as it hands
+    them to a spy in place of `energy_system`."""
+
     @staticmethod
     def _state(T=300.0):
         return SimState(t=0.0, T_c=T, T_a=T, T_p=T, T_f=T, H=0.01,
                         M_p=0.5, M_e_current=8.0)
 
     @staticmethod
-    def _assemble(state, w, cfg):
-        f = Forcing(w.t, w.I_t, w.T_am, w.T_am**1.5, wind_coefficient(w.V_w))
-        return assemble_coefficients(state, f, step_constants(cfg),
-                                     air_properties(state.T_a))
+    def _step(monkeypatch, state, w, cfg):
+        """({h_c, h_r_cs, h_r_pc, h_w, T_s} of step(state, w, cfg), its flags)."""
+        seen = []
 
-    def test_deterministic(self, baseline_cfg):
-        w = WeatherRecord(t=0.0, I_t=500.0, T_am=303.0, V_w=1.5, rh_am=60.0)
-        a = self._assemble(self._state(), w, baseline_cfg)
-        b = self._assemble(self._state(), w, baseline_cfg)
+        def spy(state, f, k, dmdt, air, h_c, h_r_cs, h_r_pc, T_s):
+            seen.append(dict(h_c=h_c, h_r_cs=h_r_cs, h_r_pc=h_r_pc,
+                             h_w=f.h_w, T_s=T_s))
+            return energy_system(state, f, k, dmdt, air, h_c, h_r_cs, h_r_pc, T_s)
+
+        monkeypatch.setattr(greendry.solver, "energy_system", spy)
+        _, diag = step(state, w, cfg)
+        (coeffs,) = seen
+        return coeffs, diag.flags
+
+    def test_deterministic(self, baseline_cfg, monkeypatch):
+        w = WeatherRecord(t=60.0, I_t=500.0, T_am=303.0, V_w=1.5, rh_am=60.0)
+        a = self._step(monkeypatch, self._state(), w, baseline_cfg)
+        b = self._step(monkeypatch, self._state(), w, baseline_cfg)
         assert a == b
 
-    def test_equal_temperature_radiative_collapse(self, baseline_cfg):
+    def test_equal_temperature_radiative_collapse(self, baseline_cfg, monkeypatch):
         # choose ambient so that T_s equals the uniform temperature
         T = 300.0
         T_am = (T / baseline_cfg.kinetics.c_sky) ** (2 / 3)
-        w = WeatherRecord(t=0.0, I_t=0.0, T_am=T_am, V_w=0.0, rh_am=50.0)
-        coeffs = self._assemble(self._state(T), w, baseline_cfg)
-        assert coeffs.T_s == pytest.approx(T, rel=1e-12)
-        assert coeffs.h_r_cs == pytest.approx(
+        w = WeatherRecord(t=60.0, I_t=0.0, T_am=T_am, V_w=0.0, rh_am=50.0)
+        coeffs, _ = self._step(monkeypatch, self._state(T), w, baseline_cfg)
+        assert coeffs["T_s"] == pytest.approx(T, rel=1e-12)
+        assert coeffs["h_r_cs"] == pytest.approx(
             baseline_cfg.cover.eps_c * 4 * SIGMA * T**3, rel=1e-12)
-        assert coeffs.h_r_pc == pytest.approx(
+        assert coeffs["h_r_pc"] == pytest.approx(
             baseline_cfg.product.eps_p * 4 * SIGMA * T**3, rel=1e-12)
 
-    def test_still_night(self, baseline_cfg):
-        w = WeatherRecord(t=0.0, I_t=0.0, T_am=298.0, V_w=0.0, rh_am=70.0)
-        coeffs = self._assemble(self._state(298.0), w, baseline_cfg)
-        assert coeffs.h_w == pytest.approx(5.7, rel=1e-12)
-        assert coeffs.T_s < w.T_am
+    def test_still_night(self, baseline_cfg, monkeypatch):
+        w = WeatherRecord(t=60.0, I_t=0.0, T_am=298.0, V_w=0.0, rh_am=70.0)
+        coeffs, _ = self._step(monkeypatch, self._state(298.0), w, baseline_cfg)
+        assert coeffs["h_w"] == pytest.approx(5.7, rel=1e-12)
+        assert coeffs["T_s"] < w.T_am
 
-    def test_non_physical_sky_is_flagged_without_warning(self, baseline_cfg):
+    def test_non_physical_sky_is_flagged_without_warning(self, baseline_cfg,
+                                                         monkeypatch):
         cfg = apply_overrides(baseline_cfg, {"kinetics.c_sky": 0.552})
-        w = WeatherRecord(t=0.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
+        w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coeffs = self._assemble(self._state(), w, cfg)
-        assert coeffs.T_s > w.T_am
-        assert "sky_temperature_non_physical" in coeffs.flags
+            coeffs, flags = self._step(monkeypatch, self._state(), w, cfg)
+        assert coeffs["T_s"] > w.T_am
+        assert "sky_temperature_non_physical" in flags
         assert "sky_temperature_non_physical" not in \
-            self._assemble(self._state(), w, baseline_cfg).flags
+            self._step(monkeypatch, self._state(), w, baseline_cfg)[1]
+
+    @pytest.mark.parametrize("V_a, air_flag", [(0.0, "still_air"),
+                                               (0.01, "re_below_turbulent")])
+    def test_sky_flag_before_air_flag(self, baseline_cfg, V_a, air_flag):
+        cfg = apply_overrides(baseline_cfg, {"kinetics.c_sky": 0.552,
+                                             "airflow.V_a": V_a})
+        w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
+        flags = step(self._state(), w, cfg)[1].flags
+        assert [f for f in flags if f in ("sky_temperature_non_physical", "still_air",
+                                          "re_below_turbulent")] == [
+            "sky_temperature_non_physical", air_flag]
+
+    @pytest.mark.parametrize("T_c, T_p, cover_sky_first", [
+        (-5.0, 300.0, True), (0.0, -5.0, True), (300.0, -5.0, False)])
+    def test_radiative_range_error_order(self, baseline_cfg, T_c, T_p,
+                                         cover_sky_first):
+        state = self._state()._replace(T_c=T_c, T_p=T_p)
+        w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
+        T_s = baseline_cfg.kinetics.c_sky * w.T_am**1.5
+        with pytest.raises(RangeError) as exc:
+            step(state, w, baseline_cfg)
+        pair = (T_c, T_s) if cover_sky_first else (T_p, T_c)
+        assert str(exc.value) == f"temperatures must be > 0 K, got {pair[0]}, {pair[1]}"

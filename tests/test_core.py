@@ -3,7 +3,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from greendry.coefficients import CoefficientSet
 from greendry.core import (
     AIR_T_MAX,
     AIR_T_MIN,
@@ -56,8 +55,6 @@ class TestAirProperties:
 @pytest.mark.parametrize("record", [
     SimState(t=0.0, T_c=300.0, T_a=300.0, T_p=300.0, T_f=300.0, H=0.01,
              M_p=0.5, M_e_current=8.0),
-    CoefficientSet(h_r_cs=5.0, h_r_pc=4.0, h_w=5.7, h_c=3.0, U_c=6.6,
-                   T_s=290.0, D_h=1.0, Re=1e5, Nu=160.0),
     air_properties(300.0),
 ])
 def test_records_are_immutable(record):

@@ -12,12 +12,13 @@ import greendry.core
 import greendry.kinetics
 import greendry.solver
 
-from greendry.coefficients import CoefficientSet, wind_coefficient
+from greendry.coefficients import wind_coefficient
 from greendry.config import apply_overrides, config_from_dict
 from greendry.core import SimState, WeatherRecord, air_properties, humidity_ratio
 from greendry.errors import SimulationError, SingularMatrixError, WeatherError
 from greendry.solver import (
     BALANCES,
+    Forcing,
     LinearSystem,
     eliminate,
     energy_system,
@@ -59,18 +60,14 @@ def make_state(T=300.0, H=0.01, M_p=0.4, t=0.0):
                     M_e_current=8.0)
 
 
-def zero_coeffs(**kw):
-    base = dict(h_r_cs=0.0, h_r_pc=0.0, h_w=0.0, h_c=0.0, U_c=0.0,
-                T_s=280.0, D_h=1.0, Re=0.0, Nu=0.0)
-    base.update(kw)
-    return CoefficientSet(**base)
-
-
-def balance(name, state, coeffs, w, cfg, dmdt=0.0):
-    """(row, rhs) of one balance of the energy system, with the air
-    properties at the state's air temperature."""
-    A, b = energy_system(state, coeffs, w, step_constants(cfg), dmdt,
-                         air_properties(state.T_a))
+def balance(name, state, w, cfg, dmdt=0.0, *, h_c=0.0, h_r_cs=0.0,
+            h_r_pc=0.0, h_w=0.0, T_s=280.0):
+    """(row, rhs) of one balance of the energy system for the weather
+    record w, with the given coefficients (zero unless set; h_w replaces
+    w's wind) and the air properties at the state's air temperature."""
+    f = Forcing(w.t, w.I_t, w.T_am, w.T_am**1.5, h_w)
+    A, b = energy_system(state, f, step_constants(cfg), dmdt,
+                         air_properties(state.T_a), h_c, h_r_cs, h_r_pc, T_s)
     i = BALANCES.index(name)
     return A[i], b[i]
 
@@ -330,8 +327,8 @@ class TestCoverBalance:
         T = 300.0
         state = make_state(T)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=T, V_w=0.0, rh_am=50.0)
-        coeffs = zero_coeffs(h_c=3.0, h_r_cs=5.0, h_r_pc=4.0, h_w=5.7, T_s=T)
-        row, rhs = balance("cover", state, coeffs, w, cfg)
+        row, rhs = balance("cover", state, w, cfg, h_c=3.0, h_r_cs=5.0,
+                           h_r_pc=4.0, h_w=5.7, T_s=T)
         assert row @ np.full(4, T) - rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_transparent_cover_has_no_solar_source(self):
@@ -339,9 +336,8 @@ class TestCoverBalance:
         state = make_state()
         sunny = WeatherRecord(t=60.0, I_t=900.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         dark = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        coeffs = zero_coeffs()
-        _, rhs_sun = balance("cover", state, coeffs, sunny, cfg)
-        _, rhs_dark = balance("cover", state, coeffs, dark, cfg)
+        _, rhs_sun = balance("cover", state, sunny, cfg)
+        _, rhs_dark = balance("cover", state, dark, cfg)
         assert rhs_sun == rhs_dark
 
     def test_explicit_euler_oracle(self):
@@ -350,7 +346,7 @@ class TestCoverBalance:
                        geometry={"A_c": 10.0}, numerics={"dt": 10.0})
         state = make_state(300.0)
         w = WeatherRecord(t=10.0, I_t=100.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        row, rhs = balance("cover", state, zero_coeffs(), w, cfg)
+        row, rhs = balance("cover", state, w, cfg)
         T_c_new = rhs / row[0]
         assert T_c_new - 300.0 == pytest.approx(0.5, rel=1e-12)
 
@@ -361,8 +357,7 @@ class TestAirBalance:
         T = 300.0
         state = make_state(T)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=T, V_w=0.0, rh_am=50.0)
-        coeffs = zero_coeffs(h_c=2.0, U_c=5.0)
-        row, rhs = balance("air", state, coeffs, w, cfg)
+        row, rhs = balance("air", state, w, cfg, h_c=2.0)
         assert row @ np.full(4, T) - rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_full_absorption_kills_solar_term(self):
@@ -371,8 +366,8 @@ class TestAirBalance:
         state = make_state()
         sunny = WeatherRecord(t=60.0, I_t=900.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         dark = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        _, rhs_sun = balance("air", state, zero_coeffs(), sunny, cfg)
-        _, rhs_dark = balance("air", state, zero_coeffs(), dark, cfg)
+        _, rhs_sun = balance("air", state, sunny, cfg)
+        _, rhs_dark = balance("air", state, dark, cfg)
         assert rhs_sun == rhs_dark
 
     def test_pure_ventilation_moves_toward_inlet(self):
@@ -384,7 +379,7 @@ class TestAirBalance:
         w = WeatherRecord(t=1.0, I_t=0.0, T_am=T0, V_w=0.0, rh_am=50.0)
         air = air_properties(T0)
         m_a = air.rho * cfg.geometry.V
-        row, rhs = balance("air", state, zero_coeffs(), w, cfg)
+        row, rhs = balance("air", state, w, cfg)
         T_new = (rhs - 0.0) / row[1]
         euler = T0 + dt * air.rho * air.cp * 0.05 * (310.0 - T0) / (m_a * air.cp)
         assert T0 < T_new < 310.0
@@ -399,11 +394,10 @@ class TestVentilation:
         T, H = 305.0, 0.015
         state = make_state(T, H=H)
         w = WeatherRecord(t=60.0, I_t=300.0, T_am=300.0, V_w=1.0, rh_am=50.0)
-        coeffs = zero_coeffs(h_c=3.0, U_c=5.0)
 
         def air_residual(V):
             cfg = make_cfg(airflow={"V_vent": V, "T_in": T, "H_in": H})
-            row, rhs = balance("air", state, coeffs, w, cfg)
+            row, rhs = balance("air", state, w, cfg, h_c=3.0)
             return sum(a * T for a in row) - rhs, rhs
 
         vented, rhs = air_residual(V_vent)
@@ -423,8 +417,7 @@ class TestProductBalance:
         T = 300.0
         state = make_state(T)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=T, V_w=0.0, rh_am=50.0)
-        coeffs = zero_coeffs(h_c=2.0, h_r_pc=5.0)
-        row, rhs = balance("product", state, coeffs, w, cfg)
+        row, rhs = balance("product", state, w, cfg, h_c=2.0, h_r_pc=5.0)
         assert row @ np.full(4, T) - rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_effective_heat_capacity(self):
@@ -432,7 +425,7 @@ class TestProductBalance:
         state = make_state(300.0, M_p=0.522)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         dt = 60.0
-        row, _ = balance("product", state, zero_coeffs(), w, cfg)
+        row, _ = balance("product", state, w, cfg)
         cap = 100.0 * (2000.0 + 4186.0 * 0.522)
         assert cap == pytest.approx(418_509.2, rel=1e-9)
         assert row[2] == pytest.approx(cap / dt, rel=1e-12)
@@ -442,7 +435,7 @@ class TestProductBalance:
         state = make_state(320.0)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=320.0, V_w=0.0, rh_am=50.0)
         dmdt = -1e-5
-        row, rhs = balance("product", state, zero_coeffs(), w, cfg, dmdt)
+        row, rhs = balance("product", state, w, cfg, dmdt)
         T_new = rhs / row[2]
         assert T_new < 320.0
 
@@ -452,7 +445,7 @@ class TestFloorBalance:
         cfg = make_cfg(floor={"T_deep": 300.0})
         state = make_state(300.0)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        row, rhs = balance("floor", state, zero_coeffs(h_c=4.0), w, cfg)
+        row, rhs = balance("floor", state, w, cfg, h_c=4.0)
         T_f = (rhs + -row[1] * 300.0) / row[3]
         assert T_f == pytest.approx(300.0, rel=1e-12)
 
@@ -466,7 +459,7 @@ class TestFloorBalance:
         )
         state = make_state(300.0)
         w = WeatherRecord(t=60.0, I_t=200.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        row, rhs = balance("floor", state, zero_coeffs(h_c=4.0), w, cfg)
+        row, rhs = balance("floor", state, w, cfg, h_c=4.0)
         T_f = (rhs - row[1] * 300.0) / row[3]
         assert T_f == pytest.approx((2 * 290 + 4 * 300 + 120) / 6.0, rel=1e-12)
 
@@ -475,15 +468,15 @@ class TestFloorBalance:
         state = make_state()
         sunny = WeatherRecord(t=60.0, I_t=900.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         dark = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        _, rhs_sun = balance("floor", state, zero_coeffs(h_c=2.0), sunny, cfg)
-        _, rhs_dark = balance("floor", state, zero_coeffs(h_c=2.0), dark, cfg)
+        _, rhs_sun = balance("floor", state, sunny, cfg, h_c=2.0)
+        _, rhs_dark = balance("floor", state, dark, cfg, h_c=2.0)
         assert rhs_sun == rhs_dark
 
     def test_no_floor_conductance_is_singular(self):
         cfg = make_cfg(floor={"h_dfg": 0.0})
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         with pytest.raises(SimulationError, match="floor row singular"):
-            balance("floor", make_state(), zero_coeffs(), w, cfg)
+            balance("floor", make_state(), w, cfg)
 
 
 class TestMoistureBalance:
@@ -648,6 +641,29 @@ class TestSimulate:
             digest.update(" ".join(float(v).hex() for v in state).encode() + b"\n")
         assert digest.hexdigest() == (
             "d589ce0cca78a26bc744f3b6f2005f3fca2476b9c039d40c0a9fb693a412ff57")
+
+    @pytest.mark.parametrize("override, flag, expected", [
+        ({"airflow.V_a": 0.0}, "still_air",
+         "20bf2821b286db8d787389f86c4d71e30f989bf90414263f77d1bcc00c3830a1"),
+        ({"airflow.V_a": 0.01}, "re_below_turbulent",  # Re ~ 1200
+         "0f62e52fbbfbbf55206a66691685e2ff046b1b81dac63605608831a21d7f7a32"),
+        ({"kinetics.c_sky": 0.06}, "sky_temperature_non_physical",  # T_s > T_am
+         "95fc94e1e166ab12da26a7e8e4cac75e590038ed326593736634721edd34d321"),
+    ])
+    def test_off_baseline_bits(self, baseline_cfg, tropical_weather, override,
+                               flag, expected):
+        # the baseline never raises these flags; one day of each config,
+        # float.hex of every state, then of every step's residuals and flags
+        series = simulate(apply_overrides(baseline_cfg, override),
+                          tropical_weather, horizon_s=86400.0)
+        assert any(flag in d.flags for d in series.diagnostics)
+        digest = hashlib.sha256()
+        for state in series.states:
+            digest.update(" ".join(float(v).hex() for v in state).encode() + b"\n")
+        for d in series.diagnostics:
+            digest.update((" ".join(float(v).hex() for v in d.residuals) + " "
+                           + ",".join(d.flags)).encode() + b"\n")
+        assert digest.hexdigest() == expected
 
     def test_step_without_constants_matches_simulate(self, baseline_cfg,
                                                      tropical_weather):
