@@ -23,14 +23,12 @@ import pytest
 
 from greendry import load_config, simulate, synthetic_days
 from greendry.cli import main, read_states_csv
-from greendry.coefficients import _convective, _radiative, _sky
 from greendry.core import air_properties, relative_humidity, saturation_pressure
 from greendry.solver import (
     LinearSystem,
     _kinetics_update,
     advance,
     eliminate,
-    energy_system,
     gauss_jordan,
     solve_energy_system,
     step,
@@ -75,24 +73,11 @@ def forcing(cfg, weather):
 
 
 @pytest.fixture(scope="module")
-def inputs(k, case, forcing):
-    """(dM/dt, air properties, h_c, h_r_cs, h_r_pc, T_s) of the next step,
-    the arguments after k that advance passes to energy_system."""
+def system(k, case, forcing):
+    """The 4x4 energy system of the next step, as advance builds it."""
     state, _ = case
-    rh, _ = relative_humidity(state.H, state.T_a, k.P)
-    M_new = _kinetics_update(state, k, rh)[0]
-    air = air_properties(state.T_a)
-    T_s, _ = _sky(forcing.T_am, forcing.T_am_1_5, k.c_sky)
-    return ((M_new - state.M_p) / k.dt, air, _convective(k.D_h_V_a, k.D_h, air)[2],
-            _radiative(k.eps_c_sigma, state.T_c, T_s),
-            _radiative(k.eps_p_sigma, state.T_p, state.T_c), T_s)
-
-
-@pytest.fixture(scope="module")
-def system(k, case, forcing, inputs):
-    """The 4x4 energy system of the next step, as step assembles it."""
-    state, _ = case
-    return energy_system(state, forcing, k, *inputs)
+    A, b, *_ = advance(state, forcing, k, saturation_pressure(state.T_a))[2]
+    return A, b
 
 
 def test_step(benchmark, k, cfg, case):
@@ -117,11 +102,6 @@ def test_kinetics_update(benchmark, k, case):
     rh, _ = relative_humidity(state.H, state.T_a, k.P)
     M_new = benchmark(_kinetics_update, state, k, rh)[0]
     assert M_new < state.M_p  # drying
-
-
-def test_energy_system(benchmark, k, case, forcing, inputs, system):
-    state, _ = case
-    assert benchmark(energy_system, state, forcing, k, *inputs) == system
 
 
 def test_gauss_jordan(benchmark, system):

@@ -1,6 +1,6 @@
 """Heat-transfer and heat-loss coefficient correlations.  Each time step,
 `solver.advance` calls `_sky`, `_convective` and `_radiative` at the
-previous step's temperatures and hands `solver.energy_system` the floats
+previous step's temperatures and builds the energy rows from the floats
 T_s, h_c, h_r_cs and h_r_pc."""
 
 from __future__ import annotations

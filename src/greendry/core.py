@@ -134,11 +134,9 @@ def relative_humidity(H: float, T: float, P: float = STANDARD_PRESSURE) -> RhRes
 
 def relative_humidity_at(H: float, p_sat: float, P: float) -> RhResult:
     """relative_humidity with p_sat = saturation_pressure(T) given, for a
-    caller that already holds it; H must be >= 0."""
+    caller that already holds it; H must be >= 0 (so rh is)."""
     p_v = P * H / (_EPSILON + H)
     rh = 100.0 * p_v / p_sat
-    if rh < 0.0:
-        return RhResult(0.0, True)
     if rh > 100.0:
         # roundoff at exact saturation is not a genuine clamp
         return RhResult(100.0, rh > 100.0 * (1.0 + 1e-12))

@@ -1,43 +1,34 @@
 """Per-step implicit solution of the coupled energy balances.
 
-Each time step assembles four linear equations in the unknowns
-[T_c, T_a, T_p, T_f] (cover, chamber air, product, floor).  Radiative
-coefficients, air properties and the kinetics-driven moisture change are
-frozen at the previous step's values so the system is linear; it is solved
-by Gauss-Jordan elimination with partial pivoting.  The cover, air and
-product rows are backward-difference discretisations of their thermal-mass
-balances; the floor row is algebraic (quasi-steady flux balance against
-the deep soil).  A chamber humidity-ratio balance then routes the
-evaporated water into the air.
+Each time step builds four linear equations in the unknowns
+[T_c, T_a, T_p, T_f] (cover, chamber air, product, floor), with the
+radiative coefficients, air properties and the kinetics-driven moisture
+change frozen at the previous step's values so the system is linear,
+solves them, and then routes the evaporated water into the air by a
+chamber humidity-ratio balance.  One function, `advance`, takes the
+whole step; its docstring gives the rows.  It works on plain Python
+floats: the rows are tuples of four coefficients with their right-hand
+sides, built from what the correlations of `coefficients` give (T_s,
+h_c, h_r_cs, h_r_pc).  At 4x4, array set-up would cost more than the
+arithmetic.
 
-The whole step works on plain Python floats: `advance` passes what the
-correlations of `coefficients` give (T_s, h_c, h_r_cs, h_r_pc) to
-`energy_system`, which returns the four rows as tuples of four
-coefficients with their right-hand sides.  At 4x4, array set-up would cost
-more than the arithmetic.
-
-The tunnel's coupling fixes the system's zero pattern: the air and floor
-rows have no T_c term (cover (x,x,x,0), air (0,x,x,x), product (x,x,x,0),
-floor (0,x,0,x)).  `advance` solves it with `solve_energy_system`, a
-straight-line Gauss-Jordan written out for 4x4 systems with zeros in the
-first column of rows 1 and 3.  It performs the divisions and subtractions
-of `eliminate`, in the same order, and skips the same zero factors, so its
-solution is bit-identical; it saves the list copies, loops and pivot
-searches.  Partial pivoting has not been seen to swap a row of an energy
-system (the baseline takes the fast path on every step), so before each
-column the kernel only checks that the diagonal entry would win
-`eliminate`'s pivot search and is at least SINGULAR_PIVOT.  When a check
-fails, or the first column lacks the pattern's zeros, the call goes to
-`eliminate`, which keeps row swaps and SingularMatrixError in one
-implementation.  `LinearSystem` + `gauss_jordan` is the validating
+The tunnel's coupling fixes the system's zero pattern: cover (x,x,x,0),
+air (0,x,x,x), product (x,x,x,0), floor (0,x,0,x).  The air row's T_c
+zero rests on a known omission: the cover row carries -A_c h_c on T_a,
+but the air row has no T_c term, so the heat the cover exchanges with the
+air, A_c h_c (T_c - T_a), is lost (up to ~500 W on the baseline; an
+expected failure in test_solver records it).  `advance` solves the
+system with `solve_energy_system`, a straight-line Gauss-Jordan for this
+pattern, bit-identical to the general `eliminate`, to which it hands
+every system that does not fit; a T_c term in the air row would send
+every step there.  `LinearSystem` + `gauss_jordan` is the validating
 entry point for callers that hold a system of their own.
 
-Every step is taken by one function, `advance`; recording it is separate.
-`advance` returns the new state together with what `step_diagnostics`
-needs to record the step (the energy system, the rh, dM and flags), and
-builds no record itself.  `step` advances and records one
-step; `simulate` records each step unless called with diagnostics=False,
-as the sweep's drying-time objective does, since it reads only the states.
+Recording a step is separate: `advance` returns, with the new state,
+what `step_diagnostics` needs to record it.  `step` advances and records
+one step; `simulate` records each step unless called with
+diagnostics=False, as the sweep's drying-time objective calls it, since
+it reads only the states.
 
 What depends only on the weather and dt is worked out outside the step:
 `weather_forcing` yields one `Forcing` per step, the weather interpolated
@@ -203,8 +194,11 @@ def solve_energy_system(A, b) -> list[float]:
     floor rows) and, before each column, the diagonal entry is a first
     maximum of the pivot search with magnitude >= SINGULAR_PIVOT.  It
     then does eliminate's divisions and factor x pivot-row subtractions in
-    eliminate's order, skipping the same zero factors.  Any other system
-    is returned as `eliminate(A, b)`.
+    eliminate's order, skipping the same zero factors, and saves its list
+    copies, loops and pivot searches.  Any other system is returned as
+    `eliminate(A, b)`, which keeps row swaps and SingularMatrixError in
+    one implementation.  Partial pivoting has not been seen to swap a row
+    of an energy system: the baseline takes the fast path on every step.
     """
     (a00, a01, a02, a03), (a10, a11, a12, a13), \
         (a20, a21, a22, a23), (a30, a31, a32, a33) = A
@@ -360,76 +354,6 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
     )
 
 
-def energy_system(state, f, k, dmdt, air, h_c, h_r_cs, h_r_pc, T_s):
-    """The step's energy system A x = b in the unknowns (T_c, T_a, T_p,
-    T_f), as a tuple of the four rows (tuples, ordered as BALANCES) and a
-    tuple of their right-hand sides.
-
-    f is the step's Forcing (I_t, T_am, the wind coefficient h_w), air the
-    air properties at state.T_a, T_s the sky temperature in K and, in
-    W m^-2 K^-1, h_c the convective (cover-air = floor-air = product-air),
-    h_r_cs the cover-sky and h_r_pc the product-cover radiative coefficient.
-
-    - cover: backward-difference thermal-mass balance.
-    - air: backward-difference balance of the chamber air of mass
-      rho_a V.  Ventilation swaps V_vent of inlet air for as much chamber
-      air, carrying rho_a C_pa V_vent (T_in - T_a) with the outlet at the
-      well-mixed chamber temperature; the sensible moisture term
-      A_p D_p C_pv rho_p (T_p - T_a) dM/dt keeps the temperatures
-      implicit with dM/dt frozen from the kinetics step.
-    - product: backward-difference balance with the effective heat
-      capacity m_p (C_pp + C_pl M_p) at the current moisture and the
-      latent term L_p dM/dt as an explicit sink.
-    - floor: quasi-steady algebraic row, conduction to the deep soil
-      balancing absorbed solar plus convection from the air, scaled by the
-      floor area so the residual is in watts like the other rows; raises
-      SimulationError when h_dfg + h_c = 0 makes it singular.
-    """
-    dt, A_c, A_p, A_f, tau_c = k.dt, k.A_c, k.A_p, k.A_f, k.tau_c
-    I_t, T_am, h_w = f.I_t, f.T_am, f.h_w
-    if h_c + k.h_dfg == 0.0:
-        raise SimulationError("floor row singular: h_dfg + h_c = 0")
-    q_m = k.q_m_per_dmdt * dmdt
-    product_cover = -A_p * h_r_pc
-    floor_air = -A_f * h_c
-
-    cap = k.cover_cap
-    cover = (cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
-             -A_c * h_c, product_cover, 0.0)
-    cover_rhs = (cap * state.T_c + A_c * h_r_cs * T_s
-                 + A_c * h_w * T_am + k.cover_solar * I_t)
-
-    cap = air.rho * k.V * air.cp / dt
-    rho_cp = air.rho * air.cp
-    air_row = (0.0, cap + k.A_pf * h_c + q_m + rho_cp * k.V_vent + k.U_c_A_c,
-               -(A_p * h_c + q_m), floor_air)
-    air_rhs = (cap * state.T_a + rho_cp * k.V_vent * k.T_in + k.U_c_A_c * T_am
-               + k.air_solar * I_t * A_c * tau_c)
-
-    cap = k.m_p * (k.C_pp + k.C_pl * state.M_p) / dt
-    product = (product_cover, -A_p * h_c + q_m,
-               cap + A_p * (h_c + h_r_pc) - q_m, 0.0)
-    product_rhs = (cap * state.T_p + k.latent_per_dmdt * dmdt
-                   + k.product_solar * I_t * A_c * tau_c)
-
-    floor = (0.0, floor_air, 0.0, A_f * (k.h_dfg + h_c))
-    floor_rhs = k.floor_deep + k.floor_solar * I_t * A_c * tau_c
-    return ((cover, air_row, product, floor),
-            (cover_rhs, air_rhs, product_rhs, floor_rhs))
-
-
-def moisture_balance(H, dM, k, rho_a, m_a):
-    """Chamber humidity-ratio balance: evaporated water (-dM from the
-    product) enters the air, ventilation swaps V_vent of inlet air for as
-    much chamber air.  Returns the new humidity ratio (not yet
-    saturation-clamped)."""
-    dt = k.dt
-    evap = k.evap_per_dM * dM / dt
-    # written so that a zero source leaves H bit-exactly unchanged
-    return ((H + dt / m_a * (evap + rho_a * k.V_vent * k.H_in))
-            / (1.0 + dt / m_a * rho_a * k.V_vent))
-
-
 def _kinetics_update(state, k, rh):
     """Equilibrium moisture and the moisture step at current conditions.
 
@@ -499,14 +423,38 @@ def weather_forcing(weather: WeatherSeries, dt: float,
 
 def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
     """Advance state by one implicit step of length k.dt to the end time of
-    the forcing f; p_sat is saturation_pressure(state.T_a).  Every path
-    through the solver takes its steps here.
+    the forcing f; p_sat is saturation_pressure(state.T_a).
+
+    It builds A x = b in (T_c, T_a, T_p, T_f), one row per balance of
+    BALANCES, from f (I_t, T_am, wind coefficient h_w), the sky temperature
+    T_s and, in W m^-2 K^-1, h_c (convective: cover-air = floor-air =
+    product-air), h_r_cs (cover-sky) and h_r_pc (product-cover):
+
+    - cover: backward-difference thermal-mass balance.
+    - air: backward-difference balance of the chamber air of mass
+      rho_a V.  Ventilation swaps V_vent of inlet air for as much chamber
+      air, carrying rho_a C_pa V_vent (T_in - T_a) with the outlet at the
+      well-mixed chamber temperature; the sensible moisture term
+      A_p D_p C_pv rho_p (T_p - T_a) dM/dt keeps the temperatures
+      implicit with dM/dt frozen from the kinetics step.
+    - product: backward-difference balance with the effective heat
+      capacity m_p (C_pp + C_pl M_p) at the current moisture and the
+      latent term L_p dM/dt as an explicit sink.
+    - floor: quasi-steady algebraic row, conduction to the deep soil
+      balancing absorbed solar plus convection from the air, scaled by the
+      floor area so the residual is in watts like the other rows; raises
+      SimulationError when h_dfg + h_c = 0 makes it singular.
+
+    Then the chamber humidity-ratio balance takes the evaporated water
+    (-dM from the product) into the air, V_vent of inlet air replacing as
+    much chamber air; the new H is clamped to [0, saturation at new T_a].
 
     Returns (new_state, new_p_sat, work): new_p_sat is the saturation
     pressure at new_state.T_a, which the step evaluates for the humidity
-    clamp and the next step takes as its p_sat; work is what
-    `step_diagnostics` needs to record the step."""
-    dt = k.dt
+    clamp and the next step takes as its p_sat; work is (A, b, dM, rh,
+    flags), what `step_diagnostics` needs to record the step."""
+    dt, A_c, A_p, A_f, tau_c = k.dt, k.A_c, k.A_p, k.A_f, k.tau_c
+    I_t, T_am, h_w = f.I_t, f.T_am, f.h_w
     flags: list[str] = []
 
     rh, rh_clamped = relative_humidity_at(state.H, p_sat, k.P)
@@ -518,7 +466,7 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
     dM = M_new - state.M_p
 
     air = air_properties(state.T_a)
-    T_s, sky_physical = _sky(f.T_am, f.T_am_1_5, k.c_sky)
+    T_s, sky_physical = _sky(T_am, f.T_am_1_5, k.c_sky)
     if not sky_physical:
         flags.append("sky_temperature_non_physical")
     Re, _, h_c = _convective(k.D_h_V_a, k.D_h, air)
@@ -529,12 +477,43 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
     h_r_cs = _radiative(k.eps_c_sigma, state.T_c, T_s)
     h_r_pc = _radiative(k.eps_p_sigma, state.T_p, state.T_c)
 
-    A, b = energy_system(state, f, k, dM / dt, air, h_c, h_r_cs, h_r_pc, T_s)
+    if h_c + k.h_dfg == 0.0:
+        raise SimulationError("floor row singular: h_dfg + h_c = 0")
+    dmdt = dM / dt
+    q_m = k.q_m_per_dmdt * dmdt
+    product_cover = -A_p * h_r_pc
+    floor_air = -A_f * h_c
+
+    cap = k.cover_cap
+    cover = (cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
+             -A_c * h_c, product_cover, 0.0)
+    cover_rhs = (cap * state.T_c + A_c * h_r_cs * T_s
+                 + A_c * h_w * T_am + k.cover_solar * I_t)
+
+    m_a = air.rho * k.V
+    cap = m_a * air.cp / dt
+    rho_cp = air.rho * air.cp
+    air_row = (0.0, cap + k.A_pf * h_c + q_m + rho_cp * k.V_vent + k.U_c_A_c,
+               -(A_p * h_c + q_m), floor_air)
+    air_rhs = (cap * state.T_a + rho_cp * k.V_vent * k.T_in + k.U_c_A_c * T_am
+               + k.air_solar * I_t * A_c * tau_c)
+
+    cap = k.m_p * (k.C_pp + k.C_pl * state.M_p) / dt
+    product = (product_cover, -A_p * h_c + q_m,
+               cap + A_p * (h_c + h_r_pc) - q_m, 0.0)
+    product_rhs = (cap * state.T_p + k.latent_per_dmdt * dmdt
+                   + k.product_solar * I_t * A_c * tau_c)
+
+    floor = (0.0, floor_air, 0.0, A_f * (k.h_dfg + h_c))
+    floor_rhs = k.floor_deep + k.floor_solar * I_t * A_c * tau_c
+
+    A = (cover, air_row, product, floor)
+    b = (cover_rhs, air_rhs, product_rhs, floor_rhs)
     # a finite sum means finite entries; only a non-finite one (or a sum of
     # finite entries that overflows) needs the per-row search.  Nested sums
     # build no tuple of the 20 entries: CPython 3.11 keeps freed 20-tuples
     # on its free list (up to 2000, ~390 KB over a run) and never reuses them.
-    if not math.isfinite(sum(A[0], sum(A[1], sum(A[2], sum(A[3], sum(b)))))):
+    if not math.isfinite(sum(cover, sum(air_row, sum(product, sum(floor, sum(b)))))):
         for name, row, rhs in zip(BALANCES, A, b):
             if not all(map(math.isfinite, (*row, rhs))):
                 raise SimulationError(f"non-finite {name} balance: row {row}, rhs {rhs}")
@@ -543,7 +522,10 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
         raise SimulationError(f"non-finite temperatures {x}")
     T_c, T_a, T_p, T_f = x
 
-    H_new = moisture_balance(state.H, dM, k, air.rho, air.rho * k.V)
+    evap = k.evap_per_dM * dM / dt
+    # written so that a zero source leaves H bit-exactly unchanged
+    H_new = ((state.H + dt / m_a * (evap + air.rho * k.V_vent * k.H_in))
+             / (1.0 + dt / m_a * air.rho * k.V_vent))
     if not math.isfinite(H_new):
         raise SimulationError(f"non-finite humidity ratio {H_new}")
     if H_new < 0.0:

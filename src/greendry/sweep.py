@@ -204,7 +204,8 @@ def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
     objective, target_mdb, optional horizon_h, economics and max_points.
     ConfigError, naming path and the key, for an unknown key (also in
     economics), an objective that is not a string or a value that is not a
-    number (for max_points, not whole)."""
+    number (for max_points, not whole); naming path, for what SweepSpec
+    rejects (an unknown objective, payback without economics)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"sweep spec not found: {path}")
@@ -250,13 +251,12 @@ def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
     grid_cap = number("max_points", data.get("max_points", DEFAULT_GRID_CAP))
     if not grid_cap.is_integer():
         raise ConfigError(f"{path}: max_points must be a whole number, got {grid_cap}")
-    return SweepSpec(
-        parameters=tuple(parameters),
-        objective=objective,
-        target_mdb=number("target_mdb", data.get("target_mdb", 0.08)),
-        weather=weather,
-        horizon_s=(number("horizon_h", data["horizon_h"]) * 3600.0
-                   if "horizon_h" in data else None),
-        economics=economics,
-        grid_cap=int(grid_cap),
-    )
+    target_mdb = number("target_mdb", data.get("target_mdb", 0.08))
+    horizon_s = (number("horizon_h", data["horizon_h"]) * 3600.0
+                 if "horizon_h" in data else None)
+    try:
+        return SweepSpec(parameters=tuple(parameters), objective=objective,
+                         target_mdb=target_mdb, weather=weather, horizon_s=horizon_s,
+                         economics=economics, grid_cap=int(grid_cap))
+    except ConfigError as exc:  # SweepSpec's checks name no file
+        raise ConfigError(f"{path}: {exc}") from None

@@ -9,6 +9,7 @@ from greendry.coefficients import (
     SIGMA,
     _convective,
     _radiative,
+    _sky,
     hydraulic_diameter,
     overall_cover_loss,
     sky_temperature,
@@ -17,7 +18,7 @@ from greendry.coefficients import (
 from greendry.config import apply_overrides
 from greendry.core import AirProps, SimState, WeatherRecord
 from greendry.errors import ConfigWarning, RangeError
-from greendry.solver import energy_system, step
+from greendry.solver import step
 
 
 class TestSkyTemperature:
@@ -126,8 +127,8 @@ class TestOverallCoverLoss:
 
 
 class TestAssemble:
-    """The coefficients that `advance` assembles for a step, as it hands
-    them to a spy in place of `energy_system`."""
+    """The coefficients that `advance` assembles for a step, as spies on
+    the correlations it calls see them returned."""
 
     @staticmethod
     def _state(T=300.0):
@@ -137,17 +138,23 @@ class TestAssemble:
     @staticmethod
     def _step(monkeypatch, state, w, cfg):
         """({h_c, h_r_cs, h_r_pc, h_w, T_s} of step(state, w, cfg), its flags)."""
-        seen = []
+        seen = {}
 
-        def spy(state, f, k, dmdt, air, h_c, h_r_cs, h_r_pc, T_s):
-            seen.append(dict(h_c=h_c, h_r_cs=h_r_cs, h_r_pc=h_r_pc,
-                             h_w=f.h_w, T_s=T_s))
-            return energy_system(state, f, k, dmdt, air, h_c, h_r_cs, h_r_pc, T_s)
+        def spy(correlation):
+            def call(*args):
+                value = correlation(*args)
+                seen.setdefault(correlation.__name__, []).append(value)
+                return value
+            monkeypatch.setattr(greendry.solver, correlation.__name__, call)
 
-        monkeypatch.setattr(greendry.solver, "energy_system", spy)
+        for correlation in (_sky, _convective, _radiative, wind_coefficient):
+            spy(correlation)
         _, diag = step(state, w, cfg)
-        (coeffs,) = seen
-        return coeffs, diag.flags
+        [(T_s, _)] = seen["_sky"]
+        [(_, _, h_c)] = seen["_convective"]
+        h_r_cs, h_r_pc = seen["_radiative"]  # advance takes cover-sky first
+        [h_w] = seen["wind_coefficient"]
+        return dict(h_c=h_c, h_r_cs=h_r_cs, h_r_pc=h_r_pc, h_w=h_w, T_s=T_s), diag.flags
 
     def test_deterministic(self, baseline_cfg, monkeypatch):
         w = WeatherRecord(t=60.0, I_t=500.0, T_am=303.0, V_w=1.5, rh_am=60.0)

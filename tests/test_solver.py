@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,17 +15,22 @@ import greendry.solver
 
 from greendry.coefficients import wind_coefficient
 from greendry.config import apply_overrides, config_from_dict
-from greendry.core import SimState, WeatherRecord, air_properties, humidity_ratio
+from greendry.core import (
+    SimState,
+    WeatherRecord,
+    air_properties,
+    humidity_ratio,
+    saturation_pressure,
+)
 from greendry.errors import SimulationError, SingularMatrixError, WeatherError
 from greendry.solver import (
     BALANCES,
     Forcing,
     LinearSystem,
+    advance,
     eliminate,
-    energy_system,
     gauss_jordan,
     initial_state,
-    moisture_balance,
     simulate,
     solve_energy_system,
     step,
@@ -60,16 +66,51 @@ def make_state(T=300.0, H=0.01, M_p=0.4, t=0.0):
                     M_e_current=8.0)
 
 
+class _Solve(Exception):
+    """Raised by the spy on solve_energy_system with the (A, b) it got."""
+
+
+def _capture_system(A, b):
+    raise _Solve(A, b)
+
+
 def balance(name, state, w, cfg, dmdt=0.0, *, h_c=0.0, h_r_cs=0.0,
             h_r_pc=0.0, h_w=0.0, T_s=280.0):
-    """(row, rhs) of one balance of the energy system for the weather
-    record w, with the given coefficients (zero unless set; h_w replaces
-    w's wind) and the air properties at the state's air temperature."""
+    """(row, rhs) of one balance of the energy system that `advance` builds
+    for the weather record w, with the correlations and the kinetics
+    patched to give the coefficients (zero unless set; h_w replaces w's
+    wind) and dM/dt, and the air properties at the state's air
+    temperature.  The spy on solve_energy_system ends the step."""
+    k = step_constants(cfg)
     f = Forcing(w.t, w.I_t, w.T_am, w.T_am**1.5, h_w)
-    A, b = energy_system(state, f, step_constants(cfg), dmdt,
-                         air_properties(state.T_a), h_c, h_r_cs, h_r_pc, T_s)
+    radiative = iter((h_r_cs, h_r_pc))  # advance takes cover-sky first
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greendry.solver, "_sky", lambda *args: (T_s, True))
+        mp.setattr(greendry.solver, "_convective", lambda *args: (1e5, 0.0, h_c))
+        mp.setattr(greendry.solver, "_radiative", lambda *args: next(radiative))
+        mp.setattr(greendry.solver, "_kinetics_update",
+                   lambda state, k, rh: (state.M_p + dmdt * k.dt, 8.0, []))
+        mp.setattr(greendry.solver, "solve_energy_system", _capture_system)
+        with pytest.raises(_Solve) as exc:
+            advance(state, f, k, saturation_pressure(state.T_a))
+    A, b = exc.value.args
     i = BALANCES.index(name)
     return A[i], b[i]
+
+
+def humidity_step(cfg, state, dM):
+    """(H of the state that `advance` returns, the step's dM) for a dark,
+    still step at the state's temperatures, with the kinetics patched to
+    move the moisture by dM."""
+    k = step_constants(cfg)
+    f = Forcing(state.t + k.dt, 0.0, state.T_a, state.T_a**1.5, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greendry.solver, "_kinetics_update",
+                   lambda state, k, rh: (state.M_p + dM, 8.0, []))
+        new, _, (*_, dM, _, flags) = advance(state, f, k,
+                                             saturation_pressure(state.T_a))
+    assert not any(flag.startswith("humidity_") for flag in flags)
+    return new.H, dM
 
 
 class TestGaussJordan:
@@ -404,11 +445,9 @@ class TestVentilation:
         sealed, _ = air_residual(0.0)
         assert vented == pytest.approx(sealed, abs=1e-12 * abs(rhs))
 
-        k = step_constants(make_cfg(airflow={"V_vent": V_vent, "T_in": T,
-                                             "H_in": H}))
-        air = air_properties(T)
-        m_a = air.rho * k.V
-        assert moisture_balance(H, 0.0, k, air.rho, m_a) == pytest.approx(H, rel=1e-15)
+        cfg = make_cfg(airflow={"V_vent": V_vent, "T_in": T, "H_in": H})
+        H_new, _ = humidity_step(cfg, state, 0.0)
+        assert H_new == pytest.approx(H, rel=1e-15)
 
 
 class TestProductBalance:
@@ -480,24 +519,29 @@ class TestFloorBalance:
 
 
 class TestMoistureBalance:
+    """The chamber humidity ratio of the state that `advance` returns."""
+
     def test_steady_identity(self):
         cfg = make_cfg(airflow={"H_in": 0.01})
-        H_new = moisture_balance(0.01, 0.0, step_constants(cfg), 1.18, 10.0)
+        H_new, _ = humidity_step(cfg, make_state(300.0, H=0.01), 0.0)
         assert H_new == pytest.approx(0.01, rel=1e-12)
 
     def test_sealed_conservation(self):
         cfg = make_cfg(airflow={"V_vent": 0.0})
-        m_a, dM = 10.0, -0.002
-        H_new = moisture_balance(0.01, dM, step_constants(cfg), 1.18, m_a)
+        H_new, dM = humidity_step(cfg, make_state(300.0, H=0.01), -0.002)
+        m_a = air_properties(300.0).rho * cfg.geometry.V
         evap = -cfg.product.rho_p * cfg.geometry.A_p * cfg.geometry.D_p * dM
         assert m_a * (H_new - 0.01) == pytest.approx(evap, rel=1e-12)
 
     def test_hand_case(self):
+        # chamber volume for m_a = 30 kg of air at 320 K (saturation
+        # H ~ 0.08 leaves room for the 0.0267)
         cfg = make_cfg(airflow={"V_vent": 0.0},
                        product={"rho_p": 250.0},
-                       geometry={"A_p": 10.0, "D_p": 0.02})
+                       geometry={"A_p": 10.0, "D_p": 0.02,
+                                 "V": 30.0 / air_properties(320.0).rho})
         # rho_p A_p D_p = 50 kg, dM = -0.01, m_a = 30 -> dH = 0.5/30
-        H_new = moisture_balance(0.01, -0.01, step_constants(cfg), 1.18, 30.0)
+        H_new, _ = humidity_step(cfg, make_state(320.0, H=0.01), -0.01)
         assert H_new - 0.01 == pytest.approx(0.5 / 30.0, rel=1e-12)
 
 
@@ -534,35 +578,63 @@ class TestStep:
         for res, scale in zip(diag.residuals, diag.max_terms):
             assert abs(res) <= 1e-6 * scale
 
+    # The StepConstants field that reaches entry (row, col) of the energy
+    # system (col 4: the right-hand side) and no earlier balance.  An entry
+    # that is a literal zero, or shares its inputs with an earlier balance
+    # (product-cover, product-air, floor-air), has none: its cases poison
+    # the field of the row's diagonal entry.
+    _DIAGONAL = ("cover_cap", "U_c_A_c", "m_p", "h_dfg")
+    _ENTRY_FIELD = {(0, 1): "A_c", (0, 2): "eps_p_sigma", (0, 4): "cover_solar",
+                    (1, 2): "q_m_per_dmdt", (1, 3): "A_f", (1, 4): "T_in",
+                    (2, 4): "product_solar", (3, 4): "floor_deep"}
+
     @pytest.mark.parametrize("row", range(4))
     @pytest.mark.parametrize("col", range(5))  # 4: the right-hand side
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entry_names_its_balance(self, baseline_cfg, monkeypatch,
-                                                row, col, bad):
-        def poisoned(*args):
-            A, b = energy_system(*args)
-            A, b = [list(r) for r in A], list(b)
-            if col == 4:
-                b[row] = bad
-            else:
-                A[row][col] = bad
-            return [tuple(r) for r in A], tuple(b)
-
-        monkeypatch.setattr(greendry.solver, "energy_system", poisoned)
+    def test_non_finite_entry_names_its_balance(self, baseline_cfg, row, col, bad):
+        field = self._ENTRY_FIELD.get((row, col), self._DIAGONAL[row])
+        entry = col if (row, col) in self._ENTRY_FIELD else row
+        k = step_constants(baseline_cfg)._replace(**{field: bad})
         w = WeatherRecord(t=60.0, I_t=600.0, T_am=303.0, V_w=1.0, rh_am=60.0)
-        with pytest.raises(SimulationError,
-                           match=f"^non-finite {BALANCES[row]} balance: row "):
-            step(make_state(302.0, H=0.012, M_p=0.5), w, baseline_cfg)
+        with pytest.raises(SimulationError) as exc:
+            step(make_state(302.0, H=0.012, M_p=0.5), w, baseline_cfg, k)
+        name, entries, rhs = re.fullmatch(
+            r"non-finite (\w+) balance: row \((.*)\), rhs (.*)", str(exc.value)).groups()
+        assert name == BALANCES[row]
+        assert not math.isfinite([*map(float, entries.split(", ")), float(rhs)][entry])
 
     def test_overflowing_sum_of_finite_entries_solves(self, baseline_cfg,
                                                       monkeypatch):
-        # every entry is finite, but their sum overflows to inf
-        A = tuple(tuple(5e305 if i == j else 0.0 for j in range(4)) for i in range(4))
-        b = (1.5e308,) * 4
-        monkeypatch.setattr(greendry.solver, "energy_system", lambda *args: (A, b))
+        # cover and product capacities of 4e305 W/K: every entry is finite,
+        # but the sum of the right-hand sides overflows to inf
+        state = make_state(302.0, H=0.012, M_p=0.5)
+        k = step_constants(baseline_cfg)
+        k = k._replace(cover_cap=4e305,
+                       m_p=4e305 * k.dt / (k.C_pp + k.C_pl * state.M_p))
+        systems = []
+
+        def spy(A, b):
+            systems.append((A, b))
+            return solve_energy_system(A, b)
+
+        monkeypatch.setattr(greendry.solver, "solve_energy_system", spy)
         w = WeatherRecord(t=60.0, I_t=600.0, T_am=303.0, V_w=1.0, rh_am=60.0)
-        new, _ = step(make_state(302.0, H=0.012, M_p=0.5), w, baseline_cfg)
-        assert (new.T_c, new.T_a, new.T_p, new.T_f) == (1.5e308 / 5e305,) * 4
+        new, _ = step(state, w, baseline_cfg, k)
+        ((A, b),) = systems
+        assert all(map(math.isfinite, (*A[0], *A[1], *A[2], *A[3], *b)))
+        assert sum(b) == math.inf
+        assert (new.T_c, new.T_p) == pytest.approx((302.0, 302.0), rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "cover-air convection is lost: the cover row carries -A_c h_c on T_a, "
+        "but the air row has no T_c term, so A_c h_c (T_c - T_a) goes nowhere "
+        "(up to ~500 W on the baseline)"))
+    def test_cover_air_exchange_is_symmetric(self, baseline_cfg, tropical_weather):
+        k = step_constants(baseline_cfg)
+        state = initial_state(baseline_cfg, tropical_weather)
+        f = next(weather_forcing(tropical_weather, k.dt))
+        A, *_ = advance(state, f, k, saturation_pressure(state.T_a))[2]
+        assert A[1][0] == A[0][1]
 
 
 class TestKineticsStall:
@@ -613,6 +685,29 @@ class TestSimulate:
         w = synthetic_days(1)
         with pytest.raises(WeatherError):
             simulate(baseline_cfg, w, horizon_s=2 * 86400.0)
+
+    def test_ventilated_water_closure(self, baseline_cfg):
+        # criterion 3's water balance with the baseline's ventilation:
+        # m_a (H_new - H) = -rho_p A_p D_p dM + dt rho_a V_vent (H_in - H_new)
+        g, a = baseline_cfg.geometry, baseline_cfg.airflow
+        assert a.V_vent > 0
+        ws = synthetic_days(1, peak_irradiance=0.0, T_min=323.0, T_max=323.0,
+                            rh_min=20.0, rh_max=20.0)
+        series = simulate(baseline_cfg, ws, horizon_s=3600.0)
+        bed_mass = baseline_cfg.product.rho_p * g.A_p * g.D_p
+        checked = 0
+        for prev, cur, diag in zip(series.states, series.states[1:],
+                                   series.diagnostics):
+            if any(flag.startswith("humidity_") for flag in diag.flags):
+                continue
+            rho_a = air_properties(prev.T_a).rho
+            stored = rho_a * g.V * (cur.H - prev.H)
+            evaporated = -bed_mass * diag.dM
+            vented = baseline_cfg.numerics.dt * rho_a * a.V_vent * (a.H_in - cur.H)
+            largest = max(abs(stored), abs(evaporated), abs(vented))
+            assert abs(stored - evaporated - vented) <= 1e-12 * largest
+            checked += evaporated > 0 and vented != 0
+        assert checked == 60  # every step unclamped, drying and ventilated
 
     def test_initial_state_from_first_record(self, baseline_cfg, tropical_weather):
         s0 = initial_state(baseline_cfg, tropical_weather)

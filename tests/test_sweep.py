@@ -239,6 +239,10 @@ class TestSpecFile:
          "  capital: 1.0\n", "economics.operating_cost must be numeric, got None"),
         ("parameters: {airflow.V_a: [1.0]}\neconomics: 5\n",
          "economics must be a mapping"),
+        ("parameters: {airflow.V_a: [1.0]}\nobjective: fastest\n",
+         "unknown objective 'fastest'"),
+        ("parameters: {airflow.V_a: [1.0]}\nobjective: payback\n",
+         "payback objective needs an economics block"),
     ])
     def test_bad_key_or_value_names_path_and_key(self, tmp_path, weather, text,
                                                  message):
