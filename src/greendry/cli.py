@@ -229,7 +229,7 @@ def cmd_validate(states_path, observed_path, variable, limit):
               help="worker processes [default: the CPUs available, at most "
                    "one per grid point]; results are identical to --workers 1")
 def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, workers):
-    """Evaluate a parameter grid and write sweep.csv ranked by objective.
+    """Evaluate a parameter grid; write sweep.csv ranked by objective.
     A point whose simulation fails is warned about and ranked as not
     reached; the command exits 3 only when every point failed."""
     try:
@@ -261,6 +261,19 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
     columns = ["rank"] + paths + [f"objective_{unit}", "reached"]
     lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
     write_csv(out / "sweep.csv", columns, lines, f"inputs_sha256={inputs_hash}")
+    manifest = {
+        "engine_version": __version__,
+        "config": str(config_path),
+        "spec": str(spec_path),
+        "weather": str(weather_path) if weather_path else f"preset:{preset}:{days}",
+        "out": str(out),
+        "inputs_sha256": inputs_hash,
+        "workers": workers,
+        "n_points": len(results),
+        "n_reached": sum(r.reached for r in results),
+        "failed": [{"point": dict(r.point), "error": r.error} for r in failed],
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     best = results[0]
     click.echo(
         f"evaluated {len(results)} points; best objective "

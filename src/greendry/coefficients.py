@@ -1,7 +1,7 @@
-"""Heat-transfer and heat-loss coefficient correlations.  Each time step,
-`solver.advance` calls `_sky`, `_convective` and `_radiative` at the
-previous step's temperatures and builds the energy rows from the floats
-T_s, h_c, h_r_cs and h_r_pc."""
+"""Heat-transfer and heat-loss coefficient correlations.  `solver.advance`
+evaluates `_sky`, `_convective` and `_radiative` written out, at the
+previous step's temperatures; these functions are the reference that
+its copies must match bit for bit (tests/test_step_reference.py)."""
 
 from __future__ import annotations
 

@@ -8,9 +8,16 @@ solves them, and then routes the evaporated water into the air by a
 chamber humidity-ratio balance.  One function, `advance`, takes the
 whole step; its docstring gives the rows.  It works on plain Python
 floats: the rows are tuples of four coefficients with their right-hand
-sides, built from what the correlations of `coefficients` give (T_s,
-h_c, h_r_cs, h_r_pc).  At 4x4, array set-up would cost more than the
-arithmetic.
+sides.  At 4x4, array set-up would cost more than the arithmetic.
+
+`advance` runs straight through, calling per step only `_kinetics_update`
+and the solve: it writes out `relative_humidity_at`, the `air_properties`
+interpolation, the correlations `_sky`, `_convective` and `_radiative`,
+`saturation_pressure` and `vapour_humidity_ratio`, and `_kinetics_update`
+the Page step of `kinetics`, each expression as there.  The helpers are
+the reference: where a bounds check fails, the step calls the helper to
+raise its error, and tests/test_step_reference.py takes every step again
+through the helpers and requires the same bits.
 
 The tunnel's coupling fixes the system's zero pattern: cover (x,x,x,0),
 air (0,x,x,x), product (x,x,x,0), floor (0,x,0,x).  The air row's T_c
@@ -64,28 +71,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import kinetics
-from .coefficients import (
-    RE_TURBULENT_MIN,
-    SIGMA,
-    _convective,
-    _radiative,
-    _sky,
-    hydraulic_diameter,
-    overall_cover_loss,
-    wind_coefficient,
-)
+from .coefficients import (RE_TURBULENT_MIN, SIGMA, _radiative, hydraulic_diameter,
+                           overall_cover_loss, wind_coefficient)
 from .config import DryerConfig, Kinetics
-from .core import (
-    SimState,
-    WeatherRecord,
-    air_properties,
-    humidity_ratio,
-    relative_humidity,
-    relative_humidity_at,
-    saturation_pressure,
-    vapour_humidity_ratio,
-)
+from .core import (_AIR_TABLE_CP, _AIR_TABLE_K, _AIR_TABLE_NU, _AIR_TABLE_RHO,
+                   _AIR_TABLE_T, _EPSILON, AIR_T_MAX, AIR_T_MIN, SATURATION_T_MAX,
+                   SimState, WeatherRecord, air_properties, humidity_ratio,
+                   relative_humidity, saturation_pressure, vapour_humidity_ratio)
 from .errors import GreendryError, SimulationError, SingularMatrixError, WeatherError
+from .kinetics import RH_FIT_MAX, RH_FIT_MIN, T_FIT_MAX, T_FIT_MIN
 from .weather import WeatherSeries, interpolate
 
 # Balance ordering: the rows of every assembled system.
@@ -96,6 +90,14 @@ SINGULAR_PIVOT = 1e-12
 # Water activity is clipped into (0, 1) before the isotherm inversion;
 # chamber rh of exactly 0 or 100 % would otherwise be degenerate.
 _AW_MIN, _AW_MAX = 1e-6, 1.0 - 1e-6
+
+# air_properties' table per interval i: (T_i, T_i+1 - T_i) and, for rho, cp,
+# k and nu, (v_i, v_i+1 - v_i), the same differences it takes on each call
+_AIR_INTERVALS = tuple(
+    (_AIR_TABLE_T[i], _AIR_TABLE_T[i + 1] - _AIR_TABLE_T[i],
+     *(v for col in (_AIR_TABLE_RHO, _AIR_TABLE_CP, _AIR_TABLE_K, _AIR_TABLE_NU)
+       for v in (col[i], col[i + 1] - col[i])))
+    for i in range(len(_AIR_TABLE_T) - 1))
 
 
 @dataclass(frozen=True)
@@ -357,28 +359,37 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
 def _kinetics_update(state, k, rh):
     """Equilibrium moisture and the moisture step at current conditions.
 
-    Returns (M_new, M_e_pct, flags).  Drying stalls (dM = 0) when
-    the Page rate constant is non-positive (chamber too cold), when the
-    charge is at/below equilibrium, or when equilibrium exceeds the
-    initial moisture (degenerate humid-cold conditions); rewetting is
-    never modelled.  kinetics.step_moisture relies on these checks.
+    Returns (M_new, M_e_pct, flag), flag None or the step's kinetics flag.
+    Drying stalls (dM = 0) when the Page rate constant is non-positive
+    (chamber too cold), when the charge is at/below equilibrium, or when
+    equilibrium exceeds the initial moisture (degenerate humid-cold
+    conditions); rewetting is never modelled.  Then it takes the Page step
+    of kinetics.drying_constants and step_moisture.
     """
     T_c = state.T_a - 273.15
     a_w = min(max(rh / 100.0, _AW_MIN), _AW_MAX)
     M_e_pct = kinetics.equilibrium_moisture(T_c, a_w, k.kinetics)
     M_e = M_e_pct / 100.0
-    M_0 = k.M_0
+    M_0, M = k.M_0, state.M_p
 
-    A1 = kinetics.rate_constant(T_c, rh)
+    A1 = -0.213788 + 0.0101640 * T_c - 0.001372 * rh
     if A1 <= 0.0:
-        return state.M_p, M_e_pct, ["kinetics_stalled"]
-    if M_0 <= M_e or state.M_p <= M_e:
-        return state.M_p, M_e_pct, ["at_or_above_equilibrium"]
+        return M, M_e_pct, "kinetics_stalled"
+    if M_0 <= M_e or M <= M_e:
+        return M, M_e_pct, "at_or_above_equilibrium"
 
-    constants = kinetics.drying_constants(T_c, rh, A1)
-    flags = ["kinetics_extrapolated"] if constants.extrapolated else []
-    M_new, _ = kinetics.step_moisture(state.M_p, M_e, M_0, constants, k.dt)
-    return M_new, M_e_pct, flags
+    B1 = 1.108816 - 0.0005210 * T_c - 0.000061 * rh
+    flag = (None if T_FIT_MIN <= T_c <= T_FIT_MAX and RH_FIT_MIN <= rh <= RH_FIT_MAX
+            else "kinetics_extrapolated")
+    # the equivalent-time Page step; M > M_e, so mr > 0
+    mr = (M - M_e) / (M_0 - M_e)
+    if mr > 1.0:
+        mr = 1.0
+    t_eq = 0.0 if mr >= 1.0 else (-math.log(mr) / A1) ** (1.0 / B1)
+    M_new = M_e + math.exp(-A1 * (t_eq + k.dt / 3600.0)**B1) * (M_0 - M_e)
+    if M_new > M:  # guard against roundoff near the fixed point
+        M_new = M
+    return M_new, M_e_pct, flag
 
 
 class Forcing(NamedTuple):
@@ -455,27 +466,44 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
     flags), what `step_diagnostics` needs to record the step."""
     dt, A_c, A_p, A_f, tau_c = k.dt, k.A_c, k.A_p, k.A_f, k.tau_c
     I_t, T_am, h_w = f.I_t, f.T_am, f.h_w
+    t, T_c, T_a, T_p, _, H, M_p, _ = state
     flags: list[str] = []
 
-    rh, rh_clamped = relative_humidity_at(state.H, p_sat, k.P)
-    if rh_clamped:
-        flags.append("rh_clamped")
+    # relative_humidity_at(H, p_sat, P)
+    rh = 100.0 * (k.P * H / (_EPSILON + H)) / p_sat
+    if rh > 100.0:
+        if rh > 100.0 * (1.0 + 1e-12):  # roundoff at exact saturation is not a clamp
+            flags.append("rh_clamped")
+        rh = 100.0
 
-    M_new, M_e_pct, kin_flags = _kinetics_update(state, k, rh)
-    flags += kin_flags
-    dM = M_new - state.M_p
+    M_new, M_e_pct, kin_flag = _kinetics_update(state, k, rh)
+    if kin_flag:
+        flags.append(kin_flag)
+    dM = M_new - M_p
 
-    air = air_properties(state.T_a)
-    T_s, sky_physical = _sky(T_am, f.T_am_1_5, k.c_sky)
-    if not sky_physical:
+    # air_properties(T_a), in the interval its knot search picks
+    if not AIR_T_MIN <= T_a <= AIR_T_MAX:
+        air_properties(T_a)  # raises its RangeError
+    T_lo, width, rho_lo, d_rho, cp_lo, d_cp, k_lo, d_k, nu_lo, d_nu = \
+        _AIR_INTERVALS[(T_a > _AIR_TABLE_T[1]) + (T_a > _AIR_TABLE_T[2])]
+    frac = (T_a - T_lo) / width
+    rho_a = rho_lo + frac * d_rho
+    cp_a = cp_lo + frac * d_cp
+    # _sky, _convective and the two _radiative calls
+    T_s = k.c_sky * f.T_am_1_5
+    if not 0.0 < T_s <= T_am:
         flags.append("sky_temperature_non_physical")
-    Re, _, h_c = _convective(k.D_h_V_a, k.D_h, air)
+    Re = k.D_h_V_a / (nu_lo + frac * d_nu)
+    h_c = 0.0158 * Re**0.8 * (k_lo + frac * d_k) / k.D_h
     if k.V_a == 0:
         flags.append("still_air")
     elif Re < RE_TURBULENT_MIN:
         flags.append("re_below_turbulent")
-    h_r_cs = _radiative(k.eps_c_sigma, state.T_c, T_s)
-    h_r_pc = _radiative(k.eps_p_sigma, state.T_p, state.T_c)
+    if T_c <= 0 or T_p <= 0 or T_s <= 0:  # each call raises its RangeError
+        _radiative(k.eps_c_sigma, T_c, T_s)
+        _radiative(k.eps_p_sigma, T_p, T_c)
+    h_r_cs = k.eps_c_sigma * (T_c * T_c + T_s * T_s) * (T_c + T_s)
+    h_r_pc = k.eps_p_sigma * (T_p * T_p + T_c * T_c) * (T_p + T_c)
 
     if h_c + k.h_dfg == 0.0:
         raise SimulationError("floor row singular: h_dfg + h_c = 0")
@@ -487,21 +515,21 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
     cap = k.cover_cap
     cover = (cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
              -A_c * h_c, product_cover, 0.0)
-    cover_rhs = (cap * state.T_c + A_c * h_r_cs * T_s
+    cover_rhs = (cap * T_c + A_c * h_r_cs * T_s
                  + A_c * h_w * T_am + k.cover_solar * I_t)
 
-    m_a = air.rho * k.V
-    cap = m_a * air.cp / dt
-    rho_cp = air.rho * air.cp
+    m_a = rho_a * k.V
+    cap = m_a * cp_a / dt
+    rho_cp = rho_a * cp_a
     air_row = (0.0, cap + k.A_pf * h_c + q_m + rho_cp * k.V_vent + k.U_c_A_c,
                -(A_p * h_c + q_m), floor_air)
-    air_rhs = (cap * state.T_a + rho_cp * k.V_vent * k.T_in + k.U_c_A_c * T_am
+    air_rhs = (cap * T_a + rho_cp * k.V_vent * k.T_in + k.U_c_A_c * T_am
                + k.air_solar * I_t * A_c * tau_c)
 
-    cap = k.m_p * (k.C_pp + k.C_pl * state.M_p) / dt
+    cap = k.m_p * (k.C_pp + k.C_pl * M_p) / dt
     product = (product_cover, -A_p * h_c + q_m,
                cap + A_p * (h_c + h_r_pc) - q_m, 0.0)
-    product_rhs = (cap * state.T_p + k.latent_per_dmdt * dmdt
+    product_rhs = (cap * T_p + k.latent_per_dmdt * dmdt
                    + k.product_solar * I_t * A_c * tau_c)
 
     floor = (0.0, floor_air, 0.0, A_f * (k.h_dfg + h_c))
@@ -517,27 +545,33 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
         for name, row, rhs in zip(BALANCES, A, b):
             if not all(map(math.isfinite, (*row, rhs))):
                 raise SimulationError(f"non-finite {name} balance: row {row}, rhs {rhs}")
-    x = solve_energy_system(A, b)
-    if not all(map(math.isfinite, x)):
+    T_c, T_a, T_p, T_f = x = solve_energy_system(A, b)
+    if not math.isfinite(T_c + T_a + T_p + T_f) and not all(map(math.isfinite, x)):
         raise SimulationError(f"non-finite temperatures {x}")
-    T_c, T_a, T_p, T_f = x
 
     evap = k.evap_per_dM * dM / dt
     # written so that a zero source leaves H bit-exactly unchanged
-    H_new = ((state.H + dt / m_a * (evap + air.rho * k.V_vent * k.H_in))
-             / (1.0 + dt / m_a * air.rho * k.V_vent))
+    H_new = ((H + dt / m_a * (evap + rho_a * k.V_vent * k.H_in))
+             / (1.0 + dt / m_a * rho_a * k.V_vent))
     if not math.isfinite(H_new):
         raise SimulationError(f"non-finite humidity ratio {H_new}")
     if H_new < 0.0:
         H_new = 0.0
         flags.append("humidity_floor_clamped")
-    p_sat = saturation_pressure(T_a)
-    H_sat = vapour_humidity_ratio(p_sat, T_a, k.P)
+    # saturation_pressure(T_a) and vapour_humidity_ratio(p_sat, T_a, P)
+    if not 273.15 <= T_a <= SATURATION_T_MAX:
+        saturation_pressure(T_a)  # raises its RangeError
+    p_sat = math.exp(-5.8002206e3 / T_a + 1.3914993 - 4.8640239e-2 * T_a
+                     + 4.1764768e-5 * T_a * T_a - 1.4452093e-8 * T_a * T_a * T_a
+                     + 6.5459673 * math.log(T_a))
+    if p_sat >= k.P:
+        vapour_humidity_ratio(p_sat, T_a, k.P)  # raises its RangeError
+    H_sat = _EPSILON * p_sat / (k.P - p_sat)
     if H_new > H_sat:
         H_new = H_sat
         flags.append("humidity_saturation_clamped")
 
-    new_state = SimState(state.t + dt, T_c, T_a, T_p, T_f, H_new, M_new, M_e_pct)
+    new_state = SimState(t + dt, T_c, T_a, T_p, T_f, H_new, M_new, M_e_pct)
     return new_state, p_sat, (A, b, dM, rh, flags)
 
 

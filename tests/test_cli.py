@@ -1,11 +1,14 @@
 import bisect
 import csv
 import hashlib
+import json
 import random
 import struct
 
 import pytest
 from click.testing import CliRunner
+
+import greendry
 
 from greendry import (
     acceptance_check,
@@ -573,6 +576,30 @@ class TestSweep:
         rows = read_states_csv(tmp_path / "out" / "sweep.csv")
         assert rows["product.m_p"] == [54.0, 1e308]
         assert rows["reached"] == [1.0, 0.0]
+
+    def test_manifest_records_the_sweep(self, runner, baseline_config_path, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("parameters:\n  product.m_p: [1e308, 54.0]\n"
+                        "objective: drying_time\ntarget_mdb: 0.35\nhorizon_h: 24\n")
+        out = tmp_path / "out"
+        for workers in (["--workers", "1"], []):
+            result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                             "--spec", str(spec), "--preset", "tropical",
+                             "--days", "2", "--out", str(out), *workers)
+            assert result.exit_code == 0, result.output
+            manifest = json.loads((out / "manifest.json").read_text())
+            [(point, error)] = [(f["point"], f["error"]) for f in manifest.pop("failed")]
+            assert point == {"product.m_p": 1e308}
+            assert error.startswith("step 1 (t=60.0 s): non-finite product balance")
+            first_line = (out / "sweep.csv").read_text().splitlines()[0]
+            assert manifest == {
+                "engine_version": greendry.__version__,
+                "config": str(baseline_config_path), "spec": str(spec),
+                "weather": "preset:tropical:2", "out": str(out),
+                "inputs_sha256": first_line.removeprefix("# inputs_sha256="),
+                "workers": int(workers[1]) if workers else None,
+                "n_points": 2, "n_reached": 1,
+            }
 
     def test_every_point_failed_exit_3(self, runner, baseline_config_path, tmp_path):
         result = self._sweep_m_p(runner, baseline_config_path, tmp_path, "[1e308]")

@@ -9,16 +9,15 @@ from greendry.coefficients import (
     SIGMA,
     _convective,
     _radiative,
-    _sky,
     hydraulic_diameter,
     overall_cover_loss,
     sky_temperature,
     wind_coefficient,
 )
 from greendry.config import apply_overrides
-from greendry.core import AirProps, SimState, WeatherRecord
+from greendry.core import AirProps, SimState, WeatherRecord, saturation_pressure
 from greendry.errors import ConfigWarning, RangeError
-from greendry.solver import step
+from greendry.solver import advance, step, step_constants
 
 
 class TestSkyTemperature:
@@ -127,8 +126,8 @@ class TestOverallCoverLoss:
 
 
 class TestAssemble:
-    """The coefficients that `advance` assembles for a step, as spies on
-    the correlations it calls see them returned."""
+    """The coefficients that `advance` assembles for a step, read back from
+    the energy rows it returns in its work."""
 
     @staticmethod
     def _state(T=300.0):
@@ -137,24 +136,27 @@ class TestAssemble:
 
     @staticmethod
     def _step(monkeypatch, state, w, cfg):
-        """({h_c, h_r_cs, h_r_pc, h_w, T_s} of step(state, w, cfg), its flags)."""
-        seen = {}
+        """({h_c, h_r_cs, h_r_pc, h_w, T_s} of step(state, w, cfg), its flags).
+        h_c is the floor row's -A_f h_c over A_f, h_r_pc the cover row's
+        -A_p h_r_pc over A_p, h_w what wind_coefficient gave; the cover
+        row's diagonal then gives h_r_cs and its right-hand side T_s."""
+        seen = []
 
-        def spy(correlation):
-            def call(*args):
-                value = correlation(*args)
-                seen.setdefault(correlation.__name__, []).append(value)
-                return value
-            monkeypatch.setattr(greendry.solver, correlation.__name__, call)
+        def spy(V_w):
+            seen.append(wind_coefficient(V_w))
+            return seen[-1]
 
-        for correlation in (_sky, _convective, _radiative, wind_coefficient):
-            spy(correlation)
-        _, diag = step(state, w, cfg)
-        [(T_s, _)] = seen["_sky"]
-        [(_, _, h_c)] = seen["_convective"]
-        h_r_cs, h_r_pc = seen["_radiative"]  # advance takes cover-sky first
-        [h_w] = seen["wind_coefficient"]
-        return dict(h_c=h_c, h_r_cs=h_r_cs, h_r_pc=h_r_pc, h_w=h_w, T_s=T_s), diag.flags
+        monkeypatch.setattr(greendry.solver, "wind_coefficient", spy)
+        k = step_constants(cfg)
+        f = greendry.solver._forcing(state.t + k.dt, w.I_t, w.T_am, w.V_w)
+        A, b, _, _, flags = advance(state, f, k, saturation_pressure(state.T_a))[2]
+        [h_w] = seen
+        h_c = -A[3][1] / k.A_f
+        h_r_pc = -A[0][2] / k.A_p
+        h_r_cs = (A[0][0] - k.cover_cap - k.A_p * h_r_pc) / k.A_c - h_c - h_w
+        T_s = ((b[0] - k.cover_cap * state.T_c - k.A_c * h_w * w.T_am
+                - k.cover_solar * w.I_t) / (k.A_c * h_r_cs))
+        return dict(h_c=h_c, h_r_cs=h_r_cs, h_r_pc=h_r_pc, h_w=h_w, T_s=T_s), flags
 
     def test_deterministic(self, baseline_cfg, monkeypatch):
         w = WeatherRecord(t=60.0, I_t=500.0, T_am=303.0, V_w=1.5, rh_am=60.0)

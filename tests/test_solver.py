@@ -10,7 +10,6 @@ import pytest
 
 import greendry
 import greendry.core
-import greendry.kinetics
 import greendry.solver
 
 from greendry.coefficients import wind_coefficient
@@ -77,19 +76,24 @@ def _capture_system(A, b):
 def balance(name, state, w, cfg, dmdt=0.0, *, h_c=0.0, h_r_cs=0.0,
             h_r_pc=0.0, h_w=0.0, T_s=280.0):
     """(row, rhs) of one balance of the energy system that `advance` builds
-    for the weather record w, with the correlations and the kinetics
-    patched to give the coefficients (zero unless set; h_w replaces w's
-    wind) and dM/dt, and the air properties at the state's air
-    temperature.  The spy on solve_energy_system ends the step."""
+    for the weather record w, with the coefficients (zero unless set; h_w
+    replaces w's wind) set through the inputs advance reads them from, to
+    within rounding: T_s as the forcing's T_am_1_5 with c_sky = 1, h_c =
+    0.0158 Re^0.8 k / D_h through Re = D_h_V_a / nu at the state's air
+    temperature, h_r_cs and h_r_pc through eps_c_sigma and eps_p_sigma.
+    The kinetics are patched to give dM/dt; the spy on
+    solve_energy_system ends the step."""
+    T_c, T_a, T_p = state.T_c, state.T_a, state.T_p
+    air = air_properties(T_a)
     k = step_constants(cfg)
-    f = Forcing(w.t, w.I_t, w.T_am, w.T_am**1.5, h_w)
-    radiative = iter((h_r_cs, h_r_pc))  # advance takes cover-sky first
+    Re = (h_c * k.D_h / (0.0158 * air.k)) ** 1.25
+    k = k._replace(c_sky=1.0, D_h_V_a=Re * air.nu,
+                   eps_c_sigma=h_r_cs / ((T_c * T_c + T_s * T_s) * (T_c + T_s)),
+                   eps_p_sigma=h_r_pc / ((T_p * T_p + T_c * T_c) * (T_p + T_c)))
+    f = Forcing(w.t, w.I_t, w.T_am, T_s, h_w)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(greendry.solver, "_sky", lambda *args: (T_s, True))
-        mp.setattr(greendry.solver, "_convective", lambda *args: (1e5, 0.0, h_c))
-        mp.setattr(greendry.solver, "_radiative", lambda *args: next(radiative))
         mp.setattr(greendry.solver, "_kinetics_update",
-                   lambda state, k, rh: (state.M_p + dmdt * k.dt, 8.0, []))
+                   lambda state, k, rh: (state.M_p + dmdt * k.dt, 8.0, None))
         mp.setattr(greendry.solver, "solve_energy_system", _capture_system)
         with pytest.raises(_Solve) as exc:
             advance(state, f, k, saturation_pressure(state.T_a))
@@ -106,7 +110,7 @@ def humidity_step(cfg, state, dM):
     f = Forcing(state.t + k.dt, 0.0, state.T_a, state.T_a**1.5, 0.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greendry.solver, "_kinetics_update",
-                   lambda state, k, rh: (state.M_p + dM, 8.0, []))
+                   lambda state, k, rh: (state.M_p + dM, 8.0, None))
         new, _, (*_, dM, _, flags) = advance(state, f, k,
                                              saturation_pressure(state.T_a))
     assert not any(flag.startswith("humidity_") for flag in flags)
@@ -828,22 +832,6 @@ class TestSimulate:
         n_steps = len(simulate(baseline_cfg, tropical_weather).states) - 1
         assert n_steps == 5760
         assert len(calls) <= n_steps + 3
-
-    def test_one_rate_constant_per_step(self, baseline_cfg, tropical_weather,
-                                        monkeypatch):
-        # the stall check's A1 is the one drying_constants uses
-        calls = []
-        original = greendry.kinetics.rate_constant
-
-        def counted(T_c, rh):
-            calls.append(T_c)
-            return original(T_c, rh)
-
-        monkeypatch.setattr(greendry.kinetics, "rate_constant", counted)
-        series = simulate(baseline_cfg, tropical_weather, horizon_s=86400.0)
-        n_steps = len(series.states) - 1
-        assert series.states[-1].M_p < baseline_cfg.M_0  # some steps dried
-        assert 0 < len(calls) <= n_steps
 
     def test_end_of_step_saturation_error_names_step(self, baseline_cfg,
                                                      tropical_weather):

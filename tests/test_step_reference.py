@@ -1,0 +1,343 @@
+"""`solver.advance` and `solver._kinetics_update` evaluate the helpers of
+`core`, `coefficients` and `kinetics` written out.  These tests pin the
+copies to the helpers: each step is taken again by `reference_advance`
+below, which calls them, and the two must agree bit for bit, errors
+included (type, text and order)."""
+
+import math
+import sys
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from greendry import kinetics
+from greendry.coefficients import (
+    RE_TURBULENT_MIN,
+    _convective,
+    _radiative,
+    _sky,
+    wind_coefficient,
+)
+from greendry.config import apply_overrides
+from greendry.core import (
+    SimState,
+    air_properties,
+    relative_humidity_at,
+    saturation_pressure,
+    vapour_humidity_ratio,
+)
+from greendry.errors import GreendryError, SimulationError
+from greendry.solver import (
+    _AW_MAX,
+    _AW_MIN,
+    BALANCES,
+    Forcing,
+    _kinetics_update,
+    advance,
+    initial_state,
+    solve_energy_system,
+    step_constants,
+    weather_forcing,
+)
+
+
+def reference_kinetics_update(state, k, rh):
+    """_kinetics_update through kinetics.rate_constant, drying_constants and
+    step_moisture; its flags as a list."""
+    T_c = state.T_a - 273.15
+    a_w = min(max(rh / 100.0, _AW_MIN), _AW_MAX)
+    M_e_pct = kinetics.equilibrium_moisture(T_c, a_w, k.kinetics)
+    M_e = M_e_pct / 100.0
+    M_0 = k.M_0
+
+    A1 = kinetics.rate_constant(T_c, rh)
+    if A1 <= 0.0:
+        return state.M_p, M_e_pct, ["kinetics_stalled"]
+    if M_0 <= M_e or state.M_p <= M_e:
+        return state.M_p, M_e_pct, ["at_or_above_equilibrium"]
+
+    constants = kinetics.drying_constants(T_c, rh, A1)
+    flags = ["kinetics_extrapolated"] if constants.extrapolated else []
+    M_new, _ = kinetics.step_moisture(state.M_p, M_e, M_0, constants, k.dt)
+    return M_new, M_e_pct, flags
+
+
+def reference_advance(state, f, k, p_sat):
+    """advance through relative_humidity_at, reference_kinetics_update,
+    air_properties, _sky, _convective, _radiative, saturation_pressure and
+    vapour_humidity_ratio."""
+    dt, A_c, A_p, A_f, tau_c = k.dt, k.A_c, k.A_p, k.A_f, k.tau_c
+    I_t, T_am, h_w = f.I_t, f.T_am, f.h_w
+    flags = []
+
+    rh, rh_clamped = relative_humidity_at(state.H, p_sat, k.P)
+    if rh_clamped:
+        flags.append("rh_clamped")
+
+    M_new, M_e_pct, kin_flags = reference_kinetics_update(state, k, rh)
+    flags += kin_flags
+    dM = M_new - state.M_p
+
+    air = air_properties(state.T_a)
+    T_s, sky_physical = _sky(T_am, f.T_am_1_5, k.c_sky)
+    if not sky_physical:
+        flags.append("sky_temperature_non_physical")
+    Re, _, h_c = _convective(k.D_h_V_a, k.D_h, air)
+    if k.V_a == 0:
+        flags.append("still_air")
+    elif Re < RE_TURBULENT_MIN:
+        flags.append("re_below_turbulent")
+    h_r_cs = _radiative(k.eps_c_sigma, state.T_c, T_s)
+    h_r_pc = _radiative(k.eps_p_sigma, state.T_p, state.T_c)
+
+    if h_c + k.h_dfg == 0.0:
+        raise SimulationError("floor row singular: h_dfg + h_c = 0")
+    dmdt = dM / dt
+    q_m = k.q_m_per_dmdt * dmdt
+    product_cover = -A_p * h_r_pc
+    floor_air = -A_f * h_c
+
+    cap = k.cover_cap
+    cover = (cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
+             -A_c * h_c, product_cover, 0.0)
+    cover_rhs = (cap * state.T_c + A_c * h_r_cs * T_s
+                 + A_c * h_w * T_am + k.cover_solar * I_t)
+
+    m_a = air.rho * k.V
+    cap = m_a * air.cp / dt
+    rho_cp = air.rho * air.cp
+    air_row = (0.0, cap + k.A_pf * h_c + q_m + rho_cp * k.V_vent + k.U_c_A_c,
+               -(A_p * h_c + q_m), floor_air)
+    air_rhs = (cap * state.T_a + rho_cp * k.V_vent * k.T_in + k.U_c_A_c * T_am
+               + k.air_solar * I_t * A_c * tau_c)
+
+    cap = k.m_p * (k.C_pp + k.C_pl * state.M_p) / dt
+    product = (product_cover, -A_p * h_c + q_m,
+               cap + A_p * (h_c + h_r_pc) - q_m, 0.0)
+    product_rhs = (cap * state.T_p + k.latent_per_dmdt * dmdt
+                   + k.product_solar * I_t * A_c * tau_c)
+
+    floor = (0.0, floor_air, 0.0, A_f * (k.h_dfg + h_c))
+    floor_rhs = k.floor_deep + k.floor_solar * I_t * A_c * tau_c
+
+    A = (cover, air_row, product, floor)
+    b = (cover_rhs, air_rhs, product_rhs, floor_rhs)
+    for name, row, rhs in zip(BALANCES, A, b):
+        if not all(map(math.isfinite, (*row, rhs))):
+            raise SimulationError(f"non-finite {name} balance: row {row}, rhs {rhs}")
+    x = solve_energy_system(A, b)
+    if not all(map(math.isfinite, x)):
+        raise SimulationError(f"non-finite temperatures {x}")
+    T_c, T_a, T_p, T_f = x
+
+    evap = k.evap_per_dM * dM / dt
+    H_new = ((state.H + dt / m_a * (evap + air.rho * k.V_vent * k.H_in))
+             / (1.0 + dt / m_a * air.rho * k.V_vent))
+    if not math.isfinite(H_new):
+        raise SimulationError(f"non-finite humidity ratio {H_new}")
+    if H_new < 0.0:
+        H_new = 0.0
+        flags.append("humidity_floor_clamped")
+    p_sat = saturation_pressure(T_a)
+    H_sat = vapour_humidity_ratio(p_sat, T_a, k.P)
+    if H_new > H_sat:
+        H_new = H_sat
+        flags.append("humidity_saturation_clamped")
+
+    new_state = SimState(state.t + dt, T_c, T_a, T_p, T_f, H_new, M_new, M_e_pct)
+    return new_state, p_sat, (A, b, dM, rh, flags)
+
+
+def _hex(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _outcome(step, *args):
+    """The bits of what an advance returns, or the type and text of the
+    error it raises."""
+    try:
+        state, p_sat, (A, b, dM, rh, flags) = step(*args)
+    except (GreendryError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (_hex(state), p_sat.hex(), tuple(_hex(row) for row in A), _hex(b),
+            dM.hex(), rh.hex(), tuple(flags))
+
+
+def _kinetics_outcome(update, state, k, rh):
+    try:
+        M_new, M_e_pct, flags = update(state, k, rh)
+    except GreendryError as exc:
+        return type(exc), str(exc)
+    flags = [flags] if isinstance(flags, str) else flags or []
+    return M_new.hex(), M_e_pct.hex(), tuple(flags)
+
+
+def _compare_run(cfg, weather, horizon_s=None):
+    """Take every step of a run with advance and with reference_advance from
+    the same state, compare them, and return the flags seen."""
+    k = step_constants(cfg)
+    state = initial_state(cfg, weather)
+    p_sat = saturation_pressure(state.T_a)
+    seen = set()
+    for f in weather_forcing(weather, k.dt, horizon_s):
+        got = advance(state, f, k, p_sat)
+        rh = got[2][3]
+        assert (_kinetics_outcome(_kinetics_update, state, k, rh)
+                == _kinetics_outcome(reference_kinetics_update, state, k, rh))
+        assert _outcome(lambda: got) == _outcome(reference_advance, state, f, k, p_sat)
+        state, p_sat, work = got
+        seen.update(work[4])
+    return seen
+
+
+def test_baseline_run_matches_the_helpers(baseline_cfg, tropical_weather):
+    seen = _compare_run(baseline_cfg, tropical_weather)
+    assert {"kinetics_stalled", "kinetics_extrapolated",
+            "at_or_above_equilibrium"} <= seen
+
+
+@pytest.mark.parametrize("override, flag", [
+    ({"airflow.V_a": 0.0}, "still_air"),
+    ({"airflow.V_a": 0.01}, "re_below_turbulent"),
+    ({"kinetics.c_sky": 0.06}, "sky_temperature_non_physical"),
+])
+def test_off_baseline_runs_match_the_helpers(baseline_cfg, tropical_weather,
+                                             override, flag):
+    cfg = apply_overrides(baseline_cfg, override)
+    assert flag in _compare_run(cfg, tropical_weather, horizon_s=86400.0)
+
+
+def _case(cfg, T_a=330.0, rh=18.0, M_p=0.5, T_c=None, T_p=None, I_t=500.0,
+          T_am=303.0, V_w=1.0, **k_fields):
+    """(state, forcing, k, p_sat) of one step: the chamber at T_a, p_sat its
+    saturation pressure (300 K's below the correlation's range) and H such
+    that rh comes out about as asked, the cover and product at T_c and T_p
+    (default T_a)."""
+    k = step_constants(cfg)._replace(**k_fields)
+    p_sat = saturation_pressure(max(T_a, 300.0))
+    p_v = rh / 100.0 * p_sat
+    H = 0.622 * p_v / (k.P - p_v)
+    state = SimState(0.0, T_a if T_c is None else T_c, T_a,
+                     T_a if T_p is None else T_p, T_a, H, M_p, 8.0)
+    return state, Forcing(k.dt, I_t, T_am, T_am**1.5, wind_coefficient(V_w)), k, p_sat
+
+
+# the branches the written-out copies take, one case each: the case's
+# keywords and the flags of its step
+_BRANCHES = [
+    (dict(T_a=300.0, rh=50.0), ("kinetics_stalled",)),         # knot 300 K
+    (dict(T_a=350.0, rh=20.0), ("kinetics_extrapolated",)),    # knot 350 K
+    (dict(T_a=360.0, rh=20.0), ("kinetics_extrapolated",)),    # table's top
+    (dict(T_a=333.15, rh=15.0, I_t=0.0, T_am=320.0), ()),      # in the envelope
+    (dict(T_a=333.15, rh=15.0, M_p=0.03), ("at_or_above_equilibrium",)),
+    # rh above 100 % by roundoff is set to 100 % without the flag
+    (dict(T_a=333.15, rh=100.0 * (1 + 5e-13)),
+     ("at_or_above_equilibrium", "humidity_saturation_clamped")),
+    (dict(T_a=333.15, rh=100.0 * (1 + 1e-9)),
+     ("rh_clamped", "at_or_above_equilibrium", "humidity_saturation_clamped")),
+    (dict(T_a=333.15, rh=150.0),
+     ("rh_clamped", "at_or_above_equilibrium", "humidity_saturation_clamped")),
+    (dict(T_a=333.15, rh=15.0, H_in=-1.0), ("humidity_floor_clamped",)),
+    (dict(T_a=333.15, rh=95.0, T_am=290.0, I_t=0.0, V_w=5.0),
+     ("kinetics_extrapolated", "humidity_saturation_clamped")),
+]
+
+
+@pytest.mark.parametrize("keywords, flags", _BRANCHES)
+def test_branch_matches_the_helpers(baseline_cfg, keywords, flags):
+    args = _case(baseline_cfg, **keywords)
+    got = _outcome(advance, *args)
+    assert got == _outcome(reference_advance, *args)
+    assert got[-1] == flags
+    rh = float.fromhex(got[-2])
+    assert rh == 100.0 if keywords["rh"] > 100.0 else rh < 100.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(T_a=st.sampled_from([250.0, 300.0, 350.0, 360.0]) | st.floats(240.0, 370.0),
+       rh=st.sampled_from([100.0 * (1 + 1e-13), 100.0 * (1 + 1e-11)])
+       | st.floats(0.0, 200.0),
+       M_p=st.floats(0.0, 0.6), dT_c=st.floats(-40.0, 40.0),
+       dT_p=st.floats(-40.0, 40.0), I_t=st.floats(0.0, 1100.0),
+       T_am=st.floats(270.0, 320.0), V_w=st.floats(0.0, 10.0),
+       H_in=st.sampled_from([0.014, -0.5]),
+       override=st.sampled_from([{}, {"airflow.V_a": 0.0}, {"airflow.V_a": 0.01},
+                                 {"kinetics.c_sky": 0.06}]))
+@example(T_a=330.0, rh=18.0, M_p=0.5, dT_c=-400.0, dT_p=0.0, I_t=0.0,
+         T_am=300.0, V_w=0.0, H_in=0.014, override={})
+@example(T_a=330.0, rh=18.0, M_p=0.5, dT_c=0.0, dT_p=-400.0, I_t=0.0,
+         T_am=300.0, V_w=0.0, H_in=0.014, override={})
+def test_sampled_steps_match_the_helpers(baseline_cfg, T_a, rh, M_p, dT_c, dT_p,
+                                         I_t, T_am, V_w, H_in, override):
+    cfg = apply_overrides(baseline_cfg, override)
+    args = _case(cfg, T_a, rh, M_p, T_a + dT_c, T_a + dT_p, I_t, T_am, V_w,
+                 H_in=H_in)
+    assert _outcome(advance, *args) == _outcome(reference_advance, *args)
+    state, _, k, p_sat = args
+    rh = relative_humidity_at(state.H, p_sat, k.P).value
+    assert (_kinetics_outcome(_kinetics_update, state, k, rh)
+            == _kinetics_outcome(reference_kinetics_update, state, k, rh))
+
+
+_BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5, 8.0)
+
+
+# each error advance raises, with its text: the same at every revision of
+# advance that calls the helpers
+@pytest.mark.parametrize("state, k_fields, fixed_M_e, error, text", [
+    (_BASE._replace(T_a=240.0), {}, False, "RangeError",
+     "air temperature 240.0 K below lower bound 250.0 K"),
+    (_BASE._replace(T_a=361.0), {}, False, "RangeError",
+     "air temperature 361.0 K above upper bound 360.0 K"),
+    # the isotherm sees the NaN before the air table
+    (_BASE._replace(T_a=math.nan), {}, False, "KineticsError",
+     "equilibrium moisture overflows at T=nan C, a_w=0.5424 (b0=12.0, b1=-0.1, b2=3.0)"),
+    (_BASE._replace(T_a=math.nan), {}, True, "RangeError",
+     "air temperature nan K outside bounds [250.0, 360.0] K"),
+    # cover-sky is checked before product-cover
+    (_BASE._replace(T_c=-5.0, T_p=-5.0), {}, False, "RangeError",
+     "temperatures must be > 0 K, got -5.0, 286.8276137334061"),
+    (_BASE._replace(T_p=-5.0), {}, False, "RangeError",
+     "temperatures must be > 0 K, got -5.0, 300.0"),
+    (_BASE, {"h_dfg": 0.0, "D_h_V_a": 0.0, "V_a": 0.0}, False, "SimulationError",
+     "floor row singular: h_dfg + h_c = 0"),
+    # the new T_a, below the saturation-pressure correlation
+    (_BASE, {"T_in": 100.0}, False, "RangeError",
+     "temperature 190.4618303663118 K below lower bound 273.15 K"),
+    (_BASE, {"P": 3000.0}, False, "RangeError",
+     "vapour pressure 3641.854615821294 Pa at 300.5026821922166 K exceeds "
+     "total pressure 3000.0 Pa"),
+])
+def test_error_parity(baseline_cfg, monkeypatch, state, k_fields, fixed_M_e,
+                      error, text):
+    if fixed_M_e:
+        monkeypatch.setattr(kinetics, "equilibrium_moisture",
+                            lambda T_c, a_w, c: 8.0)
+    k = step_constants(baseline_cfg)._replace(**k_fields)
+    f = Forcing(60.0, 0.0, 300.0, 300.0**1.5, 5.7)
+    with pytest.raises(GreendryError) as exc:
+        advance(state, f, k, saturation_pressure(300.0))
+    assert (type(exc.value).__name__, str(exc.value)) == (error, text)
+
+
+def test_advance_calls_no_other_helper(baseline_cfg, tropical_weather):
+    # per step, outside an error path: only _kinetics_update (with the
+    # isotherm) and the 4x4 solve
+    k = step_constants(baseline_cfg)
+    state = initial_state(baseline_cfg, tropical_weather)
+    forcing = tuple(weather_forcing(tropical_weather, k.dt, 86400.0))
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("greendry"):
+            calls.add(frame.f_code.co_name)
+
+    p_sat = saturation_pressure(state.T_a)
+    sys.setprofile(profile)
+    try:
+        for f in forcing:
+            state, p_sat, _ = advance(state, f, k, p_sat)
+    finally:
+        sys.setprofile(None)
+    assert calls == {"advance", "_kinetics_update", "equilibrium_moisture",
+                     "solve_energy_system"}
