@@ -20,7 +20,6 @@ import click
 from . import __version__
 from .analysis import acceptance_check, percent_difference
 from .config import apply_overrides, load_config
-from .core import relative_humidity
 from .errors import (ComparisonError, ConfigError, GreendryError, GridSizeError,
                      WeatherError)
 from .solver import simulate
@@ -70,9 +69,8 @@ def _resolve_weather(weather_path, preset, days):
     return series, _input_hash(f"preset:{preset}:{days}")
 
 
-def _state_line(s, rh) -> str:
-    return (f"{s.t!r},{s.T_c!r},{s.T_a!r},{s.T_p!r},{s.T_f!r},{s.H!r},"
-            f"{s.M_p!r},{rh!r}")
+def _state_line(s) -> str:
+    return ",".join(map(repr, s))
 
 
 def _diag_line(d) -> str:
@@ -139,13 +137,8 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # step i's diagnostics hold the rh of state i; only the last state has
-    # no step of its own
-    last = series.states[-1]
-    rhs = [d.rh for d in series.diagnostics]
-    rhs.append(relative_humidity(last.H, last.T_a, cfg.numerics.pressure)[0])
     write_csv(out / "states.csv", STATE_COLUMNS,
-              map(_state_line, series.states, rhs), f"inputs_sha256={inputs_hash}")
+              map(_state_line, series.states), f"inputs_sha256={inputs_hash}")
     write_csv(out / "diagnostics.csv", DIAG_COLUMNS,
               map(_diag_line, series.diagnostics), f"inputs_sha256={inputs_hash}")
     manifest = {

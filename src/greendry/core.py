@@ -56,7 +56,8 @@ class WeatherRecord(NamedTuple):
 
 
 class SimState(NamedTuple):
-    """The evolving unknowns at one time step."""
+    """The evolving unknowns at one time step, with the chamber rh they
+    give; the fields are the columns of `run`'s states.csv, in order."""
 
     t: float          # s
     T_c: float        # cover temperature, K
@@ -65,7 +66,7 @@ class SimState(NamedTuple):
     T_f: float        # floor temperature, K
     H: float          # chamber humidity ratio, kg water / kg dry air
     M_p: float        # product moisture, decimal dry basis
-    M_e_current: float  # equilibrium moisture at current conditions, % db
+    rh: float         # chamber relative humidity, %: relative_humidity(H, T_a, P)
 
 
 def air_properties(T: float) -> AirProps:

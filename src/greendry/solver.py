@@ -43,11 +43,8 @@ at the step's end time with T_am**1.5 (for the sky temperature) and the
 wind coefficient.  It takes every step time in one forward walk of
 `weather.interpolate`, and `simulate` streams it, one step at a time, so a
 run keeps no weather table; a sweep builds it as a tuple once per dt
-in each process and passes it to every point.  The saturation pressure is
-carried from step to step: the one a step evaluates at its new T_a for the
-humidity clamp is the next step's rh denominator, so each step evaluates
-it once, and an out-of-range temperature is still reported by the step
-that produced it.
+in each process and passes it to every point.  A state carries its chamber
+rh, which a step reads and works out for the new state.
 
 Inputs are checked once, where they enter (`DryerConfig`, `WeatherSeries`);
 the physics functions trust them and check only what a step produces.
@@ -357,9 +354,10 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
 
 
 def _kinetics_update(state, k, rh):
-    """Equilibrium moisture and the moisture step at current conditions.
+    """The moisture step at current conditions, toward the equilibrium
+    moisture at the chamber rh.
 
-    Returns (M_new, M_e_pct, flag), flag None or the step's kinetics flag.
+    Returns (M_new, flag), flag None or the step's kinetics flag.
     Drying stalls (dM = 0) when the Page rate constant is non-positive
     (chamber too cold), when the charge is at/below equilibrium, or when
     equilibrium exceeds the initial moisture (degenerate humid-cold
@@ -368,15 +366,14 @@ def _kinetics_update(state, k, rh):
     """
     T_c = state.T_a - 273.15
     a_w = min(max(rh / 100.0, _AW_MIN), _AW_MAX)
-    M_e_pct = kinetics.equilibrium_moisture(T_c, a_w, k.kinetics)
-    M_e = M_e_pct / 100.0
+    M_e = kinetics.equilibrium_moisture(T_c, a_w, k.kinetics) / 100.0
     M_0, M = k.M_0, state.M_p
 
     A1 = -0.213788 + 0.0101640 * T_c - 0.001372 * rh
     if A1 <= 0.0:
-        return M, M_e_pct, "kinetics_stalled"
+        return M, "kinetics_stalled"
     if M_0 <= M_e or M <= M_e:
-        return M, M_e_pct, "at_or_above_equilibrium"
+        return M, "at_or_above_equilibrium"
 
     B1 = 1.108816 - 0.0005210 * T_c - 0.000061 * rh
     flag = (None if T_FIT_MIN <= T_c <= T_FIT_MAX and RH_FIT_MIN <= rh <= RH_FIT_MAX
@@ -389,7 +386,7 @@ def _kinetics_update(state, k, rh):
     M_new = M_e + math.exp(-A1 * (t_eq + k.dt / 3600.0)**B1) * (M_0 - M_e)
     if M_new > M:  # guard against roundoff near the fixed point
         M_new = M
-    return M_new, M_e_pct, flag
+    return M_new, flag
 
 
 class Forcing(NamedTuple):
@@ -432,9 +429,9 @@ def weather_forcing(weather: WeatherSeries, dt: float,
             for i, (I_t, T_am, V_w, _) in zip(steps, walk))
 
 
-def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
+def advance(state: SimState, f: Forcing, k: StepConstants):
     """Advance state by one implicit step of length k.dt to the end time of
-    the forcing f; p_sat is saturation_pressure(state.T_a).
+    the forcing f, the kinetics at the state's chamber rh.
 
     It builds A x = b in (T_c, T_a, T_p, T_f), one row per balance of
     BALANCES, from f (I_t, T_am, wind coefficient h_w), the sky temperature
@@ -458,25 +455,17 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
 
     Then the chamber humidity-ratio balance takes the evaporated water
     (-dM from the product) into the air, V_vent of inlet air replacing as
-    much chamber air; the new H is clamped to [0, saturation at new T_a].
+    much chamber air; the new H is clamped to [0, saturation at new T_a],
+    and the new state's rh is that of the new H at the new T_a.
 
-    Returns (new_state, new_p_sat, work): new_p_sat is the saturation
-    pressure at new_state.T_a, which the step evaluates for the humidity
-    clamp and the next step takes as its p_sat; work is (A, b, dM, rh,
-    flags), what `step_diagnostics` needs to record the step."""
+    Returns (new_state, work): work is (A, b, dM, rh, flags), what
+    `step_diagnostics` needs to record the step."""
     dt, A_c, A_p, A_f, tau_c = k.dt, k.A_c, k.A_p, k.A_f, k.tau_c
     I_t, T_am, h_w = f.I_t, f.T_am, f.h_w
-    t, T_c, T_a, T_p, _, H, M_p, _ = state
+    t, T_c, T_a, T_p, _, H, M_p, rh = state
     flags: list[str] = []
 
-    # relative_humidity_at(H, p_sat, P)
-    rh = 100.0 * (k.P * H / (_EPSILON + H)) / p_sat
-    if rh > 100.0:
-        if rh > 100.0 * (1.0 + 1e-12):  # roundoff at exact saturation is not a clamp
-            flags.append("rh_clamped")
-        rh = 100.0
-
-    M_new, M_e_pct, kin_flag = _kinetics_update(state, k, rh)
+    M_new, kin_flag = _kinetics_update(state, k, rh)
     if kin_flag:
         flags.append(kin_flag)
     dM = M_new - M_p
@@ -570,9 +559,14 @@ def advance(state: SimState, f: Forcing, k: StepConstants, p_sat: float):
     if H_new > H_sat:
         H_new = H_sat
         flags.append("humidity_saturation_clamped")
+    # relative_humidity_at(H_new, p_sat, P); H_new <= H_sat, so above 100 %
+    # only by roundoff
+    rh_new = 100.0 * (k.P * H_new / (_EPSILON + H_new)) / p_sat
+    if rh_new > 100.0:
+        rh_new = 100.0
 
-    new_state = SimState(t + dt, T_c, T_a, T_p, T_f, H_new, M_new, M_e_pct)
-    return new_state, p_sat, (A, b, dM, rh, flags)
+    new_state = SimState(t + dt, T_c, T_a, T_p, T_f, H_new, M_new, rh_new)
+    return new_state, (A, b, dM, rh, flags)
 
 
 def step_diagnostics(new_state: SimState, work) -> StepDiagnostics:
@@ -600,7 +594,7 @@ def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
     if k is None:
         k = step_constants(cfg)
     f = _forcing(state.t + k.dt, weather_end.I_t, weather_end.T_am, weather_end.V_w)
-    new_state, _, work = advance(state, f, k, saturation_pressure(state.T_a))
+    new_state, work = advance(state, f, k)
     return new_state, step_diagnostics(new_state, work)
 
 
@@ -610,11 +604,13 @@ def initial_state(cfg: DryerConfig, weather: WeatherSeries) -> SimState:
     w0 = weather.records[0]
     H0 = humidity_ratio(w0.rh_am, w0.T_am, cfg.numerics.pressure)
     rh0, _ = relative_humidity(H0, w0.T_am, cfg.numerics.pressure)
+    # the isotherm at the start, only for its errors: simulate reports them
+    # as step 0's, before the first step would
     a_w = min(max(rh0 / 100.0, _AW_MIN), _AW_MAX)
-    M_e_pct = kinetics.equilibrium_moisture(w0.T_am - 273.15, a_w, cfg.kinetics)
+    kinetics.equilibrium_moisture(w0.T_am - 273.15, a_w, cfg.kinetics)
     return SimState(
         t=w0.t, T_c=w0.T_am, T_a=w0.T_am, T_p=w0.T_am, T_f=w0.T_am,
-        H=H0, M_p=cfg.M_0, M_e_current=M_e_pct,
+        H=H0, M_p=cfg.M_0, rh=rh0,
     )
 
 
@@ -647,14 +643,13 @@ def simulate(
     k = step_constants(cfg)
     try:
         state = initial_state(cfg, weather)
-        p_sat = saturation_pressure(state.T_a)
     except GreendryError as exc:
         raise SimulationError(f"step 0 (t={weather.t_start} s): {exc}") from exc
     series = SimSeries(states=[state], diagnostics=[])
     states, records = series.states, series.diagnostics
     for i, f in enumerate(forcing, start=1):
         try:
-            state, p_sat, work = advance(state, f, k, p_sat)
+            state, work = advance(state, f, k)
         except GreendryError as exc:
             raise SimulationError(f"step {i} (t={f.t} s): {exc}") from exc
         states.append(state)

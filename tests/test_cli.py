@@ -141,6 +141,22 @@ class TestRun:
         assert result.stderr == (f"error: {weather}:3: ambient temperature must "
                                  f"be in (0, 373.15] K, got 1e+300\n")
 
+    def test_tropical_4_day_bytes(self, runner, baseline_config_path, tmp_path):
+        # the bytes of the baseline run, pinned: the inputs_sha256 line
+        # hashes the config's bytes, not its path (manifest.json holds
+        # paths and is left out)
+        out = tmp_path / "out"
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--preset", "tropical", "--days", "4", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("states.csv", "diagnostics.csv")} == {
+            "states.csv":
+                "46bc322af70af02cfda16eb7290872d48f8513a354d5e305ba7bf24b2759ac60",
+            "diagnostics.csv":
+                "89c7b2eeb71627b5c9eb55711b488e6812f7a32b121dc290f1580a20378d674d",
+        }
+
     def test_rh_column_is_relative_humidity_of_each_state(
             self, runner, baseline_cfg, baseline_config_path, tmp_path):
         _run_baseline(runner, baseline_config_path, tmp_path / "out")
@@ -167,9 +183,9 @@ def _csv_writer_file(path, columns, rows, inputs_hash):
     return path.read_bytes()
 
 
-def _state_cells(s, rh):
+def _state_cells(s):
     return [repr(s.t), repr(s.T_c), repr(s.T_a), repr(s.T_p), repr(s.T_f),
-            repr(s.H), repr(s.M_p), repr(rh)]
+            repr(s.H), repr(s.M_p), repr(s.rh)]
 
 
 def _diag_cells(d):
@@ -194,15 +210,13 @@ class TestWriteCsv:
         rng = random.Random(5)
         special = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 1e-05,
                    0.1, float("inf"), float("-inf"), float("nan")]
-        rows = [(SimState(*rng.sample(special, 8)), rng.choice(special))
-                for _ in range(50)]
-        rows += [(SimState(*(_any_float(rng) for _ in range(8))), _any_float(rng))
-                 for _ in range(500)]
+        states = [SimState(*rng.sample(special, 8)) for _ in range(50)]
+        states += [SimState(*(_any_float(rng) for _ in range(8)))
+                   for _ in range(500)]
         got = self._written(tmp_path / "new.csv", STATE_COLUMNS,
-                            (_state_line(s, rh) for s, rh in rows))
+                            map(_state_line, states))
         assert got == _csv_writer_file(tmp_path / "ref.csv", STATE_COLUMNS,
-                                       [_state_cells(s, rh) for s, rh in rows],
-                                       self.HASH)
+                                       list(map(_state_cells, states)), self.HASH)
 
     def test_diagnostics_rows_with_empty_flags(self, tmp_path):
         rng = random.Random(6)
@@ -238,16 +252,13 @@ class TestWriteCsv:
         assert result.exit_code == 0, result.output
         cfg = apply_overrides(baseline_cfg, {"airflow.V_a": "0"})
         series = simulate(cfg, synthetic_days(1), horizon_s=6 * 3600.0)
-        last = series.states[-1]
-        rhs = [d.rh for d in series.diagnostics]
-        rhs.append(relative_humidity(last.H, last.T_a, cfg.numerics.pressure)[0])
         inputs_hash = (out / "states.csv").read_text().splitlines()[0].split("=")[1]
         assert (out / "diagnostics.csv").read_bytes() == _csv_writer_file(
             tmp_path / "diagnostics.csv", DIAG_COLUMNS,
             list(map(_diag_cells, series.diagnostics)), inputs_hash)
         assert (out / "states.csv").read_bytes() == _csv_writer_file(
             tmp_path / "states.csv", STATE_COLUMNS,
-            list(map(_state_cells, series.states, rhs)), inputs_hash)
+            list(map(_state_cells, series.states)), inputs_hash)
         assert all("still_air" in d.flags for d in series.diagnostics)
 
 

@@ -15,7 +15,7 @@ from greendry.coefficients import (
     wind_coefficient,
 )
 from greendry.config import apply_overrides
-from greendry.core import AirProps, SimState, WeatherRecord, saturation_pressure
+from greendry.core import AirProps, SimState, WeatherRecord, relative_humidity
 from greendry.errors import ConfigWarning, RangeError
 from greendry.solver import advance, step, step_constants
 
@@ -132,7 +132,7 @@ class TestAssemble:
     @staticmethod
     def _state(T=300.0):
         return SimState(t=0.0, T_c=T, T_a=T, T_p=T, T_f=T, H=0.01,
-                        M_p=0.5, M_e_current=8.0)
+                        M_p=0.5, rh=relative_humidity(0.01, T).value)
 
     @staticmethod
     def _step(monkeypatch, state, w, cfg):
@@ -149,7 +149,7 @@ class TestAssemble:
         monkeypatch.setattr(greendry.solver, "wind_coefficient", spy)
         k = step_constants(cfg)
         f = greendry.solver._forcing(state.t + k.dt, w.I_t, w.T_am, w.V_w)
-        A, b, _, _, flags = advance(state, f, k, saturation_pressure(state.T_a))[2]
+        A, b, _, _, flags = advance(state, f, k)[1]
         [h_w] = seen
         h_c = -A[3][1] / k.A_f
         h_r_pc = -A[0][2] / k.A_p

@@ -54,7 +54,7 @@ class TestAirProperties:
 
 @pytest.mark.parametrize("record", [
     SimState(t=0.0, T_c=300.0, T_a=300.0, T_p=300.0, T_f=300.0, H=0.01,
-             M_p=0.5, M_e_current=8.0),
+             M_p=0.5, rh=relative_humidity(0.01, 300.0).value),
     air_properties(300.0),
 ])
 def test_records_are_immutable(record):

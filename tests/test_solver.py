@@ -19,7 +19,7 @@ from greendry.core import (
     WeatherRecord,
     air_properties,
     humidity_ratio,
-    saturation_pressure,
+    relative_humidity,
 )
 from greendry.errors import SimulationError, SingularMatrixError, WeatherError
 from greendry.solver import (
@@ -62,7 +62,7 @@ def make_cfg(**section_overrides):
 
 def make_state(T=300.0, H=0.01, M_p=0.4, t=0.0):
     return SimState(t=t, T_c=T, T_a=T, T_p=T, T_f=T, H=H, M_p=M_p,
-                    M_e_current=8.0)
+                    rh=relative_humidity(H, T).value)
 
 
 class _Solve(Exception):
@@ -93,10 +93,10 @@ def balance(name, state, w, cfg, dmdt=0.0, *, h_c=0.0, h_r_cs=0.0,
     f = Forcing(w.t, w.I_t, w.T_am, T_s, h_w)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greendry.solver, "_kinetics_update",
-                   lambda state, k, rh: (state.M_p + dmdt * k.dt, 8.0, None))
+                   lambda state, k, rh: (state.M_p + dmdt * k.dt, None))
         mp.setattr(greendry.solver, "solve_energy_system", _capture_system)
         with pytest.raises(_Solve) as exc:
-            advance(state, f, k, saturation_pressure(state.T_a))
+            advance(state, f, k)
     A, b = exc.value.args
     i = BALANCES.index(name)
     return A[i], b[i]
@@ -110,9 +110,8 @@ def humidity_step(cfg, state, dM):
     f = Forcing(state.t + k.dt, 0.0, state.T_a, state.T_a**1.5, 0.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greendry.solver, "_kinetics_update",
-                   lambda state, k, rh: (state.M_p + dM, 8.0, None))
-        new, _, (*_, dM, _, flags) = advance(state, f, k,
-                                             saturation_pressure(state.T_a))
+                   lambda state, k, rh: (state.M_p + dM, None))
+        new, (*_, dM, _, flags) = advance(state, f, k)
     assert not any(flag.startswith("humidity_") for flag in flags)
     return new.H, dM
 
@@ -559,7 +558,7 @@ class TestStep:
         )
         H = humidity_ratio(50.0, T)
         state = SimState(t=0.0, T_c=T, T_a=T, T_p=T, T_f=T, H=H,
-                         M_p=0.05, M_e_current=9.3)
+                         M_p=0.05, rh=relative_humidity(H, T).value)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=T, V_w=0.0, rh_am=50.0)
         new, diag = step(state, w, cfg)
         for name in ("T_c", "T_a", "T_p", "T_f"):
@@ -637,7 +636,7 @@ class TestStep:
         k = step_constants(baseline_cfg)
         state = initial_state(baseline_cfg, tropical_weather)
         f = next(weather_forcing(tropical_weather, k.dt))
-        A, *_ = advance(state, f, k, saturation_pressure(state.T_a))[2]
+        A, *_ = advance(state, f, k)[1]
         assert A[1][0] == A[0][1]
 
 
@@ -666,9 +665,8 @@ class TestKineticsStall:
         assert new.M_p < state.M_p
 
     def test_charge_at_or_below_equilibrium(self, baseline_cfg):
-        # M_e is ~3.4 % db at 60 C and 15 % rh
+        # M_e is ~3.4 % db at 60 C and 15 % rh, above the charge's 3 %
         state, new, diag = self._step(baseline_cfg, 333.15, 15.0, 0.03)
-        assert new.M_e_current > 100.0 * state.M_p
         assert "at_or_above_equilibrium" in diag.flags
         assert new.M_p == state.M_p and diag.dM == 0.0
 
@@ -721,8 +719,9 @@ class TestSimulate:
 
     def test_baseline_bits(self, baseline_cfg, tropical_weather):
         # float.hex of the 4-day baseline's states, as recorded before the
-        # per-run constants were hoisted out of the step: any regrouping of
-        # the step's floating-point products changes these bits.  The last
+        # per-run constants were hoisted out of the step (each rh is that
+        # relative_humidity gives for the state's H and T_a): any regrouping
+        # of the step's floating-point products changes these bits.  The last
         # state alone can hide a change that the digest of all states shows.
         states = simulate(baseline_cfg, tropical_weather).states
         assert {name: float(v).hex() for name, v in states[-1]._asdict().items()} == {
@@ -733,21 +732,21 @@ class TestSimulate:
             "T_f": "0x1.2b5030c83c482p+8",
             "H": "0x1.cac083126e979p-7",
             "M_p": "0x1.ee5b059fdffbap-5",
-            "M_e_current": "0x1.5a5de76959372p+3",
+            "rh": "0x1.eb6dd64be4d95p+5",
         }
         digest = hashlib.sha256()
         for state in states:
             digest.update(" ".join(float(v).hex() for v in state).encode() + b"\n")
         assert digest.hexdigest() == (
-            "d589ce0cca78a26bc744f3b6f2005f3fca2476b9c039d40c0a9fb693a412ff57")
+            "c1eeac309a6cac7225df63d1de27741ac8fb9126a644e1f709739015cb60c403")
 
     @pytest.mark.parametrize("override, flag, expected", [
         ({"airflow.V_a": 0.0}, "still_air",
-         "20bf2821b286db8d787389f86c4d71e30f989bf90414263f77d1bcc00c3830a1"),
+         "c8d527d86629434298d6b5718ebb0118ffe466314521a77c92d739f87561d47e"),
         ({"airflow.V_a": 0.01}, "re_below_turbulent",  # Re ~ 1200
-         "0f62e52fbbfbbf55206a66691685e2ff046b1b81dac63605608831a21d7f7a32"),
+         "dd6ffb51f5a478ca3fb6ff03a199250fcfd4191bc2924f100f10dcc6452e695e"),
         ({"kinetics.c_sky": 0.06}, "sky_temperature_non_physical",  # T_s > T_am
-         "95fc94e1e166ab12da26a7e8e4cac75e590038ed326593736634721edd34d321"),
+         "ecb442f2d5dd633fe0d2dd10980d2e3a9eeb2f73762a330800eaab4310eccc8e"),
     ])
     def test_off_baseline_bits(self, baseline_cfg, tropical_weather, override,
                                flag, expected):
@@ -818,8 +817,9 @@ class TestSimulate:
 
     def test_one_saturation_pressure_per_step(self, baseline_cfg, tropical_weather,
                                               monkeypatch):
-        # the end-of-step saturation pressure is the next step's rh
-        # denominator; initial_state takes two, simulate one more
+        # a step evaluates its one saturation pressure written out, for the
+        # humidity clamp and the new state's rh: the only calls of the
+        # helper are initial_state's two, for H0 and its rh
         calls = []
         original = greendry.core.saturation_pressure
 
@@ -831,7 +831,7 @@ class TestSimulate:
             monkeypatch.setattr(module, "saturation_pressure", counted)
         n_steps = len(simulate(baseline_cfg, tropical_weather).states) - 1
         assert n_steps == 5760
-        assert len(calls) <= n_steps + 3
+        assert len(calls) == 2
 
     def test_end_of_step_saturation_error_names_step(self, baseline_cfg,
                                                      tropical_weather):

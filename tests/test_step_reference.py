@@ -22,6 +22,7 @@ from greendry.config import apply_overrides
 from greendry.core import (
     SimState,
     air_properties,
+    relative_humidity,
     relative_humidity_at,
     saturation_pressure,
     vapour_humidity_ratio,
@@ -46,35 +47,33 @@ def reference_kinetics_update(state, k, rh):
     step_moisture; its flags as a list."""
     T_c = state.T_a - 273.15
     a_w = min(max(rh / 100.0, _AW_MIN), _AW_MAX)
-    M_e_pct = kinetics.equilibrium_moisture(T_c, a_w, k.kinetics)
-    M_e = M_e_pct / 100.0
+    M_e = kinetics.equilibrium_moisture(T_c, a_w, k.kinetics) / 100.0
     M_0 = k.M_0
 
     A1 = kinetics.rate_constant(T_c, rh)
     if A1 <= 0.0:
-        return state.M_p, M_e_pct, ["kinetics_stalled"]
+        return state.M_p, ["kinetics_stalled"]
     if M_0 <= M_e or state.M_p <= M_e:
-        return state.M_p, M_e_pct, ["at_or_above_equilibrium"]
+        return state.M_p, ["at_or_above_equilibrium"]
 
     constants = kinetics.drying_constants(T_c, rh, A1)
     flags = ["kinetics_extrapolated"] if constants.extrapolated else []
     M_new, _ = kinetics.step_moisture(state.M_p, M_e, M_0, constants, k.dt)
-    return M_new, M_e_pct, flags
+    return M_new, flags
 
 
-def reference_advance(state, f, k, p_sat):
-    """advance through relative_humidity_at, reference_kinetics_update,
-    air_properties, _sky, _convective, _radiative, saturation_pressure and
-    vapour_humidity_ratio."""
+def reference_advance(state, f, k):
+    """advance through reference_kinetics_update, air_properties, _sky,
+    _convective, _radiative, saturation_pressure, vapour_humidity_ratio and
+    relative_humidity_at.  The new state's H is at most H_sat, so its rh
+    exceeds 100 % by roundoff at most, and relative_humidity_at never
+    reports a clamp: the step asserts so."""
     dt, A_c, A_p, A_f, tau_c = k.dt, k.A_c, k.A_p, k.A_f, k.tau_c
     I_t, T_am, h_w = f.I_t, f.T_am, f.h_w
     flags = []
+    rh = state.rh
 
-    rh, rh_clamped = relative_humidity_at(state.H, p_sat, k.P)
-    if rh_clamped:
-        flags.append("rh_clamped")
-
-    M_new, M_e_pct, kin_flags = reference_kinetics_update(state, k, rh)
+    M_new, kin_flags = reference_kinetics_update(state, k, rh)
     flags += kin_flags
     dM = M_new - state.M_p
 
@@ -143,9 +142,11 @@ def reference_advance(state, f, k, p_sat):
     if H_new > H_sat:
         H_new = H_sat
         flags.append("humidity_saturation_clamped")
+    rh_new, clamped = relative_humidity_at(H_new, p_sat, k.P)
+    assert clamped is False
 
-    new_state = SimState(state.t + dt, T_c, T_a, T_p, T_f, H_new, M_new, M_e_pct)
-    return new_state, p_sat, (A, b, dM, rh, flags)
+    new_state = SimState(state.t + dt, T_c, T_a, T_p, T_f, H_new, M_new, rh_new)
+    return new_state, (A, b, dM, rh, flags)
 
 
 def _hex(values):
@@ -156,20 +157,20 @@ def _outcome(step, *args):
     """The bits of what an advance returns, or the type and text of the
     error it raises."""
     try:
-        state, p_sat, (A, b, dM, rh, flags) = step(*args)
+        state, (A, b, dM, rh, flags) = step(*args)
     except (GreendryError, ValueError) as exc:
         return type(exc), str(exc)
-    return (_hex(state), p_sat.hex(), tuple(_hex(row) for row in A), _hex(b),
-            dM.hex(), rh.hex(), tuple(flags))
+    return (_hex(state), tuple(_hex(row) for row in A), _hex(b), dM.hex(),
+            rh.hex(), tuple(flags))
 
 
-def _kinetics_outcome(update, state, k, rh):
+def _kinetics_outcome(update, state, k):
     try:
-        M_new, M_e_pct, flags = update(state, k, rh)
+        M_new, flags = update(state, k, state.rh)
     except GreendryError as exc:
         return type(exc), str(exc)
     flags = [flags] if isinstance(flags, str) else flags or []
-    return M_new.hex(), M_e_pct.hex(), tuple(flags)
+    return M_new.hex(), tuple(flags)
 
 
 def _compare_run(cfg, weather, horizon_s=None):
@@ -177,15 +178,13 @@ def _compare_run(cfg, weather, horizon_s=None):
     the same state, compare them, and return the flags seen."""
     k = step_constants(cfg)
     state = initial_state(cfg, weather)
-    p_sat = saturation_pressure(state.T_a)
     seen = set()
     for f in weather_forcing(weather, k.dt, horizon_s):
-        got = advance(state, f, k, p_sat)
-        rh = got[2][3]
-        assert (_kinetics_outcome(_kinetics_update, state, k, rh)
-                == _kinetics_outcome(reference_kinetics_update, state, k, rh))
-        assert _outcome(lambda: got) == _outcome(reference_advance, state, f, k, p_sat)
-        state, p_sat, work = got
+        got = advance(state, f, k)
+        assert (_kinetics_outcome(_kinetics_update, state, k)
+                == _kinetics_outcome(reference_kinetics_update, state, k))
+        assert _outcome(lambda: got) == _outcome(reference_advance, state, f, k)
+        state, work = got
         seen.update(work[4])
     return seen
 
@@ -209,18 +208,24 @@ def test_off_baseline_runs_match_the_helpers(baseline_cfg, tropical_weather,
 
 def _case(cfg, T_a=330.0, rh=18.0, M_p=0.5, T_c=None, T_p=None, I_t=500.0,
           T_am=303.0, V_w=1.0, **k_fields):
-    """(state, forcing, k, p_sat) of one step: the chamber at T_a, p_sat its
-    saturation pressure (300 K's below the correlation's range) and H such
-    that rh comes out about as asked, the cover and product at T_c and T_p
-    (default T_a)."""
+    """(state, forcing, k) of one step: the chamber at T_a with H such that
+    rh comes out about as asked at the saturation pressure p_sat of T_a
+    (300 K's below the correlation's range), and the state's rh that of H
+    at p_sat; the cover and product at T_c and T_p (default T_a)."""
     k = step_constants(cfg)._replace(**k_fields)
     p_sat = saturation_pressure(max(T_a, 300.0))
     p_v = rh / 100.0 * p_sat
     H = 0.622 * p_v / (k.P - p_v)
     state = SimState(0.0, T_a if T_c is None else T_c, T_a,
-                     T_a if T_p is None else T_p, T_a, H, M_p, 8.0)
-    return state, Forcing(k.dt, I_t, T_am, T_am**1.5, wind_coefficient(V_w)), k, p_sat
+                     T_a if T_p is None else T_p, T_a, H, M_p,
+                     relative_humidity_at(H, p_sat, k.P).value)
+    return state, Forcing(k.dt, I_t, T_am, T_am**1.5, wind_coefficient(V_w)), k
 
+
+# the new rh of a step from a saturated chamber at T_a, and whether the
+# expression rounds above 100 % there
+_SATURATED_END_RH = {333.18: (100.0, True), 333.15: (100.0, False),
+                     333.31: (99.99999999999999, False)}
 
 # the branches the written-out copies take, one case each: the case's
 # keywords and the flags of its step
@@ -230,13 +235,11 @@ _BRANCHES = [
     (dict(T_a=360.0, rh=20.0), ("kinetics_extrapolated",)),    # table's top
     (dict(T_a=333.15, rh=15.0, I_t=0.0, T_am=320.0), ()),      # in the envelope
     (dict(T_a=333.15, rh=15.0, M_p=0.03), ("at_or_above_equilibrium",)),
-    # rh above 100 % by roundoff is set to 100 % without the flag
-    (dict(T_a=333.15, rh=100.0 * (1 + 5e-13)),
-     ("at_or_above_equilibrium", "humidity_saturation_clamped")),
-    (dict(T_a=333.15, rh=100.0 * (1 + 1e-9)),
-     ("rh_clamped", "at_or_above_equilibrium", "humidity_saturation_clamped")),
-    (dict(T_a=333.15, rh=150.0),
-     ("rh_clamped", "at_or_above_equilibrium", "humidity_saturation_clamped")),
+    # a saturated chamber that ends at H_sat, its rh rounding above 100 %
+    # (set to 100 % without a flag), to 100 % and below it
+    *((dict(T_a=T_a, rh=100.0),
+       ("at_or_above_equilibrium", "humidity_saturation_clamped"))
+      for T_a in _SATURATED_END_RH),
     (dict(T_a=333.15, rh=15.0, H_in=-1.0), ("humidity_floor_clamped",)),
     (dict(T_a=333.15, rh=95.0, T_am=290.0, I_t=0.0, V_w=5.0),
      ("kinetics_extrapolated", "humidity_saturation_clamped")),
@@ -249,8 +252,18 @@ def test_branch_matches_the_helpers(baseline_cfg, keywords, flags):
     got = _outcome(advance, *args)
     assert got == _outcome(reference_advance, *args)
     assert got[-1] == flags
-    rh = float.fromhex(got[-2])
-    assert rh == 100.0 if keywords["rh"] > 100.0 else rh < 100.0
+    rh = float.fromhex(got[0][7])
+    saturated = "humidity_saturation_clamped" in flags
+    assert 100.0 - 1e-12 < rh <= 100.0 if saturated else rh < 100.0
+
+
+@pytest.mark.parametrize("T_a", _SATURATED_END_RH)
+def test_saturated_end_rh(baseline_cfg, T_a):
+    state, f, k = _case(baseline_cfg, T_a=T_a, rh=100.0)
+    new, _ = advance(state, f, k)
+    assert new.H == vapour_humidity_ratio(saturation_pressure(new.T_a), new.T_a, k.P)
+    rh = 100.0 * (k.P * new.H / (0.622 + new.H)) / saturation_pressure(new.T_a)
+    assert (new.rh, rh > 100.0) == _SATURATED_END_RH[T_a]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -273,13 +286,13 @@ def test_sampled_steps_match_the_helpers(baseline_cfg, T_a, rh, M_p, dT_c, dT_p,
     args = _case(cfg, T_a, rh, M_p, T_a + dT_c, T_a + dT_p, I_t, T_am, V_w,
                  H_in=H_in)
     assert _outcome(advance, *args) == _outcome(reference_advance, *args)
-    state, _, k, p_sat = args
-    rh = relative_humidity_at(state.H, p_sat, k.P).value
-    assert (_kinetics_outcome(_kinetics_update, state, k, rh)
-            == _kinetics_outcome(reference_kinetics_update, state, k, rh))
+    state, _, k = args
+    assert (_kinetics_outcome(_kinetics_update, state, k)
+            == _kinetics_outcome(reference_kinetics_update, state, k))
 
 
-_BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5, 8.0)
+_BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5,
+                 relative_humidity(0.012, 300.0).value)
 
 
 # each error advance raises, with its text: the same at every revision of
@@ -304,7 +317,8 @@ _BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5, 8.0)
     # the new T_a, below the saturation-pressure correlation
     (_BASE, {"T_in": 100.0}, False, "RangeError",
      "temperature 190.4618303663118 K below lower bound 273.15 K"),
-    (_BASE, {"P": 3000.0}, False, "RangeError",
+    (_BASE._replace(rh=relative_humidity(0.012, 300.0, 3000.0).value),
+     {"P": 3000.0}, False, "RangeError",
      "vapour pressure 3641.854615821294 Pa at 300.5026821922166 K exceeds "
      "total pressure 3000.0 Pa"),
 ])
@@ -316,7 +330,7 @@ def test_error_parity(baseline_cfg, monkeypatch, state, k_fields, fixed_M_e,
     k = step_constants(baseline_cfg)._replace(**k_fields)
     f = Forcing(60.0, 0.0, 300.0, 300.0**1.5, 5.7)
     with pytest.raises(GreendryError) as exc:
-        advance(state, f, k, saturation_pressure(300.0))
+        advance(state, f, k)
     assert (type(exc.value).__name__, str(exc.value)) == (error, text)
 
 
@@ -332,11 +346,10 @@ def test_advance_calls_no_other_helper(baseline_cfg, tropical_weather):
         if event == "call" and frame.f_globals.get("__name__", "").startswith("greendry"):
             calls.add(frame.f_code.co_name)
 
-    p_sat = saturation_pressure(state.T_a)
     sys.setprofile(profile)
     try:
         for f in forcing:
-            state, p_sat, _ = advance(state, f, k, p_sat)
+            state, _ = advance(state, f, k)
     finally:
         sys.setprofile(None)
     assert calls == {"advance", "_kinetics_update", "equilibrium_moisture",
