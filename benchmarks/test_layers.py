@@ -87,7 +87,7 @@ def test_step(benchmark, k, cfg, case):
 
 
 def test_advance(benchmark, k, cfg, case, forcing):
-    # the step as simulate takes it, without the recording
+    # the step as solver.steps takes it, without the recording
     state, w = case
     new, _ = benchmark(advance, state, forcing, k)
     assert new == step(state, w, cfg, k)[0]
@@ -137,7 +137,8 @@ def test_simulate_4day(benchmark, cfg, weather):
 
 
 def test_drying_time_objective_60h(benchmark, cfg, weather):
-    # one sweep point: drying to 0.08 db, the steps not recorded
+    # one sweep point: drying to 0.08 db over solver.steps, keeping only
+    # the state before and recording no step
     hours = benchmark.pedantic(drying_time_objective,
                                args=(cfg, weather, 0.08, 60 * 3600.0),
                                rounds=5, iterations=1, warmup_rounds=1)

@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .analysis import acceptance_check, percent_difference
+from .analysis import DEFAULT_ACCEPTANCE_LIMIT, acceptance_check, percent_difference
 from .config import apply_overrides, load_config
 from .errors import (ComparisonError, ConfigError, GreendryError, GridSizeError,
                      WeatherError)
@@ -67,6 +67,20 @@ def _resolve_weather(weather_path, preset, days):
         raise WeatherError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
     series = synthetic_days(n_days=days, **PRESETS[preset])
     return series, _input_hash(f"preset:{preset}:{days}")
+
+
+def _write_manifest(out: Path, config_path, weather_path, preset, days,
+                    inputs_hash: str, **fields) -> None:
+    """Write out/manifest.json: the inputs, out and their hash, then fields."""
+    manifest = {
+        "engine_version": __version__,
+        "config": str(config_path),
+        "weather": str(weather_path) if weather_path else f"preset:{preset}:{days}",
+        "out": str(out),
+        "inputs_sha256": inputs_hash,
+        **fields,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _state_line(s) -> str:
@@ -141,19 +155,10 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
               map(_state_line, series.states), f"inputs_sha256={inputs_hash}")
     write_csv(out / "diagnostics.csv", DIAG_COLUMNS,
               map(_diag_line, series.diagnostics), f"inputs_sha256={inputs_hash}")
-    manifest = {
-        "engine_version": __version__,
-        "config": str(config_path),
-        "weather": str(weather_path) if weather_path else f"preset:{preset}",
-        "out": str(out),
-        "parameters": {
-            "dt": dt, "horizon_h": horizon_h, "target_mdb": target_mdb,
-            "overrides": list(overrides), "days": days,
-        },
-        "inputs_sha256": inputs_hash,
-        "n_states": len(series.states),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
+                    parameters={"dt": dt, "horizon_h": horizon_h, "target_mdb": target_mdb,
+                                "overrides": list(overrides), "days": days},
+                    n_states=len(series.states))
     click.echo(f"wrote {len(series.states)} states to {out / 'states.csv'}")
 
 
@@ -161,7 +166,8 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
 @click.option("--states", "states_path", required=True, type=click.Path())
 @click.option("--observed", "observed_path", required=True, type=click.Path())
 @click.option("--variable", required=True, help="states.csv column to compare")
-@click.option("--limit", default=10.0, show_default=True, help="acceptance limit, %")
+@click.option("--limit", default=DEFAULT_ACCEPTANCE_LIMIT, show_default=True,
+              help="acceptance limit, %")
 def cmd_validate(states_path, observed_path, variable, limit):
     """Compare a simulated trace against observations; exit 0 iff within
     the acceptance limit."""
@@ -254,19 +260,10 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
     columns = ["rank"] + paths + [f"objective_{unit}", "reached"]
     lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
     write_csv(out / "sweep.csv", columns, lines, f"inputs_sha256={inputs_hash}")
-    manifest = {
-        "engine_version": __version__,
-        "config": str(config_path),
-        "spec": str(spec_path),
-        "weather": str(weather_path) if weather_path else f"preset:{preset}:{days}",
-        "out": str(out),
-        "inputs_sha256": inputs_hash,
-        "workers": workers,
-        "n_points": len(results),
-        "n_reached": sum(r.reached for r in results),
-        "failed": [{"point": dict(r.point), "error": r.error} for r in failed],
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
+                    spec=str(spec_path), workers=workers, n_points=len(results),
+                    n_reached=sum(r.reached for r in results),
+                    failed=[{"point": dict(r.point), "error": r.error} for r in failed])
     best = results[0]
     click.echo(
         f"evaluated {len(results)} points; best objective "

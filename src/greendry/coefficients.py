@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import warnings
 
+from .config import Kinetics
 from .core import AirProps
 from .errors import ConfigWarning, RangeError
 
@@ -23,13 +24,13 @@ def _sky(T_am: float, T_am_1_5: float, c_sky: float) -> tuple[float, bool]:
     return T_s, 0.0 < T_s <= T_am
 
 
-def sky_temperature(T_am: float, c_sky: float = 0.0550) -> float:
+def sky_temperature(T_am: float, c_sky: float = Kinetics.c_sky) -> float:
     """Effective sky temperature T_s = c_sky * T_am^1.5.
 
     Warns (without failing) when the result is non-physical, i.e. not in
-    (0, T_am]: the commonly cited coefficient is 0.0552, but the default
-    here is 0.0550 so that T_s < T_am holds everywhere below 330 K; a
-    value of 0.552 yields a sky far hotter than ambient.
+    (0, T_am]: the commonly cited coefficient is 0.0552, but the default,
+    Kinetics.c_sky, is 0.0550 so that T_s < T_am holds everywhere below
+    330 K; a value of 0.552 yields a sky far hotter than ambient.
     """
     if T_am <= 0:
         raise ValueError(f"ambient temperature must be > 0 K, got {T_am}")

@@ -33,22 +33,21 @@ entry point for callers that hold a system of their own.
 
 Recording a step is separate: `advance` returns, with the new state,
 what `step_diagnostics` needs to record it.  `step` advances and records
-one step; `simulate` records each step unless called with
-diagnostics=False, as the sweep's drying-time objective calls it, since
-it reads only the states.
+one step.  `steps`, the one run loop, yields each state with its work:
+`simulate` keeps every state and record, a sweep point only the state before.
 
 What depends only on the weather and dt is worked out outside the step:
 `weather_forcing` yields one `Forcing` per step, the weather interpolated
 at the step's end time with T_am**1.5 (for the sky temperature) and the
 wind coefficient.  It takes every step time in one forward walk of
-`weather.interpolate`, and `simulate` streams it, one step at a time, so a
+`weather.interpolate`, and `steps` streams it, one step at a time, so a
 run keeps no weather table; a sweep builds it as a tuple once per dt
 in each process and passes it to every point.  A state carries its chamber
 rh, which a step reads and works out for the new state.
 
 Inputs are checked once, where they enter (`DryerConfig`, `WeatherSeries`);
 the physics functions trust them and check only what a step produces.
-What depends only on the config is computed once per run: `simulate`
+What depends only on the config is computed once per run: `steps`
 builds a `StepConstants` record with `step_constants(cfg)` (dt, pressure,
 the hydraulic diameter and products of config values such as U_c A_c) and
 passes it to every step.  Python evaluates `a * b * c` as `(a * b) * c`,
@@ -590,7 +589,7 @@ def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
     """Advance one implicit step of length cfg.numerics.dt, with the
     weather record sampled at the END of the step, and record it.  k is
     step_constants(cfg), built here when the caller does not pass it
-    (simulate builds it once per run)."""
+    (steps builds it once per run)."""
     if k is None:
         k = step_constants(cfg)
     f = _forcing(state.t + k.dt, weather_end.I_t, weather_end.T_am, weather_end.V_w)
@@ -604,7 +603,7 @@ def initial_state(cfg: DryerConfig, weather: WeatherSeries) -> SimState:
     w0 = weather.records[0]
     H0 = humidity_ratio(w0.rh_am, w0.T_am, cfg.numerics.pressure)
     rh0, _ = relative_humidity(H0, w0.T_am, cfg.numerics.pressure)
-    # the isotherm at the start, only for its errors: simulate reports them
+    # the isotherm at the start, only for its errors: steps reports them
     # as step 0's, before the first step would
     a_w = min(max(rh0 / 100.0, _AW_MIN), _AW_MAX)
     kinetics.equilibrium_moisture(w0.T_am - 273.15, a_w, cfg.kinetics)
@@ -614,29 +613,16 @@ def initial_state(cfg: DryerConfig, weather: WeatherSeries) -> SimState:
     )
 
 
-def simulate(
-    cfg: DryerConfig,
-    weather: WeatherSeries,
-    horizon_s: float | None = None,
-    target_mdb: float | None = None,
-    *,
-    diagnostics: bool = True,
-    forcing: Iterable[Forcing] | None = None,
-) -> SimSeries:
-    """Integrate from the start of the weather series.
-
-    Stops at horizon_s (default: end of the weather series) or, when
-    target_mdb is given, as soon as product moisture reaches it.  The
-    weather series must cover the whole requested horizon.  Any
-    GreendryError raised by a step is re-raised as a SimulationError that
-    names the step number and its end time; one raised by initial_state
-    as step 0 at the start time.
-
-    With diagnostics=False no step is recorded and the series' diagnostics
-    stay empty; the states are the same.  forcing, when given, is
-    `weather_forcing(weather, cfg.numerics.dt, horizon_s)` built in
-    advance, e.g. as one tuple that the points of a sweep share; by
-    default it is streamed from the weather, one step at a time.
+def steps(cfg: DryerConfig, weather: WeatherSeries, horizon_s: float | None = None,
+          forcing: Iterable[Forcing] | None = None) -> Iterator[tuple[SimState, tuple | None]]:
+    """The run from the start of the weather series: (initial_state, None),
+    then (new_state, work) of each `advance` up to horizon_s (default: the
+    end of the series, which must cover it).  A GreendryError of a step is
+    re-raised as a SimulationError naming the step and its end time; one of
+    initial_state as step 0 at the start time.  forcing, when given, is
+    `weather_forcing(weather, cfg.numerics.dt, horizon_s)` built in advance,
+    e.g. one tuple that a sweep's points share; by default it is streamed.
+    Being a generator, it checks nothing until the first state is asked for.
     """
     if forcing is None:
         forcing = weather_forcing(weather, cfg.numerics.dt, horizon_s)
@@ -645,16 +631,26 @@ def simulate(
         state = initial_state(cfg, weather)
     except GreendryError as exc:
         raise SimulationError(f"step 0 (t={weather.t_start} s): {exc}") from exc
-    series = SimSeries(states=[state], diagnostics=[])
-    states, records = series.states, series.diagnostics
+    yield state, None
     for i, f in enumerate(forcing, start=1):
         try:
             state, work = advance(state, f, k)
         except GreendryError as exc:
             raise SimulationError(f"step {i} (t={f.t} s): {exc}") from exc
+        yield state, work
+
+
+def simulate(cfg: DryerConfig, weather: WeatherSeries, horizon_s: float | None = None,
+             target_mdb: float | None = None) -> SimSeries:
+    """Every state of `steps(cfg, weather, horizon_s)`, each step recorded;
+    when target_mdb is given, up to the first step whose moisture reaches
+    it (a run takes at least one step)."""
+    series = SimSeries(states=[], diagnostics=[])
+    states, records = series.states, series.diagnostics
+    for state, work in steps(cfg, weather, horizon_s):
         states.append(state)
-        if diagnostics:
+        if work is not None:
             records.append(step_diagnostics(state, work))
-        if target_mdb is not None and state.M_p <= target_mdb:
-            break
+            if target_mdb is not None and state.M_p <= target_mdb:
+                break
     return series

@@ -16,7 +16,7 @@ import yaml
 from .analysis import EconomicInputs, payback_period
 from .config import DryerConfig, apply_overrides
 from .errors import ConfigError, GridSizeError, SimulationError
-from .solver import Forcing, simulate, weather_forcing
+from .solver import Forcing, steps, weather_forcing
 from .weather import WeatherSeries
 
 DEFAULT_GRID_CAP = 10_000
@@ -76,15 +76,15 @@ def drying_time_objective(
     forcing: Iterable[Forcing] | None = None,
 ) -> float | None:
     """Hours until product moisture first reaches the target, linearly
-    interpolated between steps; None when the horizon ends first.  Only
-    the states are used, so the steps are not recorded; forcing is as in
-    `simulate`."""
+    interpolated between steps; None when the horizon ends first.  It walks
+    `steps` (forcing as there) and keeps only the state before, since the
+    crossing lies between it and the first state at the target."""
     if target_mdb >= cfg.M_0:
         return 0.0
-    states = simulate(cfg, weather, horizon_s, target_mdb, diagnostics=False,
-                      forcing=forcing).states
-    t0 = states[0].t
-    for prev, cur in zip(states, states[1:]):
+    run = steps(cfg, weather, horizon_s, forcing)
+    prev, _ = next(run)
+    t0 = prev.t
+    for cur, _ in run:
         if cur.M_p <= target_mdb:
             if prev.M_p == cur.M_p:
                 t_hit = cur.t
@@ -92,6 +92,7 @@ def drying_time_objective(
                 f = (prev.M_p - target_mdb) / (prev.M_p - cur.M_p)
                 t_hit = prev.t + f * (cur.t - prev.t)
             return (t_hit - t0) / 3600.0
+        prev = cur
     return None
 
 

@@ -167,9 +167,21 @@ class TestRun:
         assert states["rh_pct"] == expected  # the last row included
 
     def test_manifest_written(self, runner, baseline_config_path, tmp_path):
-        _run_baseline(runner, baseline_config_path, tmp_path / "out")
-        assert (tmp_path / "out" / "manifest.json").exists()
-        assert (tmp_path / "out" / "diagnostics.csv").exists()
+        out = tmp_path / "out"
+        _run_baseline(runner, baseline_config_path, out, "--target-mdb", "0.6",
+                      "--set", "airflow.V_a=1.5")
+        assert (out / "diagnostics.csv").exists()
+        first_line = (out / "states.csv").read_text().splitlines()[0]
+        # the preset label is the string the inputs hash covers, as in sweep's
+        assert json.loads((out / "manifest.json").read_text()) == {
+            "engine_version": greendry.__version__,
+            "config": str(baseline_config_path),
+            "weather": "preset:tropical:1", "out": str(out),
+            "inputs_sha256": first_line.removeprefix("# inputs_sha256="),
+            "parameters": {"dt": None, "horizon_h": 2.0, "target_mdb": 0.6,
+                           "overrides": ["airflow.V_a=1.5"], "days": 1},
+            "n_states": 2,
+        }
 
 
 def _csv_writer_file(path, columns, rows, inputs_hash):

@@ -96,6 +96,13 @@ class TestEquilibriumMoisture:
         with pytest.raises(KineticsError, match="overflows"):
             equilibrium_moisture(25.0, a_w, c)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_non_finite_temperature_rejected(self, T):
+        # named as the temperature, not as an overflow or a negative base
+        with pytest.raises(KineticsError) as exc:
+            equilibrium_moisture(T, 0.5, EMC)
+        assert str(exc.value) == f"temperature must be finite, got T={T} C"
+
 
 class TestStepMoisture:
     C = constants_at(**MID)

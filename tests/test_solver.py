@@ -34,8 +34,10 @@ from greendry.solver import (
     solve_energy_system,
     step,
     step_constants,
+    steps,
     weather_forcing,
 )
+from greendry.sweep import drying_time_objective
 from greendry.weather import WeatherSeries, sample, synthetic_days
 
 BASE = {
@@ -799,21 +801,32 @@ class TestSimulate:
         assert series.states[-1].M_p <= 0.45
         assert series.states[-2].M_p > 0.45
 
+    def test_target_at_or_above_initial_moisture_takes_one_step(
+            self, baseline_cfg, tropical_weather):
+        # the target is checked on stepped states only
+        for target in (baseline_cfg.M_0, 0.6):
+            series = simulate(baseline_cfg, tropical_weather, target_mdb=target)
+            assert len(series.states) == 2
+            assert len(series.diagnostics) == 1
+            assert series.diagnostics[0].t == series.states[1].t
+
     def test_without_diagnostics_same_states(self, baseline_cfg, tropical_weather):
+        # the states steps yields are simulate's; only the initial state
+        # comes without work
         recorded = simulate(baseline_cfg, tropical_weather)
-        lean = simulate(baseline_cfg, tropical_weather, diagnostics=False)
-        assert lean.diagnostics == []
-        assert len(lean.states) == 5761
-        assert lean.states == recorded.states
+        yielded = list(steps(baseline_cfg, tropical_weather))
+        assert len(yielded) == 5761
+        assert [state for state, _ in yielded] == recorded.states
+        assert [work is None for _, work in yielded] == [True] + [False] * 5760
 
     def test_given_forcing_same_states(self, baseline_cfg, tropical_weather):
         horizon = 12 * 3600.0
         forcing = tuple(weather_forcing(tropical_weather, baseline_cfg.numerics.dt,
                                         horizon))
-        streamed = simulate(baseline_cfg, tropical_weather, horizon)
-        given = simulate(baseline_cfg, tropical_weather, horizon, forcing=forcing)
-        assert given.states == streamed.states
-        assert given.diagnostics == streamed.diagnostics
+        streamed = list(steps(baseline_cfg, tropical_weather, horizon))
+        given = list(steps(baseline_cfg, tropical_weather, horizon, forcing))
+        assert len(given) == 12 * 60 + 1
+        assert given == streamed
 
     def test_one_saturation_pressure_per_step(self, baseline_cfg, tropical_weather,
                                               monkeypatch):
@@ -872,12 +885,18 @@ class TestWeatherForcing:
         assert forcing[-1].t > weather.t_end
         assert forcing[-1].T_am == 301.0
 
-    def test_series_too_short_raises_at_once(self, baseline_cfg):
+    def test_series_too_short_raises_at_once(self, baseline_cfg, monkeypatch):
         weather = synthetic_days(1)
         with pytest.raises(WeatherError, match="weather series ends at 86400.0 s"):
             weather_forcing(weather, 60.0, 2 * 86400.0)
         with pytest.raises(WeatherError, match="horizon must be >= 0"):
             weather_forcing(weather, 60.0, -1.0)
+
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(greendry.solver, "advance", no_step)
         with pytest.raises(WeatherError, match="weather series ends at 86400.0 s"):
-            simulate(baseline_cfg, weather, horizon_s=2 * 86400.0,
-                     diagnostics=False)
+            simulate(baseline_cfg, weather, horizon_s=2 * 86400.0)
+        with pytest.raises(WeatherError, match="weather series ends at 86400.0 s"):
+            drying_time_objective(baseline_cfg, weather, 0.08, 2 * 86400.0)
