@@ -73,7 +73,8 @@ def equilibrium_moisture(T_c: float, a_w: float, c: Kinetics) -> float:
     if not 0.0 < a_w < 1.0:
         raise KineticsError(f"water activity must be in (0, 1), got {a_w}")
     if not math.isfinite(T_c):
-        raise KineticsError(f"temperature must be finite, got T={T_c} C")
+        raise KineticsError(f"equilibrium moisture needs a finite temperature, "
+                            f"got T={T_c} C")
     base = c.b0 + c.b1 * T_c
     if base <= 0:
         raise KineticsError(

@@ -101,7 +101,8 @@ class TestEquilibriumMoisture:
         # named as the temperature, not as an overflow or a negative base
         with pytest.raises(KineticsError) as exc:
             equilibrium_moisture(T, 0.5, EMC)
-        assert str(exc.value) == f"temperature must be finite, got T={T} C"
+        assert str(exc.value) == (f"equilibrium moisture needs a finite "
+                                  f"temperature, got T={T} C")
 
 
 class TestStepMoisture:

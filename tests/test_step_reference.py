@@ -304,7 +304,7 @@ _BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5,
      "air temperature 361.0 K above upper bound 360.0 K"),
     # the isotherm sees the NaN before the air table
     (_BASE._replace(T_a=math.nan), {}, False, "KineticsError",
-     "temperature must be finite, got T=nan C"),
+     "equilibrium moisture needs a finite temperature, got T=nan C"),
     (_BASE._replace(T_a=math.nan), {}, True, "RangeError",
      "air temperature nan K outside bounds [250.0, 360.0] K"),
     # cover-sky is checked before product-cover
