@@ -1,5 +1,6 @@
 """pytest-benchmark cases for the per-step layers, a 4-day simulate, a
-4-day `greendry run` with its CSV write, a `greendry validate` of one
+4-day `greendry run` with its CSV write, that run's streamed CSV writer on
+its own, a `greendry validate` of one
 column of that run against 2500 observations, a 60 h drying-time objective
 and a 6-point sweep (serial and with the default worker processes).
 
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from greendry import load_config, simulate, synthetic_days
-from greendry.cli import main, read_states_csv
+from greendry.cli import _write_run, main, read_states_csv
 from greendry.core import air_properties
 from greendry.solver import (
     LinearSystem,
@@ -33,6 +34,7 @@ from greendry.solver import (
     solve_energy_system,
     step,
     step_constants,
+    steps,
     weather_forcing,
 )
 from greendry.sweep import SweepSpec, drying_time_objective, grid_search
@@ -153,13 +155,30 @@ def _main(argv):
 
 
 def test_cli_run_4day(benchmark, tmp_path):
-    # the run_4day op: simulate, then write states.csv, diagnostics.csv and
-    # the manifest
+    # the run_4day op: step the run, writing states.csv and diagnostics.csv
+    # as it goes, then the manifest
     argv = ["run", "--config", str(CONFIG), "--preset", "tropical", "--days", "4",
             "--out", str(tmp_path)]
     assert benchmark.pedantic(_main, args=(argv,), rounds=5, iterations=1,
                               warmup_rounds=1) == 0
     assert len((tmp_path / "states.csv").read_text().splitlines()) == 5763
+
+
+@pytest.fixture(scope="module")
+def run_4day(cfg, weather):
+    """Every (state, work) of the 4-day baseline run, as solver.steps
+    yields them."""
+    return tuple(steps(cfg, weather))
+
+
+def test_write_run_4day(benchmark, run_4day, tmp_path):
+    # run's streamed writer without the stepping: each state row and step
+    # row formatted and written under a temporary name, renamed at the end
+    n_states = benchmark.pedantic(
+        _write_run, args=(tmp_path / "out", run_4day, None, "inputs_sha256=" + "0" * 64),
+        rounds=5, iterations=1, warmup_rounds=1)
+    assert n_states == 5761
+    assert len((tmp_path / "out" / "diagnostics.csv").read_text().splitlines()) == 5762
 
 
 @pytest.fixture(scope="module")

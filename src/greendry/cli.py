@@ -6,12 +6,20 @@ sweep: of every grid point);
 validate exits 1 when the acceptance check fails and 2 on an unreadable
 or malformed CSV, a grid or a variable error.  Every output file embeds a SHA-256 hash of the inputs
 so reruns are byte-for-byte reproducible.
+
+`run` streams: it writes each state and step row as `solver.steps` yields
+it, keeping no run in memory, into temporary names inside --out that are
+renamed to states.csv and diagnostics.csv only when the run succeeds.  A
+failed run removes them and every directory it made, and leaves what was
+there before as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -22,9 +30,9 @@ from .analysis import DEFAULT_ACCEPTANCE_LIMIT, acceptance_check, percent_differ
 from .config import apply_overrides, load_config
 from .errors import (ComparisonError, ConfigError, GreendryError, GridSizeError,
                      WeatherError)
-from .solver import simulate
+from .solver import steps
 from .sweep import grid_search, load_sweep_spec
-from .weather import (PRESETS, interpolate, load_csv, read_csv, save_csv,
+from .weather import (PRESETS, interpolate, load_csv, open_csv, read_csv, save_csv,
                       synthetic_days, write_csv)
 
 STATE_COLUMNS = ["t_s", "T_c_K", "T_a_K", "T_p_K", "T_f_K", "H", "M_db", "rh_pct"]
@@ -93,6 +101,20 @@ def _diag_line(d) -> str:
             f"{';'.join(d.flags)}")
 
 
+def _step_line(new_state, work) -> str:
+    """The diagnostics.csv row of the step `advance` took to new_state, from
+    the work it returned: `_diag_line(step_diagnostics(new_state, work))`,
+    each residual summed in the same order, with no record built."""
+    (c0, c1, c2, c3), (a0, a1, a2, a3), (p0, p1, p2, p3), (f0, f1, f2, f3) = work[0]
+    b0, b1, b2, b3 = work[1]
+    t, T_c, T_a, T_p, T_f = new_state[:5]
+    return (f"{t!r},{c0 * T_c + c1 * T_a + c2 * T_p + c3 * T_f - b0!r},"
+            f"{a0 * T_c + a1 * T_a + a2 * T_p + a3 * T_f - b1!r},"
+            f"{p0 * T_c + p1 * T_a + p2 * T_p + p3 * T_f - b2!r},"
+            f"{f0 * T_c + f1 * T_a + f2 * T_p + f3 * T_f - b3!r},"
+            f"{work[2]!r},{work[3]!r},{';'.join(work[4])}")
+
+
 def _sweep_line(rank: int, result) -> str:
     values = "".join(f"{v!r}," for _, v in result.point)
     return f"{rank},{values}{result.objective!r},{int(result.reached)}"
@@ -102,6 +124,52 @@ def read_states_csv(path, columns=None):
     """The columns of a CSV written by `run` or `sweep`, as
     {column: list of floats}; see weather.read_csv."""
     return read_csv(path, columns)[0]
+
+
+@contextlib.contextmanager
+def _staged(out: Path, *names):
+    """Make the directory out and yield one temporary path in it per name;
+    rename each to its name when the block succeeds.  When it raises,
+    remove the temporary files and every directory made here, and leave
+    what was there before."""
+    made = []
+    parent = out
+    while not parent.exists():
+        made.append(parent)
+        parent = parent.parent
+    out.mkdir(parents=True, exist_ok=True)
+    temporary = [out / f".{name}.tmp" for name in names]
+    try:
+        yield temporary
+        for path, name in zip(temporary, names):
+            os.replace(path, out / name)
+    except BaseException:
+        for path in temporary:
+            path.unlink(missing_ok=True)
+        for directory in made:  # innermost first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+
+
+def _write_run(out: Path, run, target_mdb, comment) -> int:
+    """Write states.csv and diagnostics.csv into out, a row as each
+    (state, work) of run comes, run being `solver.steps` or what it yields;
+    stop, as `simulate` does, after the first step whose moisture reaches
+    target_mdb.  Returns the number of states."""
+    run = iter(run)
+    with _staged(out, "states.csv", "diagnostics.csv") as (states_path, diag_path), \
+            open_csv(states_path, STATE_COLUMNS, comment) as states, \
+            open_csv(diag_path, DIAG_COLUMNS, comment) as diagnostics:
+        state, _ = next(run)
+        states.write(_state_line(state) + "\r\n")
+        n_states = 1
+        for n_states, (state, work) in enumerate(run, start=2):
+            states.write(_state_line(state) + "\r\n")
+            diagnostics.write(_step_line(state, work) + "\r\n")
+            if target_mdb is not None and state.M_p <= target_mdb:
+                break
+    return n_states
 
 
 @click.group()
@@ -142,24 +210,19 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
         dt, horizon_h, target_mdb,
     )
     horizon_s = None if horizon_h is None else horizon_h * 3600.0
+    out = Path(out_dir)
     try:
-        series = simulate(cfg, weather, horizon_s=horizon_s, target_mdb=target_mdb)
+        n_states = _write_run(out, steps(cfg, weather, horizon_s), target_mdb,
+                              f"inputs_sha256={inputs_hash}")
     except WeatherError as exc:
         _fail(2, str(exc))
     except GreendryError as exc:
         _fail(3, str(exc))
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "states.csv", STATE_COLUMNS,
-              map(_state_line, series.states), f"inputs_sha256={inputs_hash}")
-    write_csv(out / "diagnostics.csv", DIAG_COLUMNS,
-              map(_diag_line, series.diagnostics), f"inputs_sha256={inputs_hash}")
     _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
                     parameters={"dt": dt, "horizon_h": horizon_h, "target_mdb": target_mdb,
                                 "overrides": list(overrides), "days": days},
-                    n_states=len(series.states))
-    click.echo(f"wrote {len(series.states)} states to {out / 'states.csv'}")
+                    n_states=n_states)
+    click.echo(f"wrote {n_states} states to {out / 'states.csv'}")
 
 
 @main.command("validate")

@@ -34,7 +34,9 @@ entry point for callers that hold a system of their own.
 Recording a step is separate: `advance` returns, with the new state,
 what `step_diagnostics` needs to record it.  `step` advances and records
 one step.  `steps`, the one run loop, yields each state with its work:
-`simulate` keeps every state and record, a sweep point only the state before.
+`simulate` keeps every state and record; `greendry run` (cli.cmd_run)
+streams `steps`, writing each state and step row as it comes and keeping
+none; a sweep point keeps only the state before.
 
 What depends only on the weather and dt is worked out outside the step:
 `weather_forcing` yields one `Forcing` per step, the weather interpolated

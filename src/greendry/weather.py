@@ -174,14 +174,22 @@ def read_csv(path, columns=None):
     return data, [n for n in lines if n not in skipped] if skipped else lines
 
 
+def open_csv(path, columns, comment=None):
+    """Open path for writing as write_csv writes it, with "# comment" (if
+    any) and the header written; the caller writes each row, ending it in
+    "\r\n", and closes the file."""
+    fh = Path(path).open("w", newline="", encoding="utf-8")
+    if comment:
+        fh.write(f"# {comment}\n")
+    fh.write(",".join(columns) + "\r\n")
+    return fh
+
+
 def write_csv(path, columns, lines, comment=None) -> None:
     """Write "# comment" (if any), the header and the rows, each item of
     lines a row joined with ",", as csv.writer would: no cell greendry
     writes needs quoting, and rows end in "\r\n"."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(columns) + "\r\n")
+    with open_csv(path, columns, comment) as fh:
         fh.writelines(line + "\r\n" for line in lines)
 
 

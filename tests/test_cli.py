@@ -1,9 +1,11 @@
 import bisect
 import csv
 import hashlib
+import importlib.util
 import json
 import random
 import struct
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -22,14 +24,17 @@ from greendry.cli import (
     STATE_COLUMNS,
     _diag_line,
     _state_line,
+    _step_line,
     _sweep_line,
     main,
     read_states_csv,
 )
 from greendry.core import SimState, relative_humidity
-from greendry.solver import StepDiagnostics
+from greendry.solver import StepDiagnostics, step_diagnostics, steps
 from greendry.sweep import SweepResult
 from greendry.weather import write_csv
+
+from conftest import REPO_ROOT
 
 
 @pytest.fixture()
@@ -166,6 +171,87 @@ class TestRun:
                     for H, T_a in zip(states["H"], states["T_a_K"])]
         assert states["rh_pct"] == expected  # the last row included
 
+    def test_failed_rerun_leaves_the_outputs_as_they_were(
+            self, runner, baseline_config_path, tmp_path):
+        out = tmp_path / "out"
+        assert _run_baseline(runner, baseline_config_path, out).exit_code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["diagnostics.csv", "manifest.json", "states.csv"]
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--preset", "tropical", "--days", "1", "--out", str(out),
+                         "--set", "numerics.pressure=5000")
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith("error: step 461 (t=27660.0 s): vapour pressure")
+        # no temporary file is left, and the earlier run's files are unchanged
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("made", [("o",), ("a", "b", "o")],
+                             ids=["out", "out-and-parents"])
+    def test_failed_run_removes_the_directories_it_made(
+            self, runner, baseline_config_path, tmp_path, made):
+        base = tmp_path / "kept"
+        base.mkdir()
+        out = base.joinpath(*made)
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--preset", "tropical", "--days", "1", "--horizon-h", "25",
+                         "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == ("error: weather series ends at 86400.0 s but "
+                                 "the run needs 90000.0 s\n")
+        assert list(base.iterdir()) == []
+
+    def test_failed_run_into_an_empty_directory_keeps_it(
+            self, runner, baseline_config_path, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--preset", "tropical", "--days", "1", "--out", str(out),
+                         "--set", "numerics.pressure=5000")
+        assert result.exit_code == 3, result.output
+        assert out.is_dir() and list(out.iterdir()) == []
+
+    def test_target_mdb_bench_weather_bytes(self, runner, baseline_config_path,
+                                            tmp_path):
+        # the benchmark's seed-0 weather, made by its own generator: the run
+        # stops after its first step, whose moisture is below 0.6 db
+        spec = importlib.util.spec_from_file_location(
+            "bench_inputs", REPO_ROOT / "bench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        weather = tmp_path / "weather.csv"
+        weather.write_text(inputs.weather_csv(0))
+        out = tmp_path / "out"
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--weather", str(weather), "--out", str(out),
+                         "--target-mdb", "0.6")
+        assert result.exit_code == 0, result.output
+        states = (out / "states.csv").read_bytes()
+        assert hashlib.sha256(states).hexdigest() == \
+            "52e0adc0078d5f402ca1c0506e4995295fd57d00f1886082fca53c746b19002d"
+        assert len(read_states_csv(out / "states.csv")["t_s"]) == 2
+        assert json.loads((out / "manifest.json").read_text())["n_states"] == 2
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["diagnostics.csv", "manifest.json", "states.csv"]
+
+    def test_memory_flat_in_run_length(self, runner, baseline_config_path, tmp_path):
+        # a run streams its rows to disk: a 48 h run peaks no higher than a
+        # 12 h one on the same 2-day weather (measured: within 1 KiB; a run
+        # that kept its states and records grew ~1.1 MiB per simulated day)
+        def peak(*extra):
+            tracemalloc.start()
+            try:
+                result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                                 "--preset", "tropical", "--days", "2",
+                                 "--out", str(tmp_path / "o"), *extra)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+            return peak
+
+        peak("--horizon-h", "1")  # first-call caches
+        assert peak() - peak("--horizon-h", "12") < 100 * 1024
+
     def test_manifest_written(self, runner, baseline_config_path, tmp_path):
         out = tmp_path / "out"
         _run_baseline(runner, baseline_config_path, out, "--target-mdb", "0.6",
@@ -272,6 +358,53 @@ class TestWriteCsv:
             tmp_path / "states.csv", STATE_COLUMNS,
             list(map(_state_cells, series.states)), inputs_hash)
         assert all("still_air" in d.flags for d in series.diagnostics)
+
+
+class TestStepLine:
+    """The streamed diagnostics row, _step_line, is the row of the step's
+    StepDiagnostics, _diag_line(step_diagnostics(...)), byte for byte."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"airflow.V_a": "0"},  # still air: two flags on every step
+        # flags on most steps, none on the 93 inside the fitted envelope
+        {"airflow.V_vent": "0.02", "airflow.V_a": "0.05"},
+    ], ids=["baseline", "still-air", "mostly-flagged"])
+    def test_rows_of_a_run(self, baseline_cfg, overrides, tropical_weather):
+        cfg = apply_overrides(baseline_cfg, overrides) if overrides else baseline_cfg
+        run = list(steps(cfg, tropical_weather, 86400.0))[1:]
+        assert len(run) == 1440
+        assert [_step_line(s, w) for s, w in run] == \
+            [_diag_line(step_diagnostics(s, w)) for s, w in run]
+
+    def test_rows_of_arbitrary_floats(self, tmp_path):
+        rng = random.Random(7)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, float("inf"), float("-inf"),
+                   float("nan"), 0.1]
+        flags = [[], ["still_air"], ["kinetics_stalled", "still_air",
+                                     "humidity_floor_clamped"], []]
+
+        def value(i):  # any bits, a special value, or one of ordinary size
+            if i % 3 == 0:
+                return _any_float(rng)
+            return rng.choice(special) if i % 3 == 1 else rng.uniform(-1e4, 1e4)
+
+        cases = []
+        for i in range(400):
+            A = tuple(tuple(value(i) for _ in range(4)) for _ in range(4))
+            b = tuple(value(i) for _ in range(4))
+            state = SimState(*(value(i) for _ in range(8)))
+            cases.append((state, (A, b, value(i), value(i), flags[i % 4])))
+        lines = [_step_line(s, w) for s, w in cases]
+        diags = [step_diagnostics(s, w) for s, w in cases]
+        assert lines == list(map(_diag_line, diags))
+        path = tmp_path / "new.csv"
+        write_csv(path, DIAG_COLUMNS, lines, f"inputs_sha256={TestWriteCsv.HASH}")
+        got = path.read_bytes()
+        assert got == _csv_writer_file(tmp_path / "ref.csv", DIAG_COLUMNS,
+                                       list(map(_diag_cells, diags)), TestWriteCsv.HASH)
+        assert b",\r\n" in got and b",kinetics_stalled;still_air;" in got
 
 
 def _write_observed(path, times, values, variable_header):
