@@ -26,11 +26,9 @@ from greendry import load_config, simulate, synthetic_days
 from greendry.cli import _write_run, main, read_states_csv
 from greendry.core import air_properties
 from greendry.solver import (
-    LinearSystem,
     _kinetics_update,
     advance,
     eliminate,
-    gauss_jordan,
     solve_energy_system,
     step,
     step_constants,
@@ -105,15 +103,9 @@ def test_kinetics_update(benchmark, k, case):
     assert M_new < state.M_p  # drying
 
 
-def test_gauss_jordan(benchmark, system):
-    A, b = system
-    x = benchmark(lambda: gauss_jordan(LinearSystem(A=A, b=b)))
-    assert len(x) == 4
-
-
 def test_eliminate(benchmark, system):
     A, b = system
-    assert benchmark(eliminate, A, b) == gauss_jordan(LinearSystem(A=A, b=b))
+    assert benchmark(eliminate, A, b) == solve_energy_system(A, b)
 
 
 def test_solve_energy_system(benchmark, system):

@@ -1,8 +1,9 @@
 """Command-line entry point: reproducible runs with CSV outputs.
 
 Subcommands: run, validate, sweep, gen-weather.  Exit codes for run/sweep:
-1 configuration error, 2 weather/input error, 3 numerical failure (for
-sweep: of every grid point);
+1 configuration error, 2 weather/input error or an --out that cannot be
+written (also for gen-weather), 3 numerical failure (for sweep: of every
+grid point);
 validate exits 1 when the acceptance check fails and 2 on an unreadable
 or malformed CSV, a grid or a variable error.  Every output file embeds a SHA-256 hash of the inputs
 so reruns are byte-for-byte reproducible.
@@ -137,15 +138,16 @@ def _staged(out: Path, *names):
     while not parent.exists():
         made.append(parent)
         parent = parent.parent
-    out.mkdir(parents=True, exist_ok=True)
     temporary = [out / f".{name}.tmp" for name in names]
     try:
+        out.mkdir(parents=True, exist_ok=True)
         yield temporary
         for path, name in zip(temporary, names):
             os.replace(path, out / name)
     except BaseException:
         for path in temporary:
-            path.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                path.unlink()
         for directory in made:  # innermost first
             with contextlib.suppress(OSError):
                 directory.rmdir()
@@ -214,14 +216,16 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
     try:
         n_states = _write_run(out, steps(cfg, weather, horizon_s), target_mdb,
                               f"inputs_sha256={inputs_hash}")
+        _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
+                        parameters={"dt": dt, "horizon_h": horizon_h, "target_mdb": target_mdb,
+                                    "overrides": list(overrides), "days": days},
+                        n_states=n_states)
     except WeatherError as exc:
         _fail(2, str(exc))
     except GreendryError as exc:
         _fail(3, str(exc))
-    _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
-                    parameters={"dt": dt, "horizon_h": horizon_h, "target_mdb": target_mdb,
-                                "overrides": list(overrides), "days": days},
-                    n_states=n_states)
+    except OSError as exc:
+        _fail(2, f"cannot write {out}: {exc}")
     click.echo(f"wrote {n_states} states to {out / 'states.csv'}")
 
 
@@ -316,17 +320,20 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
         _fail(3, f"all {len(results)} points failed")
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     inputs_hash = _input_hash(Path(config_path), Path(spec_path), weather_hash)
     paths = [p for p, _ in spec.parameters]
     unit = "hours" if spec.objective == "drying_time" else "years"
     columns = ["rank"] + paths + [f"objective_{unit}", "reached"]
     lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
-    write_csv(out / "sweep.csv", columns, lines, f"inputs_sha256={inputs_hash}")
-    _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
-                    spec=str(spec_path), workers=workers, n_points=len(results),
-                    n_reached=sum(r.reached for r in results),
-                    failed=[{"point": dict(r.point), "error": r.error} for r in failed])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(out / "sweep.csv", columns, lines, f"inputs_sha256={inputs_hash}")
+        _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
+                        spec=str(spec_path), workers=workers, n_points=len(results),
+                        n_reached=sum(r.reached for r in results),
+                        failed=[{"point": dict(r.point), "error": r.error} for r in failed])
+    except OSError as exc:
+        _fail(2, f"cannot write {out}: {exc}")
     best = results[0]
     click.echo(
         f"evaluated {len(results)} points; best objective "
@@ -359,8 +366,11 @@ def cmd_gen_weather(preset, days, interval, out_path, peak_irradiance,
     except WeatherError as exc:
         _fail(2, str(exc))
     out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_csv(series, out, header_comment=f"synthetic preset={preset} days={days}")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        save_csv(series, out, header_comment=f"synthetic preset={preset} days={days}")
+    except OSError as exc:
+        _fail(2, f"cannot write {out}: {exc}")
     click.echo(f"wrote {len(series)} records to {out}")
 
 

@@ -28,8 +28,7 @@ expected failure in test_solver records it).  `advance` solves the
 system with `solve_energy_system`, a straight-line Gauss-Jordan for this
 pattern, bit-identical to the general `eliminate`, to which it hands
 every system that does not fit; a T_c term in the air row would send
-every step there.  `LinearSystem` + `gauss_jordan` is the validating
-entry point for callers that hold a system of their own.
+every step there.
 
 Recording a step is separate: `advance` returns, with the new state,
 what `step_diagnostics` needs to record it.  `step` advances and records
@@ -98,31 +97,6 @@ _AIR_INTERVALS = tuple(
     for i in range(len(_AIR_TABLE_T) - 1))
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """n x n system A x = b, stored as lists of floats (A row by row).
-    Accepts any nested sequence of numbers and rejects ragged, non-square
-    or non-finite input with ValueError."""
-
-    A: list[list[float]]
-    b: list[float]
-
-    def __post_init__(self):
-        A = [[float(v) for v in row] for row in self.A]
-        b = [float(v) for v in self.b]
-        n = len(b)
-        if len(A) != n or any(len(row) != n for row in A):
-            raise ValueError(
-                f"need square A and matching b, got row lengths "
-                f"{[len(row) for row in A]} and b of length {n}"
-            )
-        if not (all(math.isfinite(v) for row in A for v in row)
-                and all(math.isfinite(v) for v in b)):
-            raise ValueError("linear system contains non-finite entries")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-
-
 class StepDiagnostics(NamedTuple):
     t: float                       # s, end of step
     residuals: tuple[float, ...]   # per balance equation, W
@@ -147,17 +121,18 @@ def eliminate(A, b) -> list[float]:
     """Solve A x = b by Gauss-Jordan elimination with partial pivoting.
 
     A is a sequence of n rows of n floats and b a sequence of n floats;
-    neither is modified and neither is validated (see LinearSystem).  For
-    each column the pivot is the first entry of largest magnitude on or
-    below the diagonal; the pivot row is divided by it, and every other
-    row with a non-zero factor in that column subtracts factor x pivot
-    row.  Entries left of the pivot column are exactly zero by then and
-    are skipped.  Raises SingularMatrixError (carrying the offending
-    column) when a pivot magnitude falls below 1e-12.
+    neither is modified and neither is validated.  For each column the
+    pivot is the first entry of largest magnitude on or below the
+    diagonal; the pivot row is divided by it, and every other row with a
+    non-zero factor in that column subtracts factor x pivot row.  Entries
+    left of the pivot column are exactly zero by then and are skipped.
+    Raises SingularMatrixError (carrying the offending column) when a
+    pivot magnitude falls below 1e-12.
 
-    This is the general solver: `gauss_jordan` runs it, and
-    `solve_energy_system` hands it every system that needs a row swap,
-    hits a pivot below 1e-12 or lacks the energy system's zero pattern.
+    This is the general solver and the reference of `solve_energy_system`,
+    which matches it bit for bit and hands it every system that needs a
+    row swap, hits a pivot below 1e-12 or lacks the energy system's zero
+    pattern.
     """
     n = len(b)
     aug = [[*row, rhs] for row, rhs in zip(A, b)]
@@ -263,11 +238,6 @@ def solve_energy_system(A, b) -> list[float]:
     if a23 != 0.0:
         b2 -= a23 * b3
     return [b0, b1, b2, b3]
-
-
-def gauss_jordan(system: LinearSystem) -> list[float]:
-    """Solve a validated LinearSystem with `eliminate`."""
-    return eliminate(system.A, system.b)
 
 
 class StepConstants(NamedTuple):
@@ -590,8 +560,7 @@ def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
          k: StepConstants | None = None) -> tuple[SimState, StepDiagnostics]:
     """Advance one implicit step of length cfg.numerics.dt, with the
     weather record sampled at the END of the step, and record it.  k is
-    step_constants(cfg), built here when the caller does not pass it
-    (steps builds it once per run)."""
+    step_constants(cfg), built here when the caller does not pass it."""
     if k is None:
         k = step_constants(cfg)
     f = _forcing(state.t + k.dt, weather_end.I_t, weather_end.T_am, weather_end.V_w)

@@ -21,7 +21,7 @@ from greendry.kinetics import (
     step_moisture,
 )
 from greendry.coefficients import sky_temperature
-from greendry.solver import LinearSystem, gauss_jordan, simulate
+from greendry.solver import eliminate, simulate, solve_energy_system, steps
 from greendry.sweep import SweepSpec, drying_time_objective, grid_search
 from greendry.weather import sample, synthetic_days
 
@@ -154,24 +154,39 @@ def _cramer(A, b):
     return out
 
 
-def test_criterion_5_linear_solver_oracle():
-    rng = np.random.default_rng(20240817)
+def _worst_rel_diff(solve, systems):
     worst = 0.0
+    for A, b in systems:
+        expected = _cramer(A, b)
+        rel = max(abs(xi - ei) / max(abs(ei), 1e-30)
+                  for xi, ei in zip(solve(A, b), expected))
+        worst = max(worst, rel)
+    return worst
+
+
+def test_criterion_5_linear_solver_oracle(baseline_cfg, tropical_weather):
+    rng = np.random.default_rng(20240817)
+    random_systems = []
     for _ in range(1000):
         n = int(rng.integers(2, 5))
         A = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)  # well-conditioned
         b = rng.uniform(-1.0, 1.0, n)
-        x = gauss_jordan(LinearSystem(A=A, b=b))
-        expected = _cramer(A.tolist(), b.tolist())
-        rel = max(abs(xi - ei) / max(abs(ei), 1e-30)
-                  for xi, ei in zip(x, expected))
-        worst = max(worst, rel)
+        random_systems.append((A.tolist(), b.tolist()))
+    worst = _worst_rel_diff(eliminate, random_systems)
     assert worst <= 1e-12
     with pytest.raises(SingularMatrixError):
-        gauss_jordan(LinearSystem(A=np.array([[1.0, 2.0], [2.0, 4.0]]),
-                                  b=np.array([1.0, 1.0])))
+        eliminate([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+    # the systems a run solves: every 20th step of the 4-day baseline
+    energy_systems = [([list(row) for row in work[0]], list(work[1]))
+                      for i, (_, work) in enumerate(steps(baseline_cfg, tropical_weather))
+                      if i > 0 and i % 20 == 0]
+    worst_energy = _worst_rel_diff(solve_energy_system, energy_systems)
+    assert len(energy_systems) == 288
+    assert worst_energy <= 1e-12
     print(f"PASS criterion 5: 1000 random systems vs Cramer oracle, worst "
-          f"rel diff {worst:.2e}; singular input raises")
+          f"rel diff {worst:.2e}; {len(energy_systems)} baseline energy systems "
+          f"through solve_energy_system, worst {worst_energy:.2e}; singular "
+          f"input raises")
 
 
 def test_criterion_6_validation_pipeline(baseline_cfg):

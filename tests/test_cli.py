@@ -3,8 +3,12 @@ import csv
 import hashlib
 import importlib.util
 import json
+import os
 import random
+import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -44,6 +48,25 @@ def runner():
 
 def run_cli(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
+
+
+def _cli_process(*args):
+    """The greendry CLI in its own interpreter, as a shell runs it: an escaping
+    exception shows as a traceback on stderr and exit status 1."""
+    src = str(REPO_ROOT / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "greendry.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _assert_cannot_write(result, out, blocker, before):
+    # exit 2 with one error line, and the blocking file as it was
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert re.fullmatch(f"error: cannot write {re.escape(str(out))}: .+\n",
+                        result.stderr), result.stderr
+    assert blocker.read_bytes() == before
 
 
 def _run_baseline(runner, baseline_config_path, out_dir, *extra):
@@ -251,6 +274,43 @@ class TestRun:
 
         peak("--horizon-h", "1")  # first-call caches
         assert peak() - peak("--horizon-h", "12") < 100 * 1024
+
+    def test_readme_names_the_csv_columns(self, runner, baseline_config_path,
+                                          tmp_path):
+        # README's run section, the column constants and a run's headers agree
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### `run`"):readme.index("### `validate`")]
+        out = tmp_path / "out"
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--preset", "tropical", "--days", "1", "--horizon-h", "1",
+                         "--out", str(out))
+        assert result.exit_code == 0, result.output
+        for name, columns in (("states.csv", STATE_COLUMNS),
+                              ("diagnostics.csv", DIAG_COLUMNS)):
+            listed = re.search(f"`{re.escape(name)}` \\(`([^`]*)`", section).group(1)
+            assert [c.strip() for c in listed.split(",")] == columns, name
+            header = (out / name).read_text().splitlines()[1]
+            assert header.split(",") == columns, name
+
+    def test_out_is_a_file_exit_2(self, baseline_config_path, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept\n")
+        result = _cli_process("run", "--config", str(baseline_config_path),
+                              "--preset", "tropical", "--days", "1",
+                              "--horizon-h", "1", "--out", str(blocker))
+        _assert_cannot_write(result, blocker, blocker, b"kept\n")
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    def test_unmakeable_out_removes_the_directories_it_made(
+            self, runner, baseline_config_path, tmp_path):
+        # new/ is made before the over-long name under it fails
+        out = tmp_path / "new" / ("x" * 300)
+        result = runner.invoke(main, ["run", "--config", str(baseline_config_path),
+                                      "--preset", "tropical", "--days", "1",
+                                      "--horizon-h", "1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_written(self, runner, baseline_config_path, tmp_path):
         out = tmp_path / "out"
@@ -808,6 +868,16 @@ class TestSweep:
                                  f"got {shown}\n")
         assert not (tmp_path / "out").exists()
 
+    def test_out_is_a_file_exit_2(self, baseline_config_path, tmp_path):
+        spec = self._spec(tmp_path, "[1.2]")
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept\n")
+        result = _cli_process("sweep", "--config", str(baseline_config_path),
+                              "--spec", str(spec), "--preset", "tropical",
+                              "--days", "2", "--workers", "1", "--out", str(blocker))
+        _assert_cannot_write(result, blocker, blocker, b"kept\n")
+        assert sorted(tmp_path.iterdir()) == [blocker, spec]
+
     def test_oversized_grid_exit_2(self, runner, baseline_config_path, tmp_path):
         spec = self._spec(tmp_path, "[0.1, 0.2, 0.3, 0.4]", extra="max_points: 3\n")
         result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
@@ -849,6 +919,15 @@ class TestGenWeather:
         result = run_cli(runner, "gen-weather", "--sunrise-h", "20",
                          "--sunset-h", "6", "--out", str(tmp_path / "w.csv"))
         assert result.exit_code == 2
+
+    def test_out_under_a_file_exit_2(self, tmp_path):
+        # --out FILE overwrites FILE; a path inside a file cannot be made
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept\n")
+        out = blocker / "w.csv"
+        result = _cli_process("gen-weather", "--days", "1", "--out", str(out))
+        _assert_cannot_write(result, out, blocker, b"kept\n")
+        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_unknown_preset_exit_2(self, runner, tmp_path):
         result = run_cli(runner, "gen-weather", "--preset", "arctic",

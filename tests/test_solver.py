@@ -25,10 +25,8 @@ from greendry.errors import SimulationError, SingularMatrixError, WeatherError
 from greendry.solver import (
     BALANCES,
     Forcing,
-    LinearSystem,
     advance,
     eliminate,
-    gauss_jordan,
     initial_state,
     simulate,
     solve_energy_system,
@@ -119,36 +117,34 @@ def humidity_step(cfg, state, dM):
 
 
 class TestGaussJordan:
+    """`eliminate`, the general Gauss-Jordan solver, on hand cases."""
+
     def test_identity(self):
-        b = np.array([3.0, -1.0, 2.5])
-        x = gauss_jordan(LinearSystem(A=np.eye(3), b=b))
-        assert np.allclose(x, b, rtol=0, atol=0)
+        b = [3.0, -1.0, 2.5]
+        assert eliminate(np.eye(3).tolist(), b) == b
 
     def test_hand_case(self):
-        x = gauss_jordan(LinearSystem(A=np.array([[2.0, 1.0], [1.0, 3.0]]),
-                                      b=np.array([4.0, 7.0])))
+        x = eliminate([[2.0, 1.0], [1.0, 3.0]], [4.0, 7.0])
         assert x == pytest.approx([1.0, 2.0], rel=1e-12)
 
     def test_singular_raises_with_column(self):
         with pytest.raises(SingularMatrixError) as exc:
-            gauss_jordan(LinearSystem(A=np.array([[1.0, 2.0], [2.0, 4.0]]),
-                                      b=np.array([1.0, 2.0])))
+            eliminate([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
         assert exc.value.column == 1
 
     def test_needs_pivoting(self):
-        A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = gauss_jordan(LinearSystem(A=A, b=np.array([2.0, 5.0])))
+        x = eliminate([[0.0, 1.0], [1.0, 0.0]], [2.0, 5.0])
         assert x == pytest.approx([5.0, 2.0])
 
     def test_residual_small(self):
         rng = np.random.default_rng(7)
         A = rng.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
         b = rng.uniform(-1, 1, 4)
-        x = gauss_jordan(LinearSystem(A=A, b=b))
+        x = eliminate(A.tolist(), b.tolist())
         assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(b)
 
 
-def _numpy_gauss_jordan(A, b):
+def _numpy_elimination(A, b):
     """The array elimination the list kernel replaced, kept as its
     bit-for-bit reference."""
     n = len(b)
@@ -189,7 +185,7 @@ class TestEliminate:
             b = rng.uniform(-1, 1, 4)
             A_list, b_list = A.tolist(), b.tolist()
             got = _outcome(eliminate, A_list, b_list)
-            assert got == _outcome(_numpy_gauss_jordan, A, b), (A_list, b_list)
+            assert got == _outcome(_numpy_elimination, A, b), (A_list, b_list)
             assert (A_list, b_list) == (A.tolist(), b.tolist())  # inputs untouched
             singular += isinstance(got, tuple)
         assert 0 < singular < 333  # both outcomes occur
@@ -198,7 +194,7 @@ class TestEliminate:
         # 0 * inf would turn row 1 into NaN if its zero factor were applied
         A, b = [[1.0, 0.5], [0.0, 1.0]], [math.inf, 2.0]
         assert eliminate(A, b) == [math.inf, 2.0]
-        assert _outcome(eliminate, A, b) == _outcome(_numpy_gauss_jordan, A, b)
+        assert _outcome(eliminate, A, b) == _outcome(_numpy_elimination, A, b)
 
 
 # Entries that are zero in every energy system: no T_c term in the air and
@@ -334,25 +330,6 @@ class TestSolveEnergySystem:
     def test_baseline_takes_the_fast_path(self, baseline_cfg, fallbacks):
         series = simulate(baseline_cfg, synthetic_days(1))
         assert len(series) == 1441 and fallbacks == []
-
-
-class TestLinearSystem:
-    @pytest.mark.parametrize("A, b", [
-        ([[1.0, 2.0], [3.0]], [1.0, 2.0]),             # ragged
-        ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 2.0]),  # not square
-        ([[1.0, 2.0], [3.0, 4.0]], [1.0]),             # b too short
-        ([[1.0, math.nan], [3.0, 4.0]], [1.0, 2.0]),
-        ([[1.0, 2.0], [3.0, 4.0]], [math.inf, 2.0]),
-        ([[1.0, 2.0], [-math.inf, 4.0]], [1.0, 2.0]),
-    ])
-    def test_rejects_bad_input(self, A, b):
-        with pytest.raises(ValueError):
-            LinearSystem(A=A, b=b)
-
-    def test_stores_lists_of_floats(self):
-        system = LinearSystem(A=np.eye(2), b=(1, 2))
-        assert system.A == [[1.0, 0.0], [0.0, 1.0]] and system.b == [1.0, 2.0]
-        assert all(type(v) is float for row in system.A for v in row)
 
 
 @pytest.mark.parametrize("module", ["numpy", "multiprocessing",
