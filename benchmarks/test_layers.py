@@ -167,7 +167,7 @@ def test_write_run_4day(benchmark, run_4day, tmp_path):
     # run's streamed writer without the stepping: each state row and step
     # row formatted and written under a temporary name, renamed at the end
     n_states = benchmark.pedantic(
-        _write_run, args=(tmp_path / "out", run_4day, None, "inputs_sha256=" + "0" * 64),
+        _write_run, args=(tmp_path / "out", run_4day, "inputs_sha256=" + "0" * 64),
         rounds=5, iterations=1, warmup_rounds=1)
     assert n_states == 5761
     assert len((tmp_path / "out" / "diagnostics.csv").read_text().splitlines()) == 5762

@@ -1,18 +1,19 @@
 """Command-line entry point: reproducible runs with CSV outputs.
 
 Subcommands: run, validate, sweep, gen-weather.  Exit codes for run/sweep:
-1 configuration error, 2 weather/input error or an --out that cannot be
-written (also for gen-weather), 3 numerical failure (for sweep: of every
-grid point);
-validate exits 1 when the acceptance check fails and 2 on an unreadable
-or malformed CSV, a grid or a variable error.  Every output file embeds a SHA-256 hash of the inputs
-so reruns are byte-for-byte reproducible.
+1 configuration error, 2 weather/input error, a sweep grid value that the
+config rejects or an --out that cannot be written (also for gen-weather),
+3 numerical failure (for sweep: of every grid point); validate exits 1
+when the acceptance check fails and 2 on an unreadable or malformed CSV,
+a grid or a variable error.  Every output file embeds a SHA-256 hash of
+the inputs so reruns are byte-for-byte reproducible.
 
 `run` streams: it writes each state and step row as `solver.steps` yields
 it, keeping no run in memory, into temporary names inside --out that are
-renamed to states.csv and diagnostics.csv only when the run succeeds.  A
-failed run removes them and every directory it made, and leaves what was
-there before as it was.
+renamed to states.csv and diagnostics.csv only when the run succeeds;
+`sweep` writes sweep.csv so, making --out before it simulates a point.  A
+failed run or sweep removes them and every directory it made, and leaves
+what was there before as it was.
 """
 
 from __future__ import annotations
@@ -154,11 +155,10 @@ def _staged(out: Path, *names):
         raise
 
 
-def _write_run(out: Path, run, target_mdb, comment) -> int:
+def _write_run(out: Path, run, comment) -> int:
     """Write states.csv and diagnostics.csv into out, a row as each
-    (state, work) of run comes, run being `solver.steps` or what it yields;
-    stop, as `simulate` does, after the first step whose moisture reaches
-    target_mdb.  Returns the number of states."""
+    (state, work) of run comes, run being `solver.steps` or what it yields.
+    Returns the number of states."""
     run = iter(run)
     with _staged(out, "states.csv", "diagnostics.csv") as (states_path, diag_path), \
             open_csv(states_path, STATE_COLUMNS, comment) as states, \
@@ -169,8 +169,6 @@ def _write_run(out: Path, run, target_mdb, comment) -> int:
         for n_states, (state, work) in enumerate(run, start=2):
             states.write(_state_line(state) + "\r\n")
             diagnostics.write(_step_line(state, work) + "\r\n")
-            if target_mdb is not None and state.M_p <= target_mdb:
-                break
     return n_states
 
 
@@ -186,18 +184,15 @@ def main():
 @click.option("--preset", help="synthetic weather preset name")
 @click.option("--days", default=4, show_default=True, help="days of synthetic weather")
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="output directory")
-@click.option("--dt", type=float, help="override time step, s")
 @click.option("--horizon-h", type=float, help="simulation horizon, hours")
 @click.option("--target-mdb", type=float, help="stop when moisture reaches this decimal db")
 @click.option("--set", "overrides", multiple=True, help="dotted.path=value config override")
-def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
+def cmd_run(config_path, weather_path, preset, days, out_dir, horizon_h,
             target_mdb, overrides):
     """Simulate a drying run and write states.csv + diagnostics.csv."""
     try:
         cfg = load_config(config_path)
         sets = _parse_sets(overrides)
-        if dt is not None:
-            sets["numerics.dt"] = dt
         if sets:
             cfg = apply_overrides(cfg, sets)
     except ConfigError as exc:
@@ -208,16 +203,15 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, dt, horizon_h,
         _fail(2, str(exc))
 
     inputs_hash = _input_hash(
-        Path(config_path), weather_hash, sorted(sets.items()),
-        dt, horizon_h, target_mdb,
+        Path(config_path), weather_hash, sorted(sets.items()), horizon_h, target_mdb,
     )
     horizon_s = None if horizon_h is None else horizon_h * 3600.0
     out = Path(out_dir)
     try:
-        n_states = _write_run(out, steps(cfg, weather, horizon_s), target_mdb,
+        n_states = _write_run(out, steps(cfg, weather, horizon_s, target_mdb=target_mdb),
                               f"inputs_sha256={inputs_hash}")
         _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
-                        parameters={"dt": dt, "horizon_h": horizon_h, "target_mdb": target_mdb,
+                        parameters={"horizon_h": horizon_h, "target_mdb": target_mdb,
                                     "overrides": list(overrides), "days": days},
                         n_states=n_states)
     except WeatherError as exc:
@@ -307,31 +301,31 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
         spec = load_sweep_spec(spec_path, weather)
     except (WeatherError, ConfigError) as exc:
         _fail(2, str(exc))
-    try:
-        results = grid_search(cfg, spec, workers=workers)
-    except (GridSizeError, WeatherError) as exc:
-        _fail(2, str(exc))
-    except GreendryError as exc:
-        _fail(3, str(exc))
-    failed = [r for r in results if r.error is not None]
-    for r in failed:
-        click.echo(f"warning: point {dict(r.point)} failed: {r.error}", err=True)
-    if len(failed) == len(results):
-        _fail(3, f"all {len(results)} points failed")
-
     out = Path(out_dir)
     inputs_hash = _input_hash(Path(config_path), Path(spec_path), weather_hash)
     paths = [p for p, _ in spec.parameters]
     unit = "hours" if spec.objective == "drying_time" else "years"
     columns = ["rank"] + paths + [f"objective_{unit}", "reached"]
-    lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "sweep.csv", columns, lines, f"inputs_sha256={inputs_hash}")
+        with _staged(out, "sweep.csv") as (sweep_path,):
+            results = grid_search(cfg, spec, workers=workers)
+            failed = [r for r in results if r.error is not None]
+            for r in failed:
+                click.echo(f"warning: point {dict(r.point)} failed: {r.error}", err=True)
+            if len(failed) == len(results):
+                _fail(3, f"all {len(results)} points failed")
+            lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
+            write_csv(sweep_path, columns, lines, f"inputs_sha256={inputs_hash}")
         _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
                         spec=str(spec_path), workers=workers, n_points=len(results),
                         n_reached=sum(r.reached for r in results),
                         failed=[{"point": dict(r.point), "error": r.error} for r in failed])
+    except ConfigError as exc:  # a grid value that the config rejects
+        _fail(2, f"{spec_path}: {exc}")
+    except (GridSizeError, WeatherError) as exc:
+        _fail(2, str(exc))
+    except GreendryError as exc:
+        _fail(3, str(exc))
     except OSError as exc:
         _fail(2, f"cannot write {out}: {exc}")
     best = results[0]

@@ -45,8 +45,7 @@ class Floor:
 
 @dataclass(frozen=True)
 class Product:
-    m_p: float       # dry matter mass, kg
-    rho_p: float     # dry bulk density, kg m^-3
+    rho_p: float     # dry bulk density, kg m^-3; dry mass rho_p A_p D_p
     C_pp: float      # dry product specific heat, J kg^-1 K^-1
     C_pl: float      # liquid water specific heat, J kg^-1 K^-1
     C_pv: float      # water vapour specific heat, J kg^-1 K^-1

@@ -35,7 +35,7 @@ what `step_diagnostics` needs to record it.  `step` advances and records
 one step.  `steps`, the one run loop, yields each state with its work:
 `simulate` keeps every state and record; `greendry run` (cli.cmd_run)
 streams `steps`, writing each state and step row as it comes and keeping
-none; a sweep point keeps only the state before.
+none; a sweep point keeps only the last two states.
 
 What depends only on the weather and dt is worked out outside the step:
 `weather_forcing` yields one `Forcing` per step, the weather interpolated
@@ -271,7 +271,7 @@ class StepConstants(NamedTuple):
     V_vent: float         # ventilation rate, m^3 s^-1
     T_in: float
     H_in: float
-    m_p: float
+    m_p: float            # dry mass of the charge, rho_p * A_p * D_p, kg
     C_pp: float
     C_pl: float
     latent_per_dmdt: float  # A_p * D_p * rho_p * L_p
@@ -279,7 +279,6 @@ class StepConstants(NamedTuple):
     h_dfg: float
     floor_deep: float       # A_f * h_dfg * T_deep
     floor_solar: float      # (1 - F_p) * alpha_f
-    evap_per_dM: float      # -rho_p * A_p * D_p
 
 
 def step_constants(cfg: DryerConfig) -> StepConstants:
@@ -312,7 +311,7 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
         V_vent=a.V_vent,
         T_in=a.T_in,
         H_in=a.H_in,
-        m_p=p.m_p,
+        m_p=p.rho_p * g.A_p * g.D_p,
         C_pp=p.C_pp,
         C_pl=p.C_pl,
         latent_per_dmdt=g.A_p * g.D_p * p.rho_p * p.L_p,
@@ -320,7 +319,6 @@ def step_constants(cfg: DryerConfig) -> StepConstants:
         h_dfg=f.h_dfg,
         floor_deep=g.A_f * f.h_dfg * f.T_deep,
         floor_solar=(1.0 - p.F_p) * f.alpha_f,
-        evap_per_dM=-p.rho_p * g.A_p * g.D_p,
     )
 
 
@@ -417,16 +415,16 @@ def advance(state: SimState, f: Forcing, k: StepConstants):
       A_p D_p C_pv rho_p (T_p - T_a) dM/dt keeps the temperatures
       implicit with dM/dt frozen from the kinetics step.
     - product: backward-difference balance with the effective heat
-      capacity m_p (C_pp + C_pl M_p) at the current moisture and the
-      latent term L_p dM/dt as an explicit sink.
+      capacity m_p (C_pp + C_pl M_p) of the dry mass m_p = rho_p A_p D_p
+      and the latent term L_p dM/dt as an explicit sink.
     - floor: quasi-steady algebraic row, conduction to the deep soil
       balancing absorbed solar plus convection from the air, scaled by the
       floor area so the residual is in watts like the other rows; raises
       SimulationError when h_dfg + h_c = 0 makes it singular.
 
     Then the chamber humidity-ratio balance takes the evaporated water
-    (-dM from the product) into the air, V_vent of inlet air replacing as
-    much chamber air; the new H is clamped to [0, saturation at new T_a],
+    (-m_p dM from the product) into the air, V_vent of inlet air replacing
+    as much chamber air; the new H is clamped to [0, saturation at new T_a],
     and the new state's rh is that of the new H at the new T_a.
 
     Returns (new_state, work): work is (A, b, dM, rh, flags), what
@@ -509,7 +507,7 @@ def advance(state: SimState, f: Forcing, k: StepConstants):
     if not math.isfinite(T_c + T_a + T_p + T_f) and not all(map(math.isfinite, x)):
         raise SimulationError(f"non-finite temperatures {x}")
 
-    evap = k.evap_per_dM * dM / dt
+    evap = -k.m_p * dM / dt
     # written so that a zero source leaves H bit-exactly unchanged
     H_new = ((H + dt / m_a * (evap + rho_a * k.V_vent * k.H_in))
              / (1.0 + dt / m_a * rho_a * k.V_vent))
@@ -585,11 +583,13 @@ def initial_state(cfg: DryerConfig, weather: WeatherSeries) -> SimState:
 
 
 def steps(cfg: DryerConfig, weather: WeatherSeries, horizon_s: float | None = None,
-          forcing: Iterable[Forcing] | None = None) -> Iterator[tuple[SimState, tuple | None]]:
+          forcing: Iterable[Forcing] | None = None,
+          target_mdb: float | None = None) -> Iterator[tuple[SimState, tuple | None]]:
     """The run from the start of the weather series: (initial_state, None),
     then (new_state, work) of each `advance` up to horizon_s (default: the
-    end of the series, which must cover it).  A GreendryError of a step is
-    re-raised as a SimulationError naming the step and its end time; one of
+    end of the series, which must cover it) or to the first new state with
+    M_p <= target_mdb, when given.  A GreendryError of a step is re-raised
+    as a SimulationError naming the step and its end time; one of
     initial_state as step 0 at the start time.  forcing, when given, is
     `weather_forcing(weather, cfg.numerics.dt, horizon_s)` built in advance,
     e.g. one tuple that a sweep's points share; by default it is streamed.
@@ -609,19 +609,18 @@ def steps(cfg: DryerConfig, weather: WeatherSeries, horizon_s: float | None = No
         except GreendryError as exc:
             raise SimulationError(f"step {i} (t={f.t} s): {exc}") from exc
         yield state, work
+        if target_mdb is not None and state.M_p <= target_mdb:
+            return
 
 
 def simulate(cfg: DryerConfig, weather: WeatherSeries, horizon_s: float | None = None,
              target_mdb: float | None = None) -> SimSeries:
-    """Every state of `steps(cfg, weather, horizon_s)`, each step recorded;
-    when target_mdb is given, up to the first step whose moisture reaches
-    it (a run takes at least one step)."""
+    """Every state of `steps(cfg, weather, horizon_s, target_mdb=target_mdb)`,
+    each step recorded."""
     series = SimSeries(states=[], diagnostics=[])
     states, records = series.states, series.diagnostics
-    for state, work in steps(cfg, weather, horizon_s):
+    for state, work in steps(cfg, weather, horizon_s, target_mdb=target_mdb):
         states.append(state)
         if work is not None:
             records.append(step_diagnostics(state, work))
-            if target_mdb is not None and state.M_p <= target_mdb:
-                break
     return series

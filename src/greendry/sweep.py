@@ -77,23 +77,19 @@ def drying_time_objective(
 ) -> float | None:
     """Hours until product moisture first reaches the target, linearly
     interpolated between steps; None when the horizon ends first.  It walks
-    `steps` (forcing as there) and keeps only the state before, since the
-    crossing lies between it and the first state at the target."""
+    `steps` (forcing as there), which stops at the target, and keeps only
+    the last two states, between which the crossing lies."""
     if target_mdb >= cfg.M_0:
         return 0.0
-    run = steps(cfg, weather, horizon_s, forcing)
-    prev, _ = next(run)
-    t0 = prev.t
-    for cur, _ in run:
-        if cur.M_p <= target_mdb:
-            if prev.M_p == cur.M_p:
-                t_hit = cur.t
-            else:
-                f = (prev.M_p - target_mdb) / (prev.M_p - cur.M_p)
-                t_hit = prev.t + f * (cur.t - prev.t)
-            return (t_hit - t0) / 3600.0
-        prev = cur
-    return None
+    run = steps(cfg, weather, horizon_s, forcing, target_mdb)
+    prev = cur = first = next(run)[0]
+    for state, _ in run:
+        prev, cur = cur, state
+    if not cur.M_p <= target_mdb:  # the horizon ended first
+        return None
+    # prev.M_p > target_mdb: prev is the start, at M_0, or a step that did not stop
+    f = (prev.M_p - target_mdb) / (prev.M_p - cur.M_p)
+    return (prev.t + f * (cur.t - prev.t) - first.t) / 3600.0
 
 
 def _evaluate(cfg: DryerConfig, spec: SweepSpec,

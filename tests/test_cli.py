@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import greendry
+import greendry.sweep
 
 from greendry import (
     acceptance_check,
@@ -118,8 +119,16 @@ class TestRun:
         manifest = (tmp_path / "out" / "manifest.json").read_text()
         assert first.split("=", 1)[1] in manifest
 
+    def test_dt_option_is_gone(self, runner, baseline_config_path, tmp_path):
+        # the time step has one spelling, --set numerics.dt=
+        result = _run_baseline(runner, baseline_config_path, tmp_path / "o",
+                               "--dt", "30")
+        assert result.exit_code == 2
+        assert "No such option '--dt'" in result.stderr
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("override", [
-        "product.m_p=1e308",   # infinite heat capacity: non-finite product row
+        "product.C_pp=1e308",  # infinite heat capacity: non-finite product row
         "airflow.T_in=100",    # 100 K inlet air drives T_a below the air table
     ])
     def test_numerical_failure_names_step_and_time(
@@ -135,6 +144,7 @@ class TestRun:
         ("kinetics.c_sky=0", 1, "kinetics.c_sky must be > 0"),
         ("airflow.V_in=0.3", 1, "unknown config field 'airflow.V_in'"),
         ("floor.k_f=1.7", 1, "unknown config field 'floor.k_f'"),
+        ("product.m_p=54", 1, "unknown config field 'product.m_p'"),
         ("numerics.pressure=5000", 3, "step 461 (t=27660.0 s): vapour pressure"),
         ("kinetics.b2=3e-06", 3, "step 0 (t=0.0 s): equilibrium moisture overflows"),
         ("kinetics.b0=0.012", 3, "step 0 (t=0.0 s): isotherm coefficient"),
@@ -180,9 +190,9 @@ class TestRun:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("states.csv", "diagnostics.csv")} == {
             "states.csv":
-                "46bc322af70af02cfda16eb7290872d48f8513a354d5e305ba7bf24b2759ac60",
+                "f3e0cbe3343ed8b0b854ca6f1a3e389625c48d9302b98e59b3207faf3d068850",
             "diagnostics.csv":
-                "89c7b2eeb71627b5c9eb55711b488e6812f7a32b121dc290f1580a20378d674d",
+                "4cb055597ecd4d5ccd5da83f50a2f70259e39ad61563f388c2fe143a10fceb88",
         }
 
     def test_rh_column_is_relative_humidity_of_each_state(
@@ -250,7 +260,7 @@ class TestRun:
         assert result.exit_code == 0, result.output
         states = (out / "states.csv").read_bytes()
         assert hashlib.sha256(states).hexdigest() == \
-            "52e0adc0078d5f402ca1c0506e4995295fd57d00f1886082fca53c746b19002d"
+            "e2cafbd4d318688d7560ee443cc6ffc37847fd0401752e81a24aeb75e05820d9"
         assert len(read_states_csv(out / "states.csv")["t_s"]) == 2
         assert json.loads((out / "manifest.json").read_text())["n_states"] == 2
         assert sorted(p.name for p in out.iterdir()) == \
@@ -324,7 +334,7 @@ class TestRun:
             "config": str(baseline_config_path),
             "weather": "preset:tropical:1", "out": str(out),
             "inputs_sha256": first_line.removeprefix("# inputs_sha256="),
-            "parameters": {"dt": None, "horizon_h": 2.0, "target_mdb": 0.6,
+            "parameters": {"horizon_h": 2.0, "target_mdb": 0.6,
                            "overrides": ["airflow.V_a=1.5"], "days": 1},
             "n_states": 2,
         }
@@ -772,10 +782,10 @@ class TestSweep:
         assert objectives == sorted(objectives)
         assert len(objectives) == 2
 
-    def _sweep_m_p(self, runner, config_path, tmp_path, values):
-        # m_p = 1e308 makes the step-1 product row non-finite
+    def _sweep_C_pp(self, runner, config_path, tmp_path, values):
+        # C_pp = 1e308 makes the step-1 product row non-finite
         spec = tmp_path / "spec.yaml"
-        spec.write_text(f"parameters:\n  product.m_p: {values}\n"
+        spec.write_text(f"parameters:\n  product.C_pp: {values}\n"
                         "objective: drying_time\ntarget_mdb: 0.35\nhorizon_h: 24\n")
         return run_cli(runner, "sweep", "--config", str(config_path),
                        "--spec", str(spec), "--preset", "tropical",
@@ -783,19 +793,19 @@ class TestSweep:
 
     def test_failed_point_warned_and_ranked_last(self, runner, baseline_config_path,
                                                  tmp_path):
-        result = self._sweep_m_p(runner, baseline_config_path, tmp_path, "[1e308, 54.0]")
+        result = self._sweep_C_pp(runner, baseline_config_path, tmp_path, "[1e308, 1700.0]")
         assert result.exit_code == 0, result.output
         warnings = [line for line in result.stderr.splitlines()
                     if line.startswith("warning: ")]
         assert len(warnings) == 1
-        assert "{'product.m_p': 1e+308} failed: step 1 (t=60.0 s)" in warnings[0]
+        assert "{'product.C_pp': 1e+308} failed: step 1 (t=60.0 s)" in warnings[0]
         rows = read_states_csv(tmp_path / "out" / "sweep.csv")
-        assert rows["product.m_p"] == [54.0, 1e308]
+        assert rows["product.C_pp"] == [1700.0, 1e308]
         assert rows["reached"] == [1.0, 0.0]
 
     def test_manifest_records_the_sweep(self, runner, baseline_config_path, tmp_path):
         spec = tmp_path / "spec.yaml"
-        spec.write_text("parameters:\n  product.m_p: [1e308, 54.0]\n"
+        spec.write_text("parameters:\n  product.C_pp: [1e308, 1700.0]\n"
                         "objective: drying_time\ntarget_mdb: 0.35\nhorizon_h: 24\n")
         out = tmp_path / "out"
         for workers in (["--workers", "1"], []):
@@ -805,7 +815,7 @@ class TestSweep:
             assert result.exit_code == 0, result.output
             manifest = json.loads((out / "manifest.json").read_text())
             [(point, error)] = [(f["point"], f["error"]) for f in manifest.pop("failed")]
-            assert point == {"product.m_p": 1e308}
+            assert point == {"product.C_pp": 1e308}
             assert error.startswith("step 1 (t=60.0 s): non-finite product balance")
             first_line = (out / "sweep.csv").read_text().splitlines()[0]
             assert manifest == {
@@ -818,10 +828,10 @@ class TestSweep:
             }
 
     def test_every_point_failed_exit_3(self, runner, baseline_config_path, tmp_path):
-        result = self._sweep_m_p(runner, baseline_config_path, tmp_path, "[1e308]")
+        result = self._sweep_C_pp(runner, baseline_config_path, tmp_path, "[1e308]")
         assert result.exit_code == 3
         assert "all 1 points failed" in result.stderr
-        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_workers_do_not_change_sweep_csv(self, runner, baseline_config_path,
                                             tmp_path):
@@ -877,6 +887,42 @@ class TestSweep:
                               "--days", "2", "--workers", "1", "--out", str(blocker))
         _assert_cannot_write(result, blocker, blocker, b"kept\n")
         assert sorted(tmp_path.iterdir()) == [blocker, spec]
+
+    def test_unwritable_out_exits_before_any_point_is_simulated(
+            self, runner, baseline_config_path, tmp_path, monkeypatch):
+        simulated = []
+
+        def counted(*args, **kwargs):
+            simulated.append(args)
+            return steps(*args, **kwargs)
+
+        monkeypatch.setattr(greendry.sweep, "steps", counted)
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept\n")
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                         "--spec", str(self._spec(tmp_path)), "--preset", "tropical",
+                         "--days", "2", "--workers", "1", "--out", str(blocker))
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: cannot write {blocker}: ")
+        assert simulated == []
+        assert blocker.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("grid, message", [
+        ("cover.tau_c: [0.85, 1.5]", "cover.tau_c must be in [0, 1], got 1.5"),
+        ("product.bogus: [1]", "unknown config field 'product.bogus'"),
+        ("product.m_p: [54.0]", "unknown config field 'product.m_p'"),
+    ], ids=["out-of-bounds", "unknown-field", "removed-field"])
+    def test_grid_value_the_config_rejects_exit_2(
+            self, runner, baseline_config_path, tmp_path, grid, message):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(f"parameters:\n  {grid}\n")
+        out = tmp_path / "a" / "out"
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                         "--spec", str(spec), "--preset", "tropical",
+                         "--workers", "1", "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {spec}: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [spec]
 
     def test_oversized_grid_exit_2(self, runner, baseline_config_path, tmp_path):
         spec = self._spec(tmp_path, "[0.1, 0.2, 0.3, 0.4]", extra="max_points: 3\n")

@@ -94,11 +94,11 @@ class TestValidation:
                  for section, values in baseline_cfg.to_dict().items()
                  for name in values]
         assert sorted(paths) == sorted(FIELDS)
-        assert len(paths) == 37
+        assert len(paths) == 36
 
     @pytest.mark.parametrize("section, key", [
         ("floor", "k_f"), ("airflow", "V_in"), ("airflow", "V_out"),
-        ("numerics", "linearization"),
+        ("numerics", "linearization"), ("product", "m_p"),
     ])
     def test_removed_keys_rejected(self, section, key):
         data = {k: dict(v) for k, v in BASE.items()}

@@ -44,7 +44,7 @@ BASE = {
     "cover": {"m_c": 5.0, "C_pc": 2300.0, "alpha_c": 0.05, "tau_c": 0.85,
               "eps_c": 0.4, "k_c": 0.33, "delta_c": 0.05},
     "floor": {"alpha_f": 0.6, "h_dfg": 3.0, "T_deep": 298.0},
-    "product": {"m_p": 36.0, "rho_p": 300.0, "C_pp": 1700.0, "C_pl": 4186.0,
+    "product": {"rho_p": 300.0, "C_pp": 1700.0, "C_pl": 4186.0,
                 "C_pv": 1880.0, "alpha_p": 0.6, "eps_p": 0.9, "L_p": 2.358e6,
                 "M_0_pct": 52.2, "F_p": 0.5},
     "airflow": {"V_vent": 0.1, "V_a": 1.0, "T_in": 301.0, "H_in": 0.012},
@@ -442,7 +442,9 @@ class TestProductBalance:
         assert row @ np.full(4, T) - rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_effective_heat_capacity(self):
-        cfg = make_cfg(product={"m_p": 100.0, "C_pp": 2000.0, "C_pl": 4186.0})
+        # a dry mass rho_p A_p D_p of 250 x 10 x 0.04 = 100 kg
+        cfg = make_cfg(product={"rho_p": 250.0, "C_pp": 2000.0, "C_pl": 4186.0},
+                       geometry={"A_p": 10.0, "D_p": 0.04})
         state = make_state(300.0, M_p=0.522)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         dt = 60.0
@@ -450,6 +452,22 @@ class TestProductBalance:
         cap = 100.0 * (2000.0 + 4186.0 * 0.522)
         assert cap == pytest.approx(418_509.2, rel=1e-9)
         assert row[2] == pytest.approx(cap / dt, rel=1e-12)
+
+    @pytest.mark.parametrize("path, factor", [
+        ("geometry.D_p", 2.0), ("geometry.D_p", 0.5), ("product.rho_p", 1.5)])
+    def test_heat_capacity_scales_with_the_bed(self, baseline_cfg, path, factor):
+        # the charge's dry mass is rho_p A_p D_p: a thicker or denser bed
+        # has more dry matter to heat, as well as more water to lose
+        section, name = path.split(".")
+        value = getattr(getattr(baseline_cfg, section), name) * factor
+        cfg = apply_overrides(baseline_cfg, {path: value})
+        state = make_state(300.0, M_p=0.522)
+        w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
+        assert step_constants(baseline_cfg).m_p == 54.0
+        assert step_constants(cfg).m_p == pytest.approx(54.0 * factor, rel=1e-15)
+        base_row, _ = balance("product", state, w, baseline_cfg)
+        row, _ = balance("product", state, w, cfg)
+        assert row[2] == pytest.approx(base_row[2] * factor, rel=1e-12)
 
     def test_latent_sink_cools_product(self):
         cfg = make_cfg()
@@ -786,6 +804,25 @@ class TestSimulate:
             assert len(series.states) == 2
             assert len(series.diagnostics) == 1
             assert series.diagnostics[0].t == series.states[1].t
+
+    def test_steps_stop_at_the_target(self, baseline_cfg, tropical_weather,
+                                      monkeypatch):
+        # steps yields up to the first stepped state at the target and
+        # takes no step after it; the states are those of a run to the end
+        full = [state for state, _ in steps(baseline_cfg, tropical_weather)]
+        n = next(i for i, state in enumerate(full) if i and state.M_p <= 0.45)
+        advanced = []
+        original = greendry.solver.advance
+
+        def counted(*args):
+            advanced.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(greendry.solver, "advance", counted)
+        stopped = [state for state, _ in
+                   steps(baseline_cfg, tropical_weather, target_mdb=0.45)]
+        assert stopped == full[:n + 1]
+        assert len(advanced) == n
 
     def test_without_diagnostics_same_states(self, baseline_cfg, tropical_weather):
         # the states steps yields are simulate's; only the initial state

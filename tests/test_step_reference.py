@@ -129,7 +129,7 @@ def reference_advance(state, f, k):
         raise SimulationError(f"non-finite temperatures {x}")
     T_c, T_a, T_p, T_f = x
 
-    evap = k.evap_per_dM * dM / dt
+    evap = -k.m_p * dM / dt
     H_new = ((state.H + dt / m_a * (evap + air.rho * k.V_vent * k.H_in))
              / (1.0 + dt / m_a * air.rho * k.V_vent))
     if not math.isfinite(H_new):

@@ -149,12 +149,12 @@ class TestGridSearch:
 
     def test_failing_point_ranks_last_with_reason(self, baseline_cfg, weather):
         # an infinite-capacity product makes the step-1 product row non-finite
-        spec = make_spec(weather, (("product.m_p", (1e308, 54.0)),))
+        spec = make_spec(weather, (("product.C_pp", (1e308, 1700.0)),))
         serial = grid_search(baseline_cfg, spec, workers=1)
         first, last = serial
-        assert first.point == (("product.m_p", 54.0),)
+        assert first.point == (("product.C_pp", 1700.0),)
         assert first.reached and first.error is None
-        assert last.point == (("product.m_p", 1e308),)
+        assert last.point == (("product.C_pp", 1e308),)
         assert not last.reached and last.objective == math.inf
         assert "step 1 (t=60.0 s)" in last.error
         assert grid_search(baseline_cfg, spec, workers=2) == serial
