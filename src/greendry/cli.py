@@ -1,9 +1,11 @@
 """Command-line entry point: reproducible runs with CSV outputs.
 
 Subcommands: run, validate, sweep, gen-weather.  Exit codes for run/sweep:
-1 configuration error, 2 weather/input error, a sweep grid value that the
-config rejects or an --out that cannot be written (also for gen-weather),
-3 numerical failure (for sweep: of every grid point); validate exits 1
+1 configuration error; 2 weather/input error (run: a horizon not >= 0 or
+past the weather, a non-finite --target-mdb; sweep: a spec error, named
+by the spec, or a grid value that the config rejects) or an --out that
+cannot be written (also for gen-weather); 3 numerical failure (for sweep:
+of every grid point, a failed simulation or no payback); validate exits 1
 when the acceptance check fails and 2 on an unreadable or malformed CSV,
 a grid or a variable error.  Every output file embeds a SHA-256 hash of
 the inputs so reruns are byte-for-byte reproducible.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,8 +33,7 @@ import click
 from . import __version__
 from .analysis import DEFAULT_ACCEPTANCE_LIMIT, acceptance_check, percent_difference
 from .config import apply_overrides, load_config
-from .errors import (ComparisonError, ConfigError, GreendryError, GridSizeError,
-                     WeatherError)
+from .errors import ComparisonError, ConfigError, GreendryError, WeatherError
 from .solver import steps
 from .sweep import grid_search, load_sweep_spec
 from .weather import (PRESETS, interpolate, load_csv, open_csv, read_csv, save_csv,
@@ -69,23 +71,24 @@ def _parse_sets(pairs) -> dict[str, float]:
 
 
 def _resolve_weather(weather_path, preset, days):
+    """The weather series, its manifest label and its inputs-hash part."""
     if weather_path is not None:
-        return load_csv(weather_path), _input_hash(Path(weather_path))
+        return load_csv(weather_path), str(weather_path), _input_hash(Path(weather_path))
     if preset is None:
         raise WeatherError("need --weather FILE or --preset NAME")
     if preset not in PRESETS:
         raise WeatherError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
-    series = synthetic_days(n_days=days, **PRESETS[preset])
-    return series, _input_hash(f"preset:{preset}:{days}")
+    label = f"preset:{preset}:{days}"
+    return synthetic_days(n_days=days, **PRESETS[preset]), label, _input_hash(label)
 
 
-def _write_manifest(out: Path, config_path, weather_path, preset, days,
-                    inputs_hash: str, **fields) -> None:
+def _write_manifest(out: Path, config_path, weather_label: str, inputs_hash: str,
+                    **fields) -> None:
     """Write out/manifest.json: the inputs, out and their hash, then fields."""
     manifest = {
         "engine_version": __version__,
         "config": str(config_path),
-        "weather": str(weather_path) if weather_path else f"preset:{preset}:{days}",
+        "weather": weather_label,
         "out": str(out),
         "inputs_sha256": inputs_hash,
         **fields,
@@ -198,9 +201,11 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, horizon_h,
     except ConfigError as exc:
         _fail(1, str(exc))
     try:
-        weather, weather_hash = _resolve_weather(weather_path, preset, days)
+        weather, weather_label, weather_hash = _resolve_weather(weather_path, preset, days)
     except WeatherError as exc:
         _fail(2, str(exc))
+    if target_mdb is not None and not math.isfinite(target_mdb):
+        _fail(2, f"--target-mdb must be finite, got {target_mdb}")
 
     inputs_hash = _input_hash(
         Path(config_path), weather_hash, sorted(sets.items()), horizon_h, target_mdb,
@@ -210,7 +215,7 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, horizon_h,
     try:
         n_states = _write_run(out, steps(cfg, weather, horizon_s, target_mdb=target_mdb),
                               f"inputs_sha256={inputs_hash}")
-        _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
+        _write_manifest(out, config_path, weather_label, inputs_hash,
                         parameters={"horizon_h": horizon_h, "target_mdb": target_mdb,
                                     "overrides": list(overrides), "days": days},
                         n_states=n_states)
@@ -290,14 +295,14 @@ def cmd_validate(states_path, observed_path, variable, limit):
                    "one per grid point]; results are identical to --workers 1")
 def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, workers):
     """Evaluate a parameter grid; write sweep.csv ranked by objective.
-    A point whose simulation fails is warned about and ranked as not
-    reached; the command exits 3 only when every point failed."""
+    A point that fails, in its simulation or with no payback, is warned
+    about and ranked as not reached; exit 3 only when every point failed."""
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
         _fail(1, str(exc))
     try:
-        weather, weather_hash = _resolve_weather(weather_path, preset, days)
+        weather, weather_label, weather_hash = _resolve_weather(weather_path, preset, days)
         spec = load_sweep_spec(spec_path, weather)
     except (WeatherError, ConfigError) as exc:
         _fail(2, str(exc))
@@ -316,14 +321,12 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
                 _fail(3, f"all {len(results)} points failed")
             lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
             write_csv(sweep_path, columns, lines, f"inputs_sha256={inputs_hash}")
-        _write_manifest(out, config_path, weather_path, preset, days, inputs_hash,
+        _write_manifest(out, config_path, weather_label, inputs_hash,
                         spec=str(spec_path), workers=workers, n_points=len(results),
                         n_reached=sum(r.reached for r in results),
                         failed=[{"point": dict(r.point), "error": r.error} for r in failed])
     except ConfigError as exc:  # a grid value that the config rejects
         _fail(2, f"{spec_path}: {exc}")
-    except (GridSizeError, WeatherError) as exc:
-        _fail(2, str(exc))
     except GreendryError as exc:
         _fail(3, str(exc))
     except OSError as exc:

@@ -177,15 +177,20 @@ def config_from_dict(data: dict) -> DryerConfig:
     return DryerConfig(**kwargs)
 
 
-def load_config(path) -> DryerConfig:
+def read_yaml(path, what: str):
+    """The data of the YAML file path; ConfigError `<what> not found: path`
+    when it is missing, `cannot parse path: ...` when it is not YAML."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        return yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
-    return config_from_dict(data)
+
+
+def load_config(path) -> DryerConfig:
+    return config_from_dict(read_yaml(path, "config file"))
 
 
 def apply_overrides(cfg: DryerConfig, assignments: dict[str, float]) -> DryerConfig:

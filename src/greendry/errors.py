@@ -48,10 +48,6 @@ class EconomicsError(GreendryError, ValueError):
     """The economic inputs admit no finite payback."""
 
 
-class GridSizeError(GreendryError, ValueError):
-    """A sweep grid exceeds the configured size cap."""
-
-
 class ConfigWarning(UserWarning):
     """Non-fatal, non-physical configuration detected (e.g. sky hotter than
     ambient from a bad sky coefficient)."""

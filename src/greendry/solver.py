@@ -75,7 +75,7 @@ from .core import (_AIR_TABLE_CP, _AIR_TABLE_K, _AIR_TABLE_NU, _AIR_TABLE_RHO,
                    _AIR_TABLE_T, _EPSILON, AIR_T_MAX, AIR_T_MIN, SATURATION_T_MAX,
                    SimState, WeatherRecord, air_properties, humidity_ratio,
                    relative_humidity, saturation_pressure, vapour_humidity_ratio)
-from .errors import GreendryError, SimulationError, SingularMatrixError, WeatherError
+from .errors import GreendryError, SimulationError, SingularMatrixError
 from .kinetics import RH_FIT_MAX, RH_FIT_MIN, T_FIT_MAX, T_FIT_MIN
 from .weather import WeatherSeries, interpolate
 
@@ -379,18 +379,9 @@ def weather_forcing(weather: WeatherSeries, dt: float,
     """The Forcing of each step i = 1, 2, ... of a run of step dt over
     horizon_s (default: to the end of the series), interpolated at
     min(t0 + i dt, t_end), as an iterator that takes one step at a time.
-    The horizon is checked here, at once: WeatherError unless it is >= 0
-    and the series covers it."""
+    The horizon is checked here, at once, by `WeatherSeries.horizon`."""
     t0, t_end = weather.t_start, weather.t_end
-    if horizon_s is None:
-        horizon_s = t_end - t0
-    if horizon_s < 0:
-        raise WeatherError(f"horizon must be >= 0, got {horizon_s}")
-    if t0 + horizon_s > t_end + 1e-9:
-        raise WeatherError(
-            f"weather series ends at {t_end} s but the run needs "
-            f"{t0 + horizon_s} s"
-        )
+    horizon_s = weather.horizon(horizon_s)
     steps = range(1, int(math.floor(horizon_s / dt + 1e-9)) + 1)
     walk = interpolate(weather.times, weather.columns,
                        (min(t0 + i * dt, t_end) for i in steps))

@@ -11,15 +11,14 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .analysis import EconomicInputs, payback_period
-from .config import DryerConfig, apply_overrides
-from .errors import ConfigError, GridSizeError, SimulationError
+from .config import DryerConfig, apply_overrides, read_yaml
+from .errors import ConfigError, EconomicsError, SimulationError, WeatherError
 from .solver import Forcing, steps, weather_forcing
 from .weather import WeatherSeries
 
-DEFAULT_GRID_CAP = 10_000
+GRID_CAP = 10_000  # the most points a sweep grid may have
+SPEC_KEYS = ("parameters", "objective", "target_mdb", "horizon_h", "economics")
 
 
 @dataclass(frozen=True)
@@ -36,36 +35,46 @@ class EconomicModel:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep, its facts checked here, once; ConfigError names what it
+    rejects (the values are checked by load_sweep_spec)."""
+
     parameters: tuple[tuple[str, tuple[float, ...]], ...]  # (dotted path, values)
     objective: str                    # "drying_time" | "payback"
     target_mdb: float                 # decimal dry basis
     weather: WeatherSeries
     horizon_s: float | None = None
     economics: EconomicModel | None = None
-    grid_cap: int = DEFAULT_GRID_CAP
 
     def __post_init__(self):
         if not self.parameters or any(not vals for _, vals in self.parameters):
             raise ConfigError("sweep needs >= 1 parameter with >= 1 value each")
+        if self.grid_size > GRID_CAP:
+            raise ConfigError(f"parameters make {self.grid_size} points, more than {GRID_CAP}")
         if self.objective not in ("drying_time", "payback"):
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.objective == "payback" and self.economics is None:
             raise ConfigError("payback objective needs an economics block")
+        if self.economics is not None and not self.economics.capital > 0:
+            raise ConfigError(f"economics.capital must be > 0, got {self.economics.capital}")
+        try:
+            self.weather.horizon(self.horizon_s)
+        except WeatherError as exc:
+            raise ConfigError(f"horizon_h: {exc}") from None
 
     @property
     def grid_size(self) -> int:
-        n = 1
-        for _, vals in self.parameters:
-            n *= len(vals)
-        return n
+        return math.prod(len(vals) for _, vals in self.parameters)
 
 
 @dataclass(frozen=True)
 class SweepResult:
     point: tuple[tuple[str, float], ...]  # (path, value) in spec order
     objective: float                      # hours or years; inf = not reached
-    reached: bool
-    error: str | None = None              # why the point's simulation failed
+    error: str | None = None              # why the point failed
+
+    @property
+    def reached(self) -> bool:
+        return self.objective < math.inf
 
 
 def drying_time_objective(
@@ -96,32 +105,27 @@ def _evaluate(cfg: DryerConfig, spec: SweepSpec,
               point: tuple[tuple[str, float], ...],
               forcings: dict[float, tuple[Forcing, ...]]) -> SweepResult:
     """One grid point's result, from its already overridden config.  A
-    point whose simulation fails is not reached and carries the reason;
-    other errors abort the sweep.  The weather forcing depends only on the
-    weather, dt and the horizon, so forcings keeps it per dt, built on first
-    use, for the points that follow."""
+    point whose simulation fails, or that has no payback, is not reached
+    and carries the reason; other errors abort the sweep.  The weather
+    forcing depends only on the weather, dt and the horizon, so forcings
+    keeps it per dt, built on first use, for the points that follow."""
     dt = cfg.numerics.dt
     if dt not in forcings:
         forcings[dt] = tuple(weather_forcing(spec.weather, dt, spec.horizon_s))
     try:
         hours = drying_time_objective(cfg, spec.weather, spec.target_mdb,
                                       spec.horizon_s, forcings[dt])
-    except SimulationError as exc:
-        return SweepResult(point=point, objective=math.inf, reached=False,
-                           error=str(exc))
-    if hours is None:
-        return SweepResult(point=point, objective=math.inf, reached=False)
-    if spec.objective == "drying_time":
-        return SweepResult(point=point, objective=hours, reached=True)
-    eco = spec.economics
-    if hours == 0.0:
-        return SweepResult(point=point, objective=math.inf, reached=False)
-    production = eco.batch_kg_dry * eco.annual_operating_hours / hours
-    years = payback_period(EconomicInputs(
-        capital=eco.capital, operating_cost=eco.operating_cost,
-        annual_production=production, unit_premium=eco.unit_premium,
-    ))
-    return SweepResult(point=point, objective=years, reached=True)
+        if hours is None or (spec.objective == "payback" and hours == 0.0):
+            return SweepResult(point, math.inf)
+        if spec.objective == "drying_time":
+            return SweepResult(point, hours)
+        eco = spec.economics
+        return SweepResult(point, payback_period(EconomicInputs(
+            capital=eco.capital, operating_cost=eco.operating_cost,
+            annual_production=eco.batch_kg_dry * eco.annual_operating_hours / hours,
+            unit_premium=eco.unit_premium)))
+    except (SimulationError, EconomicsError) as exc:
+        return SweepResult(point, math.inf, str(exc))
 
 
 # The spec of the sweep a pool worker serves and its weather forcings, set
@@ -154,16 +158,13 @@ def grid_search(base: DryerConfig, spec: SweepSpec,
                 workers: int | None = None) -> list[SweepResult]:
     """Evaluate every grid point and return results sorted ascending by
     objective, ties broken by the point's parameter values in spec order.
-    A point whose simulation fails ranks as not reached, with its error.
+    A point that fails ranks as not reached, with its error.
 
     Points are simulated in `workers` processes (default: the CPUs
     available, at most one per point); with one worker they run in this
     process.  Every point's overrides are applied here first, so an
     invalid one raises before any point is simulated.  Each point runs the
     same code either way, so the results are identical."""
-    n = spec.grid_size
-    if n > spec.grid_cap:
-        raise GridSizeError(f"grid has {n} points, cap is {spec.grid_cap}")
     if workers is None:
         workers = available_cpus()
     if workers < 1:
@@ -174,7 +175,7 @@ def grid_search(base: DryerConfig, spec: SweepSpec,
         for combo in itertools.product(*(vals for _, vals in spec.parameters))
     ]
     cfgs = [apply_overrides(base, dict(pt)) for pt in points]
-    workers = min(workers, n)
+    workers = min(workers, len(points))
     if workers == 1:
         forcings = {}
         results = [_evaluate(cfg, spec, pt, forcings) for cfg, pt in zip(cfgs, points)]
@@ -197,19 +198,13 @@ def grid_search(base: DryerConfig, spec: SweepSpec,
 
 
 def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
-    """Read a sweep spec YAML: parameters (dotted path -> value list),
-    objective, target_mdb, optional horizon_h, economics and max_points.
+    """Read a sweep spec YAML: the SPEC_KEYS parameters (dotted path ->
+    value list), objective, target_mdb, optional horizon_h and economics.
     ConfigError, naming path and the key, for an unknown key (also in
-    economics), an objective that is not a string or a value that is not a
-    number (for max_points, not whole); naming path, for what SweepSpec
-    rejects (an unknown objective, payback without economics)."""
+    economics), a block of the wrong type or a value that is not a finite
+    number; naming path, for what SweepSpec rejects."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"sweep spec not found: {path}")
-    try:
-        data = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from None
+    data = read_yaml(path, "sweep spec")
 
     def check_keys(name, block, known):
         if not isinstance(block, dict):
@@ -220,19 +215,21 @@ def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
 
     def number(key, value):
         try:  # YAML 1.1 reads exponents like 1.5e3 as strings
-            return float(value)
+            x = float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{path}: {key} must be numeric, got {value!r}") from None
+        if not math.isfinite(x):
+            raise ConfigError(f"{path}: {key} must be finite, got {x}")
+        return x
 
-    check_keys("the sweep spec", data, ("parameters", "objective", "target_mdb",
-                                        "horizon_h", "economics", "max_points"))
+    check_keys("the sweep spec", data, SPEC_KEYS)
     params_raw = data.get("parameters")
-    if not isinstance(params_raw, dict) or not params_raw:
-        raise ConfigError(f"{path}: 'parameters' must be a non-empty mapping")
+    if not isinstance(params_raw, dict):
+        raise ConfigError(f"{path}: 'parameters' must be a mapping")
     parameters = []
     for dotted, values in params_raw.items():
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigError(f"{path}: values for {dotted!r} must be a non-empty list")
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"{path}: values for {dotted!r} must be a list")
         parameters.append((str(dotted), tuple(number(f"parameters.{dotted}", v)
                                               for v in values)))
     economics = None
@@ -242,18 +239,13 @@ def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
         economics = EconomicModel(**{name: number(f"economics.{name}",
                                                   data["economics"].get(name))
                                      for name in names})
-    objective = data.get("objective", "drying_time")
-    if not isinstance(objective, str):
-        raise ConfigError(f"{path}: objective must be a string, got {objective!r}")
-    grid_cap = number("max_points", data.get("max_points", DEFAULT_GRID_CAP))
-    if not grid_cap.is_integer():
-        raise ConfigError(f"{path}: max_points must be a whole number, got {grid_cap}")
     target_mdb = number("target_mdb", data.get("target_mdb", 0.08))
     horizon_s = (number("horizon_h", data["horizon_h"]) * 3600.0
                  if "horizon_h" in data else None)
     try:
-        return SweepSpec(parameters=tuple(parameters), objective=objective,
+        return SweepSpec(parameters=tuple(parameters),
+                         objective=data.get("objective", "drying_time"),
                          target_mdb=target_mdb, weather=weather, horizon_s=horizon_s,
-                         economics=economics, grid_cap=int(grid_cap))
+                         economics=economics)
     except ConfigError as exc:  # SweepSpec's checks name no file
         raise ConfigError(f"{path}: {exc}") from None

@@ -91,6 +91,19 @@ class WeatherSeries:
     def t_end(self) -> float:
         return self.records[-1].t
 
+    def horizon(self, horizon_s: float | None = None) -> float:
+        """The run horizon horizon_s, by default to the end of the series;
+        WeatherError unless it is >= 0 (so not NaN) and the series covers it."""
+        t0, t_end = self.t_start, self.t_end
+        if horizon_s is None:
+            return t_end - t0
+        if not 0 <= horizon_s:
+            raise WeatherError(f"horizon must be >= 0 s, got {horizon_s} s")
+        if t0 + horizon_s > t_end + 1e-9:
+            raise WeatherError(f"weather series ends at {t_end} s but the run needs "
+                               f"{t0 + horizon_s} s")
+        return horizon_s
+
     def __len__(self) -> int:
         return len(self.records)
 

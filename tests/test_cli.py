@@ -1,5 +1,6 @@
 import bisect
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -36,7 +37,7 @@ from greendry.cli import (
 )
 from greendry.core import SimState, relative_humidity
 from greendry.solver import StepDiagnostics, step_diagnostics, steps
-from greendry.sweep import SweepResult
+from greendry.sweep import SPEC_KEYS, EconomicModel, SweepResult
 from greendry.weather import write_csv
 
 from conftest import REPO_ROOT
@@ -311,6 +312,20 @@ class TestRun:
         _assert_cannot_write(result, blocker, blocker, b"kept\n")
         assert list(tmp_path.iterdir()) == [blocker]
 
+    @pytest.mark.parametrize("option, message", [
+        ("--horizon-h", "horizon must be >= 0 s, got nan s"),
+        ("--target-mdb", "--target-mdb must be finite, got nan"),
+    ])
+    def test_nan_horizon_or_target_exit_2(self, baseline_config_path, tmp_path,
+                                          option, message):
+        out = tmp_path / "a" / "out"
+        result = _cli_process("run", "--config", str(baseline_config_path),
+                              "--preset", "tropical", "--days", "1",
+                              option, "nan", "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unmakeable_out_removes_the_directories_it_made(
             self, runner, baseline_config_path, tmp_path):
         # new/ is made before the over-long name under it fails
@@ -400,8 +415,7 @@ class TestWriteCsv:
     def test_sweep_rows_with_integer_rank_and_reached(self, tmp_path):
         columns = ["rank", "airflow.V_a", "cover.tau_c", "objective_hours", "reached"]
         results = [SweepResult(point=(("airflow.V_a", 0.5 * i), ("cover.tau_c", 0.9)),
-                               objective=36.0 + i / 7 if i % 3 else float("inf"),
-                               reached=bool(i % 3))
+                               objective=36.0 + i / 7 if i % 3 else float("inf"))
                    for i in range(12)]
         got = self._written(tmp_path / "new.csv", columns,
                             map(_sweep_line, range(1, 13), results))
@@ -874,8 +888,7 @@ class TestSweep:
                          "--spec", str(spec), "--preset", "tropical",
                          "--out", str(tmp_path / "out"))
         assert result.exit_code == 2
-        assert result.stderr == (f"error: {spec}: objective must be a string, "
-                                 f"got {shown}\n")
+        assert result.stderr == f"error: {spec}: unknown objective {shown}\n"
         assert not (tmp_path / "out").exists()
 
     def test_out_is_a_file_exit_2(self, baseline_config_path, tmp_path):
@@ -925,11 +938,92 @@ class TestSweep:
         assert sorted(tmp_path.iterdir()) == [spec]
 
     def test_oversized_grid_exit_2(self, runner, baseline_config_path, tmp_path):
-        spec = self._spec(tmp_path, "[0.1, 0.2, 0.3, 0.4]", extra="max_points: 3\n")
+        # 101 x 100 points: rejected as the spec is loaded
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(f"parameters:\n  airflow.V_a: {[1 + i / 100 for i in range(101)]}\n"
+                        f"  product.F_p: {[0.3 + i / 1000 for i in range(100)]}\n")
         result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
                          "--spec", str(spec), "--preset", "tropical",
                          "--out", str(tmp_path / "out"))
         assert result.exit_code == 2
+        assert result.stderr == (f"error: {spec}: parameters make 10100 points, "
+                                 "more than 10000\n")
+        assert sorted(tmp_path.iterdir()) == [spec]
+
+    @pytest.mark.parametrize("extra, message", [
+        ("economics:\n  capital: -1.0\n  operating_cost: 1000.0\n  batch_kg_dry: 25.0\n"
+         "  annual_operating_hours: 4000.0\n  unit_premium: 24.0\n",
+         "economics.capital must be > 0, got -1.0"),
+        ("horizon_h: .nan\n", "horizon_h must be finite, got nan"),
+        ("horizon_h: -1\n", "horizon_h: horizon must be >= 0 s, got -3600.0 s"),
+        ("horizon_h: 100\n",
+         "horizon_h: weather series ends at 172800.0 s but the run needs 360000.0 s"),
+        ("target_mdb: .nan\n", "target_mdb must be finite, got nan"),
+        ("target_mdb: .inf\n", "target_mdb must be finite, got inf"),
+        ("max_points: 100\n", "unknown keys in the sweep spec: ['max_points']"),
+    ], ids=["capital", "horizon-nan", "horizon-negative", "horizon-past-weather",
+            "target-nan", "target-inf", "max_points"])
+    def test_spec_error_exit_2_before_any_point(self, runner, baseline_config_path,
+                                                tmp_path, monkeypatch, extra, message):
+        simulated = []
+        monkeypatch.setattr(greendry.sweep, "steps", lambda *a, **k: simulated.append(a))
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("parameters:\n  airflow.V_a: [1.2]\n" + extra)
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                         "--spec", str(spec), "--preset", "tropical", "--days", "2",
+                         "--workers", "1", "--out", str(tmp_path / "out"))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {spec}: {message}\n"
+        assert simulated == []
+        assert sorted(tmp_path.iterdir()) == [spec]
+
+    def _sweep_payback(self, runner, config_path, tmp_path, operating_cost):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("parameters:\n  airflow.V_vent: [0.5, 0.9]\n"
+                        "  product.F_p: [0.4, 0.5]\n"
+                        "objective: payback\ntarget_mdb: 0.08\nhorizon_h: 96\n"
+                        f"economics:\n  capital: 11500.0\n  operating_cost: {operating_cost}\n"
+                        "  batch_kg_dry: 25.0\n  annual_operating_hours: 4000.0\n"
+                        "  unit_premium: 24.0\n")
+        return run_cli(runner, "sweep", "--config", str(config_path),
+                       "--spec", str(spec), "--preset", "tropical",
+                       "--days", "4", "--out", str(tmp_path / "out"))
+
+    def test_no_payback_points_warned_and_ranked_last(self, runner, baseline_config_path,
+                                                      tmp_path):
+        # the V_vent 0.9 points dry too slowly to cover the operating cost
+        result = self._sweep_payback(runner, baseline_config_path, tmp_path, "60000.0")
+        assert result.exit_code == 0, result.output
+        warnings = result.stderr.splitlines()
+        assert len(warnings) == 2
+        for line, F_p in zip(warnings, (0.4, 0.5)):
+            assert line.startswith(f"warning: point {{'airflow.V_vent': 0.9, "
+                                   f"'product.F_p': {F_p}}} failed: no payback: ")
+        rows = read_states_csv(tmp_path / "out" / "sweep.csv")
+        assert rows["airflow.V_vent"] == [0.5, 0.5, 0.9, 0.9]
+        assert rows["objective_years"][2:] == [float("inf")] * 2
+        assert rows["reached"] == [1.0, 1.0, 0.0, 0.0]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [f["point"] for f in manifest["failed"]] == [
+            {"airflow.V_vent": 0.9, "product.F_p": 0.4},
+            {"airflow.V_vent": 0.9, "product.F_p": 0.5}]
+        assert manifest["n_reached"] == 2
+
+    def test_no_point_pays_back_exit_3(self, runner, baseline_config_path, tmp_path):
+        result = self._sweep_payback(runner, baseline_config_path, tmp_path, "1e9")
+        assert result.exit_code == 3
+        assert result.stderr.splitlines()[-1] == "error: all 4 points failed"
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_names_the_spec_keys(self):
+        # README's sweep section lists the keys load_sweep_spec accepts
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### `sweep`"):readme.index("### `gen-weather`")]
+        assert re.findall(r"^- `(\w+)`:", section, re.M) == list(SPEC_KEYS)
+        economics = re.search(r"^- `economics`:.*?(?=^- |^$)", section,
+                              re.M | re.S).group(0)
+        assert re.findall(r"`(\w+)`", economics)[1:] == [
+            f.name for f in dataclasses.fields(EconomicModel)]
 
 
 class TestGenWeather:

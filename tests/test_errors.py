@@ -15,7 +15,6 @@ INSTANCES = [
     errors.SimulationError("step 1 (t=60.0 s): non-finite air balance"),
     errors.ComparisonError("length mismatch"),
     errors.EconomicsError("no finite payback"),
-    errors.GridSizeError("grid has 12 points, cap is 10"),
 ]
 
 

@@ -5,8 +5,9 @@ import pytest
 import greendry.solver
 import greendry.sweep
 from greendry.config import apply_overrides
-from greendry.errors import ConfigError, GridSizeError, WeatherError
+from greendry.errors import ConfigError
 from greendry.sweep import (
+    GRID_CAP,
     EconomicModel,
     SweepResult,
     SweepSpec,
@@ -113,8 +114,7 @@ class TestGridSearch:
         serial = grid_search(baseline_cfg, spec, workers=1)
         assert serial == [
             SweepResult(point=(("airflow.V_a", V_a), ("airflow.V_vent", V_vent)),
-                        objective=objective, reached=error is None and objective < math.inf,
-                        error=error)
+                        objective=objective, error=error)
             for (V_a, V_vent), objective, error in expected
         ]
         assert grid_search(baseline_cfg, spec) == serial
@@ -140,12 +140,10 @@ class TestGridSearch:
             assert r.objective == drying_time_objective(cfg, weather, 0.45,
                                                         12 * 3600.0)
 
-    def test_weather_too_short_aborts_the_sweep(self, baseline_cfg, weather):
-        spec = make_spec(weather, (("product.F_p", (0.4, 0.5)),),
-                         horizon_s=7 * 86400.0)
-        for workers in (1, 2):
-            with pytest.raises(WeatherError, match="weather series ends at"):
-                grid_search(baseline_cfg, spec, workers=workers)
+    def test_weather_too_short_aborts_the_sweep(self, weather):
+        # the spec is checked before any point is simulated
+        with pytest.raises(ConfigError, match="horizon_h: weather series ends at"):
+            make_spec(weather, (("product.F_p", (0.4, 0.5)),), horizon_s=7 * 86400.0)
 
     def test_failing_point_ranks_last_with_reason(self, baseline_cfg, weather):
         # an infinite-capacity product makes the step-1 product row non-finite
@@ -179,11 +177,13 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="workers"):
             grid_search(baseline_cfg, spec, workers=0)
 
-    def test_grid_cap(self, baseline_cfg, weather):
-        spec = make_spec(weather, (("airflow.V_vent", tuple(0.1 * i for i in range(1, 7))),),
-                         grid_cap=5)
-        with pytest.raises(GridSizeError):
-            grid_search(baseline_cfg, spec)
+    def test_grid_cap(self, weather):
+        values = tuple(0.01 * i for i in range(1, 101))
+        assert make_spec(weather, (("airflow.V_vent", values),
+                                   ("product.F_p", values))).grid_size == GRID_CAP
+        with pytest.raises(ConfigError, match="parameters make 10100 points, more than 10000"):
+            make_spec(weather, (("airflow.V_vent", values + (1.5,)),
+                                ("product.F_p", values)))
 
     def test_payback_objective(self, baseline_cfg, weather):
         eco = EconomicModel(capital=11500.0, operating_cost=1000.0,
@@ -194,6 +194,23 @@ class TestGridSearch:
         results = grid_search(baseline_cfg, spec)
         assert results[0].reached
         assert 0.0 < results[0].objective < 100.0
+
+    @pytest.mark.parametrize("operating_cost, n_paid_back", [(60000.0, 1), (1e9, 0)])
+    def test_no_payback_point_ranks_last_with_reason(self, baseline_cfg, weather,
+                                                     operating_cost, n_paid_back):
+        # the slow point's production does not cover the operating cost
+        eco = EconomicModel(capital=11500.0, operating_cost=operating_cost,
+                            batch_kg_dry=25.0, annual_operating_hours=4000.0,
+                            unit_premium=24.0)
+        spec = make_spec(weather, (("airflow.V_vent", (0.9, 0.5)),),
+                         objective="payback", economics=eco)
+        results = grid_search(baseline_cfg, spec, workers=1)
+        assert [r.reached for r in results] == [True] * n_paid_back + [False] * (2 - n_paid_back)
+        assert results[-1].point == (("airflow.V_vent", 0.9),)
+        for r in results[n_paid_back:]:
+            assert r.objective == math.inf
+            assert r.error.startswith("no payback: annual net benefit -")
+        assert grid_search(baseline_cfg, spec, workers=2) == results
 
     def test_payback_without_economics_rejected(self, weather):
         with pytest.raises(ConfigError):
@@ -210,7 +227,6 @@ class TestSpecFile:
             "objective: drying_time\n"
             "target_mdb: 0.08\n"
             "horizon_h: 120\n"
-            "max_points: 100\n"
         )
         spec = load_sweep_spec(path, weather)
         assert spec.grid_size == 4
@@ -225,10 +241,32 @@ class TestSpecFile:
          "target_mdb must be numeric, got 'abc'"),
         ("parameters: {airflow.V_a: [1.0]}\nhorizon_h: ~\n",
          "horizon_h must be numeric, got None"),
-        ("parameters: {airflow.V_a: [1.0]}\nmax_points: many\n",
-         "max_points must be numeric, got 'many'"),
         ("parameters: {airflow.V_a: [1.0]}\nmax_points: 2.5\n",
-         "max_points must be a whole number, got 2.5"),
+         "unknown keys in the sweep spec: ['max_points']"),
+        ("parameters: {airflow.V_a: [.nan]}\n",
+         "parameters.airflow.V_a must be finite, got nan"),
+        ("parameters: {airflow.V_a: [1.0]}\ntarget_mdb: .nan\n",
+         "target_mdb must be finite, got nan"),
+        ("parameters: {airflow.V_a: [1.0]}\ntarget_mdb: .inf\n",
+         "target_mdb must be finite, got inf"),
+        ("parameters: {airflow.V_a: [1.0]}\nhorizon_h: .nan\n",
+         "horizon_h must be finite, got nan"),
+        ("parameters: {airflow.V_a: [1.0]}\nhorizon_h: -1\n",
+         "horizon_h: horizon must be >= 0 s, got -3600.0 s"),
+        ("parameters: {airflow.V_a: [1.0]}\nhorizon_h: 145\n",
+         "horizon_h: weather series ends at 518400.0 s but the run needs 522000.0 s"),
+        ("parameters: {airflow.V_a: [1.0]}\nobjective: payback\neconomics:\n"
+         "  capital: -1.0\n  operating_cost: 1.0\n  batch_kg_dry: 1.0\n"
+         "  annual_operating_hours: 1.0\n  unit_premium: 1.0\n",
+         "economics.capital must be > 0, got -1.0"),
+        ("parameters: {airflow.V_a: [1.0]}\neconomics:\n"
+         "  capital: 1.0\n  operating_cost: .inf\n",
+         "economics.operating_cost must be finite, got inf"),
+        ("parameters: [airflow.V_a]\n", "'parameters' must be a mapping"),
+        ("parameters: {airflow.V_a: 1.0}\n", "values for 'airflow.V_a' must be a list"),
+        ("parameters: {airflow.V_a: []}\n",
+         "sweep needs >= 1 parameter with >= 1 value each"),
+        ("parameters: {airflow.V_a: [1.0]}\nobjective: ~\n", "unknown objective None"),
         ("parameters: {airflow.V_a: [1.0]}\nobjectve: payback\n",
          "unknown keys in the sweep spec: ['objectve']"),
         ("parameters: {airflow.V_a: [1.0]}\nobjective: payback\neconomics:\n"
@@ -251,12 +289,6 @@ class TestSpecFile:
         with pytest.raises(ConfigError) as exc:
             load_sweep_spec(path, weather)
         assert str(exc.value) == f"{path}: {message}"
-
-    def test_max_points_in_exponent_form(self, tmp_path, weather):
-        # YAML 1.1 reads 1.5e3 as a string; it is a whole number of points
-        path = tmp_path / "spec.yaml"
-        path.write_text("parameters: {airflow.V_a: [1.0]}\nmax_points: 1.5e3\n")
-        assert load_sweep_spec(path, weather).grid_cap == 1500
 
     def test_empty_parameters_rejected(self, tmp_path, weather):
         path = tmp_path / "spec.yaml"

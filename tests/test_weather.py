@@ -66,6 +66,20 @@ class TestSeries:
                     f"got {re.escape(repr(T_am))}$")):
                 WeatherSeries(records=records)
 
+    @pytest.mark.parametrize("horizon_s, expected", [
+        (None, 600.0), (0.0, 0.0), (600.0, 600.0),
+        (-1.0, "horizon must be >= 0 s, got -1.0 s"),
+        (math.nan, "horizon must be >= 0 s, got nan s"),
+        (601.0, "weather series ends at 600.0 s but the run needs 601.0 s"),
+        (math.inf, "weather series ends at 600.0 s but the run needs inf s"),
+    ])
+    def test_horizon(self, horizon_s, expected):
+        if isinstance(expected, float):
+            assert _series().horizon(horizon_s) == expected
+        else:
+            with pytest.raises(WeatherError, match=f"^{re.escape(expected)}$"):
+                _series().horizon(horizon_s)
+
     def test_record_is_a_plain_tuple(self):
         # records are checked where a series is built, not on construction
         rec = WeatherRecord(t=0.0, I_t=-1.0, T_am=298.0, V_w=1.0, rh_am=70.0)
