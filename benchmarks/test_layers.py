@@ -17,6 +17,7 @@ these cases once, untimed, so that they keep working).
 from __future__ import annotations
 
 import bisect
+import hashlib
 import random
 from pathlib import Path
 
@@ -170,7 +171,13 @@ def test_write_run_4day(benchmark, run_4day, tmp_path):
         _write_run, args=(tmp_path / "out", run_4day, "inputs_sha256=" + "0" * 64),
         rounds=5, iterations=1, warmup_rounds=1)
     assert n_states == 5761
-    assert len((tmp_path / "out" / "diagnostics.csv").read_text().splitlines()) == 5762
+    # the bytes, pinned: a faster writer must write the same files
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("states.csv", "diagnostics.csv")} == {
+        "states.csv": "e9277868a2c73caec3516ee4d5310ecd23b4c1726acf59a7b7b738f4cce0e041",
+        "diagnostics.csv":
+            "7cbc920795641a41f9d58e9fde97956f9d7b91ea9e3e414dfb5f3b9f63508664",
+    }
 
 
 @pytest.fixture(scope="module")

@@ -96,30 +96,6 @@ def _write_manifest(out: Path, config_path, weather_label: str, inputs_hash: str
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _state_line(s) -> str:
-    return ",".join(map(repr, s))
-
-
-def _diag_line(d) -> str:
-    r0, r1, r2, r3 = d.residuals
-    return (f"{d.t!r},{r0!r},{r1!r},{r2!r},{r3!r},{d.dM!r},{d.rh!r},"
-            f"{';'.join(d.flags)}")
-
-
-def _step_line(new_state, work) -> str:
-    """The diagnostics.csv row of the step `advance` took to new_state, from
-    the work it returned: `_diag_line(step_diagnostics(new_state, work))`,
-    each residual summed in the same order, with no record built."""
-    (c0, c1, c2, c3), (a0, a1, a2, a3), (p0, p1, p2, p3), (f0, f1, f2, f3) = work[0]
-    b0, b1, b2, b3 = work[1]
-    t, T_c, T_a, T_p, T_f = new_state[:5]
-    return (f"{t!r},{c0 * T_c + c1 * T_a + c2 * T_p + c3 * T_f - b0!r},"
-            f"{a0 * T_c + a1 * T_a + a2 * T_p + a3 * T_f - b1!r},"
-            f"{p0 * T_c + p1 * T_a + p2 * T_p + p3 * T_f - b2!r},"
-            f"{f0 * T_c + f1 * T_a + f2 * T_p + f3 * T_f - b3!r},"
-            f"{work[2]!r},{work[3]!r},{';'.join(work[4])}")
-
-
 def _sweep_line(rank: int, result) -> str:
     values = "".join(f"{v!r}," for _, v in result.point)
     return f"{rank},{values}{result.objective!r},{int(result.reached)}"
@@ -158,20 +134,47 @@ def _staged(out: Path, *names):
         raise
 
 
+RESIDUAL_MEMO_CAP = 256  # the most residual cells _write_run keeps
+
+
 def _write_run(out: Path, run, comment) -> int:
-    """Write states.csv and diagnostics.csv into out, a row as each
-    (state, work) of run comes, run being `solver.steps` or what it yields.
-    Returns the number of states."""
-    run = iter(run)
+    """Write states.csv and diagnostics.csv into out, a row as each (state,
+    work) of run comes (work None: no step row), run being `solver.steps` or
+    what it yields; return the number of states.  Each cell is a repr, made
+    once where values repeat: t for both rows; the previous state's rh when
+    the step's rh (work[3]) is that very object, as from `advance`; and the
+    first RESIDUAL_MEMO_CAP distinct residuals (roundoff: 35 in 4 baseline
+    days), but never zero, as 0.0 == -0.0 but their reprs differ."""
+    memo = {}
+    get = memo.get
+
+    def residual(r):
+        cell = repr(r)
+        if r and len(memo) < RESIDUAL_MEMO_CAP:
+            memo[r] = cell
+        return cell
+
+    n_states, rh, rh_cell = 0, None, None
     with _staged(out, "states.csv", "diagnostics.csv") as (states_path, diag_path), \
             open_csv(states_path, STATE_COLUMNS, comment) as states, \
             open_csv(diag_path, DIAG_COLUMNS, comment) as diagnostics:
-        state, _ = next(run)
-        states.write(_state_line(state) + "\r\n")
-        n_states = 1
-        for n_states, (state, work) in enumerate(run, start=2):
-            states.write(_state_line(state) + "\r\n")
-            diagnostics.write(_step_line(state, work) + "\r\n")
+        for n_states, ((t, T_c, T_a, T_p, T_f, H, M_p, rh_new), work) in \
+                enumerate(run, start=1):
+            t_cell = repr(t)
+            if work is not None:
+                (((c0, c1, c2, c3), (a0, a1, a2, a3), (p0, p1, p2, p3),
+                  (f0, f1, f2, f3)), (b0, b1, b2, b3), dM, rh_used, flags) = work
+                r0 = c0 * T_c + c1 * T_a + c2 * T_p + c3 * T_f - b0
+                r1 = a0 * T_c + a1 * T_a + a2 * T_p + a3 * T_f - b1
+                r2 = p0 * T_c + p1 * T_a + p2 * T_p + p3 * T_f - b2
+                r3 = f0 * T_c + f1 * T_a + f2 * T_p + f3 * T_f - b3
+                diagnostics.write(
+                    f"{t_cell},{get(r0) or residual(r0)},{get(r1) or residual(r1)},"
+                    f"{get(r2) or residual(r2)},{get(r3) or residual(r3)},{dM!r},"
+                    f"{rh_cell if rh_used is rh else repr(rh_used)},{';'.join(flags)}\r\n")
+            rh, rh_cell = rh_new, repr(rh_new)
+            states.write(f"{t_cell},{T_c!r},{T_a!r},{T_p!r},{T_f!r},{H!r},{M_p!r},"
+                         f"{rh_cell}\r\n")
     return n_states
 
 
@@ -346,18 +349,12 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
 @click.option("--peak-irradiance", type=float)
 @click.option("--sunrise-h", type=float)
 @click.option("--sunset-h", type=float)
-def cmd_gen_weather(preset, days, interval, out_path, peak_irradiance,
-                    sunrise_h, sunset_h):
+def cmd_gen_weather(preset, days, interval, out_path, **shape):
     """Write a synthetic weather CSV that load_csv round-trips losslessly."""
     if preset not in PRESETS:
         _fail(2, f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
     params = dict(PRESETS[preset])
-    if peak_irradiance is not None:
-        params["peak_irradiance"] = peak_irradiance
-    if sunrise_h is not None:
-        params["sunrise_h"] = sunrise_h
-    if sunset_h is not None:
-        params["sunset_h"] = sunset_h
+    params.update((name, value) for name, value in shape.items() if value is not None)
     try:
         series = synthetic_days(n_days=days, interval_s=interval, **params)
     except WeatherError as exc:

@@ -383,10 +383,10 @@ def weather_forcing(weather: WeatherSeries, dt: float,
     t0, t_end = weather.t_start, weather.t_end
     horizon_s = weather.horizon(horizon_s)
     steps = range(1, int(math.floor(horizon_s / dt + 1e-9)) + 1)
-    walk = interpolate(weather.times, weather.columns,
+    walk = interpolate(weather.times, weather.columns[:3],  # I_t, T_am, V_w
                        (min(t0 + i * dt, t_end) for i in steps))
     return (_forcing(t0 + i * dt, I_t, T_am, V_w)
-            for i, (I_t, T_am, V_w, _) in zip(steps, walk))
+            for i, (I_t, T_am, V_w) in zip(steps, walk))
 
 
 def advance(state: SimState, f: Forcing, k: StepConstants):

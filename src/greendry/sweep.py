@@ -115,10 +115,13 @@ def _evaluate(cfg: DryerConfig, spec: SweepSpec,
     try:
         hours = drying_time_objective(cfg, spec.weather, spec.target_mdb,
                                       spec.horizon_s, forcings[dt])
-        if hours is None or (spec.objective == "payback" and hours == 0.0):
+        if hours is None:
             return SweepResult(point, math.inf)
         if spec.objective == "drying_time":
             return SweepResult(point, hours)
+        if hours == 0.0:  # target_mdb >= M_0
+            return SweepResult(point, math.inf, f"no payback: target_mdb {spec.target_mdb}"
+                                                f" is at or above the initial moisture {cfg.M_0}")
         eco = spec.economics
         return SweepResult(point, payback_period(EconomicInputs(
             capital=eco.capital, operating_cost=eco.operating_cost,

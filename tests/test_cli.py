@@ -27,16 +27,15 @@ from greendry import (
 )
 from greendry.cli import (
     DIAG_COLUMNS,
+    RESIDUAL_MEMO_CAP,
     STATE_COLUMNS,
-    _diag_line,
-    _state_line,
-    _step_line,
     _sweep_line,
+    _write_run,
     main,
     read_states_csv,
 )
 from greendry.core import SimState, relative_humidity
-from greendry.solver import StepDiagnostics, step_diagnostics, steps
+from greendry.solver import step_diagnostics, steps
 from greendry.sweep import SPEC_KEYS, EconomicModel, SweepResult
 from greendry.weather import write_csv
 
@@ -376,6 +375,28 @@ def _diag_cells(d):
             ";".join(d.flags)]
 
 
+HASH = "ab" * 32
+
+
+def _written_run(tmp_path, run):
+    """The states.csv and diagnostics.csv bytes _write_run makes of run."""
+    out = tmp_path / "new"
+    n_states = _write_run(out, run, f"inputs_sha256={HASH}")
+    states = (out / "states.csv").read_bytes()
+    assert n_states == states.count(b"\r\n") - 1  # less the header
+    return states, (out / "diagnostics.csv").read_bytes()
+
+
+def _reference_run(tmp_path, run):
+    """The reference for _written_run: csv.writer's files of the cells of
+    each state and of each step's StepDiagnostics, each cell a repr."""
+    return (_csv_writer_file(tmp_path / "ref_states.csv", STATE_COLUMNS,
+                             [_state_cells(s) for s, _ in run], HASH),
+            _csv_writer_file(tmp_path / "ref_diagnostics.csv", DIAG_COLUMNS,
+                             [_diag_cells(step_diagnostics(s, w))
+                              for s, w in run if w is not None], HASH))
+
+
 def _any_float(rng):
     """A float with uniformly random bits: any sign, exponent, subnormal,
     infinity or NaN."""
@@ -383,10 +404,8 @@ def _any_float(rng):
 
 
 class TestWriteCsv:
-    HASH = "ab" * 32
-
     def _written(self, path, columns, lines):
-        write_csv(path, columns, lines, f"inputs_sha256={self.HASH}")
+        write_csv(path, columns, lines, f"inputs_sha256={HASH}")
         return path.read_bytes()
 
     def test_state_rows_of_arbitrary_floats(self, tmp_path):
@@ -396,21 +415,23 @@ class TestWriteCsv:
         states = [SimState(*rng.sample(special, 8)) for _ in range(50)]
         states += [SimState(*(_any_float(rng) for _ in range(8)))
                    for _ in range(500)]
-        got = self._written(tmp_path / "new.csv", STATE_COLUMNS,
-                            map(_state_line, states))
-        assert got == _csv_writer_file(tmp_path / "ref.csv", STATE_COLUMNS,
-                                       list(map(_state_cells, states)), self.HASH)
+        run = [(s, None) for s in states]  # no step rows
+        got, diagnostics = _written_run(tmp_path, run)
+        assert (got, diagnostics) == _reference_run(tmp_path, run)
+        assert diagnostics.count(b"\r\n") == 1  # the header alone
 
     def test_diagnostics_rows_with_empty_flags(self, tmp_path):
         rng = random.Random(6)
         flags = [(), ("still_air",), ("kinetics_stalled", "still_air"), ()]
-        diags = [StepDiagnostics(60.0 * i, tuple(_any_float(rng) for _ in range(4)),
-                                 (), _any_float(rng), _any_float(rng), flags[i % 4])
-                 for i in range(200)]
-        got = self._written(tmp_path / "new.csv", DIAG_COLUMNS, map(_diag_line, diags))
-        assert got == _csv_writer_file(tmp_path / "ref.csv", DIAG_COLUMNS,
-                                       list(map(_diag_cells, diags)), self.HASH)
-        assert b",\r\n" in got  # an empty flags cell, unquoted
+        run = [(SimState(60.0 * i, *(_any_float(rng) for _ in range(7))),
+                None if i == 0 else
+                (tuple(tuple(_any_float(rng) for _ in range(4)) for _ in range(4)),
+                 tuple(_any_float(rng) for _ in range(4)), _any_float(rng),
+                 _any_float(rng), flags[i % 4]))
+               for i in range(201)]
+        got = _written_run(tmp_path, run)
+        assert got == _reference_run(tmp_path, run)
+        assert b",\r\n" in got[1]  # an empty flags cell, unquoted
 
     def test_sweep_rows_with_integer_rank_and_reached(self, tmp_path):
         columns = ["rank", "airflow.V_a", "cover.tau_c", "objective_hours", "reached"]
@@ -422,8 +443,7 @@ class TestWriteCsv:
         rows = [[rank] + [repr(v) for _, v in r.point]
                 + [repr(r.objective), int(r.reached)]
                 for rank, r in enumerate(results, start=1)]
-        assert got == _csv_writer_file(tmp_path / "ref.csv", columns, rows,
-                                       self.HASH)
+        assert got == _csv_writer_file(tmp_path / "ref.csv", columns, rows, HASH)
 
     def test_still_air_run_same_as_csv_writer(self, runner, baseline_cfg,
                                               baseline_config_path, tmp_path):
@@ -444,9 +464,14 @@ class TestWriteCsv:
         assert all("still_air" in d.flags for d in series.diagnostics)
 
 
-class TestStepLine:
-    """The streamed diagnostics row, _step_line, is the row of the step's
-    StepDiagnostics, _diag_line(step_diagnostics(...)), byte for byte."""
+def _copy(x):
+    """x's value in a new float object."""
+    return struct.unpack("<d", struct.pack("<d", x))[0]
+
+
+class TestWriteRun:
+    """_write_run, which formats each value once, writes csv.writer's rows
+    of each state and of its step's StepDiagnostics, byte for byte."""
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -454,18 +479,18 @@ class TestStepLine:
         # flags on most steps, none on the 93 inside the fitted envelope
         {"airflow.V_vent": "0.02", "airflow.V_a": "0.05"},
     ], ids=["baseline", "still-air", "mostly-flagged"])
-    def test_rows_of_a_run(self, baseline_cfg, overrides, tropical_weather):
+    def test_rows_of_a_run(self, baseline_cfg, overrides, tropical_weather, tmp_path):
         cfg = apply_overrides(baseline_cfg, overrides) if overrides else baseline_cfg
-        run = list(steps(cfg, tropical_weather, 86400.0))[1:]
-        assert len(run) == 1440
-        assert [_step_line(s, w) for s, w in run] == \
-            [_diag_line(step_diagnostics(s, w)) for s, w in run]
+        run = list(steps(cfg, tropical_weather, 86400.0))
+        assert len(run) == 1441
+        assert _written_run(tmp_path, run) == _reference_run(tmp_path, run)
 
-    def test_rows_of_arbitrary_floats(self, tmp_path):
+    def test_rows_of_an_adversarial_stream(self, tmp_path):
         rng = random.Random(7)
+        shared = rng.uniform(1.0, 2.0)  # one float object in many cells
         special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                    1.7976931348623157e308, float("inf"), float("-inf"),
-                   float("nan"), 0.1]
+                   float("nan"), 0.1, shared]
         flags = [[], ["still_air"], ["kinetics_stalled", "still_air",
                                      "humidity_floor_clamped"], []]
 
@@ -474,21 +499,53 @@ class TestStepLine:
                 return _any_float(rng)
             return rng.choice(special) if i % 3 == 1 else rng.uniform(-1e4, 1e4)
 
-        cases = []
-        for i in range(400):
-            A = tuple(tuple(value(i) for _ in range(4)) for _ in range(4))
-            b = tuple(value(i) for _ in range(4))
+        run = [(SimState(0.0, shared, shared, shared, shared, 0.01, 0.5, shared), None)]
+        for i in range(600):
+            A = [tuple(value(i) for _ in range(4)) for _ in range(4)]
+            b = [value(i) for _ in range(4)]
             state = SimState(*(value(i) for _ in range(8)))
-            cases.append((state, (A, b, value(i), value(i), flags[i % 4])))
-        lines = [_step_line(s, w) for s, w in cases]
-        diags = [step_diagnostics(s, w) for s, w in cases]
-        assert lines == list(map(_diag_line, diags))
-        path = tmp_path / "new.csv"
-        write_csv(path, DIAG_COLUMNS, lines, f"inputs_sha256={TestWriteCsv.HASH}")
-        got = path.read_bytes()
-        assert got == _csv_writer_file(tmp_path / "ref.csv", DIAG_COLUMNS,
-                                       list(map(_diag_cells, diags)), TestWriteCsv.HASH)
-        assert b",\r\n" in got and b",kinetics_stalled;still_air;" in got
+            if i % 2:
+                # residual 0 is 0.0 and -0.0 by turns; residual 1 repeats
+                # one of three nonzero values
+                state = state._replace(T_c=1.5, T_a=shared, T_p=5e-324, T_f=1e300)
+                A[0] = (0.0,) * 4 if i % 4 == 1 else (-0.0,) * 4
+                A[1] = (1.0, 0.0, 0.0, 0.0)
+                b[0], b[1] = 0.0, rng.choice([0.1, 1.5 - 2**-52, -7.25])
+            previous = run[-1][0].rh
+            # the kinetics rh: the previous state's very object; an equal
+            # one, with the same repr or (0.0 then -0.0) another; or not equal
+            rh = (previous, _copy(previous), -0.0, value(i))[i % 4]
+            if i % 4 == 1:
+                state = state._replace(rh=0.0)
+            run.append((state, (tuple(A), tuple(b), value(i), rh, flags[i % 4])))
+        got = _written_run(tmp_path, run)
+        assert got == _reference_run(tmp_path, run)
+        for cell in (b",0.0,", b",-0.0,", b",nan,", b",inf,", b",-inf,", b",5e-324,",
+                     b",8.75,", b",2.220446049250313e-16,", b",kinetics_stalled;still_air;"):
+            assert cell in got[1], cell
+        assert b",\r\n" in got[1]
+
+    def test_residual_memo_stays_bounded(self, tmp_path):
+        # every residual of this stream differs: 24000 of them peak within
+        # 100 KiB of 8000, as the memo keeps at most RESIDUAL_MEMO_CAP
+        def run(n):
+            A = ((1.0, 0.0, 0.0, 0.0),) * 4
+            yield SimState(0.0, 2.0, 1.0, 1.0, 1.0, 0.01, 0.5, 50.0), None
+            for i in range(1, n + 1):
+                yield (SimState(60.0 * i, 2.0 + i * 1e-6, 1.0, 1.0, 1.0, 0.01, 0.5, 50.0),
+                       (A, (0.1, 0.2, 0.3, 0.4), -1e-6, 50.0, ()))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert _write_run(tmp_path / str(n), run(n), "c") == n + 1
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert RESIDUAL_MEMO_CAP <= 1000
+        peak(10)  # first-call caches
+        assert peak(6000) - peak(2000) < 100 * 1024
 
 
 def _write_observed(path, times, values, variable_header):
@@ -977,11 +1034,12 @@ class TestSweep:
         assert simulated == []
         assert sorted(tmp_path.iterdir()) == [spec]
 
-    def _sweep_payback(self, runner, config_path, tmp_path, operating_cost):
+    def _sweep_payback(self, runner, config_path, tmp_path, operating_cost,
+                       target_mdb="0.08",
+                       parameters="airflow.V_vent: [0.5, 0.9]\n  product.F_p: [0.4, 0.5]"):
         spec = tmp_path / "spec.yaml"
-        spec.write_text("parameters:\n  airflow.V_vent: [0.5, 0.9]\n"
-                        "  product.F_p: [0.4, 0.5]\n"
-                        "objective: payback\ntarget_mdb: 0.08\nhorizon_h: 96\n"
+        spec.write_text(f"parameters:\n  {parameters}\n"
+                        f"objective: payback\ntarget_mdb: {target_mdb}\nhorizon_h: 96\n"
                         f"economics:\n  capital: 11500.0\n  operating_cost: {operating_cost}\n"
                         "  batch_kg_dry: 25.0\n  annual_operating_hours: 4000.0\n"
                         "  unit_premium: 24.0\n")
@@ -1015,6 +1073,31 @@ class TestSweep:
         assert result.stderr.splitlines()[-1] == "error: all 4 points failed"
         assert not (tmp_path / "out").exists()
 
+    def test_dry_already_payback_grid_exit_3(self, runner, baseline_config_path,
+                                             tmp_path):
+        # every point starts at M_0 0.522, below the target: none pays back
+        result = self._sweep_payback(runner, baseline_config_path, tmp_path,
+                                     "1000.0", target_mdb="0.9")
+        assert result.exit_code == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 5 and lines[-1] == "error: all 4 points failed"
+        for line in lines[:4]:
+            assert line.endswith(" failed: no payback: target_mdb 0.9 is at or "
+                                 "above the initial moisture 0.522"), line
+        assert not (tmp_path / "out").exists()
+
+    def test_dry_already_payback_point_warned_and_listed(self, runner,
+                                                         baseline_config_path, tmp_path):
+        result = self._sweep_payback(runner, baseline_config_path, tmp_path, "1000.0",
+                                     parameters="product.M_0_pct: [8.0, 52.2]")
+        assert result.exit_code == 0, result.output
+        error = "no payback: target_mdb 0.08 is at or above the initial moisture 0.08"
+        assert result.stderr == (f"warning: point {{'product.M_0_pct': 8.0}} "
+                                 f"failed: {error}\n")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failed"] == [{"point": {"product.M_0_pct": 8.0}, "error": error}]
+        assert read_states_csv(tmp_path / "out" / "sweep.csv")["reached"] == [1.0, 0.0]
+
     def test_readme_names_the_spec_keys(self):
         # README's sweep section lists the keys load_sweep_spec accepts
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
@@ -1035,6 +1118,15 @@ class TestGenWeather:
         from greendry.weather import load_csv, synthetic_days
         series = load_csv(out)
         assert series.records == synthetic_days(3, interval_s=600.0).records
+
+    def test_shape_options_reach_the_series(self, runner, tmp_path):
+        out = tmp_path / "w.csv"
+        result = run_cli(runner, "gen-weather", "--days", "1", "--peak-irradiance",
+                         "500", "--sunset-h", "17", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        from greendry.weather import load_csv, synthetic_days
+        assert load_csv(out).records == synthetic_days(
+            1, interval_s=600.0, peak_irradiance=500.0, sunset_h=17.0).records
 
     def test_noon_rows_at_peak(self, runner, tmp_path):
         out = tmp_path / "w.csv"

@@ -212,6 +212,26 @@ class TestGridSearch:
             assert r.error.startswith("no payback: annual net benefit -")
         assert grid_search(baseline_cfg, spec, workers=2) == results
 
+    def test_dry_already_payback_point_fails_naming_both_values(self, baseline_cfg,
+                                                               weather):
+        # M_0 0.08 is at the target: it dries in 0 h, which pays back nothing
+        eco = EconomicModel(capital=11500.0, operating_cost=1000.0,
+                            batch_kg_dry=25.0, annual_operating_hours=4000.0,
+                            unit_premium=24.0)
+        spec = make_spec(weather, (("product.M_0_pct", (8.0, 52.2)),),
+                         objective="payback", economics=eco)
+        results = grid_search(baseline_cfg, spec, workers=1)
+        assert [r.point for r in results] == [(("product.M_0_pct", 52.2),),
+                                              (("product.M_0_pct", 8.0),)]
+        assert results[0].reached and results[0].error is None
+        assert not results[1].reached
+        assert results[1].error == ("no payback: target_mdb 0.08 is at or above "
+                                    "the initial moisture 0.08")
+        # the same point of a drying-time sweep is reached, in 0 h
+        spec = make_spec(weather, (("product.M_0_pct", (8.0,)),))
+        assert grid_search(baseline_cfg, spec, workers=1) == [
+            SweepResult((("product.M_0_pct", 8.0),), 0.0)]
+
     def test_payback_without_economics_rejected(self, weather):
         with pytest.raises(ConfigError):
             make_spec(weather, (("airflow.V_vent", (0.9,)),), objective="payback")
