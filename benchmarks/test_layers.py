@@ -1,8 +1,9 @@
 """pytest-benchmark cases for the per-step layers, a 4-day simulate, a
 4-day `greendry run` with its CSV write, that run's streamed CSV writer on
-its own, a `greendry validate` of one
-column of that run against 2500 observations, a 60 h drying-time objective
-and a 6-point sweep (serial and with the default worker processes).
+its own, the read of two columns of its states.csv, a `greendry validate`
+of one column of that run against 2500 observations, a 60 h drying-time
+objective and a 6-point sweep (serial and with the default worker
+processes).
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=OUT.json
 
@@ -37,7 +38,7 @@ from greendry.solver import (
     weather_forcing,
 )
 from greendry.sweep import SweepSpec, drying_time_objective, grid_search
-from greendry.weather import sample
+from greendry.weather import read_csv, sample
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "baseline_copra.yaml"
 SPINUP_STEPS = 660  # 11 h at dt = 60 s
@@ -181,14 +182,29 @@ def test_write_run_4day(benchmark, run_4day, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def validate_argv(tmp_path_factory):
-    """validate argv for T_a_K of the 4-day baseline run against 2500
-    seeded irregular observation times, each value the simulated one at
-    the step before times (1 + 2 % gaussian noise)."""
+def states_4day(tmp_path_factory):
+    """The states.csv that greendry run writes for the 4-day baseline."""
     out = tmp_path_factory.mktemp("validate")
     assert _main(["run", "--config", str(CONFIG), "--preset", "tropical",
                   "--days", "4", "--out", str(out)]) == 0
-    states = read_states_csv(out / "states.csv")
+    return out / "states.csv"
+
+
+def test_read_csv_states_4day(benchmark, states_4day):
+    # validate's read of the states file: t_s and T_a_K of 5761 rows
+    data, lines = benchmark.pedantic(
+        read_csv, args=(states_4day, lambda header: ("t_s", "T_a_K")),
+        rounds=20, iterations=1, warmup_rounds=1)
+    assert len(data["t_s"]) == len(data["T_a_K"]) == len(lines) == 5761
+
+
+@pytest.fixture(scope="module")
+def validate_argv(states_4day):
+    """validate argv for T_a_K of the 4-day baseline run against 2500
+    seeded irregular observation times, each value the simulated one at
+    the step before times (1 + 2 % gaussian noise)."""
+    out = states_4day.parent
+    states = read_states_csv(states_4day)
     ts, T_a = states["t_s"], states["T_a_K"]
     rng = random.Random(2500)
     lines = ["t_s,T_a_K"]
@@ -196,7 +212,7 @@ def validate_argv(tmp_path_factory):
         T = T_a[bisect.bisect_right(ts, t) - 1]
         lines.append(f"{t!r},{T * (1.0 + rng.gauss(0.0, 0.02))!r}")
     (out / "observed.csv").write_text("\n".join(lines) + "\n")
-    return ["validate", "--states", str(out / "states.csv"),
+    return ["validate", "--states", str(states_4day),
             "--observed", str(out / "observed.csv"), "--variable", "T_a_K"]
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -142,49 +143,128 @@ def sample(series: WeatherSeries, t: float) -> WeatherRecord:
     return WeatherRecord(t, *values)
 
 
+READ_BLOCK = 1 << 13  # characters of whole lines that read_csv reads at a time
+
+
+def _skipped(line) -> bool:
+    """A blank line, or one whose first non-blank character is "#"."""
+    return line.lstrip()[:1] in ("", "#")
+
+
+def _csv_blocks(lines, first):
+    """The rows that csv.reader reads from lines, the first of which is
+    line first, in blocks of READ_BLOCK // 64 + 1 rows (the last one
+    shorter) as _blocks gives them, with the end None; a row is numbered
+    by its last line."""
+    # a skipped line reaches csv as "", an empty row, so that line_num
+    # still counts every line
+    reader = csv.reader("" if _skipped(line) else line for line in lines)
+    numbers, cells, base, size = [], [], first - 1, READ_BLOCK // 64
+    for row in reader:
+        if row:
+            numbers.append(base + reader.line_num)
+            cells += row
+            cells.append(None)
+            if len(numbers) > size:
+                yield numbers, cells, None
+                numbers, cells = [], []
+    if numbers:
+        yield numbers, cells, None
+
+
+def _blocks(fh):
+    """The rows of the open file fh, skipped lines left out, in blocks of
+    (line numbers, cells, end): the cells of the rows in one list, each
+    row's followed by one cell end, which no row holds.  Lines are read
+    READ_BLOCK characters at a time and split on commas, the end "\n",
+    up to the first kept line that holds a '"'; csv.reader reads the file
+    from that line on."""
+    n = 1
+    while lines := fh.readlines(READ_BLOCK):
+        rows = [line.rstrip("\r\n") for line in lines if not _skipped(line)]
+        numbers = (range(n, n + len(lines)) if len(rows) == len(lines) else
+                   [i for i, line in enumerate(lines, n) if not _skipped(line)])
+        quoted, text = len(rows), ",\n,".join(rows)
+        if '"' in text:
+            quoted = next(i for i, row in enumerate(rows) if '"' in row)
+            text = ",\n,".join(rows[:quoted])
+        if quoted:
+            yield numbers[:quoted], (text + ",\n").split(","), "\n"
+        if quoted < len(rows):
+            first = numbers[quoted]
+            yield from _csv_blocks(itertools.chain(lines[first - n:], fh), first)
+            return
+        n += len(lines)
+
+
+def _bad_row(path, header, picks, block) -> str:
+    """The error of the first bad row of a block: a width that is not the
+    header's, or a non-numeric cell of a column picked, in the order
+    picked."""
+    numbers, cells, end = block
+    width, start = len(header), 0
+    for n in numbers:
+        stop = cells.index(end, start)
+        if stop - start != width:
+            return f"{path}:{n}: expected {width} cells, got {stop - start}"
+        for j, _ in picks:
+            cell = cells[start + j]
+            try:
+                float(cell)
+            except ValueError:
+                return f"{path}:{n}: non-numeric value {cell!r} in column {header[j]}"
+        start = stop + 1
+
+
 def read_csv(path, columns=None):
     """Read a CSV file: ({name: list of floats}, the line of each row).
     Blank lines and lines whose first non-blank character is "#" are
     skipped before parsing; the first other line is the header, its cells
-    stripped.  columns(header), when given, names the columns to convert
-    (default: all).  ValueError, naming path and the line, for a column
-    named twice or missing, a row whose width is not the header's or a
-    non-numeric cell in a column read, and naming path for no header."""
+    stripped.  Lines may end in "\n", "\r\n" or "\r"; a quoted cell
+    (a comma or a line end inside) is read as csv reads it, and a row that
+    spans lines is numbered by its last line.  columns(header), when
+    given, names the columns to convert (default: all).  ValueError,
+    naming path and the line, for a column named twice or missing, and
+    for the first row, by line, whose width is not the header's or that
+    holds a non-numeric cell in a column read; naming path for no header.
+
+    The file is read in blocks of lines (see _blocks), and only the
+    columns named are converted; a block with a bad row is scanned row by
+    row for the error."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        # a skipped line reaches csv as "", an empty row, so that line_num
-        # still counts every line
-        reader = csv.reader("" if line.lstrip()[:1] in ("", "#") else line
-                            for line in fh)
-        header = next((row for row in reader if row), None)
-        if header is None:
+        blocks = _blocks(fh)
+        numbers, cells, end = next(blocks, ((), (), None))
+        if not numbers:
             raise ValueError(f"{path}: no header row")
-        header = [name.strip() for name in header]
+        line, width = numbers[0], cells.index(end)
+        header = [name.strip() for name in cells[:width]]
         for name in header:
             if header.count(name) > 1:
-                raise ValueError(f"{path}:{reader.line_num}: column {name!r} named twice")
+                raise ValueError(f"{path}:{line}: column {name!r} named twice")
         names = header if columns is None else columns(header)
         for name in names:
             if name not in header:
-                raise ValueError(f"{path}:{reader.line_num}: no column {name!r}")
+                raise ValueError(f"{path}:{line}: no column {name!r}")
         data = {name: [] for name in names}
-        cells = [(header.index(name), data[name].append) for name in names]
-        width, first, skipped = len(header), reader.line_num + 1, set()
-        for row in reader:
-            if len(row) != width:
-                if row:
-                    raise ValueError(f"{path}:{reader.line_num}: expected {width} "
-                                     f"cells, got {len(row)}")
-                skipped.add(reader.line_num)
-                continue
-            try:
-                for j, append in cells:
-                    append(float(row[j]))
-            except ValueError:
-                raise ValueError(f"{path}:{reader.line_num}: non-numeric value "
-                                 f"{row[j]!r} in column {header[j]}") from None
-        lines = range(first, reader.line_num + 1)
-    return data, [n for n in lines if n not in skipped] if skipped else lines
+        picks = [(header.index(name), column) for name, column in data.items()]
+        stride, lines = width + 1, []
+        for block in itertools.chain([(numbers[1:], cells[stride:], end)], blocks):
+            numbers, cells, end = block
+            # no row holds an end, so every row has width cells iff there
+            # are stride cells a row and every stride-th is an end
+            if (len(cells) == stride * len(numbers)
+                    and cells[width::stride].count(end) == len(numbers)):
+                try:
+                    for j, column in picks:
+                        column += map(float, cells[j::stride])
+                except ValueError:
+                    pass
+                else:
+                    lines += numbers
+                    continue
+            raise ValueError(_bad_row(path, header, picks, block))
+    return data, lines
 
 
 def open_csv(path, columns, comment=None):

@@ -37,7 +37,7 @@ from greendry.cli import (
 from greendry.core import SimState, relative_humidity
 from greendry.solver import step_diagnostics, steps
 from greendry.sweep import SPEC_KEYS, EconomicModel, SweepResult
-from greendry.weather import write_csv
+from greendry.weather import read_csv, write_csv
 
 from conftest import REPO_ROOT
 
@@ -822,6 +822,31 @@ class TestValidateStreamed:
         assert result.exit_code == 2
         assert result.stderr == (f"error: cannot read states file: {odd}:40: t_s "
                                  f"{shown} not increasing (previous 2160.0)\n")
+
+    def test_row_spanning_lines_named_by_its_last_line(self, runner, tmp_path):
+        # line 3 opens a quoted t_s that line 4 closes; the repeat is on line 5
+        odd = tmp_path / "states.csv"
+        odd.write_text('t_s,T_a_K\n0,300\n"60\n",301\n60,302\n')
+        obs = tmp_path / "obs.csv"
+        _write_observed(obs, [0.0], [300.0], "T_a_K")
+        result = self._validate(runner, odd, obs, "T_a_K")
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cannot read states file: {odd}:5: t_s "
+                                 "60.0 not increasing (previous 60.0)\n")
+
+    def test_read_memory_stays_small(self, baseline):
+        # the two columns of the 4-day states.csv (760 KB) are read a block
+        # of lines at a time (measured: a 0.7 MiB peak; 7.0 MiB with the
+        # whole file as one block)
+        states_path, states = baseline
+        tracemalloc.start()
+        try:
+            data, _ = read_csv(states_path, lambda header: ("t_s", "T_a_K"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data == {"t_s": states["t_s"], "T_a_K": states["T_a_K"]}
+        assert peak < 3 * 2**20
 
 
 class TestSweep:

@@ -1,11 +1,15 @@
 import bisect
+import csv
 import math
 import random
 import re
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from greendry import weather
 from greendry.cli import read_states_csv
 from greendry.core import WeatherRecord
 from greendry.errors import WeatherError
@@ -14,6 +18,7 @@ from greendry.weather import (
     WeatherSeries,
     interpolate,
     load_csv,
+    read_csv,
     sample,
     save_csv,
     synthetic_days,
@@ -287,6 +292,120 @@ class TestCsvDialect:
         with pytest.raises(ValueError) as exc:
             read(path)
         assert str(exc.value) == f"{path}:4: non-numeric value 'abc' in column I_t_wm2"
+
+    def test_row_spanning_lines_is_numbered_by_its_last_line(self, tmp_path):
+        # line 3 opens a quoted t_s that line 4 closes
+        path = tmp_path / "w.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + self.ROWS[0]
+                        + '\n"600\n",800,300,2,60\n# comment\n600,0,298,1,70\n')
+        data, lines = read_csv(path, lambda header: ["t_s", "T_am_K"])
+        assert data == {"t_s": [0.0, 600.0, 600.0], "T_am_K": [298.0, 300.0, 298.0]}
+        assert lines == [2, 4, 6]
+        with pytest.raises(WeatherError, match=re.escape(
+                f"{path}:6: timestamp 600.0 not increasing (previous 600.0)")):
+            load_csv(path)
+
+
+def _reference_read_csv(path, columns=None):
+    """read_csv as csv.reader reads a file, one row at a time: its
+    reference, with each row numbered by its own last line."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        # a skipped line reaches csv as "", an empty row, so that line_num
+        # still counts every line
+        reader = csv.reader("" if line.lstrip()[:1] in ("", "#") else line
+                            for line in fh)
+        header = next((row for row in reader if row), None)
+        if header is None:
+            raise ValueError(f"{path}: no header row")
+        header = [name.strip() for name in header]
+        for name in header:
+            if header.count(name) > 1:
+                raise ValueError(f"{path}:{reader.line_num}: column {name!r} named twice")
+        names = header if columns is None else columns(header)
+        for name in names:
+            if name not in header:
+                raise ValueError(f"{path}:{reader.line_num}: no column {name!r}")
+        data = {name: [] for name in names}
+        cells = [(header.index(name), data[name].append) for name in names]
+        width, lines = len(header), []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(f"{path}:{reader.line_num}: expected {width} "
+                                 f"cells, got {len(row)}")
+            try:
+                for j, append in cells:
+                    append(float(row[j]))
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: non-numeric value "
+                                 f"{row[j]!r} in column {header[j]}") from None
+            lines.append(reader.line_num)
+    return data, lines
+
+
+def _outcome(read, path, columns):
+    """(columns, line numbers) that read returns, or its ValueError text."""
+    try:
+        data, lines = read(path, columns)
+    except ValueError as exc:
+        return str(exc)
+    return data, list(lines)
+
+
+NUMBERS = st.one_of(st.floats(allow_nan=False).map(repr),
+                    st.integers(-10**6, 10**6).map(str))
+ODD_CELLS = st.sampled_from(["", " 1 ", "\xa05", "٣", "١.٥", "1e3", "-0.0", "inf",
+                             "nan", "1_0", "abc", "n/a", "#1"])
+QUOTED_CELLS = st.sampled_from(['"2.5"', '"1,5"', '"1\n5"', '"3\r\n"', '"4\r"',
+                                ' "6" ', 'x"y', '"a""b"', '"', '"7', '8"', '"\n#"'])
+NAMES = st.sampled_from(["t", "a", " b ", "c", "d"])
+QUOTED_NAMES = st.sampled_from(['"a"', '"t,x"', '"e\nf"'])
+OTHER_LINES = st.sampled_from(["", "   ", "\t", "\xa0", "# c", "  # a, b", '# "q,', "#"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A random CSV text: blank and comment lines, a header, then rows,
+    most as wide as the header, with mixed line endings; quoted cells in
+    some texts."""
+    quoting = draw(st.booleans())
+    names = st.one_of(NAMES, NAMES, QUOTED_NAMES) if quoting else NAMES
+    cells = st.one_of(NUMBERS, NUMBERS, NUMBERS, NUMBERS, NUMBERS, ODD_CELLS,
+                      *[QUOTED_CELLS] * quoting)
+    header = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    width = len(header)
+    aligned = st.lists(cells, min_size=width, max_size=width)
+    rows = draw(st.lists(st.integers(0, 15), max_size=12).flatmap(lambda kinds: st.tuples(
+        *[st.lists(cells, min_size=max(width - 1, 1), max_size=width + 1) if kind == 0
+          else OTHER_LINES.map(lambda line: [line]) if kind < 3 else aligned
+          for kind in kinds])))
+    lines = [[line] for line in draw(st.lists(OTHER_LINES, max_size=2))]
+    text = "".join(",".join(line) + draw(ENDINGS)
+                   for line in [*lines, header, *rows])
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+class TestReadCsvEquivalence:
+    """read_csv's blocks give what csv.reader gives row by row."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(csv_texts(), st.sampled_from([1, 7, 40, 128, 1 << 16]),
+           st.none() | st.lists(st.integers(0, 4), unique=True))
+    # a row with two bad cells: the error names the first column picked
+    @example('a,b\nx,y\n', 1 << 16, [1, 0])
+    @example('"a",b\r\nx,y\r\n', 1 << 16, None)
+    def test_same_columns_lines_or_error(self, tmp_path_factory, text, block, picked):
+        path = tmp_path_factory.getbasetemp() / "equivalence.csv"
+        path.write_bytes(text.encode())
+        columns = None if picked is None else (
+            lambda header: [header[i] if i < len(header) else "zz" for i in picked])
+        with mock.patch.object(weather, "READ_BLOCK", block):
+            got = _outcome(read_csv, path, columns)
+        # repr, so that nan equals nan and -0.0 does not equal 0.0
+        assert repr(got) == repr(_outcome(_reference_read_csv, path, columns))
 
 
 class TestSynthetic:
