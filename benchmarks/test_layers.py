@@ -1,6 +1,7 @@
-"""pytest-benchmark cases for the per-step layers, a 4-day simulate, a
-4-day `greendry run` with its CSV write, that run's streamed CSV writer on
-its own, the read of two columns of its states.csv, a `greendry validate`
+"""pytest-benchmark cases for the per-step layers, the weather forcing of
+4 days, the 4-day stepping without recording, a 4-day simulate, a 4-day
+`greendry run` with its CSV write, that run's streamed CSV writer on its
+own, the read of two columns of its states.csv, a `greendry validate`
 of one column of that run against 2500 observations, a 60 h drying-time
 objective and a 6-point sweep (serial and with the default worker
 processes).
@@ -130,6 +131,27 @@ def test_simulate_4day(benchmark, cfg, weather):
     series = benchmark.pedantic(simulate, args=(cfg, weather), rounds=5,
                                 iterations=1, warmup_rounds=1)
     assert len(series) == 5761
+
+
+def test_weather_forcing_4day(benchmark, cfg, weather):
+    # the tuple of Forcing a sweep worker builds once per dt and shares
+    # among its points, here over the 4 days of the series
+    forcing = benchmark.pedantic(
+        lambda: tuple(weather_forcing(weather, cfg.numerics.dt)),
+        rounds=20, iterations=1, warmup_rounds=1)
+    assert len(forcing) == 5760
+
+
+def test_steps_4day(benchmark, cfg, weather):
+    # the walk that greendry run and a sweep point take, every state of
+    # the 4-day baseline with its work, none kept and no step recorded
+    def walk():
+        n = 0
+        for n, _ in enumerate(steps(cfg, weather), start=1):
+            pass
+        return n
+
+    assert benchmark.pedantic(walk, rounds=5, iterations=1, warmup_rounds=1) == 5761
 
 
 def test_drying_time_objective_60h(benchmark, cfg, weather):

@@ -142,23 +142,29 @@ def _write_run(out: Path, run, comment) -> int:
     work) of run comes (work None: no step row), run being `solver.steps` or
     what it yields; return the number of states.  Each cell is a repr, made
     once where values repeat: t for both rows; the previous state's rh when
-    the step's rh (work[3]) is that very object, as from `advance`; and the
-    first RESIDUAL_MEMO_CAP distinct residuals (roundoff: 35 in 4 baseline
-    days), but never zero, as 0.0 == -0.0 but their reprs differ."""
+    the step's rh (work[3]) is that very object, as from `advance`; the
+    previous state's M_p when the new state's M_p is that very object, as a
+    stalled or at-equilibrium step returns it; and the first
+    RESIDUAL_MEMO_CAP distinct nonzero residuals (roundoff: 35 in 4 baseline
+    days).  Objects, not values, are compared, and zero is not memoised, as
+    0.0 == -0.0 but their reprs differ: a zero residual is written "0.0" or
+    "-0.0" by its sign, without a repr."""
     memo = {}
     get = memo.get
 
     def residual(r):
+        if not r:
+            return "-0.0" if math.copysign(1.0, r) < 0.0 else "0.0"
         cell = repr(r)
-        if r and len(memo) < RESIDUAL_MEMO_CAP:
+        if len(memo) < RESIDUAL_MEMO_CAP:
             memo[r] = cell
         return cell
 
-    n_states, rh, rh_cell = 0, None, None
+    n_states, rh, rh_cell, M_p, M_cell = 0, None, None, None, None
     with _staged(out, "states.csv", "diagnostics.csv") as (states_path, diag_path), \
             open_csv(states_path, STATE_COLUMNS, comment) as states, \
             open_csv(diag_path, DIAG_COLUMNS, comment) as diagnostics:
-        for n_states, ((t, T_c, T_a, T_p, T_f, H, M_p, rh_new), work) in \
+        for n_states, ((t, T_c, T_a, T_p, T_f, H, M_new, rh_new), work) in \
                 enumerate(run, start=1):
             t_cell = repr(t)
             if work is not None:
@@ -172,8 +178,10 @@ def _write_run(out: Path, run, comment) -> int:
                     f"{t_cell},{get(r0) or residual(r0)},{get(r1) or residual(r1)},"
                     f"{get(r2) or residual(r2)},{get(r3) or residual(r3)},{dM!r},"
                     f"{rh_cell if rh_used is rh else repr(rh_used)},{';'.join(flags)}\r\n")
+            if M_new is not M_p:
+                M_p, M_cell = M_new, repr(M_new)
             rh, rh_cell = rh_new, repr(rh_new)
-            states.write(f"{t_cell},{T_c!r},{T_a!r},{T_p!r},{T_f!r},{H!r},{M_p!r},"
+            states.write(f"{t_cell},{T_c!r},{T_a!r},{T_p!r},{T_f!r},{H!r},{M_cell},"
                          f"{rh_cell}\r\n")
     return n_states
 

@@ -177,14 +177,25 @@ def config_from_dict(data: dict) -> DryerConfig:
     return DryerConfig(**kwargs)
 
 
+# libyaml's safe loader, several times faster, when PyYAML was built with it
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def read_yaml(path, what: str):
     """The data of the YAML file path; ConfigError `<what> not found: path`
-    when it is missing, `cannot parse path: ...` when it is not YAML."""
+    when it is missing, `cannot parse path: ...` when it is not YAML.  A
+    file that libyaml rejects is parsed again by the pure-Python SafeLoader,
+    whose message shows the line in error."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
+    text = path.read_text()
     try:
-        return yaml.safe_load(path.read_text())
+        return yaml.load(text, Loader=_SafeLoader)
+    except yaml.YAMLError:
+        pass
+    try:
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 

@@ -58,6 +58,16 @@ expression: `A_f * h_dfg * T_deep` becomes one constant, but in
 `bracket * I_t * A_c * tau_c` only `bracket` can be, since
 `A_c * tau_c` would round differently.  This keeps every state
 bit-identical to evaluating the expressions in full on each step.
+
+The step path pays little interpreter overhead per record.  `advance`
+unpacks its StepConstants and its Forcing once each, by position, into
+the locals its rows use (`_` for a field it does not read), where forty
+lookups by field name would each cost an attribute access; a test in
+tests/test_step_reference.py holds the names to the records' fields, in
+order.  It builds the new SimState, as `_forcing` builds each Forcing,
+with `tuple.__new__` on the field values in order: a NamedTuple call runs
+a Python-level `__new__` that takes about 2.5 times as long (CPython
+3.11), and a streamed run builds one SimState and one Forcing per step.
 """
 
 from __future__ import annotations
@@ -83,6 +93,10 @@ from .weather import WeatherSeries, interpolate
 BALANCES = ("cover", "air", "product", "floor")
 
 SINGULAR_PIVOT = 1e-12
+
+# builds a NamedTuple (SimState, Forcing) from a tuple of its fields in
+# order, without the Python-level __new__ that a keyword-capable call runs
+_tuple_new = tuple.__new__
 
 # Water activity is clipped into (0, 1) before the isotherm inversion;
 # chamber rh of exactly 0 or 100 % would otherwise be degenerate.
@@ -371,7 +385,7 @@ class Forcing(NamedTuple):
 
 
 def _forcing(t: float, I_t: float, T_am: float, V_w: float) -> Forcing:
-    return Forcing(t, I_t, T_am, T_am**1.5, wind_coefficient(V_w))
+    return _tuple_new(Forcing, (t, I_t, T_am, T_am**1.5, wind_coefficient(V_w)))
 
 
 def weather_forcing(weather: WeatherSeries, dt: float,
@@ -420,8 +434,11 @@ def advance(state: SimState, f: Forcing, k: StepConstants):
 
     Returns (new_state, work): work is (A, b, dM, rh, flags), what
     `step_diagnostics` needs to record the step."""
-    dt, A_c, A_p, A_f, tau_c = k.dt, k.A_c, k.A_p, k.A_f, k.tau_c
-    I_t, T_am, h_w = f.I_t, f.T_am, f.h_w
+    (dt, P, _, _, c_sky, V_a, D_h, D_h_V_a, eps_c_sigma, eps_p_sigma,
+     A_c, A_p, A_f, tau_c, cover_cap, cover_solar, A_pf, U_c_A_c, q_m_per_dmdt,
+     air_solar, V, V_vent, T_in, H_in, m_p, C_pp, C_pl, latent_per_dmdt,
+     product_solar, h_dfg, floor_deep, floor_solar) = k
+    _, I_t, T_am, T_am_1_5, h_w = f
     t, T_c, T_a, T_p, _, H, M_p, rh = state
     flags: list[str] = []
 
@@ -439,50 +456,49 @@ def advance(state: SimState, f: Forcing, k: StepConstants):
     rho_a = rho_lo + frac * d_rho
     cp_a = cp_lo + frac * d_cp
     # _sky, _convective and the two _radiative calls
-    T_s = k.c_sky * f.T_am_1_5
+    T_s = c_sky * T_am_1_5
     if not 0.0 < T_s <= T_am:
         flags.append("sky_temperature_non_physical")
-    Re = k.D_h_V_a / (nu_lo + frac * d_nu)
-    h_c = 0.0158 * Re**0.8 * (k_lo + frac * d_k) / k.D_h
-    if k.V_a == 0:
+    Re = D_h_V_a / (nu_lo + frac * d_nu)
+    h_c = 0.0158 * Re**0.8 * (k_lo + frac * d_k) / D_h
+    if V_a == 0:
         flags.append("still_air")
     elif Re < RE_TURBULENT_MIN:
         flags.append("re_below_turbulent")
     if T_c <= 0 or T_p <= 0 or T_s <= 0:  # each call raises its RangeError
-        _radiative(k.eps_c_sigma, T_c, T_s)
-        _radiative(k.eps_p_sigma, T_p, T_c)
-    h_r_cs = k.eps_c_sigma * (T_c * T_c + T_s * T_s) * (T_c + T_s)
-    h_r_pc = k.eps_p_sigma * (T_p * T_p + T_c * T_c) * (T_p + T_c)
+        _radiative(eps_c_sigma, T_c, T_s)
+        _radiative(eps_p_sigma, T_p, T_c)
+    h_r_cs = eps_c_sigma * (T_c * T_c + T_s * T_s) * (T_c + T_s)
+    h_r_pc = eps_p_sigma * (T_p * T_p + T_c * T_c) * (T_p + T_c)
 
-    if h_c + k.h_dfg == 0.0:
+    if h_c + h_dfg == 0.0:
         raise SimulationError("floor row singular: h_dfg + h_c = 0")
     dmdt = dM / dt
-    q_m = k.q_m_per_dmdt * dmdt
+    q_m = q_m_per_dmdt * dmdt
     product_cover = -A_p * h_r_pc
     floor_air = -A_f * h_c
 
-    cap = k.cover_cap
-    cover = (cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
+    cover = (cover_cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
              -A_c * h_c, product_cover, 0.0)
-    cover_rhs = (cap * T_c + A_c * h_r_cs * T_s
-                 + A_c * h_w * T_am + k.cover_solar * I_t)
+    cover_rhs = (cover_cap * T_c + A_c * h_r_cs * T_s
+                 + A_c * h_w * T_am + cover_solar * I_t)
 
-    m_a = rho_a * k.V
+    m_a = rho_a * V
     cap = m_a * cp_a / dt
     rho_cp = rho_a * cp_a
-    air_row = (0.0, cap + k.A_pf * h_c + q_m + rho_cp * k.V_vent + k.U_c_A_c,
+    air_row = (0.0, cap + A_pf * h_c + q_m + rho_cp * V_vent + U_c_A_c,
                -(A_p * h_c + q_m), floor_air)
-    air_rhs = (cap * T_a + rho_cp * k.V_vent * k.T_in + k.U_c_A_c * T_am
-               + k.air_solar * I_t * A_c * tau_c)
+    air_rhs = (cap * T_a + rho_cp * V_vent * T_in + U_c_A_c * T_am
+               + air_solar * I_t * A_c * tau_c)
 
-    cap = k.m_p * (k.C_pp + k.C_pl * M_p) / dt
+    cap = m_p * (C_pp + C_pl * M_p) / dt
     product = (product_cover, -A_p * h_c + q_m,
                cap + A_p * (h_c + h_r_pc) - q_m, 0.0)
-    product_rhs = (cap * T_p + k.latent_per_dmdt * dmdt
-                   + k.product_solar * I_t * A_c * tau_c)
+    product_rhs = (cap * T_p + latent_per_dmdt * dmdt
+                   + product_solar * I_t * A_c * tau_c)
 
-    floor = (0.0, floor_air, 0.0, A_f * (k.h_dfg + h_c))
-    floor_rhs = k.floor_deep + k.floor_solar * I_t * A_c * tau_c
+    floor = (0.0, floor_air, 0.0, A_f * (h_dfg + h_c))
+    floor_rhs = floor_deep + floor_solar * I_t * A_c * tau_c
 
     A = (cover, air_row, product, floor)
     b = (cover_rhs, air_rhs, product_rhs, floor_rhs)
@@ -498,10 +514,10 @@ def advance(state: SimState, f: Forcing, k: StepConstants):
     if not math.isfinite(T_c + T_a + T_p + T_f) and not all(map(math.isfinite, x)):
         raise SimulationError(f"non-finite temperatures {x}")
 
-    evap = -k.m_p * dM / dt
+    evap = -m_p * dM / dt
     # written so that a zero source leaves H bit-exactly unchanged
-    H_new = ((H + dt / m_a * (evap + rho_a * k.V_vent * k.H_in))
-             / (1.0 + dt / m_a * rho_a * k.V_vent))
+    H_new = ((H + dt / m_a * (evap + rho_a * V_vent * H_in))
+             / (1.0 + dt / m_a * rho_a * V_vent))
     if not math.isfinite(H_new):
         raise SimulationError(f"non-finite humidity ratio {H_new}")
     if H_new < 0.0:
@@ -513,19 +529,20 @@ def advance(state: SimState, f: Forcing, k: StepConstants):
     p_sat = math.exp(-5.8002206e3 / T_a + 1.3914993 - 4.8640239e-2 * T_a
                      + 4.1764768e-5 * T_a * T_a - 1.4452093e-8 * T_a * T_a * T_a
                      + 6.5459673 * math.log(T_a))
-    if p_sat >= k.P:
-        vapour_humidity_ratio(p_sat, T_a, k.P)  # raises its RangeError
-    H_sat = _EPSILON * p_sat / (k.P - p_sat)
+    if p_sat >= P:
+        vapour_humidity_ratio(p_sat, T_a, P)  # raises its RangeError
+    H_sat = _EPSILON * p_sat / (P - p_sat)
     if H_new > H_sat:
         H_new = H_sat
         flags.append("humidity_saturation_clamped")
     # relative_humidity_at(H_new, p_sat, P); H_new <= H_sat, so above 100 %
     # only by roundoff
-    rh_new = 100.0 * (k.P * H_new / (_EPSILON + H_new)) / p_sat
+    rh_new = 100.0 * (P * H_new / (_EPSILON + H_new)) / p_sat
     if rh_new > 100.0:
         rh_new = 100.0
 
-    new_state = SimState(t + dt, T_c, T_a, T_p, T_f, H_new, M_new, rh_new)
+    new_state = _tuple_new(SimState,
+                           (t + dt, T_c, T_a, T_p, T_f, H_new, M_new, rh_new))
     return new_state, (A, b, dM, rh, flags)
 
 

@@ -517,6 +517,12 @@ class TestWriteRun:
             rh = (previous, _copy(previous), -0.0, value(i))[i % 4]
             if i % 4 == 1:
                 state = state._replace(rh=0.0)
+            # M_p: the previous state's very object, as a stalled step
+            # returns it; an equal one in another object; 0.0, then -0.0
+            # (equal, another repr); or the state's own value
+            previous = run[-1][0].M_p
+            state = state._replace(
+                M_p=(previous, _copy(previous), 0.0, -0.0, state.M_p)[i % 5])
             run.append((state, (tuple(A), tuple(b), value(i), rh, flags[i % 4])))
         got = _written_run(tmp_path, run)
         assert got == _reference_run(tmp_path, run)

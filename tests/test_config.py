@@ -2,17 +2,21 @@ import math
 import re
 
 import pytest
+import yaml
 
 from greendry.config import (
     _ANY_SIGN,
     _FRACTIONS,
     _NONNEGATIVE,
+    _SafeLoader,
     apply_overrides,
     config_from_dict,
     load_config,
+    read_yaml,
 )
 from greendry.errors import ConfigError
 
+from conftest import CONFIG_DIR
 from test_solver import BASE, make_cfg
 
 FIELDS = [f"{section}.{name}" for section, values in BASE.items()
@@ -165,3 +169,51 @@ class TestOverrides:
     def test_override_revalidates(self, baseline_cfg):
         with pytest.raises(ConfigError):
             apply_overrides(baseline_cfg, {"geometry.A_c": -5.0})
+
+
+# a sweep spec with every block and the forms YAML gives them: flow and
+# block sequences and mappings, comments, a leading dot and an exponent
+# without a dot (a string in YAML 1.1)
+SWEEP_SPEC = """\
+# payback of a ventilation x cover grid
+objective: payback
+target_mdb: 0.08
+horizon_h: 60.0
+economics: {capital: 11500.0, operating_cost: 1000.0,
+            annual_production: 250.0, unit_premium: 24.0}
+parameters:
+  airflow.V_vent: [0.05, 0.1, 2e-1]
+  cover.tau_c:
+    - 0.7
+    - .85
+  product.F_p: [0.5]
+"""
+
+
+class TestReadYaml:
+    """read_yaml parses with libyaml when PyYAML has it: the same data as
+    the pure-Python SafeLoader, and the same message for a file that is
+    not YAML."""
+
+    @pytest.mark.parametrize("name", [p.name for p in sorted(CONFIG_DIR.glob("*.yaml"))]
+                             + ["sweep_spec.yaml"])
+    def test_loaders_agree(self, name, tmp_path):
+        path = CONFIG_DIR / name
+        if name == "sweep_spec.yaml":
+            path = tmp_path / name
+            path.write_text(SWEEP_SPEC)
+        text = path.read_text()
+        data = yaml.load(text, Loader=yaml.SafeLoader)
+        assert data  # not empty
+        assert yaml.load(text, Loader=_SafeLoader) == data
+        assert read_yaml(path, "file") == data
+
+    def test_malformed_message_is_safe_loaders(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("geometry: {W: 1.0\ncover: [1, 2\n")
+        with pytest.raises(yaml.YAMLError) as reference:
+            yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"cannot parse {path}: {reference.value}"
+        assert "^" in str(exc.value)  # the caret under the line in error

@@ -4,6 +4,8 @@ copies to the helpers: each step is taken again by `reference_advance`
 below, which calls them, and the two must agree bit for bit, errors
 included (type, text and order)."""
 
+import ast
+import inspect
 import math
 import sys
 
@@ -33,6 +35,7 @@ from greendry.solver import (
     _AW_MIN,
     BALANCES,
     Forcing,
+    StepConstants,
     _kinetics_update,
     advance,
     initial_state,
@@ -354,3 +357,18 @@ def test_advance_calls_no_other_helper(baseline_cfg, tropical_weather):
         sys.setprofile(None)
     assert calls == {"advance", "_kinetics_update", "equilibrium_moisture",
                      "solve_energy_system"}
+
+
+@pytest.mark.parametrize("record, name", [(StepConstants, "k"), (Forcing, "f")])
+def test_advance_unpacks_in_field_order(record, name):
+    # advance reads k and f by position: the names it unpacks them into are
+    # the record's fields, in order, or _ for a field it does not use
+    tree = ast.parse(inspect.getsource(advance))
+    unpacks = [node.targets[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Name) and node.value.id == name]
+    assert len(unpacks) == 1 and isinstance(unpacks[0], ast.Tuple)
+    names = [target.id for target in unpacks[0].elts]
+    assert len(names) == len(record._fields)
+    assert all(got in ("_", field) for got, field in zip(names, record._fields)), \
+        [(got, field) for got, field in zip(names, record._fields) if got not in ("_", field)]
