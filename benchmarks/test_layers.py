@@ -1,5 +1,5 @@
 """pytest-benchmark cases for the per-step layers, the weather forcing of
-4 days, the 4-day stepping without recording, a 4-day simulate, a 4-day
+4 days and the bracket walk under it, the 4-day stepping without recording, a 4-day simulate, a 4-day
 `greendry run` with its CSV write, that run's streamed CSV writer on its
 own, the read of two columns of its states.csv, a `greendry validate`
 of one column of that run against 2500 observations, a 60 h drying-time
@@ -39,7 +39,7 @@ from greendry.solver import (
     weather_forcing,
 )
 from greendry.sweep import SweepSpec, drying_time_objective, grid_search
-from greendry.weather import read_csv, sample
+from greendry.weather import brackets, read_csv, sample
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "baseline_copra.yaml"
 SPINUP_STEPS = 660  # 11 h at dt = 60 s
@@ -140,6 +140,16 @@ def test_weather_forcing_4day(benchmark, cfg, weather):
         lambda: tuple(weather_forcing(weather, cfg.numerics.dt)),
         rounds=20, iterations=1, warmup_rounds=1)
     assert len(forcing) == 5760
+
+
+def test_brackets_4day(benchmark, cfg, weather):
+    # the bracket walk alone, over the 5760 step end times of the 4-day
+    # run: the search that the weather forcing and validate build on
+    dt = cfg.numerics.dt
+    ts = [weather.t_start + i * dt for i in range(1, 5761)]
+    walk = benchmark.pedantic(lambda: list(brackets(weather.times, ts)),
+                              rounds=20, iterations=1, warmup_rounds=1)
+    assert len(walk) == 5760 and walk[9] == (1, None)
 
 
 def test_steps_4day(benchmark, cfg, weather):

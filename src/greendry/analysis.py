@@ -35,21 +35,25 @@ def percent_difference(
     observed: Sequence[float],
     variable: str = "value",
 ) -> ErrorReport:
-    """Mean absolute percent difference between two equal-length series."""
+    """Mean absolute percent difference between two equal-length series,
+    in one pass over the pairs; ComparisonError naming the index of the
+    first zero observation (0.0 or -0.0).  A NaN difference makes the
+    mean NaN and is skipped by the maximum."""
     if len(predicted) != len(observed):
         raise ComparisonError(
             f"length mismatch: {len(predicted)} predicted vs {len(observed)} observed"
         )
     if len(observed) == 0:
         raise ComparisonError("need at least one point to compare")
-    total = 0.0
-    max_abs = 0.0
-    for i, (p, o) in enumerate(zip(predicted, observed)):
-        if o == 0:
-            raise ComparisonError(f"observed value is zero at index {i}")
+    if 0.0 in observed:
+        i = next(i for i, o in enumerate(observed) if o == 0)
+        raise ComparisonError(f"observed value is zero at index {i}")
+    total = max_abs = 0.0
+    for p, o in zip(predicted, observed):
         diff = abs(p - o)
         total += 100.0 * diff / abs(o)
-        max_abs = max(max_abs, diff)
+        if diff > max_abs:  # max(max_abs, diff), without the call
+            max_abs = diff
     return ErrorReport(
         variable=variable,
         mean_abs_pct=total / len(observed),

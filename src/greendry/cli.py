@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -36,7 +38,7 @@ from .config import apply_overrides, load_config
 from .errors import ComparisonError, ConfigError, GreendryError, WeatherError
 from .solver import steps
 from .sweep import grid_search, load_sweep_spec
-from .weather import (PRESETS, interpolate, load_csv, open_csv, read_csv, save_csv,
+from .weather import (PRESETS, brackets, load_csv, open_csv, read_csv, save_csv,
                       synthetic_days, write_csv)
 
 STATE_COLUMNS = ["t_s", "T_c_K", "T_a_K", "T_p_K", "T_f_K", "H", "M_db", "rh_pct"]
@@ -266,10 +268,10 @@ def cmd_validate(states_path, observed_path, variable, limit):
     t_pred = states["t_s"]
     if not t_pred:
         _fail(2, f"cannot read states file: {states_path}: no data rows")
-    for i in range(1, len(t_pred)):
-        if not t_pred[i - 1] < t_pred[i]:
-            _fail(2, f"cannot read states file: {states_path}:{lines[i]}: t_s "
-                     f"{t_pred[i]} not increasing (previous {t_pred[i - 1]})")
+    if not all(map(operator.lt, t_pred, itertools.islice(t_pred, 1, None))):
+        i = next(i for i in range(1, len(t_pred)) if not t_pred[i - 1] < t_pred[i])
+        _fail(2, f"cannot read states file: {states_path}:{lines[i]}: t_s "
+                 f"{t_pred[i]} not increasing (previous {t_pred[i - 1]})")
     try:
         observed = read_states_csv(observed_path, observed_columns)
     except (OSError, ValueError) as exc:
@@ -280,7 +282,9 @@ def cmd_validate(states_path, observed_path, variable, limit):
     outside = [t for t in t_obs if not t_first <= t <= t_last]
     if outside:
         _fail(2, f"observed time {outside[0]} s outside simulated span")
-    predicted = [v for v, in interpolate(t_pred, (states[variable],), t_obs)]
+    col = states[variable]
+    predicted = [col[i] if f is None else col[i - 1] + f * (col[i] - col[i - 1])
+                 for i, f in brackets(t_pred, t_obs)]
     try:
         report = percent_difference(predicted, observed[variable], variable)
     except ComparisonError as exc:

@@ -40,11 +40,12 @@ none; a sweep point keeps only the last two states.
 What depends only on the weather and dt is worked out outside the step:
 `weather_forcing` yields one `Forcing` per step, the weather interpolated
 at the step's end time with T_am**1.5 (for the sky temperature) and the
-wind coefficient.  It takes every step time in one forward walk of
-`weather.interpolate`, and `steps` streams it, one step at a time, so a
-run keeps no weather table; a sweep builds it as a tuple once per dt
-in each process and passes it to every point.  A state carries its chamber
-rh, which a step reads and works out for the new state.
+wind coefficient.  It takes every step time in one `weather.brackets`
+walk, interpolating only I_t, T_am and V_w, and `steps` streams it, one
+step at a time, so a run keeps no weather table; a sweep builds it as a
+tuple once per dt in each process and passes it to every point.  A state
+carries its chamber rh, which a step reads and works out for the new
+state.
 
 Inputs are checked once, where they enter (`DryerConfig`, `WeatherSeries`);
 the physics functions trust them and check only what a step produces.
@@ -75,6 +76,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from . import kinetics
@@ -87,7 +90,7 @@ from .core import (_AIR_TABLE_CP, _AIR_TABLE_K, _AIR_TABLE_NU, _AIR_TABLE_RHO,
                    relative_humidity, saturation_pressure, vapour_humidity_ratio)
 from .errors import GreendryError, SimulationError, SingularMatrixError
 from .kinetics import RH_FIT_MAX, RH_FIT_MIN, T_FIT_MAX, T_FIT_MIN
-from .weather import WeatherSeries, interpolate
+from .weather import WeatherSeries, brackets
 
 # Balance ordering: the rows of every assembled system.
 BALANCES = ("cover", "air", "product", "floor")
@@ -394,13 +397,28 @@ def weather_forcing(weather: WeatherSeries, dt: float,
     horizon_s (default: to the end of the series), interpolated at
     min(t0 + i dt, t_end), as an iterator that takes one step at a time.
     The horizon is checked here, at once, by `WeatherSeries.horizon`."""
+    n = int(math.floor(weather.horizon(horizon_s) / dt + 1e-9))
+    return _forcings(weather, dt, n)
+
+
+def _forcings(weather: WeatherSeries, dt: float, n: int) -> Iterator[Forcing]:
+    """weather_forcing's n steps: one bracket walk over the step times
+    min(t0 + s dt, t_end), with I_t, T_am and V_w interpolated as
+    `weather.brackets` says and each Forcing built as `_forcing` builds it."""
     t0, t_end = weather.t_start, weather.t_end
-    horizon_s = weather.horizon(horizon_s)
-    steps = range(1, int(math.floor(horizon_s / dt + 1e-9)) + 1)
-    walk = interpolate(weather.times, weather.columns[:3],  # I_t, T_am, V_w
-                       (min(t0 + i * dt, t_end) for i in steps))
-    return (_forcing(t0 + i * dt, I_t, T_am, V_w)
-            for i, (I_t, T_am, V_w) in zip(steps, walk))
+    I, T, V, _ = weather.columns
+    ends = map(min, map(add, repeat(t0), map(mul, range(1, n + 1), repeat(dt))),
+               repeat(t_end))
+    for s, (i, f) in enumerate(brackets(weather.times, ends), start=1):
+        if f is None:
+            I_t, T_am, V_w = I[i], T[i], V[i]
+        else:
+            j = i - 1
+            I_t = I[j] + f * (I[i] - I[j])
+            T_am = T[j] + f * (T[i] - T[j])
+            V_w = V[j] + f * (V[i] - V[j])
+        yield _tuple_new(Forcing, (t0 + s * dt, I_t, T_am, T_am**1.5,
+                                   wind_coefficient(V_w)))
 
 
 def advance(state: SimState, f: Forcing, k: StepConstants):

@@ -1,6 +1,8 @@
-"""Weather time series: CSV ingestion, linear interpolation and a synthetic
-diurnal generator (sinusoidal irradiance around solar noon).  Also the one
-CSV reader and the one CSV writer of every file greendry reads or writes."""
+"""Weather time series: CSV ingestion, a synthetic diurnal generator
+(sinusoidal irradiance around solar noon) and `brackets`, the one search
+behind every linear interpolation in greendry (`sample`, the forcing of a
+run, `greendry validate`).  Also the one CSV reader and the one CSV
+writer of every file greendry reads or writes."""
 
 from __future__ import annotations
 
@@ -70,7 +72,8 @@ def _check_records(records, source, lines) -> None:
 class WeatherSeries:
     """Checked weather records; lines, when given, are the source line of
     each record, so that an error names source:line instead of record i.
-    times and columns (I_t, T_am, V_w, rh_am) are the fields, for interpolate."""
+    times and columns (I_t, T_am, V_w, rh_am) are the fields, as `brackets`
+    and the interpolations built on it read them."""
 
     records: tuple[WeatherRecord, ...]
     source: str = "unknown"
@@ -109,25 +112,28 @@ class WeatherSeries:
         return len(self.records)
 
 
-def interpolate(times, columns, ts):
-    """Yield, for each time t of ts, the list of columns (sequences aligned
-    with the increasing times) at t: each linearly interpolated between
-    its two neighbouring entries, or the entry itself where t is one of
-    times.  One forward walk over times: each bisect starts at the index
-    of the time before, or at 0 again where ts goes backwards, so ts may
-    come in any order.  Every t must lie in [times[0], times[-1]]."""
+def brackets(times, ts):
+    """Yield, for each time t of ts, its bracket (i, f) in the increasing
+    times: f is None where t is times[i], and otherwise the fraction of
+    the way from times[i - 1] to times[i] at which t lies.  A column col
+    aligned with times is then col[i] at t, or
+    col[i - 1] + f * (col[i] - col[i - 1]); each caller works out only the
+    columns it uses.  One forward walk over times: each bisect starts at
+    the index of the time before, or at 0 again where ts goes backwards,
+    so ts may come in any order.  Every t must lie in
+    [times[0], times[-1]]."""
+    bisect_left = bisect.bisect_left
     lo, previous = 0, -math.inf
     for t in ts:
         if t < previous:
             lo = 0
         previous = t
-        i = lo = bisect.bisect_left(times, t, lo)
+        i = lo = bisect_left(times, t, lo)
         if times[i] == t:
-            yield [col[i] for col in columns]
+            yield i, None
         else:
             t0 = times[i - 1]
-            f = (t - t0) / (times[i] - t0)
-            yield [col[i - 1] + f * (col[i] - col[i - 1]) for col in columns]
+            yield i, (t - t0) / (times[i] - t0)
 
 
 def sample(series: WeatherSeries, t: float) -> WeatherRecord:
@@ -139,8 +145,11 @@ def sample(series: WeatherSeries, t: float) -> WeatherRecord:
         )
     # unpacking runs the generator to its end: freeing a suspended one
     # would cost a GeneratorExit
-    values, = interpolate(times, series.columns, (t,))
-    return WeatherRecord(t, *values)
+    (i, f), = brackets(times, (t,))
+    if f is None:
+        return WeatherRecord(t, *[col[i] for col in series.columns])
+    return WeatherRecord(t, *[col[i - 1] + f * (col[i] - col[i - 1])
+                              for col in series.columns])
 
 
 READ_BLOCK = 1 << 13  # characters of whole lines that read_csv reads at a time
@@ -217,7 +226,8 @@ def _bad_row(path, header, picks, block) -> str:
 
 
 def read_csv(path, columns=None):
-    """Read a CSV file: ({name: list of floats}, the line of each row).
+    """Read a CSV file: ({name: list of floats}, the line of each row, a
+    range where no line after the header was skipped, else a list).
     Blank lines and lines whose first non-blank character is "#" are
     skipped before parsing; the first other line is the header, its cells
     stripped.  Lines may end in "\n", "\r\n" or "\r"; a quoted cell
@@ -248,7 +258,7 @@ def read_csv(path, columns=None):
                 raise ValueError(f"{path}:{line}: no column {name!r}")
         data = {name: [] for name in names}
         picks = [(header.index(name), column) for name, column in data.items()]
-        stride, lines = width + 1, []
+        stride, parts = width + 1, []
         for block in itertools.chain([(numbers[1:], cells[stride:], end)], blocks):
             numbers, cells, end = block
             # no row holds an end, so every row has width cells iff there
@@ -261,10 +271,17 @@ def read_csv(path, columns=None):
                 except ValueError:
                     pass
                 else:
-                    lines += numbers
+                    if numbers:
+                        parts.append(numbers)
                     continue
             raise ValueError(_bad_row(path, header, picks, block))
-    return data, lines
+    if not parts:
+        return data, range(0)
+    # the numbers increase, so they are consecutive iff they span n lines
+    first, last, n = parts[0][0], parts[-1][-1], sum(map(len, parts))
+    if last - first + 1 == n:
+        return data, range(first, last + 1)
+    return data, list(itertools.chain.from_iterable(parts))
 
 
 def open_csv(path, columns, comment=None):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import random
 import re
@@ -16,10 +17,10 @@ import pytest
 from click.testing import CliRunner
 
 import greendry
+import greendry.cli
 import greendry.sweep
 
 from greendry import (
-    acceptance_check,
     apply_overrides,
     percent_difference,
     simulate,
@@ -35,6 +36,7 @@ from greendry.cli import (
     read_states_csv,
 )
 from greendry.core import SimState, relative_humidity
+from greendry.errors import ComparisonError
 from greendry.solver import step_diagnostics, steps
 from greendry.sweep import SPEC_KEYS, EconomicModel, SweepResult
 from greendry.weather import read_csv, write_csv
@@ -628,17 +630,33 @@ def _interpolate_at(times, columns, t):
     return [col[i - 1] + f * (col[i] - col[i - 1]) for col in columns]
 
 
+def _percent_difference_at(predicted, observed):
+    """(mean, max) of the per-point loop percent_difference ran before it
+    took one pass over the pairs."""
+    total = 0.0
+    max_abs = 0.0
+    for i, (p, o) in enumerate(zip(predicted, observed)):
+        if o == 0:
+            raise ComparisonError(f"observed value is zero at index {i}")
+        diff = abs(p - o)
+        total += 100.0 * diff / abs(o)
+        max_abs = max(max_abs, diff)
+    return total / len(observed), max_abs
+
+
 def _reference_report(states_path, observed_path, variable, limit=10.0):
+    """validate's report line, and its (mean, max) packed as two doubles."""
     states = _read_all_columns(states_path)
     observed = _read_all_columns(observed_path)
     t_pred, columns = states["t_s"], (states[variable],)
     predicted = [_interpolate_at(t_pred, columns, t)[0] for t in observed["t_s"]]
     obs_col = next(c for c in observed if c != "t_s")
-    report = percent_difference(predicted, observed[obs_col], variable)
-    passed = acceptance_check(report, limit)
-    return (f"{report.variable}: mean |diff| = {report.mean_abs_pct:.4f} % over "
-            f"{report.n} points (max abs diff {report.max_abs_diff:.4g}); "
-            f"limit {limit} % -> {'PASS' if passed else 'FAIL'}")
+    mean, max_abs = _percent_difference_at(predicted, observed[obs_col])
+    passed = mean <= limit
+    return (f"{variable}: mean |diff| = {mean:.4f} % over "
+            f"{len(predicted)} points (max abs diff {max_abs:.4g}); "
+            f"limit {limit} % -> {'PASS' if passed else 'FAIL'}",
+            struct.pack("<dd", mean, max_abs))
 
 
 VALIDATE_COLUMNS = ("T_c_K", "T_a_K", "T_p_K", "T_f_K", "H", "M_db")
@@ -673,16 +691,74 @@ class TestValidateStreamed:
         return run_cli(runner, "validate", "--states", str(states_path),
                        "--observed", str(observed_path), "--variable", variable)
 
+    @pytest.fixture()
+    def reports(self, monkeypatch):
+        """Each ErrorReport that validate's percent_difference returns."""
+        seen = []
+
+        def spy(*args):
+            seen.append(percent_difference(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(greendry.cli, "percent_difference", spy)
+        return seen
+
+    def _assert_reference(self, result, reports, states_path, obs, variable):
+        """validate's line equals the reference's, and its report's mean
+        and maximum are the reference's bit for bit."""
+        line, bits = _reference_report(states_path, obs, variable)
+        assert result.output.strip() == line
+        report = reports.pop()
+        assert struct.pack("<dd", report.mean_abs_pct, report.max_abs_diff) == bits
+
     @pytest.mark.parametrize("seed", [11, 12])
-    def test_reports_equal_all_columns_reader(self, runner, baseline, tmp_path, seed):
+    def test_reports_equal_all_columns_reader(self, runner, baseline, tmp_path, seed,
+                                              reports):
         states_path, states = baseline
         for variable in VALIDATE_COLUMNS:
             obs = tmp_path / f"obs_{variable}.csv"
             _write_observed(obs, *_campaign(states, variable, seed), variable)
             result = self._validate(runner, states_path, obs, variable)
             assert result.exit_code == 0, result.output
-            assert result.output.strip() == _reference_report(states_path, obs, variable)
+            self._assert_reference(result, reports, states_path, obs, variable)
             assert "over 2500 points" in result.output
+
+    def test_nan_observation_report_equals_reference(self, runner, baseline, tmp_path,
+                                                     reports):
+        # a NaN observed value makes the mean NaN (FAIL, exit 1) and is
+        # skipped by the maximum, as max(max_abs, nan) skips it
+        states_path, states = baseline
+        times, values = _campaign(states, "T_c_K", 14, n=300)
+        for i in (0, 137):
+            values[i] = math.nan
+        obs = tmp_path / "obs.csv"
+        _write_observed(obs, times, values, "T_c_K")
+        result = self._validate(runner, states_path, obs, "T_c_K")
+        assert result.exit_code == 1, result.output
+        assert "mean |diff| = nan %" in result.output
+        self._assert_reference(result, reports, states_path, obs, "T_c_K")
+        assert "(max abs diff nan)" not in result.output
+
+    def test_span_error_before_zero_observation(self, runner, baseline, tmp_path):
+        # each error names the first offender in file order; an observed
+        # time outside the span (NaN counts) is reported before a zero
+        # value (-0.0 counts)
+        states_path, states = baseline
+        t_last = states["t_s"][-1]
+        cases = [
+            ([0.0, 60.0, t_last + 1.0, 120.0, 1e9], [1.0, 0.0, 1.0, 1.0, 1.0],
+             f"observed time {t_last + 1.0} s outside simulated span"),
+            ([0.0, math.nan, -1.0, 60.0], [-0.0, 1.0, 1.0, 1.0],
+             "observed time nan s outside simulated span"),
+            ([0.0, 60.0, 120.0, 180.0], [1.0, -0.0, 0.0, 1.0],
+             "observed value is zero at index 1"),
+        ]
+        for times, values, error in cases:
+            obs = tmp_path / "obs.csv"
+            _write_observed(obs, times, values, "T_a_K")
+            result = self._validate(runner, states_path, obs, "T_a_K")
+            assert result.exit_code == 2
+            assert result.stderr == f"error: {error}\n"
 
     def test_unsorted_and_repeated_times_same_report(self, runner, baseline, tmp_path):
         states_path, states = baseline
@@ -695,7 +771,7 @@ class TestValidateStreamed:
             _write_observed(obs, *zip(*rows), "T_p_K")
             result = self._validate(runner, states_path, obs, "T_p_K")
             assert result.exit_code == 0, result.output
-            assert result.output.strip() == _reference_report(states_path, obs, "T_p_K")
+            assert result.output.strip() == _reference_report(states_path, obs, "T_p_K")[0]
             outputs.append(result.output)
         assert outputs[0] == outputs[1]
         assert f"over {len(pairs)} points" in outputs[0]

@@ -899,6 +899,17 @@ class TestWeatherForcing:
         assert forcing[-1].t > weather.t_end
         assert forcing[-1].T_am == 301.0
 
+    def test_wind_that_varies_between_records(self):
+        # the tropical preset's wind is constant; here it holds, rises,
+        # falls to zero (0.0, then -0.0) and holds again, so each step's
+        # wind coefficient must follow the wind sampled at its end
+        speeds = [1.0, 1.0, 2.5, 0.0, -0.0, 3.0, 3.0, 0.5]
+        weather = WeatherSeries(records=tuple(
+            WeatherRecord(t=600.0 * i, I_t=100.0 * i, T_am=300.0 + i, V_w=v, rh_am=60.0)
+            for i, v in enumerate(speeds)))
+        forcing = _assert_forcing_samples(weather, 90.0, None, 46)
+        assert len({f.h_w for f in forcing}) > len(set(speeds))
+
     def test_series_too_short_raises_at_once(self, baseline_cfg, monkeypatch):
         weather = synthetic_days(1)
         with pytest.raises(WeatherError, match="weather series ends at 86400.0 s"):

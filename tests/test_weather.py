@@ -16,7 +16,7 @@ from greendry.errors import WeatherError
 from greendry.weather import (
     CSV_HEADER,
     WeatherSeries,
-    interpolate,
+    brackets,
     load_csv,
     read_csv,
     sample,
@@ -149,7 +149,19 @@ def _interpolate_at(times, column, t):
     return column[i - 1] + f * (column[i] - column[i - 1])
 
 
+def _lerp(columns, bracket):
+    """Each of columns at the bracket (i, f) that brackets yields, as its
+    callers interpolate."""
+    i, f = bracket
+    if f is None:
+        return [col[i] for col in columns]
+    return [col[i - 1] + f * (col[i] - col[i - 1]) for col in columns]
+
+
 class TestInterpolate:
+    """The bracket walk, with the lerp its callers apply, is bit for bit
+    the per-point bisect and lerp it replaced."""
+
     def test_walk_equals_per_point_bisect(self):
         rng = random.Random(3)
         times = [0.0]
@@ -163,16 +175,23 @@ class TestInterpolate:
               *(rng.uniform(times[0], times[-1]) for _ in range(500))]
         ts += ts[:50]
         ts += rng.sample(ts, len(ts))
-        assert list(interpolate(times, columns, ts)) == [
+        assert [_lerp(columns, b) for b in brackets(times, ts)] == [
             [_interpolate_at(times, col, t) for col in columns] for t in ts]
 
     def test_grid_times_return_the_stored_value(self):
         times, column = [0.0, 0.1, 0.30000000000000004, 1.0], [1.0, 2.0, 4.0, 8.0]
-        assert list(interpolate(times, (column,), times[::-1])) == [
+        assert list(brackets(times, times[::-1])) == [(3, None), (2, None),
+                                                      (1, None), (0, None)]
+        assert [_lerp((column,), b) for b in brackets(times, times[::-1])] == [
             [v] for v in column[::-1]]
 
+    def test_fraction_between_knots(self):
+        times = [0.0, 10.0, 30.0]
+        assert list(brackets(times, [2.5, 20.0, 30.0, 7.5])) == [
+            (1, 0.25), (2, 0.5), (2, None), (1, 0.75)]
+
     def test_no_times(self):
-        assert list(interpolate([0.0, 1.0], ([1.0, 2.0], [3.0, 4.0]), [])) == []
+        assert list(brackets([0.0, 1.0], [])) == []
 
 
 class TestLoadCsv:
@@ -304,6 +323,24 @@ class TestCsvDialect:
         with pytest.raises(WeatherError, match=re.escape(
                 f"{path}:6: timestamp 600.0 not increasing (previous 600.0)")):
             load_csv(path)
+
+    def test_line_numbers_are_a_range_unless_a_line_is_skipped(self, tmp_path):
+        # 3000 rows span many read blocks; a skipped line in the last block
+        # makes the numbers a list
+        path = tmp_path / "w.csv"
+        rows = [f"{600 * i},0,298,1,70" for i in range(3000)]
+        path.write_text("# comment\n" + ",".join(CSV_HEADER) + "\n"
+                        + "\n".join(rows) + "\n")
+        data, lines = read_csv(path)
+        assert type(lines) is range and lines == range(3, 3003)
+        assert len(data["t_s"]) == 3000
+        path.write_text(",".join(CSV_HEADER) + "\n" + "\n".join(rows[:-1])
+                        + "\n\n" + rows[-1] + "\n")
+        data, lines = read_csv(path)
+        assert type(lines) is list and lines == [*range(2, 3001), 3002]
+        assert _reference_read_csv(path) == (data, lines)
+        path.write_text(",".join(CSV_HEADER) + "\n# no rows\n")
+        assert read_csv(path) == ({name: [] for name in CSV_HEADER}, range(0))
 
 
 def _reference_read_csv(path, columns=None):
