@@ -130,7 +130,7 @@ def test_sample(benchmark, weather, case):
 def test_simulate_4day(benchmark, cfg, weather):
     series = benchmark.pedantic(simulate, args=(cfg, weather), rounds=5,
                                 iterations=1, warmup_rounds=1)
-    assert len(series) == 5761
+    assert len(series.states) == 5761
 
 
 def test_weather_forcing_4day(benchmark, cfg, weather):
@@ -199,13 +199,14 @@ def run_4day(cfg, weather):
 
 def test_write_run_4day(benchmark, run_4day, tmp_path):
     # run's streamed writer without the stepping: each state row and step
-    # row formatted and written under a temporary name, renamed at the end
+    # row formatted and written
     n_states = benchmark.pedantic(
-        _write_run, args=(tmp_path / "out", run_4day, "inputs_sha256=" + "0" * 64),
+        _write_run, args=(tmp_path / "states.csv", tmp_path / "diagnostics.csv",
+                          run_4day, "inputs_sha256=" + "0" * 64),
         rounds=5, iterations=1, warmup_rounds=1)
     assert n_states == 5761
     # the bytes, pinned: a faster writer must write the same files
-    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("states.csv", "diagnostics.csv")} == {
         "states.csv": "e9277868a2c73caec3516ee4d5310ecd23b4c1726acf59a7b7b738f4cce0e041",
         "diagnostics.csv":

@@ -2,24 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ComparisonError, EconomicsError
 
 DEFAULT_ACCEPTANCE_LIMIT = 10.0  # % mean absolute difference
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     variable: str
     mean_abs_pct: float     # mean of 100*|pred-obs|/|obs|
     max_abs_diff: float     # native units
     n: int
 
 
-@dataclass(frozen=True)
-class EconomicInputs:
+class EconomicInputs(NamedTuple):
     capital: float            # currency
     operating_cost: float     # currency / yr
     annual_production: float  # kg / yr

@@ -12,15 +12,17 @@ the inputs so reruns are byte-for-byte reproducible.
 
 `run` streams: it writes each state and step row as `solver.steps` yields
 it, keeping no run in memory, into temporary names inside --out that are
-renamed to states.csv and diagnostics.csv only when the run succeeds;
-`sweep` writes sweep.csv so, making --out before it simulates a point.  A
-failed run or sweep removes them and every directory it made, and leaves
-what was there before as it was.
+renamed to states.csv, diagnostics.csv and manifest.json only when the run
+succeeds; `sweep` writes sweep.csv and manifest.json so, making --out
+before it simulates a point, and `gen-weather` its file.  A failed command
+removes them and every directory it made, and leaves what was there before
+as it was.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import itertools
 import json
@@ -84,9 +86,9 @@ def _resolve_weather(weather_path, preset, days):
     return synthetic_days(n_days=days, **PRESETS[preset]), label, _input_hash(label)
 
 
-def _write_manifest(out: Path, config_path, weather_label: str, inputs_hash: str,
-                    **fields) -> None:
-    """Write out/manifest.json: the inputs, out and their hash, then fields."""
+def _write_manifest(path: Path, out: Path, config_path, weather_label: str,
+                    inputs_hash: str, **fields) -> None:
+    """Write path, out's manifest: the inputs, out and their hash, then fields."""
     manifest = {
         "engine_version": __version__,
         "config": str(config_path),
@@ -95,7 +97,7 @@ def _write_manifest(out: Path, config_path, weather_label: str, inputs_hash: str
         "inputs_sha256": inputs_hash,
         **fields,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _sweep_line(rank: int, result) -> str:
@@ -112,9 +114,10 @@ def read_states_csv(path, columns=None):
 @contextlib.contextmanager
 def _staged(out: Path, *names):
     """Make the directory out and yield one temporary path in it per name;
-    rename each to its name when the block succeeds.  When it raises,
-    remove the temporary files and every directory made here, and leave
-    what was there before."""
+    rename each to its name when the block succeeds.  When it raises, or
+    a name is a directory (which a rename cannot replace, so none is
+    renamed), remove the temporary files and every directory made here,
+    and leave what was there before."""
     made = []
     parent = out
     while not parent.exists():
@@ -124,6 +127,10 @@ def _staged(out: Path, *names):
     try:
         out.mkdir(parents=True, exist_ok=True)
         yield temporary
+        for name in names:
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        str(out / name))
         for path, name in zip(temporary, names):
             os.replace(path, out / name)
     except BaseException:
@@ -139,10 +146,10 @@ def _staged(out: Path, *names):
 RESIDUAL_MEMO_CAP = 256  # the most residual cells _write_run keeps
 
 
-def _write_run(out: Path, run, comment) -> int:
-    """Write states.csv and diagnostics.csv into out, a row as each (state,
-    work) of run comes (work None: no step row), run being `solver.steps` or
-    what it yields; return the number of states.  Each cell is a repr, made
+def _write_run(states_path, diag_path, run, comment) -> int:
+    """Write the states and diagnostics CSVs, a row as each (state, work) of
+    run comes (work None: no step row), run being `solver.steps` or what it
+    yields; return the number of states.  Each cell is a repr, made
     once where values repeat: t for both rows; the previous state's rh when
     the step's rh (work[3]) is that very object, as from `advance`; the
     previous state's M_p when the new state's M_p is that very object, as a
@@ -163,8 +170,7 @@ def _write_run(out: Path, run, comment) -> int:
         return cell
 
     n_states, rh, rh_cell, M_p, M_cell = 0, None, None, None, None
-    with _staged(out, "states.csv", "diagnostics.csv") as (states_path, diag_path), \
-            open_csv(states_path, STATE_COLUMNS, comment) as states, \
+    with open_csv(states_path, STATE_COLUMNS, comment) as states, \
             open_csv(diag_path, DIAG_COLUMNS, comment) as diagnostics:
         for n_states, ((t, T_c, T_a, T_p, T_f, H, M_new, rh_new), work) in \
                 enumerate(run, start=1):
@@ -226,12 +232,15 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, horizon_h,
     horizon_s = None if horizon_h is None else horizon_h * 3600.0
     out = Path(out_dir)
     try:
-        n_states = _write_run(out, steps(cfg, weather, horizon_s, target_mdb=target_mdb),
-                              f"inputs_sha256={inputs_hash}")
-        _write_manifest(out, config_path, weather_label, inputs_hash,
-                        parameters={"horizon_h": horizon_h, "target_mdb": target_mdb,
-                                    "overrides": list(overrides), "days": days},
-                        n_states=n_states)
+        with _staged(out, "states.csv", "diagnostics.csv", "manifest.json") as \
+                (states_path, diag_path, manifest_path):
+            n_states = _write_run(states_path, diag_path,
+                                  steps(cfg, weather, horizon_s, target_mdb=target_mdb),
+                                  f"inputs_sha256={inputs_hash}")
+            _write_manifest(manifest_path, out, config_path, weather_label, inputs_hash,
+                            parameters={"horizon_h": horizon_h, "target_mdb": target_mdb,
+                                        "overrides": list(overrides), "days": days},
+                            n_states=n_states)
     except WeatherError as exc:
         _fail(2, str(exc))
     except GreendryError as exc:
@@ -327,7 +336,7 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
     unit = "hours" if spec.objective == "drying_time" else "years"
     columns = ["rank"] + paths + [f"objective_{unit}", "reached"]
     try:
-        with _staged(out, "sweep.csv") as (sweep_path,):
+        with _staged(out, "sweep.csv", "manifest.json") as (sweep_path, manifest_path):
             results = grid_search(cfg, spec, workers=workers)
             failed = [r for r in results if r.error is not None]
             for r in failed:
@@ -336,10 +345,11 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
                 _fail(3, f"all {len(results)} points failed")
             lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
             write_csv(sweep_path, columns, lines, f"inputs_sha256={inputs_hash}")
-        _write_manifest(out, config_path, weather_label, inputs_hash,
-                        spec=str(spec_path), workers=workers, n_points=len(results),
-                        n_reached=sum(r.reached for r in results),
-                        failed=[{"point": dict(r.point), "error": r.error} for r in failed])
+            _write_manifest(manifest_path, out, config_path, weather_label, inputs_hash,
+                            spec=str(spec_path), workers=workers, n_points=len(results),
+                            n_reached=sum(r.reached for r in results),
+                            failed=[{"point": dict(r.point), "error": r.error}
+                                    for r in failed])
     except ConfigError as exc:  # a grid value that the config rejects
         _fail(2, f"{spec_path}: {exc}")
     except GreendryError as exc:
@@ -373,8 +383,8 @@ def cmd_gen_weather(preset, days, interval, out_path, **shape):
         _fail(2, str(exc))
     out = Path(out_path)
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        save_csv(series, out, header_comment=f"synthetic preset={preset} days={days}")
+        with _staged(out.parent, out.name) as (path,):
+            save_csv(series, path, header_comment=f"synthetic preset={preset} days={days}")
     except OSError as exc:
         _fail(2, f"cannot write {out}: {exc}")
     click.echo(f"wrote {len(series)} records to {out}")

@@ -1,15 +1,15 @@
 """Heat-transfer and heat-loss coefficient correlations.  `solver.advance`
 evaluates `_sky`, `_convective` and `_radiative` written out, at the
 previous step's temperatures; these functions are the reference that
-its copies must match bit for bit (tests/test_step_reference.py)."""
+its copies must match bit for bit (tests/test_step_reference.py).  A
+step whose sky is not physical, not 0 < T_s <= T_am, raises its
+`sky_temperature_non_physical` flag; the comment on `config.Kinetics.c_sky`
+says why that coefficient's default keeps the sky below ambient."""
 
 from __future__ import annotations
 
-import warnings
-
-from .config import Kinetics
 from .core import AirProps
-from .errors import ConfigWarning, RangeError
+from .errors import RangeError
 
 SIGMA = 5.670e-8  # Stefan-Boltzmann constant, W m^-2 K^-4
 
@@ -22,27 +22,6 @@ def _sky(T_am: float, T_am_1_5: float, c_sky: float) -> tuple[float, bool]:
     physical, 0 < T_s <= T_am."""
     T_s = c_sky * T_am_1_5
     return T_s, 0.0 < T_s <= T_am
-
-
-def sky_temperature(T_am: float, c_sky: float = Kinetics.c_sky) -> float:
-    """Effective sky temperature T_s = c_sky * T_am^1.5.
-
-    Warns (without failing) when the result is non-physical, i.e. not in
-    (0, T_am]: the commonly cited coefficient is 0.0552, but the default,
-    Kinetics.c_sky, is 0.0550 so that T_s < T_am holds everywhere below
-    330 K; a value of 0.552 yields a sky far hotter than ambient.
-    """
-    if T_am <= 0:
-        raise ValueError(f"ambient temperature must be > 0 K, got {T_am}")
-    T_s, physical = _sky(T_am, T_am**1.5, c_sky)
-    if not physical:
-        warnings.warn(
-            f"sky temperature {T_s:.1f} K is non-physical for ambient "
-            f"{T_am:.1f} K (c_sky={c_sky}); expected 0 < T_s <= T_am",
-            ConfigWarning,
-            stacklevel=2,
-        )
-    return T_s
 
 
 def _radiative(eps_sigma: float, T1: float, T2: float) -> float:

@@ -4,18 +4,17 @@ overrides."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(NamedTuple):
     W: float       # floor width, m
     D: float       # average floor-to-cover distance, m
     A_c: float     # cover area, m^2
@@ -25,8 +24,7 @@ class Geometry:
     D_p: float     # product layer thickness, m
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     m_c: float       # mass, kg
     C_pc: float      # specific heat, J kg^-1 K^-1
     alpha_c: float   # absorptance
@@ -36,15 +34,13 @@ class Cover:
     delta_c: float   # thickness, m
 
 
-@dataclass(frozen=True)
-class Floor:
+class Floor(NamedTuple):
     alpha_f: float   # absorptance
     h_dfg: float     # floor-to-underground conductance, W m^-2 K^-1
     T_deep: float    # deep-soil temperature, K
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     rho_p: float     # dry bulk density, kg m^-3; dry mass rho_p A_p D_p
     C_pp: float      # dry product specific heat, J kg^-1 K^-1
     C_pl: float      # liquid water specific heat, J kg^-1 K^-1
@@ -56,24 +52,24 @@ class Product:
     F_p: float       # fraction of transmitted radiation falling on product
 
 
-@dataclass(frozen=True)
-class Airflow:
+class Airflow(NamedTuple):
     V_vent: float    # ventilation rate, m^3 s^-1, in = out
     V_a: float       # internal air speed, m s^-1
     T_in: float      # inlet air temperature, K
     H_in: float      # inlet humidity ratio, kg/kg
 
 
-@dataclass(frozen=True)
-class Kinetics:
+class Kinetics(NamedTuple):
     b0: float        # equilibrium-moisture isotherm coefficients
     b1: float
     b2: float
-    c_sky: float = 0.0550   # sky temperature coefficient, T_s = c_sky T_am^1.5
+    # sky temperature coefficient, T_s = c_sky T_am^1.5: the commonly cited
+    # 0.0552 lowered to 0.0550, so that T_s < T_am holds everywhere below
+    # 330 K (the literal 0.552 gives a sky far hotter than ambient)
+    c_sky: float = 0.0550
 
 
-@dataclass(frozen=True)
-class Numerics:
+class Numerics(NamedTuple):
     dt: float = 60.0              # time step, s
     pressure: float = 101325.0    # total pressure, Pa
 
@@ -95,7 +91,7 @@ class DryerConfig:
     product: Product
     airflow: Airflow
     kinetics: Kinetics
-    numerics: Numerics = field(default_factory=Numerics)
+    numerics: Numerics = Numerics()
 
     def __post_init__(self):
         values = ((f"{section}.{name}", value)
@@ -127,7 +123,7 @@ class DryerConfig:
         return self.product.M_0_pct / 100.0
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name)._asdict() for name in _SECTIONS}
 
 
 _SECTIONS = {
@@ -148,14 +144,12 @@ def config_from_dict(data: dict) -> DryerConfig:
     for section, cls in _SECTIONS.items():
         raw = data.get(section)
         if raw is None:
-            if section == "numerics":
-                kwargs[section] = Numerics()
+            if section == "numerics":  # DryerConfig's default, Numerics()
                 continue
             raise ConfigError(f"missing config section {section!r}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - names
+        unknown = set(raw).difference(cls._fields)
         if unknown:
             raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
         coerced = {}

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class GreendryError(Exception):
@@ -46,8 +46,3 @@ class ComparisonError(GreendryError, ValueError):
 
 class EconomicsError(GreendryError, ValueError):
     """The economic inputs admit no finite payback."""
-
-
-class ConfigWarning(UserWarning):
-    """Non-fatal, non-physical configuration detected (e.g. sky hotter than
-    ambient from a bad sky coefficient)."""

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
 from typing import NamedTuple
@@ -123,15 +122,11 @@ class StepDiagnostics(NamedTuple):
     flags: tuple[str, ...]
 
 
-@dataclass
-class SimSeries:
+class SimSeries(NamedTuple):
     """Time-indexed simulation record."""
 
     states: list[SimState]
     diagnostics: list[StepDiagnostics]
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def eliminate(A, b) -> list[float]:
@@ -643,10 +638,9 @@ def simulate(cfg: DryerConfig, weather: WeatherSeries, horizon_s: float | None =
              target_mdb: float | None = None) -> SimSeries:
     """Every state of `steps(cfg, weather, horizon_s, target_mdb=target_mdb)`,
     each step recorded."""
-    series = SimSeries(states=[], diagnostics=[])
-    states, records = series.states, series.diagnostics
+    states, records = [], []
     for state, work in steps(cfg, weather, horizon_s, target_mdb=target_mdb):
         states.append(state)
         if work is not None:
             records.append(step_diagnostics(state, work))
-    return series
+    return SimSeries(states, records)

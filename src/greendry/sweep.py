@@ -3,13 +3,13 @@ payback objectives over dotted-path parameter grids."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .analysis import EconomicInputs, payback_period
 from .config import DryerConfig, apply_overrides, read_yaml
@@ -21,8 +21,7 @@ GRID_CAP = 10_000  # the most points a sweep grid may have
 SPEC_KEYS = ("parameters", "objective", "target_mdb", "horizon_h", "economics")
 
 
-@dataclass(frozen=True)
-class EconomicModel:
+class EconomicModel(NamedTuple):
     """Ties payback to simulated drying time: annual production is one
     batch's dry mass times the annual operating hours over the drying time."""
 
@@ -66,8 +65,7 @@ class SweepSpec:
         return math.prod(len(vals) for _, vals in self.parameters)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     point: tuple[tuple[str, float], ...]  # (path, value) in spec order
     objective: float                      # hours or years; inf = not reached
     error: str | None = None              # why the point failed
@@ -237,11 +235,10 @@ def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
                                               for v in values)))
     economics = None
     if "economics" in data:
-        names = [f.name for f in dataclasses.fields(EconomicModel)]
-        check_keys("economics", data["economics"], names)
+        check_keys("economics", data["economics"], EconomicModel._fields)
         economics = EconomicModel(**{name: number(f"economics.{name}",
                                                   data["economics"].get(name))
-                                     for name in names})
+                                     for name in EconomicModel._fields})
     target_mdb = number("target_mdb", data.get("target_mdb", 0.08))
     horizon_s = (number("horizon_h", data["horizon_h"]) * 3600.0
                  if "horizon_h" in data else None)

@@ -10,7 +10,7 @@ import bisect
 import csv
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 from .core import SATURATION_T_MAX, WeatherRecord
@@ -72,14 +72,13 @@ def _check_records(records, source, lines) -> None:
 class WeatherSeries:
     """Checked weather records; lines, when given, are the source line of
     each record, so that an error names source:line instead of record i.
-    times and columns (I_t, T_am, V_w, rh_am) are the fields, as `brackets`
+    The attributes times and columns (I_t, T_am, V_w, rh_am), which
+    __post_init__ sets, hold the records column by column, as `brackets`
     and the interpolations built on it read them."""
 
     records: tuple[WeatherRecord, ...]
     source: str = "unknown"
     lines: InitVar[tuple[int, ...] | None] = None
-    times: tuple[float, ...] = field(init=False, repr=False)
-    columns: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self, lines):
         _check_records(self.records, self.source, lines)
@@ -190,7 +189,10 @@ def _blocks(fh):
     from that line on."""
     n = 1
     while lines := fh.readlines(READ_BLOCK):
-        rows = [line.rstrip("\r\n") for line in lines if not _skipped(line)]
+        # a line whose first character is neither "#" nor blank is kept
+        # without a call of _skipped: most lines of a file
+        rows = [line.rstrip("\r\n") for line in lines
+                if ((c := line[0]) != "#" and not c.isspace()) or not _skipped(line)]
         numbers = (range(n, n + len(lines)) if len(rows) == len(lines) else
                    [i for i, line in enumerate(lines, n) if not _skipped(line)])
         quoted, text = len(rows), ",\n,".join(rows)

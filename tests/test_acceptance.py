@@ -20,7 +20,7 @@ from greendry.kinetics import (
     rate_constant,
     step_moisture,
 )
-from greendry.coefficients import sky_temperature
+from greendry.coefficients import _sky
 from greendry.solver import eliminate, simulate, solve_energy_system, steps
 from greendry.sweep import SweepSpec, drying_time_objective, grid_search
 from greendry.weather import sample, synthetic_days
@@ -260,7 +260,7 @@ def test_criterion_9_physical_sanity(baseline_cfg):
         if state.t < 2 * 3600.0:
             continue
         T_am = sample(night, state.t).T_am
-        T_s = sky_temperature(T_am, cfg.kinetics.c_sky)
+        T_s = _sky(T_am, T_am**1.5, cfg.kinetics.c_sky)[0]
         lo, hi = min(T_s, T_am, 300.0), max(T_am, 300.0)
         temps = (state.T_c, state.T_a, state.T_p, state.T_f)
         assert lo - 1e-9 <= min(temps) and max(temps) <= hi + 1e-9
@@ -276,7 +276,7 @@ def test_criterion_9_physical_sanity(baseline_cfg):
     assert all(b <= a for a, b in zip(Ms, Ms[1:]))
 
     # default sky coefficient keeps the sky below ambient
-    for T_am in range(251, 330):
-        assert sky_temperature(float(T_am)) < T_am
+    for T_am in map(float, range(251, 330)):
+        assert _sky(T_am, T_am**1.5, 0.0550)[0] < T_am
     print("PASS criterion 9: night band, noon T_a > T_am, monotone moisture, "
           "T_s < T_am all hold")

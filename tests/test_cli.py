@@ -1,6 +1,5 @@
 import bisect
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -70,6 +69,20 @@ def _assert_cannot_write(result, out, blocker, before):
     assert re.fullmatch(f"error: cannot write {re.escape(str(out))}: .+\n",
                         result.stderr), result.stderr
     assert blocker.read_bytes() == before
+
+
+def _contents(directory):
+    """What directory holds: a file's bytes, None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+def _out_with_a_manifest_directory(tmp_path, csv_name):
+    """An --out holding csv_name and manifest.json as a directory, which a
+    rename cannot replace; and what it holds."""
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    (out / csv_name).write_bytes(b"kept\n")
+    return out, _contents(out)
 
 
 def _run_baseline(runner, baseline_config_path, out_dir, *extra):
@@ -338,6 +351,15 @@ class TestRun:
         assert result.stderr.startswith(f"error: cannot write {out}: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_manifest_leaves_the_outputs_as_they_were(
+            self, runner, baseline_config_path, tmp_path):
+        out, before = _out_with_a_manifest_directory(tmp_path, "states.csv")
+        result = _run_baseline(runner, baseline_config_path, out)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert "manifest.json" in result.stderr
+        assert _contents(out) == before
+
     def test_manifest_written(self, runner, baseline_config_path, tmp_path):
         out = tmp_path / "out"
         _run_baseline(runner, baseline_config_path, out, "--target-mdb", "0.6",
@@ -382,11 +404,11 @@ HASH = "ab" * 32
 
 def _written_run(tmp_path, run):
     """The states.csv and diagnostics.csv bytes _write_run makes of run."""
-    out = tmp_path / "new"
-    n_states = _write_run(out, run, f"inputs_sha256={HASH}")
-    states = (out / "states.csv").read_bytes()
+    states_path, diag_path = tmp_path / "states.csv", tmp_path / "diagnostics.csv"
+    n_states = _write_run(states_path, diag_path, run, f"inputs_sha256={HASH}")
+    states = states_path.read_bytes()
     assert n_states == states.count(b"\r\n") - 1  # less the header
-    return states, (out / "diagnostics.csv").read_bytes()
+    return states, diag_path.read_bytes()
 
 
 def _reference_run(tmp_path, run):
@@ -546,7 +568,8 @@ class TestWriteRun:
         def peak(n):
             tracemalloc.start()
             try:
-                assert _write_run(tmp_path / str(n), run(n), "c") == n + 1
+                assert _write_run(tmp_path / "s.csv", tmp_path / "d.csv", run(n),
+                                  "c") == n + 1
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1011,6 +1034,18 @@ class TestSweep:
         assert "all 1 points failed" in result.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_unwritable_manifest_leaves_the_outputs_as_they_were(
+            self, runner, baseline_config_path, tmp_path):
+        spec = self._spec(tmp_path, "[1.2]")
+        out, before = _out_with_a_manifest_directory(tmp_path, "sweep.csv")
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                         "--spec", str(spec), "--preset", "tropical", "--days", "2",
+                         "--workers", "1", "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert "manifest.json" in result.stderr
+        assert _contents(out) == before
+
     def test_workers_do_not_change_sweep_csv(self, runner, baseline_config_path,
                                             tmp_path):
         spec = self._spec(tmp_path, "[1.2, 1.5, 0.9]")
@@ -1212,8 +1247,7 @@ class TestSweep:
         assert re.findall(r"^- `(\w+)`:", section, re.M) == list(SPEC_KEYS)
         economics = re.search(r"^- `economics`:.*?(?=^- |^$)", section,
                               re.M | re.S).group(0)
-        assert re.findall(r"`(\w+)`", economics)[1:] == [
-            f.name for f in dataclasses.fields(EconomicModel)]
+        assert re.findall(r"`(\w+)`", economics)[1:] == list(EconomicModel._fields)
 
 
 class TestGenWeather:
@@ -1267,6 +1301,14 @@ class TestGenWeather:
         result = _cli_process("gen-weather", "--days", "1", "--out", str(out))
         _assert_cannot_write(result, out, blocker, b"kept\n")
         assert list(tmp_path.iterdir()) == [blocker]
+
+    def test_unmakeable_out_removes_the_directories_it_made(self, runner, tmp_path):
+        # new/ is made before the over-long name under it fails
+        out = tmp_path / "new" / ("x" * 300 + ".csv")
+        result = run_cli(runner, "gen-weather", "--days", "1", "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_preset_exit_2(self, runner, tmp_path):
         result = run_cli(runner, "gen-weather", "--preset", "arctic",

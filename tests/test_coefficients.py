@@ -9,33 +9,34 @@ from greendry.coefficients import (
     SIGMA,
     _convective,
     _radiative,
+    _sky,
     hydraulic_diameter,
     overall_cover_loss,
-    sky_temperature,
     wind_coefficient,
 )
-from greendry.config import apply_overrides
+from greendry.config import Kinetics, apply_overrides
 from greendry.core import AirProps, SimState, WeatherRecord, relative_humidity
-from greendry.errors import ConfigWarning, RangeError
+from greendry.errors import RangeError
 from greendry.solver import advance, step, step_constants
 
 
 class TestSkyTemperature:
     def test_default_coefficient(self):
-        assert sky_temperature(300.0, 0.0552) == pytest.approx(286.83, abs=0.01)
+        T_s, physical = _sky(300.0, 300.0**1.5, 0.0552)
+        assert T_s == pytest.approx(286.83, abs=0.01) and physical
 
     def test_literal_published_coefficient_is_flagged(self):
-        with pytest.warns(ConfigWarning):
-            T_s = sky_temperature(300.0, 0.552)
-        assert T_s == pytest.approx(2868.3, abs=0.1)
+        T_s, physical = _sky(300.0, 300.0**1.5, 0.552)
+        assert T_s == pytest.approx(2868.3, abs=0.1) and not physical
 
     def test_zero_coefficient_is_flagged(self):
-        with pytest.warns(ConfigWarning):
-            assert sky_temperature(300.0, 0.0) == 0.0
+        assert _sky(300.0, 300.0**1.5, 0.0) == (0.0, False)
 
     def test_default_stays_below_ambient(self):
-        for T_am in range(251, 330):
-            assert sky_temperature(float(T_am)) < T_am
+        c_sky = Kinetics._field_defaults["c_sky"]
+        for T_am in map(float, range(251, 330)):
+            T_s, physical = _sky(T_am, T_am**1.5, c_sky)
+            assert T_s < T_am and physical
 
 
 class TestRadiativeCoefficient:

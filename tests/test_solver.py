@@ -329,7 +329,7 @@ class TestSolveEnergySystem:
 
     def test_baseline_takes_the_fast_path(self, baseline_cfg, fallbacks):
         series = simulate(baseline_cfg, synthetic_days(1))
-        assert len(series) == 1441 and fallbacks == []
+        assert len(series.states) == 1441 and fallbacks == []
 
 
 @pytest.mark.parametrize("module", ["numpy", "multiprocessing",

@@ -1,8 +1,10 @@
 import bisect
 import csv
+import io
 import math
 import random
 import re
+import string
 from pathlib import Path
 from unittest import mock
 
@@ -423,6 +425,43 @@ def csv_texts(draw):
     text = "".join(",".join(line) + draw(ENDINGS)
                    for line in [*lines, header, *rows])
     return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+# "#", every ASCII blank, and characters that str.isspace calls blank
+# but that end no line of a file opened with newline=""
+FIRST_CHARACTERS = ["#", *string.whitespace, "\x1c", "\x1d", "\x1e", "\x1f",
+                    "\x85", "\xa0", "\u2028", "\u3000"]
+
+
+def _rows_of(blocks):
+    """The rows of _blocks' blocks, each row's cells joined with ","."""
+    rows, row = [], []
+    for _, cells, end in blocks:
+        for cell in cells:
+            if cell == end:
+                rows.append(",".join(row))
+                row = []
+            else:
+                row.append(cell)
+    return rows
+
+
+class TestBlocks:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from([*FIRST_CHARACTERS, "a", "1", ","]),
+                              st.text(st.sampled_from([*FIRST_CHARACTERS, "a", ","]),
+                                      max_size=3),
+                              ENDINGS), max_size=30),
+           st.sampled_from([1, 7, 40, 1 << 13]))
+    def test_lines_skipped_as_skipped_says(self, lines, block):
+        text = "".join(first + rest + end for first, rest, end in lines)
+        kept = [(n, line.rstrip("\r\n")) for n, line in
+                enumerate(io.StringIO(text, newline="").readlines(), 1)
+                if not weather._skipped(line)]
+        with mock.patch.object(weather, "READ_BLOCK", block):
+            blocks = list(weather._blocks(io.StringIO(text, newline="")))
+        assert [n for numbers, _, _ in blocks for n in numbers] == [n for n, _ in kept]
+        assert _rows_of(blocks) == [row for _, row in kept]
 
 
 class TestReadCsvEquivalence:
