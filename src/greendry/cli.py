@@ -64,7 +64,7 @@ def _input_hash(*parts) -> str:
     return h.hexdigest()
 
 
-def _parse_sets(pairs) -> dict[str, float]:
+def _parse_sets(pairs) -> dict[str, str]:
     out = {}
     for pair in pairs:
         if "=" not in pair:
@@ -97,7 +97,7 @@ def _write_manifest(path: Path, out: Path, config_path, weather_label: str,
         "inputs_sha256": inputs_hash,
         **fields,
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _sweep_line(rank: int, result) -> str:

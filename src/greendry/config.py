@@ -1,6 +1,7 @@
 """Dryer configuration: one validated bundle of geometry, materials, airflow,
 kinetics coefficients and numerics, loadable from YAML with dotted-path
-overrides."""
+overrides.  number, check_keys and read_record read every number a user
+writes, here and in the sweep spec, so each bad one is named alike."""
 
 from __future__ import annotations
 
@@ -137,38 +138,49 @@ _SECTIONS = {
 }
 
 
+def number(key: str, value) -> float:
+    """value as a finite float; ConfigError `<key> must be numeric, got
+    <value!r>` or `<key> must be finite, got <x>` otherwise."""
+    try:  # YAML 1.1 reads exponents like 2.358e6 as strings
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be numeric, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {x}")
+    return x
+
+
+def check_keys(name: str, raw, known, required=()) -> None:
+    """ConfigError unless raw is a mapping whose keys are all in known and
+    whose required keys are there and not null; the errors name the block."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    unknown = set(raw).difference(known)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(map(str, unknown))}")
+    missing = [key for key in required if raw.get(key) is None]
+    if missing:
+        raise ConfigError(f"missing keys in {name}: {missing}")
+
+
+def read_record(cls, raw, name: str):
+    """The NamedTuple cls of the numbers in the mapping raw, block `name`:
+    its values are checked before missing keys; a field with a default may
+    be left out."""
+    check_keys(name, raw, cls._fields)
+    values = {key: number(f"{name}.{key}", value) for key, value in raw.items()}
+    check_keys(name, values, cls._fields,
+               [key for key in cls._fields if key not in cls._field_defaults])
+    return cls(**values)
+
+
 def config_from_dict(data: dict) -> DryerConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
-    kwargs = {}
-    for section, cls in _SECTIONS.items():
-        raw = data.get(section)
-        if raw is None:
-            if section == "numerics":  # DryerConfig's default, Numerics()
-                continue
-            raise ConfigError(f"missing config section {section!r}")
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config section {section!r} must be a mapping")
-        unknown = set(raw).difference(cls._fields)
-        if unknown:
-            raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
-        coerced = {}
-        for key, value in raw.items():
-            try:
-                # YAML 1.1 reads exponents like 2.358e6 as strings
-                coerced[key] = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{section}.{key} must be numeric, got {value!r}"
-                ) from None
-        try:
-            kwargs[section] = cls(**coerced)
-        except TypeError as exc:
-            raise ConfigError(f"section {section!r}: {exc}") from None
-    extra = set(data) - set(_SECTIONS)
-    if extra:
-        raise ConfigError(f"unknown config sections: {sorted(extra)}")
-    return DryerConfig(**kwargs)
+    """The config of a mapping of sections; every section but `numerics`
+    is required, and one given as null counts as absent."""
+    check_keys("the config", data, _SECTIONS, [s for s in _SECTIONS if s != "numerics"])
+    return DryerConfig(**{section: read_record(cls, data[section], section)
+                          for section, cls in _SECTIONS.items()
+                          if data.get(section) is not None})
 
 
 # libyaml's safe loader, several times faster, when PyYAML was built with it
@@ -183,7 +195,7 @@ def read_yaml(path, what: str):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     try:
         return yaml.load(text, Loader=_SafeLoader)
     except yaml.YAMLError:
@@ -198,9 +210,10 @@ def load_config(path) -> DryerConfig:
     return config_from_dict(read_yaml(path, "config file"))
 
 
-def apply_overrides(cfg: DryerConfig, assignments: dict[str, float]) -> DryerConfig:
+def apply_overrides(cfg: DryerConfig, assignments: dict[str, float | str]) -> DryerConfig:
     """Return a new config with dotted-path overrides applied, e.g.
-    {"airflow.V_vent": 0.2}; re-validates the result."""
+    {"airflow.V_vent": 0.2}; re-validates the result, converting each
+    value as a config file's."""
     data = cfg.to_dict()
     for path, value in assignments.items():
         parts = path.split(".")
@@ -209,10 +222,5 @@ def apply_overrides(cfg: DryerConfig, assignments: dict[str, float]) -> DryerCon
         section, name = parts
         if name not in data[section]:
             raise ConfigError(f"unknown config field {path!r}")
-        try:
-            data[section][name] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"override {path!r} needs a numeric value, got {value!r}"
-            ) from None
+        data[section][name] = value
     return config_from_dict(data)

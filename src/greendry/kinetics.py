@@ -36,16 +36,14 @@ class DryingConstants(NamedTuple):
     extrapolated: bool  # outside the fitted 50-70 C / 10-25 % envelope
 
 
-def drying_constants(T_c: float, rh: float, A1: float) -> DryingConstants:
-    """The Page constants at the given conditions, with A1 =
-    rate_constant(T_c, rh) as the caller evaluated it; conditions outside
-    the fitted envelope are flagged as extrapolated.  A1 <= 0 (low
+def drying_constants(T_c: float, rh: float) -> DryingConstants:
+    """The Page constants at the given conditions; conditions outside the
+    fitted envelope are flagged as extrapolated.  A1 <= 0 (low
     temperatures, e.g. below ~23 C at 15 % rh) is not a valid drying curve;
-    the solver stalls drying there before it asks for the constants.
+    the solver stalls drying there.
     """
-    B1 = rate_exponent(T_c, rh)
     extrapolated = not (T_FIT_MIN <= T_c <= T_FIT_MAX and RH_FIT_MIN <= rh <= RH_FIT_MAX)
-    return DryingConstants(A1, B1, extrapolated)
+    return DryingConstants(rate_constant(T_c, rh), rate_exponent(T_c, rh), extrapolated)
 
 
 def moisture_ratio(t_h: float, constants: DryingConstants) -> float:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .analysis import EconomicInputs, payback_period
-from .config import DryerConfig, apply_overrides, read_yaml
+from .config import DryerConfig, apply_overrides, check_keys, number, read_record, read_yaml
 from .errors import ConfigError, EconomicsError, SimulationError, WeatherError
 from .solver import Forcing, steps, weather_forcing
 from .weather import WeatherSeries
@@ -201,51 +201,30 @@ def grid_search(base: DryerConfig, spec: SweepSpec,
 def load_sweep_spec(path, weather: WeatherSeries) -> SweepSpec:
     """Read a sweep spec YAML: the SPEC_KEYS parameters (dotted path ->
     value list), objective, target_mdb, optional horizon_h and economics.
-    ConfigError, naming path and the key, for an unknown key (also in
-    economics), a block of the wrong type or a value that is not a finite
-    number; naming path, for what SweepSpec rejects."""
+    ConfigError `<path>: <reason>`, the reason naming the key, for an
+    unknown or missing key (also in economics), a block of the wrong type,
+    a value that is not a finite number and what SweepSpec rejects."""
     path = Path(path)
     data = read_yaml(path, "sweep spec")
-
-    def check_keys(name, block, known):
-        if not isinstance(block, dict):
-            raise ConfigError(f"{path}: {name} must be a mapping")
-        unknown = sorted(map(str, set(block) - set(known)))
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys in {name}: {unknown}")
-
-    def number(key, value):
-        try:  # YAML 1.1 reads exponents like 1.5e3 as strings
-            x = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: {key} must be numeric, got {value!r}") from None
-        if not math.isfinite(x):
-            raise ConfigError(f"{path}: {key} must be finite, got {x}")
-        return x
-
-    check_keys("the sweep spec", data, SPEC_KEYS)
-    params_raw = data.get("parameters")
-    if not isinstance(params_raw, dict):
-        raise ConfigError(f"{path}: 'parameters' must be a mapping")
-    parameters = []
-    for dotted, values in params_raw.items():
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError(f"{path}: values for {dotted!r} must be a list")
-        parameters.append((str(dotted), tuple(number(f"parameters.{dotted}", v)
-                                              for v in values)))
-    economics = None
-    if "economics" in data:
-        check_keys("economics", data["economics"], EconomicModel._fields)
-        economics = EconomicModel(**{name: number(f"economics.{name}",
-                                                  data["economics"].get(name))
-                                     for name in EconomicModel._fields})
-    target_mdb = number("target_mdb", data.get("target_mdb", 0.08))
-    horizon_s = (number("horizon_h", data["horizon_h"]) * 3600.0
-                 if "horizon_h" in data else None)
     try:
+        check_keys("the sweep spec", data, SPEC_KEYS)
+        params_raw = data.get("parameters")
+        if not isinstance(params_raw, dict):
+            raise ConfigError("'parameters' must be a mapping")
+        parameters = []
+        for dotted, values in params_raw.items():
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"values for {dotted!r} must be a list")
+            parameters.append((str(dotted), tuple(number(f"parameters.{dotted}", v)
+                                                  for v in values)))
+        economics = (read_record(EconomicModel, data["economics"], "economics")
+                     if "economics" in data else None)
+        target_mdb = number("target_mdb", data.get("target_mdb", 0.08))
+        horizon_s = (number("horizon_h", data["horizon_h"]) * 3600.0
+                     if "horizon_h" in data else None)
         return SweepSpec(parameters=tuple(parameters),
                          objective=data.get("objective", "drying_time"),
                          target_mdb=target_mdb, weather=weather, horizon_s=horizon_s,
                          economics=economics)
-    except ConfigError as exc:  # SweepSpec's checks name no file
+    except ConfigError as exc:  # the checks above name no file
         raise ConfigError(f"{path}: {exc}") from None

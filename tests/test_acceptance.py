@@ -17,7 +17,6 @@ from greendry.errors import SingularMatrixError
 from greendry.kinetics import (
     drying_constants,
     moisture_ratio,
-    rate_constant,
     step_moisture,
 )
 from greendry.coefficients import _sky
@@ -30,7 +29,7 @@ from conftest import CONFIG_DIR
 
 def test_criterion_1_thin_layer_closed_form_equivalence():
     t0 = time.perf_counter()
-    constants = drying_constants(60.0, 15.0, rate_constant(60.0, 15.0))
+    constants = drying_constants(60.0, 15.0)
     assert constants.A1 == pytest.approx(0.375472, abs=1e-9)
     assert constants.B1 == pytest.approx(1.076641, abs=1e-9)
     M_0, M_e = 0.522, 0.05

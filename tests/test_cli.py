@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import greendry
@@ -115,6 +116,19 @@ class TestRun:
                          "--preset", "tropical", "--out", str(tmp_path / "o"))
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("block", ["the config", "floor"])
+    def test_non_string_key_beside_unknown_key_exit_1(self, runner, baseline_config_path,
+                                                      tmp_path, block):
+        data = yaml.safe_load(baseline_config_path.read_text(encoding="utf-8"))
+        target = data if block == "the config" else data[block]
+        target.update({1: 2.0, "bogus": 1.0})
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(data), encoding="utf-8")
+        result = run_cli(runner, "run", "--config", str(bad),
+                         "--preset", "tropical", "--out", str(tmp_path / "o"))
+        assert result.exit_code == 1
+        assert result.stderr == f"error: unknown keys in {block}: ['1', 'bogus']\n"
+
     def test_bad_override_exit_1(self, runner, baseline_config_path, tmp_path):
         result = _run_baseline(runner, baseline_config_path, tmp_path / "o",
                                "--set", "geometry.A_c=-3")
@@ -156,6 +170,7 @@ class TestRun:
     @pytest.mark.parametrize("override, code, message", [
         ("numerics.dt=nan", 1, "numerics.dt must be finite, got nan"),
         ("numerics.dt=inf", 1, "numerics.dt must be finite, got inf"),
+        ("floor.h_dfg=abc", 1, "floor.h_dfg must be numeric, got 'abc'"),
         ("kinetics.c_sky=0", 1, "kinetics.c_sky must be > 0"),
         ("airflow.V_in=0.3", 1, "unknown config field 'airflow.V_in'"),
         ("floor.k_f=1.7", 1, "unknown config field 'floor.k_f'"),

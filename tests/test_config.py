@@ -8,6 +8,8 @@ from greendry.config import (
     _ANY_SIGN,
     _FRACTIONS,
     _NONNEGATIVE,
+    _SECTIONS,
+    Numerics,
     _SafeLoader,
     apply_overrides,
     config_from_dict,
@@ -21,6 +23,9 @@ from test_solver import BASE, make_cfg
 
 FIELDS = [f"{section}.{name}" for section, values in BASE.items()
           for name in values] + ["numerics.pressure"]
+# the fields a config must give: those with no default
+REQUIRED = [f"{section}.{name}" for section, cls in _SECTIONS.items()
+            for name in cls._fields if name not in cls._field_defaults]
 
 
 def _just_outside(path):
@@ -107,7 +112,7 @@ class TestValidation:
     def test_removed_keys_rejected(self, section, key):
         data = {k: dict(v) for k, v in BASE.items()}
         data[section][key] = 1.0
-        with pytest.raises(ConfigError, match=f"unknown keys in '{section}'.*{key}"):
+        with pytest.raises(ConfigError, match=f"unknown keys in {section}.*{key}"):
             config_from_dict(data)
 
     @pytest.mark.parametrize("path", FIELDS)
@@ -144,6 +149,71 @@ class TestValidation:
         with pytest.raises(ConfigError, match="kinetics.c_sky"):
             make_cfg(kinetics={"c_sky": c_sky})
 
+    @pytest.mark.parametrize("path", REQUIRED)
+    def test_missing_key_named_with_its_section(self, path):
+        section, name = path.split(".")
+        data = {k: dict(v) for k, v in BASE.items()}
+        del data[section][name]
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(data)
+        assert str(exc.value) == f"missing keys in {section}: [{name!r}]"
+
+    def test_required_fields_are_all_but_the_defaults(self):
+        assert len(REQUIRED) == 33
+        assert set(FIELDS) - set(REQUIRED) == {"kinetics.c_sky", "numerics.dt",
+                                               "numerics.pressure"}
+
+    @pytest.mark.parametrize("section", [s for s in BASE if s != "numerics"])
+    @pytest.mark.parametrize("absent", ["deleted", "null"])
+    def test_missing_section_named(self, section, absent):
+        data = {k: dict(v) for k, v in BASE.items()}
+        if absent == "deleted":
+            del data[section]
+        else:
+            data[section] = None
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(data)
+        assert str(exc.value) == f"missing keys in the config: [{section!r}]"
+
+    @pytest.mark.parametrize("block", ["the config", "floor"])
+    def test_non_string_key_beside_unknown_key(self, block):
+        data = {k: dict(v) for k, v in BASE.items()}
+        target = data if block == "the config" else data[block]
+        target[1] = 2.0
+        target["bogus"] = 1.0
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(data)
+        assert str(exc.value) == f"unknown keys in {block}: ['1', 'bogus']"
+
+    @pytest.mark.parametrize("block", ["the config", "floor"])
+    def test_block_not_a_mapping(self, block):
+        data = {k: dict(v) for k, v in BASE.items()}
+        if block == "the config":
+            data = [data]
+        else:
+            data[block] = [1.0, 2.0]
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(data)
+        assert str(exc.value) == f"{block} must be a mapping"
+
+    def test_null_numerics_is_the_default(self):
+        data = {k: dict(v) for k, v in BASE.items()}
+        data["numerics"] = None
+        assert config_from_dict(data).numerics == Numerics()
+
+    def test_omitted_sky_coefficient_is_the_default(self):
+        data = {k: dict(v) for k, v in BASE.items()}
+        del data["kinetics"]["c_sky"]
+        assert config_from_dict(data).kinetics.c_sky == 0.0550
+
+    def test_value_checked_before_missing_key(self):
+        data = {k: dict(v) for k, v in BASE.items()}
+        del data["floor"]["h_dfg"]
+        data["floor"]["T_deep"] = "warm"
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(data)
+        assert str(exc.value) == "floor.T_deep must be numeric, got 'warm'"
+
     def test_numerics_defaults(self):
         data = {k: dict(v) for k, v in BASE.items()}
         del data["numerics"]
@@ -169,6 +239,15 @@ class TestOverrides:
     def test_override_revalidates(self, baseline_cfg):
         with pytest.raises(ConfigError):
             apply_overrides(baseline_cfg, {"geometry.A_c": -5.0})
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "floor.h_dfg must be numeric, got 'abc'"),
+        (None, "floor.h_dfg must be numeric, got None"),
+    ])
+    def test_override_value_named_as_in_a_config(self, baseline_cfg, value, message):
+        with pytest.raises(ConfigError) as exc:
+            apply_overrides(baseline_cfg, {"floor.h_dfg": value})
+        assert str(exc.value) == message
 
 
 # a sweep spec with every block and the forms YAML gives them: flow and

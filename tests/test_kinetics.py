@@ -17,16 +17,12 @@ from greendry.kinetics import (
 MID = dict(T_c=60.0, rh=15.0)
 
 
-def constants_at(T_c, rh):
-    return drying_constants(T_c, rh, rate_constant(T_c, rh))
-
-
 class TestDryingConstants:
     def test_rate_constant_midrange(self):
         assert rate_constant(**MID) == pytest.approx(0.375472, abs=1e-9)
 
     def test_exponent_midrange(self):
-        c = constants_at(**MID)
+        c = drying_constants(**MID)
         assert c.B1 == pytest.approx(1.076641, abs=1e-9)
 
     def test_invalid_at_low_temperature(self):
@@ -36,27 +32,27 @@ class TestDryingConstants:
         assert rate_constant(23.2, 15.0) > 0
 
     def test_extrapolation_flag(self):
-        assert constants_at(40.0, 15.0).extrapolated
-        assert constants_at(60.0, 30.0).extrapolated
-        assert not constants_at(60.0, 15.0).extrapolated
+        assert drying_constants(40.0, 15.0).extrapolated
+        assert drying_constants(60.0, 30.0).extrapolated
+        assert not drying_constants(60.0, 15.0).extrapolated
 
 
 class TestMoistureRatio:
     def test_at_zero(self):
-        assert moisture_ratio(0.0, constants_at(**MID)) == 1.0
+        assert moisture_ratio(0.0, drying_constants(**MID)) == 1.0
 
     def test_one_hour(self):
-        c = constants_at(**MID)
+        c = drying_constants(**MID)
         assert moisture_ratio(1.0, c) == pytest.approx(math.exp(-0.375472), abs=1e-9)
         assert moisture_ratio(1.0, c) == pytest.approx(0.6870, abs=1e-4)
 
     def test_monotone_decay(self):
-        c = constants_at(**MID)
+        c = drying_constants(**MID)
         assert moisture_ratio(10.0, c) < moisture_ratio(5.0, c) < moisture_ratio(1.0, c)
 
     @given(st.floats(0.0, 100.0))
     def test_bounded(self, t):
-        mr = moisture_ratio(t, constants_at(**MID))
+        mr = moisture_ratio(t, drying_constants(**MID))
         assert 0.0 < mr <= 1.0
 
 
@@ -106,7 +102,7 @@ class TestEquilibriumMoisture:
 
 
 class TestStepMoisture:
-    C = constants_at(**MID)
+    C = drying_constants(**MID)
 
     def test_equilibrium_fixed_point(self):
         M_new, _ = step_moisture(0.05, 0.05, 0.522, self.C, 60.0)

@@ -51,7 +51,7 @@ def test_to_dict_is_plain_data(baseline_cfg):
 def test_section_missing_a_key_names_section_and_key(baseline_cfg):
     data = baseline_cfg.to_dict()
     del data["floor"]["h_dfg"]
-    with pytest.raises(ConfigError, match=r"^section 'floor': .*'h_dfg'"):
+    with pytest.raises(ConfigError, match=r"^missing keys in floor: \['h_dfg'\]$"):
         config_from_dict(data)
 
 

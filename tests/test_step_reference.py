@@ -59,7 +59,7 @@ def reference_kinetics_update(state, k, rh):
     if M_0 <= M_e or state.M_p <= M_e:
         return state.M_p, ["at_or_above_equilibrium"]
 
-    constants = kinetics.drying_constants(T_c, rh, A1)
+    constants = kinetics.drying_constants(T_c, rh)
     flags = ["kinetics_extrapolated"] if constants.extrapolated else []
     M_new, _ = kinetics.step_moisture(state.M_p, M_e, M_0, constants, k.dt)
     return M_new, flags

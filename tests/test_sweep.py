@@ -294,7 +294,8 @@ class TestSpecFile:
          "  annual_operating_hours: 1.0\n  unit_premium: 1.0\n  discount: 0.1\n",
          "unknown keys in economics: ['discount']"),
         ("parameters: {airflow.V_a: [1.0]}\nobjective: payback\neconomics:\n"
-         "  capital: 1.0\n", "economics.operating_cost must be numeric, got None"),
+         "  capital: 1.0\n", "missing keys in economics: ['operating_cost', 'batch_kg_dry', "
+         "'annual_operating_hours', 'unit_premium']"),
         ("parameters: {airflow.V_a: [1.0]}\neconomics: 5\n",
          "economics must be a mapping"),
         ("parameters: {airflow.V_a: [1.0]}\nobjective: fastest\n",
@@ -309,6 +310,23 @@ class TestSpecFile:
         with pytest.raises(ConfigError) as exc:
             load_sweep_spec(path, weather)
         assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name", EconomicModel._fields)
+    def test_missing_economics_key_named(self, tmp_path, weather, name):
+        block = "".join(f"  {key}: 1.0\n" for key in EconomicModel._fields if key != name)
+        path = tmp_path / "spec.yaml"
+        path.write_text("parameters: {airflow.V_a: [1.0]}\nobjective: payback\n"
+                        "economics:\n" + block)
+        with pytest.raises(ConfigError) as exc:
+            load_sweep_spec(path, weather)
+        assert str(exc.value) == f"{path}: missing keys in economics: [{name!r}]"
+
+    def test_non_string_key_beside_unknown_key(self, tmp_path, weather):
+        path = tmp_path / "spec.yaml"
+        path.write_text("parameters: {airflow.V_a: [1.0]}\n1: 2.0\nbogus: 1.0\n")
+        with pytest.raises(ConfigError) as exc:
+            load_sweep_spec(path, weather)
+        assert str(exc.value) == f"{path}: unknown keys in the sweep spec: ['1', 'bogus']"
 
     def test_empty_parameters_rejected(self, tmp_path, weather):
         path = tmp_path / "spec.yaml"
