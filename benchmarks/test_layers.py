@@ -3,8 +3,8 @@
 `greendry run` with its CSV write, that run's streamed CSV writer on its
 own, the read of two columns of its states.csv, a `greendry validate`
 of one column of that run against 2500 observations, a 60 h drying-time
-objective and a 6-point sweep (serial and with the default worker
-processes).
+objective and a 6-point sweep (on one CPU, in one process, and with a
+worker process per available CPU).
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=OUT.json
 
@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+import greendry.sweep
 from greendry import load_config, simulate, synthetic_days
 from greendry.cli import _write_run, main, read_states_csv
 from greendry.core import air_properties
@@ -256,15 +257,16 @@ def test_cli_validate(benchmark, validate_argv):
                               iterations=1, warmup_rounds=1) == 0
 
 
-@pytest.mark.parametrize("workers", [1, None], ids=["serial", "default"])
-def test_grid_search_6(benchmark, cfg, weather, workers):
+@pytest.mark.parametrize("cpus", [1, None], ids=["serial", "default"])
+def test_grid_search_6(benchmark, cfg, weather, cpus, monkeypatch):
     # drying time to 0.08 db within 60 h, as the greendry sweep command runs
-    # it: in one process, and with grid_search's default worker count
+    # it: on one CPU, in one process, and with a worker per available CPU
+    if cpus is not None:
+        monkeypatch.setattr(greendry.sweep, "available_cpus", lambda: cpus)
     spec = SweepSpec(parameters=(("airflow.V_a", (1.0, 3.0)),
                                  ("product.F_p", (0.3, 0.5, 0.7))),
                      objective="drying_time", target_mdb=0.08,
                      weather=weather, horizon_s=60 * 3600.0)
-    kwargs = {} if workers is None else {"workers": workers}
-    results = benchmark.pedantic(grid_search, args=(cfg, spec), kwargs=kwargs,
+    results = benchmark.pedantic(grid_search, args=(cfg, spec),
                                  rounds=3, iterations=1, warmup_rounds=1)
     assert len(results) == 6 and results[0].reached

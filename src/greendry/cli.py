@@ -314,10 +314,7 @@ def cmd_validate(states_path, observed_path, variable, limit):
 @click.option("--preset", help="synthetic weather preset name")
 @click.option("--days", default=4, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--workers", type=click.IntRange(min=1),
-              help="worker processes [default: the CPUs available, at most "
-                   "one per grid point]; results are identical to --workers 1")
-def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, workers):
+def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir):
     """Evaluate a parameter grid; write sweep.csv ranked by objective.
     A point that fails, in its simulation or with no payback, is warned
     about and ranked as not reached; exit 3 only when every point failed."""
@@ -337,7 +334,7 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
     columns = ["rank"] + paths + [f"objective_{unit}", "reached"]
     try:
         with _staged(out, "sweep.csv", "manifest.json") as (sweep_path, manifest_path):
-            results = grid_search(cfg, spec, workers=workers)
+            results = grid_search(cfg, spec)
             failed = [r for r in results if r.error is not None]
             for r in failed:
                 click.echo(f"warning: point {dict(r.point)} failed: {r.error}", err=True)
@@ -346,7 +343,7 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir, worke
             lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
             write_csv(sweep_path, columns, lines, f"inputs_sha256={inputs_hash}")
             _write_manifest(manifest_path, out, config_path, weather_label, inputs_hash,
-                            spec=str(spec_path), workers=workers, n_points=len(results),
+                            spec=str(spec_path), n_points=len(results),
                             n_reached=sum(r.reached for r in results),
                             failed=[{"point": dict(r.point), "error": r.error}
                                     for r in failed])

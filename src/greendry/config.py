@@ -169,8 +169,10 @@ def read_record(cls, raw, name: str):
     be left out."""
     check_keys(name, raw, cls._fields)
     values = {key: number(f"{name}.{key}", value) for key, value in raw.items()}
-    check_keys(name, values, cls._fields,
-               [key for key in cls._fields if key not in cls._field_defaults])
+    missing = [key for key in cls._fields
+               if key not in values and key not in cls._field_defaults]
+    if missing:
+        raise ConfigError(f"missing keys in {name}: {missing}")
     return cls(**values)
 
 

@@ -253,7 +253,7 @@ def solve_energy_system(A, b) -> list[float]:
 
 
 class StepConstants(NamedTuple):
-    """What `step` needs from a DryerConfig, built once per run by
+    """What `advance` needs from a DryerConfig, built once per run by
     `step_constants`.  Each product is a left prefix of the per-step
     expression it enters (see the module docstring)."""
 

@@ -155,28 +155,23 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def grid_search(base: DryerConfig, spec: SweepSpec,
-                workers: int | None = None) -> list[SweepResult]:
+def grid_search(base: DryerConfig, spec: SweepSpec) -> list[SweepResult]:
     """Evaluate every grid point and return results sorted ascending by
     objective, ties broken by the point's parameter values in spec order.
     A point that fails ranks as not reached, with its error.
 
-    Points are simulated in `workers` processes (default: the CPUs
-    available, at most one per point); with one worker they run in this
-    process.  Every point's overrides are applied here first, so an
-    invalid one raises before any point is simulated.  Each point runs the
-    same code either way, so the results are identical."""
-    if workers is None:
-        workers = available_cpus()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    Points are simulated in one worker process per available CPU, at
+    most one per point; with one CPU or one point, in this process.  Every
+    point's overrides are applied here first, so an invalid one raises
+    before any point is simulated.  Each point runs the same code either
+    way, so the results are identical."""
     paths = [p for p, _ in spec.parameters]
     points = [
         tuple(zip(paths, combo))
         for combo in itertools.product(*(vals for _, vals in spec.parameters))
     ]
     cfgs = [apply_overrides(base, dict(pt)) for pt in points]
-    workers = min(workers, len(points))
+    workers = min(available_cpus(), len(points))
     if workers == 1:
         forcings = {}
         results = [_evaluate(cfg, spec, pt, forcings) for cfg, pt in zip(cfgs, points)]

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import greendry.sweep
 from greendry import load_config, synthetic_days
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -21,3 +22,12 @@ def baseline_cfg(baseline_config_path):
 @pytest.fixture(scope="session")
 def tropical_weather():
     return synthetic_days(4)
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """cpus(n) makes grid_search see n available CPUs, which selects its
+    executor: one runs the points in this process, more a process pool."""
+    def set_cpus(n):
+        monkeypatch.setattr(greendry.sweep, "available_cpus", lambda: n)
+    return set_cpus

@@ -227,14 +227,16 @@ def test_criterion_7_economics():
           "homogeneity holds for 100 random scalings")
 
 
-def test_criterion_8_sweep_correctness(baseline_cfg):
+def test_criterion_8_sweep_correctness(baseline_cfg, cpus):
     weather = synthetic_days(2)
     spec = SweepSpec(
         parameters=(("airflow.V_a", (1.0, 1.5)), ("product.F_p", (0.4, 0.5))),
         objective="drying_time", target_mdb=0.35, weather=weather,
     )
-    serial = grid_search(baseline_cfg, spec, workers=1)
-    parallel = grid_search(baseline_cfg, spec, workers=4)
+    cpus(1)
+    serial = grid_search(baseline_cfg, spec)
+    cpus(4)
+    parallel = grid_search(baseline_cfg, spec)
     assert serial == parallel
     brute = {
         r.point: drying_time_objective(

@@ -84,6 +84,12 @@ class TestPayback:
         assert e.annual_production == 250.0  # annual dry-copra output
         assert payback_period(e) == 2.3
 
+    def test_zero_capital_raises(self):
+        e = EconomicInputs(capital=0.0, operating_cost=0.0,
+                           annual_production=100.0, unit_premium=1.0)
+        with pytest.raises(EconomicsError, match=r"^capital must be > 0, got 0\.0$"):
+            payback_period(e)
+
     def test_unprofitable_raises(self):
         e = EconomicInputs(capital=1000.0, operating_cost=500.0,
                            annual_production=100.0, unit_premium=5.0)

@@ -188,6 +188,20 @@ class TestRun:
         assert result.stderr.startswith(f"error: {message}")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("args, code, message", [
+        (["--preset", "tropical", "--set", "floor.h_dfg"], 1,
+         "--set expects dotted.path=value, got 'floor.h_dfg'"),
+        ([], 2, "need --weather FILE or --preset NAME"),
+        (["--preset", "nowhere"], 2, "unknown preset 'nowhere'; known: ['tropical']"),
+    ], ids=["set-without-value", "no-weather", "unknown-preset"])
+    def test_bad_option_exits_with_its_code(self, runner, baseline_config_path,
+                                            tmp_path, args, code, message):
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--out", str(tmp_path / "o"), *args)
+        assert result.exit_code == code, result.output
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_weather_cell_exit_2(self, runner, baseline_config_path,
                                             tmp_path):
         weather = tmp_path / "w.csv"
@@ -1019,15 +1033,17 @@ class TestSweep:
         assert rows["product.C_pp"] == [1700.0, 1e308]
         assert rows["reached"] == [1.0, 0.0]
 
-    def test_manifest_records_the_sweep(self, runner, baseline_config_path, tmp_path):
+    def test_manifest_records_the_sweep(self, runner, baseline_config_path, tmp_path,
+                                        cpus):
         spec = tmp_path / "spec.yaml"
         spec.write_text("parameters:\n  product.C_pp: [1e308, 1700.0]\n"
                         "objective: drying_time\ntarget_mdb: 0.35\nhorizon_h: 24\n")
         out = tmp_path / "out"
-        for workers in (["--workers", "1"], []):
+        for n in (1, 2):
+            cpus(n)
             result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
                              "--spec", str(spec), "--preset", "tropical",
-                             "--days", "2", "--out", str(out), *workers)
+                             "--days", "2", "--out", str(out))
             assert result.exit_code == 0, result.output
             manifest = json.loads((out / "manifest.json").read_text())
             [(point, error)] = [(f["point"], f["error"]) for f in manifest.pop("failed")]
@@ -1039,7 +1055,6 @@ class TestSweep:
                 "config": str(baseline_config_path), "spec": str(spec),
                 "weather": "preset:tropical:2", "out": str(out),
                 "inputs_sha256": first_line.removeprefix("# inputs_sha256="),
-                "workers": int(workers[1]) if workers else None,
                 "n_points": 2, "n_reached": 1,
             }
 
@@ -1050,34 +1065,39 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_manifest_leaves_the_outputs_as_they_were(
-            self, runner, baseline_config_path, tmp_path):
+            self, runner, baseline_config_path, tmp_path, cpus):
         spec = self._spec(tmp_path, "[1.2]")
         out, before = _out_with_a_manifest_directory(tmp_path, "sweep.csv")
+        cpus(1)
         result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
                          "--spec", str(spec), "--preset", "tropical", "--days", "2",
-                         "--workers", "1", "--out", str(out))
+                         "--out", str(out))
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith(f"error: cannot write {out}: ")
         assert "manifest.json" in result.stderr
         assert _contents(out) == before
 
     def test_workers_do_not_change_sweep_csv(self, runner, baseline_config_path,
-                                            tmp_path):
+                                            tmp_path, cpus):
         spec = self._spec(tmp_path, "[1.2, 1.5, 0.9]")
         outputs = []
-        for name, extra in (("serial", ["--workers", "1"]), ("default", [])):
+        for n in (1, 2, 8):
+            cpus(n)
+            out = tmp_path / f"cpus{n}"
             result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
                              "--spec", str(spec), "--preset", "tropical",
-                             "--days", "2", "--out", str(tmp_path / name), *extra)
+                             "--days", "2", "--out", str(out))
             assert result.exit_code == 0, result.output
-            outputs.append((tmp_path / name / "sweep.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_zero_workers_exit_2(self, runner, baseline_config_path, tmp_path):
+    def test_workers_option_is_gone(self, runner, baseline_config_path, tmp_path):
+        # the worker count is the CPUs the process may run on
         result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
                          "--spec", str(self._spec(tmp_path)), "--preset", "tropical",
-                         "--out", str(tmp_path / "out"), "--workers", "0")
+                         "--out", str(tmp_path / "out"), "--workers", "1")
         assert result.exit_code == 2
+        assert "No such option '--workers'" in result.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("values, extra", [
@@ -1111,12 +1131,12 @@ class TestSweep:
         blocker.write_bytes(b"kept\n")
         result = _cli_process("sweep", "--config", str(baseline_config_path),
                               "--spec", str(spec), "--preset", "tropical",
-                              "--days", "2", "--workers", "1", "--out", str(blocker))
+                              "--days", "2", "--out", str(blocker))
         _assert_cannot_write(result, blocker, blocker, b"kept\n")
         assert sorted(tmp_path.iterdir()) == [blocker, spec]
 
     def test_unwritable_out_exits_before_any_point_is_simulated(
-            self, runner, baseline_config_path, tmp_path, monkeypatch):
+            self, runner, baseline_config_path, tmp_path, monkeypatch, cpus):
         simulated = []
 
         def counted(*args, **kwargs):
@@ -1126,9 +1146,10 @@ class TestSweep:
         monkeypatch.setattr(greendry.sweep, "steps", counted)
         blocker = tmp_path / "blocker"
         blocker.write_bytes(b"kept\n")
+        cpus(1)
         result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
                          "--spec", str(self._spec(tmp_path)), "--preset", "tropical",
-                         "--days", "2", "--workers", "1", "--out", str(blocker))
+                         "--days", "2", "--out", str(blocker))
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith(f"error: cannot write {blocker}: ")
         assert simulated == []
@@ -1140,16 +1161,40 @@ class TestSweep:
         ("product.m_p: [54.0]", "unknown config field 'product.m_p'"),
     ], ids=["out-of-bounds", "unknown-field", "removed-field"])
     def test_grid_value_the_config_rejects_exit_2(
-            self, runner, baseline_config_path, tmp_path, grid, message):
+            self, runner, baseline_config_path, tmp_path, cpus, grid, message):
         spec = tmp_path / "spec.yaml"
         spec.write_text(f"parameters:\n  {grid}\n")
         out = tmp_path / "a" / "out"
+        cpus(1)
         result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
-                         "--spec", str(spec), "--preset", "tropical",
-                         "--workers", "1", "--out", str(out))
+                         "--spec", str(spec), "--preset", "tropical", "--out", str(out))
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {spec}: {message}\n"
         assert sorted(tmp_path.iterdir()) == [spec]
+
+    def test_unknown_preset_exit_2(self, runner, baseline_config_path, tmp_path):
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                         "--spec", str(self._spec(tmp_path)), "--preset", "nowhere",
+                         "--out", str(tmp_path / "out"))
+        assert result.exit_code == 2
+        assert result.stderr == "error: unknown preset 'nowhere'; known: ['tropical']\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file not found: {config}"),
+        ("{}\n", "missing keys in the config: ['geometry', 'cover', 'floor', "
+                 "'product', 'airflow', 'kinetics']"),
+    ], ids=["missing", "no-sections"])
+    def test_bad_config_exit_1(self, runner, tmp_path, text, message):
+        config = tmp_path / "config.yaml"
+        if text is not None:
+            config.write_text(text)
+        result = run_cli(runner, "sweep", "--config", str(config),
+                         "--spec", str(self._spec(tmp_path)), "--preset", "tropical",
+                         "--out", str(tmp_path / "out"))
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {message.format(config=config)}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_grid_exit_2(self, runner, baseline_config_path, tmp_path):
         # 101 x 100 points: rejected as the spec is loaded
@@ -1178,14 +1223,16 @@ class TestSweep:
     ], ids=["capital", "horizon-nan", "horizon-negative", "horizon-past-weather",
             "target-nan", "target-inf", "max_points"])
     def test_spec_error_exit_2_before_any_point(self, runner, baseline_config_path,
-                                                tmp_path, monkeypatch, extra, message):
+                                                tmp_path, monkeypatch, cpus, extra,
+                                                message):
         simulated = []
         monkeypatch.setattr(greendry.sweep, "steps", lambda *a, **k: simulated.append(a))
         spec = tmp_path / "spec.yaml"
         spec.write_text("parameters:\n  airflow.V_a: [1.2]\n" + extra)
+        cpus(1)
         result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
                          "--spec", str(spec), "--preset", "tropical", "--days", "2",
-                         "--workers", "1", "--out", str(tmp_path / "out"))
+                         "--out", str(tmp_path / "out"))
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {spec}: {message}\n"
         assert simulated == []
@@ -1302,6 +1349,18 @@ class TestGenWeather:
         assert result.exit_code == 0, result.output
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "833cad08ff1b6ad753d9658d33ea9b53da6e4917e39c4509cb824866323d8d9f")
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--days", "0", "n_days must be >= 1, got 0"),
+        ("--interval", "0", "interval must be > 0, got 0.0"),
+        ("--peak-irradiance", "-1", "peak irradiance must be >= 0, got -1.0"),
+    ])
+    def test_bad_value_exit_2(self, runner, tmp_path, option, value, message):
+        result = run_cli(runner, "gen-weather", option, value,
+                         "--out", str(tmp_path / "w.csv"))
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_hours_exit_2(self, runner, tmp_path):
         result = run_cli(runner, "gen-weather", "--sunrise-h", "20",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import pytest
@@ -88,14 +89,35 @@ class TestGridSearch:
         assert [r.point for r in results] == [(("product.F_p", 0.3),),
                                               (("product.F_p", 0.7),)]
 
-    def test_serial_equals_parallel(self, baseline_cfg, weather):
+    def test_serial_equals_parallel(self, baseline_cfg, weather, cpus):
         spec = make_spec(weather, (("airflow.V_a", (1.2, 1.5)),
                                    ("product.F_p", (0.4, 0.5))))
-        serial = grid_search(baseline_cfg, spec, workers=1)
-        parallel = grid_search(baseline_cfg, spec, workers=4)
+        cpus(1)
+        serial = grid_search(baseline_cfg, spec)
+        cpus(4)
+        parallel = grid_search(baseline_cfg, spec)
         assert serial == parallel
 
-    def test_six_points_serial_and_default_workers(self, baseline_cfg, weather):
+    @pytest.mark.parametrize("n_cpus, values, n_workers", [
+        (1, (0.4, 0.5, 0.6), None), (4, (0.4,), None),
+        (2, (0.4, 0.5, 0.6), 2), (8, (0.4, 0.5, 0.6), 3)])
+    def test_one_worker_per_cpu_at_most_one_per_point(
+            self, baseline_cfg, weather, cpus, monkeypatch, n_cpus, values, n_workers):
+        # one CPU or one point: no pool, the points run in this process
+        built = []
+        original = concurrent.futures.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            built.append(kwargs["max_workers"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        cpus(n_cpus)
+        spec = make_spec(weather, (("product.F_p", values),), horizon_s=3600.0)
+        assert len(grid_search(baseline_cfg, spec)) == len(values)
+        assert built == ([] if n_workers is None else [n_workers])
+
+    def test_six_points_serial_and_default_workers(self, baseline_cfg, weather, cpus):
         # the results, errors included, as the per-step recording sweep
         # gave them; sealed chambers (V_vent 0) overheat past the air table
         spec = make_spec(weather, (("airflow.V_a", (1.0, 3.0)),
@@ -111,15 +133,17 @@ class TestGridSearch:
             ((3.0, 0.0), math.inf, "step 660 (t=39600.0 s): air temperature "
                                    "360.09498869173376 K above upper bound 360.0 K"),
         ]
-        serial = grid_search(baseline_cfg, spec, workers=1)
+        default = grid_search(baseline_cfg, spec)
+        cpus(1)
+        serial = grid_search(baseline_cfg, spec)
         assert serial == [
             SweepResult(point=(("airflow.V_a", V_a), ("airflow.V_vent", V_vent)),
                         objective=objective, error=error)
             for (V_a, V_vent), objective, error in expected
         ]
-        assert grid_search(baseline_cfg, spec) == serial
+        assert default == serial
 
-    def test_forcing_built_once_per_dt(self, baseline_cfg, weather, monkeypatch):
+    def test_forcing_built_once_per_dt(self, baseline_cfg, weather, monkeypatch, cpus):
         built = []
         original = greendry.sweep.weather_forcing
 
@@ -132,7 +156,8 @@ class TestGridSearch:
                                      ("product.F_p", (0.4, 0.5, 0.6))),
                          objective="drying_time", target_mdb=0.45,
                          weather=weather, horizon_s=12 * 3600.0)
-        results = grid_search(baseline_cfg, spec, workers=1)
+        cpus(1)
+        results = grid_search(baseline_cfg, spec)
         assert built == [60.0, 120.0]
         for r in results:
             cfg = apply_overrides(baseline_cfg, dict(r.point))
@@ -145,37 +170,37 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="horizon_h: weather series ends at"):
             make_spec(weather, (("product.F_p", (0.4, 0.5)),), horizon_s=7 * 86400.0)
 
-    def test_failing_point_ranks_last_with_reason(self, baseline_cfg, weather):
+    def test_failing_point_ranks_last_with_reason(self, baseline_cfg, weather, cpus):
         # an infinite-capacity product makes the step-1 product row non-finite
         spec = make_spec(weather, (("product.C_pp", (1e308, 1700.0)),))
-        serial = grid_search(baseline_cfg, spec, workers=1)
+        cpus(1)
+        serial = grid_search(baseline_cfg, spec)
         first, last = serial
         assert first.point == (("product.C_pp", 1700.0),)
         assert first.reached and first.error is None
         assert last.point == (("product.C_pp", 1e308),)
         assert not last.reached and last.objective == math.inf
         assert "step 1 (t=60.0 s)" in last.error
-        assert grid_search(baseline_cfg, spec, workers=2) == serial
+        cpus(2)
+        assert grid_search(baseline_cfg, spec) == serial
 
     def test_invalid_override_raises_the_same_error_in_parallel(
-            self, baseline_cfg, weather):
+            self, baseline_cfg, weather, cpus):
         spec = make_spec(weather, (("airflow.V_a", (1.0, -1.0)),))
         errors = []
-        for workers in (1, 2):
+        for n in (1, 2):
+            cpus(n)
             with pytest.raises(ConfigError) as info:
-                grid_search(baseline_cfg, spec, workers=workers)
+                grid_search(baseline_cfg, spec)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
 
-    def test_fewer_points_than_workers(self, baseline_cfg, weather):
+    def test_fewer_points_than_workers(self, baseline_cfg, weather, cpus):
         spec = make_spec(weather, (("product.F_p", (0.4, 0.5)),), horizon_s=6 * 3600.0)
-        assert (grid_search(baseline_cfg, spec, workers=8)
-                == grid_search(baseline_cfg, spec, workers=1))
-
-    def test_zero_workers_rejected(self, baseline_cfg, weather):
-        spec = make_spec(weather, (("product.F_p", (0.4,)),))
-        with pytest.raises(ValueError, match="workers"):
-            grid_search(baseline_cfg, spec, workers=0)
+        cpus(8)
+        parallel = grid_search(baseline_cfg, spec)
+        cpus(1)
+        assert parallel == grid_search(baseline_cfg, spec)
 
     def test_grid_cap(self, weather):
         values = tuple(0.01 * i for i in range(1, 101))
@@ -196,7 +221,7 @@ class TestGridSearch:
         assert 0.0 < results[0].objective < 100.0
 
     @pytest.mark.parametrize("operating_cost, n_paid_back", [(60000.0, 1), (1e9, 0)])
-    def test_no_payback_point_ranks_last_with_reason(self, baseline_cfg, weather,
+    def test_no_payback_point_ranks_last_with_reason(self, baseline_cfg, weather, cpus,
                                                      operating_cost, n_paid_back):
         # the slow point's production does not cover the operating cost
         eco = EconomicModel(capital=11500.0, operating_cost=operating_cost,
@@ -204,23 +229,26 @@ class TestGridSearch:
                             unit_premium=24.0)
         spec = make_spec(weather, (("airflow.V_vent", (0.9, 0.5)),),
                          objective="payback", economics=eco)
-        results = grid_search(baseline_cfg, spec, workers=1)
+        cpus(1)
+        results = grid_search(baseline_cfg, spec)
         assert [r.reached for r in results] == [True] * n_paid_back + [False] * (2 - n_paid_back)
         assert results[-1].point == (("airflow.V_vent", 0.9),)
         for r in results[n_paid_back:]:
             assert r.objective == math.inf
             assert r.error.startswith("no payback: annual net benefit -")
-        assert grid_search(baseline_cfg, spec, workers=2) == results
+        cpus(2)
+        assert grid_search(baseline_cfg, spec) == results
 
     def test_dry_already_payback_point_fails_naming_both_values(self, baseline_cfg,
-                                                               weather):
+                                                               weather, cpus):
         # M_0 0.08 is at the target: it dries in 0 h, which pays back nothing
         eco = EconomicModel(capital=11500.0, operating_cost=1000.0,
                             batch_kg_dry=25.0, annual_operating_hours=4000.0,
                             unit_premium=24.0)
         spec = make_spec(weather, (("product.M_0_pct", (8.0, 52.2)),),
                          objective="payback", economics=eco)
-        results = grid_search(baseline_cfg, spec, workers=1)
+        cpus(1)
+        results = grid_search(baseline_cfg, spec)
         assert [r.point for r in results] == [(("product.M_0_pct", 52.2),),
                                               (("product.M_0_pct", 8.0),)]
         assert results[0].reached and results[0].error is None
@@ -229,7 +257,7 @@ class TestGridSearch:
                                     "the initial moisture 0.08")
         # the same point of a drying-time sweep is reached, in 0 h
         spec = make_spec(weather, (("product.M_0_pct", (8.0,)),))
-        assert grid_search(baseline_cfg, spec, workers=1) == [
+        assert grid_search(baseline_cfg, spec) == [
             SweepResult((("product.M_0_pct", 8.0),), 0.0)]
 
     def test_payback_without_economics_rejected(self, weather):
