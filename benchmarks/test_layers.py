@@ -3,8 +3,9 @@
 `greendry run` with its CSV write, that run's streamed CSV writer on its
 own, the read of two columns of its states.csv, a `greendry validate`
 of one column of that run against 2500 observations, a 60 h drying-time
-objective and a 6-point sweep (on one CPU, in one process, and with a
-worker process per available CPU).
+objective, a 6-point sweep (on one CPU, in one process, and with a
+worker process per available CPU) and the import of the CLI in a fresh
+interpreter, the start-up every command pays.
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=OUT.json
 
@@ -20,7 +21,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,7 +46,8 @@ from greendry.solver import (
 from greendry.sweep import SweepSpec, drying_time_objective, grid_search
 from greendry.weather import brackets, read_csv, sample
 
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "baseline_copra.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "configs" / "baseline_copra.yaml"
 SPINUP_STEPS = 660  # 11 h at dt = 60 s
 
 
@@ -270,3 +275,14 @@ def test_grid_search_6(benchmark, cfg, weather, cpus, monkeypatch):
     results = benchmark.pedantic(grid_search, args=(cfg, spec),
                                  rounds=3, iterations=1, warmup_rounds=1)
     assert len(results) == 6 and results[0].reached
+
+
+def test_import_cli(benchmark):
+    # a fresh interpreter that imports the CLI and exits: interpreter
+    # start-up plus every module a command loads before it parses its
+    # arguments
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-c", "import greendry.cli"]
+    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True},
+                       rounds=20, iterations=1, warmup_rounds=1)

@@ -7,8 +7,10 @@ by the spec, or a grid value that the config rejects) or an --out that
 cannot be written (also for gen-weather); 3 numerical failure (for sweep:
 of every grid point, a failed simulation or no payback); validate exits 1
 when the acceptance check fails and 2 on an unreadable or malformed CSV,
-a grid or a variable error.  Every output file embeds a SHA-256 hash of
-the inputs so reruns are byte-for-byte reproducible.
+a grid or a variable error, or a --limit that is not finite and >= 0.
+A usage error, parsed by argparse, exits 2 for every command.
+Every output file embeds a SHA-256 hash of the inputs so reruns are
+byte-for-byte reproducible.
 
 `run` streams: it writes each state and step row as `solver.steps` yields
 it, keeping no run in memory, into temporary names inside --out that are
@@ -21,6 +23,7 @@ as it was.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -31,8 +34,6 @@ import operator
 import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .analysis import DEFAULT_ACCEPTANCE_LIMIT, acceptance_check, percent_difference
@@ -49,7 +50,7 @@ DIAG_COLUMNS = ["t_s", "res_cover_W", "res_air_W", "res_product_W",
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -194,21 +195,6 @@ def _write_run(states_path, diag_path, run, comment) -> int:
     return n_states
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Solar greenhouse tunnel drier simulator."""
-
-
-@main.command("run")
-@click.option("--config", "config_path", required=True, type=click.Path(), help="dryer config YAML")
-@click.option("--weather", "weather_path", type=click.Path(), help="weather CSV")
-@click.option("--preset", help="synthetic weather preset name")
-@click.option("--days", default=4, show_default=True, help="days of synthetic weather")
-@click.option("--out", "out_dir", required=True, type=click.Path(), help="output directory")
-@click.option("--horizon-h", type=float, help="simulation horizon, hours")
-@click.option("--target-mdb", type=float, help="stop when moisture reaches this decimal db")
-@click.option("--set", "overrides", multiple=True, help="dotted.path=value config override")
 def cmd_run(config_path, weather_path, preset, days, out_dir, horizon_h,
             target_mdb, overrides):
     """Simulate a drying run and write states.csv + diagnostics.csv."""
@@ -247,18 +233,15 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, horizon_h,
         _fail(3, str(exc))
     except OSError as exc:
         _fail(2, f"cannot write {out}: {exc}")
-    click.echo(f"wrote {n_states} states to {out / 'states.csv'}")
+    print(f"wrote {n_states} states to {out / 'states.csv'}")
 
 
-@main.command("validate")
-@click.option("--states", "states_path", required=True, type=click.Path())
-@click.option("--observed", "observed_path", required=True, type=click.Path())
-@click.option("--variable", required=True, help="states.csv column to compare")
-@click.option("--limit", default=DEFAULT_ACCEPTANCE_LIMIT, show_default=True,
-              help="acceptance limit, %")
 def cmd_validate(states_path, observed_path, variable, limit):
     """Compare a simulated trace against observations; exit 0 iff within
     the acceptance limit."""
+    if not 0.0 <= limit < math.inf:
+        _fail(2, f"--limit must be finite and >= 0, got {limit}")
+
     def states_columns(header):
         if variable not in header or variable == "t_s":
             _fail(2, f"unknown variable {variable!r}; available: "
@@ -299,7 +282,7 @@ def cmd_validate(states_path, observed_path, variable, limit):
     except ComparisonError as exc:
         _fail(2, str(exc))
     passed = acceptance_check(report, limit)
-    click.echo(
+    print(
         f"{report.variable}: mean |diff| = {report.mean_abs_pct:.4f} % over "
         f"{report.n} points (max abs diff {report.max_abs_diff:.4g}); "
         f"limit {limit} % -> {'PASS' if passed else 'FAIL'}"
@@ -307,13 +290,6 @@ def cmd_validate(states_path, observed_path, variable, limit):
     sys.exit(0 if passed else 1)
 
 
-@main.command("sweep")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--weather", "weather_path", type=click.Path())
-@click.option("--preset", help="synthetic weather preset name")
-@click.option("--days", default=4, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir):
     """Evaluate a parameter grid; write sweep.csv ranked by objective.
     A point that fails, in its simulation or with no payback, is warned
@@ -337,7 +313,7 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir):
             results = grid_search(cfg, spec)
             failed = [r for r in results if r.error is not None]
             for r in failed:
-                click.echo(f"warning: point {dict(r.point)} failed: {r.error}", err=True)
+                print(f"warning: point {dict(r.point)} failed: {r.error}", file=sys.stderr)
             if len(failed) == len(results):
                 _fail(3, f"all {len(results)} points failed")
             lines = (_sweep_line(rank, r) for rank, r in enumerate(results, start=1))
@@ -354,20 +330,12 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir):
     except OSError as exc:
         _fail(2, f"cannot write {out}: {exc}")
     best = results[0]
-    click.echo(
+    print(
         f"evaluated {len(results)} points; best objective "
         f"{best.objective:.4g} {unit} at {dict(best.point)}"
     )
 
 
-@main.command("gen-weather")
-@click.option("--preset", default="tropical", show_default=True)
-@click.option("--days", default=3, show_default=True)
-@click.option("--interval", default=600.0, show_default=True, help="sampling interval, s")
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--peak-irradiance", type=float)
-@click.option("--sunrise-h", type=float)
-@click.option("--sunset-h", type=float)
 def cmd_gen_weather(preset, days, interval, out_path, **shape):
     """Write a synthetic weather CSV that load_csv round-trips losslessly."""
     if preset not in PRESETS:
@@ -384,7 +352,72 @@ def cmd_gen_weather(preset, days, interval, out_path, **shape):
             save_csv(series, path, header_comment=f"synthetic preset={preset} days={days}")
     except OSError as exc:
         _fail(2, f"cannot write {out}: {exc}")
-    click.echo(f"wrote {len(series)} records to {out}")
+    print(f"wrote {len(series)} records to {out}")
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The parser of the four commands; each parses into its cmd_ function's
+    arguments.  No abbreviated option is taken: --conf is an error."""
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Solar greenhouse tunnel drier simulator.", allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name, handler):
+        summary = " ".join(handler.__doc__.split(".\n")[0].rstrip(".").split())
+        return commands.add_parser(name, help=summary, description=handler.__doc__,
+                                   allow_abbrev=False).add_argument
+
+    option = command("run", cmd_run)
+    option("--config", dest="config_path", required=True, help="dryer config YAML")
+    option("--weather", dest="weather_path", help="weather CSV")
+    option("--preset", help="synthetic weather preset name")
+    option("--days", type=int, default=4, help="days of synthetic weather [default: %(default)s]")
+    option("--out", dest="out_dir", required=True, help="output directory")
+    option("--horizon-h", type=float, help="simulation horizon, hours")
+    option("--target-mdb", type=float, help="stop when moisture reaches this decimal db")
+    option("--set", dest="overrides", action="append", default=[],
+           help="dotted.path=value config override")
+
+    option = command("validate", cmd_validate)
+    option("--states", dest="states_path", required=True)
+    option("--observed", dest="observed_path", required=True)
+    option("--variable", required=True, help="states.csv column to compare")
+    option("--limit", type=float, default=DEFAULT_ACCEPTANCE_LIMIT,
+           help="acceptance limit, %% [default: %(default)s]")
+
+    option = command("sweep", cmd_sweep)
+    option("--config", dest="config_path", required=True)
+    option("--spec", dest="spec_path", required=True)
+    option("--weather", dest="weather_path")
+    option("--preset", help="synthetic weather preset name")
+    option("--days", type=int, default=4, help="[default: %(default)s]")
+    option("--out", dest="out_dir", required=True)
+
+    option = command("gen-weather", cmd_gen_weather)
+    option("--preset", default="tropical", help="[default: %(default)s]")
+    option("--days", type=int, default=3, help="[default: %(default)s]")
+    option("--interval", type=float, default=600.0,
+           help="sampling interval, s [default: %(default)s]")
+    option("--out", dest="out_path", required=True)
+    option("--peak-irradiance", type=float)
+    option("--sunrise-h", type=float)
+    option("--sunset-h", type=float)
+    return parser
+
+
+PARSER = _parser("greendry")
+
+
+def main(args=None, prog_name=None):
+    """Run the command that args (by default sys.argv[1:]) name, and end in
+    SystemExit with its exit code: 0 on success, 2 on a usage error.
+    prog_name names the program in usage and --version lines."""
+    parser = PARSER if prog_name in (None, PARSER.prog) else _parser(prog_name)
+    options = vars(parser.parse_args(args))
+    # looked up at each call, so that a wrapper put on a cmd_ function is called
+    globals()["cmd_" + options.pop("command").replace("-", "_")](**options)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

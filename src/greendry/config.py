@@ -6,11 +6,9 @@ writes, here and in the sweep spec, so each bad one is named alike."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 from typing import NamedTuple
-
-import yaml
 
 from .errors import ConfigError
 
@@ -83,18 +81,27 @@ _NONNEGATIVE = {"cover.k_c", "floor.h_dfg", "airflow.V_vent", "airflow.V_a",
                 "airflow.H_in"}
 _ANY_SIGN = {"kinetics.b0", "kinetics.b1", "kinetics.b2"}  # b2 != 0
 
+# The sections of a config, in order, and the record of each.
+_SECTIONS = {
+    "geometry": Geometry,
+    "cover": Cover,
+    "floor": Floor,
+    "product": Product,
+    "airflow": Airflow,
+    "kinetics": Kinetics,
+    "numerics": Numerics,
+}
 
-@dataclass(frozen=True)
-class DryerConfig:
-    geometry: Geometry
-    cover: Cover
-    floor: Floor
-    product: Product
-    airflow: Airflow
-    kinetics: Kinetics
-    numerics: Numerics = Numerics()
 
-    def __post_init__(self):
+class DryerConfig(namedtuple("DryerConfig", _SECTIONS, defaults=(Numerics(),))):
+    """The sections of a config, checked as it is built, also by _replace
+    and by unpickling: every value against its bounds, then the cover's
+    absorptance + transmittance and kinetics.b2."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         values = ((f"{section}.{name}", value)
                   for section, fields in self.to_dict().items()
                   for name, value in fields.items())
@@ -117,6 +124,11 @@ class DryerConfig:
             )
         if self.kinetics.b2 == 0:
             raise ConfigError("kinetics.b2 must be nonzero")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds with
+        return cls(*iterable)
 
     @property
     def M_0(self) -> float:
@@ -125,17 +137,6 @@ class DryerConfig:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name)._asdict() for name in _SECTIONS}
-
-
-_SECTIONS = {
-    "geometry": Geometry,
-    "cover": Cover,
-    "floor": Floor,
-    "product": Product,
-    "airflow": Airflow,
-    "kinetics": Kinetics,
-    "numerics": Numerics,
-}
 
 
 def number(key: str, value) -> float:
@@ -185,21 +186,21 @@ def config_from_dict(data: dict) -> DryerConfig:
                           if data.get(section) is not None})
 
 
-# libyaml's safe loader, several times faster, when PyYAML was built with it
-_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def read_yaml(path, what: str):
     """The data of the YAML file path; ConfigError `<what> not found: path`
-    when it is missing, `cannot parse path: ...` when it is not YAML.  A
-    file that libyaml rejects is parsed again by the pure-Python SafeLoader,
-    whose message shows the line in error."""
+    when it is missing, `cannot parse path: ...` when it is not YAML.  It
+    parses with libyaml's safe loader, several times faster, when PyYAML
+    was built with it; a file that libyaml rejects is parsed again by the
+    pure-Python SafeLoader, whose message shows the line in error.  PyYAML
+    is imported here, so that a command that reads no YAML does not load it."""
+    import yaml
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
     text = path.read_text(encoding="utf-8")
     try:
-        return yaml.load(text, Loader=_SafeLoader)
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError:
         pass
     try:

@@ -7,7 +7,6 @@ import itertools
 import math
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,11 +31,7 @@ class EconomicModel(NamedTuple):
     unit_premium: float
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A sweep, its facts checked here, once; ConfigError names what it
-    rejects (the values are checked by load_sweep_spec)."""
-
+class _SpecFields(NamedTuple):
     parameters: tuple[tuple[str, tuple[float, ...]], ...]  # (dotted path, values)
     objective: str                    # "drying_time" | "payback"
     target_mdb: float                 # decimal dry basis
@@ -44,7 +39,16 @@ class SweepSpec:
     horizon_s: float | None = None
     economics: EconomicModel | None = None
 
-    def __post_init__(self):
+
+class SweepSpec(_SpecFields):
+    """A sweep, its facts checked as it is built, by _replace and unpickling
+    too; ConfigError names what it rejects (the values are checked by
+    load_sweep_spec)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.parameters or any(not vals for _, vals in self.parameters):
             raise ConfigError("sweep needs >= 1 parameter with >= 1 value each")
         if self.grid_size > GRID_CAP:
@@ -59,6 +63,11 @@ class SweepSpec:
             self.weather.horizon(self.horizon_s)
         except WeatherError as exc:
             raise ConfigError(f"horizon_h: {exc}") from None
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds with
+        return cls(*iterable)
 
     @property
     def grid_size(self) -> int:

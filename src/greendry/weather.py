@@ -10,7 +10,6 @@ import bisect
 import csv
 import itertools
 import math
-from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 from .core import SATURATION_T_MAX, WeatherRecord
@@ -68,23 +67,21 @@ def _check_records(records, source, lines) -> None:
             raise WeatherError(f"{where}: {problem}")
 
 
-@dataclass(frozen=True)
 class WeatherSeries:
     """Checked weather records; lines, when given, are the source line of
     each record, so that an error names source:line instead of record i.
-    The attributes times and columns (I_t, T_am, V_w, rh_am), which
-    __post_init__ sets, hold the records column by column, as `brackets`
-    and the interpolations built on it read them."""
+    The attributes times and columns (I_t, T_am, V_w, rh_am) hold the
+    records column by column, as `brackets` and the interpolations built
+    on it read them."""
 
-    records: tuple[WeatherRecord, ...]
-    source: str = "unknown"
-    lines: InitVar[tuple[int, ...] | None] = None
+    __slots__ = ("records", "source", "times", "columns")
 
-    def __post_init__(self, lines):
-        _check_records(self.records, self.source, lines)
-        times, *columns = zip(*self.records)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "columns", tuple(columns))
+    def __init__(self, records: tuple[WeatherRecord, ...], source: str = "unknown",
+                 lines: tuple[int, ...] | None = None):
+        _check_records(records, source, lines)
+        self.records, self.source = records, source
+        self.times, *columns = zip(*records)
+        self.columns = tuple(columns)
 
     @property
     def t_start(self) -> float:
@@ -357,11 +354,11 @@ def synthetic_days(
         raise WeatherError(
             f"need 0 <= sunrise < sunset <= 24, got {sunrise_h}, {sunset_h}"
         )
-    if peak_irradiance < 0:
+    if not peak_irradiance >= 0:
         raise WeatherError(f"peak irradiance must be >= 0, got {peak_irradiance}")
     if T_min > T_max or rh_min > rh_max:
         raise WeatherError("need T_min <= T_max and rh_min <= rh_max")
-    if interval_s <= 0:
+    if not interval_s > 0:
         raise WeatherError(f"interval must be > 0, got {interval_s}")
 
     day_len = sunset_h - sunrise_h

@@ -1,6 +1,8 @@
 import bisect
+import contextlib
 import csv
 import hashlib
+import io
 import importlib.util
 import json
 import math
@@ -11,10 +13,10 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from typing import NamedTuple
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 import greendry
 import greendry.cli
@@ -44,13 +46,46 @@ from greendry.weather import read_csv, write_csv
 from conftest import REPO_ROOT
 
 
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr in the order they were written
+
+
+class _Captured(io.StringIO):
+    """A captured stream that also logs each write to a list it shares with
+    the other stream, so that the two can be read in the order written."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def write(self, text):
+        self.log.append(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs the CLI in this process, as a shell would run the command, and
+    captures its streams; an exception that escapes the command propagates."""
+
+    def invoke(self, cli, args):
+        log = []
+        out, err = _Captured(log), _Captured(log)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                pytest.raises(SystemExit) as exit_:  # the CLI always exits
+            cli(args=args, prog_name="greendry")
+        return CliResult(exit_.value.code, out.getvalue(), err.getvalue(), "".join(log))
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
 
 
 def run_cli(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+    return runner.invoke(main, list(args))
 
 
 def _cli_process(*args):
@@ -153,7 +188,7 @@ class TestRun:
         result = _run_baseline(runner, baseline_config_path, tmp_path / "o",
                                "--dt", "30")
         assert result.exit_code == 2
-        assert "No such option '--dt'" in result.stderr
+        assert "error: unrecognized arguments: --dt 30" in result.stderr
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", [
@@ -406,6 +441,70 @@ class TestRun:
             "n_states": 2,
         }
 
+    def test_overrides_do_not_carry_into_the_next_call(
+            self, runner, baseline_config_path, tmp_path):
+        # the parser is built once; each call's --set list starts empty
+        for name, extra in (("a", ["--set", "airflow.V_a=1.5"]), ("b", [])):
+            assert _run_baseline(runner, baseline_config_path, tmp_path / name,
+                                 *extra).exit_code == 0
+        overrides = [json.loads((tmp_path / name / "manifest.json").read_text())
+                     ["parameters"]["overrides"] for name in "ab"]
+        assert overrides == [["airflow.V_a=1.5"], []]
+
+
+class TestUsage:
+    """The command line itself: a usage error prints the usage and one
+    error line on stderr and exits 2, creating nothing."""
+
+    def test_version(self, runner):
+        result = run_cli(runner, "--version")
+        assert result.exit_code == 0
+        assert result.stdout == f"greendry, version {greendry.__version__}\n"
+
+    def test_no_command_exit_2(self, runner):
+        result = run_cli(runner)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: greendry ")
+        assert result.stderr.endswith(
+            "greendry: error: the following arguments are required: COMMAND\n")
+
+    def test_unknown_command_exit_2(self, runner):
+        result = run_cli(runner, "simulate")
+        assert result.exit_code == 2
+        assert "greendry: error: argument COMMAND: invalid choice: 'simulate'" \
+            in result.stderr
+
+    @pytest.mark.parametrize("args, prog, message", [
+        (["--conf", "{config}"], "greendry run",
+         "the following arguments are required: --config"),
+        # argparse names the whole program for arguments no command took
+        (["--config", "{config}", "--conf", "{config}"], "greendry",
+         "unrecognized arguments: --conf {config}"),
+        (["--config", "{config}", "--days", "1.5"], "greendry run",
+         "argument --days: invalid int value: '1.5'"),
+        (["--config", "{config}", "--horizon-h", "two"], "greendry run",
+         "argument --horizon-h: invalid float value: 'two'"),
+        # "-1e3" is not a plain negative number, so it reads as an option
+        (["--config", "{config}", "--horizon-h", "-1e3"], "greendry run",
+         "argument --horizon-h: expected one argument"),
+    ], ids=["abbreviated", "abbreviated-extra", "int", "float", "dash-value"])
+    def test_usage_error_exit_2(self, runner, baseline_config_path, tmp_path,
+                                args, prog, message):
+        args = [arg.format(config=baseline_config_path) for arg in args]
+        result = run_cli(runner, "run", *args, "--preset", "tropical",
+                         "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"usage: {prog} ")
+        assert result.stderr.endswith(
+            f"\n{prog}: error: {message.format(config=baseline_config_path)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exit_0(self, runner):
+        result = run_cli(runner, "validate", "--help")
+        assert result.exit_code == 0
+        assert "--limit LIMIT" in result.stdout and "[default: 10.0]" in result.stdout
+
 
 def _csv_writer_file(path, columns, rows, inputs_hash):
     """The file csv.writer makes of rows of cells: the reference for
@@ -655,6 +754,29 @@ class TestValidate:
         result = run_cli(runner, "validate", "--states", str(states_path),
                          "--observed", str(obs), "--variable", "T_a_K")
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("option, limit", [
+        ("--limit", "nan"), ("--limit", "inf"), ("--limit", "-1"),
+        # a value that starts with "-" and is not a plain number follows "="
+        ("--limit=", "-inf"),
+    ])
+    def test_bad_limit_exit_2(self, runner, tmp_path, option, limit):
+        # checked before either file is read: no comparison can pass it
+        result = run_cli(runner, "validate", "--states", str(tmp_path / "states.csv"),
+                         "--observed", str(tmp_path / "obs.csv"), "--variable", "T_a_K",
+                         *([option + limit] if option.endswith("=") else [option, limit]))
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: --limit must be finite and >= 0, "
+                                 f"got {float(limit)}\n")
+
+    def test_zero_limit_is_a_limit(self, runner, states_path, tmp_path):
+        states = read_states_csv(states_path)
+        obs = tmp_path / "obs.csv"
+        _write_observed(obs, states["t_s"][::10], states["T_a_K"][::10], "T_a_K")
+        result = run_cli(runner, "validate", "--states", str(states_path),
+                         "--observed", str(obs), "--variable", "T_a_K", "--limit", "0")
+        assert result.exit_code == 0
+        assert result.stdout.endswith("; limit 0.0 % -> PASS\n")
 
 
 def _read_all_columns(path):
@@ -1097,7 +1219,7 @@ class TestSweep:
                          "--spec", str(self._spec(tmp_path)), "--preset", "tropical",
                          "--out", str(tmp_path / "out"), "--workers", "1")
         assert result.exit_code == 2
-        assert "No such option '--workers'" in result.stderr
+        assert "error: unrecognized arguments: --workers 1" in result.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("values, extra", [
@@ -1354,6 +1476,9 @@ class TestGenWeather:
         ("--days", "0", "n_days must be >= 1, got 0"),
         ("--interval", "0", "interval must be > 0, got 0.0"),
         ("--peak-irradiance", "-1", "peak irradiance must be >= 0, got -1.0"),
+        # NaN fails every comparison, so each check asks for what is in range
+        ("--interval", "nan", "interval must be > 0, got nan"),
+        ("--peak-irradiance", "nan", "peak irradiance must be >= 0, got nan"),
     ])
     def test_bad_value_exit_2(self, runner, tmp_path, option, value, message):
         result = run_cli(runner, "gen-weather", option, value,

@@ -10,7 +10,6 @@ from greendry.config import (
     _NONNEGATIVE,
     _SECTIONS,
     Numerics,
-    _SafeLoader,
     apply_overrides,
     config_from_dict,
     load_config,
@@ -284,7 +283,7 @@ class TestReadYaml:
         text = path.read_text()
         data = yaml.load(text, Loader=yaml.SafeLoader)
         assert data  # not empty
-        assert yaml.load(text, Loader=_SafeLoader) == data
+        assert yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)) == data
         assert read_yaml(path, "file") == data
 
     def test_malformed_message_is_safe_loaders(self, tmp_path):

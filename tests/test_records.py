@@ -1,6 +1,7 @@
-"""The package's records: a class is a dataclass only when it checks itself
-as it is built, in __post_init__; every other record is a NamedTuple, which
-is cheaper to define and to build."""
+"""The package's records: each is a NamedTuple, or a NamedTuple subclass
+whose __new__ checks it as it is built (DryerConfig, SweepSpec), or a
+__slots__ class (WeatherSeries); none needs dataclasses, whose import
+costs every command's start-up."""
 
 import ast
 import json
@@ -13,33 +14,36 @@ import pytest
 import greendry
 from greendry.config import config_from_dict
 from greendry.errors import ConfigError
-from greendry.sweep import SweepResult
+from greendry.sweep import SweepResult, SweepSpec
+from greendry.weather import synthetic_days
 
 PACKAGE = Path(greendry.__file__).parent
+NOT_IMPORTED = {"click", "dataclasses"}
 
 
-def _decorator_name(node):
-    """The name of a decorator: dataclass for @dataclass,
-    @dataclasses.dataclass and @dataclass(frozen=True) alike."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-
-
-def _dataclasses_without_post_init():
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.ClassDef)
-                    and "dataclass" in map(_decorator_name, node.decorator_list)
-                    and not any(isinstance(item, ast.FunctionDef)
-                                and item.name == "__post_init__" for item in node.body)):
-                found.append(f"{path.name}:{node.name}")
+def _imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
     return found
 
 
-def test_every_dataclass_checks_itself():
-    assert _dataclasses_without_post_init() == []
+def test_checker_finds_imports():
+    source = ("import os.path, click as c\nfrom dataclasses import dataclass\n"
+              "from . import config\n\ndef f():\n    import yaml\n")
+    assert _imported_modules(source) == {"os", "click", "dataclasses", "yaml"}
+
+
+def test_no_module_imports_click_or_dataclasses():
+    imports = {path.name: _imported_modules(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert "cli.py" in imports
+    assert {name: found & NOT_IMPORTED for name, found in imports.items()
+            if found & NOT_IMPORTED} == {}
 
 
 def test_to_dict_is_plain_data(baseline_cfg):
@@ -69,5 +73,27 @@ def test_sweep_result_pickles(record):
 def test_config_pickles(baseline_cfg):
     copy = pickle.loads(pickle.dumps(baseline_cfg))
     assert copy == baseline_cfg
-    assert [type(section) for section in vars(copy).values()] == \
-        [type(section) for section in vars(baseline_cfg).values()]
+    assert type(copy) is type(baseline_cfg)
+    assert [type(section).__name__ for section in copy] == \
+        [type(section).__name__ for section in baseline_cfg] == \
+        ["Geometry", "Cover", "Floor", "Product", "Airflow", "Kinetics", "Numerics"]
+
+
+
+def test_config_checks_itself_in_replace_and_unpickling(baseline_cfg):
+    cover = baseline_cfg.cover._replace(tau_c=0.95)  # alpha_c 0.06 + 0.95 > 1
+    message = r"^cover absorptance \+ transmittance must be <= 1, got 1\.01"
+    with pytest.raises(ConfigError, match=message):
+        baseline_cfg._replace(cover=cover)
+    unchecked = tuple.__new__(type(baseline_cfg),
+                              (baseline_cfg.geometry, cover, *baseline_cfg[2:]))
+    with pytest.raises(ConfigError, match=message):
+        pickle.loads(pickle.dumps(unchecked))
+
+
+def test_sweep_spec_checks_itself_in_replace():
+    spec = SweepSpec(parameters=(("airflow.V_a", (1.0,)),), objective="drying_time",
+                     target_mdb=0.08, weather=synthetic_days(1))
+    assert spec._replace(target_mdb=0.1).target_mdb == 0.1
+    with pytest.raises(ConfigError, match=r"^unknown objective 'fastest'$"):
+        spec._replace(objective="fastest")

@@ -333,7 +333,8 @@ class TestSolveEnergySystem:
 
 
 @pytest.mark.parametrize("module", ["numpy", "multiprocessing",
-                                    "concurrent.futures.process"])
+                                    "concurrent.futures.process", "click",
+                                    "dataclasses", "inspect", "yaml"])
 def test_cli_import_does_not_load(module):
     # each would add to the set-up time of every CLI invocation
     src = str(Path(greendry.__file__).resolve().parents[1])

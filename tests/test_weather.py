@@ -506,6 +506,15 @@ class TestSynthetic:
         with pytest.raises(WeatherError):
             synthetic_days(1, sunrise_h=19.0, sunset_h=6.0)
 
+    @pytest.mark.parametrize("shape, message", [
+        ({"interval_s": math.nan}, "interval must be > 0, got nan"),
+        ({"peak_irradiance": math.nan}, "peak irradiance must be >= 0, got nan"),
+        ({"sunrise_h": math.nan}, "need 0 <= sunrise < sunset <= 24, got nan, 18.0"),
+    ])
+    def test_nan_shape_is_out_of_range(self, shape, message):
+        with pytest.raises(WeatherError, match=f"^{re.escape(message)}$"):
+            synthetic_days(1, **shape)
+
     def test_daily_integral(self):
         # integral of the half-sine equals peak * daylen * 2/pi
         s = synthetic_days(1, peak_irradiance=900.0, sunrise_h=6.0, sunset_h=18.0,
