@@ -35,11 +35,10 @@ from greendry.cli import _write_run, main, read_states_csv
 from greendry.core import air_properties
 from greendry.solver import (
     _kinetics_update,
-    advance,
     eliminate,
     solve_energy_system,
     step,
-    step_constants,
+    stepper,
     steps,
     weather_forcing,
 )
@@ -62,8 +61,9 @@ def weather():
 
 
 @pytest.fixture(scope="module")
-def k(cfg):
-    return step_constants(cfg)
+def advance(cfg):
+    """The step function of the baseline run."""
+    return stepper(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -82,33 +82,38 @@ def forcing(cfg, weather):
 
 
 @pytest.fixture(scope="module")
-def system(k, case, forcing):
+def system(advance, case, forcing):
     """The 4x4 energy system of the next step, as advance builds it."""
     state, _ = case
-    A, b, *_ = advance(state, forcing, k)[1]
+    A, b, *_ = advance(state, forcing)[1]
     return A, b
 
 
-def test_step(benchmark, k, cfg, case):
+def test_step(benchmark, cfg, case):
+    # one step recorded, its step function built for it
     state, w = case
-    new, _ = benchmark(step, state, w, cfg, k)
-    assert new.t == state.t + k.dt
+    new, _ = benchmark(step, state, w, cfg)
+    assert new.t == state.t + cfg.numerics.dt
 
 
-def test_advance(benchmark, k, cfg, case, forcing):
+def test_advance(benchmark, advance, cfg, case, forcing):
     # the step as solver.steps takes it, without the recording
     state, w = case
-    new, _ = benchmark(advance, state, forcing, k)
-    assert new == step(state, w, cfg, k)[0]
+    new, _ = benchmark(advance, state, forcing)
+    assert new == step(state, w, cfg)[0]
 
 
-def test_step_constants(benchmark, cfg, k):
-    assert benchmark(step_constants, cfg) == k
-
-
-def test_kinetics_update(benchmark, k, case):
+def test_stepper(benchmark, advance, cfg, case, forcing):
+    # the run's constants worked out and its step function built, once
+    # per run or sweep point
     state, _ = case
-    M_new = benchmark(_kinetics_update, state, k, state.rh)[0]
+    assert benchmark(stepper, cfg)(state, forcing) == advance(state, forcing)
+
+
+def test_kinetics_update(benchmark, cfg, case):
+    state, _ = case
+    M_new = benchmark(_kinetics_update, state, state.rh, cfg.kinetics, cfg.M_0,
+                      cfg.numerics.dt)[0]
     assert M_new < state.M_p  # drying
 
 
@@ -160,14 +165,15 @@ def test_brackets_4day(benchmark, cfg, weather):
 
 def test_steps_4day(benchmark, cfg, weather):
     # the walk that greendry run and a sweep point take, every state of
-    # the 4-day baseline with its work, none kept and no step recorded
+    # the 4-day baseline with its work, none kept and no step recorded;
+    # 30 rounds (~3 s), so that a session spans the host's speed switches
     def walk():
         n = 0
         for n, _ in enumerate(steps(cfg, weather), start=1):
             pass
         return n
 
-    assert benchmark.pedantic(walk, rounds=5, iterations=1, warmup_rounds=1) == 5761
+    assert benchmark.pedantic(walk, rounds=30, iterations=1, warmup_rounds=1) == 5761
 
 
 def test_drying_time_objective_60h(benchmark, cfg, weather):

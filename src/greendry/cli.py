@@ -357,7 +357,8 @@ def cmd_gen_weather(preset, days, interval, out_path, **shape):
 
 def _parser(prog: str) -> argparse.ArgumentParser:
     """The parser of the four commands; each parses into its cmd_ function's
-    arguments.  No abbreviated option is taken: --conf is an error."""
+    arguments and `usage_error`, its parser's error.  No abbreviated option
+    is taken: --conf is an error."""
     parser = argparse.ArgumentParser(
         prog=prog, description="Solar greenhouse tunnel drier simulator.", allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
@@ -365,8 +366,10 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
     def command(name, handler):
         summary = " ".join(handler.__doc__.split(".\n")[0].rstrip(".").split())
-        return commands.add_parser(name, help=summary, description=handler.__doc__,
-                                   allow_abbrev=False).add_argument
+        sub = commands.add_parser(name, help=summary, description=handler.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(usage_error=sub.error)
+        return sub.add_argument
 
     option = command("run", cmd_run)
     option("--config", dest="config_path", required=True, help="dryer config YAML")
@@ -414,7 +417,11 @@ def main(args=None, prog_name=None):
     SystemExit with its exit code: 0 on success, 2 on a usage error.
     prog_name names the program in usage and --version lines."""
     parser = PARSER if prog_name in (None, PARSER.prog) else _parser(prog_name)
-    options = vars(parser.parse_args(args))
+    options, unknown = parser.parse_known_args(args)
+    options = vars(options)
+    usage_error = options.pop("usage_error")
+    if unknown:  # reported with the usage of the command that did not take them
+        usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     # looked up at each call, so that a wrapper put on a cmd_ function is called
     globals()["cmd_" + options.pop("command").replace("-", "_")](**options)
     sys.exit(0)

@@ -1,5 +1,5 @@
-"""Heat-transfer and heat-loss coefficient correlations.  `solver.advance`
-evaluates `_sky`, `_convective` and `_radiative` written out, at the
+"""Heat-transfer and heat-loss coefficient correlations.  The solver's
+step evaluates `_sky`, `_convective` and `_radiative` written out, at the
 previous step's temperatures; these functions are the reference that
 its copies must match bit for bit (tests/test_step_reference.py).  A
 step whose sky is not physical, not 0 < T_s <= T_am, raises its

@@ -5,10 +5,11 @@ Each time step builds four linear equations in the unknowns
 radiative coefficients, air properties and the kinetics-driven moisture
 change frozen at the previous step's values so the system is linear,
 solves them, and then routes the evaporated water into the air by a
-chamber humidity-ratio balance.  One function, `advance`, takes the
-whole step; its docstring gives the rows.  It works on plain Python
-floats: the rows are tuples of four coefficients with their right-hand
-sides.  At 4x4, array set-up would cost more than the arithmetic.
+chamber humidity-ratio balance.  One function, `advance`, which
+`stepper(cfg)` returns for a run, takes the whole step; its docstring
+gives the rows.  It works on plain Python floats: the rows are tuples of
+four coefficients with their right-hand sides.  At 4x4, array set-up
+would cost more than the arithmetic.
 
 `advance` runs straight through, calling per step only `_kinetics_update`
 and the solve: it writes out `relative_humidity_at`, the `air_properties`
@@ -49,26 +50,29 @@ state.
 
 Inputs are checked once, where they enter (`DryerConfig`, `WeatherSeries`);
 the physics functions trust them and check only what a step produces.
-What depends only on the config is computed once per run: `steps`
-builds a `StepConstants` record with `step_constants(cfg)` (dt, pressure,
-the hydraulic diameter and products of config values such as U_c A_c) and
-passes it to every step.  Python evaluates `a * b * c` as `(a * b) * c`,
-and floating-point products do not associate, so a product of config
-values is hoisted only when it is a left prefix of the per-step
-expression: `A_f * h_dfg * T_deep` becomes one constant, but in
-`bracket * I_t * A_c * tau_c` only `bracket` can be, since
-`A_c * tau_c` would round differently.  This keeps every state
-bit-identical to evaluating the expressions in full on each step.
+What depends only on the config is computed once per run:
+`stepper(cfg)` works out dt, the pressure, the hydraulic diameter and
+products of config values such as U_c A_c as its own locals and returns
+`advance`, which closes over them; `steps` builds it once per run, and
+a sweep point in the process that runs it.  Python evaluates `a * b * c`
+as `(a * b) * c`, and floating-point products do not associate, so a
+product of config values is hoisted only when it is a left prefix of the
+per-step expression: `A_f * h_dfg * T_deep` becomes one constant, but in
+`bracket * I_t * A_c * tau_c` only `bracket` can be, since `A_c * tau_c`
+would round differently.  This keeps every state bit-identical to
+evaluating the expressions in full on each step, as
+tests/test_step_reference.py does.
 
 The step path pays little interpreter overhead per record.  `advance`
-unpacks its StepConstants and its Forcing once each, by position, into
-the locals its rows use (`_` for a field it does not read), where forty
-lookups by field name would each cost an attribute access; a test in
-tests/test_step_reference.py holds the names to the records' fields, in
-order.  It builds the new SimState, as `_forcing` builds each Forcing,
-with `tuple.__new__` on the field values in order: a NamedTuple call runs
-a Python-level `__new__` that takes about 2.5 times as long (CPython
-3.11), and a streamed run builds one SimState and one Forcing per step.
+reads the run's constants from its closure and unpacks its Forcing, the
+one record it still reads by position, once into the locals its rows use
+(`_` for a field it does not read), where a lookup by field name would
+cost an attribute access each; a test in tests/test_step_reference.py
+holds the names to Forcing's fields, in order.  It builds the new
+SimState, as `_forcing` builds each Forcing, with `tuple.__new__` on the
+field values in order: a NamedTuple call runs a Python-level `__new__`
+that takes about 2.5 times as long (CPython 3.11), and a streamed run
+builds one SimState and one Forcing per step.
 """
 
 from __future__ import annotations
@@ -252,91 +256,10 @@ def solve_energy_system(A, b) -> list[float]:
     return [b0, b1, b2, b3]
 
 
-class StepConstants(NamedTuple):
-    """What `advance` needs from a DryerConfig, built once per run by
-    `step_constants`.  Each product is a left prefix of the per-step
-    expression it enters (see the module docstring)."""
-
-    dt: float             # time step, s
-    P: float              # total pressure, Pa
-    M_0: float            # initial moisture, decimal db
-    kinetics: Kinetics
-    # coefficients
-    c_sky: float
-    V_a: float
-    D_h: float            # hydraulic diameter, m
-    D_h_V_a: float        # D_h * V_a
-    eps_c_sigma: float    # eps_c * SIGMA
-    eps_p_sigma: float    # eps_p * SIGMA
-    # energy rows
-    A_c: float
-    A_p: float
-    A_f: float
-    tau_c: float
-    cover_cap: float      # m_c * C_pc / dt
-    cover_solar: float    # A_c * alpha_c
-    A_pf: float           # A_p + A_f
-    U_c_A_c: float        # overall cover loss U_c, W m^-2 K^-1, times A_c
-    q_m_per_dmdt: float   # A_p * D_p * C_pv * rho_p
-    air_solar: float      # (1 - F_p)(1 - alpha_f) + (1 - alpha_p) F_p
-    V: float              # chamber volume, m^3
-    V_vent: float         # ventilation rate, m^3 s^-1
-    T_in: float
-    H_in: float
-    m_p: float            # dry mass of the charge, rho_p * A_p * D_p, kg
-    C_pp: float
-    C_pl: float
-    latent_per_dmdt: float  # A_p * D_p * rho_p * L_p
-    product_solar: float    # F_p * alpha_p
-    h_dfg: float
-    floor_deep: float       # A_f * h_dfg * T_deep
-    floor_solar: float      # (1 - F_p) * alpha_f
-
-
-def step_constants(cfg: DryerConfig) -> StepConstants:
-    """The per-run constants of cfg, whose values DryerConfig checked."""
-    g, c, f, p, a, n = (cfg.geometry, cfg.cover, cfg.floor, cfg.product,
-                        cfg.airflow, cfg.numerics)
-    D_h = hydraulic_diameter(g.W, g.D)
-    return StepConstants(
-        dt=n.dt,
-        P=n.pressure,
-        M_0=cfg.M_0,
-        kinetics=cfg.kinetics,
-        c_sky=cfg.kinetics.c_sky,
-        V_a=a.V_a,
-        D_h=D_h,
-        D_h_V_a=D_h * a.V_a,
-        eps_c_sigma=c.eps_c * SIGMA,
-        eps_p_sigma=p.eps_p * SIGMA,
-        A_c=g.A_c,
-        A_p=g.A_p,
-        A_f=g.A_f,
-        tau_c=c.tau_c,
-        cover_cap=c.m_c * c.C_pc / n.dt,
-        cover_solar=g.A_c * c.alpha_c,
-        A_pf=g.A_p + g.A_f,
-        U_c_A_c=overall_cover_loss(c.k_c, c.delta_c) * g.A_c,
-        q_m_per_dmdt=g.A_p * g.D_p * p.C_pv * p.rho_p,
-        air_solar=(1.0 - p.F_p) * (1.0 - f.alpha_f) + (1.0 - p.alpha_p) * p.F_p,
-        V=g.V,
-        V_vent=a.V_vent,
-        T_in=a.T_in,
-        H_in=a.H_in,
-        m_p=p.rho_p * g.A_p * g.D_p,
-        C_pp=p.C_pp,
-        C_pl=p.C_pl,
-        latent_per_dmdt=g.A_p * g.D_p * p.rho_p * p.L_p,
-        product_solar=p.F_p * p.alpha_p,
-        h_dfg=f.h_dfg,
-        floor_deep=g.A_f * f.h_dfg * f.T_deep,
-        floor_solar=(1.0 - p.F_p) * f.alpha_f,
-    )
-
-
-def _kinetics_update(state, k, rh):
-    """The moisture step at current conditions, toward the equilibrium
-    moisture at the chamber rh.
+def _kinetics_update(state, rh, kin: Kinetics, M_0: float, dt: float):
+    """The moisture step of length dt at current conditions, toward the
+    equilibrium moisture at the chamber rh, for a charge that started at
+    M_0 (decimal db), with the isotherm of kin.
 
     Returns (M_new, flag), flag None or the step's kinetics flag.
     Drying stalls (dM = 0) when the Page rate constant is non-positive
@@ -347,8 +270,8 @@ def _kinetics_update(state, k, rh):
     """
     T_c = state.T_a - 273.15
     a_w = min(max(rh / 100.0, _AW_MIN), _AW_MAX)
-    M_e = kinetics.equilibrium_moisture(T_c, a_w, k.kinetics) / 100.0
-    M_0, M = k.M_0, state.M_p
+    M_e = kinetics.equilibrium_moisture(T_c, a_w, kin) / 100.0
+    M = state.M_p
 
     A1 = -0.213788 + 0.0101640 * T_c - 0.001372 * rh
     if A1 <= 0.0:
@@ -364,7 +287,7 @@ def _kinetics_update(state, k, rh):
     if mr > 1.0:
         mr = 1.0
     t_eq = 0.0 if mr >= 1.0 else (-math.log(mr) / A1) ** (1.0 / B1)
-    M_new = M_e + math.exp(-A1 * (t_eq + k.dt / 3600.0)**B1) * (M_0 - M_e)
+    M_new = M_e + math.exp(-A1 * (t_eq + dt / 3600.0)**B1) * (M_0 - M_e)
     if M_new > M:  # guard against roundoff near the fixed point
         M_new = M
     return M_new, flag
@@ -416,147 +339,176 @@ def _forcings(weather: WeatherSeries, dt: float, n: int) -> Iterator[Forcing]:
                                    wind_coefficient(V_w)))
 
 
-def advance(state: SimState, f: Forcing, k: StepConstants):
-    """Advance state by one implicit step of length k.dt to the end time of
-    the forcing f, the kinetics at the state's chamber rh.
+def stepper(cfg: DryerConfig):
+    """The step function of a run under cfg, `advance(state, f)`, with the
+    run's constants (dt, pressure, the hydraulic diameter, products of
+    config values such as U_c A_c) worked out here, once, from cfg's seven
+    sections, whose values DryerConfig checked.  Each product is a left
+    prefix of the per-step expression it enters (see the module docstring)."""
+    g, c, fl, p, a, kin, n = (cfg.geometry, cfg.cover, cfg.floor, cfg.product,
+                               cfg.airflow, cfg.kinetics, cfg.numerics)
+    dt, P = n.dt, n.pressure
+    M_0 = p.M_0_pct / 100.0                # initial moisture, decimal db
+    c_sky, V_a = kin.c_sky, a.V_a
+    D_h = hydraulic_diameter(g.W, g.D)
+    D_h_V_a = D_h * V_a
+    eps_c_sigma, eps_p_sigma = c.eps_c * SIGMA, p.eps_p * SIGMA
+    A_c, A_p, A_f, V, tau_c = g.A_c, g.A_p, g.A_f, g.V, c.tau_c
+    cover_cap = c.m_c * c.C_pc / dt
+    cover_solar = A_c * c.alpha_c
+    A_pf = A_p + A_f
+    U_c_A_c = overall_cover_loss(c.k_c, c.delta_c) * A_c
+    q_m_per_dmdt = A_p * g.D_p * p.C_pv * p.rho_p
+    air_solar = (1.0 - p.F_p) * (1.0 - fl.alpha_f) + (1.0 - p.alpha_p) * p.F_p
+    V_vent, T_in, H_in = a.V_vent, a.T_in, a.H_in
+    m_p = p.rho_p * A_p * g.D_p            # dry mass of the charge, kg
+    C_pp, C_pl = p.C_pp, p.C_pl
+    latent_per_dmdt = A_p * g.D_p * p.rho_p * p.L_p
+    product_solar = p.F_p * p.alpha_p
+    h_dfg = fl.h_dfg
+    floor_deep = A_f * h_dfg * fl.T_deep
+    floor_solar = (1.0 - p.F_p) * fl.alpha_f
 
-    It builds A x = b in (T_c, T_a, T_p, T_f), one row per balance of
-    BALANCES, from f (I_t, T_am, wind coefficient h_w), the sky temperature
-    T_s and, in W m^-2 K^-1, h_c (convective: cover-air = floor-air =
-    product-air), h_r_cs (cover-sky) and h_r_pc (product-cover):
+    def advance(state: SimState, f: Forcing):
+        """Advance state by one implicit step of length dt to the end time of
+        the forcing f, the kinetics at the state's chamber rh.
 
-    - cover: backward-difference thermal-mass balance.
-    - air: backward-difference balance of the chamber air of mass
-      rho_a V.  Ventilation swaps V_vent of inlet air for as much chamber
-      air, carrying rho_a C_pa V_vent (T_in - T_a) with the outlet at the
-      well-mixed chamber temperature; the sensible moisture term
-      A_p D_p C_pv rho_p (T_p - T_a) dM/dt keeps the temperatures
-      implicit with dM/dt frozen from the kinetics step.
-    - product: backward-difference balance with the effective heat
-      capacity m_p (C_pp + C_pl M_p) of the dry mass m_p = rho_p A_p D_p
-      and the latent term L_p dM/dt as an explicit sink.
-    - floor: quasi-steady algebraic row, conduction to the deep soil
-      balancing absorbed solar plus convection from the air, scaled by the
-      floor area so the residual is in watts like the other rows; raises
-      SimulationError when h_dfg + h_c = 0 makes it singular.
+        It builds A x = b in (T_c, T_a, T_p, T_f), one row per balance of
+        BALANCES, from f (I_t, T_am, wind coefficient h_w), the sky temperature
+        T_s and, in W m^-2 K^-1, h_c (convective: cover-air = floor-air =
+        product-air), h_r_cs (cover-sky) and h_r_pc (product-cover):
 
-    Then the chamber humidity-ratio balance takes the evaporated water
-    (-m_p dM from the product) into the air, V_vent of inlet air replacing
-    as much chamber air; the new H is clamped to [0, saturation at new T_a],
-    and the new state's rh is that of the new H at the new T_a.
+        - cover: backward-difference thermal-mass balance.
+        - air: backward-difference balance of the chamber air of mass
+          rho_a V.  Ventilation swaps V_vent of inlet air for as much chamber
+          air, carrying rho_a C_pa V_vent (T_in - T_a) with the outlet at the
+          well-mixed chamber temperature; the sensible moisture term
+          A_p D_p C_pv rho_p (T_p - T_a) dM/dt keeps the temperatures
+          implicit with dM/dt frozen from the kinetics step.
+        - product: backward-difference balance with the effective heat
+          capacity m_p (C_pp + C_pl M_p) of the dry mass m_p = rho_p A_p D_p
+          and the latent term L_p dM/dt as an explicit sink.
+        - floor: quasi-steady algebraic row, conduction to the deep soil
+          balancing absorbed solar plus convection from the air, scaled by the
+          floor area so the residual is in watts like the other rows; raises
+          SimulationError when h_dfg + h_c = 0 makes it singular.
 
-    Returns (new_state, work): work is (A, b, dM, rh, flags), what
-    `step_diagnostics` needs to record the step."""
-    (dt, P, _, _, c_sky, V_a, D_h, D_h_V_a, eps_c_sigma, eps_p_sigma,
-     A_c, A_p, A_f, tau_c, cover_cap, cover_solar, A_pf, U_c_A_c, q_m_per_dmdt,
-     air_solar, V, V_vent, T_in, H_in, m_p, C_pp, C_pl, latent_per_dmdt,
-     product_solar, h_dfg, floor_deep, floor_solar) = k
-    _, I_t, T_am, T_am_1_5, h_w = f
-    t, T_c, T_a, T_p, _, H, M_p, rh = state
-    flags: list[str] = []
+        Then the chamber humidity-ratio balance takes the evaporated water
+        (-m_p dM from the product) into the air, V_vent of inlet air replacing
+        as much chamber air; the new H is clamped to [0, saturation at new T_a],
+        and the new state's rh is that of the new H at the new T_a.
 
-    M_new, kin_flag = _kinetics_update(state, k, rh)
-    if kin_flag:
-        flags.append(kin_flag)
-    dM = M_new - M_p
+        Returns (new_state, work): work is (A, b, dM, rh, flags), what
+        `step_diagnostics` needs to record the step."""
+        _, I_t, T_am, T_am_1_5, h_w = f
+        t, T_c, T_a, T_p, _, H, M_p, rh = state
+        flags: list[str] = []
 
-    # air_properties(T_a), in the interval its knot search picks
-    if not AIR_T_MIN <= T_a <= AIR_T_MAX:
-        air_properties(T_a)  # raises its RangeError
-    T_lo, width, rho_lo, d_rho, cp_lo, d_cp, k_lo, d_k, nu_lo, d_nu = \
-        _AIR_INTERVALS[(T_a > _AIR_TABLE_T[1]) + (T_a > _AIR_TABLE_T[2])]
-    frac = (T_a - T_lo) / width
-    rho_a = rho_lo + frac * d_rho
-    cp_a = cp_lo + frac * d_cp
-    # _sky, _convective and the two _radiative calls
-    T_s = c_sky * T_am_1_5
-    if not 0.0 < T_s <= T_am:
-        flags.append("sky_temperature_non_physical")
-    Re = D_h_V_a / (nu_lo + frac * d_nu)
-    h_c = 0.0158 * Re**0.8 * (k_lo + frac * d_k) / D_h
-    if V_a == 0:
-        flags.append("still_air")
-    elif Re < RE_TURBULENT_MIN:
-        flags.append("re_below_turbulent")
-    if T_c <= 0 or T_p <= 0 or T_s <= 0:  # each call raises its RangeError
-        _radiative(eps_c_sigma, T_c, T_s)
-        _radiative(eps_p_sigma, T_p, T_c)
-    h_r_cs = eps_c_sigma * (T_c * T_c + T_s * T_s) * (T_c + T_s)
-    h_r_pc = eps_p_sigma * (T_p * T_p + T_c * T_c) * (T_p + T_c)
+        M_new, kin_flag = _kinetics_update(state, rh, kin, M_0, dt)
+        if kin_flag:
+            flags.append(kin_flag)
+        dM = M_new - M_p
 
-    if h_c + h_dfg == 0.0:
-        raise SimulationError("floor row singular: h_dfg + h_c = 0")
-    dmdt = dM / dt
-    q_m = q_m_per_dmdt * dmdt
-    product_cover = -A_p * h_r_pc
-    floor_air = -A_f * h_c
+        # air_properties(T_a), in the interval its knot search picks
+        if not AIR_T_MIN <= T_a <= AIR_T_MAX:
+            air_properties(T_a)  # raises its RangeError
+        T_lo, width, rho_lo, d_rho, cp_lo, d_cp, k_lo, d_k, nu_lo, d_nu = \
+            _AIR_INTERVALS[(T_a > _AIR_TABLE_T[1]) + (T_a > _AIR_TABLE_T[2])]
+        frac = (T_a - T_lo) / width
+        rho_a = rho_lo + frac * d_rho
+        cp_a = cp_lo + frac * d_cp
+        # _sky, _convective and the two _radiative calls
+        T_s = c_sky * T_am_1_5
+        if not 0.0 < T_s <= T_am:
+            flags.append("sky_temperature_non_physical")
+        Re = D_h_V_a / (nu_lo + frac * d_nu)
+        h_c = 0.0158 * Re**0.8 * (k_lo + frac * d_k) / D_h
+        if V_a == 0:
+            flags.append("still_air")
+        elif Re < RE_TURBULENT_MIN:
+            flags.append("re_below_turbulent")
+        if T_c <= 0 or T_p <= 0 or T_s <= 0:  # each call raises its RangeError
+            _radiative(eps_c_sigma, T_c, T_s)
+            _radiative(eps_p_sigma, T_p, T_c)
+        h_r_cs = eps_c_sigma * (T_c * T_c + T_s * T_s) * (T_c + T_s)
+        h_r_pc = eps_p_sigma * (T_p * T_p + T_c * T_c) * (T_p + T_c)
 
-    cover = (cover_cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
-             -A_c * h_c, product_cover, 0.0)
-    cover_rhs = (cover_cap * T_c + A_c * h_r_cs * T_s
-                 + A_c * h_w * T_am + cover_solar * I_t)
+        if h_c + h_dfg == 0.0:
+            raise SimulationError("floor row singular: h_dfg + h_c = 0")
+        dmdt = dM / dt
+        q_m = q_m_per_dmdt * dmdt
+        product_cover = -A_p * h_r_pc
+        floor_air = -A_f * h_c
 
-    m_a = rho_a * V
-    cap = m_a * cp_a / dt
-    rho_cp = rho_a * cp_a
-    air_row = (0.0, cap + A_pf * h_c + q_m + rho_cp * V_vent + U_c_A_c,
-               -(A_p * h_c + q_m), floor_air)
-    air_rhs = (cap * T_a + rho_cp * V_vent * T_in + U_c_A_c * T_am
-               + air_solar * I_t * A_c * tau_c)
+        cover = (cover_cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
+                 -A_c * h_c, product_cover, 0.0)
+        cover_rhs = (cover_cap * T_c + A_c * h_r_cs * T_s
+                     + A_c * h_w * T_am + cover_solar * I_t)
 
-    cap = m_p * (C_pp + C_pl * M_p) / dt
-    product = (product_cover, -A_p * h_c + q_m,
-               cap + A_p * (h_c + h_r_pc) - q_m, 0.0)
-    product_rhs = (cap * T_p + latent_per_dmdt * dmdt
-                   + product_solar * I_t * A_c * tau_c)
+        m_a = rho_a * V
+        cap = m_a * cp_a / dt
+        rho_cp = rho_a * cp_a
+        air_row = (0.0, cap + A_pf * h_c + q_m + rho_cp * V_vent + U_c_A_c,
+                   -(A_p * h_c + q_m), floor_air)
+        air_rhs = (cap * T_a + rho_cp * V_vent * T_in + U_c_A_c * T_am
+                   + air_solar * I_t * A_c * tau_c)
 
-    floor = (0.0, floor_air, 0.0, A_f * (h_dfg + h_c))
-    floor_rhs = floor_deep + floor_solar * I_t * A_c * tau_c
+        cap = m_p * (C_pp + C_pl * M_p) / dt
+        product = (product_cover, -A_p * h_c + q_m,
+                   cap + A_p * (h_c + h_r_pc) - q_m, 0.0)
+        product_rhs = (cap * T_p + latent_per_dmdt * dmdt
+                       + product_solar * I_t * A_c * tau_c)
 
-    A = (cover, air_row, product, floor)
-    b = (cover_rhs, air_rhs, product_rhs, floor_rhs)
-    # a finite sum means finite entries; only a non-finite one (or a sum of
-    # finite entries that overflows) needs the per-row search.  Nested sums
-    # build no tuple of the 20 entries: CPython 3.11 keeps freed 20-tuples
-    # on its free list (up to 2000, ~390 KB over a run) and never reuses them.
-    if not math.isfinite(sum(cover, sum(air_row, sum(product, sum(floor, sum(b)))))):
-        for name, row, rhs in zip(BALANCES, A, b):
-            if not all(map(math.isfinite, (*row, rhs))):
-                raise SimulationError(f"non-finite {name} balance: row {row}, rhs {rhs}")
-    T_c, T_a, T_p, T_f = x = solve_energy_system(A, b)
-    if not math.isfinite(T_c + T_a + T_p + T_f) and not all(map(math.isfinite, x)):
-        raise SimulationError(f"non-finite temperatures {x}")
+        floor = (0.0, floor_air, 0.0, A_f * (h_dfg + h_c))
+        floor_rhs = floor_deep + floor_solar * I_t * A_c * tau_c
 
-    evap = -m_p * dM / dt
-    # written so that a zero source leaves H bit-exactly unchanged
-    H_new = ((H + dt / m_a * (evap + rho_a * V_vent * H_in))
-             / (1.0 + dt / m_a * rho_a * V_vent))
-    if not math.isfinite(H_new):
-        raise SimulationError(f"non-finite humidity ratio {H_new}")
-    if H_new < 0.0:
-        H_new = 0.0
-        flags.append("humidity_floor_clamped")
-    # saturation_pressure(T_a) and vapour_humidity_ratio(p_sat, T_a, P)
-    if not 273.15 <= T_a <= SATURATION_T_MAX:
-        saturation_pressure(T_a)  # raises its RangeError
-    p_sat = math.exp(-5.8002206e3 / T_a + 1.3914993 - 4.8640239e-2 * T_a
-                     + 4.1764768e-5 * T_a * T_a - 1.4452093e-8 * T_a * T_a * T_a
-                     + 6.5459673 * math.log(T_a))
-    if p_sat >= P:
-        vapour_humidity_ratio(p_sat, T_a, P)  # raises its RangeError
-    H_sat = _EPSILON * p_sat / (P - p_sat)
-    if H_new > H_sat:
-        H_new = H_sat
-        flags.append("humidity_saturation_clamped")
-    # relative_humidity_at(H_new, p_sat, P); H_new <= H_sat, so above 100 %
-    # only by roundoff
-    rh_new = 100.0 * (P * H_new / (_EPSILON + H_new)) / p_sat
-    if rh_new > 100.0:
-        rh_new = 100.0
+        A = (cover, air_row, product, floor)
+        b = (cover_rhs, air_rhs, product_rhs, floor_rhs)
+        # a finite sum means finite entries; only a non-finite one (or a sum of
+        # finite entries that overflows) needs the per-row search.  Nested sums
+        # build no tuple of the 20 entries: CPython 3.11 keeps freed 20-tuples
+        # on its free list (up to 2000, ~390 KB over a run) and never reuses them.
+        if not math.isfinite(sum(cover, sum(air_row, sum(product, sum(floor, sum(b)))))):
+            for name, row, rhs in zip(BALANCES, A, b):
+                if not all(map(math.isfinite, (*row, rhs))):
+                    raise SimulationError(
+                        f"non-finite {name} balance: row {row}, rhs {rhs}")
+        T_c, T_a, T_p, T_f = x = solve_energy_system(A, b)
+        if not math.isfinite(T_c + T_a + T_p + T_f) and not all(map(math.isfinite, x)):
+            raise SimulationError(f"non-finite temperatures {x}")
 
-    new_state = _tuple_new(SimState,
-                           (t + dt, T_c, T_a, T_p, T_f, H_new, M_new, rh_new))
-    return new_state, (A, b, dM, rh, flags)
+        evap = -m_p * dM / dt
+        # written so that a zero source leaves H bit-exactly unchanged
+        H_new = ((H + dt / m_a * (evap + rho_a * V_vent * H_in))
+                 / (1.0 + dt / m_a * rho_a * V_vent))
+        if not math.isfinite(H_new):
+            raise SimulationError(f"non-finite humidity ratio {H_new}")
+        if H_new < 0.0:
+            H_new = 0.0
+            flags.append("humidity_floor_clamped")
+        # saturation_pressure(T_a) and vapour_humidity_ratio(p_sat, T_a, P)
+        if not 273.15 <= T_a <= SATURATION_T_MAX:
+            saturation_pressure(T_a)  # raises its RangeError
+        p_sat = math.exp(-5.8002206e3 / T_a + 1.3914993 - 4.8640239e-2 * T_a
+                         + 4.1764768e-5 * T_a * T_a - 1.4452093e-8 * T_a * T_a * T_a
+                         + 6.5459673 * math.log(T_a))
+        if p_sat >= P:
+            vapour_humidity_ratio(p_sat, T_a, P)  # raises its RangeError
+        H_sat = _EPSILON * p_sat / (P - p_sat)
+        if H_new > H_sat:
+            H_new = H_sat
+            flags.append("humidity_saturation_clamped")
+        # relative_humidity_at(H_new, p_sat, P); H_new <= H_sat, so above 100 %
+        # only by roundoff
+        rh_new = 100.0 * (P * H_new / (_EPSILON + H_new)) / p_sat
+        if rh_new > 100.0:
+            rh_new = 100.0
+
+        new_state = _tuple_new(SimState,
+                               (t + dt, T_c, T_a, T_p, T_f, H_new, M_new, rh_new))
+        return new_state, (A, b, dM, rh, flags)
+
+    return advance
 
 
 def step_diagnostics(new_state: SimState, work) -> StepDiagnostics:
@@ -575,15 +527,13 @@ def step_diagnostics(new_state: SimState, work) -> StepDiagnostics:
                            dM, rh, tuple(flags))
 
 
-def step(state: SimState, weather_end: WeatherRecord, cfg: DryerConfig,
-         k: StepConstants | None = None) -> tuple[SimState, StepDiagnostics]:
+def step(state: SimState, weather_end: WeatherRecord,
+         cfg: DryerConfig) -> tuple[SimState, StepDiagnostics]:
     """Advance one implicit step of length cfg.numerics.dt, with the
-    weather record sampled at the END of the step, and record it.  k is
-    step_constants(cfg), built here when the caller does not pass it."""
-    if k is None:
-        k = step_constants(cfg)
-    f = _forcing(state.t + k.dt, weather_end.I_t, weather_end.T_am, weather_end.V_w)
-    new_state, work = advance(state, f, k)
+    weather record sampled at the END of the step, and record it."""
+    f = _forcing(state.t + cfg.numerics.dt, weather_end.I_t, weather_end.T_am,
+                 weather_end.V_w)
+    new_state, work = stepper(cfg)(state, f)
     return new_state, step_diagnostics(new_state, work)
 
 
@@ -618,7 +568,7 @@ def steps(cfg: DryerConfig, weather: WeatherSeries, horizon_s: float | None = No
     """
     if forcing is None:
         forcing = weather_forcing(weather, cfg.numerics.dt, horizon_s)
-    k = step_constants(cfg)
+    advance = stepper(cfg)
     try:
         state = initial_state(cfg, weather)
     except GreendryError as exc:
@@ -626,7 +576,7 @@ def steps(cfg: DryerConfig, weather: WeatherSeries, horizon_s: float | None = No
     yield state, None
     for i, f in enumerate(forcing, start=1):
         try:
-            state, work = advance(state, f, k)
+            state, work = advance(state, f)
         except GreendryError as exc:
             raise SimulationError(f"step {i} (t={f.t} s): {exc}") from exc
         yield state, work

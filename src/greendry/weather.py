@@ -31,6 +31,9 @@ TROPICAL_PRESET = {
 
 PRESETS = {"tropical": TROPICAL_PRESET}
 
+# The most records a synthetic series may have: a year at 60 s has 525 601.
+MAX_RECORDS = 600_000
+
 
 def _problem(rec: WeatherRecord, previous_t: float) -> str | None:
     """What is wrong with one record that follows a record at previous_t,
@@ -346,7 +349,8 @@ def synthetic_days(
     Irradiance follows a half-sine between sunrise and sunset peaking at
     solar noon and clipped to zero at night; ambient temperature and
     relative humidity are 24 h sinusoids (temperature minimum pre-dawn,
-    maximum at 14:00; rh in anti-phase).
+    maximum at 14:00; rh in anti-phase).  A series holds at most
+    MAX_RECORDS records, checked before the first is built.
     """
     if n_days < 1:
         raise WeatherError(f"n_days must be >= 1, got {n_days}")
@@ -360,10 +364,15 @@ def synthetic_days(
         raise WeatherError("need T_min <= T_max and rh_min <= rh_max")
     if not interval_s > 0:
         raise WeatherError(f"interval must be > 0, got {interval_s}")
+    span = n_days * 86400.0 / interval_s  # the series has round(span) + 1 records
+    if not span <= MAX_RECORDS - 1:
+        raise WeatherError(f"{n_days} days at {interval_s} s intervals make "
+                           f"{span + 1:.6g} records, more than the {MAX_RECORDS} "
+                           "a series may have")
 
     day_len = sunset_h - sunrise_h
     records = []
-    n_steps = int(round(n_days * 86400.0 / interval_s))
+    n_steps = int(round(span))
     for i in range(n_steps + 1):
         t = i * interval_s
         h = (t / 3600.0) % 24.0

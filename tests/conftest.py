@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 import greendry.sweep
-from greendry import load_config, synthetic_days
+from greendry import DryerConfig, load_config, synthetic_days
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -31,3 +31,14 @@ def cpus(monkeypatch):
     def set_cpus(n):
         monkeypatch.setattr(greendry.sweep, "available_cpus", lambda: n)
     return set_cpus
+
+
+def unchecked(cfg, assignments):
+    """cfg with the values of assignments set, by dotted path as in
+    apply_overrides, built without DryerConfig's checks: a config no file
+    can give (a NaN, an inf, H_in < 0), to see what a step does with it."""
+    sections = cfg._asdict()
+    for path, value in assignments.items():
+        section, name = path.split(".")
+        sections[section] = sections[section]._replace(**{name: value})
+    return tuple.__new__(DryerConfig, sections.values())

@@ -228,7 +228,10 @@ class TestRun:
          "--set expects dotted.path=value, got 'floor.h_dfg'"),
         ([], 2, "need --weather FILE or --preset NAME"),
         (["--preset", "nowhere"], 2, "unknown preset 'nowhere'; known: ['tropical']"),
-    ], ids=["set-without-value", "no-weather", "unknown-preset"])
+        (["--preset", "tropical", "--days", str(10**12)], 2,
+         "1000000000000 days at 600.0 s intervals make 1.44e+14 records, "
+         "more than the 600000 a series may have"),
+    ], ids=["set-without-value", "no-weather", "unknown-preset", "too-many-days"])
     def test_bad_option_exits_with_its_code(self, runner, baseline_config_path,
                                             tmp_path, args, code, message):
         result = run_cli(runner, "run", "--config", str(baseline_config_path),
@@ -478,9 +481,11 @@ class TestUsage:
     @pytest.mark.parametrize("args, prog, message", [
         (["--conf", "{config}"], "greendry run",
          "the following arguments are required: --config"),
-        # argparse names the whole program for arguments no command took
-        (["--config", "{config}", "--conf", "{config}"], "greendry",
+        # an argument no command took is reported with the command's usage
+        (["--config", "{config}", "--conf", "{config}"], "greendry run",
          "unrecognized arguments: --conf {config}"),
+        (["--config", "{config}", "--dt", "30"], "greendry run",
+         "unrecognized arguments: --dt 30"),
         (["--config", "{config}", "--days", "1.5"], "greendry run",
          "argument --days: invalid int value: '1.5'"),
         (["--config", "{config}", "--horizon-h", "two"], "greendry run",
@@ -488,7 +493,8 @@ class TestUsage:
         # "-1e3" is not a plain negative number, so it reads as an option
         (["--config", "{config}", "--horizon-h", "-1e3"], "greendry run",
          "argument --horizon-h: expected one argument"),
-    ], ids=["abbreviated", "abbreviated-extra", "int", "float", "dash-value"])
+    ], ids=["abbreviated", "abbreviated-extra", "unknown", "int", "float",
+            "dash-value"])
     def test_usage_error_exit_2(self, runner, baseline_config_path, tmp_path,
                                 args, prog, message):
         args = [arg.format(config=baseline_config_path) for arg in args]
@@ -1302,6 +1308,15 @@ class TestSweep:
         assert result.stderr == "error: unknown preset 'nowhere'; known: ['tropical']\n"
         assert not (tmp_path / "out").exists()
 
+    def test_too_many_days_exit_2(self, runner, baseline_config_path, tmp_path):
+        # the weather's record count is checked before any record is built
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                         "--spec", str(self._spec(tmp_path)), "--preset", "tropical",
+                         "--days", str(10**12), "--out", str(tmp_path / "out"))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: 1000000000000 days at 600.0 s ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, message", [
         (None, "config file not found: {config}"),
         ("{}\n", "missing keys in the config: ['geometry', 'cover', 'floor', "
@@ -1479,6 +1494,8 @@ class TestGenWeather:
         # NaN fails every comparison, so each check asks for what is in range
         ("--interval", "nan", "interval must be > 0, got nan"),
         ("--peak-irradiance", "nan", "peak irradiance must be >= 0, got nan"),
+        ("--interval", "1e-6", "3 days at 1e-06 s intervals make 2.592e+11 records, "
+         "more than the 600000 a series may have"),
     ])
     def test_bad_value_exit_2(self, runner, tmp_path, option, value, message):
         result = run_cli(runner, "gen-weather", option, value,

@@ -17,7 +17,7 @@ from greendry.coefficients import (
 from greendry.config import Kinetics, apply_overrides
 from greendry.core import AirProps, SimState, WeatherRecord, relative_humidity
 from greendry.errors import RangeError
-from greendry.solver import advance, step, step_constants
+from greendry.solver import step, stepper
 
 
 class TestSkyTemperature:
@@ -148,15 +148,16 @@ class TestAssemble:
             return seen[-1]
 
         monkeypatch.setattr(greendry.solver, "wind_coefficient", spy)
-        k = step_constants(cfg)
-        f = greendry.solver._forcing(state.t + k.dt, w.I_t, w.T_am, w.V_w)
-        A, b, _, _, flags = advance(state, f, k)[1]
+        g, c, dt = cfg.geometry, cfg.cover, cfg.numerics.dt
+        f = greendry.solver._forcing(state.t + dt, w.I_t, w.T_am, w.V_w)
+        A, b, _, _, flags = stepper(cfg)(state, f)[1]
         [h_w] = seen
-        h_c = -A[3][1] / k.A_f
-        h_r_pc = -A[0][2] / k.A_p
-        h_r_cs = (A[0][0] - k.cover_cap - k.A_p * h_r_pc) / k.A_c - h_c - h_w
-        T_s = ((b[0] - k.cover_cap * state.T_c - k.A_c * h_w * w.T_am
-                - k.cover_solar * w.I_t) / (k.A_c * h_r_cs))
+        cover_cap = c.m_c * c.C_pc / dt
+        h_c = -A[3][1] / g.A_f
+        h_r_pc = -A[0][2] / g.A_p
+        h_r_cs = (A[0][0] - cover_cap - g.A_p * h_r_pc) / g.A_c - h_c - h_w
+        T_s = ((b[0] - cover_cap * state.T_c - g.A_c * h_w * w.T_am
+                - g.A_c * c.alpha_c * w.I_t) / (g.A_c * h_r_cs))
         return dict(h_c=h_c, h_r_cs=h_r_cs, h_r_pc=h_r_pc, h_w=h_w, T_s=T_s), flags
 
     def test_deterministic(self, baseline_cfg, monkeypatch):

@@ -12,7 +12,7 @@ import greendry
 import greendry.core
 import greendry.solver
 
-from greendry.coefficients import wind_coefficient
+from greendry.coefficients import SIGMA, hydraulic_diameter, wind_coefficient
 from greendry.config import apply_overrides, config_from_dict
 from greendry.core import (
     SimState,
@@ -25,18 +25,19 @@ from greendry.errors import SimulationError, SingularMatrixError, WeatherError
 from greendry.solver import (
     BALANCES,
     Forcing,
-    advance,
     eliminate,
     initial_state,
     simulate,
     solve_energy_system,
     step,
-    step_constants,
+    stepper,
     steps,
     weather_forcing,
 )
 from greendry.sweep import drying_time_objective
 from greendry.weather import WeatherSeries, sample, synthetic_days
+
+from conftest import unchecked
 
 BASE = {
     "geometry": {"W": 2.0, "D": 1.0, "A_c": 10.0, "A_f": 8.0, "A_p": 6.0,
@@ -77,26 +78,27 @@ def balance(name, state, w, cfg, dmdt=0.0, *, h_c=0.0, h_r_cs=0.0,
             h_r_pc=0.0, h_w=0.0, T_s=280.0):
     """(row, rhs) of one balance of the energy system that `advance` builds
     for the weather record w, with the coefficients (zero unless set; h_w
-    replaces w's wind) set through the inputs advance reads them from, to
-    within rounding: T_s as the forcing's T_am_1_5 with c_sky = 1, h_c =
-    0.0158 Re^0.8 k / D_h through Re = D_h_V_a / nu at the state's air
-    temperature, h_r_cs and h_r_pc through eps_c_sigma and eps_p_sigma.
-    The kinetics are patched to give dM/dt; the spy on
+    replaces w's wind) set through the config values advance reads them
+    from, to within rounding: T_s as the forcing's T_am_1_5 with c_sky = 1,
+    h_c = 0.0158 Re^0.8 k / D_h through Re = D_h V_a / nu at the state's air
+    temperature, h_r_cs and h_r_pc through eps_c and eps_p (unchecked, as
+    they may exceed 1).  The kinetics are patched to give dM/dt; the spy on
     solve_energy_system ends the step."""
     T_c, T_a, T_p = state.T_c, state.T_a, state.T_p
     air = air_properties(T_a)
-    k = step_constants(cfg)
-    Re = (h_c * k.D_h / (0.0158 * air.k)) ** 1.25
-    k = k._replace(c_sky=1.0, D_h_V_a=Re * air.nu,
-                   eps_c_sigma=h_r_cs / ((T_c * T_c + T_s * T_s) * (T_c + T_s)),
-                   eps_p_sigma=h_r_pc / ((T_p * T_p + T_c * T_c) * (T_p + T_c)))
+    D_h = hydraulic_diameter(cfg.geometry.W, cfg.geometry.D)
+    Re = (h_c * D_h / (0.0158 * air.k)) ** 1.25
+    cfg = unchecked(cfg, {
+        "kinetics.c_sky": 1.0, "airflow.V_a": Re * air.nu / D_h,
+        "cover.eps_c": h_r_cs / (SIGMA * (T_c * T_c + T_s * T_s) * (T_c + T_s)),
+        "product.eps_p": h_r_pc / (SIGMA * (T_p * T_p + T_c * T_c) * (T_p + T_c))})
     f = Forcing(w.t, w.I_t, w.T_am, T_s, h_w)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greendry.solver, "_kinetics_update",
-                   lambda state, k, rh: (state.M_p + dmdt * k.dt, None))
+                   lambda state, rh, kin, M_0, dt: (state.M_p + dmdt * dt, None))
         mp.setattr(greendry.solver, "solve_energy_system", _capture_system)
         with pytest.raises(_Solve) as exc:
-            advance(state, f, k)
+            stepper(cfg)(state, f)
     A, b = exc.value.args
     i = BALANCES.index(name)
     return A[i], b[i]
@@ -106,12 +108,11 @@ def humidity_step(cfg, state, dM):
     """(H of the state that `advance` returns, the step's dM) for a dark,
     still step at the state's temperatures, with the kinetics patched to
     move the moisture by dM."""
-    k = step_constants(cfg)
-    f = Forcing(state.t + k.dt, 0.0, state.T_a, state.T_a**1.5, 0.0)
+    f = Forcing(state.t + cfg.numerics.dt, 0.0, state.T_a, state.T_a**1.5, 0.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greendry.solver, "_kinetics_update",
-                   lambda state, k, rh: (state.M_p + dM, None))
-        new, (*_, dM, _, flags) = advance(state, f, k)
+                   lambda state, rh, kin, M_0, dt: (state.M_p + dM, None))
+        new, (*_, dM, _, flags) = stepper(cfg)(state, f)
     assert not any(flag.startswith("humidity_") for flag in flags)
     return new.H, dM
 
@@ -464,8 +465,11 @@ class TestProductBalance:
         cfg = apply_overrides(baseline_cfg, {path: value})
         state = make_state(300.0, M_p=0.522)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
-        assert step_constants(baseline_cfg).m_p == 54.0
-        assert step_constants(cfg).m_p == pytest.approx(54.0 * factor, rel=1e-15)
+        def dry_mass(cfg):
+            return cfg.product.rho_p * cfg.geometry.A_p * cfg.geometry.D_p
+
+        assert dry_mass(baseline_cfg) == 54.0
+        assert dry_mass(cfg) == pytest.approx(54.0 * factor, rel=1e-15)
         base_row, _ = balance("product", state, w, baseline_cfg)
         row, _ = balance("product", state, w, cfg)
         assert row[2] == pytest.approx(base_row[2] * factor, rel=1e-12)
@@ -579,15 +583,17 @@ class TestStep:
         for res, scale in zip(diag.residuals, diag.max_terms):
             assert abs(res) <= 1e-6 * scale
 
-    # The StepConstants field that reaches entry (row, col) of the energy
-    # system (col 4: the right-hand side) and no earlier balance.  An entry
-    # that is a literal zero, or shares its inputs with an earlier balance
+    # The config value that reaches entry (row, col) of the energy system
+    # (col 4: the right-hand side) and no earlier balance.  An entry that
+    # is a literal zero, or shares its inputs with an earlier balance
     # (product-cover, product-air, floor-air), has none: its cases poison
-    # the field of the row's diagonal entry.
-    _DIAGONAL = ("cover_cap", "U_c_A_c", "m_p", "h_dfg")
-    _ENTRY_FIELD = {(0, 1): "A_c", (0, 2): "eps_p_sigma", (0, 4): "cover_solar",
-                    (1, 2): "q_m_per_dmdt", (1, 3): "A_f", (1, 4): "T_in",
-                    (2, 4): "product_solar", (3, 4): "floor_deep"}
+    # the value behind the row's diagonal entry.  The product's right-hand
+    # side is reached through L_p, as F_p and alpha_p also feed the air row.
+    _DIAGONAL = ("cover.m_c", "cover.k_c", "product.C_pp", "floor.h_dfg")
+    _ENTRY_FIELD = {(0, 1): "geometry.A_c", (0, 2): "product.eps_p",
+                    (0, 4): "cover.alpha_c", (1, 2): "product.C_pv",
+                    (1, 3): "geometry.A_f", (1, 4): "airflow.T_in",
+                    (2, 4): "product.L_p", (3, 4): "floor.T_deep"}
 
     @pytest.mark.parametrize("row", range(4))
     @pytest.mark.parametrize("col", range(5))  # 4: the right-hand side
@@ -595,10 +601,10 @@ class TestStep:
     def test_non_finite_entry_names_its_balance(self, baseline_cfg, row, col, bad):
         field = self._ENTRY_FIELD.get((row, col), self._DIAGONAL[row])
         entry = col if (row, col) in self._ENTRY_FIELD else row
-        k = step_constants(baseline_cfg)._replace(**{field: bad})
+        cfg = unchecked(baseline_cfg, {field: bad})
         w = WeatherRecord(t=60.0, I_t=600.0, T_am=303.0, V_w=1.0, rh_am=60.0)
         with pytest.raises(SimulationError) as exc:
-            step(make_state(302.0, H=0.012, M_p=0.5), w, baseline_cfg, k)
+            step(make_state(302.0, H=0.012, M_p=0.5), w, cfg)
         name, entries, rhs = re.fullmatch(
             r"non-finite (\w+) balance: row \((.*)\), rhs (.*)", str(exc.value)).groups()
         assert name == BALANCES[row]
@@ -609,9 +615,11 @@ class TestStep:
         # cover and product capacities of 4e305 W/K: every entry is finite,
         # but the sum of the right-hand sides overflows to inf
         state = make_state(302.0, H=0.012, M_p=0.5)
-        k = step_constants(baseline_cfg)
-        k = k._replace(cover_cap=4e305,
-                       m_p=4e305 * k.dt / (k.C_pp + k.C_pl * state.M_p))
+        g, c, p = baseline_cfg.geometry, baseline_cfg.cover, baseline_cfg.product
+        dt = baseline_cfg.numerics.dt
+        cfg = apply_overrides(baseline_cfg, {
+            "cover.C_pc": 4e305 * dt / c.m_c,
+            "product.C_pp": 4e305 * dt / (p.rho_p * g.A_p * g.D_p)})
         systems = []
 
         def spy(A, b):
@@ -620,7 +628,7 @@ class TestStep:
 
         monkeypatch.setattr(greendry.solver, "solve_energy_system", spy)
         w = WeatherRecord(t=60.0, I_t=600.0, T_am=303.0, V_w=1.0, rh_am=60.0)
-        new, _ = step(state, w, baseline_cfg, k)
+        new, _ = step(state, w, cfg)
         ((A, b),) = systems
         assert all(map(math.isfinite, (*A[0], *A[1], *A[2], *A[3], *b)))
         assert sum(b) == math.inf
@@ -631,10 +639,9 @@ class TestStep:
         "but the air row has no T_c term, so A_c h_c (T_c - T_a) goes nowhere "
         "(up to ~500 W on the baseline)"))
     def test_cover_air_exchange_is_symmetric(self, baseline_cfg, tropical_weather):
-        k = step_constants(baseline_cfg)
         state = initial_state(baseline_cfg, tropical_weather)
-        f = next(weather_forcing(tropical_weather, k.dt))
-        A, *_ = advance(state, f, k)[1]
+        f = next(weather_forcing(tropical_weather, baseline_cfg.numerics.dt))
+        A, *_ = stepper(baseline_cfg)(state, f)[1]
         assert A[1][0] == A[0][1]
 
 
@@ -813,13 +820,17 @@ class TestSimulate:
         full = [state for state, _ in steps(baseline_cfg, tropical_weather)]
         n = next(i for i, state in enumerate(full) if i and state.M_p <= 0.45)
         advanced = []
-        original = greendry.solver.advance
+        original = greendry.solver.stepper
 
-        def counted(*args):
-            advanced.append(args)
-            return original(*args)
+        def counted(cfg):
+            advance = original(cfg)
 
-        monkeypatch.setattr(greendry.solver, "advance", counted)
+            def count(*args):
+                advanced.append(args)
+                return advance(*args)
+            return count
+
+        monkeypatch.setattr(greendry.solver, "stepper", counted)
         stopped = [state for state, _ in
                    steps(baseline_cfg, tropical_weather, target_mdb=0.45)]
         assert stopped == full[:n + 1]
@@ -921,7 +932,7 @@ class TestWeatherForcing:
         def no_step(*args):
             raise AssertionError("a step was taken")
 
-        monkeypatch.setattr(greendry.solver, "advance", no_step)
+        monkeypatch.setattr(greendry.solver, "stepper", lambda cfg: no_step)
         with pytest.raises(WeatherError, match="weather series ends at 86400.0 s"):
             simulate(baseline_cfg, weather, horizon_s=2 * 86400.0)
         with pytest.raises(WeatherError, match="weather series ends at 86400.0 s"):

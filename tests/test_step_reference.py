@@ -8,6 +8,7 @@ import ast
 import inspect
 import math
 import sys
+import textwrap
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,12 +16,15 @@ from hypothesis import example, given, settings, strategies as st
 from greendry import kinetics
 from greendry.coefficients import (
     RE_TURBULENT_MIN,
+    SIGMA,
     _convective,
     _radiative,
     _sky,
+    hydraulic_diameter,
+    overall_cover_loss,
     wind_coefficient,
 )
-from greendry.config import apply_overrides
+from greendry.config import Airflow, Cover, Floor, Geometry, Product, apply_overrides
 from greendry.core import (
     SimState,
     air_properties,
@@ -35,23 +39,23 @@ from greendry.solver import (
     _AW_MIN,
     BALANCES,
     Forcing,
-    StepConstants,
     _kinetics_update,
-    advance,
     initial_state,
     solve_energy_system,
-    step_constants,
+    stepper,
     weather_forcing,
 )
 
+from conftest import unchecked
 
-def reference_kinetics_update(state, k, rh):
-    """_kinetics_update through kinetics.rate_constant, drying_constants and
-    step_moisture; its flags as a list."""
+
+def reference_kinetics_update(state, cfg, rh):
+    """_kinetics_update of a run under cfg through kinetics.rate_constant,
+    drying_constants and step_moisture; its flags as a list."""
     T_c = state.T_a - 273.15
     a_w = min(max(rh / 100.0, _AW_MIN), _AW_MAX)
-    M_e = kinetics.equilibrium_moisture(T_c, a_w, k.kinetics) / 100.0
-    M_0 = k.M_0
+    M_e = kinetics.equilibrium_moisture(T_c, a_w, cfg.kinetics) / 100.0
+    M_0 = cfg.M_0
 
     A1 = kinetics.rate_constant(T_c, rh)
     if A1 <= 0.0:
@@ -61,66 +65,74 @@ def reference_kinetics_update(state, k, rh):
 
     constants = kinetics.drying_constants(T_c, rh)
     flags = ["kinetics_extrapolated"] if constants.extrapolated else []
-    M_new, _ = kinetics.step_moisture(state.M_p, M_e, M_0, constants, k.dt)
+    M_new, _ = kinetics.step_moisture(state.M_p, M_e, M_0, constants,
+                                      cfg.numerics.dt)
     return M_new, flags
 
 
-def reference_advance(state, f, k):
-    """advance through reference_kinetics_update, air_properties, _sky,
-    _convective, _radiative, saturation_pressure, vapour_humidity_ratio and
-    relative_humidity_at.  The new state's H is at most H_sat, so its rh
+def reference_advance(state, f, cfg):
+    """advance of a run under cfg through reference_kinetics_update,
+    air_properties, _sky, _convective, _radiative, saturation_pressure,
+    vapour_humidity_ratio and relative_humidity_at, each product of config
+    values written out in full where it is used, which the run's constants
+    must equal bit for bit.  The new state's H is at most H_sat, so its rh
     exceeds 100 % by roundoff at most, and relative_humidity_at never
     reports a clamp: the step asserts so."""
-    dt, A_c, A_p, A_f, tau_c = k.dt, k.A_c, k.A_p, k.A_f, k.tau_c
+    g, c, fl, p, a = cfg.geometry, cfg.cover, cfg.floor, cfg.product, cfg.airflow
+    dt, P = cfg.numerics.dt, cfg.numerics.pressure
+    A_c, A_p, A_f, tau_c = g.A_c, g.A_p, g.A_f, c.tau_c
+    D_h = hydraulic_diameter(g.W, g.D)
+    U_c = overall_cover_loss(c.k_c, c.delta_c)
     I_t, T_am, h_w = f.I_t, f.T_am, f.h_w
     flags = []
     rh = state.rh
 
-    M_new, kin_flags = reference_kinetics_update(state, k, rh)
+    M_new, kin_flags = reference_kinetics_update(state, cfg, rh)
     flags += kin_flags
     dM = M_new - state.M_p
 
     air = air_properties(state.T_a)
-    T_s, sky_physical = _sky(T_am, f.T_am_1_5, k.c_sky)
+    T_s, sky_physical = _sky(T_am, f.T_am_1_5, cfg.kinetics.c_sky)
     if not sky_physical:
         flags.append("sky_temperature_non_physical")
-    Re, _, h_c = _convective(k.D_h_V_a, k.D_h, air)
-    if k.V_a == 0:
+    Re, _, h_c = _convective(D_h * a.V_a, D_h, air)
+    if a.V_a == 0:
         flags.append("still_air")
     elif Re < RE_TURBULENT_MIN:
         flags.append("re_below_turbulent")
-    h_r_cs = _radiative(k.eps_c_sigma, state.T_c, T_s)
-    h_r_pc = _radiative(k.eps_p_sigma, state.T_p, state.T_c)
+    h_r_cs = _radiative(c.eps_c * SIGMA, state.T_c, T_s)
+    h_r_pc = _radiative(p.eps_p * SIGMA, state.T_p, state.T_c)
 
-    if h_c + k.h_dfg == 0.0:
+    if h_c + fl.h_dfg == 0.0:
         raise SimulationError("floor row singular: h_dfg + h_c = 0")
     dmdt = dM / dt
-    q_m = k.q_m_per_dmdt * dmdt
+    q_m = A_p * g.D_p * p.C_pv * p.rho_p * dmdt
     product_cover = -A_p * h_r_pc
     floor_air = -A_f * h_c
 
-    cap = k.cover_cap
-    cover = (cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
+    cover = (c.m_c * c.C_pc / dt + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
              -A_c * h_c, product_cover, 0.0)
-    cover_rhs = (cap * state.T_c + A_c * h_r_cs * T_s
-                 + A_c * h_w * T_am + k.cover_solar * I_t)
+    cover_rhs = (c.m_c * c.C_pc / dt * state.T_c + A_c * h_r_cs * T_s
+                 + A_c * h_w * T_am + A_c * c.alpha_c * I_t)
 
-    m_a = air.rho * k.V
+    m_a = air.rho * g.V
     cap = m_a * air.cp / dt
     rho_cp = air.rho * air.cp
-    air_row = (0.0, cap + k.A_pf * h_c + q_m + rho_cp * k.V_vent + k.U_c_A_c,
+    air_row = (0.0, cap + (A_p + A_f) * h_c + q_m + rho_cp * a.V_vent + U_c * A_c,
                -(A_p * h_c + q_m), floor_air)
-    air_rhs = (cap * state.T_a + rho_cp * k.V_vent * k.T_in + k.U_c_A_c * T_am
-               + k.air_solar * I_t * A_c * tau_c)
+    air_rhs = (cap * state.T_a + rho_cp * a.V_vent * a.T_in + U_c * A_c * T_am
+               + ((1.0 - p.F_p) * (1.0 - fl.alpha_f) + (1.0 - p.alpha_p) * p.F_p)
+               * I_t * A_c * tau_c)
 
-    cap = k.m_p * (k.C_pp + k.C_pl * state.M_p) / dt
+    cap = p.rho_p * A_p * g.D_p * (p.C_pp + p.C_pl * state.M_p) / dt
     product = (product_cover, -A_p * h_c + q_m,
                cap + A_p * (h_c + h_r_pc) - q_m, 0.0)
-    product_rhs = (cap * state.T_p + k.latent_per_dmdt * dmdt
-                   + k.product_solar * I_t * A_c * tau_c)
+    product_rhs = (cap * state.T_p + A_p * g.D_p * p.rho_p * p.L_p * dmdt
+                   + p.F_p * p.alpha_p * I_t * A_c * tau_c)
 
-    floor = (0.0, floor_air, 0.0, A_f * (k.h_dfg + h_c))
-    floor_rhs = k.floor_deep + k.floor_solar * I_t * A_c * tau_c
+    floor = (0.0, floor_air, 0.0, A_f * (fl.h_dfg + h_c))
+    floor_rhs = (A_f * fl.h_dfg * fl.T_deep
+                 + (1.0 - p.F_p) * fl.alpha_f * I_t * A_c * tau_c)
 
     A = (cover, air_row, product, floor)
     b = (cover_rhs, air_rhs, product_rhs, floor_rhs)
@@ -132,20 +144,20 @@ def reference_advance(state, f, k):
         raise SimulationError(f"non-finite temperatures {x}")
     T_c, T_a, T_p, T_f = x
 
-    evap = -k.m_p * dM / dt
-    H_new = ((state.H + dt / m_a * (evap + air.rho * k.V_vent * k.H_in))
-             / (1.0 + dt / m_a * air.rho * k.V_vent))
+    evap = -p.rho_p * A_p * g.D_p * dM / dt
+    H_new = ((state.H + dt / m_a * (evap + air.rho * a.V_vent * a.H_in))
+             / (1.0 + dt / m_a * air.rho * a.V_vent))
     if not math.isfinite(H_new):
         raise SimulationError(f"non-finite humidity ratio {H_new}")
     if H_new < 0.0:
         H_new = 0.0
         flags.append("humidity_floor_clamped")
     p_sat = saturation_pressure(T_a)
-    H_sat = vapour_humidity_ratio(p_sat, T_a, k.P)
+    H_sat = vapour_humidity_ratio(p_sat, T_a, P)
     if H_new > H_sat:
         H_new = H_sat
         flags.append("humidity_saturation_clamped")
-    rh_new, clamped = relative_humidity_at(H_new, p_sat, k.P)
+    rh_new, clamped = relative_humidity_at(H_new, p_sat, P)
     assert clamped is False
 
     new_state = SimState(state.t + dt, T_c, T_a, T_p, T_f, H_new, M_new, rh_new)
@@ -167,26 +179,33 @@ def _outcome(step, *args):
             rh.hex(), tuple(flags))
 
 
-def _kinetics_outcome(update, state, k):
-    try:
-        M_new, flags = update(state, k, state.rh)
-    except GreendryError as exc:
-        return type(exc), str(exc)
-    flags = [flags] if isinstance(flags, str) else flags or []
-    return M_new.hex(), tuple(flags)
+def _kinetics_outcomes(state, cfg):
+    """The outcomes of the kinetics of the step from state of a run under
+    cfg, by _kinetics_update and by reference_kinetics_update."""
+    def outcome(update, *args):
+        try:
+            M_new, flags = update(state, *args)
+        except GreendryError as exc:
+            return type(exc), str(exc)
+        flags = [flags] if isinstance(flags, str) else flags or []
+        return M_new.hex(), tuple(flags)
+
+    return (outcome(_kinetics_update, state.rh, cfg.kinetics,
+                    cfg.product.M_0_pct / 100.0, cfg.numerics.dt),
+            outcome(reference_kinetics_update, cfg, state.rh))
 
 
 def _compare_run(cfg, weather, horizon_s=None):
     """Take every step of a run with advance and with reference_advance from
     the same state, compare them, and return the flags seen."""
-    k = step_constants(cfg)
+    advance = stepper(cfg)
     state = initial_state(cfg, weather)
     seen = set()
-    for f in weather_forcing(weather, k.dt, horizon_s):
-        got = advance(state, f, k)
-        assert (_kinetics_outcome(_kinetics_update, state, k)
-                == _kinetics_outcome(reference_kinetics_update, state, k))
-        assert _outcome(lambda: got) == _outcome(reference_advance, state, f, k)
+    for f in weather_forcing(weather, cfg.numerics.dt, horizon_s):
+        got = advance(state, f)
+        kinetics_got, kinetics_expected = _kinetics_outcomes(state, cfg)
+        assert kinetics_got == kinetics_expected
+        assert _outcome(lambda: got) == _outcome(reference_advance, state, f, cfg)
         state, work = got
         seen.update(work[4])
     return seen
@@ -210,19 +229,27 @@ def test_off_baseline_runs_match_the_helpers(baseline_cfg, tropical_weather,
 
 
 def _case(cfg, T_a=330.0, rh=18.0, M_p=0.5, T_c=None, T_p=None, I_t=500.0,
-          T_am=303.0, V_w=1.0, **k_fields):
-    """(state, forcing, k) of one step: the chamber at T_a with H such that
-    rh comes out about as asked at the saturation pressure p_sat of T_a
-    (300 K's below the correlation's range), and the state's rh that of H
-    at p_sat; the cover and product at T_c and T_p (default T_a)."""
-    k = step_constants(cfg)._replace(**k_fields)
+          T_am=303.0, V_w=1.0, inputs=None):
+    """(state, forcing, config) of one step: the chamber at T_a with H such
+    that rh comes out about as asked at the saturation pressure p_sat of
+    T_a (300 K's below the correlation's range), and the state's rh that of
+    H at p_sat; the cover and product at T_c and T_p (default T_a); cfg
+    with the config values of inputs, by dotted path, set unchecked."""
+    cfg = unchecked(cfg, inputs or {})
+    dt, P = cfg.numerics.dt, cfg.numerics.pressure
     p_sat = saturation_pressure(max(T_a, 300.0))
     p_v = rh / 100.0 * p_sat
-    H = 0.622 * p_v / (k.P - p_v)
+    H = 0.622 * p_v / (P - p_v)
     state = SimState(0.0, T_a if T_c is None else T_c, T_a,
                      T_a if T_p is None else T_p, T_a, H, M_p,
-                     relative_humidity_at(H, p_sat, k.P).value)
-    return state, Forcing(k.dt, I_t, T_am, T_am**1.5, wind_coefficient(V_w)), k
+                     relative_humidity_at(H, p_sat, P).value)
+    return state, Forcing(dt, I_t, T_am, T_am**1.5, wind_coefficient(V_w)), cfg
+
+
+def _outcomes(state, f, cfg):
+    """The outcomes of the step from state with the forcing f of a run
+    under cfg, by advance and by reference_advance."""
+    return _outcome(stepper(cfg), state, f), _outcome(reference_advance, state, f, cfg)
 
 
 # the new rh of a step from a saturated chamber at T_a, and whether the
@@ -243,7 +270,8 @@ _BRANCHES = [
     *((dict(T_a=T_a, rh=100.0),
        ("at_or_above_equilibrium", "humidity_saturation_clamped"))
       for T_a in _SATURATED_END_RH),
-    (dict(T_a=333.15, rh=15.0, H_in=-1.0), ("humidity_floor_clamped",)),
+    (dict(T_a=333.15, rh=15.0, inputs={"airflow.H_in": -1.0}),
+     ("humidity_floor_clamped",)),
     (dict(T_a=333.15, rh=95.0, T_am=290.0, I_t=0.0, V_w=5.0),
      ("kinetics_extrapolated", "humidity_saturation_clamped")),
 ]
@@ -251,9 +279,8 @@ _BRANCHES = [
 
 @pytest.mark.parametrize("keywords, flags", _BRANCHES)
 def test_branch_matches_the_helpers(baseline_cfg, keywords, flags):
-    args = _case(baseline_cfg, **keywords)
-    got = _outcome(advance, *args)
-    assert got == _outcome(reference_advance, *args)
+    got, expected = _outcomes(*_case(baseline_cfg, **keywords))
+    assert got == expected
     assert got[-1] == flags
     rh = float.fromhex(got[0][7])
     saturated = "humidity_saturation_clamped" in flags
@@ -262,10 +289,11 @@ def test_branch_matches_the_helpers(baseline_cfg, keywords, flags):
 
 @pytest.mark.parametrize("T_a", _SATURATED_END_RH)
 def test_saturated_end_rh(baseline_cfg, T_a):
-    state, f, k = _case(baseline_cfg, T_a=T_a, rh=100.0)
-    new, _ = advance(state, f, k)
-    assert new.H == vapour_humidity_ratio(saturation_pressure(new.T_a), new.T_a, k.P)
-    rh = 100.0 * (k.P * new.H / (0.622 + new.H)) / saturation_pressure(new.T_a)
+    state, f, cfg = _case(baseline_cfg, T_a=T_a, rh=100.0)
+    new, _ = stepper(cfg)(state, f)
+    P = cfg.numerics.pressure
+    assert new.H == vapour_humidity_ratio(saturation_pressure(new.T_a), new.T_a, P)
+    rh = 100.0 * (P * new.H / (0.622 + new.H)) / saturation_pressure(new.T_a)
     assert (new.rh, rh > 100.0) == _SATURATED_END_RH[T_a]
 
 
@@ -286,12 +314,36 @@ def test_saturated_end_rh(baseline_cfg, T_a):
 def test_sampled_steps_match_the_helpers(baseline_cfg, T_a, rh, M_p, dT_c, dT_p,
                                          I_t, T_am, V_w, H_in, override):
     cfg = apply_overrides(baseline_cfg, override)
-    args = _case(cfg, T_a, rh, M_p, T_a + dT_c, T_a + dT_p, I_t, T_am, V_w,
-                 H_in=H_in)
-    assert _outcome(advance, *args) == _outcome(reference_advance, *args)
-    state, _, k = args
-    assert (_kinetics_outcome(_kinetics_update, state, k)
-            == _kinetics_outcome(reference_kinetics_update, state, k))
+    state, f, cfg = _case(cfg, T_a, rh, M_p, T_a + dT_c, T_a + dT_p, I_t, T_am,
+                          V_w, {"airflow.H_in": H_in})
+    got, expected = _outcomes(state, f, cfg)
+    assert got == expected
+    got, expected = _kinetics_outcomes(state, cfg)
+    assert got == expected
+
+
+# the config values whose products advance hoists: geometry, cover, floor,
+# product and airflow
+_SCALED = [(section, name)
+           for section, record in (("geometry", Geometry), ("cover", Cover),
+                                   ("floor", Floor), ("product", Product),
+                                   ("airflow", Airflow))
+           for name in record._fields]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(factors=st.lists(st.floats(0.8, 1.0), min_size=len(_SCALED),
+                        max_size=len(_SCALED)))
+def test_sampled_configs_match_the_helpers(baseline_cfg, factors):
+    # each value of the baseline scaled down by up to 20 %, which keeps
+    # every value valid: products of values that are not round numbers
+    # round differently when regrouped, so a constant of stepper that is
+    # not a left prefix of its expression shows here
+    cfg = apply_overrides(baseline_cfg, {
+        f"{section}.{name}": getattr(getattr(baseline_cfg, section), name) * factor
+        for (section, name), factor in zip(_SCALED, factors)})
+    got, expected = _outcomes(*_case(cfg))
+    assert got == expected
 
 
 _BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5,
@@ -299,7 +351,8 @@ _BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5,
 
 
 # each error advance raises, with its text: the same at every revision of
-# advance that calls the helpers
+# advance that calls the helpers.  k_fields: the config values of the
+# case, by dotted path.
 @pytest.mark.parametrize("state, k_fields, fixed_M_e, error, text", [
     (_BASE._replace(T_a=240.0), {}, False, "RangeError",
      "air temperature 240.0 K below lower bound 250.0 K"),
@@ -315,13 +368,13 @@ _BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5,
      "temperatures must be > 0 K, got -5.0, 286.8276137334061"),
     (_BASE._replace(T_p=-5.0), {}, False, "RangeError",
      "temperatures must be > 0 K, got -5.0, 300.0"),
-    (_BASE, {"h_dfg": 0.0, "D_h_V_a": 0.0, "V_a": 0.0}, False, "SimulationError",
+    (_BASE, {"floor.h_dfg": 0.0, "airflow.V_a": 0.0}, False, "SimulationError",
      "floor row singular: h_dfg + h_c = 0"),
     # the new T_a, below the saturation-pressure correlation
-    (_BASE, {"T_in": 100.0}, False, "RangeError",
+    (_BASE, {"airflow.T_in": 100.0}, False, "RangeError",
      "temperature 190.4618303663118 K below lower bound 273.15 K"),
     (_BASE._replace(rh=relative_humidity(0.012, 300.0, 3000.0).value),
-     {"P": 3000.0}, False, "RangeError",
+     {"numerics.pressure": 3000.0}, False, "RangeError",
      "vapour pressure 3641.854615821294 Pa at 300.5026821922166 K exceeds "
      "total pressure 3000.0 Pa"),
 ])
@@ -330,19 +383,20 @@ def test_error_parity(baseline_cfg, monkeypatch, state, k_fields, fixed_M_e,
     if fixed_M_e:
         monkeypatch.setattr(kinetics, "equilibrium_moisture",
                             lambda T_c, a_w, c: 8.0)
-    k = step_constants(baseline_cfg)._replace(**k_fields)
+    advance = stepper(apply_overrides(baseline_cfg, k_fields))
     f = Forcing(60.0, 0.0, 300.0, 300.0**1.5, 5.7)
     with pytest.raises(GreendryError) as exc:
-        advance(state, f, k)
+        advance(state, f)
     assert (type(exc.value).__name__, str(exc.value)) == (error, text)
 
 
 def test_advance_calls_no_other_helper(baseline_cfg, tropical_weather):
     # per step, outside an error path: only _kinetics_update (with the
     # isotherm) and the 4x4 solve
-    k = step_constants(baseline_cfg)
+    advance = stepper(baseline_cfg)
     state = initial_state(baseline_cfg, tropical_weather)
-    forcing = tuple(weather_forcing(tropical_weather, k.dt, 86400.0))
+    forcing = tuple(weather_forcing(tropical_weather, baseline_cfg.numerics.dt,
+                                    86400.0))
     calls = set()
 
     def profile(frame, event, arg):
@@ -352,18 +406,18 @@ def test_advance_calls_no_other_helper(baseline_cfg, tropical_weather):
     sys.setprofile(profile)
     try:
         for f in forcing:
-            state, _ = advance(state, f, k)
+            state, _ = advance(state, f)
     finally:
         sys.setprofile(None)
     assert calls == {"advance", "_kinetics_update", "equilibrium_moisture",
                      "solve_energy_system"}
 
 
-@pytest.mark.parametrize("record, name", [(StepConstants, "k"), (Forcing, "f")])
-def test_advance_unpacks_in_field_order(record, name):
-    # advance reads k and f by position: the names it unpacks them into are
-    # the record's fields, in order, or _ for a field it does not use
-    tree = ast.parse(inspect.getsource(advance))
+@pytest.mark.parametrize("record, name", [(Forcing, "f")])
+def test_advance_unpacks_in_field_order(baseline_cfg, record, name):
+    # advance reads f by position: the names it unpacks it into are the
+    # record's fields, in order, or _ for a field it does not use
+    tree = ast.parse(textwrap.dedent(inspect.getsource(stepper(baseline_cfg))))
     unpacks = [node.targets[0] for node in ast.walk(tree)
                if isinstance(node, ast.Assign)
                and isinstance(node.value, ast.Name) and node.value.id == name]

@@ -515,6 +515,25 @@ class TestSynthetic:
         with pytest.raises(WeatherError, match=f"^{re.escape(message)}$"):
             synthetic_days(1, **shape)
 
+    @pytest.mark.parametrize("shape, message", [
+        ({"n_days": 1, "interval_s": 1e-300}, "1 days at 1e-300 s intervals make "
+         "8.64e+304 records, more than the 600000 a series may have"),
+        ({"n_days": 10**12}, "1000000000000 days at 600.0 s intervals make "
+         "1.44e+14 records, more than the 600000 a series may have"),
+    ])
+    def test_too_many_records_raises_at_once(self, shape, message):
+        # the count is checked before the first record is built
+        with pytest.raises(WeatherError, match=f"^{re.escape(message)}$"):
+            synthetic_days(**shape)
+
+    def test_record_cap(self, monkeypatch):
+        # a year at 60 s fits; at the cap, one record more does not
+        assert weather.MAX_RECORDS >= 365 * 1440 + 1
+        monkeypatch.setattr(weather, "MAX_RECORDS", 145)
+        assert len(synthetic_days(1, interval_s=600.0).records) == 145
+        with pytest.raises(WeatherError, match="make 146 records, more than the 145 "):
+            synthetic_days(1, interval_s=86400.0 / 145)
+
     def test_daily_integral(self):
         # integral of the half-sine equals peak * daylen * 2/pi
         s = synthetic_days(1, peak_irradiance=900.0, sunrise_h=6.0, sunset_h=18.0,
