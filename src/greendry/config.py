@@ -143,6 +143,8 @@ def number(key: str, value) -> float:
     """value as a finite float; ConfigError `<key> must be numeric, got
     <value!r>` or `<key> must be finite, got <x>` otherwise."""
     try:  # YAML 1.1 reads exponents like 2.358e6 as strings
+        if isinstance(value, bool):  # and yes, no, true and false as bools
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be numeric, got {value!r}") from None

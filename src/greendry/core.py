@@ -45,8 +45,8 @@ class AirProps(NamedTuple):
 
 
 class WeatherRecord(NamedTuple):
-    """Ambient conditions at one instant, t in seconds from run start.
-    Records are checked where a series is built (weather.WeatherSeries)."""
+    """Ambient conditions at one instant, t in seconds from run start, as
+    weather.sample returns them; a WeatherSeries holds and checks columns."""
 
     t: float        # s
     I_t: float      # solar irradiance on the cover plane, W m^-2

@@ -93,7 +93,7 @@ from .core import (_AIR_TABLE_CP, _AIR_TABLE_K, _AIR_TABLE_NU, _AIR_TABLE_RHO,
                    relative_humidity, saturation_pressure, vapour_humidity_ratio)
 from .errors import GreendryError, SimulationError, SingularMatrixError
 from .kinetics import RH_FIT_MAX, RH_FIT_MIN, T_FIT_MAX, T_FIT_MIN
-from .weather import WeatherSeries, brackets
+from .weather import WeatherSeries, brackets, sample
 
 # Balance ordering: the rows of every assembled system.
 BALANCES = ("cover", "air", "product", "floor")
@@ -348,7 +348,7 @@ def stepper(cfg: DryerConfig):
     g, c, fl, p, a, kin, n = (cfg.geometry, cfg.cover, cfg.floor, cfg.product,
                                cfg.airflow, cfg.kinetics, cfg.numerics)
     dt, P = n.dt, n.pressure
-    M_0 = p.M_0_pct / 100.0                # initial moisture, decimal db
+    M_0 = cfg.M_0                          # initial moisture, decimal db
     c_sky, V_a = kin.c_sky, a.V_a
     D_h = hydraulic_diameter(g.W, g.D)
     D_h_V_a = D_h * V_a
@@ -538,9 +538,9 @@ def step(state: SimState, weather_end: WeatherRecord,
 
 
 def initial_state(cfg: DryerConfig, weather: WeatherSeries) -> SimState:
-    """All temperatures at the first ambient reading; chamber humidity from
-    ambient rh; moisture at the charge's initial value."""
-    w0 = weather.records[0]
+    """All temperatures at the first ambient reading, sampled at the start;
+    chamber humidity from ambient rh; moisture at the charge's initial value."""
+    w0 = sample(weather, weather.t_start)
     H0 = humidity_ratio(w0.rh_am, w0.T_am, cfg.numerics.pressure)
     rh0, _ = relative_humidity(H0, w0.T_am, cfg.numerics.pressure)
     # the isotherm at the start, only for its errors: steps reports them

@@ -1,8 +1,8 @@
-"""Weather time series: CSV ingestion, a synthetic diurnal generator
-(sinusoidal irradiance around solar noon) and `brackets`, the one search
-behind every linear interpolation in greendry (`sample`, the forcing of a
-run, `greendry validate`).  Also the one CSV reader and the one CSV
-writer of every file greendry reads or writes."""
+"""Weather time series, each held as its five columns: CSV ingestion, a
+synthetic diurnal generator (sinusoidal irradiance around solar noon) and
+`brackets`, the one search behind every linear interpolation in greendry
+(`sample`, the forcing of a run, `greendry validate`).  Also the one CSV
+reader and the one CSV writer of every file greendry reads or writes."""
 
 from __future__ import annotations
 
@@ -35,64 +35,65 @@ PRESETS = {"tropical": TROPICAL_PRESET}
 MAX_RECORDS = 600_000
 
 
-def _problem(rec: WeatherRecord, previous_t: float) -> str | None:
-    """What is wrong with one record that follows a record at previous_t,
-    or None: every value must be finite, I_t >= 0, V_w >= 0,
-    0 <= rh_am <= 100, t > previous_t and 0 < T_am <= 373.15 K, the top of
-    the saturation-pressure correlation (which the initial state evaluates
-    at the first T_am)."""
-    for name, value in zip(rec._fields, rec):
+def _problem(row, previous_t: float) -> str | None:
+    """What is wrong with one row (t, I_t, T_am, V_w, rh_am) that follows a
+    row at previous_t, or None: every value must be finite, I_t >= 0,
+    V_w >= 0, 0 <= rh_am <= 100, t > previous_t and 0 < T_am <= 373.15 K,
+    the top of the saturation-pressure correlation (which the initial
+    state evaluates at the first T_am)."""
+    for name, value in zip(WeatherRecord._fields, row):
         if not math.isfinite(value):
             return f"{name} must be finite, got {value}"
-    if rec.I_t < 0:
-        return f"irradiance must be >= 0, got {rec.I_t}"
-    if not 0 < rec.T_am <= SATURATION_T_MAX:
+    t, I_t, T_am, V_w, rh_am = row
+    if I_t < 0:
+        return f"irradiance must be >= 0, got {I_t}"
+    if not 0 < T_am <= SATURATION_T_MAX:
         return (f"ambient temperature must be in (0, {SATURATION_T_MAX}] K, "
-                f"got {rec.T_am}")
-    if rec.V_w < 0:
-        return f"wind speed must be >= 0, got {rec.V_w}"
-    if not 0.0 <= rec.rh_am <= 100.0:
-        return f"ambient rh must be in [0, 100] %, got {rec.rh_am}"
-    if rec.t <= previous_t:
-        return f"timestamp {rec.t} not increasing (previous {previous_t})"
+                f"got {T_am}")
+    if V_w < 0:
+        return f"wind speed must be >= 0, got {V_w}"
+    if not 0.0 <= rh_am <= 100.0:
+        return f"ambient rh must be in [0, 100] %, got {rh_am}"
+    if t <= previous_t:
+        return f"timestamp {t} not increasing (previous {previous_t})"
     return None
 
 
-def _check_records(records, source, lines) -> None:
-    """Raise WeatherError unless there are >= 2 records and none has a
-    _problem; the message names source:line, or record i without lines."""
-    if len(records) < 2:
-        raise WeatherError(f"weather series needs >= 2 records, got {len(records)}")
-    for i, rec in enumerate(records):
-        problem = _problem(rec, records[i - 1].t if i else -math.inf)
+def _check_records(times, columns, source, lines) -> None:
+    """Raise WeatherError unless there are >= 2 records and none, the row
+    of times and columns, has a _problem; the message names source:line,
+    or record i without lines.  ValueError for columns not as long as times."""
+    if len(times) < 2:
+        raise WeatherError(f"weather series needs >= 2 records, got {len(times)}")
+    for i, row in enumerate(zip(times, *columns, strict=True)):
+        problem = _problem(row, times[i - 1] if i else -math.inf)
         if problem:
             where = f"{source}:{lines[i]}" if lines else f"record {i}"
             raise WeatherError(f"{where}: {problem}")
 
 
 class WeatherSeries:
-    """Checked weather records; lines, when given, are the source line of
-    each record, so that an error names source:line instead of record i.
-    The attributes times and columns (I_t, T_am, V_w, rh_am) hold the
-    records column by column, as `brackets` and the interpolations built
-    on it read them."""
+    """Checked weather records, held column by column: times and columns
+    (I_t, T_am, V_w, rh_am), in CSV_HEADER order, as `brackets` and the
+    interpolations built on it read them; record i is row i of
+    zip(times, *columns).  lines, when given, are the source line of each
+    record, so that an error names source:line instead of record i."""
 
-    __slots__ = ("records", "source", "times", "columns")
+    __slots__ = ("source", "times", "columns")
 
-    def __init__(self, records: tuple[WeatherRecord, ...], source: str = "unknown",
-                 lines: tuple[int, ...] | None = None):
-        _check_records(records, source, lines)
-        self.records, self.source = records, source
-        self.times, *columns = zip(*records)
-        self.columns = tuple(columns)
+    def __init__(self, times, I_t, T_am, V_w, rh_am, source: str = "unknown",
+                 lines=None):
+        self.times, *columns = map(tuple, (times, I_t, T_am, V_w, rh_am))
+        self.columns, self.source = tuple(columns), source
+        _check_records(self.times, self.columns, source, lines)
 
     @property
     def t_start(self) -> float:
-        return self.records[0].t
+        return self.times[0]
 
     @property
     def t_end(self) -> float:
-        return self.records[-1].t
+        return self.times[-1]
 
     def horizon(self, horizon_s: float | None = None) -> float:
         """The run horizon horizon_s, by default to the end of the series;
@@ -108,7 +109,7 @@ class WeatherSeries:
         return horizon_s
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.times)
 
 
 def brackets(times, ts):
@@ -323,13 +324,12 @@ def load_csv(path) -> WeatherSeries:
         data, lines = read_csv(path, columns)
     except ValueError as exc:
         raise WeatherError(str(exc)) from None
-    return WeatherSeries(records=tuple(map(WeatherRecord, *data.values())),
-                         source=str(path), lines=tuple(lines))
+    return WeatherSeries(*data.values(), source=str(path), lines=lines)
 
 
 def save_csv(series: WeatherSeries, path, header_comment: str | None = None) -> None:
-    write_csv(path, CSV_HEADER, (",".join(map(repr, r)) for r in series.records),
-              header_comment)
+    rows = zip(series.times, *series.columns)
+    write_csv(path, CSV_HEADER, (",".join(map(repr, row)) for row in rows), header_comment)
 
 
 def synthetic_days(
@@ -364,26 +364,21 @@ def synthetic_days(
         raise WeatherError("need T_min <= T_max and rh_min <= rh_max")
     if not interval_s > 0:
         raise WeatherError(f"interval must be > 0, got {interval_s}")
-    span = n_days * 86400.0 / interval_s  # the series has round(span) + 1 records
+    # round(span) + 1 records; an int n_days may lie past a float's range
+    span = n_days * 86400.0 / interval_s if n_days <= 1e300 else math.inf
     if not span <= MAX_RECORDS - 1:
         raise WeatherError(f"{n_days} days at {interval_s} s intervals make "
                            f"{span + 1:.6g} records, more than the {MAX_RECORDS} "
                            "a series may have")
 
     day_len = sunset_h - sunrise_h
-    records = []
-    n_steps = int(round(span))
-    for i in range(n_steps + 1):
-        t = i * interval_s
-        h = (t / 3600.0) % 24.0
-        if sunrise_h <= h <= sunset_h:
-            I_t = peak_irradiance * math.sin(math.pi * (h - sunrise_h) / day_len)
-            I_t = max(I_t, 0.0)
-        else:
-            I_t = 0.0
-        # temperature minimum at 02:00, maximum at 14:00
-        phase = math.cos(2.0 * math.pi * (h - 2.0) / 24.0)
-        T_am = 0.5 * (T_min + T_max) - 0.5 * (T_max - T_min) * phase
-        rh = 0.5 * (rh_min + rh_max) + 0.5 * (rh_max - rh_min) * phase
-        records.append(WeatherRecord(t=t, I_t=I_t, T_am=T_am, V_w=wind_speed, rh_am=rh))
-    return WeatherSeries(records=tuple(records), source=f"synthetic:{n_days}d")
+    times = [i * interval_s for i in range(int(round(span)) + 1)]
+    hours = [(t / 3600.0) % 24.0 for t in times]
+    I_t = [max(peak_irradiance * math.sin(math.pi * (h - sunrise_h) / day_len), 0.0)
+           if sunrise_h <= h <= sunset_h else 0.0 for h in hours]
+    # temperature minimum at 02:00, maximum at 14:00
+    phases = [math.cos(2.0 * math.pi * (h - 2.0) / 24.0) for h in hours]
+    T_am = [0.5 * (T_min + T_max) - 0.5 * (T_max - T_min) * phase for phase in phases]
+    rh_am = [0.5 * (rh_min + rh_max) + 0.5 * (rh_max - rh_min) * phase for phase in phases]
+    return WeatherSeries(times, I_t, T_am, [wind_speed] * len(times), rh_am,
+                         source=f"synthetic:{n_days}d")

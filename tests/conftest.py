@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 import greendry.sweep
-from greendry import DryerConfig, load_config, synthetic_days
+from greendry import DryerConfig, WeatherRecord, WeatherSeries, load_config, synthetic_days
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -31,6 +31,17 @@ def cpus(monkeypatch):
     def set_cpus(n):
         monkeypatch.setattr(greendry.sweep, "available_cpus", lambda: n)
     return set_cpus
+
+
+def records_of(series):
+    """The records of a weather series: row i of its times and columns, as
+    a WeatherRecord."""
+    return tuple(map(WeatherRecord._make, zip(series.times, *series.columns)))
+
+
+def series_of(records, **kwargs):
+    """The WeatherSeries of records, WeatherRecords in time order."""
+    return WeatherSeries(*zip(*records), **kwargs)
 
 
 def unchecked(cfg, assignments):

@@ -43,7 +43,7 @@ from greendry.solver import step_diagnostics, steps
 from greendry.sweep import SPEC_KEYS, EconomicModel, SweepResult
 from greendry.weather import read_csv, write_csv
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, records_of
 
 
 class CliResult(NamedTuple):
@@ -231,7 +231,11 @@ class TestRun:
         (["--preset", "tropical", "--days", str(10**12)], 2,
          "1000000000000 days at 600.0 s intervals make 1.44e+14 records, "
          "more than the 600000 a series may have"),
-    ], ids=["set-without-value", "no-weather", "unknown-preset", "too-many-days"])
+        (["--preset", "tropical", "--days", str(10**400)], 2,
+         f"{10**400} days at 600.0 s intervals make inf records, "
+         "more than the 600000 a series may have"),
+    ], ids=["set-without-value", "no-weather", "unknown-preset", "too-many-days",
+            "days-past-a-float"])
     def test_bad_option_exits_with_its_code(self, runner, baseline_config_path,
                                             tmp_path, args, code, message):
         result = run_cli(runner, "run", "--config", str(baseline_config_path),
@@ -1457,7 +1461,7 @@ class TestGenWeather:
         assert result.exit_code == 0
         from greendry.weather import load_csv, synthetic_days
         series = load_csv(out)
-        assert series.records == synthetic_days(3, interval_s=600.0).records
+        assert records_of(series) == records_of(synthetic_days(3, interval_s=600.0))
 
     def test_shape_options_reach_the_series(self, runner, tmp_path):
         out = tmp_path / "w.csv"
@@ -1465,8 +1469,8 @@ class TestGenWeather:
                          "500", "--sunset-h", "17", "--out", str(out))
         assert result.exit_code == 0, result.output
         from greendry.weather import load_csv, synthetic_days
-        assert load_csv(out).records == synthetic_days(
-            1, interval_s=600.0, peak_irradiance=500.0, sunset_h=17.0).records
+        assert records_of(load_csv(out)) == records_of(synthetic_days(
+            1, interval_s=600.0, peak_irradiance=500.0, sunset_h=17.0))
 
     def test_noon_rows_at_peak(self, runner, tmp_path):
         out = tmp_path / "w.csv"
@@ -1474,7 +1478,7 @@ class TestGenWeather:
                 "--out", str(out))
         from greendry.weather import load_csv
         series = load_csv(out)
-        noon = [r for r in series.records if r.t == 12 * 3600.0][0]
+        noon = [r for r in records_of(series) if r.t == 12 * 3600.0][0]
         assert noon.I_t == pytest.approx(900.0, rel=1e-9)
 
     def test_one_day_hourly_bytes(self, runner, tmp_path):
@@ -1502,6 +1506,16 @@ class TestGenWeather:
                          "--out", str(tmp_path / "w.csv"))
         assert result.exit_code == 2
         assert result.stderr == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_days_past_a_float_exit_2(self, runner, tmp_path):
+        # an int of days too large for a float is a count of records too
+        # large to build, not an OverflowError
+        result = run_cli(runner, "gen-weather", "--days", str(10**400),
+                         "--out", str(tmp_path / "w.csv"))
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: {10**400} days at 600.0 s intervals make inf "
+                                 "records, more than the 600000 a series may have\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_hours_exit_2(self, runner, tmp_path):

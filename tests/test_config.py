@@ -213,6 +213,17 @@ class TestValidation:
             config_from_dict(data)
         assert str(exc.value) == "floor.T_deep must be numeric, got 'warm'"
 
+    @pytest.mark.parametrize("word, value", [("yes", True), ("no", False)])
+    def test_yaml_boolean_is_not_a_number(self, word, value, tmp_path):
+        # YAML 1.1 reads yes and no as booleans, which float() would take
+        # for 1.0 and 0.0
+        text = (CONFIG_DIR / "baseline_copra.yaml").read_text(encoding="utf-8")
+        path = tmp_path / "config.yaml"
+        path.write_text(re.sub(r"V_a: 1\.5\b", f"V_a: {word}", text), encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"airflow.V_a must be numeric, got {value}"
+
     def test_numerics_defaults(self):
         data = {k: dict(v) for k, v in BASE.items()}
         del data["numerics"]
@@ -242,6 +253,7 @@ class TestOverrides:
     @pytest.mark.parametrize("value, message", [
         ("abc", "floor.h_dfg must be numeric, got 'abc'"),
         (None, "floor.h_dfg must be numeric, got None"),
+        (True, "floor.h_dfg must be numeric, got True"),
     ])
     def test_override_value_named_as_in_a_config(self, baseline_cfg, value, message):
         with pytest.raises(ConfigError) as exc:

@@ -35,9 +35,9 @@ from greendry.solver import (
     weather_forcing,
 )
 from greendry.sweep import drying_time_objective
-from greendry.weather import WeatherSeries, sample, synthetic_days
+from greendry.weather import sample, synthetic_days
 
-from conftest import unchecked
+from conftest import records_of, series_of, unchecked
 
 BASE = {
     "geometry": {"W": 2.0, "D": 1.0, "A_c": 10.0, "A_f": 8.0, "A_p": 6.0,
@@ -718,7 +718,7 @@ class TestSimulate:
 
     def test_initial_state_from_first_record(self, baseline_cfg, tropical_weather):
         s0 = initial_state(baseline_cfg, tropical_weather)
-        w0 = tropical_weather.records[0]
+        w0 = records_of(tropical_weather)[0]
         assert s0.T_c == s0.T_a == s0.T_p == s0.T_f == w0.T_am
         assert s0.H == pytest.approx(humidity_ratio(w0.rh_am, w0.T_am), rel=1e-12)
 
@@ -903,7 +903,7 @@ class TestWeatherForcing:
 
     def test_horizon_at_the_end_of_the_series(self):
         # 3 * 0.1 rounds above 0.3: the last step samples the series' end
-        weather = WeatherSeries(records=(
+        weather = series_of((
             WeatherRecord(t=0.0, I_t=0.0, T_am=300.0, V_w=1.0, rh_am=60.0),
             WeatherRecord(t=0.3, I_t=100.0, T_am=301.0, V_w=2.0, rh_am=50.0),
         ))
@@ -916,7 +916,7 @@ class TestWeatherForcing:
         # falls to zero (0.0, then -0.0) and holds again, so each step's
         # wind coefficient must follow the wind sampled at its end
         speeds = [1.0, 1.0, 2.5, 0.0, -0.0, 3.0, 3.0, 0.5]
-        weather = WeatherSeries(records=tuple(
+        weather = series_of(tuple(
             WeatherRecord(t=600.0 * i, I_t=100.0 * i, T_am=300.0 + i, V_w=v, rh_am=60.0)
             for i, v in enumerate(speeds)))
         forcing = _assert_forcing_samples(weather, 90.0, None, 46)

@@ -285,6 +285,8 @@ class TestSpecFile:
          "parameters.airflow.V_a must be numeric, got 'abc'"),
         ("parameters: {airflow.V_a: [~]}\n",
          "parameters.airflow.V_a must be numeric, got None"),
+        ("parameters: {airflow.V_a: [true]}\n",
+         "parameters.airflow.V_a must be numeric, got True"),
         ("parameters: {airflow.V_a: [1.0]}\ntarget_mdb: abc\n",
          "target_mdb must be numeric, got 'abc'"),
         ("parameters: {airflow.V_a: [1.0]}\nhorizon_h: ~\n",
