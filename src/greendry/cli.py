@@ -2,10 +2,11 @@
 
 Subcommands: run, validate, sweep, gen-weather.  Exit codes for run/sweep:
 1 configuration error; 2 weather/input error (run: a horizon not >= 0 or
-past the weather, a non-finite --target-mdb; sweep: a spec error, named
-by the spec, or a grid value that the config rejects) or an --out that
-cannot be written (also for gen-weather); 3 numerical failure (for sweep:
-of every grid point, a failed simulation or no payback); validate exits 1
+past the weather, a dt that makes no step or more than solver.MAX_STEPS,
+a non-finite --target-mdb; sweep: a spec error, named by the spec, or a
+grid value that the config rejects) or an --out that cannot be written
+(also for gen-weather); 3 numerical failure (for sweep: of every grid
+point, a failed simulation, a dt's step count or no payback); validate exits 1
 when the acceptance check fails and 2 on an unreadable or malformed CSV,
 a grid or a variable error, or a --limit that is not finite and >= 0.
 A usage error, parsed by argparse, exits 2 for every command.

@@ -15,10 +15,11 @@ would cost more than the arithmetic.
 and the solve: it writes out `relative_humidity_at`, the `air_properties`
 interpolation, the correlations `_sky`, `_convective` and `_radiative`,
 `saturation_pressure` and `vapour_humidity_ratio`, and `_kinetics_update`
-the Page step of `kinetics`, each expression as there.  The helpers are
-the reference: where a bounds check fails, the step calls the helper to
-raise its error, and tests/test_step_reference.py takes every step again
-through the helpers and requires the same bits.
+the isotherm `equilibrium_moisture` and the Page step of `kinetics`, each
+expression as there.  The helpers are the reference: where a bounds check
+fails, the step calls the helper to raise its error, and
+tests/test_step_reference.py takes every step again through the helpers
+and requires the same bits.
 
 The tunnel's coupling fixes the system's zero pattern: cover (x,x,x,0),
 air (0,x,x,x), product (x,x,x,0), floor (0,x,0,x).  The air row's T_c
@@ -44,9 +45,10 @@ at the step's end time with T_am**1.5 (for the sky temperature) and the
 wind coefficient.  It takes every step time in one `weather.brackets`
 walk, interpolating only I_t, T_am and V_w, and `steps` streams it, one
 step at a time, so a run keeps no weather table; a sweep builds it as a
-tuple once per dt in each process and passes it to every point.  A state
-carries its chamber rh, which a step reads and works out for the new
-state.
+tuple once per dt in each process and passes it to every point.  It
+checks the step count first: a positive horizon must make 1 to MAX_STEPS
+steps of dt.  A state carries its chamber rh, which a step reads and
+works out for the new state.
 
 Inputs are checked once, where they enter (`DryerConfig`, `WeatherSeries`);
 the physics functions trust them and check only what a step produces.
@@ -64,11 +66,13 @@ evaluating the expressions in full on each step, as
 tests/test_step_reference.py does.
 
 The step path pays little interpreter overhead per record.  `advance`
-reads the run's constants from its closure and unpacks its Forcing, the
-one record it still reads by position, once into the locals its rows use
-(`_` for a field it does not read), where a lookup by field name would
-cost an attribute access each; a test in tests/test_step_reference.py
-holds the names to Forcing's fields, in order.  It builds the new
+reads the run's constants, the air table and `math`'s functions from its
+closure and unpacks its Forcing, the one record it still reads by
+position, once into the locals its rows use (`_` for a field it does not
+read), where a lookup by field name would cost an attribute access each;
+a test in tests/test_step_reference.py holds the names to Forcing's
+fields, in order.  One `isfinite` over the sum of the row entries that
+vary and the right-hand sides checks the system.  It builds the new
 SimState, as `_forcing` builds each Forcing, with `tuple.__new__` on the
 field values in order: a NamedTuple call runs a Python-level `__new__`
 that takes about 2.5 times as long (CPython 3.11), and a streamed run
@@ -91,7 +95,7 @@ from .core import (_AIR_TABLE_CP, _AIR_TABLE_K, _AIR_TABLE_NU, _AIR_TABLE_RHO,
                    _AIR_TABLE_T, _EPSILON, AIR_T_MAX, AIR_T_MIN, SATURATION_T_MAX,
                    SimState, WeatherRecord, air_properties, humidity_ratio,
                    relative_humidity, saturation_pressure, vapour_humidity_ratio)
-from .errors import GreendryError, SimulationError, SingularMatrixError
+from .errors import GreendryError, SimulationError, SingularMatrixError, WeatherError
 from .kinetics import RH_FIT_MAX, RH_FIT_MIN, T_FIT_MAX, T_FIT_MIN
 from .weather import WeatherSeries, brackets, sample
 
@@ -100,6 +104,9 @@ BALANCES = ("cover", "air", "product", "floor")
 
 SINGULAR_PIVOT = 1e-12
 
+# The most steps a run may take: a year at 60 s takes 525 600.
+MAX_STEPS = 1_000_000
+
 # builds a NamedTuple (SimState, Forcing) from a tuple of its fields in
 # order, without the Python-level __new__ that a keyword-capable call runs
 _tuple_new = tuple.__new__
@@ -107,6 +114,8 @@ _tuple_new = tuple.__new__
 # Water activity is clipped into (0, 1) before the isotherm inversion;
 # chamber rh of exactly 0 or 100 % would otherwise be degenerate.
 _AW_MIN, _AW_MAX = 1e-6, 1.0 - 1e-6
+
+_INF, _exp, _log = math.inf, math.exp, math.log
 
 # air_properties' table per interval i: (T_i, T_i+1 - T_i) and, for rho, cp,
 # k and nu, (v_i, v_i+1 - v_i), the same differences it takes on each call
@@ -267,10 +276,26 @@ def _kinetics_update(state, rh, kin: Kinetics, M_0: float, dt: float):
     equilibrium exceeds the initial moisture (degenerate humid-cold
     conditions); rewetting is never modelled.  Then it takes the Page step
     of kinetics.drying_constants and step_moisture.
-    """
+
+    `kinetics.equilibrium_moisture` is written out, its water activity
+    clipped into [_AW_MIN, _AW_MAX] (a NaN passes through); the helper is
+    called only where one of its checks fails, to raise its error, and its
+    return value is used as M_e."""
     T_c = state.T_a - 273.15
-    a_w = min(max(rh / 100.0, _AW_MIN), _AW_MAX)
-    M_e = kinetics.equilibrium_moisture(T_c, a_w, kin) / 100.0
+    a_w = rh / 100.0
+    if a_w < _AW_MIN:
+        a_w = _AW_MIN
+    elif a_w > _AW_MAX:
+        a_w = _AW_MAX
+    base = kin.b0 + kin.b1 * T_c
+    try:
+        M_e = base * (a_w / (1.0 - a_w)) ** (1.0 / kin.b2)
+    except OverflowError:
+        M_e = _INF
+    # a non-finite T_c or a NaN a_w makes base non-finite or M_e not < inf
+    if not (base > 0.0 and M_e < _INF):
+        M_e = kinetics.equilibrium_moisture(T_c, a_w, kin)
+    M_e /= 100.0
     M = state.M_p
 
     A1 = -0.213788 + 0.0101640 * T_c - 0.001372 * rh
@@ -286,8 +311,8 @@ def _kinetics_update(state, rh, kin: Kinetics, M_0: float, dt: float):
     mr = (M - M_e) / (M_0 - M_e)
     if mr > 1.0:
         mr = 1.0
-    t_eq = 0.0 if mr >= 1.0 else (-math.log(mr) / A1) ** (1.0 / B1)
-    M_new = M_e + math.exp(-A1 * (t_eq + dt / 3600.0)**B1) * (M_0 - M_e)
+    t_eq = 0.0 if mr >= 1.0 else (-_log(mr) / A1) ** (1.0 / B1)
+    M_new = M_e + _exp(-A1 * (t_eq + dt / 3600.0)**B1) * (M_0 - M_e)
     if M_new > M:  # guard against roundoff near the fixed point
         M_new = M
     return M_new, flag
@@ -314,9 +339,16 @@ def weather_forcing(weather: WeatherSeries, dt: float,
     """The Forcing of each step i = 1, 2, ... of a run of step dt over
     horizon_s (default: to the end of the series), interpolated at
     min(t0 + i dt, t_end), as an iterator that takes one step at a time.
-    The horizon is checked here, at once, by `WeatherSeries.horizon`."""
-    n = int(math.floor(weather.horizon(horizon_s) / dt + 1e-9))
-    return _forcings(weather, dt, n)
+    The horizon is checked here, at once, by `WeatherSeries.horizon`, and
+    so is the step count: WeatherError unless a positive horizon makes 1
+    to MAX_STEPS steps of dt."""
+    horizon = weather.horizon(horizon_s)
+    n = horizon / dt + 1e-9
+    if horizon and not 1.0 <= n < MAX_STEPS + 1:
+        raise WeatherError(f"dt = {dt} s over a horizon of {horizon} s makes "
+                           f"{int(n) if n < 1.0 else n:.6g} steps; a run takes "
+                           f"1 to {MAX_STEPS}")
+    return _forcings(weather, dt, int(n))
 
 
 def _forcings(weather: WeatherSeries, dt: float, n: int) -> Iterator[Forcing]:
@@ -368,6 +400,9 @@ def stepper(cfg: DryerConfig):
     h_dfg = fl.h_dfg
     floor_deep = A_f * h_dfg * fl.T_deep
     floor_solar = (1.0 - p.F_p) * fl.alpha_f
+    minus_m_p = -m_p
+    intervals, T_knot_1, T_knot_2 = _AIR_INTERVALS, _AIR_TABLE_T[1], _AIR_TABLE_T[2]
+    isfinite, exp, log = math.isfinite, math.exp, math.log
 
     def advance(state: SimState, f: Forcing):
         """Advance state by one implicit step of length dt to the end time of
@@ -413,7 +448,7 @@ def stepper(cfg: DryerConfig):
         if not AIR_T_MIN <= T_a <= AIR_T_MAX:
             air_properties(T_a)  # raises its RangeError
         T_lo, width, rho_lo, d_rho, cp_lo, d_cp, k_lo, d_k, nu_lo, d_nu = \
-            _AIR_INTERVALS[(T_a > _AIR_TABLE_T[1]) + (T_a > _AIR_TABLE_T[2])]
+            intervals[(T_a > T_knot_1) + (T_a > T_knot_2)]
         frac = (T_a - T_lo) / width
         rho_a = rho_lo + frac * d_rho
         cp_a = cp_lo + frac * d_cp
@@ -440,48 +475,56 @@ def stepper(cfg: DryerConfig):
         product_cover = -A_p * h_r_pc
         floor_air = -A_f * h_c
 
-        cover = (cover_cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
-                 -A_c * h_c, product_cover, 0.0)
+        cover_cover = cover_cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc
+        cover_air = -A_c * h_c
+        cover = (cover_cover, cover_air, product_cover, 0.0)
         cover_rhs = (cover_cap * T_c + A_c * h_r_cs * T_s
                      + A_c * h_w * T_am + cover_solar * I_t)
 
         m_a = rho_a * V
         cap = m_a * cp_a / dt
         rho_cp = rho_a * cp_a
-        air_row = (0.0, cap + A_pf * h_c + q_m + rho_cp * V_vent + U_c_A_c,
-                   -(A_p * h_c + q_m), floor_air)
+        air_air = cap + A_pf * h_c + q_m + rho_cp * V_vent + U_c_A_c
+        air_product = -(A_p * h_c + q_m)
+        air_row = (0.0, air_air, air_product, floor_air)
         air_rhs = (cap * T_a + rho_cp * V_vent * T_in + U_c_A_c * T_am
                    + air_solar * I_t * A_c * tau_c)
 
         cap = m_p * (C_pp + C_pl * M_p) / dt
-        product = (product_cover, -A_p * h_c + q_m,
-                   cap + A_p * (h_c + h_r_pc) - q_m, 0.0)
+        product_air = -A_p * h_c + q_m
+        product_product = cap + A_p * (h_c + h_r_pc) - q_m
+        product = (product_cover, product_air, product_product, 0.0)
         product_rhs = (cap * T_p + latent_per_dmdt * dmdt
                        + product_solar * I_t * A_c * tau_c)
 
-        floor = (0.0, floor_air, 0.0, A_f * (h_dfg + h_c))
+        floor_floor = A_f * (h_dfg + h_c)
+        floor = (0.0, floor_air, 0.0, floor_floor)
         floor_rhs = floor_deep + floor_solar * I_t * A_c * tau_c
 
         A = (cover, air_row, product, floor)
         b = (cover_rhs, air_rhs, product_rhs, floor_rhs)
-        # a finite sum means finite entries; only a non-finite one (or a sum of
-        # finite entries that overflows) needs the per-row search.  Nested sums
-        # build no tuple of the 20 entries: CPython 3.11 keeps freed 20-tuples
-        # on its free list (up to 2000, ~390 KB over a run) and never reuses them.
-        if not math.isfinite(sum(cover, sum(air_row, sum(product, sum(floor, sum(b)))))):
+        # a finite sum of the nine entries that vary and the four right-hand
+        # sides means finite entries; only a non-finite one (or a sum of finite
+        # entries that overflows) needs the per-row search.  The add chain
+        # builds no tuple of the entries: CPython 3.11 keeps freed 20-tuples on
+        # its free list (up to 2000, ~390 KB over a run) and never reuses them.
+        if not isfinite(cover_cover + cover_air + product_cover + air_air
+                        + air_product + floor_air + product_air + product_product
+                        + floor_floor + cover_rhs + air_rhs + product_rhs + floor_rhs):
             for name, row, rhs in zip(BALANCES, A, b):
-                if not all(map(math.isfinite, (*row, rhs))):
+                if not all(map(isfinite, (*row, rhs))):
                     raise SimulationError(
                         f"non-finite {name} balance: row {row}, rhs {rhs}")
         T_c, T_a, T_p, T_f = x = solve_energy_system(A, b)
-        if not math.isfinite(T_c + T_a + T_p + T_f) and not all(map(math.isfinite, x)):
+        if not isfinite(T_c + T_a + T_p + T_f) and not all(map(isfinite, x)):
             raise SimulationError(f"non-finite temperatures {x}")
 
-        evap = -m_p * dM / dt
+        evap = minus_m_p * dM / dt
         # written so that a zero source leaves H bit-exactly unchanged
-        H_new = ((H + dt / m_a * (evap + rho_a * V_vent * H_in))
-                 / (1.0 + dt / m_a * rho_a * V_vent))
-        if not math.isfinite(H_new):
+        dt_m_a = dt / m_a
+        H_new = ((H + dt_m_a * (evap + rho_a * V_vent * H_in))
+                 / (1.0 + dt_m_a * rho_a * V_vent))
+        if not isfinite(H_new):
             raise SimulationError(f"non-finite humidity ratio {H_new}")
         if H_new < 0.0:
             H_new = 0.0
@@ -489,9 +532,9 @@ def stepper(cfg: DryerConfig):
         # saturation_pressure(T_a) and vapour_humidity_ratio(p_sat, T_a, P)
         if not 273.15 <= T_a <= SATURATION_T_MAX:
             saturation_pressure(T_a)  # raises its RangeError
-        p_sat = math.exp(-5.8002206e3 / T_a + 1.3914993 - 4.8640239e-2 * T_a
-                         + 4.1764768e-5 * T_a * T_a - 1.4452093e-8 * T_a * T_a * T_a
-                         + 6.5459673 * math.log(T_a))
+        p_sat = exp(-5.8002206e3 / T_a + 1.3914993 - 4.8640239e-2 * T_a
+                    + 4.1764768e-5 * T_a * T_a - 1.4452093e-8 * T_a * T_a * T_a
+                    + 6.5459673 * log(T_a))
         if p_sat >= P:
             vapour_humidity_ratio(p_sat, T_a, P)  # raises its RangeError
         H_sat = _EPSILON * p_sat / (P - p_sat)

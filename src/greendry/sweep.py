@@ -112,14 +112,15 @@ def _evaluate(cfg: DryerConfig, spec: SweepSpec,
               point: tuple[tuple[str, float], ...],
               forcings: dict[float, tuple[Forcing, ...]]) -> SweepResult:
     """One grid point's result, from its already overridden config.  A
-    point whose simulation fails, or that has no payback, is not reached
-    and carries the reason; other errors abort the sweep.  The weather
-    forcing depends only on the weather, dt and the horizon, so forcings
-    keeps it per dt, built on first use, for the points that follow."""
+    point whose simulation fails, whose dt makes a step count out of range,
+    or that has no payback, is not reached and carries the reason; other
+    errors abort the sweep.  The weather forcing depends only on the
+    weather, dt and the horizon, so forcings keeps it per dt, built on
+    first use, for the points that follow."""
     dt = cfg.numerics.dt
-    if dt not in forcings:
-        forcings[dt] = tuple(weather_forcing(spec.weather, dt, spec.horizon_s))
     try:
+        if dt not in forcings:
+            forcings[dt] = tuple(weather_forcing(spec.weather, dt, spec.horizon_s))
         hours = drying_time_objective(cfg, spec.weather, spec.target_mdb,
                                       spec.horizon_s, forcings[dt])
         if hours is None:
@@ -134,7 +135,7 @@ def _evaluate(cfg: DryerConfig, spec: SweepSpec,
             capital=eco.capital, operating_cost=eco.operating_cost,
             annual_production=eco.batch_kg_dry * eco.annual_operating_hours / hours,
             unit_premium=eco.unit_premium)))
-    except (SimulationError, EconomicsError) as exc:
+    except (SimulationError, EconomicsError, WeatherError) as exc:
         return SweepResult(point, math.inf, str(exc))
 
 

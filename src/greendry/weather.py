@@ -120,20 +120,24 @@ def brackets(times, ts):
     col[i - 1] + f * (col[i] - col[i - 1]); each caller works out only the
     columns it uses.  One forward walk over times: each bisect starts at
     the index of the time before, or at 0 again where ts goes backwards,
-    so ts may come in any order.  Every t must lie in
-    [times[0], times[-1]]."""
+    so ts may come in any order; where t lies at or before the time at
+    that index, as for a step grid finer than the times, the bisect is
+    skipped.  Every t must lie in [times[0], times[-1]]."""
     bisect_left = bisect.bisect_left
     lo, previous = 0, -math.inf
     for t in ts:
         if t < previous:
             lo = 0
         previous = t
-        i = lo = bisect_left(times, t, lo)
-        if times[i] == t:
-            yield i, None
+        t_i = times[lo]
+        if t_i < t:
+            lo = bisect_left(times, t, lo + 1)
+            t_i = times[lo]
+        if t_i == t:
+            yield lo, None
         else:
-            t0 = times[i - 1]
-            yield i, (t - t0) / (times[i] - t0)
+            t0 = times[lo - 1]
+            yield lo, (t - t0) / (t_i - t0)
 
 
 def sample(series: WeatherSeries, t: float) -> WeatherRecord:

@@ -1,6 +1,9 @@
-"""The pytest-benchmark cases live outside testpaths; run them once,
-untimed, so that a signature change they depend on fails here."""
+"""The pytest-benchmark cases and the A/B harness live outside
+testpaths; run them once, untimed or for two pairs, so that a signature
+change they depend on fails here."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -18,3 +21,30 @@ def test_layer_benchmarks_run():
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_ab_harness_runs(tmp_path):
+    # two pairs of the committed tree against the working tree, one day
+    # each, every case: the harness keeps working
+    out = tmp_path / "ab.json"
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "benchmarks" / "ab.py"), "HEAD", "--pairs", "2",
+         "--days", "1", "--json", str(out)],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary = json.loads(out.read_text(encoding="utf-8"))
+    assert set(summary["cases"]) == {"steps", "steps_prebuilt", "write_run", "import_cli"}
+    for case in summary["cases"].values():
+        assert case["pairs"] == 2 and 0 <= case["change_faster"] <= 2
+        assert len(case["parent"]["ms"]) == len(case["change"]["ms"]) == 2
+        assert 0.0 < case["sign_test_p"] <= 1.0
+
+
+def test_sign_test():
+    spec = importlib.util.spec_from_file_location("ab", REPO_ROOT / "benchmarks" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    assert ab.sign_test(10, 0) == ab.sign_test(0, 10) == 2.0 / 2**10
+    assert ab.sign_test(9, 1) == 2.0 * 11 / 2**10
+    assert ab.sign_test(3, 3) == ab.sign_test(0, 0) == 1.0

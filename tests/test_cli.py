@@ -213,6 +213,13 @@ class TestRun:
         ("numerics.pressure=5000", 3, "step 461 (t=27660.0 s): vapour pressure"),
         ("kinetics.b2=3e-06", 3, "step 0 (t=0.0 s): equilibrium moisture overflows"),
         ("kinetics.b0=0.012", 3, "step 0 (t=0.0 s): isotherm coefficient"),
+        # a step count past a float, past the cap, and no step at all
+        ("numerics.dt=5e-324", 2, "dt = 5e-324 s over a horizon of 86400.0 s makes "
+                                  "inf steps; a run takes 1 to 1000000"),
+        ("numerics.dt=1e-300", 2, "dt = 1e-300 s over a horizon of 86400.0 s makes "
+                                  "8.64e+304 steps; a run takes 1 to 1000000"),
+        ("numerics.dt=1e6", 2, "dt = 1000000.0 s over a horizon of 86400.0 s makes "
+                               "0 steps; a run takes 1 to 1000000"),
     ])
     def test_bad_input_exits_with_its_code(self, runner, baseline_config_path,
                                            tmp_path, override, code, message):
@@ -1163,6 +1170,23 @@ class TestSweep:
         assert "{'product.C_pp': 1e+308} failed: step 1 (t=60.0 s)" in warnings[0]
         rows = read_states_csv(tmp_path / "out" / "sweep.csv")
         assert rows["product.C_pp"] == [1700.0, 1e308]
+        assert rows["reached"] == [1.0, 0.0]
+
+    def test_point_whose_dt_makes_no_step_fails_alone(self, runner,
+                                                      baseline_config_path, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("parameters:\n  numerics.dt: [1e6, 60.0]\n"
+                        "objective: drying_time\ntarget_mdb: 0.35\nhorizon_h: 24\n")
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
+                         "--spec", str(spec), "--preset", "tropical",
+                         "--days", "2", "--out", str(tmp_path / "out"))
+        assert result.exit_code == 0, result.output
+        assert [line for line in result.stderr.splitlines()
+                if line.startswith("warning: ")] == [
+            "warning: point {'numerics.dt': 1000000.0} failed: dt = 1000000.0 s over "
+            "a horizon of 86400.0 s makes 0 steps; a run takes 1 to 1000000"]
+        rows = read_states_csv(tmp_path / "out" / "sweep.csv")
+        assert rows["numerics.dt"] == [60.0, 1e6]
         assert rows["reached"] == [1.0, 0.0]
 
     def test_manifest_records_the_sweep(self, runner, baseline_config_path, tmp_path,

@@ -937,3 +937,18 @@ class TestWeatherForcing:
             simulate(baseline_cfg, weather, horizon_s=2 * 86400.0)
         with pytest.raises(WeatherError, match="weather series ends at 86400.0 s"):
             drying_time_objective(baseline_cfg, weather, 0.08, 2 * 86400.0)
+
+    def test_step_count_checked_at_once(self, monkeypatch):
+        # a positive horizon must make 1 to MAX_STEPS steps of dt; a zero
+        # horizon makes none, and its run is the initial state alone
+        weather = synthetic_days(1)
+        monkeypatch.setattr(greendry.solver, "MAX_STEPS", 1440)
+        assert len(list(weather_forcing(weather, 60.0))) == 1440
+        assert len(list(weather_forcing(weather, 86400.0))) == 1
+        assert list(weather_forcing(weather, 1e6, 0.0)) == []
+        for dt, n in [(50.0, "1728"), (86400.0 * (1 + 1e-8), "0"),
+                      (1e-300, "8.64e+304"), (5e-324, "inf")]:
+            with pytest.raises(WeatherError) as exc:
+                weather_forcing(weather, dt)
+            assert str(exc.value) == (f"dt = {dt} s over a horizon of 86400.0 s makes "
+                                      f"{n} steps; a run takes 1 to 1440")

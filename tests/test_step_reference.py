@@ -363,6 +363,18 @@ _BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5,
      "equilibrium moisture needs a finite temperature, got T=nan C"),
     (_BASE._replace(T_a=math.nan), {}, True, "RangeError",
      "air temperature nan K outside bounds [250.0, 360.0] K"),
+    # the written-out isotherm: a NaN rh passes the clip, the power
+    # overflows, the product with base overflows, base is not positive
+    (_BASE._replace(rh=math.nan), {}, False, "KineticsError",
+     "water activity must be in (0, 1), got nan"),
+    (_BASE._replace(rh=83.0), {"kinetics.b2": 3e-06}, False, "KineticsError",
+     "equilibrium moisture overflows at T=26.9 C, a_w=0.83 "
+     "(b0=12.0, b1=-0.1, b2=3e-06)"),
+    (_BASE._replace(rh=99.917), {"kinetics.b2": 0.01}, False, "KineticsError",
+     "equilibrium moisture overflows at T=26.9 C, a_w=0.9992 "
+     "(b0=12.0, b1=-0.1, b2=0.01)"),
+    (_BASE, {"kinetics.b0": 2.0}, False, "KineticsError",
+     "isotherm coefficient b0 + b1*T = -0.6850 <= 0 at T=26.9 C"),
     # cover-sky is checked before product-cover
     (_BASE._replace(T_c=-5.0, T_p=-5.0), {}, False, "RangeError",
      "temperatures must be > 0 K, got -5.0, 286.8276137334061"),
@@ -391,8 +403,8 @@ def test_error_parity(baseline_cfg, monkeypatch, state, k_fields, fixed_M_e,
 
 
 def test_advance_calls_no_other_helper(baseline_cfg, tropical_weather):
-    # per step, outside an error path: only _kinetics_update (with the
-    # isotherm) and the 4x4 solve
+    # per step, outside an error path: only _kinetics_update, whose
+    # isotherm is written out, and the 4x4 solve
     advance = stepper(baseline_cfg)
     state = initial_state(baseline_cfg, tropical_weather)
     forcing = tuple(weather_forcing(tropical_weather, baseline_cfg.numerics.dt,
@@ -409,8 +421,7 @@ def test_advance_calls_no_other_helper(baseline_cfg, tropical_weather):
             state, _ = advance(state, f)
     finally:
         sys.setprofile(None)
-    assert calls == {"advance", "_kinetics_update", "equilibrium_moisture",
-                     "solve_energy_system"}
+    assert calls == {"advance", "_kinetics_update", "solve_energy_system"}
 
 
 @pytest.mark.parametrize("record, name", [(Forcing, "f")])

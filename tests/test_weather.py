@@ -186,11 +186,15 @@ class TestInterpolate:
         columns = ([rng.uniform(-1e3, 1e3) for _ in times],
                    [rng.uniform(0.0, 1.0) for _ in times])
         # both ends, every tenth grid point, irregular times, repeats, and
-        # the whole set again shuffled, so the walk restarts many times
+        # the whole set again shuffled, so the walk restarts many times;
+        # then a sorted step grid of ten times per knot interval, where most
+        # times lie at or before the knot the walk stands on
         ts = [times[0], times[-1], *times[::10],
               *(rng.uniform(times[0], times[-1]) for _ in range(500))]
         ts += ts[:50]
         ts += rng.sample(ts, len(ts))
+        ts += [t0 + k / 10 * (t1 - t0) for t0, t1 in zip(times, times[1:])
+               for k in range(10)] + [times[-1]]
         assert [_lerp(columns, b) for b in brackets(times, ts)] == [
             [_interpolate_at(times, col, t) for col in columns] for t in ts]
 
