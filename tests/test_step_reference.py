@@ -363,18 +363,6 @@ _BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5,
      "equilibrium moisture needs a finite temperature, got T=nan C"),
     (_BASE._replace(T_a=math.nan), {}, True, "RangeError",
      "air temperature nan K outside bounds [250.0, 360.0] K"),
-    # the written-out isotherm: a NaN rh passes the clip, the power
-    # overflows, the product with base overflows, base is not positive
-    (_BASE._replace(rh=math.nan), {}, False, "KineticsError",
-     "water activity must be in (0, 1), got nan"),
-    (_BASE._replace(rh=83.0), {"kinetics.b2": 3e-06}, False, "KineticsError",
-     "equilibrium moisture overflows at T=26.9 C, a_w=0.83 "
-     "(b0=12.0, b1=-0.1, b2=3e-06)"),
-    (_BASE._replace(rh=99.917), {"kinetics.b2": 0.01}, False, "KineticsError",
-     "equilibrium moisture overflows at T=26.9 C, a_w=0.9992 "
-     "(b0=12.0, b1=-0.1, b2=0.01)"),
-    (_BASE, {"kinetics.b0": 2.0}, False, "KineticsError",
-     "isotherm coefficient b0 + b1*T = -0.6850 <= 0 at T=26.9 C"),
     # cover-sky is checked before product-cover
     (_BASE._replace(T_c=-5.0, T_p=-5.0), {}, False, "RangeError",
      "temperatures must be > 0 K, got -5.0, 286.8276137334061"),
@@ -389,6 +377,18 @@ _BASE = SimState(0.0, 300.0, 300.0, 300.0, 300.0, 0.012, 0.5,
      {"numerics.pressure": 3000.0}, False, "RangeError",
      "vapour pressure 3641.854615821294 Pa at 300.5026821922166 K exceeds "
      "total pressure 3000.0 Pa"),
+    # the written-out isotherm: a NaN rh passes the clip, the power
+    # overflows, the product with base overflows, base is not positive
+    (_BASE._replace(rh=math.nan), {}, False, "KineticsError",
+     "water activity must be in (0, 1), got nan"),
+    (_BASE._replace(rh=83.0), {"kinetics.b2": 3e-06}, False, "KineticsError",
+     "equilibrium moisture overflows at T=26.9 C, a_w=0.83 "
+     "(b0=12.0, b1=-0.1, b2=3e-06)"),
+    (_BASE._replace(rh=99.917), {"kinetics.b2": 0.01}, False, "KineticsError",
+     "equilibrium moisture overflows at T=26.9 C, a_w=0.9992 "
+     "(b0=12.0, b1=-0.1, b2=0.01)"),
+    (_BASE, {"kinetics.b0": 2.0}, False, "KineticsError",
+     "isotherm coefficient b0 + b1*T = -0.6850 <= 0 at T=26.9 C"),
 ])
 def test_error_parity(baseline_cfg, monkeypatch, state, k_fields, fixed_M_e,
                       error, text):
