@@ -2,16 +2,18 @@ r"""Time a revision of greendry against the working tree, in alternated pairs.
 
     python benchmarks/ab.py REV [--pairs 20] [--days 4] [--json OUT]
 
-REV is any git revision.  `git archive REV src/greendry` is unpacked into
-a temporary directory, and that tree ("parent") and the working tree's
-src/greendry ("change") are loaded in this one process under two module
-names: every module of greendry imports its siblings relatively, so the
-two trees do not see each other.  Each case is built once per side from
-the same inputs (configs/baseline_copra.yaml under `days` synthetic
-tropical days, as benchmarks/test_layers.py builds them) and run once
-untimed; then each pair times one call on each side, the parent first in
-even pairs and the change first in odd ones, so that a change in the
-host's speed falls on both sides alike.  The cases:
+REV is any git revision.  `git archive REV src/greendry
+configs/baseline_copra.yaml` is unpacked into a temporary directory, and
+that tree ("parent") and the working tree's src/greendry ("change") are
+loaded in this one process under two module names: every module of
+greendry imports its siblings relatively, so the two trees do not see
+each other.  Each case is built once per side, from that side's
+configs/baseline_copra.yaml (REV's, or the working tree's), which its
+own config schema reads, under `days` synthetic tropical days, as
+benchmarks/test_layers.py builds them, and run once untimed; then each
+pair times one call on each side, the parent first in even pairs and
+the change first in odd ones, so that a change in the host's speed falls
+on both sides alike.  The cases:
 
 - steps: the walk of `solver.steps`, the forcing streamed, every state
   of the run with its work, none kept (as `greendry run` takes it);
@@ -47,18 +49,20 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIG = ROOT / "configs" / "baseline_copra.yaml"
+CONFIG = Path("configs") / "baseline_copra.yaml"
 CASES = ("steps", "steps_prebuilt", "write_run", "import_cli")
 SIDES = ("parent", "change")
 
 
 def _archive(rev: str, into: Path) -> str:
-    """Unpack src/greendry of rev under into; return rev's commit id."""
+    """Unpack src/greendry and CONFIG of rev under into; return rev's
+    commit id."""
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
                              f"{rev}^{{commit}}"], capture_output=True, text=True,
                             check=True).stdout.strip()
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit,
-                          "src/greendry"], capture_output=True, check=True).stdout
+                          "src/greendry", CONFIG.as_posix()],
+                         capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         if hasattr(tarfile, "data_filter"):
             archive.extractall(into, filter="data")
@@ -76,13 +80,14 @@ def _load(name: str, tree: Path) -> None:
     spec.loader.exec_module(package)
 
 
-def _cases(name: str, tree: Path, days: int, scratch: Path) -> dict:
+def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
     """{case: the call that case times} for the package name loaded from
-    tree, with its inputs built here."""
+    root's src/greendry, with its inputs built here from root's CONFIG."""
+    tree = root / "src" / "greendry"
     _load(name, tree)
     solver = importlib.import_module(f"{name}.solver")
     cli = importlib.import_module(f"{name}.cli")
-    cfg = importlib.import_module(f"{name}.config").load_config(CONFIG)
+    cfg = importlib.import_module(f"{name}.config").load_config(root / CONFIG)
     weather = importlib.import_module(f"{name}.weather").synthetic_days(days)
     forcing = tuple(solver.weather_forcing(weather, cfg.numerics.dt))
     run = tuple(solver.steps(cfg, weather))
@@ -157,9 +162,8 @@ def main(argv=None) -> dict:
     with tempfile.TemporaryDirectory(prefix="greendry-ab-") as tmp:
         tmp = Path(tmp)
         commit = _archive(args.rev, tmp / "parent")
-        trees = {"parent": tmp / "parent" / "src" / "greendry",
-                 "change": ROOT / "src" / "greendry"}
-        calls = {side: _cases(f"greendry_ab_{side}", trees[side], args.days, tmp)
+        roots = {"parent": tmp / "parent", "change": ROOT}
+        calls = {side: _cases(f"greendry_ab_{side}", roots[side], args.days, tmp)
                  for side in SIDES}
         times = {case: {side: [] for side in SIDES} for case in CASES}
         for case in CASES:

@@ -1,12 +1,12 @@
 """Command-line entry point: reproducible runs with CSV outputs.
 
 Subcommands: run, validate, sweep, gen-weather.  Exit codes for run/sweep:
-1 configuration error; 2 weather/input error (run: a horizon not >= 0 or
-past the weather, a dt that makes no step or more than solver.MAX_STEPS,
-a non-finite --target-mdb; sweep: a spec error, named by the spec, or a
-grid value that the config rejects) or an --out that cannot be written
-(also for gen-weather); 3 numerical failure (for sweep: of every grid
-point, a failed simulation, a dt's step count or no payback); validate exits 1
+1 configuration error; 2 weather/input error (a dt that makes no step or
+more than solver.MAX_STEPS; run: a horizon not >= 0 or past the weather,
+a non-finite --target-mdb; sweep: a spec error, a grid value that the
+config rejects or a grid point's dt, each named by the spec) or an --out
+that cannot be written (also for gen-weather); 3 numerical failure (for
+sweep: of every grid point, a failed simulation or no payback); validate exits 1
 when the acceptance check fails and 2 on an unreadable or malformed CSV,
 a grid or a variable error, or a --limit that is not finite and >= 0.
 A usage error, parsed by argparse, exits 2 for every command.
@@ -324,7 +324,7 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir):
                             n_reached=sum(r.reached for r in results),
                             failed=[{"point": dict(r.point), "error": r.error}
                                     for r in failed])
-    except ConfigError as exc:  # a grid value that the config rejects
+    except ConfigError as exc:  # a grid value or dt that grid_search rejects
         _fail(2, f"{spec_path}: {exc}")
     except GreendryError as exc:
         _fail(3, str(exc))

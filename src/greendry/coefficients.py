@@ -57,12 +57,3 @@ def _convective(D_h_V_a: float, D_h: float, air: AirProps):
     Nu = 0.0158 * Re**0.8
     return Re, Nu, Nu * air.k / D_h
 
-
-def overall_cover_loss(k_c: float, delta_c: float) -> float:
-    """Overall cover loss coefficient k_c / delta_c.
-
-    Note: for very thin films this conduction-only value is far larger
-    than any realistic overall loss (0.33 W/mK over 200 um gives
-    1650 W m^-2 K^-1); baseline configs use an effective thickness.
-    """
-    return k_c / delta_c

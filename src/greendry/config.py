@@ -20,17 +20,14 @@ class Geometry(NamedTuple):
     A_f: float     # floor area, m^2
     A_p: float     # product area, m^2
     V: float       # chamber volume, m^3
-    D_p: float     # product layer thickness, m
 
 
 class Cover(NamedTuple):
-    m_c: float       # mass, kg
-    C_pc: float      # specific heat, J kg^-1 K^-1
+    C_c: float       # heat capacity, J K^-1
     alpha_c: float   # absorptance
     tau_c: float     # transmittance
     eps_c: float     # emissivity
-    k_c: float       # conductivity, W m^-1 K^-1
-    delta_c: float   # thickness, m
+    U_c: float       # overall loss coefficient to ambient, W m^-2 K^-1
 
 
 class Floor(NamedTuple):
@@ -40,7 +37,7 @@ class Floor(NamedTuple):
 
 
 class Product(NamedTuple):
-    rho_p: float     # dry bulk density, kg m^-3; dry mass rho_p A_p D_p
+    loading: float   # dry loading, kg m^-2; dry mass loading A_p
     C_pp: float      # dry product specific heat, J kg^-1 K^-1
     C_pl: float      # liquid water specific heat, J kg^-1 K^-1
     C_pv: float      # water vapour specific heat, J kg^-1 K^-1
@@ -77,7 +74,7 @@ class Numerics(NamedTuple):
 # listed in none of these sets must be > 0.
 _FRACTIONS = {"cover.alpha_c", "cover.tau_c", "cover.eps_c", "floor.alpha_f",
               "product.alpha_p", "product.eps_p", "product.F_p"}
-_NONNEGATIVE = {"cover.k_c", "floor.h_dfg", "airflow.V_vent", "airflow.V_a",
+_NONNEGATIVE = {"cover.U_c", "floor.h_dfg", "airflow.V_vent", "airflow.V_a",
                 "airflow.H_in"}
 _ANY_SIGN = {"kinetics.b0", "kinetics.b1", "kinetics.b2"}  # b2 != 0
 

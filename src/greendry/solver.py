@@ -89,7 +89,7 @@ from typing import NamedTuple
 
 from . import kinetics
 from .coefficients import (RE_TURBULENT_MIN, SIGMA, _radiative, hydraulic_diameter,
-                           overall_cover_loss, wind_coefficient)
+                           wind_coefficient)
 from .config import DryerConfig, Kinetics
 from .core import (_AIR_TABLE_CP, _AIR_TABLE_K, _AIR_TABLE_NU, _AIR_TABLE_RHO,
                    _AIR_TABLE_T, _EPSILON, AIR_T_MAX, AIR_T_MIN, SATURATION_T_MAX,
@@ -334,21 +334,26 @@ def _forcing(t: float, I_t: float, T_am: float, V_w: float) -> Forcing:
     return _tuple_new(Forcing, (t, I_t, T_am, T_am**1.5, wind_coefficient(V_w)))
 
 
-def weather_forcing(weather: WeatherSeries, dt: float,
-                    horizon_s: float | None = None) -> Iterator[Forcing]:
-    """The Forcing of each step i = 1, 2, ... of a run of step dt over
-    horizon_s (default: to the end of the series), interpolated at
-    min(t0 + i dt, t_end), as an iterator that takes one step at a time.
-    The horizon is checked here, at once, by `WeatherSeries.horizon`, and
-    so is the step count: WeatherError unless a positive horizon makes 1
-    to MAX_STEPS steps of dt."""
+def step_count(weather: WeatherSeries, dt: float, horizon_s: float | None = None) -> int:
+    """The steps of dt in horizon_s (default: to the end of the series),
+    checked by `WeatherSeries.horizon`; WeatherError unless a positive
+    horizon makes 1 to MAX_STEPS of them."""
     horizon = weather.horizon(horizon_s)
     n = horizon / dt + 1e-9
     if horizon and not 1.0 <= n < MAX_STEPS + 1:
         raise WeatherError(f"dt = {dt} s over a horizon of {horizon} s makes "
                            f"{int(n) if n < 1.0 else n:.6g} steps; a run takes "
                            f"1 to {MAX_STEPS}")
-    return _forcings(weather, dt, int(n))
+    return int(n)
+
+
+def weather_forcing(weather: WeatherSeries, dt: float,
+                    horizon_s: float | None = None) -> Iterator[Forcing]:
+    """The Forcing of each step i = 1, 2, ... of a run of step dt over
+    horizon_s (default: to the end of the series), interpolated at
+    min(t0 + i dt, t_end), as an iterator that takes one step at a time;
+    `step_count` checks the horizon and the step count here, at once."""
+    return _forcings(weather, dt, step_count(weather, dt, horizon_s))
 
 
 def _forcings(weather: WeatherSeries, dt: float, n: int) -> Iterator[Forcing]:
@@ -386,16 +391,16 @@ def stepper(cfg: DryerConfig):
     D_h_V_a = D_h * V_a
     eps_c_sigma, eps_p_sigma = c.eps_c * SIGMA, p.eps_p * SIGMA
     A_c, A_p, A_f, V, tau_c = g.A_c, g.A_p, g.A_f, g.V, c.tau_c
-    cover_cap = c.m_c * c.C_pc / dt
+    cover_cap = c.C_c / dt
     cover_solar = A_c * c.alpha_c
     A_pf = A_p + A_f
-    U_c_A_c = overall_cover_loss(c.k_c, c.delta_c) * A_c
-    q_m_per_dmdt = A_p * g.D_p * p.C_pv * p.rho_p
+    U_c_A_c = c.U_c * A_c
+    m_p = p.loading * A_p                  # dry mass of the charge, kg
+    q_m_per_dmdt = m_p * p.C_pv
     air_solar = (1.0 - p.F_p) * (1.0 - fl.alpha_f) + (1.0 - p.alpha_p) * p.F_p
     V_vent, T_in, H_in = a.V_vent, a.T_in, a.H_in
-    m_p = p.rho_p * A_p * g.D_p            # dry mass of the charge, kg
     C_pp, C_pl = p.C_pp, p.C_pl
-    latent_per_dmdt = A_p * g.D_p * p.rho_p * p.L_p
+    latent_per_dmdt = m_p * p.L_p
     product_solar = p.F_p * p.alpha_p
     h_dfg = fl.h_dfg
     floor_deep = A_f * h_dfg * fl.T_deep
@@ -418,11 +423,11 @@ def stepper(cfg: DryerConfig):
           rho_a V.  Ventilation swaps V_vent of inlet air for as much chamber
           air, carrying rho_a C_pa V_vent (T_in - T_a) with the outlet at the
           well-mixed chamber temperature; the sensible moisture term
-          A_p D_p C_pv rho_p (T_p - T_a) dM/dt keeps the temperatures
-          implicit with dM/dt frozen from the kinetics step.
+          m_p C_pv (T_p - T_a) dM/dt keeps the temperatures implicit with
+          dM/dt frozen from the kinetics step.
         - product: backward-difference balance with the effective heat
-          capacity m_p (C_pp + C_pl M_p) of the dry mass m_p = rho_p A_p D_p
-          and the latent term L_p dM/dt as an explicit sink.
+          capacity m_p (C_pp + C_pl M_p) of the dry mass m_p = loading A_p
+          and the latent term m_p L_p dM/dt as an explicit sink.
         - floor: quasi-steady algebraic row, conduction to the deep soil
           balancing absorbed solar plus convection from the air, scaled by the
           floor area so the residual is in watts like the other rows; raises

@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .analysis import EconomicInputs, payback_period
 from .config import DryerConfig, apply_overrides, check_keys, number, read_record, read_yaml
 from .errors import ConfigError, EconomicsError, SimulationError, WeatherError
-from .solver import Forcing, steps, weather_forcing
+from .solver import Forcing, step_count, steps, weather_forcing
 from .weather import WeatherSeries
 
 GRID_CAP = 10_000  # the most points a sweep grid may have
@@ -111,8 +111,8 @@ def drying_time_objective(
 def _evaluate(cfg: DryerConfig, spec: SweepSpec,
               point: tuple[tuple[str, float], ...],
               forcings: dict[float, tuple[Forcing, ...]]) -> SweepResult:
-    """One grid point's result, from its already overridden config.  A
-    point whose simulation fails, whose dt makes a step count out of range,
+    """One grid point's result, from its already overridden config, whose
+    dt's step count grid_search checked.  A point whose simulation fails,
     or that has no payback, is not reached and carries the reason; other
     errors abort the sweep.  The weather forcing depends only on the
     weather, dt and the horizon, so forcings keeps it per dt, built on
@@ -135,7 +135,7 @@ def _evaluate(cfg: DryerConfig, spec: SweepSpec,
             capital=eco.capital, operating_cost=eco.operating_cost,
             annual_production=eco.batch_kg_dry * eco.annual_operating_hours / hours,
             unit_premium=eco.unit_premium)))
-    except (SimulationError, EconomicsError, WeatherError) as exc:
+    except (SimulationError, EconomicsError) as exc:
         return SweepResult(point, math.inf, str(exc))
 
 
@@ -171,16 +171,21 @@ def grid_search(base: DryerConfig, spec: SweepSpec) -> list[SweepResult]:
     A point that fails ranks as not reached, with its error.
 
     Points are simulated in one worker process per available CPU, at
-    most one per point; with one CPU or one point, in this process.  Every
-    point's overrides are applied here first, so an invalid one raises
-    before any point is simulated.  Each point runs the same code either
-    way, so the results are identical."""
+    most one per point; with one CPU or one point, in this process, with
+    the same results.  Every point's overrides, and each dt's step count,
+    are checked here first: an invalid one raises a ConfigError before any
+    point is simulated."""
     paths = [p for p, _ in spec.parameters]
     points = [
         tuple(zip(paths, combo))
         for combo in itertools.product(*(vals for _, vals in spec.parameters))
     ]
     cfgs = [apply_overrides(base, dict(pt)) for pt in points]
+    for dt in dict.fromkeys(cfg.numerics.dt for cfg in cfgs):
+        try:
+            step_count(spec.weather, dt, spec.horizon_s)
+        except WeatherError as exc:
+            raise ConfigError(f"numerics.dt: {exc}") from None
     workers = min(available_cpus(), len(points))
     if workers == 1:
         forcings = {}

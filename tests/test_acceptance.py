@@ -72,8 +72,7 @@ def test_criterion_3_balance_residuals_and_water_conservation(baseline_cfg):
     ws = synthetic_days(1, peak_irradiance=0.0, T_min=323.0, T_max=323.0,
                         rh_min=20.0, rh_max=20.0)
     ser = simulate(sealed, ws, horizon_s=3600.0)
-    bed_mass = (sealed.product.rho_p * sealed.geometry.A_p
-                * sealed.geometry.D_p)
+    bed_mass = sealed.product.loading * sealed.geometry.A_p
     worst_balance = 0.0
     for prev, cur, diag in zip(ser.states, ser.states[1:], ser.diagnostics):
         assert "humidity_saturation_clamped" not in diag.flags

@@ -283,9 +283,9 @@ class TestRun:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("states.csv", "diagnostics.csv")} == {
             "states.csv":
-                "f3e0cbe3343ed8b0b854ca6f1a3e389625c48d9302b98e59b3207faf3d068850",
+                "6681355b7f1af609da6a1cadbf15faf589172e036237d76db44d279bacf68b56",
             "diagnostics.csv":
-                "4cb055597ecd4d5ccd5da83f50a2f70259e39ad61563f388c2fe143a10fceb88",
+                "15f2fa313e91ae833ad5803aed240df58e09c891bb2efb98c44ce97e478a9097",
         }
 
     def test_rh_column_is_relative_humidity_of_each_state(
@@ -353,7 +353,7 @@ class TestRun:
         assert result.exit_code == 0, result.output
         states = (out / "states.csv").read_bytes()
         assert hashlib.sha256(states).hexdigest() == \
-            "e2cafbd4d318688d7560ee443cc6ffc37847fd0401752e81a24aeb75e05820d9"
+            "de00a74c40dcb54626b7899e7c53e3f8dcd70b22b48a201340c5a85cda837e08"
         assert len(read_states_csv(out / "states.csv")["t_s"]) == 2
         assert json.loads((out / "manifest.json").read_text())["n_states"] == 2
         assert sorted(p.name for p in out.iterdir()) == \
@@ -1172,22 +1172,25 @@ class TestSweep:
         assert rows["product.C_pp"] == [1700.0, 1e308]
         assert rows["reached"] == [1.0, 0.0]
 
-    def test_point_whose_dt_makes_no_step_fails_alone(self, runner,
-                                                      baseline_config_path, tmp_path):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_grid_dt_that_makes_no_step_exit_2(self, runner, baseline_config_path,
+                                               tmp_path, cpus, n):
+        # an input error, as in `run`: named by the spec before any point runs
         spec = tmp_path / "spec.yaml"
-        spec.write_text("parameters:\n  numerics.dt: [1e6, 60.0]\n"
+        spec.write_text("parameters:\n  numerics.dt: [60.0, 1e6]\n"
                         "objective: drying_time\ntarget_mdb: 0.35\nhorizon_h: 24\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sweep.csv").write_bytes(b"kept\n")
+        cpus(n)
         result = run_cli(runner, "sweep", "--config", str(baseline_config_path),
                          "--spec", str(spec), "--preset", "tropical",
-                         "--days", "2", "--out", str(tmp_path / "out"))
-        assert result.exit_code == 0, result.output
-        assert [line for line in result.stderr.splitlines()
-                if line.startswith("warning: ")] == [
-            "warning: point {'numerics.dt': 1000000.0} failed: dt = 1000000.0 s over "
-            "a horizon of 86400.0 s makes 0 steps; a run takes 1 to 1000000"]
-        rows = read_states_csv(tmp_path / "out" / "sweep.csv")
-        assert rows["numerics.dt"] == [60.0, 1e6]
-        assert rows["reached"] == [1.0, 0.0]
+                         "--days", "2", "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"error: {spec}: numerics.dt: dt = 1000000.0 s over a horizon of "
+            "86400.0 s makes 0 steps; a run takes 1 to 1000000\n")
+        assert _contents(out) == {"sweep.csv": b"kept\n"}
 
     def test_manifest_records_the_sweep(self, runner, baseline_config_path, tmp_path,
                                         cpus):

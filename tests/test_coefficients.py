@@ -11,7 +11,6 @@ from greendry.coefficients import (
     _radiative,
     _sky,
     hydraulic_diameter,
-    overall_cover_loss,
     wind_coefficient,
 )
 from greendry.config import Kinetics, apply_overrides
@@ -118,14 +117,6 @@ class TestInternalConvective:
         assert all(b > a for a, b in zip(hs, hs[1:]))
 
 
-class TestOverallCoverLoss:
-    def test_thin_film_magnitude(self):
-        assert overall_cover_loss(0.33, 200e-6) == pytest.approx(1650.0, rel=1e-12)
-
-    def test_perfect_insulator(self):
-        assert overall_cover_loss(0.0, 0.001) == 0.0
-
-
 class TestAssemble:
     """The coefficients that `advance` assembles for a step, read back from
     the energy rows it returns in its work."""
@@ -152,7 +143,7 @@ class TestAssemble:
         f = greendry.solver._forcing(state.t + dt, w.I_t, w.T_am, w.V_w)
         A, b, _, _, flags = stepper(cfg)(state, f)[1]
         [h_w] = seen
-        cover_cap = c.m_c * c.C_pc / dt
+        cover_cap = c.C_c / dt
         h_c = -A[3][1] / g.A_f
         h_r_pc = -A[0][2] / g.A_p
         h_r_cs = (A[0][0] - cover_cap - g.A_p * h_r_pc) / g.A_c - h_c - h_w

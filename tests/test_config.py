@@ -102,11 +102,13 @@ class TestValidation:
                  for section, values in baseline_cfg.to_dict().items()
                  for name in values]
         assert sorted(paths) == sorted(FIELDS)
-        assert len(paths) == 36
+        assert len(paths) == 33
 
     @pytest.mark.parametrize("section, key", [
         ("floor", "k_f"), ("airflow", "V_in"), ("airflow", "V_out"),
         ("numerics", "linearization"), ("product", "m_p"),
+        ("cover", "m_c"), ("cover", "C_pc"), ("cover", "k_c"), ("cover", "delta_c"),
+        ("product", "rho_p"), ("geometry", "D_p"),
     ])
     def test_removed_keys_rejected(self, section, key):
         data = {k: dict(v) for k, v in BASE.items()}
@@ -135,11 +137,11 @@ class TestValidation:
 
     def test_bounds_the_physics_relies_on(self):
         # the physics functions do not check these again: the hydraulic
-        # diameter divides by W + D, the cover loss by delta_c, a step by
-        # dt; k_c and V_a may be 0; emissivities are fractions
+        # diameter divides by W + D, a step by dt; U_c and V_a may be 0;
+        # emissivities are fractions
         rest = set(FIELDS) - _FRACTIONS - _NONNEGATIVE - _ANY_SIGN
-        assert {"geometry.W", "geometry.D", "cover.delta_c", "numerics.dt"} <= rest
-        assert {"cover.k_c", "airflow.V_a"} <= _NONNEGATIVE
+        assert {"geometry.W", "geometry.D", "numerics.dt"} <= rest
+        assert {"cover.U_c", "airflow.V_a"} <= _NONNEGATIVE
         assert {"cover.eps_c", "product.eps_p"} <= _FRACTIONS
         assert (_FRACTIONS | _NONNEGATIVE | _ANY_SIGN) <= set(FIELDS)
 
@@ -158,7 +160,7 @@ class TestValidation:
         assert str(exc.value) == f"missing keys in {section}: [{name!r}]"
 
     def test_required_fields_are_all_but_the_defaults(self):
-        assert len(REQUIRED) == 33
+        assert len(REQUIRED) == 30
         assert set(FIELDS) - set(REQUIRED) == {"kinetics.c_sky", "numerics.dt",
                                                "numerics.pressure"}
 

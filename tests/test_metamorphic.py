@@ -24,8 +24,8 @@ LATER_WITH = (
     ("product.F_p", (0.3, 0.5, 0.7)),
     # a wetter charge has more water to lose
     ("product.M_0_pct", (45.0, 52.2, 60.0, 109.2)),
-    # a thicker bed holds more water and dry matter on the same area
-    ("geometry.D_p", (0.005, 0.01, 0.02)),
+    # a heavier bed holds more water and dry matter on the same area
+    ("product.loading", (1.5, 3.0, 6.0)),
 )
 
 

@@ -41,11 +41,11 @@ from conftest import records_of, series_of, unchecked
 
 BASE = {
     "geometry": {"W": 2.0, "D": 1.0, "A_c": 10.0, "A_f": 8.0, "A_p": 6.0,
-                 "V": 8.0, "D_p": 0.02},
-    "cover": {"m_c": 5.0, "C_pc": 2300.0, "alpha_c": 0.05, "tau_c": 0.85,
-              "eps_c": 0.4, "k_c": 0.33, "delta_c": 0.05},
+                 "V": 8.0},
+    "cover": {"C_c": 11500.0, "alpha_c": 0.05, "tau_c": 0.85, "eps_c": 0.4,
+              "U_c": 6.6},
     "floor": {"alpha_f": 0.6, "h_dfg": 3.0, "T_deep": 298.0},
-    "product": {"rho_p": 300.0, "C_pp": 1700.0, "C_pl": 4186.0,
+    "product": {"loading": 6.0, "C_pp": 1700.0, "C_pl": 4186.0,
                 "C_pv": 1880.0, "alpha_p": 0.6, "eps_p": 0.9, "L_p": 2.358e6,
                 "M_0_pct": 52.2, "F_p": 0.5},
     "airflow": {"V_vent": 0.1, "V_a": 1.0, "T_in": 301.0, "H_in": 0.012},
@@ -366,8 +366,8 @@ class TestCoverBalance:
         assert rhs_sun == rhs_dark
 
     def test_explicit_euler_oracle(self):
-        # decoupled cover with 100 W absorbed, m_c C_pc = 2000 J/K, dt = 10 s
-        cfg = make_cfg(cover={"m_c": 1.0, "C_pc": 2000.0, "alpha_c": 0.1},
+        # decoupled cover with 100 W absorbed, C_c = 2000 J/K, dt = 10 s
+        cfg = make_cfg(cover={"C_c": 2000.0, "alpha_c": 0.1},
                        geometry={"A_c": 10.0}, numerics={"dt": 10.0})
         state = make_state(300.0)
         w = WeatherRecord(t=10.0, I_t=100.0, T_am=300.0, V_w=0.0, rh_am=50.0)
@@ -398,7 +398,7 @@ class TestAirBalance:
     def test_pure_ventilation_moves_toward_inlet(self):
         dt = 1.0
         cfg = make_cfg(airflow={"V_vent": 0.05, "T_in": 310.0},
-                       cover={"k_c": 0.0}, numerics={"dt": dt})
+                       cover={"U_c": 0.0}, numerics={"dt": dt})
         T0 = 300.0
         state = make_state(T0)
         w = WeatherRecord(t=1.0, I_t=0.0, T_am=T0, V_w=0.0, rh_am=50.0)
@@ -444,9 +444,9 @@ class TestProductBalance:
         assert row @ np.full(4, T) - rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_effective_heat_capacity(self):
-        # a dry mass rho_p A_p D_p of 250 x 10 x 0.04 = 100 kg
-        cfg = make_cfg(product={"rho_p": 250.0, "C_pp": 2000.0, "C_pl": 4186.0},
-                       geometry={"A_p": 10.0, "D_p": 0.04})
+        # a dry mass loading A_p of 10 x 10 = 100 kg
+        cfg = make_cfg(product={"loading": 10.0, "C_pp": 2000.0, "C_pl": 4186.0},
+                       geometry={"A_p": 10.0})
         state = make_state(300.0, M_p=0.522)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         dt = 60.0
@@ -456,17 +456,17 @@ class TestProductBalance:
         assert row[2] == pytest.approx(cap / dt, rel=1e-12)
 
     @pytest.mark.parametrize("path, factor", [
-        ("geometry.D_p", 2.0), ("geometry.D_p", 0.5), ("product.rho_p", 1.5)])
+        ("product.loading", 2.0), ("product.loading", 0.5), ("geometry.A_p", 1.5)])
     def test_heat_capacity_scales_with_the_bed(self, baseline_cfg, path, factor):
-        # the charge's dry mass is rho_p A_p D_p: a thicker or denser bed
-        # has more dry matter to heat, as well as more water to lose
+        # the charge's dry mass is loading A_p: a heavier or wider bed has
+        # more dry matter to heat, as well as more water to lose
         section, name = path.split(".")
         value = getattr(getattr(baseline_cfg, section), name) * factor
         cfg = apply_overrides(baseline_cfg, {path: value})
         state = make_state(300.0, M_p=0.522)
         w = WeatherRecord(t=60.0, I_t=0.0, T_am=300.0, V_w=0.0, rh_am=50.0)
         def dry_mass(cfg):
-            return cfg.product.rho_p * cfg.geometry.A_p * cfg.geometry.D_p
+            return cfg.product.loading * cfg.geometry.A_p
 
         assert dry_mass(baseline_cfg) == 54.0
         assert dry_mass(cfg) == pytest.approx(54.0 * factor, rel=1e-15)
@@ -535,17 +535,17 @@ class TestMoistureBalance:
         cfg = make_cfg(airflow={"V_vent": 0.0})
         H_new, dM = humidity_step(cfg, make_state(300.0, H=0.01), -0.002)
         m_a = air_properties(300.0).rho * cfg.geometry.V
-        evap = -cfg.product.rho_p * cfg.geometry.A_p * cfg.geometry.D_p * dM
+        evap = -cfg.product.loading * cfg.geometry.A_p * dM
         assert m_a * (H_new - 0.01) == pytest.approx(evap, rel=1e-12)
 
     def test_hand_case(self):
         # chamber volume for m_a = 30 kg of air at 320 K (saturation
         # H ~ 0.08 leaves room for the 0.0267)
         cfg = make_cfg(airflow={"V_vent": 0.0},
-                       product={"rho_p": 250.0},
-                       geometry={"A_p": 10.0, "D_p": 0.02,
+                       product={"loading": 5.0},
+                       geometry={"A_p": 10.0,
                                  "V": 30.0 / air_properties(320.0).rho})
-        # rho_p A_p D_p = 50 kg, dM = -0.01, m_a = 30 -> dH = 0.5/30
+        # loading A_p = 50 kg, dM = -0.01, m_a = 30 -> dH = 0.5/30
         H_new, _ = humidity_step(cfg, make_state(320.0, H=0.01), -0.01)
         assert H_new - 0.01 == pytest.approx(0.5 / 30.0, rel=1e-12)
 
@@ -589,7 +589,7 @@ class TestStep:
     # (product-cover, product-air, floor-air), has none: its cases poison
     # the value behind the row's diagonal entry.  The product's right-hand
     # side is reached through L_p, as F_p and alpha_p also feed the air row.
-    _DIAGONAL = ("cover.m_c", "cover.k_c", "product.C_pp", "floor.h_dfg")
+    _DIAGONAL = ("cover.C_c", "cover.U_c", "product.C_pp", "floor.h_dfg")
     _ENTRY_FIELD = {(0, 1): "geometry.A_c", (0, 2): "product.eps_p",
                     (0, 4): "cover.alpha_c", (1, 2): "product.C_pv",
                     (1, 3): "geometry.A_f", (1, 4): "airflow.T_in",
@@ -615,11 +615,11 @@ class TestStep:
         # cover and product capacities of 4e305 W/K: every entry is finite,
         # but the sum of the right-hand sides overflows to inf
         state = make_state(302.0, H=0.012, M_p=0.5)
-        g, c, p = baseline_cfg.geometry, baseline_cfg.cover, baseline_cfg.product
+        g, p = baseline_cfg.geometry, baseline_cfg.product
         dt = baseline_cfg.numerics.dt
         cfg = apply_overrides(baseline_cfg, {
-            "cover.C_pc": 4e305 * dt / c.m_c,
-            "product.C_pp": 4e305 * dt / (p.rho_p * g.A_p * g.D_p)})
+            "cover.C_c": 4e305 * dt,
+            "product.C_pp": 4e305 * dt / (p.loading * g.A_p)})
         systems = []
 
         def spy(A, b):
@@ -695,13 +695,13 @@ class TestSimulate:
 
     def test_ventilated_water_closure(self, baseline_cfg):
         # criterion 3's water balance with the baseline's ventilation:
-        # m_a (H_new - H) = -rho_p A_p D_p dM + dt rho_a V_vent (H_in - H_new)
+        # m_a (H_new - H) = -loading A_p dM + dt rho_a V_vent (H_in - H_new)
         g, a = baseline_cfg.geometry, baseline_cfg.airflow
         assert a.V_vent > 0
         ws = synthetic_days(1, peak_irradiance=0.0, T_min=323.0, T_max=323.0,
                             rh_min=20.0, rh_max=20.0)
         series = simulate(baseline_cfg, ws, horizon_s=3600.0)
-        bed_mass = baseline_cfg.product.rho_p * g.A_p * g.D_p
+        bed_mass = baseline_cfg.product.loading * g.A_p
         checked = 0
         for prev, cur, diag in zip(series.states, series.states[1:],
                                    series.diagnostics):

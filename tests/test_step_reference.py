@@ -21,7 +21,6 @@ from greendry.coefficients import (
     _radiative,
     _sky,
     hydraulic_diameter,
-    overall_cover_loss,
     wind_coefficient,
 )
 from greendry.config import Airflow, Cover, Floor, Geometry, Product, apply_overrides
@@ -82,7 +81,6 @@ def reference_advance(state, f, cfg):
     dt, P = cfg.numerics.dt, cfg.numerics.pressure
     A_c, A_p, A_f, tau_c = g.A_c, g.A_p, g.A_f, c.tau_c
     D_h = hydraulic_diameter(g.W, g.D)
-    U_c = overall_cover_loss(c.k_c, c.delta_c)
     I_t, T_am, h_w = f.I_t, f.T_am, f.h_w
     flags = []
     rh = state.rh
@@ -106,28 +104,28 @@ def reference_advance(state, f, cfg):
     if h_c + fl.h_dfg == 0.0:
         raise SimulationError("floor row singular: h_dfg + h_c = 0")
     dmdt = dM / dt
-    q_m = A_p * g.D_p * p.C_pv * p.rho_p * dmdt
+    q_m = p.loading * A_p * p.C_pv * dmdt
     product_cover = -A_p * h_r_pc
     floor_air = -A_f * h_c
 
-    cover = (c.m_c * c.C_pc / dt + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
+    cover = (c.C_c / dt + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc,
              -A_c * h_c, product_cover, 0.0)
-    cover_rhs = (c.m_c * c.C_pc / dt * state.T_c + A_c * h_r_cs * T_s
+    cover_rhs = (c.C_c / dt * state.T_c + A_c * h_r_cs * T_s
                  + A_c * h_w * T_am + A_c * c.alpha_c * I_t)
 
     m_a = air.rho * g.V
     cap = m_a * air.cp / dt
     rho_cp = air.rho * air.cp
-    air_row = (0.0, cap + (A_p + A_f) * h_c + q_m + rho_cp * a.V_vent + U_c * A_c,
+    air_row = (0.0, cap + (A_p + A_f) * h_c + q_m + rho_cp * a.V_vent + c.U_c * A_c,
                -(A_p * h_c + q_m), floor_air)
-    air_rhs = (cap * state.T_a + rho_cp * a.V_vent * a.T_in + U_c * A_c * T_am
+    air_rhs = (cap * state.T_a + rho_cp * a.V_vent * a.T_in + c.U_c * A_c * T_am
                + ((1.0 - p.F_p) * (1.0 - fl.alpha_f) + (1.0 - p.alpha_p) * p.F_p)
                * I_t * A_c * tau_c)
 
-    cap = p.rho_p * A_p * g.D_p * (p.C_pp + p.C_pl * state.M_p) / dt
+    cap = p.loading * A_p * (p.C_pp + p.C_pl * state.M_p) / dt
     product = (product_cover, -A_p * h_c + q_m,
                cap + A_p * (h_c + h_r_pc) - q_m, 0.0)
-    product_rhs = (cap * state.T_p + A_p * g.D_p * p.rho_p * p.L_p * dmdt
+    product_rhs = (cap * state.T_p + p.loading * A_p * p.L_p * dmdt
                    + p.F_p * p.alpha_p * I_t * A_c * tau_c)
 
     floor = (0.0, floor_air, 0.0, A_f * (fl.h_dfg + h_c))
@@ -144,7 +142,7 @@ def reference_advance(state, f, cfg):
         raise SimulationError(f"non-finite temperatures {x}")
     T_c, T_a, T_p, T_f = x
 
-    evap = -p.rho_p * A_p * g.D_p * dM / dt
+    evap = -p.loading * A_p * dM / dt
     H_new = ((state.H + dt / m_a * (evap + air.rho * a.V_vent * a.H_in))
              / (1.0 + dt / m_a * air.rho * a.V_vent))
     if not math.isfinite(H_new):

@@ -165,6 +165,19 @@ class TestGridSearch:
             assert r.objective == drying_time_objective(cfg, weather, 0.45,
                                                         12 * 3600.0)
 
+    @pytest.mark.parametrize("dt, n", [(1e6, "0"), (1e-3, "1.296e+08")])
+    def test_dt_out_of_step_range_aborts_the_sweep(self, baseline_cfg, weather,
+                                                   monkeypatch, cpus, dt, n):
+        # every dt of the grid is checked before any point is simulated
+        monkeypatch.setattr(greendry.sweep, "steps", None)
+        spec = make_spec(weather, (("numerics.dt", (60.0, dt)),
+                                   ("product.F_p", (0.4, 0.5))), horizon_s=1.5 * 86400.0)
+        cpus(1)
+        with pytest.raises(ConfigError) as exc:
+            grid_search(baseline_cfg, spec)
+        assert str(exc.value) == (f"numerics.dt: dt = {dt} s over a horizon of "
+                                  f"129600.0 s makes {n} steps; a run takes 1 to 1000000")
+
     def test_weather_too_short_aborts_the_sweep(self, weather):
         # the spec is checked before any point is simulated
         with pytest.raises(ConfigError, match="horizon_h: weather series ends at"):
