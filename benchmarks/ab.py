@@ -21,6 +21,11 @@ on both sides alike.  The cases:
   sweep builds it once per dt and shares it among its points;
 - write_run: `cli._write_run` of the run's states and work, built in
   advance, into two files in a temporary directory;
+- read_states: `weather.read_csv` of t_s and T_a_K from the states.csv
+  that write_run writes (validate's read of the states file);
+- validate: one in-process `greendry validate` of T_a_K of that
+  states.csv against 2500 observations, built as
+  benchmarks/test_layers.py::validate_argv builds them;
 - import_cli: a fresh interpreter that runs `import greendry.cli`, with
   the side's tree first on its path (the start-up every command pays).
 
@@ -33,6 +38,8 @@ time, to OUT.  A figure from fewer than ~10 pairs says little.
 from __future__ import annotations
 
 import argparse
+import bisect
+import contextlib
 import importlib
 import importlib.util
 import io
@@ -40,6 +47,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -50,7 +58,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = Path("configs") / "baseline_copra.yaml"
-CASES = ("steps", "steps_prebuilt", "write_run", "import_cli")
+CASES = ("steps", "steps_prebuilt", "write_run", "read_states", "validate", "import_cli")
 SIDES = ("parent", "change")
 
 
@@ -80,6 +88,31 @@ def _load(name: str, tree: Path) -> None:
     spec.loader.exec_module(package)
 
 
+def _observe(states, path: Path) -> None:
+    """Write to path 2500 seeded irregular observations of T_a_K, each the
+    value of states (t_s and T_a_K) at the step before its time times
+    (1 + 2 % gaussian noise), as benchmarks/test_layers.py::validate_argv
+    writes them."""
+    ts, T_a = states["t_s"], states["T_a_K"]
+    rng = random.Random(2500)
+    lines = ["t_s,T_a_K"]
+    for t in sorted(rng.uniform(ts[0], ts[-1]) for _ in range(2500)):
+        T = T_a[bisect.bisect_right(ts, t) - 1]
+        lines.append(f"{t!r},{T * (1.0 + rng.gauss(0.0, 0.02))!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _validate(cli, argv) -> None:
+    """`greendry validate` with argv in this process, its report line
+    discarded; RuntimeError unless it exits 0."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            if exc.code != 0:
+                raise RuntimeError(f"validate exited {exc.code}: {out.getvalue()}") from None
+
+
 def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
     """{case: the call that case times} for the package name loaded from
     root's src/greendry, with its inputs built here from root's CONFIG."""
@@ -88,10 +121,21 @@ def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
     solver = importlib.import_module(f"{name}.solver")
     cli = importlib.import_module(f"{name}.cli")
     cfg = importlib.import_module(f"{name}.config").load_config(root / CONFIG)
-    weather = importlib.import_module(f"{name}.weather").synthetic_days(days)
+    weather_module = importlib.import_module(f"{name}.weather")
+    read_csv, weather = weather_module.read_csv, weather_module.synthetic_days(days)
     forcing = tuple(solver.weather_forcing(weather, cfg.numerics.dt))
     run = tuple(solver.steps(cfg, weather))
     states, diagnostics = scratch / f"{name}_states.csv", scratch / f"{name}_diag.csv"
+    observed = scratch / f"{name}_observed.csv"
+    # read_states and validate read states, which write_run rewrites as it was
+    cli._write_run(states, diagnostics, run, "ab")
+
+    def two_columns(header):
+        return "t_s", "T_a_K"
+
+    _observe(read_csv(states, two_columns)[0], observed)
+    argv = ["validate", "--states", str(states), "--observed", str(observed),
+            "--variable", "T_a_K"]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(tree.parent), os.environ.get("PYTHONPATH"))))}
 
@@ -103,6 +147,8 @@ def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
         "steps": walk,
         "steps_prebuilt": lambda: walk(forcing),
         "write_run": lambda: cli._write_run(states, diagnostics, run, "ab"),
+        "read_states": lambda: read_csv(states, two_columns),
+        "validate": lambda: _validate(cli, argv),
         "import_cli": lambda: subprocess.run(
             [sys.executable, "-c", "import greendry.cli"], env=env, check=True),
     }

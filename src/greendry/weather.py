@@ -156,12 +156,56 @@ def sample(series: WeatherSeries, t: float) -> WeatherRecord:
                               for col in series.columns])
 
 
-READ_BLOCK = 1 << 13  # characters of whole lines that read_csv reads at a time
+READ_BLOCK = 1 << 15  # bytes of whole lines that read_csv reads at a time
+BOM = b"\xef\xbb\xbf"  # UTF-8's byte-order mark, skipped at the start of a file
+# blank to str.isspace and str.strip, but not to bytes.isspace and bytes.strip
+STR_ONLY_BLANKS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _skipped(line) -> bool:
     """A blank line, or one whose first non-blank character is "#"."""
     return line.lstrip()[:1] in ("", "#")
+
+
+def _chunks(fh):
+    """The bytes of the open binary file fh, a leading BOM left out, in
+    chunks that each end at a line end ("\n", "\r\n" or "\r") or at the end
+    of the file: READ_BLOCK bytes are read at a time, and a line that runs
+    past them is carried into the next chunk."""
+    rest = fh.read(len(BOM))
+    if rest == BOM:
+        rest = b""
+    while data := fh.read(READ_BLOCK):
+        rest += data
+        # a "\r" that ends the bytes read may be the first half of a "\r\n"
+        cut = max(rest.rfind(b"\n"), rest.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest
+
+
+def _decoded(lines, n, path) -> list:
+    """lines, bytes, the first of which is line n of path, decoded as
+    UTF-8; ValueError naming path:line and the byte for one that is not."""
+    text = []
+    for n, line in enumerate(lines, n):
+        try:
+            text.append(line.decode())
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{n}: byte {line[exc.start]:#04x} at column "
+                             f"{exc.start + 1} is not UTF-8 ({exc.reason})") from None
+    return text
+
+
+def _text_lines(chunks, n, path):
+    """The lines of chunks, the first of which is line n of path, decoded,
+    each with its end, as a file opened with newline="" gives them."""
+    for chunk in chunks:
+        lines = chunk.splitlines(keepends=True)
+        yield from _decoded(lines, n, path)
+        n += len(lines)
 
 
 def _csv_blocks(lines, first):
@@ -185,30 +229,47 @@ def _csv_blocks(lines, first):
         yield numbers, cells, None
 
 
-def _blocks(fh):
-    """The rows of the open file fh, skipped lines left out, in blocks of
-    (line numbers, cells, end): the cells of the rows in one list, each
-    row's followed by one cell end, which no row holds.  Lines are read
-    READ_BLOCK characters at a time and split on commas, the end "\n",
-    up to the first kept line that holds a '"'; csv.reader reads the file
-    from that line on."""
-    n = 1
-    while lines := fh.readlines(READ_BLOCK):
-        # a line whose first character is neither "#" nor blank is kept
-        # without a call of _skipped: most lines of a file
-        rows = [line.rstrip("\r\n") for line in lines
-                if ((c := line[0]) != "#" and not c.isspace()) or not _skipped(line)]
-        numbers = (range(n, n + len(lines)) if len(rows) == len(lines) else
-                   [i for i, line in enumerate(lines, n) if not _skipped(line)])
-        quoted, text = len(rows), ",\n,".join(rows)
-        if '"' in text:
-            quoted = next(i for i, row in enumerate(rows) if '"' in row)
-            text = ",\n,".join(rows[:quoted])
+def _blocks(fh, path):
+    """The rows of the open binary file fh, skipped lines left out, in
+    blocks of (line numbers, cells, end): the cells of the rows in one
+    list, each row's followed by one cell end, which no row holds.  Each
+    chunk of lines (see _chunks) is split on commas up to the first kept
+    line that holds a '"', and csv.reader reads the file, decoded, from
+    that line on.  A chunk that is ASCII and holds none of STR_ONLY_BLANKS
+    is split as bytes, its cells and end (b"\n") bytes, which float and
+    strip read as they read the same str; any other chunk is decoded as
+    UTF-8 (a ValueError names path and the line of a byte that is not)
+    and split as str, its end "\n"."""
+    n, chunks = 1, _chunks(fh)
+    for chunk in chunks:
+        lines = chunk.splitlines()
+        if chunk.isascii() and not any(c in chunk for c in STR_ONLY_BLANKS):
+            comma, end, hash_, quote = b",", b"\n", b"#", b'"'
+            # every blank byte, and "#", sorts before "$"
+            skips = min(lines) < b"$"
+        else:
+            lines = _decoded(lines, n, path)
+            comma, end, hash_, quote = ",", "\n", "#", '"'
+            skips = True
+        numbers, rows = range(n, n + len(lines)), lines
+        if skips:
+            # a line is kept unless it is blank or "#" is its first non-blank
+            kept = [(c := line.lstrip()[:1]) and c != hash_ for line in lines]
+            rows = list(itertools.compress(lines, kept))
+            if len(rows) < len(lines):
+                numbers = list(itertools.compress(numbers, kept))
+        separator = comma + end + comma
+        quoted, text = len(rows), separator.join(rows)
+        if quote in text:
+            quoted = next(i for i, row in enumerate(rows) if quote in row)
+            text = separator.join(rows[:quoted])
         if quoted:
-            yield numbers[:quoted], (text + ",\n").split(","), "\n"
+            yield numbers[:quoted], (text + comma + end).split(comma), end
         if quoted < len(rows):
             first = numbers[quoted]
-            yield from _csv_blocks(itertools.chain(lines[first - n:], fh), first)
+            rest = b"".join(chunk.splitlines(keepends=True)[first - n:])
+            yield from _csv_blocks(
+                _text_lines(itertools.chain([rest], chunks), first, path), first)
             return
         n += len(lines)
 
@@ -228,6 +289,8 @@ def _bad_row(path, header, picks, block) -> str:
             try:
                 float(cell)
             except ValueError:
+                if isinstance(cell, bytes):
+                    cell = cell.decode()
                 return f"{path}:{n}: non-numeric value {cell!r} in column {header[j]}"
         start = stop + 1
 
@@ -235,27 +298,31 @@ def _bad_row(path, header, picks, block) -> str:
 def read_csv(path, columns=None):
     """Read a CSV file: ({name: list of floats}, the line of each row, a
     range where no line after the header was skipped, else a list).
-    Blank lines and lines whose first non-blank character is "#" are
-    skipped before parsing; the first other line is the header, its cells
+    The file is UTF-8, a byte-order mark at its start skipped.  Blank
+    lines and lines whose first non-blank character is "#" are skipped
+    before parsing; the first other line is the header, its cells
     stripped.  Lines may end in "\n", "\r\n" or "\r"; a quoted cell
     (a comma or a line end inside) is read as csv reads it, and a row that
     spans lines is numbered by its last line.  columns(header), when
     given, names the columns to convert (default: all).  ValueError,
     naming path and the line, for a column named twice or missing, and
     for the first row, by line, whose width is not the header's or that
-    holds a non-numeric cell in a column read; naming path for no header.
+    holds a non-numeric cell in a column read, and for a byte that is not
+    UTF-8; naming path for no header.
 
     The file is read in blocks of lines (see _blocks), and only the
     columns named are converted; a block with a bad row is scanned row by
     row for the error."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        blocks = _blocks(fh)
+    with path.open("rb") as fh:
+        blocks = _blocks(fh, path)
         numbers, cells, end = next(blocks, ((), (), None))
         if not numbers:
             raise ValueError(f"{path}: no header row")
         line, width = numbers[0], cells.index(end)
         header = [name.strip() for name in cells[:width]]
+        if isinstance(end, bytes):
+            header = [name.decode() for name in header]
         for name in header:
             if header.count(name) > 1:
                 raise ValueError(f"{path}:{line}: column {name!r} named twice")

@@ -1008,6 +1008,23 @@ class TestValidateStreamed:
         assert result.stderr == (f"error: cannot read observed file: {obs}:3: "
                                  "expected 2 cells, got 3\n")
 
+    @pytest.mark.parametrize("bad", ["states", "observed"])
+    def test_byte_not_utf8_exit_2(self, runner, baseline, tmp_path, monkeypatch, bad):
+        # line 300 comes after many ASCII blocks of 256 bytes
+        states_path, states = baseline
+        paths = {"states": states_path, "observed": tmp_path / "obs.csv"}
+        _write_observed(paths["observed"], states["t_s"][::10], states["T_a_K"][::10],
+                        "T_a_K")
+        lines = paths[bad].read_bytes().splitlines(keepends=True)
+        lines[299] = lines[299][:3] + b"\xff" + lines[299][3:]
+        paths[bad] = tmp_path / f"bad_{bad}.csv"
+        paths[bad].write_bytes(b"".join(lines))
+        monkeypatch.setattr(greendry.weather, "READ_BLOCK", 256)
+        result = self._validate(runner, paths["states"], paths["observed"], "T_a_K")
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cannot read {bad} file: {paths[bad]}:300: "
+                                 "byte 0xff at column 4 is not UTF-8 (invalid start byte)\n")
+
     def test_column_named_twice_exit_2(self, runner, baseline, tmp_path):
         states_path, states = baseline
         twice = tmp_path / "states.csv"
@@ -1109,7 +1126,7 @@ class TestValidateStreamed:
 
     def test_read_memory_stays_small(self, baseline):
         # the two columns of the 4-day states.csv (760 KB) are read a block
-        # of lines at a time (measured: a 0.7 MiB peak; 7.0 MiB with the
+        # of lines at a time (measured: a 0.9 MiB peak; 8.4 MiB with the
         # whole file as one block)
         states_path, states = baseline
         tracemalloc.start()

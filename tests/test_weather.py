@@ -278,6 +278,17 @@ class TestLoadCsv:
         with pytest.raises(WeatherError, match="not found"):
             load_csv(tmp_path / "nope.csv")
 
+    def test_byte_not_utf8_names_line(self, tmp_path):
+        # line 301 comes after many ASCII blocks of 256 bytes
+        path = tmp_path / "w.csv"
+        rows = [f"{600 * i},0,298,1,70" for i in range(400)]
+        rows[299] = "\xe9" + rows[299]
+        path.write_bytes("\n".join([",".join(CSV_HEADER), *rows, ""]).encode("latin-1"))
+        with mock.patch.object(weather, "READ_BLOCK", 256), pytest.raises(WeatherError) as exc:
+            load_csv(path)
+        assert str(exc.value) == (f"{path}:301: byte 0xe9 at column 1 is not UTF-8 "
+                                  "(invalid continuation byte)")
+
     def test_save_load_lossless(self, tmp_path):
         s = synthetic_days(1, interval_s=1800.0)
         path = tmp_path / "out.csv"
@@ -331,6 +342,27 @@ class TestCsvDialect:
         with pytest.raises(ValueError) as exc:
             read(path)
         assert str(exc.value) == f"{path}:4: non-numeric value 'abc' in column I_t_wm2"
+
+    @pytest.mark.parametrize("read", READERS)
+    @pytest.mark.parametrize("comment", [["# a comment"], []], ids=["comment", "header"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, read, comment):
+        # as a spreadsheet's "CSV UTF-8" export writes it, before the
+        # first line, a comment or the header
+        lines = [*comment, ",".join(CSV_HEADER), *self.ROWS, ""]
+        plain, bommed = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes("\r\n".join(lines).encode())
+        bommed.write_bytes(weather.BOM + plain.read_bytes())
+        assert read(bommed) == read(plain)
+        assert read(plain)["t_s"] == [0.0, 600.0]
+
+    def test_byte_not_utf8_after_a_quoted_cell_names_line(self, tmp_path):
+        # csv.reader reads the file from line 3 on, decoded line by line
+        path = tmp_path / "w.csv"
+        path.write_bytes(b"t_s,T_am_K\n0,298\n\"600\",300\n# note\n1200,3\xff0\n")
+        with pytest.raises(ValueError) as exc:
+            read_csv(path)
+        assert str(exc.value) == (f"{path}:5: byte 0xff at column 7 is not UTF-8 "
+                                  "(invalid start byte)")
 
     def test_row_spanning_lines_is_numbered_by_its_last_line(self, tmp_path):
         # line 3 opens a quoted t_s that line 4 closes
@@ -452,7 +484,7 @@ FIRST_CHARACTERS = ["#", *string.whitespace, "\x1c", "\x1d", "\x1e", "\x1f",
 
 
 def _rows_of(blocks):
-    """The rows of _blocks' blocks, each row's cells joined with ","."""
+    """The rows of _blocks' blocks, each row's cells, as str, joined with ","."""
     rows, row = [], []
     for _, cells, end in blocks:
         for cell in cells:
@@ -460,7 +492,7 @@ def _rows_of(blocks):
                 rows.append(",".join(row))
                 row = []
             else:
-                row.append(cell)
+                row.append(cell.decode() if isinstance(cell, bytes) else cell)
     return rows
 
 
@@ -477,7 +509,7 @@ class TestBlocks:
                 enumerate(io.StringIO(text, newline="").readlines(), 1)
                 if not weather._skipped(line)]
         with mock.patch.object(weather, "READ_BLOCK", block):
-            blocks = list(weather._blocks(io.StringIO(text, newline="")))
+            blocks = list(weather._blocks(io.BytesIO(text.encode()), "t.csv"))
         assert [n for numbers, _, _ in blocks for n in numbers] == [n for n, _ in kept]
         assert _rows_of(blocks) == [row for _, row in kept]
 
@@ -500,6 +532,24 @@ class TestReadCsvEquivalence:
             got = _outcome(read_csv, path, columns)
         # repr, so that nan equals nan and -0.0 does not equal 0.0
         assert repr(got) == repr(_outcome(_reference_read_csv, path, columns))
+
+
+class TestAsciiAndUnicodeBlocks:
+    def test_same_as_reference_at_the_default_block_size(self, tmp_path):
+        # 3000 ASCII rows, with a "\x1c"-led comment among them, which
+        # str.lstrip strips and bytes.lstrip does not; then lines that only
+        # str reads right: cells that float reads only as str, a
+        # "\u2028"-led row and a "\u2028"-led comment
+        path = tmp_path / "mixed.csv"
+        rows = [f"{600 * i},{i % 7}.5,298" for i in range(3000)]
+        rows.insert(100, "\x1c# c")
+        odd = ["3000,\u0663,\xa05", "\u20283001,1,2", "\u2028# c", "3002,1,2"]
+        path.write_bytes("\r\n".join(["t_s,a,b", *rows, *odd, ""]).encode())
+        assert path.stat().st_size > weather.READ_BLOCK
+        data, lines = read_csv(path)
+        assert (data, lines) == _reference_read_csv(path)
+        assert data["a"][3000:] == [3.0, 1.0, 1.0] and data["b"][3000] == 5.0
+        assert 102 not in lines and lines[-3:] == [3003, 3004, 3006]
 
 
 class TestSynthetic:
