@@ -108,7 +108,8 @@ def _sweep_line(rank: int, result) -> str:
 
 
 def read_states_csv(path, columns=None):
-    """The columns of a CSV written by `run` or `sweep`, as
+    """The columns of a CSV file, such as a states file that `run`
+    writes or the observed file of `validate`, as
     {column: list of floats}; see weather.read_csv."""
     return read_csv(path, columns)[0]
 

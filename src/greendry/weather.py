@@ -186,45 +186,42 @@ def _chunks(fh):
         yield rest
 
 
-def _decoded(lines, n, path) -> list:
-    """lines, bytes, the first of which is line n of path, decoded as
+def _text_lines(chunks, n, path):
+    """The lines of chunks, the first of which is line n of path, each
+    with its end, as a file opened with newline="" gives them, decoded as
     UTF-8; ValueError naming path:line and the byte for one that is not."""
-    text = []
+    lines = (line for chunk in chunks for line in chunk.splitlines(keepends=True))
     for n, line in enumerate(lines, n):
         try:
-            text.append(line.decode())
+            yield line.decode()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}:{n}: byte {line[exc.start]:#04x} at column "
                              f"{exc.start + 1} is not UTF-8 ({exc.reason})") from None
-    return text
 
 
-def _text_lines(chunks, n, path):
-    """The lines of chunks, the first of which is line n of path, decoded,
-    each with its end, as a file opened with newline="" gives them."""
-    for chunk in chunks:
-        lines = chunk.splitlines(keepends=True)
-        yield from _decoded(lines, n, path)
-        n += len(lines)
-
-
-def _csv_blocks(lines, first):
-    """The rows that csv.reader reads from lines, the first of which is
-    line first, in blocks of READ_BLOCK // 64 + 1 rows (the last one
-    shorter) as _blocks gives them, with the end None; a row is numbered
-    by its last line."""
+def _csv_blocks(chunks, first, path):
+    """The rows that the csv module reads from the lines of chunks (see
+    _text_lines), the first of which is line first of path, in blocks of
+    READ_BLOCK // 64 + 1 rows (the last one shorter) as _blocks gives
+    them, with the end None; a row is numbered by its last line.  A csv
+    error, such as a cell past its field size limit, is a ValueError
+    naming path and the line."""
     # a skipped line reaches csv as "", an empty row, so that line_num
     # still counts every line
-    reader = csv.reader("" if _skipped(line) else line for line in lines)
+    reader = csv.reader("" if _skipped(line) else line
+                        for line in _text_lines(chunks, first, path))
     numbers, cells, base, size = [], [], first - 1, READ_BLOCK // 64
-    for row in reader:
-        if row:
-            numbers.append(base + reader.line_num)
-            cells += row
-            cells.append(None)
-            if len(numbers) > size:
-                yield numbers, cells, None
-                numbers, cells = [], []
+    try:
+        for row in reader:
+            if row:
+                numbers.append(base + reader.line_num)
+                cells += row
+                cells.append(None)
+                if len(numbers) > size:
+                    yield numbers, cells, None
+                    numbers, cells = [], []
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{base + reader.line_num}: {exc}") from None
     if numbers:
         yield numbers, cells, None
 
@@ -232,45 +229,32 @@ def _csv_blocks(lines, first):
 def _blocks(fh, path):
     """The rows of the open binary file fh, skipped lines left out, in
     blocks of (line numbers, cells, end): the cells of the rows in one
-    list, each row's followed by one cell end, which no row holds.  Each
-    chunk of lines (see _chunks) is split on commas up to the first kept
-    line that holds a '"', and csv.reader reads the file, decoded, from
-    that line on.  A chunk that is ASCII and holds none of STR_ONLY_BLANKS
-    is split as bytes, its cells and end (b"\n") bytes, which float and
-    strip read as they read the same str; any other chunk is decoded as
-    UTF-8 (a ValueError names path and the line of a byte that is not)
-    and split as str, its end "\n"."""
+    list, each row's followed by one cell end, which no row holds.  A
+    chunk of lines (see _chunks) that is ASCII and holds no '"' and none
+    of STR_ONLY_BLANKS is split on commas as bytes, its cells and end
+    (b"\n") bytes, which float and strip read as they read the same str.
+    The csv module reads any other chunk, decoded (see _csv_blocks), and
+    from a chunk that holds a '"' the rest of the file, since a quoted
+    cell may span lines."""
     n, chunks = 1, _chunks(fh)
     for chunk in chunks:
+        if b'"' in chunk:
+            yield from _csv_blocks(itertools.chain([chunk], chunks), n, path)
+            return
         lines = chunk.splitlines()
         if chunk.isascii() and not any(c in chunk for c in STR_ONLY_BLANKS):
-            comma, end, hash_, quote = b",", b"\n", b"#", b'"'
+            numbers, rows = range(n, n + len(lines)), lines
             # every blank byte, and "#", sorts before "$"
-            skips = min(lines) < b"$"
+            if min(lines) < b"$":
+                # a line is kept unless it is blank or "#" is its first non-blank
+                kept = [(c := line.lstrip()[:1]) and c != b"#" for line in lines]
+                rows = list(itertools.compress(lines, kept))
+                if len(rows) < len(lines):
+                    numbers = list(itertools.compress(numbers, kept))
+            if rows:
+                yield numbers, (b",\n,".join(rows) + b",\n").split(b","), b"\n"
         else:
-            lines = _decoded(lines, n, path)
-            comma, end, hash_, quote = ",", "\n", "#", '"'
-            skips = True
-        numbers, rows = range(n, n + len(lines)), lines
-        if skips:
-            # a line is kept unless it is blank or "#" is its first non-blank
-            kept = [(c := line.lstrip()[:1]) and c != hash_ for line in lines]
-            rows = list(itertools.compress(lines, kept))
-            if len(rows) < len(lines):
-                numbers = list(itertools.compress(numbers, kept))
-        separator = comma + end + comma
-        quoted, text = len(rows), separator.join(rows)
-        if quote in text:
-            quoted = next(i for i, row in enumerate(rows) if quote in row)
-            text = separator.join(rows[:quoted])
-        if quoted:
-            yield numbers[:quoted], (text + comma + end).split(comma), end
-        if quoted < len(rows):
-            first = numbers[quoted]
-            rest = b"".join(chunk.splitlines(keepends=True)[first - n:])
-            yield from _csv_blocks(
-                _text_lines(itertools.chain([rest], chunks), first, path), first)
-            return
+            yield from _csv_blocks([chunk], n, path)
         n += len(lines)
 
 
@@ -307,8 +291,9 @@ def read_csv(path, columns=None):
     given, names the columns to convert (default: all).  ValueError,
     naming path and the line, for a column named twice or missing, and
     for the first row, by line, whose width is not the header's or that
-    holds a non-numeric cell in a column read, and for a byte that is not
-    UTF-8; naming path for no header.
+    holds a non-numeric cell in a column read, for a byte that is not
+    UTF-8 and for a line that csv cannot read, such as one with a cell
+    past its field size limit; naming path for no header.
 
     The file is read in blocks of lines (see _blocks), and only the
     columns named are converted; a block with a bad row is scanned row by

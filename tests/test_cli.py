@@ -1010,20 +1010,27 @@ class TestValidateStreamed:
 
     @pytest.mark.parametrize("bad", ["states", "observed"])
     def test_byte_not_utf8_exit_2(self, runner, baseline, tmp_path, monkeypatch, bad):
-        # line 300 comes after many ASCII blocks of 256 bytes
+        # line 300 comes after many ASCII blocks of 256 bytes: a byte that
+        # is not UTF-8 on it, or, after a quoted cell on line 299, a cell
+        # past csv's field size limit
         states_path, states = baseline
         paths = {"states": states_path, "observed": tmp_path / "obs.csv"}
         _write_observed(paths["observed"], states["t_s"][::10], states["T_a_K"][::10],
                         "T_a_K")
         lines = paths[bad].read_bytes().splitlines(keepends=True)
-        lines[299] = lines[299][:3] + b"\xff" + lines[299][3:]
+        bad_byte, too_long = list(lines), list(lines)
+        bad_byte[299] = lines[299][:3] + b"\xff" + lines[299][3:]
+        too_long[298] = b'"' + lines[298].replace(b",", b'",', 1)
+        too_long[299] = lines[299][:3] + b"0" * 140_000 + lines[299][3:]
         paths[bad] = tmp_path / f"bad_{bad}.csv"
-        paths[bad].write_bytes(b"".join(lines))
         monkeypatch.setattr(greendry.weather, "READ_BLOCK", 256)
-        result = self._validate(runner, paths["states"], paths["observed"], "T_a_K")
-        assert result.exit_code == 2
-        assert result.stderr == (f"error: cannot read {bad} file: {paths[bad]}:300: "
-                                 "byte 0xff at column 4 is not UTF-8 (invalid start byte)\n")
+        for edited, error in [(bad_byte, "byte 0xff at column 4 is not UTF-8 (invalid start byte)"),
+                              (too_long, "field larger than field limit (131072)")]:
+            paths[bad].write_bytes(b"".join(edited))
+            result = self._validate(runner, paths["states"], paths["observed"], "T_a_K")
+            assert result.exit_code == 2
+            assert result.stderr == (f"error: cannot read {bad} file: {paths[bad]}:300: "
+                                     f"{error}\n")
 
     def test_column_named_twice_exit_2(self, runner, baseline, tmp_path):
         states_path, states = baseline

@@ -279,15 +279,23 @@ class TestLoadCsv:
             load_csv(tmp_path / "nope.csv")
 
     def test_byte_not_utf8_names_line(self, tmp_path):
-        # line 301 comes after many ASCII blocks of 256 bytes
+        # line 301 comes after many ASCII blocks of 256 bytes: a byte that
+        # is not UTF-8 on it, or, after a quoted cell on line 300, a cell
+        # past csv's field size limit
         path = tmp_path / "w.csv"
         rows = [f"{600 * i},0,298,1,70" for i in range(400)]
-        rows[299] = "\xe9" + rows[299]
-        path.write_bytes("\n".join([",".join(CSV_HEADER), *rows, ""]).encode("latin-1"))
-        with mock.patch.object(weather, "READ_BLOCK", 256), pytest.raises(WeatherError) as exc:
-            load_csv(path)
-        assert str(exc.value) == (f"{path}:301: byte 0xe9 at column 1 is not UTF-8 "
-                                  "(invalid continuation byte)")
+        bad_byte, too_long = list(rows), list(rows)
+        bad_byte[299] = "\xe9" + rows[299]
+        too_long[298] = f'"{600 * 298}",0,298,1,70'
+        too_long[299] = rows[299] + "0" * 140_000
+        for edited, error in [(bad_byte, "byte 0xe9 at column 1 is not UTF-8 "
+                                         "(invalid continuation byte)"),
+                              (too_long, "field larger than field limit (131072)")]:
+            path.write_bytes("\n".join([",".join(CSV_HEADER), *edited, ""]).encode("latin-1"))
+            with (mock.patch.object(weather, "READ_BLOCK", 256),
+                  pytest.raises(WeatherError) as exc):
+                load_csv(path)
+            assert str(exc.value) == f"{path}:301: {error}"
 
     def test_save_load_lossless(self, tmp_path):
         s = synthetic_days(1, interval_s=1800.0)
@@ -550,6 +558,30 @@ class TestAsciiAndUnicodeBlocks:
         assert (data, lines) == _reference_read_csv(path)
         assert data["a"][3000:] == [3.0, 1.0, 1.0] and data["b"][3000] == 5.0
         assert 102 not in lines and lines[-3:] == [3003, 3004, 3006]
+
+    ROWS = [f"{600 * i},{i % 7}.5,298" for i in range(6000)]
+
+    # csv_reads: for each call of _csv_blocks, whether it starts after line 1
+    @pytest.mark.parametrize("lines, csv_reads", [
+        # the first chunk is not ASCII, the rest are plain
+        pytest.param(["# T_a in \u00b0C", "t_s,a,b", *ROWS[:3000]], [False],
+                     id="comment_not_ascii"),
+        # a plain chunk, then one with a quote in a comment, read by csv to the end
+        pytest.param(["t_s,a,b", *ROWS[:3000], '# "q,', *ROWS[3000:4000]], [True],
+                     id="quote_in_a_later_comment"),
+        # a chunk that is not ASCII, a plain chunk, then a quoted cell that spans lines
+        pytest.param(["t_s,a,b", "0,\u0663,\xa05", *ROWS[1:], f'"{600 * 6000}', '",1,2'],
+                     [False, True], id="not_ascii_plain_quoted"),
+    ])
+    def test_chunks_routed_as_reference_reads_them(self, tmp_path, lines, csv_reads):
+        path = tmp_path / "routed.csv"
+        path.write_bytes("\r\n".join([*lines, ""]).encode())
+        assert path.stat().st_size > weather.READ_BLOCK
+        with mock.patch.object(weather, "_csv_blocks", wraps=weather._csv_blocks) as spy:
+            data, lines = read_csv(path)
+        assert (data, list(lines)) == _reference_read_csv(path)
+        assert [call.args[1] > 1 for call in spy.call_args_list] == csv_reads
+        assert len(data["t_s"]) >= 3000
 
 
 class TestSynthetic:
