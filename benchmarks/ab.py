@@ -27,7 +27,12 @@ on both sides alike.  The cases:
   states.csv against 2500 observations, built as
   benchmarks/test_layers.py::validate_argv builds them;
 - import_cli: a fresh interpreter that runs `import greendry.cli`, with
-  the side's tree first on its path (the start-up every command pays).
+  the side's tree first on its path (the start-up every command pays);
+- grid_search: `sweep.grid_search`, in this process, of the bench's
+  18-point drying-time grid (airflow.V_a {1, 3} x product.F_p {0.3, 0.5,
+  0.7} x cover.tau_c {0.7, 0.85, 0.9}, target 0.08) with a 60 h horizon,
+  or the whole weather when `days` is shorter, on as many worker
+  processes as the side starts for it.
 
 For each case it prints, per side, the median and quartiles in
 milliseconds, the pairs in which the change was faster and the two-sided
@@ -58,7 +63,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = Path("configs") / "baseline_copra.yaml"
-CASES = ("steps", "steps_prebuilt", "write_run", "read_states", "validate", "import_cli")
+CASES = ("steps", "steps_prebuilt", "write_run", "read_states", "validate", "import_cli",
+         "grid_search")
+# the grid_search case's (dotted path, values)
+GRID = (("airflow.V_a", (1.0, 3.0)), ("product.F_p", (0.3, 0.5, 0.7)),
+        ("cover.tau_c", (0.7, 0.85, 0.9)))
 SIDES = ("parent", "change")
 
 
@@ -123,6 +132,9 @@ def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
     cfg = importlib.import_module(f"{name}.config").load_config(root / CONFIG)
     weather_module = importlib.import_module(f"{name}.weather")
     read_csv, weather = weather_module.read_csv, weather_module.synthetic_days(days)
+    sweep = importlib.import_module(f"{name}.sweep")
+    grid = sweep.SweepSpec(parameters=GRID, objective="drying_time", target_mdb=0.08,
+                           weather=weather, horizon_s=min(60 * 3600.0, weather.horizon()))
     forcing = tuple(solver.weather_forcing(weather, cfg.numerics.dt))
     run = tuple(solver.steps(cfg, weather))
     states, diagnostics = scratch / f"{name}_states.csv", scratch / f"{name}_diag.csv"
@@ -151,6 +163,7 @@ def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
         "validate": lambda: _validate(cli, argv),
         "import_cli": lambda: subprocess.run(
             [sys.executable, "-c", "import greendry.cli"], env=env, check=True),
+        "grid_search": lambda: sweep.grid_search(cfg, grid),
     }
 
 

@@ -6,7 +6,8 @@ more than solver.MAX_STEPS; run: a horizon not >= 0 or past the weather,
 a non-finite --target-mdb; sweep: a spec error, a grid value that the
 config rejects or a grid point's dt, each named by the spec) or an --out
 that cannot be written (also for gen-weather); 3 numerical failure (for
-sweep: of every grid point, a failed simulation or no payback); validate exits 1
+sweep: of every grid point, a failed simulation or no payback, or a
+worker process that died); validate exits 1
 when the acceptance check fails and 2 on an unreadable or malformed CSV,
 a grid or a variable error, or a --limit that is not finite and >= 0.
 A usage error, parsed by argparse, exits 2 for every command.
@@ -295,7 +296,8 @@ def cmd_validate(states_path, observed_path, variable, limit):
 def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir):
     """Evaluate a parameter grid; write sweep.csv ranked by objective.
     A point that fails, in its simulation or with no payback, is warned
-    about and ranked as not reached; exit 3 only when every point failed."""
+    about and ranked as not reached; exit 3 only when every point failed
+    or a worker process died."""
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:

@@ -3,6 +3,7 @@ payback objectives over dotted-path parameter grids."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -139,24 +140,6 @@ def _evaluate(cfg: DryerConfig, spec: SweepSpec,
         return SweepResult(point, math.inf, str(exc))
 
 
-# The spec of the sweep a pool worker serves and its weather forcings, set
-# once per worker process by _init_worker so that the weather is not sent
-# with every point and its forcing is built once per worker.
-_worker_spec: SweepSpec | None = None
-_worker_forcings: dict[float, tuple[Forcing, ...]] = {}
-
-
-def _init_worker(spec: SweepSpec) -> None:
-    global _worker_spec, _worker_forcings
-    _worker_spec = spec
-    _worker_forcings = {}
-
-
-def _evaluate_in_worker(cfg: DryerConfig,
-                        point: tuple[tuple[str, float], ...]) -> SweepResult:
-    return _evaluate(cfg, _worker_spec, point, _worker_forcings)
-
-
 def available_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -165,16 +148,99 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _forked(cfgs: list[DryerConfig], spec: SweepSpec,
+            points: list[tuple[tuple[str, float], ...]],
+            workers: int) -> list[SweepResult]:
+    """The result of each point, in grid order, from workers forked child
+    processes, which inherit cfgs, points and spec.  The parent writes
+    every point's index to one pipe, 4 bytes each; each child reads the
+    next index whenever it is free, evaluates that point with its own
+    per-dt forcings and, at the pipe's end, sends the pickled (True,
+    [(index, result), ...]), or (False, the exception that stopped it),
+    over a pipe of its own, and ends in os._exit.  The parent only waits.
+    It re-raises a child's exception, raises a SimulationError for a
+    child that ends with no result, and kills and reaps every child it
+    forked before it returns or raises."""
+    # Imported here so that importing the CLI does not pay for them.
+    import pickle
+    import signal
+
+    results = [None] * len(points)
+    children = {}  # pid -> the read end of its results pipe
+    with contextlib.ExitStack() as pipes:
+        def pipe():  # unbuffered: a read or write is one system call
+            return [pipes.enter_context(open(fd, mode, buffering=0))
+                    for fd, mode in zip(os.pipe(), ("rb", "wb"))]
+
+        index_r, index_w = pipe()
+        try:
+            for _ in range(workers):
+                result_r, result_w = pipe()
+                pid = os.fork()
+                if pid == 0:  # the child: it leaves this block only by os._exit
+                    status = 1
+                    try:
+                        index_w.close()
+                        forcings, done = {}, []
+                        try:
+                            while index := index_r.read(4):
+                                i = int.from_bytes(index, "little")
+                                done.append((i, _evaluate(cfgs[i], spec, points[i],
+                                                          forcings)))
+                            payload = pickle.dumps((True, done))
+                        except BaseException as exc:  # the parent raises it
+                            payload = pickle.dumps((False, exc))
+                        with open(result_w.fileno(), "wb", closefd=False) as fh:
+                            fh.write(payload)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children[pid] = result_r
+                result_w.close()
+            # so that the children's reads end once every index is taken,
+            # and a write fails rather than blocks once every child has ended
+            index_r.close()
+            indices = b"".join(i.to_bytes(4, "little") for i in range(len(points)))
+            with contextlib.suppress(BrokenPipeError):  # every child ended: see below
+                # a write of at most 512 bytes (PIPE_BUF or less) is never
+                # split, so each read of 4 bytes takes one whole index
+                for start in range(0, len(indices), 512):
+                    index_w.write(indices[start:start + 512])
+            index_w.close()
+            for pid, result_r in list(children.items()):
+                payload = result_r.read()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[pid]
+                if status != 0:
+                    how = f"signal {-status}" if status < 0 else f"exit status {status}"
+                    raise SimulationError(f"sweep worker {pid} ended by {how} "
+                                          "before it sent its results")
+                ok, value = pickle.loads(payload)
+                if not ok:
+                    raise value
+                for i, result in value:
+                    results[i] = result
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            for pid in children:
+                os.waitpid(pid, 0)
+    return results
+
+
 def grid_search(base: DryerConfig, spec: SweepSpec) -> list[SweepResult]:
     """Evaluate every grid point and return results sorted ascending by
     objective, ties broken by the point's parameter values in spec order.
     A point that fails ranks as not reached, with its error.
 
-    Points are simulated in one worker process per available CPU, at
-    most one per point; with one CPU or one point, in this process, with
-    the same results.  Every point's overrides, and each dt's step count,
-    are checked here first: an invalid one raises a ConfigError before any
-    point is simulated."""
+    Points are simulated in one forked worker process per available CPU,
+    at most one per point, which take the points in grid order as they
+    become free (see _forked); with one CPU, one point or no os.fork,
+    in this process, with the same results.  Every point's overrides, and
+    each dt's step count, are checked here first: an invalid one raises a
+    ConfigError before any point is simulated.  Any other error a worker
+    raises is raised here, and a worker that dies, such as by a signal,
+    raises a SimulationError; no worker is left running either way."""
     paths = [p for p, _ in spec.parameters]
     points = [
         tuple(zip(paths, combo))
@@ -187,24 +253,11 @@ def grid_search(base: DryerConfig, spec: SweepSpec) -> list[SweepResult]:
         except WeatherError as exc:
             raise ConfigError(f"numerics.dt: {exc}") from None
     workers = min(available_cpus(), len(points))
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         forcings = {}
         results = [_evaluate(cfg, spec, pt, forcings) for cfg, pt in zip(cfgs, points)]
     else:
-        # Imported here so that importing the CLI does not pay for them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork: workers inherit the imported modules instead of importing
-        # them again.  The executor starts every fork-context worker
-        # before its own management thread, so it forks none of its own
-        # threads.
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context(method),
-                                 initializer=_init_worker,
-                                 initargs=(spec,)) as pool:
-            results = list(pool.map(_evaluate_in_worker, cfgs, points))
+        results = _forked(cfgs, spec, points, workers)
     return sorted(results, key=lambda r: (r.objective, [v for _, v in r.point]))
 
 

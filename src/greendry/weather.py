@@ -205,12 +205,15 @@ def _csv_blocks(chunks, first, path):
     READ_BLOCK // 64 + 1 rows (the last one shorter) as _blocks gives
     them, with the end None; a row is numbered by its last line.  A csv
     error, such as a cell past its field size limit, is a ValueError
-    naming path and the line."""
+    naming path and the line.  The rows read before an error, or a byte
+    that is not UTF-8, are given first, so that read_csv reports a bad
+    row among them first."""
     # a skipped line reaches csv as "", an empty row, so that line_num
     # still counts every line
     reader = csv.reader("" if _skipped(line) else line
                         for line in _text_lines(chunks, first, path))
     numbers, cells, base, size = [], [], first - 1, READ_BLOCK // 64
+    error = None
     try:
         for row in reader:
             if row:
@@ -221,9 +224,13 @@ def _csv_blocks(chunks, first, path):
                     yield numbers, cells, None
                     numbers, cells = [], []
     except csv.Error as exc:
-        raise ValueError(f"{path}:{base + reader.line_num}: {exc}") from None
+        error = ValueError(f"{path}:{base + reader.line_num}: {exc}")
+    except ValueError as exc:  # a byte that is not UTF-8 (_text_lines)
+        error = exc
     if numbers:
         yield numbers, cells, None
+    if error is not None:
+        raise error
 
 
 def _blocks(fh, path):

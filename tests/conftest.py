@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -26,11 +27,24 @@ def tropical_weather():
 
 @pytest.fixture()
 def cpus(monkeypatch):
-    """cpus(n) makes grid_search see n available CPUs, which selects its
-    executor: one runs the points in this process, more a process pool."""
+    """cpus(n) makes grid_search see n available CPUs: one runs the points
+    in this process, more in forked worker processes."""
     def set_cpus(n):
         monkeypatch.setattr(greendry.sweep, "available_cpus", lambda: n)
     return set_cpus
+
+
+def in_workers(monkeypatch, act):
+    """Make grid_search's _evaluate call act(point) first in a forked
+    worker (never in this process), then evaluate the point."""
+    parent, evaluate = os.getpid(), greendry.sweep._evaluate
+
+    def acting(cfg, spec, point, forcings):
+        if os.getpid() != parent:
+            act(point)
+        return evaluate(cfg, spec, point, forcings)
+
+    monkeypatch.setattr(greendry.sweep, "_evaluate", acting)
 
 
 def records_of(series):

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -43,7 +44,7 @@ from greendry.solver import step_diagnostics, steps
 from greendry.sweep import SPEC_KEYS, EconomicModel, SweepResult
 from greendry.weather import read_csv, write_csv
 
-from conftest import REPO_ROOT, records_of
+from conftest import REPO_ROOT, in_workers, records_of
 
 
 class CliResult(NamedTuple):
@@ -1259,6 +1260,33 @@ class TestSweep:
         assert result.stderr.startswith(f"error: cannot write {out}: ")
         assert "manifest.json" in result.stderr
         assert _contents(out) == before
+
+    @pytest.mark.parametrize("how", ["raises", "is killed"])
+    def test_failed_worker_leaves_the_outputs_as_they_were(
+            self, runner, baseline_config_path, tmp_path, cpus, monkeypatch, how):
+        def fail(point):
+            if dict(point)["airflow.V_a"] == 1.5:
+                if how == "raises":
+                    raise ZeroDivisionError("in a worker")
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        in_workers(monkeypatch, fail)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sweep.csv").write_bytes(b"kept\n")
+        cpus(2)
+        args = ("sweep", "--config", str(baseline_config_path), "--spec",
+                str(self._spec(tmp_path, "[1.2, 1.5, 0.9]")), "--preset", "tropical",
+                "--days", "2", "--out", str(out))
+        if how == "raises":  # a program error: its traceback, as in this process
+            with pytest.raises(ZeroDivisionError, match="^in a worker$"):
+                run_cli(runner, *args)
+        else:
+            result = run_cli(runner, *args)
+            assert result.exit_code == 3, result.output
+            assert re.fullmatch(r"error: sweep worker \d+ ended by signal 9 before it "
+                                r"sent its results\n", result.stderr), result.stderr
+        assert _contents(out) == {"sweep.csv": b"kept\n"}
 
     def test_workers_do_not_change_sweep_csv(self, runner, baseline_config_path,
                                             tmp_path, cpus):

@@ -334,7 +334,7 @@ class TestSolveEnergySystem:
 
 
 @pytest.mark.parametrize("module", ["numpy", "multiprocessing",
-                                    "concurrent.futures.process", "click",
+                                    "concurrent.futures.process", "pickle", "click",
                                     "dataclasses", "inspect", "yaml"])
 def test_cli_import_does_not_load(module):
     # each would add to the set-up time of every CLI invocation

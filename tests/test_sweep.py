@@ -1,12 +1,16 @@
-import concurrent.futures
+import contextlib
 import math
+import os
+import re
+import signal
+import time
 
 import pytest
 
 import greendry.solver
 import greendry.sweep
 from greendry.config import apply_overrides
-from greendry.errors import ConfigError
+from greendry.errors import ConfigError, SimulationError
 from greendry.sweep import (
     GRID_CAP,
     EconomicModel,
@@ -17,6 +21,8 @@ from greendry.sweep import (
     load_sweep_spec,
 )
 from greendry.weather import synthetic_days
+
+from conftest import in_workers
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +63,30 @@ class TestDryingTimeObjective:
         assert hours * 3600.0 % baseline_cfg.numerics.dt != 0.0
 
 
+@contextlib.contextmanager
+def alarm(seconds, exc_type):
+    """Raise exc_type in this process after seconds, unless the block ends
+    first (a forked child does not inherit the timer)."""
+    def ring(signum, frame):
+        raise exc_type(f"alarm after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestGridSearch:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        # every case ends with no child of this process, running or not reaped
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_singleton(self, baseline_cfg, weather):
         spec = make_spec(weather, (("airflow.V_vent", (0.9,)),))
         results = grid_search(baseline_cfg, spec)
@@ -103,19 +132,85 @@ class TestGridSearch:
         (2, (0.4, 0.5, 0.6), 2), (8, (0.4, 0.5, 0.6), 3)])
     def test_one_worker_per_cpu_at_most_one_per_point(
             self, baseline_cfg, weather, cpus, monkeypatch, n_cpus, values, n_workers):
-        # one CPU or one point: no pool, the points run in this process
-        built = []
-        original = concurrent.futures.ProcessPoolExecutor
+        # one CPU or one point: no fork, the points run in this process
+        forks = []
+        original = os.fork
 
-        def spy(*args, **kwargs):
-            built.append(kwargs["max_workers"])
-            return original(*args, **kwargs)
+        def spy():
+            forks.append(os.getpid())
+            return original()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(os, "fork", spy)
         cpus(n_cpus)
         spec = make_spec(weather, (("product.F_p", values),), horizon_s=3600.0)
         assert len(grid_search(baseline_cfg, spec)) == len(values)
-        assert built == ([] if n_workers is None else [n_workers])
+        assert forks == [os.getpid()] * (0 if n_workers is None else n_workers)
+
+    def test_workers_end_without_unwinding_or_flushing(self, baseline_cfg, weather, cpus,
+                                                       tmp_path):
+        # a worker that left grid_search, or flushed this process's buffers
+        # as it ended, would write the line a second time
+        spec = make_spec(weather, (("product.F_p", (0.4, 0.5, 0.6)),), horizon_s=3600.0)
+        cpus(2)
+        with open(tmp_path / "log", "w", encoding="utf-8") as fh:
+            fh.write("once\n")  # still in fh's buffer as the workers fork
+            grid_search(baseline_cfg, spec)
+        assert (tmp_path / "log").read_text(encoding="utf-8") == "once\n"
+
+    def test_no_fork_runs_the_points_in_this_process(self, baseline_cfg, weather, cpus,
+                                                      monkeypatch):
+        # as on a platform without os.fork
+        spec = make_spec(weather, (("product.F_p", (0.4, 0.5)),), horizon_s=3600.0)
+        cpus(1)
+        serial = grid_search(baseline_cfg, spec)
+        monkeypatch.delattr(os, "fork")
+        cpus(2)
+        assert grid_search(baseline_cfg, spec) == serial
+
+    def test_unexpected_error_in_a_worker_is_raised_here(self, baseline_cfg, weather,
+                                                         cpus, monkeypatch):
+        # not a failed point: the same error as in this process, and the
+        # other worker is killed and reaped (no_child_left)
+        def divide(point):
+            if dict(point)["product.F_p"] == 0.5:
+                raise ZeroDivisionError(f"no point at {point}")
+
+        in_workers(monkeypatch, divide)
+        spec = make_spec(weather, (("product.F_p", (0.4, 0.5, 0.6)),), horizon_s=3600.0)
+        cpus(2)
+        with pytest.raises(ZeroDivisionError) as exc:
+            grid_search(baseline_cfg, spec)
+        assert type(exc.value) is ZeroDivisionError
+        assert str(exc.value) == "no point at (('product.F_p', 0.5),)"
+
+    @pytest.mark.parametrize("end, how", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+        (lambda: os._exit(5), "exit status 5")], ids=["SIGKILL", "_exit"])
+    def test_worker_that_dies_is_named(self, baseline_cfg, weather, cpus, monkeypatch,
+                                       end, how):
+        def die(point):
+            if dict(point)["product.F_p"] == 0.5:
+                end()
+
+        in_workers(monkeypatch, die)
+        spec = make_spec(weather, (("product.F_p", (0.4, 0.5, 0.6)),), horizon_s=3600.0)
+        cpus(2)
+        with alarm(60, TimeoutError), pytest.raises(SimulationError) as exc:
+            grid_search(baseline_cfg, spec)
+        assert re.fullmatch(rf"sweep worker \d+ ended by {how} before it sent its results",
+                            str(exc.value))
+
+    def test_interrupt_kills_and_reaps_the_workers(self, baseline_cfg, weather, cpus,
+                                                   monkeypatch):
+        # the workers would take a minute; an interrupt of this process
+        # ends the sweep at once
+        in_workers(monkeypatch, lambda point: time.sleep(60))
+        spec = make_spec(weather, (("product.F_p", (0.4, 0.5, 0.6)),), horizon_s=3600.0)
+        cpus(2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt), alarm(0.5, KeyboardInterrupt):
+            grid_search(baseline_cfg, spec)
+        assert time.monotonic() - start < 10
 
     def test_six_points_serial_and_default_workers(self, baseline_cfg, weather, cpus):
         # the results, errors included, as the per-step recording sweep

@@ -372,6 +372,17 @@ class TestCsvDialect:
         assert str(exc.value) == (f"{path}:5: byte 0xff at column 7 is not UTF-8 "
                                   "(invalid start byte)")
 
+    @pytest.mark.parametrize("last", [b"180,3\xff", b"180,3" + b"0" * 140_000],
+                             ids=["not UTF-8", "field limit"])
+    def test_bad_row_before_a_read_error_is_reported_first(self, tmp_path, last):
+        # csv reads the file from line 2 on; line 5 cannot be read, but
+        # line 3 is the first bad row
+        path = tmp_path / "w.csv"
+        path.write_bytes(b't_s,T_a_K\n"0",300\n60,30,1\n120,301\n' + last + b"\n")
+        with pytest.raises(ValueError) as exc:
+            read_csv(path)
+        assert str(exc.value) == f"{path}:3: expected 2 cells, got 3"
+
     def test_row_spanning_lines_is_numbered_by_its_last_line(self, tmp_path):
         # line 3 opens a quoted t_s that line 4 closes
         path = tmp_path / "w.csv"
