@@ -7,7 +7,7 @@ a non-finite --target-mdb; sweep: a spec error, a grid value that the
 config rejects or a grid point's dt, each named by the spec) or an --out
 that cannot be written (also for gen-weather); 3 numerical failure (for
 sweep: of every grid point, a failed simulation or no payback, or a
-worker process that died); validate exits 1
+worker process that could not start or died); validate exits 1
 when the acceptance check fails and 2 on an unreadable or malformed CSV,
 a grid or a variable error, or a --limit that is not finite and >= 0.
 A usage error, parsed by argparse, exits 2 for every command.
@@ -21,6 +21,13 @@ succeeds; `sweep` writes sweep.csv and manifest.json so, making --out
 before it simulates a point, and `gen-weather` its file.  A failed command
 removes them and every directory it made, and leaves what was there before
 as it was.
+
+Importing this module loads only what all four commands use: argparse
+and the package's `weather`, `core`, `analysis` and `errors`.  What only
+`run` and `sweep` use (`config`, `solver` and `sweep`, with `kinetics`,
+`coefficients` and PyYAML under them, `hashlib` and `json`) loads in one
+place, `_load_run_modules`, when either command starts or when one of
+RUN_NAMES is first read from outside this module.
 """
 
 from __future__ import annotations
@@ -28,9 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import hashlib
 import itertools
-import json
 import math
 import operator
 import os
@@ -39,16 +44,43 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import DEFAULT_ACCEPTANCE_LIMIT, acceptance_check, percent_difference
-from .config import apply_overrides, load_config
 from .errors import ComparisonError, ConfigError, GreendryError, WeatherError
-from .solver import steps
-from .sweep import grid_search, load_sweep_spec
 from .weather import (PRESETS, brackets, load_csv, open_csv, read_csv, save_csv,
                       synthetic_days, write_csv)
+
+# the functions of config, solver and sweep that run and sweep call
+RUN_NAMES = ("load_config", "apply_overrides", "steps", "grid_search", "load_sweep_spec")
 
 STATE_COLUMNS = ["t_s", "T_c_K", "T_a_K", "T_p_K", "T_f_K", "H", "M_db", "rh_pct"]
 DIAG_COLUMNS = ["t_s", "res_cover_W", "res_air_W", "res_product_W",
                 "res_floor_W", "dM_db", "rh_pct", "flags"]
+
+
+def _load_run_modules() -> None:
+    """Import what only `run` and `sweep` use: config, solver and sweep
+    (with kinetics and coefficients), hashlib and json, and bind hashlib,
+    json and each of RUN_NAMES as globals of this module.  A name of
+    RUN_NAMES already bound is kept, so that a wrapper put on it, such as
+    bench/spans.py's `patched` puts, is the one the command calls."""
+    global hashlib, json
+    import hashlib
+    import json
+
+    from .config import apply_overrides, load_config
+    from .solver import steps
+    from .sweep import grid_search, load_sweep_spec
+    namespace, loaded = globals(), locals()
+    for name in RUN_NAMES:
+        namespace.setdefault(name, loaded[name])
+
+
+def __getattr__(name: str):
+    """A name of RUN_NAMES read from outside this module before a command
+    bound it: `_load_run_modules` binds it first."""
+    if name not in RUN_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_run_modules()
+    return globals()[name]
 
 
 def _fail(code: int, message: str):
@@ -201,6 +233,7 @@ def _write_run(states_path, diag_path, run, comment) -> int:
 def cmd_run(config_path, weather_path, preset, days, out_dir, horizon_h,
             target_mdb, overrides):
     """Simulate a drying run and write states.csv + diagnostics.csv."""
+    _load_run_modules()
     try:
         cfg = load_config(config_path)
         sets = _parse_sets(overrides)
@@ -297,7 +330,8 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir):
     """Evaluate a parameter grid; write sweep.csv ranked by objective.
     A point that fails, in its simulation or with no payback, is warned
     about and ranked as not reached; exit 3 only when every point failed
-    or a worker process died."""
+    or a worker process could not start or died."""
+    _load_run_modules()
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:

@@ -159,24 +159,31 @@ def _forked(cfgs: list[DryerConfig], spec: SweepSpec,
     [(index, result), ...]), or (False, the exception that stopped it),
     over a pipe of its own, and ends in os._exit.  The parent only waits.
     It re-raises a child's exception, raises a SimulationError for a
-    child that ends with no result, and kills and reaps every child it
-    forked before it returns or raises."""
+    child that ends with no result and one naming the cause when os.pipe
+    or os.fork fails (`cannot start sweep worker: ...`), and kills and
+    reaps every child it forked before it returns or raises."""
     # Imported here so that importing the CLI does not pay for them.
     import pickle
     import signal
+
+    def start(call):  # os.pipe or os.fork
+        try:
+            return call()
+        except OSError as exc:
+            raise SimulationError(f"cannot start sweep worker: {exc}") from exc
 
     results = [None] * len(points)
     children = {}  # pid -> the read end of its results pipe
     with contextlib.ExitStack() as pipes:
         def pipe():  # unbuffered: a read or write is one system call
             return [pipes.enter_context(open(fd, mode, buffering=0))
-                    for fd, mode in zip(os.pipe(), ("rb", "wb"))]
+                    for fd, mode in zip(start(os.pipe), ("rb", "wb"))]
 
         index_r, index_w = pipe()
         try:
             for _ in range(workers):
                 result_r, result_w = pipe()
-                pid = os.fork()
+                pid = start(os.fork)
                 if pid == 0:  # the child: it leaves this block only by os._exit
                     status = 1
                     try:
@@ -239,8 +246,9 @@ def grid_search(base: DryerConfig, spec: SweepSpec) -> list[SweepResult]:
     in this process, with the same results.  Every point's overrides, and
     each dt's step count, are checked here first: an invalid one raises a
     ConfigError before any point is simulated.  Any other error a worker
-    raises is raised here, and a worker that dies, such as by a signal,
-    raises a SimulationError; no worker is left running either way."""
+    raises is raised here, and a worker that cannot start, or that dies,
+    such as by a signal, raises a SimulationError; no worker is left
+    running either way."""
     paths = [p for p, _ in spec.parameters]
     points = [
         tuple(zip(paths, combo))

@@ -49,3 +49,24 @@ def test_sign_test():
     assert ab.sign_test(10, 0) == ab.sign_test(0, 10) == 2.0 / 2**10
     assert ab.sign_test(9, 1) == 2.0 * 11 / 2**10
     assert ab.sign_test(3, 3) == ab.sign_test(0, 0) == 1.0
+
+
+def test_code_lines(tmp_path):
+    # the count leaves out docstrings, comments and blank lines, and counts
+    # each line of a statement over several
+    (tmp_path / "one.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nimport math  # trailing\n\n\n'
+        'def f(x):\n    """Docstring."""\n    return (x +\n            math.pi)\n',
+        encoding="utf-8")
+    (tmp_path / "two.py").write_text('TEXT = """not a\ndocstring"""\n', encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(REPO_ROOT / "benchmarks" / "code_lines.py"),
+                           str(tmp_path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["one.py", "4"], ["two.py", "2"], ["total", "6"]]
+    # by default, every module of src/greendry
+    proc = subprocess.run([sys.executable, str(REPO_ROOT / "benchmarks" / "code_lines.py")],
+                          capture_output=True, text=True, timeout=60)
+    names = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert names == sorted(p.name for p in (REPO_ROOT / "src" / "greendry").glob("*.py")) \
+        + ["total"]

@@ -1,6 +1,7 @@
 import bisect
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import importlib.util
@@ -128,6 +129,29 @@ def _run_baseline(runner, baseline_config_path, out_dir, *extra):
         "--preset", "tropical", "--days", "1", "--horizon-h", "2",
         "--out", str(out_dir), *extra,
     )
+
+
+def test_function_bound_before_the_command_loads_is_kept(baseline_config_path, tmp_path):
+    # a wrapper bound on the CLI before run loads config, solver and sweep,
+    # as a tracer binds one, is the function the command calls
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import greendry.cli as cli\n"
+            "calls = []\n"
+            "def load_config(path):\n"
+            "    calls.append(path)\n"
+            "    return sys.modules['greendry.config'].load_config(path)\n"
+            "cli.load_config = load_config\n"
+            "print('greendry.config' in sys.modules)\n"
+            "try:\n"
+            "    cli.main(sys.argv[2:])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, calls)\n")
+    config = str(baseline_config_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(REPO_ROOT / "src"), "run", "--config", config,
+         "--preset", "tropical", "--days", "1", "--horizon-h", "1",
+         "--out", str(tmp_path / "out")], capture_output=True, text=True, timeout=120)
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", f"0 [{config!r}]"), proc.stderr
 
 
 class TestRun:
@@ -1287,6 +1311,39 @@ class TestSweep:
             assert re.fullmatch(r"error: sweep worker \d+ ended by signal 9 before it "
                                 r"sent its results\n", result.stderr), result.stderr
         assert _contents(out) == {"sweep.csv": b"kept\n"}
+
+    @pytest.mark.parametrize("call, nth, code", [
+        ("fork", 1, errno.EAGAIN), ("fork", 2, errno.EAGAIN),
+        ("pipe", 1, errno.EMFILE), ("pipe", 2, errno.EMFILE), ("pipe", 3, errno.EMFILE),
+    ], ids=["fork-worker1", "fork-worker2", "pipe-indices", "pipe-worker1",
+            "pipe-worker2"])
+    def test_worker_that_cannot_start_exits_3(self, runner, baseline_config_path, tmp_path,
+                                              cpus, monkeypatch, call, nth, code):
+        # os.pipe's first call makes the index pipe, then one results pipe
+        # per worker; the worker forked before the failure is killed and reaped
+        original, calls = getattr(os, call), []
+
+        def failing():
+            calls.append(call)
+            if len(calls) == nth:
+                raise OSError(code, os.strerror(code))
+            return original()
+
+        monkeypatch.setattr(os, call, failing)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sweep.csv").write_bytes(b"kept\n")
+        cpus(2)
+        result = run_cli(runner, "sweep", "--config", str(baseline_config_path), "--spec",
+                         str(self._spec(tmp_path, "[1.2, 1.5, 0.9]")), "--preset",
+                         "tropical", "--days", "2", "--out", str(out))
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (f"error: cannot start sweep worker: [Errno {code}] "
+                                 f"{os.strerror(code)}\n")
+        assert len(calls) == nth
+        assert _contents(out) == {"sweep.csv": b"kept\n"}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_workers_do_not_change_sweep_csv(self, runner, baseline_config_path,
                                             tmp_path, cpus):

@@ -12,7 +12,8 @@ import greendry
 import greendry.core
 import greendry.solver
 
-from greendry.coefficients import SIGMA, hydraulic_diameter, wind_coefficient
+from greendry.coefficients import (SIGMA, _convective, _radiative, hydraulic_diameter,
+                                   wind_coefficient)
 from greendry.config import apply_overrides, config_from_dict
 from greendry.core import (
     SimState,
@@ -333,17 +334,74 @@ class TestSolveEnergySystem:
         assert len(series.states) == 1441 and fallbacks == []
 
 
+# what only run and sweep use, which the CLI loads when one of them starts
+RUN_MODULES = ["greendry.config", "greendry.solver", "greendry.sweep", "greendry.kinetics",
+               "greendry.coefficients", "yaml", "hashlib", "json"]
+
+
+def _fresh(code, *args):
+    """The stdout of a fresh interpreter that runs code with this package's
+    src first on sys.path and args in sys.argv[1:]."""
+    src = str(Path(greendry.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, " + repr(src) + ")\n" + code
+    return subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
 @pytest.mark.parametrize("module", ["numpy", "multiprocessing",
                                     "concurrent.futures.process", "pickle", "click",
-                                    "dataclasses", "inspect", "yaml"])
+                                    "dataclasses", "inspect"] + RUN_MODULES)
 def test_cli_import_does_not_load(module):
     # each would add to the set-up time of every CLI invocation
-    src = str(Path(greendry.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import greendry.cli; "
-            "print(sys.argv[2] in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src, module], check=True,
-                         capture_output=True, text=True, timeout=60).stdout
+    out = _fresh("import greendry.cli; print(sys.argv[1] in sys.modules)", module)
     assert out.strip() == "False"
+
+
+def test_run_names_load_the_run_modules():
+    # the first read of one of them from outside the CLI, as the bench's
+    # set-up probe of run and sweep makes, loads them all; YAML loads with
+    # the first file read
+    out = _fresh("import greendry.cli; greendry.cli.load_config\n"
+                 "print(' '.join(m for m in sys.argv[1:] if m not in sys.modules))",
+                 *RUN_MODULES)
+    assert out.split() == ["yaml"]
+
+
+def test_package_names_resolve_on_first_access():
+    # each exported name is the object its module defines, the package's
+    # submodules are attributes of the package, and `from greendry import`
+    # takes either
+    out = _fresh(
+        "import greendry\n"
+        "solver = greendry.solver\n"
+        "names = {name: getattr(greendry, name) for name in greendry.__all__}\n"
+        "from greendry import coefficients, config, kinetics, simulate, sweep\n"
+        "assert simulate is solver.simulate and greendry.step is solver.step\n"
+        "assert kinetics is solver.kinetics and config is sys.modules['greendry.config']\n"
+        "assert coefficients.AirProps is greendry.AirProps\n"
+        "for name, value in names.items():\n"
+        "    if getattr(sys.modules[value.__module__], name) is value:\n"
+        "        print(name, value.__module__)\n"
+        "try:\n"
+        "    greendry.cli\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    lines = out.splitlines()
+    assert lines.pop() == "module 'greendry' has no attribute 'cli'"
+    defined = dict(line.split(" ", 1) for line in lines)
+    assert defined == {
+        **dict.fromkeys(["EconomicInputs", "ErrorReport", "acceptance_check",
+                         "payback_period", "percent_difference"], "greendry.analysis"),
+        **dict.fromkeys(["DryerConfig", "apply_overrides", "load_config"], "greendry.config"),
+        **dict.fromkeys(["AirProps", "SimState", "WeatherRecord", "air_properties",
+                         "humidity_ratio", "relative_humidity", "saturation_pressure"],
+                        "greendry.core"),
+        **dict.fromkeys(["SimSeries", "simulate", "step"], "greendry.solver"),
+        **dict.fromkeys(["SweepSpec", "drying_time_objective", "grid_search"],
+                        "greendry.sweep"),
+        **dict.fromkeys(["WeatherSeries", "load_csv", "sample", "synthetic_days"],
+                        "greendry.weather"),
+    }
 
 
 class TestCoverBalance:
@@ -643,6 +701,56 @@ class TestStep:
         f = next(weather_forcing(tropical_weather, baseline_cfg.numerics.dt))
         A, *_ = stepper(baseline_cfg)(state, f)[1]
         assert A[1][0] == A[0][1]
+
+
+class TestEnergyColumns:
+    """Each column of the energy matrix, one node's temperature coefficients
+    summed over the four balances, is that node's storage plus its
+    exchanges with the outside (sky, wind, ambient air through the cover
+    and by ventilation, deep soil): an exchange between two nodes enters
+    their two rows with opposite signs and cancels.  Two parts are left
+    over, each written out as a named term:
+    - the cover-air exchange A_c h_c, which the cover row carries and the
+      air row omits, adds A_c h_c to the T_c column and -A_c h_c to the T_a
+      column (test_cover_air_exchange_is_symmetric records the omission);
+    - the sensible-moisture term q_m (T_p - T_a), q_m = m_p C_pv dM/dt,
+      enters the air and the product rows with the same sign, adding 2 q_m
+      to the T_a column and -2 q_m to the T_p column.
+    An internal exchange entered in one row only, or with one sign wrong,
+    breaks the identity on every step where it is not zero."""
+
+    @pytest.mark.parametrize("override", [{}, {"airflow.V_a": 0.0}, {"airflow.V_vent": 0.1}],
+                             ids=["baseline", "V_a=0", "V_vent=0.1"])
+    def test_column_is_storage_plus_outside_exchange(self, baseline_cfg, tropical_weather,
+                                                     override):
+        cfg = apply_overrides(baseline_cfg, override)
+        g, c, fl, p, a = cfg.geometry, cfg.cover, cfg.floor, cfg.product, cfg.airflow
+        dt = cfg.numerics.dt
+        D_h = hydraulic_diameter(g.W, g.D)
+        m_p = p.loading * g.A_p
+        advance, state = stepper(cfg), initial_state(cfg, tropical_weather)
+        drying = 0
+        for f in weather_forcing(tropical_weather, dt):
+            new_state, (A, _, dM, _, _) = advance(state, f)
+            air = air_properties(state.T_a)
+            h_c = _convective(D_h * a.V_a, D_h, air)[2]
+            h_r_cs = _radiative(c.eps_c * SIGMA, state.T_c, cfg.kinetics.c_sky * f.T_am_1_5)
+            cover_air_omitted = g.A_c * h_c
+            sensible_moisture = 2.0 * m_p * p.C_pv * dM / dt
+            expected = (
+                c.C_c / dt + g.A_c * (h_r_cs + f.h_w) + cover_air_omitted,
+                (air.rho * g.V * air.cp / dt + air.rho * air.cp * a.V_vent + c.U_c * g.A_c
+                 - cover_air_omitted + sensible_moisture),
+                m_p * (p.C_pp + p.C_pl * state.M_p) / dt - sensible_moisture,
+                g.A_f * fl.h_dfg,
+            )
+            for col, (node, want) in enumerate(zip(("T_c", "T_a", "T_p", "T_f"), expected)):
+                column = [row[col] for row in A]
+                assert abs(sum(column) - want) <= 1e-12 * sum(map(abs, column)), \
+                    (f.t, node, column, want)
+            drying += dM != 0.0
+            state = new_state
+        assert drying > 1000  # steps whose q_m is not zero
 
 
 class TestKineticsStall:
