@@ -32,7 +32,11 @@ on both sides alike.  The cases:
   18-point drying-time grid (airflow.V_a {1, 3} x product.F_p {0.3, 0.5,
   0.7} x cover.tau_c {0.7, 0.85, 0.9}, target 0.08) with a 60 h horizon,
   or the whole weather when `days` is shorter, on as many worker
-  processes as the side starts for it.
+  processes as the side starts for it;
+- drying_time: `sweep.drying_time_objective` of one point of that grid
+  (airflow.V_a 1, product.F_p 0.3, cover.tau_c 0.7), in this process,
+  over its forcing built in advance: the walk a sweep worker takes per
+  point, without the forks of grid_search.
 
 For each case it prints, per side, the median and quartiles in
 milliseconds, the pairs in which the change was faster and the two-sided
@@ -64,10 +68,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = Path("configs") / "baseline_copra.yaml"
 CASES = ("steps", "steps_prebuilt", "write_run", "read_states", "validate", "import_cli",
-         "grid_search")
-# the grid_search case's (dotted path, values)
+         "grid_search", "drying_time")
+# the grid_search case's (dotted path, values), and the drying_time case's
+# point of it
 GRID = (("airflow.V_a", (1.0, 3.0)), ("product.F_p", (0.3, 0.5, 0.7)),
         ("cover.tau_c", (0.7, 0.85, 0.9)))
+POINT = {"airflow.V_a": 1.0, "product.F_p": 0.3, "cover.tau_c": 0.7}
+TARGET_MDB = 0.08
 SIDES = ("parent", "change")
 
 
@@ -129,13 +136,17 @@ def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
     _load(name, tree)
     solver = importlib.import_module(f"{name}.solver")
     cli = importlib.import_module(f"{name}.cli")
-    cfg = importlib.import_module(f"{name}.config").load_config(root / CONFIG)
+    config = importlib.import_module(f"{name}.config")
+    cfg = config.load_config(root / CONFIG)
     weather_module = importlib.import_module(f"{name}.weather")
     read_csv, weather = weather_module.read_csv, weather_module.synthetic_days(days)
     sweep = importlib.import_module(f"{name}.sweep")
-    grid = sweep.SweepSpec(parameters=GRID, objective="drying_time", target_mdb=0.08,
-                           weather=weather, horizon_s=min(60 * 3600.0, weather.horizon()))
+    horizon_s = min(60 * 3600.0, weather.horizon())
+    grid = sweep.SweepSpec(parameters=GRID, objective="drying_time", target_mdb=TARGET_MDB,
+                           weather=weather, horizon_s=horizon_s)
     forcing = tuple(solver.weather_forcing(weather, cfg.numerics.dt))
+    point_cfg = config.apply_overrides(cfg, POINT)
+    point_forcing = tuple(solver.weather_forcing(weather, point_cfg.numerics.dt, horizon_s))
     run = tuple(solver.steps(cfg, weather))
     states, diagnostics = scratch / f"{name}_states.csv", scratch / f"{name}_diag.csv"
     observed = scratch / f"{name}_observed.csv"
@@ -164,6 +175,8 @@ def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
         "import_cli": lambda: subprocess.run(
             [sys.executable, "-c", "import greendry.cli"], env=env, check=True),
         "grid_search": lambda: sweep.grid_search(cfg, grid),
+        "drying_time": lambda: sweep.drying_time_objective(
+            point_cfg, weather, TARGET_MDB, horizon_s, point_forcing),
     }
 
 

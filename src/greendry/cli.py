@@ -185,11 +185,17 @@ RESIDUAL_MEMO_CAP = 256  # the most residual cells _write_run keeps
 def _write_run(states_path, diag_path, run, comment) -> int:
     """Write the states and diagnostics CSVs, a row as each (state, work) of
     run comes (work None: no step row), run being `solver.steps` or what it
-    yields; return the number of states.  Each cell is a repr, made
-    once where values repeat: t for both rows; the previous state's rh when
-    the step's rh (work[3]) is that very object, as from `advance`; the
-    previous state's M_p when the new state's M_p is that very object, as a
-    stalled or at-equilibrium step returns it; and the first
+    yields; return the number of states.  work is `advance`'s flat tuple:
+    the nine entries that vary and the four right-hand sides of
+    `solver.energy_system`, then dM, rh and flags.  Each residual is
+    written out over energy_system's rows, term by term as
+    `step_diagnostics` sums them, the terms of the structural zeros
+    included (0.0 * T is -0.0 for a negative T, and x + 0.0 is 0.0 for
+    x = -0.0), so that each cell is the record's.  Each cell is a repr,
+    made once where values repeat: t for both rows; the previous state's rh
+    when the step's rh (work[14]) is that very object, as from `advance`;
+    the previous state's M_p when the new state's M_p is that very object,
+    as a stalled or at-equilibrium step returns it; and the first
     RESIDUAL_MEMO_CAP distinct nonzero residuals (roundoff: 35 in 4 baseline
     days).  Objects, not values, are compared, and zero is not memoised, as
     0.0 == -0.0 but their reprs differ: a zero residual is written "0.0" or
@@ -212,12 +218,12 @@ def _write_run(states_path, diag_path, run, comment) -> int:
                 enumerate(run, start=1):
             t_cell = repr(t)
             if work is not None:
-                (((c0, c1, c2, c3), (a0, a1, a2, a3), (p0, p1, p2, p3),
-                  (f0, f1, f2, f3)), (b0, b1, b2, b3), dM, rh_used, flags) = work
-                r0 = c0 * T_c + c1 * T_a + c2 * T_p + c3 * T_f - b0
-                r1 = a0 * T_c + a1 * T_a + a2 * T_p + a3 * T_f - b1
-                r2 = p0 * T_c + p1 * T_a + p2 * T_p + p3 * T_f - b2
-                r3 = f0 * T_c + f1 * T_a + f2 * T_p + f3 * T_f - b3
+                c0, c1, c2, a1, a2, a3, p1, p2, f3, b0, b1, b2, b3, dM, rh_used, flags = work
+                # the rows of solver.energy_system, its structural zeros included
+                r0 = c0 * T_c + c1 * T_a + c2 * T_p + 0.0 * T_f - b0
+                r1 = 0.0 * T_c + a1 * T_a + a2 * T_p + a3 * T_f - b1
+                r2 = c2 * T_c + p1 * T_a + p2 * T_p + 0.0 * T_f - b2
+                r3 = 0.0 * T_c + a3 * T_a + 0.0 * T_p + f3 * T_f - b3
                 diagnostics.write(
                     f"{t_cell},{get(r0) or residual(r0)},{get(r1) or residual(r1)},"
                     f"{get(r2) or residual(r2)},{get(r3) or residual(r3)},{dM!r},"

@@ -7,9 +7,15 @@ change frozen at the previous step's values so the system is linear,
 solves them, and then routes the evaporated water into the air by a
 chamber humidity-ratio balance.  One function, `advance`, which
 `stepper(cfg)` returns for a run, takes the whole step; its docstring
-gives the rows.  It works on plain Python floats: the rows are tuples of
-four coefficients with their right-hand sides.  At 4x4, array set-up
-would cost more than the arithmetic.
+gives the rows.  It works on plain Python floats, scalar by scalar: it
+builds no row or matrix, only the nine entries of the system that vary
+and the four right-hand sides, which it passes to the solve as 13
+arguments and returns, with dM, rh and flags, as one flat work tuple.
+`energy_system(work)` rebuilds the rows (A, b) from it, with the
+pattern's structural zeros, for whatever reads rows: `step_diagnostics`,
+the error path and the tests.  At 4x4, array set-up would cost more than
+the arithmetic, and rows of tuples cost seven tuples a step (four rows,
+A, b and the work) where the flat work is one.
 
 `advance` runs straight through, calling per step only `_kinetics_update`
 and the solve: it writes out `relative_humidity_at`, the `air_properties`
@@ -26,15 +32,19 @@ air (0,x,x,x), product (x,x,x,0), floor (0,x,0,x).  The air row's T_c
 zero rests on a known omission: the cover row carries -A_c h_c on T_a,
 but the air row has no T_c term, so the heat the cover exchanges with the
 air, A_c h_c (T_c - T_a), is lost (up to ~500 W on the baseline; an
-expected failure in test_solver records it).  `advance` solves the
-system with `solve_energy_system`, a straight-line Gauss-Jordan for this
-pattern, bit-identical to the general `eliminate`, to which it hands
-every system that does not fit; a T_c term in the air row would send
-every step there.
+expected failure in test_solver records it).  Two entries appear twice:
+the product-cover exchange -A_p h_r_pc is A[0][2] and A[2][0], and the
+floor-air exchange -A_f h_c is A[1][3] and A[3][1], so nine entries vary.
+`advance` solves the system with `solve_energy_system`, a straight-line
+Gauss-Jordan over those scalars, bit-identical to the general
+`eliminate`, to which it hands every system whose pivots leave the
+diagonal or fall below SINGULAR_PIVOT.  A T_c term in the air row would
+need a tenth scalar and a new kernel.
 
 Recording a step is separate: `advance` returns, with the new state,
-what `step_diagnostics` needs to record it.  `step` advances and records
-one step.  `steps`, the one run loop, yields each state with its work:
+the work tuple from which `step_diagnostics` records it.  `step` advances
+and records one step.  `steps`, the one run loop, yields each
+(state, work) pair as `advance` returns it:
 `simulate` keeps every state and record; `greendry run` (cli.cmd_run)
 streams `steps`, writing each state and step row as it comes and keeping
 none; a sweep point keeps only the last two states.
@@ -53,15 +63,19 @@ works out for the new state.
 Inputs are checked once, where they enter (`DryerConfig`, `WeatherSeries`);
 the physics functions trust them and check only what a step produces.
 What depends only on the config is computed once per run:
-`stepper(cfg)` works out dt, the pressure, the hydraulic diameter and
-products of config values such as U_c A_c as its own locals and returns
-`advance`, which closes over them; `steps` builds it once per run, and
-a sweep point in the process that runs it.  Python evaluates `a * b * c`
-as `(a * b) * c`, and floating-point products do not associate, so a
+`stepper(cfg)` works out dt, dt/3600, the pressure, the hydraulic
+diameter, the isotherm's b0, b1 and 1/b2, the negated areas and products
+of config values such as U_c A_c as its own locals and returns `advance`,
+which closes over them and passes the kinetics constants to
+`_kinetics_update`; `steps` builds it once per run, and a sweep point in
+the process that runs it.  Within a step, a product two rows share,
+T_c**2 and A_p h_c, is computed once.  Python evaluates `a * b * c` as
+`(a * b) * c`, and floating-point products do not associate, so a
 product of config values is hoisted only when it is a left prefix of the
 per-step expression: `A_f * h_dfg * T_deep` becomes one constant, but in
 `bracket * I_t * A_c * tau_c` only `bracket` can be, since `A_c * tau_c`
-would round differently.  This keeps every state bit-identical to
+would round differently.  A negation is exact, so `-A_p * h_r_pc` may
+take the hoisted -A_p.  This keeps every state bit-identical to
 evaluating the expressions in full on each step, as
 tests/test_step_reference.py does.
 
@@ -71,12 +85,20 @@ closure and unpacks its Forcing, the one record it still reads by
 position, once into the locals its rows use (`_` for a field it does not
 read), where a lookup by field name would cost an attribute access each;
 a test in tests/test_step_reference.py holds the names to Forcing's
-fields, in order.  One `isfinite` over the sum of the row entries that
-vary and the right-hand sides checks the system.  It builds the new
-SimState, as `_forcing` builds each Forcing, with `tuple.__new__` on the
-field values in order: a NamedTuple call runs a Python-level `__new__`
-that takes about 2.5 times as long (CPython 3.11), and a streamed run
-builds one SimState and one Forcing per step.
+fields, in order.  `_kinetics_update` takes the state's T_a, M_p and rh
+as arguments, and the solve its 13 scalars, so neither reads a record;
+the solve compares each pivot magnitude without an `abs` call.  One
+`isfinite` over the sum of the entries that vary and the right-hand sides
+checks the system.  It builds the new SimState, as `_forcing` builds each
+Forcing, with `tuple.__new__` on the field values in order: a NamedTuple
+call runs a Python-level `__new__` that takes about 2.5 times as long
+(CPython 3.11), and a streamed run builds one SimState and one Forcing
+per step.
+
+solver.py stays under 4096 tokens (`tokenize`, without comments and blank
+lines): at 4096, CPython 3.11's parser doubles its token array, and a
+checkout without bytecode compiles this module in every process, at
+~1.4 MiB against ~1.65 MiB of peak memory (tracemalloc on `compile`).
 """
 
 from __future__ import annotations
@@ -185,90 +207,104 @@ def eliminate(A, b) -> list[float]:
     return [row[n] for row in aug]
 
 
-def solve_energy_system(A, b) -> list[float]:
-    """`eliminate(A, b)` for a 4x4 system, written out for the energy
-    system's zero pattern; the result, or the SingularMatrixError, is
-    bit-identical for every 4x4 system.
-
-    Fast path: A[1][0] and A[3][0] are zero (no T_c term in the air and
-    floor rows) and, before each column, the diagonal entry is a first
-    maximum of the pivot search with magnitude >= SINGULAR_PIVOT.  It
-    then does eliminate's divisions and factor x pivot-row subtractions in
-    eliminate's order, skipping the same zero factors, and saves its list
-    copies, loops and pivot searches.  Any other system is returned as
-    `eliminate(A, b)`, which keeps row swaps and SingularMatrixError in
-    one implementation.  Partial pivoting has not been seen to swap a row
-    of an energy system: the baseline takes the fast path on every step.
-    """
-    (a00, a01, a02, a03), (a10, a11, a12, a13), \
-        (a20, a21, a22, a23), (a30, a31, a32, a33) = A
-    b0, b1, b2, b3 = b
-    if a10 != 0.0 or a30 != 0.0:
-        return eliminate(A, b)
-
-    m = abs(a00)
-    if abs(a20) > m or m < SINGULAR_PIVOT:
-        return eliminate(A, b)
-    a01 /= a00
-    a02 /= a00
-    a03 /= a00
-    b0 /= a00
-    if a20 != 0.0:
-        a21 -= a20 * a01
-        a22 -= a20 * a02
-        a23 -= a20 * a03
-        b2 -= a20 * b0
-
-    m = abs(a11)
-    if abs(a21) > m or abs(a31) > m or m < SINGULAR_PIVOT:
-        return eliminate(A, b)
-    a12 /= a11
-    a13 /= a11
-    b1 /= a11
-    if a01 != 0.0:
-        a02 -= a01 * a12
-        a03 -= a01 * a13
-        b0 -= a01 * b1
-    if a21 != 0.0:
-        a22 -= a21 * a12
-        a23 -= a21 * a13
-        b2 -= a21 * b1
-    if a31 != 0.0:
-        a32 -= a31 * a12
-        a33 -= a31 * a13
-        b3 -= a31 * b1
-
-    m = abs(a22)
-    if abs(a32) > m or m < SINGULAR_PIVOT:
-        return eliminate(A, b)
-    a23 /= a22
-    b2 /= a22
-    if a02 != 0.0:
-        a03 -= a02 * a23
-        b0 -= a02 * b2
-    if a12 != 0.0:
-        a13 -= a12 * a23
-        b1 -= a12 * b2
-    if a32 != 0.0:
-        a33 -= a32 * a23
-        b3 -= a32 * b2
-
-    if abs(a33) < SINGULAR_PIVOT:
-        return eliminate(A, b)
-    b3 /= a33
-    if a03 != 0.0:
-        b0 -= a03 * b3
-    if a13 != 0.0:
-        b1 -= a13 * b3
-    if a23 != 0.0:
-        b2 -= a23 * b3
-    return [b0, b1, b2, b3]
+def energy_system(work):
+    """(A, b) of the energy system whose entries that vary and right-hand
+    sides open work, in the order `advance` returns them: a00, a01, a02,
+    a11, a12, a13, a21, a22, a33, b0, b1, b2, b3.  A[2][0] is a02 and
+    A[3][1] is a13 (the product-cover and floor-air exchanges), and the
+    pattern's other entries are the structural zeros 0.0."""
+    a00, a01, a02, a11, a12, a13, a21, a22, a33, b0, b1, b2, b3 = work[:13]
+    return (((a00, a01, a02, 0.0), (0.0, a11, a12, a13), (a02, a21, a22, 0.0),
+             (0.0, a13, 0.0, a33)), (b0, b1, b2, b3))
 
 
-def _kinetics_update(state, rh, kin: Kinetics, M_0: float, dt: float):
-    """The moisture step of length dt at current conditions, toward the
-    equilibrium moisture at the chamber rh, for a charge that started at
-    M_0 (decimal db), with the isotherm of kin.
+def solve_energy_system(a00, a01, a02, a11, a12, a13, a21, a22, a33, b0, b1, b2, b3):
+    """`eliminate(*energy_system(system))` of the energy system given by its
+    13 scalars, in energy_system's order, written out for its zero pattern;
+    the result, or the SingularMatrixError, is bit-identical for every such
+    system.
+
+    Fast path: before each column, the diagonal entry is a first maximum
+    of the pivot search with magnitude >= SINGULAR_PIVOT.  It then does
+    eliminate's divisions and factor x pivot-row subtractions in
+    eliminate's order, structural zeros included, skipping the same zero
+    factors, and saves its list copies, loops and pivot searches.  Each
+    magnitude is compared without `abs`: m is the diagonal entry or its
+    negation, and x > m or -x > m is abs(x) > m, NaN, infinities and signed
+    zeros included.  The arguments keep their values, so any other system
+    is returned as eliminate of the system they rebuild, which keeps row
+    swaps and SingularMatrixError in one implementation.  Partial pivoting
+    has not been seen to swap a row of an energy system: the baseline takes
+    the fast path on every step."""
+    m = a00 if a00 > 0.0 else -a00
+    if not (a02 > m or -a02 > m or m < SINGULAR_PIVOT):
+        # column 0: row 2's factor is A[2][0] = a02; rows 1 and 3 have none
+        r01 = a01 / a00
+        r02 = a02 / a00
+        r03 = 0.0 / a00
+        x0 = b0 / a00
+        if a02 != 0.0:
+            r21 = a21 - a02 * r01
+            r22 = a22 - a02 * r02
+            r23 = 0.0 - a02 * r03
+            x2 = b2 - a02 * x0
+        else:
+            r21, r22, r23, x2 = a21, a22, 0.0, b2
+
+        # column 1: row 3's factor is A[3][1] = a13
+        m = a11 if a11 > 0.0 else -a11
+        if not (r21 > m or -r21 > m or a13 > m or -a13 > m or m < SINGULAR_PIVOT):
+            r12 = a12 / a11
+            r13 = a13 / a11
+            x1 = b1 / a11
+            if r01 != 0.0:
+                r02 -= r01 * r12
+                r03 -= r01 * r13
+                x0 -= r01 * x1
+            if r21 != 0.0:
+                r22 -= r21 * r12
+                r23 -= r21 * r13
+                x2 -= r21 * x1
+            if a13 != 0.0:
+                r32 = 0.0 - a13 * r12
+                r33 = a33 - a13 * r13
+                x3 = b3 - a13 * x1
+            else:
+                r32, r33, x3 = 0.0, a33, b3
+
+            m = r22 if r22 > 0.0 else -r22
+            if not (r32 > m or -r32 > m or m < SINGULAR_PIVOT):
+                r23 /= r22
+                x2 /= r22
+                if r02 != 0.0:
+                    r03 -= r02 * r23
+                    x0 -= r02 * x2
+                if r12 != 0.0:
+                    r13 -= r12 * r23
+                    x1 -= r12 * x2
+                if r32 != 0.0:
+                    r33 -= r32 * r23
+                    x3 -= r32 * x2
+
+                if not -SINGULAR_PIVOT < r33 < SINGULAR_PIVOT:
+                    x3 /= r33
+                    if r03 != 0.0:
+                        x0 -= r03 * x3
+                    if r13 != 0.0:
+                        x1 -= r13 * x3
+                    if r23 != 0.0:
+                        x2 -= r23 * x3
+                    return [x0, x1, x2, x3]
+    return eliminate(*energy_system((a00, a01, a02, a11, a12, a13, a21, a22, a33,
+                                     b0, b1, b2, b3)))
+
+
+def _kinetics_update(T_a, M_p, rh, M_0, b0, b1, inv_b2, dt_h, kin: Kinetics):
+    """The moisture step of dt_h hours from a charge at moisture M_p
+    (decimal db) in chamber air at T_a (K) and rh (%), toward the
+    equilibrium moisture at that rh, for a charge that started at M_0, with
+    the isotherm of kin, whose b0, b1 and 1/b2 the run hoists as b0, b1 and
+    inv_b2.
 
     Returns (M_new, flag), flag None or the step's kinetics flag.
     Drying stalls (dM = 0) when the Page rate constant is non-positive
@@ -281,40 +317,39 @@ def _kinetics_update(state, rh, kin: Kinetics, M_0: float, dt: float):
     clipped into [_AW_MIN, _AW_MAX] (a NaN passes through); the helper is
     called only where one of its checks fails, to raise its error, and its
     return value is used as M_e."""
-    T_c = state.T_a - 273.15
+    T_c = T_a - 273.15
     a_w = rh / 100.0
     if a_w < _AW_MIN:
         a_w = _AW_MIN
     elif a_w > _AW_MAX:
         a_w = _AW_MAX
-    base = kin.b0 + kin.b1 * T_c
+    base = b0 + b1 * T_c
     try:
-        M_e = base * (a_w / (1.0 - a_w)) ** (1.0 / kin.b2)
+        M_e = base * (a_w / (1.0 - a_w)) ** inv_b2
     except OverflowError:
         M_e = _INF
     # a non-finite T_c or a NaN a_w makes base non-finite or M_e not < inf
     if not (base > 0.0 and M_e < _INF):
         M_e = kinetics.equilibrium_moisture(T_c, a_w, kin)
     M_e /= 100.0
-    M = state.M_p
 
     A1 = -0.213788 + 0.0101640 * T_c - 0.001372 * rh
     if A1 <= 0.0:
-        return M, "kinetics_stalled"
-    if M_0 <= M_e or M <= M_e:
-        return M, "at_or_above_equilibrium"
+        return M_p, "kinetics_stalled"
+    if M_0 <= M_e or M_p <= M_e:
+        return M_p, "at_or_above_equilibrium"
 
     B1 = 1.108816 - 0.0005210 * T_c - 0.000061 * rh
     flag = (None if T_FIT_MIN <= T_c <= T_FIT_MAX and RH_FIT_MIN <= rh <= RH_FIT_MAX
             else "kinetics_extrapolated")
-    # the equivalent-time Page step; M > M_e, so mr > 0
-    mr = (M - M_e) / (M_0 - M_e)
+    # the equivalent-time Page step; M_p > M_e, so mr > 0
+    mr = (M_p - M_e) / (M_0 - M_e)
     if mr > 1.0:
         mr = 1.0
     t_eq = 0.0 if mr >= 1.0 else (-_log(mr) / A1) ** (1.0 / B1)
-    M_new = M_e + _exp(-A1 * (t_eq + dt / 3600.0)**B1) * (M_0 - M_e)
-    if M_new > M:  # guard against roundoff near the fixed point
-        M_new = M
+    M_new = M_e + _exp(-A1 * (t_eq + dt_h)**B1) * (M_0 - M_e)
+    if M_new > M_p:  # guard against roundoff near the fixed point
+        M_new = M_p
     return M_new, flag
 
 
@@ -378,19 +413,23 @@ def _forcings(weather: WeatherSeries, dt: float, n: int) -> Iterator[Forcing]:
 
 def stepper(cfg: DryerConfig):
     """The step function of a run under cfg, `advance(state, f)`, with the
-    run's constants (dt, pressure, the hydraulic diameter, products of
-    config values such as U_c A_c) worked out here, once, from cfg's seven
+    run's constants (dt, pressure, the hydraulic diameter, the isotherm's
+    b0, b1 and 1/b2, dt in hours, negated areas and products of config
+    values such as U_c A_c) worked out here, once, from cfg's seven
     sections, whose values DryerConfig checked.  Each product is a left
     prefix of the per-step expression it enters (see the module docstring)."""
     g, c, fl, p, a, kin, n = (cfg.geometry, cfg.cover, cfg.floor, cfg.product,
                                cfg.airflow, cfg.kinetics, cfg.numerics)
     dt, P = n.dt, n.pressure
+    dt_h = dt / 3600.0
     M_0 = cfg.M_0                          # initial moisture, decimal db
+    b0, b1, inv_b2 = kin.b0, kin.b1, 1.0 / kin.b2
     c_sky, V_a = kin.c_sky, a.V_a
     D_h = hydraulic_diameter(g.W, g.D)
     D_h_V_a = D_h * V_a
     eps_c_sigma, eps_p_sigma = c.eps_c * SIGMA, p.eps_p * SIGMA
     A_c, A_p, A_f, V, tau_c = g.A_c, g.A_p, g.A_f, g.V, c.tau_c
+    minus_A_c, minus_A_p, minus_A_f = -A_c, -A_p, -A_f
     cover_cap = c.C_c / dt
     cover_solar = A_c * c.alpha_c
     A_pf = A_p + A_f
@@ -438,13 +477,15 @@ def stepper(cfg: DryerConfig):
         as much chamber air; the new H is clamped to [0, saturation at new T_a],
         and the new state's rh is that of the new H at the new T_a.
 
-        Returns (new_state, work): work is (A, b, dM, rh, flags), what
-        `step_diagnostics` needs to record the step."""
+        Returns (new_state, work).  work is one flat tuple, what
+        `step_diagnostics` needs to record the step: the nine entries of A
+        that vary and the four right-hand sides, in `energy_system`'s order,
+        which rebuilds (A, b) from them, then dM, rh and flags."""
         _, I_t, T_am, T_am_1_5, h_w = f
         t, T_c, T_a, T_p, _, H, M_p, rh = state
         flags: list[str] = []
 
-        M_new, kin_flag = _kinetics_update(state, rh, kin, M_0, dt)
+        M_new, kin_flag = _kinetics_update(T_a, M_p, rh, M_0, b0, b1, inv_b2, dt_h, kin)
         if kin_flag:
             flags.append(kin_flag)
         dM = M_new - M_p
@@ -470,19 +511,23 @@ def stepper(cfg: DryerConfig):
         if T_c <= 0 or T_p <= 0 or T_s <= 0:  # each call raises its RangeError
             _radiative(eps_c_sigma, T_c, T_s)
             _radiative(eps_p_sigma, T_p, T_c)
-        h_r_cs = eps_c_sigma * (T_c * T_c + T_s * T_s) * (T_c + T_s)
-        h_r_pc = eps_p_sigma * (T_p * T_p + T_c * T_c) * (T_p + T_c)
+        T_c2 = T_c * T_c
+        h_r_cs = eps_c_sigma * (T_c2 + T_s * T_s) * (T_c + T_s)
+        h_r_pc = eps_p_sigma * (T_p * T_p + T_c2) * (T_p + T_c)
 
         if h_c + h_dfg == 0.0:
             raise SimulationError("floor row singular: h_dfg + h_c = 0")
         dmdt = dM / dt
         q_m = q_m_per_dmdt * dmdt
-        product_cover = -A_p * h_r_pc
-        floor_air = -A_f * h_c
+        A_p_h_c = A_p * h_c
+        product_cover = minus_A_p * h_r_pc
+        floor_air = minus_A_f * h_c
 
+        # the rows: cover (cover_cover, cover_air, product_cover, 0), air
+        # (0, air_air, air_product, floor_air), product (product_cover,
+        # product_air, product_product, 0), floor (0, floor_air, 0, floor_floor)
         cover_cover = cover_cap + A_c * (h_c + h_r_cs + h_w) + A_p * h_r_pc
-        cover_air = -A_c * h_c
-        cover = (cover_cover, cover_air, product_cover, 0.0)
+        cover_air = minus_A_c * h_c
         cover_rhs = (cover_cap * T_c + A_c * h_r_cs * T_s
                      + A_c * h_w * T_am + cover_solar * I_t)
 
@@ -490,37 +535,36 @@ def stepper(cfg: DryerConfig):
         cap = m_a * cp_a / dt
         rho_cp = rho_a * cp_a
         air_air = cap + A_pf * h_c + q_m + rho_cp * V_vent + U_c_A_c
-        air_product = -(A_p * h_c + q_m)
-        air_row = (0.0, air_air, air_product, floor_air)
+        air_product = -(A_p_h_c + q_m)
         air_rhs = (cap * T_a + rho_cp * V_vent * T_in + U_c_A_c * T_am
                    + air_solar * I_t * A_c * tau_c)
 
         cap = m_p * (C_pp + C_pl * M_p) / dt
-        product_air = -A_p * h_c + q_m
+        product_air = -A_p_h_c + q_m
         product_product = cap + A_p * (h_c + h_r_pc) - q_m
-        product = (product_cover, product_air, product_product, 0.0)
         product_rhs = (cap * T_p + latent_per_dmdt * dmdt
                        + product_solar * I_t * A_c * tau_c)
 
         floor_floor = A_f * (h_dfg + h_c)
-        floor = (0.0, floor_air, 0.0, floor_floor)
         floor_rhs = floor_deep + floor_solar * I_t * A_c * tau_c
 
-        A = (cover, air_row, product, floor)
-        b = (cover_rhs, air_rhs, product_rhs, floor_rhs)
+        work = (cover_cover, cover_air, product_cover, air_air, air_product, floor_air,
+                product_air, product_product, floor_floor,
+                cover_rhs, air_rhs, product_rhs, floor_rhs, dM, rh, flags)
         # a finite sum of the nine entries that vary and the four right-hand
         # sides means finite entries; only a non-finite one (or a sum of finite
-        # entries that overflows) needs the per-row search.  The add chain
-        # builds no tuple of the entries: CPython 3.11 keeps freed 20-tuples on
-        # its free list (up to 2000, ~390 KB over a run) and never reuses them.
+        # entries that overflows) needs the per-row search
         if not isfinite(cover_cover + cover_air + product_cover + air_air
                         + air_product + floor_air + product_air + product_product
                         + floor_floor + cover_rhs + air_rhs + product_rhs + floor_rhs):
-            for name, row, rhs in zip(BALANCES, A, b):
+            for name, row, rhs in zip(BALANCES, *energy_system(work)):
                 if not all(map(isfinite, (*row, rhs))):
                     raise SimulationError(
                         f"non-finite {name} balance: row {row}, rhs {rhs}")
-        T_c, T_a, T_p, T_f = x = solve_energy_system(A, b)
+        T_c, T_a, T_p, T_f = x = solve_energy_system(
+            cover_cover, cover_air, product_cover, air_air, air_product, floor_air,
+            product_air, product_product, floor_floor,
+            cover_rhs, air_rhs, product_rhs, floor_rhs)
         if not isfinite(T_c + T_a + T_p + T_f) and not all(map(isfinite, x)):
             raise SimulationError(f"non-finite temperatures {x}")
 
@@ -552,18 +596,18 @@ def stepper(cfg: DryerConfig):
         if rh_new > 100.0:
             rh_new = 100.0
 
-        new_state = _tuple_new(SimState,
-                               (t + dt, T_c, T_a, T_p, T_f, H_new, M_new, rh_new))
-        return new_state, (A, b, dM, rh, flags)
+        return _tuple_new(SimState, (t + dt, T_c, T_a, T_p, T_f, H_new, M_new, rh_new)), work
 
     return advance
 
 
 def step_diagnostics(new_state: SimState, work) -> StepDiagnostics:
     """The record of the step that `advance` took to new_state, from the
-    work it returned: per balance, the residual sum(row * x) - rhs and the
-    largest term magnitude, then what the step used and flagged."""
-    A, b, dM, rh, flags = work
+    work it returned: per balance of `energy_system(work)`, the residual
+    sum(row * x) - rhs and the largest term magnitude, then what the step
+    used and flagged."""
+    A, b = energy_system(work)
+    dM, rh, flags = work[13:]
     _, T_c, T_a, T_p, T_f, *_ = new_state
     residuals = []
     max_terms = []
@@ -624,11 +668,12 @@ def steps(cfg: DryerConfig, weather: WeatherSeries, horizon_s: float | None = No
     yield state, None
     for i, f in enumerate(forcing, start=1):
         try:
-            state, work = advance(state, f)
+            pair = advance(state, f)
         except GreendryError as exc:
             raise SimulationError(f"step {i} (t={f.t} s): {exc}") from exc
-        yield state, work
-        if target_mdb is not None and state.M_p <= target_mdb:
+        yield pair
+        state = pair[0]
+        if target_mdb is not None and state[6] <= target_mdb:  # its M_p
             return
 
 

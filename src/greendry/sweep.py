@@ -157,13 +157,17 @@ def _forked(cfgs: list[DryerConfig], spec: SweepSpec,
     next index whenever it is free, evaluates that point with its own
     per-dt forcings and, at the pipe's end, sends the pickled (True,
     [(index, result), ...]), or (False, the exception that stopped it),
-    over a pipe of its own, and ends in os._exit.  The parent only waits.
-    It re-raises a child's exception, raises a SimulationError for a
-    child that ends with no result and one naming the cause when os.pipe
-    or os.fork fails (`cannot start sweep worker: ...`), and kills and
-    reaps every child it forked before it returns or raises."""
+    over a pipe of its own, and ends in os._exit.  The parent only waits,
+    on every result pipe at once (poll), and takes the result of whichever
+    child ends first, so that a child that fails is reported as it ends,
+    not after the children forked before it.  It re-raises a child's
+    exception, raises a SimulationError for a child that ends with no
+    result and one naming the cause when os.pipe or os.fork fails
+    (`cannot start sweep worker: ...`), and kills and reaps every child it
+    forked before it returns or raises."""
     # Imported here so that importing the CLI does not pay for them.
     import pickle
+    import select
     import signal
 
     def start(call):  # os.pipe or os.fork
@@ -214,19 +218,29 @@ def _forked(cfgs: list[DryerConfig], spec: SweepSpec,
                 for start in range(0, len(indices), 512):
                     index_w.write(indices[start:start + 512])
             index_w.close()
-            for pid, result_r in list(children.items()):
-                payload = result_r.read()
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[pid]
-                if status != 0:
-                    how = f"signal {-status}" if status < 0 else f"exit status {status}"
-                    raise SimulationError(f"sweep worker {pid} ended by {how} "
-                                          "before it sent its results")
-                ok, value = pickle.loads(payload)
-                if not ok:
-                    raise value
-                for i, result in value:
-                    results[i] = result
+            # a result pipe polls readable once its child writes its payload,
+            # which it does as it ends, or closes it by ending without one
+            poll = select.poll()
+            waiting = {}  # the fd of each result pipe -> its child's pid
+            for pid, result_r in children.items():
+                poll.register(result_r, select.POLLIN)
+                waiting[result_r.fileno()] = pid
+            while waiting:
+                for fd, _ in poll.poll():
+                    poll.unregister(fd)
+                    pid = waiting.pop(fd)
+                    payload = children[pid].read()
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del children[pid]
+                    if status != 0:
+                        how = f"signal {-status}" if status < 0 else f"exit status {status}"
+                        raise SimulationError(f"sweep worker {pid} ended by {how} "
+                                              "before it sent its results")
+                    ok, value = pickle.loads(payload)
+                    if not ok:
+                        raise value
+                    for i, result in value:
+                        results[i] = result
         finally:
             for pid in children:
                 os.kill(pid, signal.SIGKILL)

@@ -20,7 +20,7 @@ from greendry.kinetics import (
     step_moisture,
 )
 from greendry.coefficients import _sky
-from greendry.solver import eliminate, simulate, solve_energy_system, steps
+from greendry.solver import eliminate, energy_system, simulate, solve_energy_system, steps
 from greendry.sweep import SweepSpec, drying_time_objective, grid_search
 from greendry.weather import sample, synthetic_days
 
@@ -147,17 +147,19 @@ def _cramer(A, b):
     d = _det(A)
     out = []
     for j in range(n):
-        Aj = [row[:j] + [bi] + row[j + 1:] for row, bi in zip(A, b)]
+        Aj = [[*row[:j], bi, *row[j + 1:]] for row, bi in zip(A, b)]
         out.append(_det(Aj) / d)
     return out
 
 
-def _worst_rel_diff(solve, systems):
+def _worst_rel_diff(solved):
+    """The worst relative difference from Cramer's rule of the solution x
+    of each (A, b, x) of solved."""
     worst = 0.0
-    for A, b in systems:
+    for A, b, x in solved:
         expected = _cramer(A, b)
         rel = max(abs(xi - ei) / max(abs(ei), 1e-30)
-                  for xi, ei in zip(solve(A, b), expected))
+                  for xi, ei in zip(x, expected))
         worst = max(worst, rel)
     return worst
 
@@ -170,15 +172,17 @@ def test_criterion_5_linear_solver_oracle(baseline_cfg, tropical_weather):
         A = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)  # well-conditioned
         b = rng.uniform(-1.0, 1.0, n)
         random_systems.append((A.tolist(), b.tolist()))
-    worst = _worst_rel_diff(eliminate, random_systems)
+    worst = _worst_rel_diff((A, b, eliminate(A, b)) for A, b in random_systems)
     assert worst <= 1e-12
     with pytest.raises(SingularMatrixError):
         eliminate([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
-    # the systems a run solves: every 20th step of the 4-day baseline
-    energy_systems = [([list(row) for row in work[0]], list(work[1]))
+    # the systems a run solves: every 20th step of the 4-day baseline, as
+    # the 13 scalars of a step's work that solve_energy_system takes
+    energy_systems = [work[:13]
                       for i, (_, work) in enumerate(steps(baseline_cfg, tropical_weather))
                       if i > 0 and i % 20 == 0]
-    worst_energy = _worst_rel_diff(solve_energy_system, energy_systems)
+    worst_energy = _worst_rel_diff((*energy_system(system), solve_energy_system(*system))
+                                   for system in energy_systems)
     assert len(energy_systems) == 288
     assert worst_energy <= 1e-12
     print(f"PASS criterion 5: 1000 random systems vs Cramer oracle, worst "

@@ -619,9 +619,7 @@ class TestWriteCsv:
         flags = [(), ("still_air",), ("kinetics_stalled", "still_air"), ()]
         run = [(SimState(60.0 * i, *(_any_float(rng) for _ in range(7))),
                 None if i == 0 else
-                (tuple(tuple(_any_float(rng) for _ in range(4)) for _ in range(4)),
-                 tuple(_any_float(rng) for _ in range(4)), _any_float(rng),
-                 _any_float(rng), flags[i % 4]))
+                (*(_any_float(rng) for _ in range(15)), flags[i % 4]))
                for i in range(201)]
         got = _written_run(tmp_path, run)
         assert got == _reference_run(tmp_path, run)
@@ -695,15 +693,16 @@ class TestWriteRun:
 
         run = [(SimState(0.0, shared, shared, shared, shared, 0.01, 0.5, shared), None)]
         for i in range(600):
-            A = [tuple(value(i) for _ in range(4)) for _ in range(4)]
+            # the nine entries that vary, then the right-hand sides
+            entries = [value(i) for _ in range(9)]
             b = [value(i) for _ in range(4)]
             state = SimState(*(value(i) for _ in range(8)))
             if i % 2:
-                # residual 0 is 0.0 and -0.0 by turns; residual 1 repeats
-                # one of three nonzero values
-                state = state._replace(T_c=1.5, T_a=shared, T_p=5e-324, T_f=1e300)
-                A[0] = (0.0,) * 4 if i % 4 == 1 else (-0.0,) * 4
-                A[1] = (1.0, 0.0, 0.0, 0.0)
+                # residual 0 is 0.0 and -0.0 by turns, its structural zero's
+                # term 0.0 * T_f being -0.0; residual 1 repeats one of three
+                # nonzero values
+                state = state._replace(T_c=shared, T_a=1.5, T_p=5e-324, T_f=-1e300)
+                entries[:6] = [0.0 if i % 4 == 1 else -0.0] * 3 + [1.0, 0.0, 0.0]
                 b[0], b[1] = 0.0, rng.choice([0.1, 1.5 - 2**-52, -7.25])
             previous = run[-1][0].rh
             # the kinetics rh: the previous state's very object; an equal
@@ -717,7 +716,7 @@ class TestWriteRun:
             previous = run[-1][0].M_p
             state = state._replace(
                 M_p=(previous, _copy(previous), 0.0, -0.0, state.M_p)[i % 5])
-            run.append((state, (tuple(A), tuple(b), value(i), rh, flags[i % 4])))
+            run.append((state, (*entries, *b, value(i), rh, flags[i % 4])))
         got = _written_run(tmp_path, run)
         assert got == _reference_run(tmp_path, run)
         for cell in (b",0.0,", b",-0.0,", b",nan,", b",inf,", b",-inf,", b",5e-324,",
@@ -729,11 +728,14 @@ class TestWriteRun:
         # every residual of this stream differs: 24000 of them peak within
         # 100 KiB of 8000, as the memo keeps at most RESIDUAL_MEMO_CAP
         def run(n):
-            A = ((1.0, 0.0, 0.0, 0.0),) * 4
-            yield SimState(0.0, 2.0, 1.0, 1.0, 1.0, 0.01, 0.5, 50.0), None
+            # the identity system: each residual is a temperature less its b
+            work = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.1, 0.2, 0.3, 0.4,
+                    -1e-6, 50.0, ())
+            yield SimState(0.0, 2.0, 3.0, 4.0, 5.0, 0.01, 0.5, 50.0), None
             for i in range(1, n + 1):
-                yield (SimState(60.0 * i, 2.0 + i * 1e-6, 1.0, 1.0, 1.0, 0.01, 0.5, 50.0),
-                       (A, (0.1, 0.2, 0.3, 0.4), -1e-6, 50.0, ()))
+                d = i * 1e-6
+                yield (SimState(60.0 * i, 2.0 + d, 3.0 + d, 4.0 + d, 5.0 + d, 0.01, 0.5, 50.0),
+                       work)
 
         def peak(n):
             tracemalloc.start()

@@ -16,7 +16,7 @@ from greendry.coefficients import (
 from greendry.config import Kinetics, apply_overrides
 from greendry.core import AirProps, SimState, WeatherRecord, relative_humidity
 from greendry.errors import RangeError
-from greendry.solver import step, stepper
+from greendry.solver import energy_system, step, stepper
 
 
 class TestSkyTemperature:
@@ -141,7 +141,8 @@ class TestAssemble:
         monkeypatch.setattr(greendry.solver, "wind_coefficient", spy)
         g, c, dt = cfg.geometry, cfg.cover, cfg.numerics.dt
         f = greendry.solver._forcing(state.t + dt, w.I_t, w.T_am, w.V_w)
-        A, b, _, _, flags = stepper(cfg)(state, f)[1]
+        work = stepper(cfg)(state, f)[1]
+        (A, b), flags = energy_system(work), work[-1]
         [h_w] = seen
         cover_cap = c.C_c / dt
         h_c = -A[3][1] / g.A_f

@@ -25,8 +25,10 @@ from greendry.core import (
 from greendry.errors import SimulationError, SingularMatrixError, WeatherError
 from greendry.solver import (
     BALANCES,
+    SINGULAR_PIVOT,
     Forcing,
     eliminate,
+    energy_system,
     initial_state,
     simulate,
     solve_energy_system,
@@ -68,11 +70,12 @@ def make_state(T=300.0, H=0.01, M_p=0.4, t=0.0):
 
 
 class _Solve(Exception):
-    """Raised by the spy on solve_energy_system with the (A, b) it got."""
+    """Raised by the spy on solve_energy_system with the (A, b) of the
+    system it got."""
 
 
-def _capture_system(A, b):
-    raise _Solve(A, b)
+def _capture_system(*system):
+    raise _Solve(*energy_system(system))
 
 
 def balance(name, state, w, cfg, dmdt=0.0, *, h_c=0.0, h_r_cs=0.0,
@@ -96,7 +99,7 @@ def balance(name, state, w, cfg, dmdt=0.0, *, h_c=0.0, h_r_cs=0.0,
     f = Forcing(w.t, w.I_t, w.T_am, T_s, h_w)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greendry.solver, "_kinetics_update",
-                   lambda state, rh, kin, M_0, dt: (state.M_p + dmdt * dt, None))
+                   lambda T_a, M_p, *_: (M_p + dmdt * cfg.numerics.dt, None))
         mp.setattr(greendry.solver, "solve_energy_system", _capture_system)
         with pytest.raises(_Solve) as exc:
             stepper(cfg)(state, f)
@@ -112,7 +115,7 @@ def humidity_step(cfg, state, dM):
     f = Forcing(state.t + cfg.numerics.dt, 0.0, state.T_a, state.T_a**1.5, 0.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greendry.solver, "_kinetics_update",
-                   lambda state, rh, kin, M_0, dt: (state.M_p + dM, None))
+                   lambda T_a, M_p, *_: (M_p + dM, None))
         new, (*_, dM, _, flags) = stepper(cfg)(state, f)
     assert not any(flag.startswith("humidity_") for flag in flags)
     return new.H, dM
@@ -165,9 +168,9 @@ def _numpy_elimination(A, b):
     return aug[:, n]
 
 
-def _outcome(solve, A, b):
+def _outcome(solve, *system):
     try:
-        return [float(v).hex() for v in solve(A, b)]
+        return [float(v).hex() for v in solve(*system)]
     except SingularMatrixError as exc:
         return ("singular", exc.column, float(exc.pivot).hex())
 
@@ -201,16 +204,18 @@ class TestEliminate:
 
 # Entries that are zero in every energy system: no T_c term in the air and
 # floor rows, no T_f term in the cover and product rows, no T_p term in the
-# floor row.
+# floor row.  A[2][0] is A[0][2] (product-cover) and A[3][1] is A[1][3]
+# (floor-air): energy_system builds them from one value each.
 _PATTERN_ZEROS = ((1, 0), (3, 0), (0, 3), (2, 3), (3, 2))
 
 
 def _pattern_system(rng):
-    """A random system with the energy system's zero pattern; the diagonal
+    """A random system with the energy system's pattern; the diagonal
     dominates each column, so partial pivoting never swaps a row."""
     A = rng.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
     for i, j in _PATTERN_ZEROS:
         A[i, j] = 0.0
+    A[2, 0], A[3, 1] = A[0, 2], A[1, 3]
     return A
 
 
@@ -220,14 +225,14 @@ def _off_diagonal_pivot(rng, col):
     A = _pattern_system(rng)
     sign = rng.choice([-1.0, 1.0])
     if col == 0:
-        A[2, 0] = sign * (abs(A[0, 0]) + rng.uniform(0.1, 3.0))
+        A[2, 0] = A[0, 2] = sign * (abs(A[0, 0]) + rng.uniform(0.1, 3.0))
     elif col == 1:
-        A[3, 1] = sign * (abs(A[1, 1]) + rng.uniform(0.1, 3.0))
+        A[3, 1] = A[1, 3] = sign * (abs(A[1, 1]) + rng.uniform(0.1, 3.0))
     else:
         # rows 2 and 3 reach column 2 as a22 and -a31 a12 / a11
-        A[2, 0] = A[2, 1] = 0.0
+        A[2, 0] = A[0, 2] = A[2, 1] = 0.0
         A[2, 2] = sign * rng.uniform(0.01, 0.5)
-        A[3, 1] = sign * 0.9 * abs(A[1, 1])
+        A[3, 1] = A[1, 3] = sign * 0.9 * abs(A[1, 1])
         A[1, 2] = -sign * 3.0
     return A
 
@@ -236,21 +241,22 @@ def _exact_pivot(rng, col, pivot):
     """A pattern system whose pivot in col is exactly pivot, with zeros
     below it: rows 2 and 3 have no earlier term to eliminate."""
     A = _pattern_system(rng)
-    A[2, 0] = A[2, 1] = A[3, 1] = 0.0
+    A[2, 0] = A[0, 2] = A[2, 1] = A[3, 1] = A[1, 3] = 0.0
     A[col, col] = pivot
     return A
 
 
 def _still_air(rng):
     """A pattern system as at h_c = 0: the cover-air and floor-air terms
-    are -0.0, and each other off-diagonal entry is a signed zero with
-    probability 1/2, so many factors are zero and must be skipped."""
+    are -0.0, and each other off-diagonal entry that varies is a signed
+    zero with probability 1/2, so many factors are zero and must be
+    skipped."""
     A = _pattern_system(rng)
-    A[0, 1] = A[1, 3] = A[3, 1] = -0.0
-    for i in range(4):
-        for j in range(4):
-            if i != j and rng.random() < 0.5:
-                A[i, j] = rng.choice([0.0, -0.0])
+    A[0, 1] = A[1, 3] = -0.0
+    for i, j in ((0, 1), (0, 2), (1, 2), (2, 1)):
+        if rng.random() < 0.5:
+            A[i, j] = rng.choice([0.0, -0.0])
+    A[2, 0], A[3, 1] = A[0, 2], A[1, 3]
     return A
 
 
@@ -260,20 +266,117 @@ def _tie(rng, col):
     A = _pattern_system(rng)
     s = rng.choice([-1.0, 1.0], size=3)
     if col == 0:
-        A[2, 0] = s[0] * A[0, 0]
+        # row 2 reaches column 2 as a22 - a00, so a22 keeps it dominant
+        A[2, 0] = A[0, 2] = s[0] * A[0, 0]
+        A[2, 2] = abs(A[0, 0]) + 4.0
     elif col == 1:
-        A[3, 1] = s[0] * A[1, 1]
+        A[3, 1] = A[1, 3] = s[0] * A[1, 1]
     else:
         # exact arithmetic: -a31 a12 / a11 = -(s0 2)(s1 2) / 4 = -s0 s1
-        A[2, 0] = A[2, 1] = 0.0
+        A[2, 0] = A[0, 2] = A[2, 1] = 0.0
         A[1, 1], A[1, 2], A[3, 1] = 4.0, s[1] * 2.0, s[0] * 2.0
+        A[1, 3] = A[3, 1]
         A[2, 2] = s[2] * 1.0
     return A
 
 
+def _read(rng, position, value):
+    """A pattern system whose pivot search reads value at position: a
+    diagonal entry a00, a11, a22 or a33, or an entry below one, a20 (that
+    is a02), a21, a31 (a13) or a32, which reaches column 2 as -a31 a12 /
+    a11.  The earlier columns leave the position's row as it is.  A value
+    "tie" or "-tie" is the diagonal entry it is compared with, or its
+    negation: an exact tie of magnitudes; "2x" or "-2x" is twice that, a
+    larger finite magnitude."""
+    A = _pattern_system(rng)
+    if position in ("a21", "a22", "a32"):
+        A[2, 0] = A[0, 2] = 0.0  # no column-0 term in row 2
+    if position in ("a22", "a32"):
+        A[2, 1] = 0.0            # no column-1 term in row 2
+    if position == "a33":
+        A[3, 1] = A[1, 3] = 0.0  # no column-1 or column-2 term in row 3
+    if position == "a32":
+        A[1, 1], A[3, 1] = 4.0, 2.0
+        A[1, 3] = A[3, 1]
+    diagonal = {"a20": A[0, 0], "a21": A[1, 1], "a31": A[1, 1], "a32": A[2, 2]}
+    if isinstance(value, str):
+        value = diagonal[position] * {"tie": 1.0, "-tie": -1.0, "2x": 2.0, "-2x": -2.0}[value]
+    if position == "a20":
+        A[2, 0] = A[0, 2] = value
+    elif position == "a31":
+        A[3, 1] = A[1, 3] = value
+    elif position == "a32":
+        A[1, 2] = -2.0 * value   # -a31 a12 / a11 = -2 (-2 value) / 4
+    else:
+        i, j = int(position[1]), int(position[2])
+        A[i, j] = value
+    return A
+
+
+def _system(A, b):
+    """The 13 scalars of a pattern system (A, b), in energy_system's order;
+    energy_system rebuilds A and b from them, bit for bit."""
+    system = (A[0][0], A[0][1], A[0][2], A[1][1], A[1][2], A[1][3], A[2][1], A[2][2],
+              A[3][3], *b)
+    rebuilt_A, rebuilt_b = energy_system(system)
+    assert [_hexes(row) for row in rebuilt_A] + [_hexes(rebuilt_b)] == \
+        [_hexes(row) for row in A] + [_hexes(b)], (A, b)
+    return system
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _pivots_in_place(A):
+    """Whether eliminate, on A, finds every pivot on the diagonal, as the
+    first maximum of its magnitudes with magnitude >= SINGULAR_PIVOT: its
+    pivot search, by abs, on its own elimination of A."""
+    aug = [list(row) for row in A]
+    for col in range(4):
+        best = abs(aug[col][col])
+        if any(abs(aug[r][col]) > best for r in range(col + 1, 4)) or best < SINGULAR_PIVOT:
+            return False
+        prow = aug[col]
+        for j in range(col + 1, 4):
+            prow[j] /= prow[col]
+        for row in aug:
+            factor = row[col]
+            if row is not prow and factor != 0.0:
+                for j in range(col + 1, 4):
+                    row[j] -= factor * prow[j]
+    return True
+
+
+# the values each read of the pivot search takes in _special_cases: at a
+# diagonal entry NaN, the infinities and the signed zeros, with a33 also
+# at +-SINGULAR_PIVOT and the floats just inside them; below the diagonal
+# those, an exact tie of either sign and twice the diagonal of either sign,
+# which, unlike an infinity, leaves the later columns finite
+_SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+_READ_VALUES = {
+    **dict.fromkeys(("a00", "a11", "a22"), _SPECIALS),
+    "a33": _SPECIALS + (SINGULAR_PIVOT, -SINGULAR_PIVOT, math.nextafter(SINGULAR_PIVOT, 0.0),
+                        -math.nextafter(SINGULAR_PIVOT, 0.0)),
+    **dict.fromkeys(("a20", "a21", "a31", "a32"), _SPECIALS + ("tie", "-tie", "2x", "-2x")),
+}
+
+
+def _special_cases():
+    """(system, whether the kernel should hand it to eliminate) of 3
+    seeded systems per position and value of _READ_VALUES."""
+    rng = np.random.default_rng(37)
+    for position, values in _READ_VALUES.items():
+        for value in values:
+            for _ in range(3):
+                A = _read(rng, position, value)
+                b = rng.uniform(-1e3, 1e3, 4)
+                yield _system(A.tolist(), b.tolist()), not _pivots_in_place(A.tolist())
+
+
 def _kernel_cases():
-    """(A, b, whether the kernel should hand the system to eliminate),
-    1000 seeded systems with the energy system's zero pattern."""
+    """(system, whether the kernel should hand it to eliminate), 1000
+    seeded systems with the energy system's pattern."""
     rng = np.random.default_rng(6)
     pivots = (0.0, -0.0, 3e-13, -9.999999999999999e-13, 1e-12, -1e-12, 2e-12)
     for k in range(1000):
@@ -293,7 +396,8 @@ def _kernel_cases():
                 b[sub // 4 % 4] = rng.choice([-math.inf, math.inf])
         else:
             A, fallback = _tie(rng, sub % 3), False
-        yield A.tolist(), b.tolist(), fallback
+        assert _pivots_in_place(A.tolist()) is not fallback
+        yield _system(A.tolist(), b.tolist()), fallback
 
 
 class TestSolveEnergySystem:
@@ -309,25 +413,36 @@ class TestSolveEnergySystem:
         monkeypatch.setattr(greendry.solver, "eliminate", counting)
         return calls
 
-    def test_bit_identical_to_eliminate(self, fallbacks):
-        singular = set()
-        for A, b, fallback in _kernel_cases():
+    @staticmethod
+    def _check(cases, fallbacks):
+        """Compare each case with eliminate, bit for bit, and its fallback;
+        return the singular columns and the number of fallbacks."""
+        singular, expected = set(), 0
+        for system, fallback in cases:
             before = len(fallbacks)
-            got = _outcome(solve_energy_system, A, b)
-            assert got == _outcome(eliminate, A, b), (A, b)
-            assert (len(fallbacks) > before) == fallback, (A, b)
+            got = _outcome(solve_energy_system, *system)
+            assert got == _outcome(eliminate, *energy_system(system)), system
+            assert (len(fallbacks) > before) == fallback, system
+            expected += fallback
             if isinstance(got, tuple):
                 singular.add(got[1])
+        assert len(fallbacks) == expected
+        return singular, expected
+
+    def test_bit_identical_to_eliminate(self, fallbacks):
+        singular, _ = self._check(_kernel_cases(), fallbacks)
         assert singular == {0, 1, 2, 3}  # a pivot below 1e-12 in each column
 
-    def test_other_first_column_goes_to_eliminate(self, fallbacks):
-        rng = np.random.default_rng(3)
-        for i in (1, 3):
-            A = _pattern_system(rng)
-            A[i, 0] = 0.5
-            b = rng.uniform(-1, 1, 4).tolist()
-            assert solve_energy_system(A.tolist(), b) == eliminate(A.tolist(), b)
-        assert len(fallbacks) == 2
+    def test_nan_inf_signed_zero_and_tied_reads(self, fallbacks):
+        # each read of the pivot search compared without abs: a mutant that
+        # drops one half of x > m or -x > m takes the fast path where
+        # eliminate swaps a row
+        singular, n_fallbacks = self._check(_special_cases(), fallbacks)
+        # an infinity or twice the diagonal below it swaps; a zero diagonal
+        # above a nonzero entry swaps, and a33 within SINGULAR_PIVOT of 0 is
+        # singular
+        assert n_fallbacks == 3 * (4 * 4 + 3 * 2 + 4)
+        assert singular == {3}
 
     def test_baseline_takes_the_fast_path(self, baseline_cfg, fallbacks):
         series = simulate(baseline_cfg, synthetic_days(1))
@@ -680,9 +795,9 @@ class TestStep:
             "product.C_pp": 4e305 * dt / (p.loading * g.A_p)})
         systems = []
 
-        def spy(A, b):
-            systems.append((A, b))
-            return solve_energy_system(A, b)
+        def spy(*system):
+            systems.append(energy_system(system))
+            return solve_energy_system(*system)
 
         monkeypatch.setattr(greendry.solver, "solve_energy_system", spy)
         w = WeatherRecord(t=60.0, I_t=600.0, T_am=303.0, V_w=1.0, rh_am=60.0)
@@ -699,7 +814,7 @@ class TestStep:
     def test_cover_air_exchange_is_symmetric(self, baseline_cfg, tropical_weather):
         state = initial_state(baseline_cfg, tropical_weather)
         f = next(weather_forcing(tropical_weather, baseline_cfg.numerics.dt))
-        A, *_ = stepper(baseline_cfg)(state, f)[1]
+        A, _ = energy_system(stepper(baseline_cfg)(state, f)[1])
         assert A[1][0] == A[0][1]
 
 
@@ -731,7 +846,8 @@ class TestEnergyColumns:
         advance, state = stepper(cfg), initial_state(cfg, tropical_weather)
         drying = 0
         for f in weather_forcing(tropical_weather, dt):
-            new_state, (A, _, dM, _, _) = advance(state, f)
+            new_state, work = advance(state, f)
+            (A, _), dM = energy_system(work), work[13]
             air = air_properties(state.T_a)
             h_c = _convective(D_h * a.V_a, D_h, air)[2]
             h_r_cs = _radiative(c.eps_c * SIGMA, state.T_c, cfg.kinetics.c_sky * f.T_am_1_5)

@@ -1,8 +1,10 @@
 """`solver.advance` and `solver._kinetics_update` evaluate the helpers of
 `core`, `coefficients` and `kinetics` written out.  These tests pin the
 copies to the helpers: each step is taken again by `reference_advance`
-below, which calls them, and the two must agree bit for bit, errors
-included (type, text and order)."""
+below, which calls them and solves its rows with the general `eliminate`,
+and the two must agree bit for bit, errors included (type, text and
+order); advance's flat work is compared as the rows `energy_system`
+rebuilds from it."""
 
 import ast
 import inspect
@@ -23,7 +25,8 @@ from greendry.coefficients import (
     hydraulic_diameter,
     wind_coefficient,
 )
-from greendry.config import Airflow, Cover, Floor, Geometry, Product, apply_overrides
+from greendry.config import (Airflow, Cover, Floor, Geometry, Kinetics, Numerics, Product,
+                             apply_overrides)
 from greendry.core import (
     SimState,
     air_properties,
@@ -39,8 +42,9 @@ from greendry.solver import (
     BALANCES,
     Forcing,
     _kinetics_update,
+    eliminate,
+    energy_system,
     initial_state,
-    solve_energy_system,
     stepper,
     weather_forcing,
 )
@@ -71,8 +75,9 @@ def reference_kinetics_update(state, cfg, rh):
 
 def reference_advance(state, f, cfg):
     """advance of a run under cfg through reference_kinetics_update,
-    air_properties, _sky, _convective, _radiative, saturation_pressure,
-    vapour_humidity_ratio and relative_humidity_at, each product of config
+    air_properties, _sky, _convective, _radiative, eliminate,
+    saturation_pressure, vapour_humidity_ratio and relative_humidity_at,
+    its work as (A, b, dM, rh, flags), each product of config
     values written out in full where it is used, which the run's constants
     must equal bit for bit.  The new state's H is at most H_sat, so its rh
     exceeds 100 % by roundoff at most, and relative_humidity_at never
@@ -137,7 +142,7 @@ def reference_advance(state, f, cfg):
     for name, row, rhs in zip(BALANCES, A, b):
         if not all(map(math.isfinite, (*row, rhs))):
             raise SimulationError(f"non-finite {name} balance: row {row}, rhs {rhs}")
-    x = solve_energy_system(A, b)
+    x = eliminate(A, b)
     if not all(map(math.isfinite, x)):
         raise SimulationError(f"non-finite temperatures {x}")
     T_c, T_a, T_p, T_f = x
@@ -166,9 +171,19 @@ def _hex(values):
     return tuple(float(v).hex() for v in values)
 
 
+def _rows(advance):
+    """advance with its work as reference_advance's: the (A, b) that
+    energy_system rebuilds, then dM, rh and flags."""
+    def rows_advance(*args):
+        state, work = advance(*args)
+        return state, (*energy_system(work), *work[13:])
+
+    return rows_advance
+
+
 def _outcome(step, *args):
-    """The bits of what an advance returns, or the type and text of the
-    error it raises."""
+    """The bits of what reference_advance, or an advance wrapped by _rows,
+    returns, or the type and text of the error it raises."""
     try:
         state, (A, b, dM, rh, flags) = step(*args)
     except (GreendryError, ValueError) as exc:
@@ -188,8 +203,10 @@ def _kinetics_outcomes(state, cfg):
         flags = [flags] if isinstance(flags, str) else flags or []
         return M_new.hex(), tuple(flags)
 
-    return (outcome(_kinetics_update, state.rh, cfg.kinetics,
-                    cfg.product.M_0_pct / 100.0, cfg.numerics.dt),
+    kin = cfg.kinetics
+    return (outcome(lambda state: _kinetics_update(
+                state.T_a, state.M_p, state.rh, cfg.product.M_0_pct / 100.0, kin.b0, kin.b1,
+                1.0 / kin.b2, cfg.numerics.dt / 3600.0, kin)),
             outcome(reference_kinetics_update, cfg, state.rh))
 
 
@@ -203,9 +220,9 @@ def _compare_run(cfg, weather, horizon_s=None):
         got = advance(state, f)
         kinetics_got, kinetics_expected = _kinetics_outcomes(state, cfg)
         assert kinetics_got == kinetics_expected
-        assert _outcome(lambda: got) == _outcome(reference_advance, state, f, cfg)
+        assert _outcome(_rows(lambda: got)) == _outcome(reference_advance, state, f, cfg)
         state, work = got
-        seen.update(work[4])
+        seen.update(work[-1])
     return seen
 
 
@@ -247,7 +264,7 @@ def _case(cfg, T_a=330.0, rh=18.0, M_p=0.5, T_c=None, T_p=None, I_t=500.0,
 def _outcomes(state, f, cfg):
     """The outcomes of the step from state with the forcing f of a run
     under cfg, by advance and by reference_advance."""
-    return _outcome(stepper(cfg), state, f), _outcome(reference_advance, state, f, cfg)
+    return _outcome(_rows(stepper(cfg)), state, f), _outcome(reference_advance, state, f, cfg)
 
 
 # the new rh of a step from a saturated chamber at T_a, and whether the
@@ -320,12 +337,14 @@ def test_sampled_steps_match_the_helpers(baseline_cfg, T_a, rh, M_p, dT_c, dT_p,
     assert got == expected
 
 
-# the config values whose products advance hoists: geometry, cover, floor,
-# product and airflow
+# the config values whose products, quotients and negations stepper
+# hoists: every value of geometry, cover, floor, product and airflow, and of
+# kinetics (b0, b1, 1/b2, c_sky) and numerics (dt, dt/3600, pressure)
 _SCALED = [(section, name)
            for section, record in (("geometry", Geometry), ("cover", Cover),
                                    ("floor", Floor), ("product", Product),
-                                   ("airflow", Airflow))
+                                   ("airflow", Airflow), ("kinetics", Kinetics),
+                                   ("numerics", Numerics))
            for name in record._fields]
 
 

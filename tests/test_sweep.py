@@ -200,6 +200,35 @@ class TestGridSearch:
         assert re.fullmatch(rf"sweep worker \d+ ended by {how} before it sent its results",
                             str(exc.value))
 
+    def test_worker_that_dies_is_reported_as_it_ends(self, baseline_cfg, weather, cpus,
+                                                     monkeypatch):
+        # worker 2 dies on its first point while each point of worker 1
+        # sleeps 2 s: worker 1 would take the other five, 10 s or more, but
+        # the error comes as worker 2 ends, and worker 1 is killed and
+        # reaped (no_child_left)
+        forked, fork = [], os.fork
+
+        def numbered_fork():  # worker k sees k entries
+            forked.append(None)
+            return fork()
+
+        def act(point):
+            if len(forked) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(2.0)
+
+        monkeypatch.setattr(os, "fork", numbered_fork)
+        in_workers(monkeypatch, act)
+        spec = make_spec(weather, (("product.F_p", (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)),),
+                         horizon_s=3600.0)
+        cpus(2)
+        start = time.monotonic()
+        with alarm(60, TimeoutError), pytest.raises(SimulationError) as exc:
+            grid_search(baseline_cfg, spec)
+        assert time.monotonic() - start < 1.5
+        assert re.fullmatch(r"sweep worker \d+ ended by signal 9 before it sent its results",
+                            str(exc.value))
+
     def test_interrupt_kills_and_reaps_the_workers(self, baseline_cfg, weather, cpus,
                                                    monkeypatch):
         # the workers would take a minute; an interrupt of this process
