@@ -31,7 +31,7 @@ import pytest
 
 import greendry.sweep
 from greendry import load_config, simulate, synthetic_days
-from greendry.cli import _write_run, main, read_states_csv
+from greendry.cli import _write_run, main
 from greendry.core import air_properties
 from greendry.solver import (
     _kinetics_update,
@@ -84,10 +84,10 @@ def forcing(cfg, weather):
 
 @pytest.fixture(scope="module")
 def system(advance, case, forcing):
-    """The energy system of the next step: the 13 scalars of advance's work
-    that solve_energy_system takes."""
+    """The energy system of the next step: advance's work, which
+    solve_energy_system takes."""
     state, _ = case
-    return advance(state, forcing)[1][:13]
+    return advance(state, forcing)[1]
 
 
 def test_step(benchmark, cfg, case):
@@ -122,11 +122,11 @@ def test_kinetics_update(benchmark, cfg, case):
 
 def test_eliminate(benchmark, system):
     A, b = energy_system(system)
-    assert benchmark(eliminate, A, b) == solve_energy_system(*system)
+    assert benchmark(eliminate, A, b) == solve_energy_system(system)
 
 
 def test_solve_energy_system(benchmark, system):
-    assert benchmark(solve_energy_system, *system) == eliminate(*energy_system(system))
+    assert benchmark(solve_energy_system, system) == eliminate(*energy_system(system))
 
 
 def test_air_properties(benchmark, case):
@@ -251,7 +251,7 @@ def validate_argv(states_4day):
     seeded irregular observation times, each value the simulated one at
     the step before times (1 + 2 % gaussian noise)."""
     out = states_4day.parent
-    states = read_states_csv(states_4day)
+    states, _ = read_csv(states_4day)
     ts, T_a = states["t_s"], states["T_a_K"]
     rng = random.Random(2500)
     lines = ["t_s,T_a_K"]

@@ -27,7 +27,8 @@ and the package's `weather`, `core`, `analysis` and `errors`.  What only
 `run` and `sweep` use (`config`, `solver` and `sweep`, with `kinetics`,
 `coefficients` and PyYAML under them, `hashlib` and `json`) loads in one
 place, `_load_run_modules`, when either command starts or when one of
-RUN_NAMES is first read from outside this module.
+RUN_NAMES is first read from outside this module; `_write_run` imports
+`solver.step_record`, the one copy of the step residuals, when it starts.
 """
 
 from __future__ import annotations
@@ -140,13 +141,6 @@ def _sweep_line(rank: int, result) -> str:
     return f"{rank},{values}{result.objective!r},{int(result.reached)}"
 
 
-def read_states_csv(path, columns=None):
-    """The columns of a CSV file, such as a states file that `run`
-    writes or the observed file of `validate`, as
-    {column: list of floats}; see weather.read_csv."""
-    return read_csv(path, columns)[0]
-
-
 @contextlib.contextmanager
 def _staged(out: Path, *names):
     """Make the directory out and yield one temporary path in it per name;
@@ -185,21 +179,19 @@ RESIDUAL_MEMO_CAP = 256  # the most residual cells _write_run keeps
 def _write_run(states_path, diag_path, run, comment) -> int:
     """Write the states and diagnostics CSVs, a row as each (state, work) of
     run comes (work None: no step row), run being `solver.steps` or what it
-    yields; return the number of states.  work is `advance`'s flat tuple:
-    the nine entries that vary and the four right-hand sides of
-    `solver.energy_system`, then dM, rh and flags.  Each residual is
-    written out over energy_system's rows, term by term as
-    `step_diagnostics` sums them, the terms of the structural zeros
-    included (0.0 * T is -0.0 for a negative T, and x + 0.0 is 0.0 for
-    x = -0.0), so that each cell is the record's.  Each cell is a repr,
-    made once where values repeat: t for both rows; the previous state's rh
-    when the step's rh (work[14]) is that very object, as from `advance`;
-    the previous state's M_p when the new state's M_p is that very object,
-    as a stalled or at-equilibrium step returns it; and the first
-    RESIDUAL_MEMO_CAP distinct nonzero residuals (roundoff: 35 in 4 baseline
-    days).  Objects, not values, are compared, and zero is not memoised, as
-    0.0 == -0.0 but their reprs differ: a zero residual is written "0.0" or
-    "-0.0" by its sign, without a repr."""
+    yields; return the number of states.  The step row's residuals, dM, rh
+    and flags are `solver.step_record(work, T_c, T_a, T_p, T_f)` at the new
+    state's temperatures, as `step_diagnostics` records them; this function
+    only formats them.  Each cell is a repr, made once where values repeat:
+    t for both rows; the previous state's rh when the step's rh is that
+    very object, as from `advance`; the previous state's M_p when the new
+    state's M_p is that very object, as a stalled or at-equilibrium step
+    returns it; and the first RESIDUAL_MEMO_CAP distinct nonzero residuals
+    (roundoff: 35 in 4 baseline days).  Objects, not values, are compared,
+    and zero is not memoised, as 0.0 == -0.0 but their reprs differ: a zero
+    residual is written "0.0" or "-0.0" by its sign, without a repr."""
+    from .solver import step_record
+
     memo = {}
     get = memo.get
 
@@ -218,12 +210,7 @@ def _write_run(states_path, diag_path, run, comment) -> int:
                 enumerate(run, start=1):
             t_cell = repr(t)
             if work is not None:
-                c0, c1, c2, a1, a2, a3, p1, p2, f3, b0, b1, b2, b3, dM, rh_used, flags = work
-                # the rows of solver.energy_system, its structural zeros included
-                r0 = c0 * T_c + c1 * T_a + c2 * T_p + 0.0 * T_f - b0
-                r1 = 0.0 * T_c + a1 * T_a + a2 * T_p + a3 * T_f - b1
-                r2 = c2 * T_c + p1 * T_a + p2 * T_p + 0.0 * T_f - b2
-                r3 = 0.0 * T_c + a3 * T_a + 0.0 * T_p + f3 * T_f - b3
+                r0, r1, r2, r3, dM, rh_used, flags = step_record(work, T_c, T_a, T_p, T_f)
                 diagnostics.write(
                     f"{t_cell},{get(r0) or residual(r0)},{get(r1) or residual(r1)},"
                     f"{get(r2) or residual(r2)},{get(r3) or residual(r3)},{dM!r},"
@@ -307,7 +294,7 @@ def cmd_validate(states_path, observed_path, variable, limit):
         _fail(2, f"cannot read states file: {states_path}:{lines[i]}: t_s "
                  f"{t_pred[i]} not increasing (previous {t_pred[i - 1]})")
     try:
-        observed = read_states_csv(observed_path, observed_columns)
+        observed, _ = read_csv(observed_path, observed_columns)
     except (OSError, ValueError) as exc:
         _fail(2, f"cannot read observed file: {exc}")
 

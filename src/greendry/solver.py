@@ -8,14 +8,19 @@ solves them, and then routes the evaporated water into the air by a
 chamber humidity-ratio balance.  One function, `advance`, which
 `stepper(cfg)` returns for a run, takes the whole step; its docstring
 gives the rows.  It works on plain Python floats, scalar by scalar: it
-builds no row or matrix, only the nine entries of the system that vary
-and the four right-hand sides, which it passes to the solve as 13
-arguments and returns, with dM, rh and flags, as one flat work tuple.
-`energy_system(work)` rebuilds the rows (A, b) from it, with the
-pattern's structural zeros, for whatever reads rows: `step_diagnostics`,
-the error path and the tests.  At 4x4, array set-up would cost more than
-the arithmetic, and rows of tuples cost seven tuples a step (four rows,
-A, b and the work) where the flat work is one.
+builds no row or matrix, only one flat work tuple of the nine entries of
+the system that vary, the four right-hand sides, dM, rh and flags, which
+it passes to the solve, `solve_energy_system(work)`, and returns.  This
+module alone knows the work's layout.  `energy_system(work)` rebuilds
+the rows (A, b) from it, with the pattern's structural zeros, for
+whatever reads rows: `step_diagnostics`, the error path, the solve's
+fallback and the tests.  `step_record(work, T_c, T_a, T_p, T_f)` works
+out the four residuals at the solved temperatures, the only copy of that
+arithmetic, and returns them with dM, rh and flags: `step_diagnostics`
+and `greendry run`'s writer (cli._write_run) take their residuals from
+it.  At 4x4, array set-up would cost more than the arithmetic, and rows
+of tuples cost seven tuples a step (four rows, A, b and the work) where
+the flat work is one.
 
 `advance` runs straight through, calling per step only `_kinetics_update`
 and the solve: it writes out `relative_humidity_at`, the `air_properties`
@@ -39,12 +44,13 @@ floor-air exchange -A_f h_c is A[1][3] and A[3][1], so nine entries vary.
 Gauss-Jordan over those scalars, bit-identical to the general
 `eliminate`, to which it hands every system whose pivots leave the
 diagonal or fall below SINGULAR_PIVOT.  A T_c term in the air row would
-need a tenth scalar and a new kernel.
+need a tenth scalar, a new kernel and the term in `energy_system` and
+`step_record`, all in this module.
 
 Recording a step is separate: `advance` returns, with the new state,
-the work tuple from which `step_diagnostics` records it.  `step` advances
-and records one step.  `steps`, the one run loop, yields each
-(state, work) pair as `advance` returns it:
+the work tuple from which `step_record` and `step_diagnostics` record
+it.  `step` advances and records one step.  `steps`, the one run loop,
+yields each (state, work) pair as `advance` returns it:
 `simulate` keeps every state and record; `greendry run` (cli.cmd_run)
 streams `steps`, writing each state and step row as it comes and keeping
 none; a sweep point keeps only the last two states.
@@ -86,8 +92,8 @@ position, once into the locals its rows use (`_` for a field it does not
 read), where a lookup by field name would cost an attribute access each;
 a test in tests/test_step_reference.py holds the names to Forcing's
 fields, in order.  `_kinetics_update` takes the state's T_a, M_p and rh
-as arguments, and the solve its 13 scalars, so neither reads a record;
-the solve compares each pivot magnitude without an `abs` call.  One
+as arguments, so it reads no record; the solve unpacks the work once and
+compares each pivot magnitude without an `abs` call.  One
 `isfinite` over the sum of the entries that vary and the right-hand sides
 checks the system.  It builds the new SimState, as `_forcing` builds each
 Forcing, with `tuple.__new__` on the field values in order: a NamedTuple
@@ -96,9 +102,10 @@ call runs a Python-level `__new__` that takes about 2.5 times as long
 per step.
 
 solver.py stays under 4096 tokens (`tokenize`, without comments and blank
-lines): at 4096, CPython 3.11's parser doubles its token array, and a
-checkout without bytecode compiles this module in every process, at
-~1.4 MiB against ~1.65 MiB of peak memory (tracemalloc on `compile`).
+lines; `benchmarks/code_lines.py` prints the count): at 4096, CPython
+3.11's parser doubles its token array, and a checkout without bytecode
+compiles this module in every process, at ~1.4 MiB against ~1.65 MiB of
+peak memory (tracemalloc on `compile`).
 """
 
 from __future__ import annotations
@@ -213,16 +220,17 @@ def energy_system(work):
     a11, a12, a13, a21, a22, a33, b0, b1, b2, b3.  A[2][0] is a02 and
     A[3][1] is a13 (the product-cover and floor-air exchanges), and the
     pattern's other entries are the structural zeros 0.0."""
-    a00, a01, a02, a11, a12, a13, a21, a22, a33, b0, b1, b2, b3 = work[:13]
+    a00, a01, a02, a11, a12, a13, a21, a22, a33 = work[:9]
     return (((a00, a01, a02, 0.0), (0.0, a11, a12, a13), (a02, a21, a22, 0.0),
-             (0.0, a13, 0.0, a33)), (b0, b1, b2, b3))
+             (0.0, a13, 0.0, a33)), work[9:13])
 
 
-def solve_energy_system(a00, a01, a02, a11, a12, a13, a21, a22, a33, b0, b1, b2, b3):
-    """`eliminate(*energy_system(system))` of the energy system given by its
-    13 scalars, in energy_system's order, written out for its zero pattern;
-    the result, or the SingularMatrixError, is bit-identical for every such
-    system.
+def solve_energy_system(work):
+    """`eliminate(*energy_system(work))` of the energy system of a work
+    record, written out for its zero pattern; the result, or the
+    SingularMatrixError, is bit-identical for every such system.  It reads
+    the record's first 13 entries, unpacking all 16 (a slice would cost a
+    new tuple each step).
 
     Fast path: before each column, the diagonal entry is a first maximum
     of the pivot search with magnitude >= SINGULAR_PIVOT.  It then does
@@ -231,11 +239,11 @@ def solve_energy_system(a00, a01, a02, a11, a12, a13, a21, a22, a33, b0, b1, b2,
     factors, and saves its list copies, loops and pivot searches.  Each
     magnitude is compared without `abs`: m is the diagonal entry or its
     negation, and x > m or -x > m is abs(x) > m, NaN, infinities and signed
-    zeros included.  The arguments keep their values, so any other system
-    is returned as eliminate of the system they rebuild, which keeps row
-    swaps and SingularMatrixError in one implementation.  Partial pivoting
-    has not been seen to swap a row of an energy system: the baseline takes
-    the fast path on every step."""
+    zeros included.  Any other system is returned as eliminate of the
+    system work rebuilds, which keeps row swaps and SingularMatrixError in
+    one implementation.  Partial pivoting has not been seen to swap a row of
+    an energy system: the baseline takes the fast path on every step."""
+    a00, a01, a02, a11, a12, a13, a21, a22, a33, b0, b1, b2, b3, _, _, _ = work
     m = a00 if a00 > 0.0 else -a00
     if not (a02 > m or -a02 > m or m < SINGULAR_PIVOT):
         # column 0: row 2's factor is A[2][0] = a02; rows 1 and 3 have none
@@ -295,8 +303,7 @@ def solve_energy_system(a00, a01, a02, a11, a12, a13, a21, a22, a33, b0, b1, b2,
                     if r23 != 0.0:
                         x2 -= r23 * x3
                     return [x0, x1, x2, x3]
-    return eliminate(*energy_system((a00, a01, a02, a11, a12, a13, a21, a22, a33,
-                                     b0, b1, b2, b3)))
+    return eliminate(*energy_system(work))
 
 
 def _kinetics_update(T_a, M_p, rh, M_0, b0, b1, inv_b2, dt_h, kin: Kinetics):
@@ -478,9 +485,10 @@ def stepper(cfg: DryerConfig):
         and the new state's rh is that of the new H at the new T_a.
 
         Returns (new_state, work).  work is one flat tuple, what
-        `step_diagnostics` needs to record the step: the nine entries of A
-        that vary and the four right-hand sides, in `energy_system`'s order,
-        which rebuilds (A, b) from them, then dM, rh and flags."""
+        `solve_energy_system` takes and `step_record` needs to record the
+        step: the nine entries of A that vary and the four right-hand sides,
+        in `energy_system`'s order, which rebuilds (A, b) from them, then dM,
+        rh and flags."""
         _, I_t, T_am, T_am_1_5, h_w = f
         t, T_c, T_a, T_p, _, H, M_p, rh = state
         flags: list[str] = []
@@ -561,10 +569,7 @@ def stepper(cfg: DryerConfig):
                 if not all(map(isfinite, (*row, rhs))):
                     raise SimulationError(
                         f"non-finite {name} balance: row {row}, rhs {rhs}")
-        T_c, T_a, T_p, T_f = x = solve_energy_system(
-            cover_cover, cover_air, product_cover, air_air, air_product, floor_air,
-            product_air, product_product, floor_floor,
-            cover_rhs, air_rhs, product_rhs, floor_rhs)
+        T_c, T_a, T_p, T_f = x = solve_energy_system(work)
         if not isfinite(T_c + T_a + T_p + T_f) and not all(map(isfinite, x)):
             raise SimulationError(f"non-finite temperatures {x}")
 
@@ -601,22 +606,30 @@ def stepper(cfg: DryerConfig):
     return advance
 
 
+def step_record(work, T_c, T_a, T_p, T_f):
+    """(r_cover, r_air, r_product, r_floor, dM, rh, flags): per balance of
+    `energy_system(work)`, the residual sum(row * x) - rhs at the
+    temperatures x = (T_c, T_a, T_p, T_f) the step solved for, then the
+    dM, rh and flags of work.  Each sum is taken term by term in column
+    order, the terms of the structural zeros included (0.0 * T is -0.0 for
+    a negative T, and x + 0.0 is 0.0 for x = -0.0), so every signed zero is
+    the rows' own; this is the one place the residuals are worked out."""
+    a00, a01, a02, a11, a12, a13, a21, a22, a33, b0, b1, b2, b3, dM, rh, flags = work
+    return (a00 * T_c + a01 * T_a + a02 * T_p + 0.0 * T_f - b0,
+            0.0 * T_c + a11 * T_a + a12 * T_p + a13 * T_f - b1,
+            a02 * T_c + a21 * T_a + a22 * T_p + 0.0 * T_f - b2,
+            0.0 * T_c + a13 * T_a + 0.0 * T_p + a33 * T_f - b3, dM, rh, flags)
+
+
 def step_diagnostics(new_state: SimState, work) -> StepDiagnostics:
     """The record of the step that `advance` took to new_state, from the
-    work it returned: per balance of `energy_system(work)`, the residual
-    sum(row * x) - rhs and the largest term magnitude, then what the step
-    used and flagged."""
-    A, b = energy_system(work)
-    dM, rh, flags = work[13:]
-    _, T_c, T_a, T_p, T_f, *_ = new_state
-    residuals = []
-    max_terms = []
-    for (a0, a1, a2, a3), rhs in zip(A, b):
-        t0, t1, t2, t3 = a0 * T_c, a1 * T_a, a2 * T_p, a3 * T_f
-        residuals.append(t0 + t1 + t2 + t3 - rhs)
-        max_terms.append(max(abs(t0), abs(t1), abs(t2), abs(t3), abs(rhs)))
-    return StepDiagnostics(new_state.t, tuple(residuals), tuple(max_terms),
-                           dM, rh, tuple(flags))
+    work it returned: the residuals, dM, rh and flags of `step_record` and,
+    per balance of `energy_system(work)`, the largest term magnitude."""
+    x = new_state[1:5]  # T_c, T_a, T_p, T_f
+    *residuals, dM, rh, flags = step_record(work, *x)
+    max_terms = tuple(max(map(abs, (*map(mul, row, x), rhs)))
+                      for row, rhs in zip(*energy_system(work)))
+    return StepDiagnostics(new_state.t, tuple(residuals), max_terms, dM, rh, tuple(flags))
 
 
 def step(state: SimState, weather_end: WeatherRecord,

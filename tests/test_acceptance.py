@@ -177,12 +177,12 @@ def test_criterion_5_linear_solver_oracle(baseline_cfg, tropical_weather):
     with pytest.raises(SingularMatrixError):
         eliminate([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
     # the systems a run solves: every 20th step of the 4-day baseline, as
-    # the 13 scalars of a step's work that solve_energy_system takes
-    energy_systems = [work[:13]
+    # the step's work, which solve_energy_system takes
+    energy_systems = [work
                       for i, (_, work) in enumerate(steps(baseline_cfg, tropical_weather))
                       if i > 0 and i % 20 == 0]
-    worst_energy = _worst_rel_diff((*energy_system(system), solve_energy_system(*system))
-                                   for system in energy_systems)
+    worst_energy = _worst_rel_diff((*energy_system(work), solve_energy_system(work))
+                                   for work in energy_systems)
     assert len(energy_systems) == 288
     assert worst_energy <= 1e-12
     print(f"PASS criterion 5: 1000 random systems vs Cramer oracle, worst "

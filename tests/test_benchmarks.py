@@ -52,8 +52,11 @@ def test_sign_test():
 
 
 def test_code_lines(tmp_path):
-    # the count leaves out docstrings, comments and blank lines, and counts
-    # each line of a statement over several
+    # the line count leaves out docstrings, comments and blank lines, and
+    # counts each line of a statement over several; the token count leaves
+    # out comments and the newlines of blank and continued lines, but counts
+    # each docstring as one token, and NEWLINE, INDENT, DEDENT and ENDMARKER
+    # as the parser reads them
     (tmp_path / "one.py").write_text(
         '"""Module\ndocstring."""\n\n# a comment\nimport math  # trailing\n\n\n'
         'def f(x):\n    """Docstring."""\n    return (x +\n            math.pi)\n',
@@ -63,7 +66,7 @@ def test_code_lines(tmp_path):
                            str(tmp_path)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert [line.split() for line in proc.stdout.splitlines()] == [
-        ["one.py", "4"], ["two.py", "2"], ["total", "6"]]
+        ["one.py", "4", "26"], ["two.py", "2", "5"], ["total", "6", "31"]]
     # by default, every module of src/greendry
     proc = subprocess.run([sys.executable, str(REPO_ROOT / "benchmarks" / "code_lines.py")],
                           capture_output=True, text=True, timeout=60)

@@ -37,7 +37,6 @@ from greendry.cli import (
     _sweep_line,
     _write_run,
     main,
-    read_states_csv,
 )
 from greendry.core import SimState, relative_humidity
 from greendry.errors import ComparisonError
@@ -158,7 +157,7 @@ class TestRun:
     def test_row_count(self, runner, baseline_config_path, tmp_path):
         result = _run_baseline(runner, baseline_config_path, tmp_path / "out")
         assert result.exit_code == 0, result.output
-        states = read_states_csv(tmp_path / "out" / "states.csv")
+        states = read_csv(tmp_path / "out" / "states.csv")[0]
         # horizon / dt + 1 rows
         assert len(states["t_s"]) == 2 * 3600 // 60 + 1
 
@@ -316,7 +315,7 @@ class TestRun:
     def test_rh_column_is_relative_humidity_of_each_state(
             self, runner, baseline_cfg, baseline_config_path, tmp_path):
         _run_baseline(runner, baseline_config_path, tmp_path / "out")
-        states = read_states_csv(tmp_path / "out" / "states.csv")
+        states = read_csv(tmp_path / "out" / "states.csv")[0]
         P = baseline_cfg.numerics.pressure
         expected = [relative_humidity(H, T_a, P)[0]
                     for H, T_a in zip(states["H"], states["T_a_K"])]
@@ -379,7 +378,7 @@ class TestRun:
         states = (out / "states.csv").read_bytes()
         assert hashlib.sha256(states).hexdigest() == \
             "de00a74c40dcb54626b7899e7c53e3f8dcd70b22b48a201340c5a85cda837e08"
-        assert len(read_states_csv(out / "states.csv")["t_s"]) == 2
+        assert len(read_csv(out / "states.csv")[0]["t_s"]) == 2
         assert json.loads((out / "manifest.json").read_text())["n_states"] == 2
         assert sorted(p.name for p in out.iterdir()) == \
             ["diagnostics.csv", "manifest.json", "states.csv"]
@@ -724,6 +723,31 @@ class TestWriteRun:
             assert cell in got[1], cell
         assert b",\r\n" in got[1]
 
+    def test_step_rows_come_from_step_record(self, baseline_cfg, tropical_weather,
+                                             tmp_path, monkeypatch):
+        # solver.step_record is the one copy of the residual arithmetic:
+        # _write_run calls it once per step, with the work and the new
+        # state's temperatures, and writes the residuals and dM it returns
+        run = list(steps(baseline_cfg, tropical_weather, 3600.0))
+        record, calls = greendry.solver.step_record, []
+
+        def spy(work, T_c, T_a, T_p, T_f):
+            calls.append((work, T_c, T_a, T_p, T_f))
+            k = len(calls)
+            _, _, _, _, _, rh, flags = record(work, T_c, T_a, T_p, T_f)
+            return k + 0.125, k + 0.25, -k - 0.375, -0.0, k * 1e-9, rh, flags
+
+        monkeypatch.setattr(greendry.solver, "step_record", spy)
+        _, diagnostics = _written_run(tmp_path, run)
+        assert len(calls) == len(run) - 1 == 60
+        for (work, *temperatures), (state, expected) in zip(calls, run[1:]):
+            assert work is expected
+            assert temperatures == [state.T_c, state.T_a, state.T_p, state.T_f]
+        rows = [line.split(",") for line in diagnostics.decode().split("\r\n")[1:-1]]
+        assert [row[1:6] for row in rows] == [
+            [repr(k + 0.125), repr(k + 0.25), repr(-k - 0.375), "-0.0", repr(k * 1e-9)]
+            for k in range(1, 61)]
+
     def test_residual_memo_stays_bounded(self, tmp_path):
         # every residual of this stream differs: 24000 of them peak within
         # 100 KiB of 8000, as the memo keeps at most RESIDUAL_MEMO_CAP
@@ -766,7 +790,7 @@ class TestValidate:
         return tmp_path / "out" / "states.csv"
 
     def test_identical_passes(self, runner, states_path, tmp_path):
-        states = read_states_csv(states_path)
+        states = read_csv(states_path)[0]
         obs = tmp_path / "obs.csv"
         _write_observed(obs, states["t_s"][::10], states["T_a_K"][::10], "T_a_K")
         result = run_cli(runner, "validate", "--states", str(states_path),
@@ -775,7 +799,7 @@ class TestValidate:
         assert "0.0000 %" in result.output
 
     def test_12_percent_disagreement_fails(self, runner, states_path, tmp_path):
-        states = read_states_csv(states_path)
+        states = read_csv(states_path)[0]
         obs = tmp_path / "obs.csv"
         _write_observed(obs, states["t_s"][::10],
                         [v / 1.12 for v in states["T_a_K"][::10]], "T_a_K")
@@ -785,7 +809,7 @@ class TestValidate:
         assert "FAIL" in result.output
 
     def test_unknown_variable_exit_2(self, runner, states_path, tmp_path):
-        states = read_states_csv(states_path)
+        states = read_csv(states_path)[0]
         obs = tmp_path / "obs.csv"
         _write_observed(obs, states["t_s"][:3], states["T_a_K"][:3], "T_a_K")
         result = run_cli(runner, "validate", "--states", str(states_path),
@@ -814,7 +838,7 @@ class TestValidate:
                                  f"got {float(limit)}\n")
 
     def test_zero_limit_is_a_limit(self, runner, states_path, tmp_path):
-        states = read_states_csv(states_path)
+        states = read_csv(states_path)[0]
         obs = tmp_path / "obs.csv"
         _write_observed(obs, states["t_s"][::10], states["T_a_K"][::10], "T_a_K")
         result = run_cli(runner, "validate", "--states", str(states_path),
@@ -1188,7 +1212,7 @@ class TestSweep:
                          "--spec", str(spec), "--preset", "tropical",
                          "--days", "2", "--out", str(tmp_path / "out"))
         assert result.exit_code == 0, result.output
-        rows = read_states_csv(tmp_path / "out" / "sweep.csv")
+        rows = read_csv(tmp_path / "out" / "sweep.csv")[0]
         assert len(rows["rank"]) == 1
 
     def test_rows_sorted(self, runner, baseline_config_path, tmp_path):
@@ -1197,7 +1221,7 @@ class TestSweep:
                          "--spec", str(spec), "--preset", "tropical",
                          "--days", "2", "--out", str(tmp_path / "out"))
         assert result.exit_code == 0, result.output
-        rows = read_states_csv(tmp_path / "out" / "sweep.csv")
+        rows = read_csv(tmp_path / "out" / "sweep.csv")[0]
         objectives = rows["objective_hours"]
         assert objectives == sorted(objectives)
         assert len(objectives) == 2
@@ -1219,7 +1243,7 @@ class TestSweep:
                     if line.startswith("warning: ")]
         assert len(warnings) == 1
         assert "{'product.C_pp': 1e+308} failed: step 1 (t=60.0 s)" in warnings[0]
-        rows = read_states_csv(tmp_path / "out" / "sweep.csv")
+        rows = read_csv(tmp_path / "out" / "sweep.csv")[0]
         assert rows["product.C_pp"] == [1700.0, 1e308]
         assert rows["reached"] == [1.0, 0.0]
 
@@ -1540,7 +1564,7 @@ class TestSweep:
         for line, F_p in zip(warnings, (0.4, 0.5)):
             assert line.startswith(f"warning: point {{'airflow.V_vent': 0.9, "
                                    f"'product.F_p': {F_p}}} failed: no payback: ")
-        rows = read_states_csv(tmp_path / "out" / "sweep.csv")
+        rows = read_csv(tmp_path / "out" / "sweep.csv")[0]
         assert rows["airflow.V_vent"] == [0.5, 0.5, 0.9, 0.9]
         assert rows["objective_years"][2:] == [float("inf")] * 2
         assert rows["reached"] == [1.0, 1.0, 0.0, 0.0]
@@ -1579,7 +1603,7 @@ class TestSweep:
                                  f"failed: {error}\n")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["failed"] == [{"point": {"product.M_0_pct": 8.0}, "error": error}]
-        assert read_states_csv(tmp_path / "out" / "sweep.csv")["reached"] == [1.0, 0.0]
+        assert read_csv(tmp_path / "out" / "sweep.csv")[0]["reached"] == [1.0, 0.0]
 
     def test_readme_names_the_spec_keys(self):
         # README's sweep section lists the keys load_sweep_spec accepts

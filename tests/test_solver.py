@@ -74,8 +74,8 @@ class _Solve(Exception):
     system it got."""
 
 
-def _capture_system(*system):
-    raise _Solve(*energy_system(system))
+def _capture_system(work):
+    raise _Solve(*energy_system(work))
 
 
 def balance(name, state, w, cfg, dmdt=0.0, *, h_c=0.0, h_r_cs=0.0,
@@ -314,10 +314,11 @@ def _read(rng, position, value):
 
 
 def _system(A, b):
-    """The 13 scalars of a pattern system (A, b), in energy_system's order;
-    energy_system rebuilds A and b from them, bit for bit."""
+    """A work record of a pattern system (A, b): its 13 scalars in
+    energy_system's order, then a dM, rh and flags that solve_energy_system
+    does not read; energy_system rebuilds A and b from it, bit for bit."""
     system = (A[0][0], A[0][1], A[0][2], A[1][1], A[1][2], A[1][3], A[2][1], A[2][2],
-              A[3][3], *b)
+              A[3][3], *b, 0.0, 50.0, [])
     rebuilt_A, rebuilt_b = energy_system(system)
     assert [_hexes(row) for row in rebuilt_A] + [_hexes(rebuilt_b)] == \
         [_hexes(row) for row in A] + [_hexes(b)], (A, b)
@@ -420,7 +421,7 @@ class TestSolveEnergySystem:
         singular, expected = set(), 0
         for system, fallback in cases:
             before = len(fallbacks)
-            got = _outcome(solve_energy_system, *system)
+            got = _outcome(solve_energy_system, system)
             assert got == _outcome(eliminate, *energy_system(system)), system
             assert (len(fallbacks) > before) == fallback, system
             expected += fallback
@@ -795,9 +796,9 @@ class TestStep:
             "product.C_pp": 4e305 * dt / (p.loading * g.A_p)})
         systems = []
 
-        def spy(*system):
-            systems.append(energy_system(system))
-            return solve_energy_system(*system)
+        def spy(work):
+            systems.append(energy_system(work))
+            return solve_energy_system(work)
 
         monkeypatch.setattr(greendry.solver, "solve_energy_system", spy)
         w = WeatherRecord(t=60.0, I_t=600.0, T_am=303.0, V_w=1.0, rh_am=60.0)

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from greendry import weather
-from greendry.cli import read_states_csv
 from greendry.core import WeatherRecord
 from greendry.errors import WeatherError
 from greendry.weather import (
@@ -306,12 +305,18 @@ class TestLoadCsv:
 
 
 def _columns_of_load_csv(path):
-    """load_csv's records as read_states_csv returns columns."""
+    """load_csv's records as _read_states_csv returns columns."""
     return {name: list(col) for name, col in zip(CSV_HEADER, zip(*records_of(load_csv(path))))}
 
 
+def _read_states_csv(path):
+    """The columns of a CSV file as `greendry validate` reads a states or
+    an observed file: read_csv's {column: list of floats}."""
+    return read_csv(path)[0]
+
+
 READERS = [pytest.param(_columns_of_load_csv, id="load_csv"),
-           pytest.param(read_states_csv, id="read_states_csv")]
+           pytest.param(_read_states_csv, id="read_states_csv")]
 
 
 class TestCsvDialect:
