@@ -21,6 +21,9 @@ on both sides alike.  The cases:
   sweep builds it once per dt and shares it among its points;
 - write_run: `cli._write_run` of the run's states and work, built in
   advance, into two files in a temporary directory;
+- run: one in-process `greendry run` of the `days` tropical preset days
+  into a temporary directory, the whole command: with more than one CPU
+  the side's run may step in a worker process while this one writes;
 - read_states: `weather.read_csv` of t_s and T_a_K from the states.csv
   that write_run writes (validate's read of the states file);
 - validate: one in-process `greendry validate` of T_a_K of that
@@ -67,8 +70,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = Path("configs") / "baseline_copra.yaml"
-CASES = ("steps", "steps_prebuilt", "write_run", "read_states", "validate", "import_cli",
-         "grid_search", "drying_time")
+CASES = ("steps", "steps_prebuilt", "write_run", "run", "read_states", "validate",
+         "import_cli", "grid_search", "drying_time")
 # the grid_search case's (dotted path, values), and the drying_time case's
 # point of it
 GRID = (("airflow.V_a", (1.0, 3.0)), ("product.F_p", (0.3, 0.5, 0.7)),
@@ -118,15 +121,15 @@ def _observe(states, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _validate(cli, argv) -> None:
-    """`greendry validate` with argv in this process, its report line
+def _command(cli, argv) -> None:
+    """The greendry command argv in this process, its report line
     discarded; RuntimeError unless it exits 0."""
     with contextlib.redirect_stdout(io.StringIO()) as out:
         try:
             cli.main(argv)
         except SystemExit as exc:
             if exc.code != 0:
-                raise RuntimeError(f"validate exited {exc.code}: {out.getvalue()}") from None
+                raise RuntimeError(f"{argv[0]} exited {exc.code}: {out.getvalue()}") from None
 
 
 def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
@@ -159,6 +162,8 @@ def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
     _observe(read_csv(states, two_columns)[0], observed)
     argv = ["validate", "--states", str(states), "--observed", str(observed),
             "--variable", "T_a_K"]
+    run_argv = ["run", "--config", str(root / CONFIG), "--preset", "tropical",
+                "--days", str(days), "--out", str(scratch / f"{name}_run")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(tree.parent), os.environ.get("PYTHONPATH"))))}
 
@@ -170,8 +175,9 @@ def _cases(name: str, root: Path, days: int, scratch: Path) -> dict:
         "steps": walk,
         "steps_prebuilt": lambda: walk(forcing),
         "write_run": lambda: cli._write_run(states, diagnostics, run, "ab"),
+        "run": lambda: _command(cli, run_argv),
         "read_states": lambda: read_csv(states, two_columns),
-        "validate": lambda: _validate(cli, argv),
+        "validate": lambda: _command(cli, argv),
         "import_cli": lambda: subprocess.run(
             [sys.executable, "-c", "import greendry.cli"], env=env, check=True),
         "grid_search": lambda: sweep.grid_search(cfg, grid),

@@ -6,8 +6,8 @@ more than solver.MAX_STEPS; run: a horizon not >= 0 or past the weather,
 a non-finite --target-mdb; sweep: a spec error, a grid value that the
 config rejects or a grid point's dt, each named by the spec) or an --out
 that cannot be written (also for gen-weather); 3 numerical failure (for
-sweep: of every grid point, a failed simulation or no payback, or a
-worker process that could not start or died); validate exits 1
+sweep: of every grid point, a failed simulation or no payback) or a
+worker process that could not start or died; validate exits 1
 when the acceptance check fails and 2 on an unreadable or malformed CSV,
 a grid or a variable error, or a --limit that is not finite and >= 0.
 A usage error, parsed by argparse, exits 2 for every command.
@@ -20,7 +20,8 @@ renamed to states.csv, diagnostics.csv and manifest.json only when the run
 succeeds; `sweep` writes sweep.csv and manifest.json so, making --out
 before it simulates a point, and `gen-weather` its file.  A failed command
 removes them and every directory it made, and leaves what was there before
-as it was.
+as it was.  With more than one CPU, `run` is stepped in a worker process
+(`sweep.forked_steps`) while this one writes it, into the same bytes.
 
 Importing this module loads only what all four commands use: argparse
 and the package's `weather`, `core`, `analysis` and `errors`.  What only
@@ -50,7 +51,8 @@ from .weather import (PRESETS, brackets, load_csv, open_csv, read_csv, save_csv,
                       synthetic_days, write_csv)
 
 # the functions of config, solver and sweep that run and sweep call
-RUN_NAMES = ("load_config", "apply_overrides", "steps", "grid_search", "load_sweep_spec")
+RUN_NAMES = ("load_config", "apply_overrides", "steps", "forked_steps", "grid_search",
+             "load_sweep_spec")
 
 STATE_COLUMNS = ["t_s", "T_c_K", "T_a_K", "T_p_K", "T_f_K", "H", "M_db", "rh_pct"]
 DIAG_COLUMNS = ["t_s", "res_cover_W", "res_air_W", "res_product_W",
@@ -69,7 +71,7 @@ def _load_run_modules() -> None:
 
     from .config import apply_overrides, load_config
     from .solver import steps
-    from .sweep import grid_search, load_sweep_spec
+    from .sweep import forked_steps, grid_search, load_sweep_spec
     namespace, loaded = globals(), locals()
     for name in RUN_NAMES:
         namespace.setdefault(name, loaded[name])
@@ -183,13 +185,15 @@ def _write_run(states_path, diag_path, run, comment) -> int:
     and flags are `solver.step_record(work, T_c, T_a, T_p, T_f)` at the new
     state's temperatures, as `step_diagnostics` records them; this function
     only formats them.  Each cell is a repr, made once where values repeat:
-    t for both rows; the previous state's rh when the step's rh is that
-    very object, as from `advance`; the previous state's M_p when the new
-    state's M_p is that very object, as a stalled or at-equilibrium step
-    returns it; and the first RESIDUAL_MEMO_CAP distinct nonzero residuals
-    (roundoff: 35 in 4 baseline days).  Objects, not values, are compared,
-    and zero is not memoised, as 0.0 == -0.0 but their reprs differ: a zero
-    residual is written "0.0" or "-0.0" by its sign, without a repr."""
+    t for both rows; the previous state's rh when the step's rh equals it,
+    as from `advance`; the previous state's M_p when the new state's M_p
+    equals it, as a stalled or at-equilibrium step returns it; and the
+    first RESIDUAL_MEMO_CAP distinct nonzero residuals (roundoff: 35 in 4
+    baseline days).  Values are compared, so that the memo also spares the
+    reprs of a run whose floats come from another process as new objects
+    (sweep.forked_steps), and zero is left out, as 0.0 == -0.0 but their
+    reprs differ; equal nonzero floats have one repr.  A zero residual is
+    written "0.0" or "-0.0" by its sign, without a repr."""
     from .solver import step_record
 
     memo = {}
@@ -214,8 +218,9 @@ def _write_run(states_path, diag_path, run, comment) -> int:
                 diagnostics.write(
                     f"{t_cell},{get(r0) or residual(r0)},{get(r1) or residual(r1)},"
                     f"{get(r2) or residual(r2)},{get(r3) or residual(r3)},{dM!r},"
-                    f"{rh_cell if rh_used is rh else repr(rh_used)},{';'.join(flags)}\r\n")
-            if M_new is not M_p:
+                    f"{rh_cell if rh_used == rh and rh_used else repr(rh_used)},"
+                    f"{';'.join(flags)}\r\n")
+            if not (M_new == M_p and M_new):
                 M_p, M_cell = M_new, repr(M_new)
             rh, rh_cell = rh_new, repr(rh_new)
             states.write(f"{t_cell},{T_c!r},{T_a!r},{T_p!r},{T_f!r},{H!r},{M_cell},"
@@ -249,9 +254,9 @@ def cmd_run(config_path, weather_path, preset, days, out_dir, horizon_h,
     try:
         with _staged(out, "states.csv", "diagnostics.csv", "manifest.json") as \
                 (states_path, diag_path, manifest_path):
-            n_states = _write_run(states_path, diag_path,
-                                  steps(cfg, weather, horizon_s, target_mdb=target_mdb),
-                                  f"inputs_sha256={inputs_hash}")
+            with forked_steps(steps(cfg, weather, horizon_s, target_mdb=target_mdb)) as run:
+                n_states = _write_run(states_path, diag_path, run,
+                                      f"inputs_sha256={inputs_hash}")
             _write_manifest(manifest_path, out, config_path, weather_label, inputs_hash,
                             parameters={"horizon_h": horizon_h, "target_mdb": target_mdb,
                                         "overrides": list(overrides), "days": days},

@@ -148,105 +148,227 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _forked(cfgs: list[DryerConfig], spec: SweepSpec,
-            points: list[tuple[tuple[str, float], ...]],
-            workers: int) -> list[SweepResult]:
-    """The result of each point, in grid order, from workers forked child
-    processes, which inherit cfgs, points and spec.  The parent writes
-    every point's index to one pipe, 4 bytes each; each child reads the
-    next index whenever it is free, evaluates that point with its own
-    per-dt forcings and, at the pipe's end, sends the pickled (True,
-    [(index, result), ...]), or (False, the exception that stopped it),
-    over a pipe of its own, and ends in os._exit.  The parent only waits,
-    on every result pipe at once (poll), and takes the result of whichever
-    child ends first, so that a child that fails is reported as it ends,
-    not after the children forked before it.  It re-raises a child's
-    exception, raises a SimulationError for a child that ends with no
-    result and one naming the cause when os.pipe or os.fork fails
-    (`cannot start sweep worker: ...`), and kills and reaps every child it
-    forked before it returns or raises."""
-    # Imported here so that importing the CLI does not pay for them.
-    import pickle
-    import select
-    import signal
+class Workers:
+    """The worker processes that one command forks, and the pipes between
+    them and this process; `what` names them in errors.  pipe and fork
+    raise a SimulationError `cannot start <what> worker: ...` when os.pipe
+    or os.fork fails, and reap one `<what> worker <pid> ended by signal
+    <n>` (or `exit status <n>`) `before it sent its results` for a worker
+    that did not exit 0.  Leaving the block, however it is left, kills and
+    reaps every worker not yet reaped, then closes every pipe."""
 
-    def start(call):  # os.pipe or os.fork
+    def __init__(self, what: str):
+        self.what = what
+        self.pids: list[int] = []  # forked and not yet reaped
+        self.files = contextlib.ExitStack()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        import signal  # here, as pickle in fork, so that importing the CLI does not pay
+
+        with self.files:
+            for pid in self.pids:
+                os.kill(pid, signal.SIGKILL)
+            for pid in self.pids:
+                os.waitpid(pid, 0)
+
+    def _start(self, call):  # os.pipe or os.fork
         try:
             return call()
         except OSError as exc:
-            raise SimulationError(f"cannot start sweep worker: {exc}") from exc
+            raise SimulationError(f"cannot start {self.what} worker: {exc}") from exc
+
+    def pipe(self):
+        """A new pipe's read and write ends, as unbuffered binary files: a
+        read or write is one system call."""
+        return [self.files.enter_context(open(fd, mode, buffering=0))
+                for fd, mode in zip(self._start(os.pipe), ("rb", "wb"))]
+
+    def fork(self, work, result_w) -> int:
+        """Fork a worker and return its pid.  The worker calls work(out),
+        out being a buffered file on the pipe end result_w; then it writes
+        to out the pickled (True, what work returned), or (False, the
+        exception it raised), which the parent raises, and ends in
+        os._exit."""
+        import pickle
+
+        pid = self._start(os.fork)
+        if pid == 0:  # the worker: it leaves this call only by os._exit
+            status = 1
+            try:
+                with open(result_w.fileno(), "wb", closefd=False) as out:
+                    try:
+                        message = True, work(out)
+                    except BaseException as exc:  # the parent raises it
+                        message = False, exc
+                    pickle.dump(message, out)
+                status = 0
+            finally:
+                os._exit(status)
+        self.pids.append(pid)
+        return pid
+
+    def reap(self, pid: int) -> None:
+        """Wait for worker pid to end; a SimulationError unless it exited 0."""
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        self.pids.remove(pid)
+        if status != 0:
+            how = f"signal {-status}" if status < 0 else f"exit status {status}"
+            raise SimulationError(f"{self.what} worker {pid} ended by {how} "
+                                  "before it sent its results")
+
+
+def _forked(cfgs: list[DryerConfig], spec: SweepSpec,
+            points: list[tuple[tuple[str, float], ...]],
+            workers: int) -> list[SweepResult]:
+    """The result of each point, in grid order, from `workers` worker
+    processes (Workers("sweep")), which inherit cfgs, points and spec.  The
+    parent writes every
+    point's index to one pipe, 4 bytes each; each worker reads the next
+    index whenever it is free, evaluates that point with its own per-dt
+    forcings and, at the pipe's end, returns [(index, result), ...], which
+    Workers.fork sends over a pipe of its own.  The parent only waits, on
+    every result pipe at once (poll), and takes the result of whichever
+    worker ends first, so that a worker that fails is reported as it ends,
+    not after the workers forked before it."""
+    import pickle
+    import select
 
     results = [None] * len(points)
-    children = {}  # pid -> the read end of its results pipe
-    with contextlib.ExitStack() as pipes:
-        def pipe():  # unbuffered: a read or write is one system call
-            return [pipes.enter_context(open(fd, mode, buffering=0))
-                    for fd, mode in zip(start(os.pipe), ("rb", "wb"))]
+    with Workers("sweep") as forked:
+        index_r, index_w = forked.pipe()
 
-        index_r, index_w = pipe()
-        try:
-            for _ in range(workers):
-                result_r, result_w = pipe()
-                pid = start(os.fork)
-                if pid == 0:  # the child: it leaves this block only by os._exit
-                    status = 1
-                    try:
-                        index_w.close()
-                        forcings, done = {}, []
-                        try:
-                            while index := index_r.read(4):
-                                i = int.from_bytes(index, "little")
-                                done.append((i, _evaluate(cfgs[i], spec, points[i],
-                                                          forcings)))
-                            payload = pickle.dumps((True, done))
-                        except BaseException as exc:  # the parent raises it
-                            payload = pickle.dumps((False, exc))
-                        with open(result_w.fileno(), "wb", closefd=False) as fh:
-                            fh.write(payload)
-                        status = 0
-                    finally:
-                        os._exit(status)
-                children[pid] = result_r
-                result_w.close()
-            # so that the children's reads end once every index is taken,
-            # and a write fails rather than blocks once every child has ended
-            index_r.close()
-            indices = b"".join(i.to_bytes(4, "little") for i in range(len(points)))
-            with contextlib.suppress(BrokenPipeError):  # every child ended: see below
-                # a write of at most 512 bytes (PIPE_BUF or less) is never
-                # split, so each read of 4 bytes takes one whole index
-                for start in range(0, len(indices), 512):
-                    index_w.write(indices[start:start + 512])
+        def evaluate(out):  # in a worker
             index_w.close()
-            # a result pipe polls readable once its child writes its payload,
-            # which it does as it ends, or closes it by ending without one
-            poll = select.poll()
-            waiting = {}  # the fd of each result pipe -> its child's pid
-            for pid, result_r in children.items():
-                poll.register(result_r, select.POLLIN)
-                waiting[result_r.fileno()] = pid
-            while waiting:
-                for fd, _ in poll.poll():
-                    poll.unregister(fd)
-                    pid = waiting.pop(fd)
-                    payload = children[pid].read()
-                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    del children[pid]
-                    if status != 0:
-                        how = f"signal {-status}" if status < 0 else f"exit status {status}"
-                        raise SimulationError(f"sweep worker {pid} ended by {how} "
-                                              "before it sent its results")
-                    ok, value = pickle.loads(payload)
-                    if not ok:
-                        raise value
-                    for i, result in value:
-                        results[i] = result
-        finally:
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)
-            for pid in children:
-                os.waitpid(pid, 0)
+            forcings, done = {}, []
+            while index := index_r.read(4):
+                i = int.from_bytes(index, "little")
+                done.append((i, _evaluate(cfgs[i], spec, points[i], forcings)))
+            return done
+
+        children = {}  # pid -> the read end of its results pipe
+        for _ in range(workers):
+            result_r, result_w = forked.pipe()
+            children[forked.fork(evaluate, result_w)] = result_r
+            result_w.close()
+        # so that the workers' reads end once every index is taken, and a
+        # write fails rather than blocks once every worker has ended
+        index_r.close()
+        indices = b"".join(i.to_bytes(4, "little") for i in range(len(points)))
+        with contextlib.suppress(BrokenPipeError):  # every worker ended: see below
+            # a write of at most 512 bytes (PIPE_BUF or less) is never
+            # split, so each read of 4 bytes takes one whole index
+            for start in range(0, len(indices), 512):
+                index_w.write(indices[start:start + 512])
+        index_w.close()
+        # a result pipe polls readable once its worker writes its payload,
+        # which it does as it ends, or closes it by ending without one
+        poll = select.poll()
+        waiting = {}  # the fd of each result pipe -> its worker's pid
+        for pid, result_r in children.items():
+            poll.register(result_r, select.POLLIN)
+            waiting[result_r.fileno()] = pid
+        while waiting:
+            for fd, _ in poll.poll():
+                poll.unregister(fd)
+                pid = waiting.pop(fd)
+                payload = children[pid].read()
+                forked.reap(pid)
+                ok, value = pickle.loads(payload)
+                if not ok:
+                    raise value
+                for i, result in value:
+                    results[i] = result
     return results
+
+
+RUN_BATCH = 256  # the most steps a run worker sends in one message
+
+
+def _send(run, out) -> None:
+    """Send the (state, work) pairs of run, as `solver.steps` yields them,
+    to the file out, each message one pickled (doubles, flags): first the
+    first state's 8 floats, as raw doubles, and None, as its pair has no
+    work; then, per RUN_BATCH steps or fewer, the 8 floats of each new
+    state and the 15 numbers of its work, as raw doubles, and the text of
+    each step's flags, joined by ';', the steps' joined by newlines."""
+    from pickle import dump
+    from struct import pack
+
+    run = iter(run)
+    dump((pack("8d", *next(run)[0]), None), out)
+    values = []
+    while True:
+        for state, work in itertools.islice(run, RUN_BATCH):
+            values += state
+            values += work
+        if not values:
+            return
+        flags = values[23::24]  # each work's last entry
+        del values[23::24]
+        dump((pack(f"{len(values)}d", *values), "\n".join(map(";".join, flags))), out)
+        values = []
+
+
+def _received(source, workers: Workers, pid: int):
+    """The pairs that the run worker pid sends through source (see _send),
+    each state and work a tuple of the same floats, bit for bit, and
+    work's flags a tuple of strings.  After its last pair, the worker is
+    reaped and the exception it raised, if any, raised; a worker that ends
+    before its last message raises as Workers.reap does."""
+    from pickle import UnpicklingError, load
+    from struct import iter_unpack, unpack
+
+    while True:
+        try:
+            doubles, text = load(source)
+        except (EOFError, UnpicklingError):  # the pipe ended before the last message
+            workers.reap(pid)
+            raise
+        if isinstance(doubles, bool):  # the worker's last message: (ok, value)
+            workers.reap(pid)
+            if not doubles:
+                raise text
+            return
+        if text is None:
+            yield unpack("8d", doubles), None
+            continue
+        lines = text.split("\n")
+        flags = {line: (tuple(filter(None, line.split(";"))),) for line in set(lines)}
+        for values, line in zip(iter_unpack("23d", doubles), lines):
+            yield values[:8], values[8:] + flags[line]
+
+
+@contextlib.contextmanager
+def forked_steps(run):
+    """Yield the (state, work) pairs of run, a `solver.steps` run not yet
+    started: with one CPU or no os.fork, run itself; otherwise the same
+    values, each float bit for bit, from a Workers("run") worker that it
+    forks to step run while this process takes its pairs.  The pipe
+    between them holds at most its capacity (64 KiB on Linux, about one
+    message of RUN_BATCH steps), so that the worker waits while this
+    process is behind and the run still streams.
+    An error of the run is raised here, as it would be in this process;
+    the worker is killed and reaped when the block ends, however it ends.
+    The CPU count is the one grid_search goes by."""
+    if available_cpus() == 1 or not hasattr(os, "fork"):
+        yield run
+        return
+    with Workers("run") as workers:
+        source, sink = workers.pipe()
+
+        def step(out):  # in the worker
+            # with no read end of its own, a write fails rather than
+            # blocks once this process has ended
+            source.close()
+            _send(run, out)
+
+        pid = workers.fork(step, sink)
+        sink.close()
+        buffered = workers.files.enter_context(open(source.fileno(), "rb", closefd=False))
+        yield _received(buffered, workers, pid)
 
 
 def grid_search(base: DryerConfig, spec: SweepSpec) -> list[SweepResult]:

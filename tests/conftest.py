@@ -27,8 +27,9 @@ def tropical_weather():
 
 @pytest.fixture()
 def cpus(monkeypatch):
-    """cpus(n) makes grid_search see n available CPUs: one runs the points
-    in this process, more in forked worker processes."""
+    """cpus(n) makes grid_search and `greendry run` (sweep.forked_steps)
+    see n available CPUs: with one, the points are simulated, or the run
+    stepped, in this process; with more, in forked worker processes."""
     def set_cpus(n):
         monkeypatch.setattr(greendry.sweep, "available_cpus", lambda: n)
     return set_cpus

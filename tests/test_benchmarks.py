@@ -34,8 +34,9 @@ def test_ab_harness_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     summary = json.loads(out.read_text(encoding="utf-8"))
-    assert set(summary["cases"]) == {"steps", "steps_prebuilt", "write_run", "read_states",
-                                     "validate", "import_cli", "grid_search", "drying_time"}
+    assert set(summary["cases"]) == {"steps", "steps_prebuilt", "write_run", "run",
+                                     "read_states", "validate", "import_cli", "grid_search",
+                                     "drying_time"}
     for case in summary["cases"].values():
         assert case["pairs"] == 2 and 0 <= case["change_faster"] <= 2
         assert len(case["parent"]["ms"]) == len(case["change"]["ms"]) == 2

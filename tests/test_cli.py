@@ -5,9 +5,11 @@ import errno
 import hashlib
 import io
 import importlib.util
+import itertools
 import json
 import math
 import os
+import pickle
 import random
 import re
 import signal
@@ -41,7 +43,7 @@ from greendry.cli import (
 from greendry.core import SimState, relative_humidity
 from greendry.errors import ComparisonError
 from greendry.solver import step_diagnostics, steps
-from greendry.sweep import SPEC_KEYS, EconomicModel, SweepResult
+from greendry.sweep import SPEC_KEYS, EconomicModel, SweepResult, forked_steps
 from greendry.weather import read_csv, write_csv
 
 from conftest import REPO_ROOT, in_workers, records_of
@@ -296,21 +298,23 @@ class TestRun:
         assert result.stderr == (f"error: {weather}:3: ambient temperature must "
                                  f"be in (0, 373.15] K, got 1e+300\n")
 
-    def test_tropical_4_day_bytes(self, runner, baseline_config_path, tmp_path):
-        # the bytes of the baseline run, pinned: the inputs_sha256 line
-        # hashes the config's bytes, not its path (manifest.json holds
-        # paths and is left out)
-        out = tmp_path / "out"
-        result = run_cli(runner, "run", "--config", str(baseline_config_path),
-                         "--preset", "tropical", "--days", "4", "--out", str(out))
-        assert result.exit_code == 0, result.output
-        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in ("states.csv", "diagnostics.csv")} == {
-            "states.csv":
-                "6681355b7f1af609da6a1cadbf15faf589172e036237d76db44d279bacf68b56",
-            "diagnostics.csv":
-                "15f2fa313e91ae833ad5803aed240df58e09c891bb2efb98c44ce97e478a9097",
-        }
+    def test_tropical_4_day_bytes(self, runner, baseline_config_path, tmp_path, cpus):
+        # the bytes of the baseline run, pinned, stepped in this process and
+        # in a worker: the inputs_sha256 line hashes the config's bytes, not
+        # its path (manifest.json holds paths and is left out)
+        for n in (1, 2):
+            cpus(n)
+            out = tmp_path / f"cpus{n}"
+            result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                             "--preset", "tropical", "--days", "4", "--out", str(out))
+            assert result.exit_code == 0, result.output
+            assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("states.csv", "diagnostics.csv")} == {
+                "states.csv":
+                    "6681355b7f1af609da6a1cadbf15faf589172e036237d76db44d279bacf68b56",
+                "diagnostics.csv":
+                    "15f2fa313e91ae833ad5803aed240df58e09c891bb2efb98c44ce97e478a9097",
+            }, n
 
     def test_rh_column_is_relative_humidity_of_each_state(
             self, runner, baseline_cfg, baseline_config_path, tmp_path):
@@ -361,32 +365,38 @@ class TestRun:
         assert out.is_dir() and list(out.iterdir()) == []
 
     def test_target_mdb_bench_weather_bytes(self, runner, baseline_config_path,
-                                            tmp_path):
+                                            tmp_path, cpus):
         # the benchmark's seed-0 weather, made by its own generator: the run
-        # stops after its first step, whose moisture is below 0.6 db
+        # stops after its first step, whose moisture is below 0.6 db, in
+        # this process and in a worker
         spec = importlib.util.spec_from_file_location(
             "bench_inputs", REPO_ROOT / "bench" / "inputs.py")
         inputs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(inputs)
         weather = tmp_path / "weather.csv"
         weather.write_text(inputs.weather_csv(0))
-        out = tmp_path / "out"
-        result = run_cli(runner, "run", "--config", str(baseline_config_path),
-                         "--weather", str(weather), "--out", str(out),
-                         "--target-mdb", "0.6")
-        assert result.exit_code == 0, result.output
-        states = (out / "states.csv").read_bytes()
-        assert hashlib.sha256(states).hexdigest() == \
-            "de00a74c40dcb54626b7899e7c53e3f8dcd70b22b48a201340c5a85cda837e08"
-        assert len(read_csv(out / "states.csv")[0]["t_s"]) == 2
-        assert json.loads((out / "manifest.json").read_text())["n_states"] == 2
-        assert sorted(p.name for p in out.iterdir()) == \
-            ["diagnostics.csv", "manifest.json", "states.csv"]
+        for n in (1, 2):
+            cpus(n)
+            out = tmp_path / f"cpus{n}"
+            result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                             "--weather", str(weather), "--out", str(out),
+                             "--target-mdb", "0.6")
+            assert result.exit_code == 0, result.output
+            states = (out / "states.csv").read_bytes()
+            assert hashlib.sha256(states).hexdigest() == \
+                "de00a74c40dcb54626b7899e7c53e3f8dcd70b22b48a201340c5a85cda837e08", n
+            assert len(read_csv(out / "states.csv")[0]["t_s"]) == 2
+            assert json.loads((out / "manifest.json").read_text())["n_states"] == 2
+            assert sorted(p.name for p in out.iterdir()) == \
+                ["diagnostics.csv", "manifest.json", "states.csv"]
 
-    def test_memory_flat_in_run_length(self, runner, baseline_config_path, tmp_path):
+    def test_memory_flat_in_run_length(self, runner, baseline_config_path, tmp_path,
+                                       cpus):
         # a run streams its rows to disk: a 48 h run peaks no higher than a
         # 12 h one on the same 2-day weather (measured: within 1 KiB; a run
-        # that kept its states and records grew ~1.1 MiB per simulated day)
+        # that kept its states and records grew ~1.1 MiB per simulated day).
+        # tracemalloc sees this process alone: with one CPU it steps the run
+        # and writes it; with two it only writes what a worker sends
         def peak(*extra):
             tracemalloc.start()
             try:
@@ -399,8 +409,10 @@ class TestRun:
             assert result.exit_code == 0, result.output
             return peak
 
-        peak("--horizon-h", "1")  # first-call caches
-        assert peak() - peak("--horizon-h", "12") < 100 * 1024
+        for n in (1, 2):
+            cpus(n)
+            peak("--horizon-h", "1")  # first-call caches
+            assert peak() - peak("--horizon-h", "12") < 100 * 1024, n
 
     def test_readme_names_the_csv_columns(self, runner, baseline_config_path,
                                           tmp_path):
@@ -660,6 +672,52 @@ def _copy(x):
     return struct.unpack("<d", struct.pack("<d", x))[0]
 
 
+def _adversarial_run():
+    """A run of 601 pairs whose floats and flags test a writer or a
+    transport: any bits, signed zeros, subnormals, the extremes, infinities
+    and NaNs, values and objects that repeat and flags of every kind."""
+    rng = random.Random(7)
+    shared = rng.uniform(1.0, 2.0)  # one float object in many cells
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, float("inf"), float("-inf"),
+               float("nan"), 0.1, shared]
+    flags = [[], ["still_air"], ["kinetics_stalled", "still_air",
+                                 "humidity_floor_clamped"], []]
+
+    def value(i):  # any bits, a special value, or one of ordinary size
+        if i % 3 == 0:
+            return _any_float(rng)
+        return rng.choice(special) if i % 3 == 1 else rng.uniform(-1e4, 1e4)
+
+    run = [(SimState(0.0, shared, shared, shared, shared, 0.01, 0.5, shared), None)]
+    for i in range(600):
+        # the nine entries that vary, then the right-hand sides
+        entries = [value(i) for _ in range(9)]
+        b = [value(i) for _ in range(4)]
+        state = SimState(*(value(i) for _ in range(8)))
+        if i % 2:
+            # residual 0 is 0.0 and -0.0 by turns, its structural zero's
+            # term 0.0 * T_f being -0.0; residual 1 repeats one of three
+            # nonzero values
+            state = state._replace(T_c=shared, T_a=1.5, T_p=5e-324, T_f=-1e300)
+            entries[:6] = [0.0 if i % 4 == 1 else -0.0] * 3 + [1.0, 0.0, 0.0]
+            b[0], b[1] = 0.0, rng.choice([0.1, 1.5 - 2**-52, -7.25])
+        previous = run[-1][0].rh
+        # the kinetics rh: the previous state's very object; an equal
+        # one, with the same repr or (0.0 then -0.0) another; or not equal
+        rh = (previous, _copy(previous), -0.0, value(i))[i % 4]
+        if i % 4 == 1:
+            state = state._replace(rh=0.0)
+        # M_p: the previous state's very object, as a stalled step
+        # returns it; an equal one in another object; 0.0, then -0.0
+        # (equal, another repr); or the state's own value
+        previous = run[-1][0].M_p
+        state = state._replace(
+            M_p=(previous, _copy(previous), 0.0, -0.0, state.M_p)[i % 5])
+        run.append((state, (*entries, *b, value(i), rh, flags[i % 4])))
+    return run
+
+
 class TestWriteRun:
     """_write_run, which formats each value once, writes csv.writer's rows
     of each state and of its step's StepDiagnostics, byte for byte."""
@@ -677,45 +735,7 @@ class TestWriteRun:
         assert _written_run(tmp_path, run) == _reference_run(tmp_path, run)
 
     def test_rows_of_an_adversarial_stream(self, tmp_path):
-        rng = random.Random(7)
-        shared = rng.uniform(1.0, 2.0)  # one float object in many cells
-        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                   1.7976931348623157e308, float("inf"), float("-inf"),
-                   float("nan"), 0.1, shared]
-        flags = [[], ["still_air"], ["kinetics_stalled", "still_air",
-                                     "humidity_floor_clamped"], []]
-
-        def value(i):  # any bits, a special value, or one of ordinary size
-            if i % 3 == 0:
-                return _any_float(rng)
-            return rng.choice(special) if i % 3 == 1 else rng.uniform(-1e4, 1e4)
-
-        run = [(SimState(0.0, shared, shared, shared, shared, 0.01, 0.5, shared), None)]
-        for i in range(600):
-            # the nine entries that vary, then the right-hand sides
-            entries = [value(i) for _ in range(9)]
-            b = [value(i) for _ in range(4)]
-            state = SimState(*(value(i) for _ in range(8)))
-            if i % 2:
-                # residual 0 is 0.0 and -0.0 by turns, its structural zero's
-                # term 0.0 * T_f being -0.0; residual 1 repeats one of three
-                # nonzero values
-                state = state._replace(T_c=shared, T_a=1.5, T_p=5e-324, T_f=-1e300)
-                entries[:6] = [0.0 if i % 4 == 1 else -0.0] * 3 + [1.0, 0.0, 0.0]
-                b[0], b[1] = 0.0, rng.choice([0.1, 1.5 - 2**-52, -7.25])
-            previous = run[-1][0].rh
-            # the kinetics rh: the previous state's very object; an equal
-            # one, with the same repr or (0.0 then -0.0) another; or not equal
-            rh = (previous, _copy(previous), -0.0, value(i))[i % 4]
-            if i % 4 == 1:
-                state = state._replace(rh=0.0)
-            # M_p: the previous state's very object, as a stalled step
-            # returns it; an equal one in another object; 0.0, then -0.0
-            # (equal, another repr); or the state's own value
-            previous = run[-1][0].M_p
-            state = state._replace(
-                M_p=(previous, _copy(previous), 0.0, -0.0, state.M_p)[i % 5])
-            run.append((state, (*entries, *b, value(i), rh, flags[i % 4])))
+        run = _adversarial_run()
         got = _written_run(tmp_path, run)
         assert got == _reference_run(tmp_path, run)
         for cell in (b",0.0,", b",-0.0,", b",nan,", b",inf,", b",-inf,", b",5e-324,",
@@ -773,6 +793,148 @@ class TestWriteRun:
         assert RESIDUAL_MEMO_CAP <= 1000
         peak(10)  # first-call caches
         assert peak(6000) - peak(2000) < 100 * 1024
+
+
+def _bits(values):
+    """The bytes of the doubles values: equal only for the same bits."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRunWorker:
+    """`greendry run` steps in a forked worker process when more than one
+    CPU is available (sweep.forked_steps); its outputs, errors and exit
+    codes are those of a run in one process, and no worker outlives it."""
+
+    def test_pairs_cross_bit_for_bit(self, tmp_path, cpus):
+        nan_payload = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_DEAD_BEEF))[0]
+        extremes = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                    float("nan"), nan_payload, float("-inf"), -5e-324)
+        run = _adversarial_run() + [(SimState(*extremes),
+                                     (*extremes, *extremes[:7], ["still_air"]))]
+        cpus(2)
+        # 601 steps: two full messages and a part; then one full message
+        for sent in (run, run[:1 + greendry.sweep.RUN_BATCH]):
+            with forked_steps(iter(sent)) as received:
+                got = list(received)
+            _no_child_left()
+            assert len(got) == len(sent)
+            for (state, work), (sent_state, sent_work) in zip(got, sent):
+                assert state is not sent_state  # it crossed
+                assert _bits(state) == _bits(sent_state)
+                if sent_work is None:
+                    assert work is None
+                else:
+                    assert _bits(work[:15]) == _bits(sent_work[:15])
+                    assert work[15] == tuple(sent_work[15])
+            # equal values in new objects make the same cells
+            assert _written_run(tmp_path, got) == _reference_run(tmp_path, sent)
+
+    def test_step_failure_is_reported_as_in_one_process(self, runner, baseline_config_path,
+                                                        tmp_path, cpus):
+        results = []
+        for n in (1, 2):
+            cpus(n)
+            results.append(run_cli(runner, "run", "--config", str(baseline_config_path),
+                                   "--preset", "tropical", "--days", "1",
+                                   "--out", str(tmp_path / "o"),
+                                   "--set", "numerics.pressure=5000"))
+            _no_child_left()
+        assert results[0] == results[1]
+        assert results[1].exit_code == 3
+        assert results[1].stderr.startswith("error: step 461 (t=27660.0 s): vapour pressure")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("how", ["raises", "is killed between messages",
+                                     "is killed inside a message"])
+    def test_failed_worker_leaves_the_outputs_as_they_were(
+            self, runner, baseline_config_path, tmp_path, cpus, monkeypatch, how):
+        # the worker sends the first state and a batch or more of steps, then
+        # fails; a program error is raised with its own type, as in this process
+        send = greendry.sweep._send
+
+        def failing(run, out):
+            send(itertools.islice(run, 300), out)
+            if how == "raises":
+                raise ZeroDivisionError("in a worker")
+            if how == "is killed inside a message":
+                out.write(pickle.dumps((bytes(184), ""))[:50])
+            out.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(greendry.sweep, "_send", failing)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "states.csv").write_bytes(b"kept\n")
+        cpus(2)
+        args = ("run", "--config", str(baseline_config_path), "--preset", "tropical",
+                "--days", "1", "--out", str(out))
+        if how == "raises":
+            with pytest.raises(ZeroDivisionError, match="^in a worker$"):
+                run_cli(runner, *args)
+        else:
+            result = run_cli(runner, *args)
+            assert result.exit_code == 3, result.output
+            assert re.fullmatch(r"error: run worker \d+ ended by signal 9 before it "
+                                r"sent its results\n", result.stderr), result.stderr
+        assert _contents(out) == {"states.csv": b"kept\n"}
+        _no_child_left()
+
+    @pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)])
+    def test_worker_that_cannot_start_exits_3(self, runner, baseline_config_path, tmp_path,
+                                              cpus, monkeypatch, call, code):
+        def failing():
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, call, failing)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "states.csv").write_bytes(b"kept\n")
+        cpus(2)
+        result = _run_baseline(runner, baseline_config_path, out)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (f"error: cannot start run worker: [Errno {code}] "
+                                 f"{os.strerror(code)}\n")
+        assert _contents(out) == {"states.csv": b"kept\n"}
+        _no_child_left()
+
+    def test_write_error_mid_run_exits_2(self, runner, baseline_config_path, tmp_path,
+                                         cpus, monkeypatch):
+        # the disk fills after 500 rows of a file, while the worker still
+        # steps: the worker is killed, and --out left as it was
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.rows = fh, 500
+
+            def write(self, text):
+                self.rows -= 1
+                if self.rows < 0:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+        open_csv = greendry.cli.open_csv
+        monkeypatch.setattr(greendry.cli, "open_csv", lambda *args: FullDisk(open_csv(*args)))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "states.csv").write_bytes(b"kept\n")
+        cpus(2)
+        result = run_cli(runner, "run", "--config", str(baseline_config_path),
+                         "--preset", "tropical", "--days", "1", "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: cannot write {out}: [Errno {errno.ENOSPC}] "
+                                 f"{os.strerror(errno.ENOSPC)}\n")
+        assert _contents(out) == {"states.csv": b"kept\n"}
+        _no_child_left()
 
 
 def _write_observed(path, times, values, variable_header):
