@@ -24,8 +24,10 @@ on both sides alike.  The cases:
 - run: one in-process `greendry run` of the `days` tropical preset days
   into a temporary directory, the whole command: with more than one CPU
   the side's run may step in a worker process while this one writes;
-- read_states: `weather.read_csv` of t_s and T_a_K from the states.csv
-  that write_run writes (validate's read of the states file);
+- read_states: `weather.read_csv` (the reader of `tables`, which
+  `weather` imports; older revisions define it in `weather`) of t_s and
+  T_a_K from the states.csv that write_run writes (validate's read of
+  the states file);
 - validate: one in-process `greendry validate` of T_a_K of that
   states.csv against 2500 observations, built as
   benchmarks/test_layers.py::validate_argv builds them;

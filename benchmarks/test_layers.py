@@ -4,8 +4,14 @@
 own, the read of two columns of its states.csv, a `greendry validate`
 of one column of that run against 2500 observations, a 60 h drying-time
 objective, a 6-point sweep (on one CPU, in one process, and with a
-worker process per available CPU) and the import of the CLI in a fresh
-interpreter, the start-up every command pays.
+worker process per available CPU) and the set-up of validate (the import
+of the CLI) and of run (the import, the config and the weather file read)
+in a fresh interpreter, the start-up each command pays.
+
+Each name is imported from a module that binds it at this revision and
+at older ones (`cli._write_run` and `weather.read_csv`, though the writer
+and the reader are defined in `writers` and `tables`), so that this file
+can also time an older revision's tree.
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=OUT.json
 
@@ -44,7 +50,7 @@ from greendry.solver import (
     weather_forcing,
 )
 from greendry.sweep import SweepSpec, drying_time_objective, grid_search
-from greendry.weather import brackets, read_csv, sample
+from greendry.weather import brackets, read_csv, sample, save_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "baseline_copra.yaml"
@@ -199,7 +205,10 @@ def test_cli_run_4day(benchmark, tmp_path):
     # as it goes, then the manifest
     argv = ["run", "--config", str(CONFIG), "--preset", "tropical", "--days", "4",
             "--out", str(tmp_path)]
-    assert benchmark.pedantic(_main, args=(argv,), rounds=5, iterations=1,
+    # 20 rounds, as test_cli_validate: a run stepped in a worker process
+    # takes as long as the second CPU lets it, which 5 rounds do not
+    # average out
+    assert benchmark.pedantic(_main, args=(argv,), rounds=20, iterations=1,
                               warmup_rounds=1) == 0
     assert len((tmp_path / "states.csv").read_text().splitlines()) == 5763
 
@@ -285,12 +294,32 @@ def test_grid_search_6(benchmark, cfg, weather, cpus, monkeypatch):
     assert len(results) == 6 and results[0].reached
 
 
-def test_import_cli(benchmark):
-    # a fresh interpreter that imports the CLI and exits: interpreter
-    # start-up plus every module a command loads before it parses its
-    # arguments
+# the set-up of a command, as bench/run.py's set-up probe runs it in a
+# fresh interpreter: validate's is the import of the CLI; run's (and
+# sweep's, but for the spec) adds the config and the weather file read
+# through the CLI's names, which load every module run uses
+SETUP = {
+    "validate": "import greendry.cli",
+    "run": ("import sys, greendry.cli as cli; cli.load_config(sys.argv[1]); "
+            "cli.load_csv(sys.argv[2])"),
+}
+
+
+@pytest.fixture(scope="module")
+def weather_csv(weather, tmp_path_factory):
+    """The 4-day tropical weather as a CSV file."""
+    path = tmp_path_factory.mktemp("weather") / "tropical.csv"
+    save_csv(weather, path)
+    return path
+
+
+@pytest.mark.parametrize("command", SETUP)
+def test_import_cli(benchmark, weather_csv, command):
+    # a fresh interpreter that runs command's set-up and exits: interpreter
+    # start-up plus every module the command loads before it parses its
+    # arguments, and for run its inputs read
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-    argv = [sys.executable, "-c", "import greendry.cli"]
+    argv = [sys.executable, "-c", SETUP[command], str(CONFIG), str(weather_csv)]
     benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True},
                        rounds=20, iterations=1, warmup_rounds=1)

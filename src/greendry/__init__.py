@@ -4,51 +4,40 @@ Coupled cover/air/product/floor energy balances with thin-layer drying
 kinetics, integrated implicitly over measured or synthetic weather, plus
 validation metrics, payback economics and design-space sweeps.
 
-`config`, `solver` and `sweep`, with `kinetics` and `coefficients` under
-them, are imported on first access, as a submodule (`greendry.solver`) or
-as a name one exports (`greendry.simulate`), through the module
-`__getattr__` below: importing the package, as every command does, loads
-only what all four commands use.
+Importing the package loads none of its modules.  Each submodule
+(`greendry.solver`) and each name one exports (`greendry.simulate`, the
+module of each in _EXPORTED) is imported on its first access, through the
+module `__getattr__` below, so that a command loads only the modules it
+runs: `greendry validate` loads `analysis`, `errors` and `tables`;
+`gen-weather` adds `weather`, `core` and `writers`; `run` and `sweep`
+add `config`, `solver`, `sweep`, `kinetics` and `coefficients` (see
+`cli`).
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    EconomicInputs,
-    ErrorReport,
-    acceptance_check,
-    payback_period,
-    percent_difference,
-)
-from .core import (
-    AirProps,
-    SimState,
-    WeatherRecord,
-    air_properties,
-    humidity_ratio,
-    relative_humidity,
-    saturation_pressure,
-)
-from .weather import WeatherSeries, load_csv, sample, synthetic_days
-
-__all__ = [
-    "AirProps", "DryerConfig", "EconomicInputs", "ErrorReport", "SimSeries",
-    "SimState", "SweepSpec", "WeatherRecord", "WeatherSeries",
-    "acceptance_check", "air_properties", "apply_overrides",
-    "drying_time_objective", "grid_search", "humidity_ratio", "load_config",
-    "load_csv", "payback_period", "percent_difference", "relative_humidity",
-    "sample", "saturation_pressure", "simulate", "step", "synthetic_days",
-]
-
-_SUBMODULES = ("coefficients", "config", "kinetics", "solver", "sweep")
-# the exported names that _SUBMODULES define, and the module of each
+# each exported name, and the submodule that defines it
 _EXPORTED = {
+    "EconomicInputs": "analysis", "ErrorReport": "analysis",
+    "acceptance_check": "analysis", "payback_period": "analysis",
+    "percent_difference": "analysis",
     "DryerConfig": "config", "apply_overrides": "config", "load_config": "config",
+    "AirProps": "core", "SimState": "core", "WeatherRecord": "core",
+    "air_properties": "core", "humidity_ratio": "core", "relative_humidity": "core",
+    "saturation_pressure": "core",
     "SimSeries": "solver", "simulate": "solver", "step": "solver",
     "SweepSpec": "sweep", "drying_time_objective": "sweep", "grid_search": "sweep",
+    "WeatherSeries": "weather", "load_csv": "weather", "sample": "weather",
+    "synthetic_days": "weather",
 }
+
+__all__ = sorted(_EXPORTED)
+
+# every submodule but cli, the entry point, which is imported by name
+_SUBMODULES = ("analysis", "coefficients", "config", "core", "errors", "kinetics",
+               "solver", "sweep", "tables", "weather", "writers")
 
 
 def __getattr__(name: str):
@@ -62,3 +51,8 @@ def __getattr__(name: str):
     value = globals()[name] = getattr(importlib.import_module(
         f"{__name__}.{_EXPORTED[name]}"), name)
     return value
+
+
+def __dir__():
+    """The names bound here and every exported name, bound or not yet."""
+    return sorted({*globals(), *__all__})

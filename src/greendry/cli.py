@@ -23,55 +23,48 @@ removes them and every directory it made, and leaves what was there before
 as it was.  With more than one CPU, `run` is stepped in a worker process
 (`sweep.forked_steps`) while this one writes it, into the same bytes.
 
-Importing this module loads only what all four commands use: argparse
-and the package's `weather`, `core`, `analysis` and `errors`.  What only
-`run` and `sweep` use (`config`, `solver` and `sweep`, with `kinetics`,
-`coefficients` and PyYAML under them, `hashlib` and `json`) loads in one
-place, `_load_run_modules`, when either command starts or when one of
-RUN_NAMES is first read from outside this module; `_write_run` imports
-`solver.step_record`, the one copy of the step residuals, when it starts.
+Importing this module loads, beside argparse, only what `validate` runs:
+the package's `analysis`, `errors` and `tables` (the CSV reader and
+`brackets`).  What only `run` and `sweep` use (`config`, `solver` and
+`sweep`, with `kinetics`, `coefficients` and PyYAML under them; `weather`
+with `core`; `writers`, with `hashlib` and `json`) loads in one place,
+`_load_run_modules`, when either command starts or when one of RUN_NAMES
+is first read from outside this module.  `gen-weather` imports the
+`weather` and `writers` it uses itself.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import errno
 import itertools
 import math
 import operator
-import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .analysis import DEFAULT_ACCEPTANCE_LIMIT, acceptance_check, percent_difference
 from .errors import ComparisonError, ConfigError, GreendryError, WeatherError
-from .weather import (PRESETS, brackets, load_csv, open_csv, read_csv, save_csv,
-                      synthetic_days, write_csv)
+from .tables import brackets, read_csv, write_csv
 
-# the functions of config, solver and sweep that run and sweep call
+# what run and sweep call of config, solver, sweep, weather and writers
 RUN_NAMES = ("load_config", "apply_overrides", "steps", "forked_steps", "grid_search",
-             "load_sweep_spec")
-
-STATE_COLUMNS = ["t_s", "T_c_K", "T_a_K", "T_p_K", "T_f_K", "H", "M_db", "rh_pct"]
-DIAG_COLUMNS = ["t_s", "res_cover_W", "res_air_W", "res_product_W",
-                "res_floor_W", "dM_db", "rh_pct", "flags"]
+             "load_sweep_spec", "load_csv", "synthetic_days", "PRESETS", "_staged",
+             "_write_run", "_write_manifest", "_input_hash", "_sweep_line")
 
 
 def _load_run_modules() -> None:
     """Import what only `run` and `sweep` use: config, solver and sweep
-    (with kinetics and coefficients), hashlib and json, and bind hashlib,
-    json and each of RUN_NAMES as globals of this module.  A name of
-    RUN_NAMES already bound is kept, so that a wrapper put on it, such as
-    bench/spans.py's `patched` puts, is the one the command calls."""
-    global hashlib, json
-    import hashlib
-    import json
-
+    (with kinetics and coefficients), weather (with core) and writers
+    (with hashlib and json), and bind each of RUN_NAMES as a global of
+    this module.  A name of RUN_NAMES already bound is kept, so that a
+    wrapper put on it, such as bench/spans.py's `patched` puts, is the one
+    the command calls."""
     from .config import apply_overrides, load_config
     from .solver import steps
     from .sweep import forked_steps, grid_search, load_sweep_spec
+    from .weather import PRESETS, load_csv, synthetic_days
+    from .writers import _input_hash, _staged, _sweep_line, _write_manifest, _write_run
     namespace, loaded = globals(), locals()
     for name in RUN_NAMES:
         namespace.setdefault(name, loaded[name])
@@ -89,17 +82,6 @@ def __getattr__(name: str):
 def _fail(code: int, message: str):
     print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
-
-
-def _input_hash(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, Path):
-            h.update(part.read_bytes())
-        else:
-            h.update(str(part).encode())
-        h.update(b"\x00")
-    return h.hexdigest()
 
 
 def _parse_sets(pairs) -> dict[str, str]:
@@ -122,110 +104,6 @@ def _resolve_weather(weather_path, preset, days):
         raise WeatherError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
     label = f"preset:{preset}:{days}"
     return synthetic_days(n_days=days, **PRESETS[preset]), label, _input_hash(label)
-
-
-def _write_manifest(path: Path, out: Path, config_path, weather_label: str,
-                    inputs_hash: str, **fields) -> None:
-    """Write path, out's manifest: the inputs, out and their hash, then fields."""
-    manifest = {
-        "engine_version": __version__,
-        "config": str(config_path),
-        "weather": weather_label,
-        "out": str(out),
-        "inputs_sha256": inputs_hash,
-        **fields,
-    }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _sweep_line(rank: int, result) -> str:
-    values = "".join(f"{v!r}," for _, v in result.point)
-    return f"{rank},{values}{result.objective!r},{int(result.reached)}"
-
-
-@contextlib.contextmanager
-def _staged(out: Path, *names):
-    """Make the directory out and yield one temporary path in it per name;
-    rename each to its name when the block succeeds.  When it raises, or
-    a name is a directory (which a rename cannot replace, so none is
-    renamed), remove the temporary files and every directory made here,
-    and leave what was there before."""
-    made = []
-    parent = out
-    while not parent.exists():
-        made.append(parent)
-        parent = parent.parent
-    temporary = [out / f".{name}.tmp" for name in names]
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        yield temporary
-        for name in names:
-            if (out / name).is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                        str(out / name))
-        for path, name in zip(temporary, names):
-            os.replace(path, out / name)
-    except BaseException:
-        for path in temporary:
-            with contextlib.suppress(OSError):
-                path.unlink()
-        for directory in made:  # innermost first
-            with contextlib.suppress(OSError):
-                directory.rmdir()
-        raise
-
-
-RESIDUAL_MEMO_CAP = 256  # the most residual cells _write_run keeps
-
-
-def _write_run(states_path, diag_path, run, comment) -> int:
-    """Write the states and diagnostics CSVs, a row as each (state, work) of
-    run comes (work None: no step row), run being `solver.steps` or what it
-    yields; return the number of states.  The step row's residuals, dM, rh
-    and flags are `solver.step_record(work, T_c, T_a, T_p, T_f)` at the new
-    state's temperatures, as `step_diagnostics` records them; this function
-    only formats them.  Each cell is a repr, made once where values repeat:
-    t for both rows; the previous state's rh when the step's rh equals it,
-    as from `advance`; the previous state's M_p when the new state's M_p
-    equals it, as a stalled or at-equilibrium step returns it; and the
-    first RESIDUAL_MEMO_CAP distinct nonzero residuals (roundoff: 35 in 4
-    baseline days).  Values are compared, so that the memo also spares the
-    reprs of a run whose floats come from another process as new objects
-    (sweep.forked_steps), and zero is left out, as 0.0 == -0.0 but their
-    reprs differ; equal nonzero floats have one repr.  A zero residual is
-    written "0.0" or "-0.0" by its sign, without a repr."""
-    from .solver import step_record
-
-    memo = {}
-    get = memo.get
-
-    def residual(r):
-        if not r:
-            return "-0.0" if math.copysign(1.0, r) < 0.0 else "0.0"
-        cell = repr(r)
-        if len(memo) < RESIDUAL_MEMO_CAP:
-            memo[r] = cell
-        return cell
-
-    n_states, rh, rh_cell, M_p, M_cell = 0, None, None, None, None
-    with open_csv(states_path, STATE_COLUMNS, comment) as states, \
-            open_csv(diag_path, DIAG_COLUMNS, comment) as diagnostics:
-        for n_states, ((t, T_c, T_a, T_p, T_f, H, M_new, rh_new), work) in \
-                enumerate(run, start=1):
-            t_cell = repr(t)
-            if work is not None:
-                r0, r1, r2, r3, dM, rh_used, flags = step_record(work, T_c, T_a, T_p, T_f)
-                diagnostics.write(
-                    f"{t_cell},{get(r0) or residual(r0)},{get(r1) or residual(r1)},"
-                    f"{get(r2) or residual(r2)},{get(r3) or residual(r3)},{dM!r},"
-                    f"{rh_cell if rh_used == rh and rh_used else repr(rh_used)},"
-                    f"{';'.join(flags)}\r\n")
-            if not (M_new == M_p and M_new):
-                M_p, M_cell = M_new, repr(M_new)
-            rh, rh_cell = rh_new, repr(rh_new)
-            states.write(f"{t_cell},{T_c!r},{T_a!r},{T_p!r},{T_f!r},{H!r},{M_cell},"
-                         f"{rh_cell}\r\n")
-    return n_states
 
 
 def cmd_run(config_path, weather_path, preset, days, out_dir, horizon_h,
@@ -374,6 +252,9 @@ def cmd_sweep(config_path, spec_path, weather_path, preset, days, out_dir):
 
 def cmd_gen_weather(preset, days, interval, out_path, **shape):
     """Write a synthetic weather CSV that load_csv round-trips losslessly."""
+    from .weather import PRESETS, save_csv, synthetic_days
+    from .writers import _staged
+
     if preset not in PRESETS:
         _fail(2, f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
     params = dict(PRESETS[preset])

@@ -17,10 +17,10 @@ whatever reads rows: `step_diagnostics`, the error path, the solve's
 fallback and the tests.  `step_record(work, T_c, T_a, T_p, T_f)` works
 out the four residuals at the solved temperatures, the only copy of that
 arithmetic, and returns them with dM, rh and flags: `step_diagnostics`
-and `greendry run`'s writer (cli._write_run) take their residuals from
-it.  At 4x4, array set-up would cost more than the arithmetic, and rows
-of tuples cost seven tuples a step (four rows, A, b and the work) where
-the flat work is one.
+and `greendry run`'s writer (writers._write_run) take their residuals
+from it.  At 4x4, array set-up would cost more than the arithmetic, and
+rows of tuples cost seven tuples a step (four rows, A, b and the work)
+where the flat work is one.
 
 `advance` runs straight through, calling per step only `_kinetics_update`
 and the solve: it writes out `relative_humidity_at`, the `air_properties`
@@ -58,7 +58,7 @@ none; a sweep point keeps only the last two states.
 What depends only on the weather and dt is worked out outside the step:
 `weather_forcing` yields one `Forcing` per step, the weather interpolated
 at the step's end time with T_am**1.5 (for the sky temperature) and the
-wind coefficient.  It takes every step time in one `weather.brackets`
+wind coefficient.  It takes every step time in one `tables.brackets`
 walk, interpolating only I_t, T_am and V_w, and `steps` streams it, one
 step at a time, so a run keeps no weather table; a sweep builds it as a
 tuple once per dt in each process and passes it to every point.  It
@@ -401,7 +401,7 @@ def weather_forcing(weather: WeatherSeries, dt: float,
 def _forcings(weather: WeatherSeries, dt: float, n: int) -> Iterator[Forcing]:
     """weather_forcing's n steps: one bracket walk over the step times
     min(t0 + s dt, t_end), with I_t, T_am and V_w interpolated as
-    `weather.brackets` says and each Forcing built as `_forcing` builds it."""
+    `tables.brackets` says and each Forcing built as `_forcing` builds it."""
     t0, t_end = weather.t_start, weather.t_end
     I, T, V, _ = weather.columns
     ends = map(min, map(add, repeat(t0), map(mul, range(1, n + 1), repeat(dt))),

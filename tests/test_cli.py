@@ -25,6 +25,8 @@ import yaml
 import greendry
 import greendry.cli
 import greendry.sweep
+import greendry.tables
+import greendry.writers
 
 from greendry import (
     apply_overrides,
@@ -32,19 +34,19 @@ from greendry import (
     simulate,
     synthetic_days,
 )
-from greendry.cli import (
+from greendry.cli import main
+from greendry.core import SimState, relative_humidity
+from greendry.errors import ComparisonError
+from greendry.solver import step_diagnostics, steps
+from greendry.sweep import SPEC_KEYS, EconomicModel, SweepResult, forked_steps
+from greendry.tables import read_csv, write_csv
+from greendry.writers import (
     DIAG_COLUMNS,
     RESIDUAL_MEMO_CAP,
     STATE_COLUMNS,
     _sweep_line,
     _write_run,
-    main,
 )
-from greendry.core import SimState, relative_humidity
-from greendry.errors import ComparisonError
-from greendry.solver import step_diagnostics, steps
-from greendry.sweep import SPEC_KEYS, EconomicModel, SweepResult, forked_steps
-from greendry.weather import read_csv, write_csv
 
 from conftest import REPO_ROOT, in_workers, records_of
 
@@ -502,6 +504,104 @@ class TestRun:
         assert overrides == [["airflow.V_a=1.5"], []]
 
 
+# the --help text of each command (greendry: of the program) at 80 columns,
+# pinned: it is made from the parser and the handlers' docstrings
+HELP = {
+    "greendry": """\
+usage: greendry [-h] [--version] COMMAND ...
+
+Solar greenhouse tunnel drier simulator.
+
+positional arguments:
+  COMMAND
+    run        Simulate a drying run and write states.csv + diagnostics.csv
+    validate   Compare a simulated trace against observations; exit 0 iff
+               within the acceptance limit
+    sweep      Evaluate a parameter grid; write sweep.csv ranked by objective
+    gen-weather
+               Write a synthetic weather CSV that load_csv round-trips
+               losslessly
+
+options:
+  -h, --help   show this help message and exit
+  --version    show program's version number and exit
+""",
+    "run": """\
+usage: greendry run [-h] --config CONFIG_PATH [--weather WEATHER_PATH]
+                    [--preset PRESET] [--days DAYS] --out OUT_DIR
+                    [--horizon-h HORIZON_H] [--target-mdb TARGET_MDB]
+                    [--set OVERRIDES]
+
+Simulate a drying run and write states.csv + diagnostics.csv.
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG_PATH  dryer config YAML
+  --weather WEATHER_PATH
+                        weather CSV
+  --preset PRESET       synthetic weather preset name
+  --days DAYS           days of synthetic weather [default: 4]
+  --out OUT_DIR         output directory
+  --horizon-h HORIZON_H
+                        simulation horizon, hours
+  --target-mdb TARGET_MDB
+                        stop when moisture reaches this decimal db
+  --set OVERRIDES       dotted.path=value config override
+""",
+    "validate": """\
+usage: greendry validate [-h] --states STATES_PATH --observed OBSERVED_PATH
+                         --variable VARIABLE [--limit LIMIT]
+
+Compare a simulated trace against observations; exit 0 iff within the
+acceptance limit.
+
+options:
+  -h, --help            show this help message and exit
+  --states STATES_PATH
+  --observed OBSERVED_PATH
+  --variable VARIABLE   states.csv column to compare
+  --limit LIMIT         acceptance limit, % [default: 10.0]
+""",
+    "sweep": """\
+usage: greendry sweep [-h] --config CONFIG_PATH --spec SPEC_PATH
+                      [--weather WEATHER_PATH] [--preset PRESET] [--days DAYS]
+                      --out OUT_DIR
+
+Evaluate a parameter grid; write sweep.csv ranked by objective. A point that
+fails, in its simulation or with no payback, is warned about and ranked as not
+reached; exit 3 only when every point failed or a worker process could not
+start or died.
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG_PATH
+  --spec SPEC_PATH
+  --weather WEATHER_PATH
+  --preset PRESET       synthetic weather preset name
+  --days DAYS           [default: 4]
+  --out OUT_DIR
+""",
+    "gen-weather": """\
+usage: greendry gen-weather [-h] [--preset PRESET] [--days DAYS]
+                            [--interval INTERVAL] --out OUT_PATH
+                            [--peak-irradiance PEAK_IRRADIANCE]
+                            [--sunrise-h SUNRISE_H] [--sunset-h SUNSET_H]
+
+Write a synthetic weather CSV that load_csv round-trips losslessly.
+
+options:
+  -h, --help            show this help message and exit
+  --preset PRESET       [default: tropical]
+  --days DAYS           [default: 3]
+  --interval INTERVAL   sampling interval, s [default: 600.0]
+  --out OUT_PATH
+  --peak-irradiance PEAK_IRRADIANCE
+  --sunrise-h SUNRISE_H
+  --sunset-h SUNSET_H
+""",
+}
+
+
 class TestUsage:
     """The command line itself: a usage error prints the usage and one
     error line on stderr and exits 2, creating nothing."""
@@ -557,6 +657,15 @@ class TestUsage:
         result = run_cli(runner, "validate", "--help")
         assert result.exit_code == 0
         assert "--limit LIMIT" in result.stdout and "[default: 10.0]" in result.stdout
+
+    @pytest.mark.parametrize("command", HELP)
+    def test_help_text_is_pinned(self, runner, monkeypatch, command):
+        # argparse wraps the text to COLUMNS - 2
+        monkeypatch.setenv("COLUMNS", "80")
+        args = ["--help"] if command == "greendry" else [command, "--help"]
+        result = run_cli(runner, *args)
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == HELP[command]
 
 
 def _csv_writer_file(path, columns, rows, inputs_hash):
@@ -922,8 +1031,9 @@ class TestRunWorker:
             def __exit__(self, *exc_info):
                 self.fh.close()
 
-        open_csv = greendry.cli.open_csv
-        monkeypatch.setattr(greendry.cli, "open_csv", lambda *args: FullDisk(open_csv(*args)))
+        open_csv = greendry.writers.open_csv
+        monkeypatch.setattr(greendry.writers, "open_csv",
+                            lambda *args: FullDisk(open_csv(*args)))
         out = tmp_path / "out"
         out.mkdir()
         (out / "states.csv").write_bytes(b"kept\n")
@@ -1236,7 +1346,7 @@ class TestValidateStreamed:
         too_long[298] = b'"' + lines[298].replace(b",", b'",', 1)
         too_long[299] = lines[299][:3] + b"0" * 140_000 + lines[299][3:]
         paths[bad] = tmp_path / f"bad_{bad}.csv"
-        monkeypatch.setattr(greendry.weather, "READ_BLOCK", 256)
+        monkeypatch.setattr(greendry.tables, "READ_BLOCK", 256)
         for edited, error in [(bad_byte, "byte 0xff at column 4 is not UTF-8 (invalid start byte)"),
                               (too_long, "field larger than field limit (131072)")]:
             paths[bad].write_bytes(b"".join(edited))
@@ -1778,6 +1888,22 @@ class TestSweep:
 
 
 class TestGenWeather:
+    def test_loads_no_run_module(self, tmp_path):
+        # gen-weather imports the weather series and the writers, and none
+        # of config, solver, sweep or PyYAML, which only run and sweep use
+        modules = ("greendry.config", "greendry.solver", "greendry.sweep", "yaml",
+                   "greendry.weather", "greendry.writers")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import greendry.cli as cli\n"
+                "try:\n"
+                "    cli.main(sys.argv[2:])\n"
+                "except SystemExit as exc:\n"
+                f"    print(exc.code, [m for m in {modules!r} if m in sys.modules])\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(REPO_ROOT / "src"), "gen-weather", "--days", "1",
+             "--out", str(tmp_path / "w.csv")], capture_output=True, text=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == (
+            "0 ['greendry.weather', 'greendry.writers']"), proc.stderr
+
     def test_round_trip(self, runner, tmp_path):
         out = tmp_path / "w.csv"
         result = run_cli(runner, "gen-weather", "--preset", "tropical",

@@ -38,7 +38,7 @@ from greendry.solver import (
     weather_forcing,
 )
 from greendry.sweep import drying_time_objective
-from greendry.weather import sample, synthetic_days
+from greendry.weather import sample, save_csv, synthetic_days
 
 from conftest import records_of, series_of, unchecked
 
@@ -452,7 +452,8 @@ class TestSolveEnergySystem:
 
 # what only run and sweep use, which the CLI loads when one of them starts
 RUN_MODULES = ["greendry.config", "greendry.solver", "greendry.sweep", "greendry.kinetics",
-               "greendry.coefficients", "yaml", "hashlib", "json"]
+               "greendry.coefficients", "greendry.weather", "greendry.core",
+               "greendry.writers", "yaml", "hashlib", "json"]
 
 
 def _fresh(code, *args):
@@ -466,9 +467,10 @@ def _fresh(code, *args):
 
 @pytest.mark.parametrize("module", ["numpy", "multiprocessing",
                                     "concurrent.futures.process", "pickle", "click",
-                                    "dataclasses", "inspect"] + RUN_MODULES)
+                                    "dataclasses", "inspect", "csv"] + RUN_MODULES)
 def test_cli_import_does_not_load(module):
-    # each would add to the set-up time of every CLI invocation
+    # each would add to the set-up time of every CLI invocation; csv loads
+    # only for a CSV chunk that is quoted or not ASCII
     out = _fresh("import greendry.cli; print(sys.argv[1] in sys.modules)", module)
     assert out.strip() == "False"
 
@@ -481,6 +483,32 @@ def test_run_names_load_the_run_modules():
                  "print(' '.join(m for m in sys.argv[1:] if m not in sys.modules))",
                  *RUN_MODULES)
     assert out.split() == ["yaml"]
+
+
+def test_set_up_probe_of_sweep_loads_what_sweep_runs(baseline_config_path, tmp_path):
+    # the bench's set-up probe of sweep, replayed: the CLI imported, then
+    # the config, the weather and the spec read through names of the CLI,
+    # which load every module run and sweep use
+    weather, spec = tmp_path / "weather.csv", tmp_path / "spec.yaml"
+    save_csv(synthetic_days(1), weather)
+    spec.write_text("objective: drying_time\ntarget_mdb: 0.08\nhorizon_h: 12.0\n"
+                    "parameters:\n  airflow.V_a: [1.0, 3.0]\n")
+    out = _fresh("import greendry.cli as cli\n"
+                 "config, weather, spec = sys.argv[1:4]\n"
+                 "cli.load_config(config)\n"
+                 "series = cli.load_csv(weather)\n"
+                 "print(len(cli.load_sweep_spec(spec, series).parameters[0][1]))\n"
+                 "print(' '.join(m for m in sys.argv[4:] if m not in sys.modules))",
+                 str(baseline_config_path), str(weather), str(spec), *RUN_MODULES)
+    assert out.splitlines() == ["2", ""]
+
+
+def test_dir_lists_every_export_before_it_loads():
+    # a name resolved on first access is still listed by dir()
+    out = _fresh("import greendry\n"
+                 "print(sorted(set(greendry.__all__) - set(dir(greendry))))\n"
+                 "print([m for m in ('greendry.core', 'greendry.solver') if m in sys.modules])")
+    assert out.splitlines() == ["[]", "[]"]
 
 
 def test_package_names_resolve_on_first_access():

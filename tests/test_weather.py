@@ -13,19 +13,18 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from greendry import weather
+from greendry import tables, weather
 from greendry.core import WeatherRecord
 from greendry.errors import WeatherError
 from greendry.weather import (
     CSV_HEADER,
     WeatherSeries,
-    brackets,
     load_csv,
-    read_csv,
     sample,
     save_csv,
     synthetic_days,
 )
+from greendry.tables import brackets, read_csv
 
 from conftest import records_of, series_of
 
@@ -291,7 +290,7 @@ class TestLoadCsv:
                                          "(invalid continuation byte)"),
                               (too_long, "field larger than field limit (131072)")]:
             path.write_bytes("\n".join([",".join(CSV_HEADER), *edited, ""]).encode("latin-1"))
-            with (mock.patch.object(weather, "READ_BLOCK", 256),
+            with (mock.patch.object(tables, "READ_BLOCK", 256),
                   pytest.raises(WeatherError) as exc):
                 load_csv(path)
             assert str(exc.value) == f"{path}:301: {error}"
@@ -321,7 +320,7 @@ READERS = [pytest.param(_columns_of_load_csv, id="load_csv"),
 
 class TestCsvDialect:
     """The weather reader and the states reader read a file by the same
-    rules, since both go through weather.read_csv."""
+    rules, since both go through tables.read_csv."""
 
     ROWS = ["0,0,298,1,70", "600,800,300,2,60"]
 
@@ -364,7 +363,7 @@ class TestCsvDialect:
         lines = [*comment, ",".join(CSV_HEADER), *self.ROWS, ""]
         plain, bommed = tmp_path / "plain.csv", tmp_path / "bom.csv"
         plain.write_bytes("\r\n".join(lines).encode())
-        bommed.write_bytes(weather.BOM + plain.read_bytes())
+        bommed.write_bytes(tables.BOM + plain.read_bytes())
         assert read(bommed) == read(plain)
         assert read(plain)["t_s"] == [0.0, 600.0]
 
@@ -531,9 +530,9 @@ class TestBlocks:
         text = "".join(first + rest + end for first, rest, end in lines)
         kept = [(n, line.rstrip("\r\n")) for n, line in
                 enumerate(io.StringIO(text, newline="").readlines(), 1)
-                if not weather._skipped(line)]
-        with mock.patch.object(weather, "READ_BLOCK", block):
-            blocks = list(weather._blocks(io.BytesIO(text.encode()), "t.csv"))
+                if not tables._skipped(line)]
+        with mock.patch.object(tables, "READ_BLOCK", block):
+            blocks = list(tables._blocks(io.BytesIO(text.encode()), "t.csv"))
         assert [n for numbers, _, _ in blocks for n in numbers] == [n for n, _ in kept]
         assert _rows_of(blocks) == [row for _, row in kept]
 
@@ -552,7 +551,7 @@ class TestReadCsvEquivalence:
         path.write_bytes(text.encode())
         columns = None if picked is None else (
             lambda header: [header[i] if i < len(header) else "zz" for i in picked])
-        with mock.patch.object(weather, "READ_BLOCK", block):
+        with mock.patch.object(tables, "READ_BLOCK", block):
             got = _outcome(read_csv, path, columns)
         # repr, so that nan equals nan and -0.0 does not equal 0.0
         assert repr(got) == repr(_outcome(_reference_read_csv, path, columns))
@@ -569,7 +568,7 @@ class TestAsciiAndUnicodeBlocks:
         rows.insert(100, "\x1c# c")
         odd = ["3000,\u0663,\xa05", "\u20283001,1,2", "\u2028# c", "3002,1,2"]
         path.write_bytes("\r\n".join(["t_s,a,b", *rows, *odd, ""]).encode())
-        assert path.stat().st_size > weather.READ_BLOCK
+        assert path.stat().st_size > tables.READ_BLOCK
         data, lines = read_csv(path)
         assert (data, lines) == _reference_read_csv(path)
         assert data["a"][3000:] == [3.0, 1.0, 1.0] and data["b"][3000] == 5.0
@@ -592,8 +591,8 @@ class TestAsciiAndUnicodeBlocks:
     def test_chunks_routed_as_reference_reads_them(self, tmp_path, lines, csv_reads):
         path = tmp_path / "routed.csv"
         path.write_bytes("\r\n".join([*lines, ""]).encode())
-        assert path.stat().st_size > weather.READ_BLOCK
-        with mock.patch.object(weather, "_csv_blocks", wraps=weather._csv_blocks) as spy:
+        assert path.stat().st_size > tables.READ_BLOCK
+        with mock.patch.object(tables, "_csv_blocks", wraps=tables._csv_blocks) as spy:
             data, lines = read_csv(path)
         assert (data, list(lines)) == _reference_read_csv(path)
         assert [call.args[1] > 1 for call in spy.call_args_list] == csv_reads
